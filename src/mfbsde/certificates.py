@@ -245,7 +245,8 @@ def build_chain(
         (log_T, BRANCH_HORIZON),
     ]
     log_eps, branch = min(candidates, key=lambda p: p[0])
-    eps = _safe_exp(log_eps)
+    # exp(log(T)) can land one ulp above T; the horizon branch is T itself
+    eps = T if branch == BRANCH_HORIZON else _safe_exp(log_eps)
     underflow = eps == 0.0
 
     if branch == BRANCH_MASS:

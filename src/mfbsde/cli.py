@@ -171,7 +171,7 @@ def _cmd_solve(args) -> int:
     print(f"iterations per window: {iters}")
     print(f"state mean at t=0: "
           + ", ".join(f"{v:.6f}" for v in result.m_y.values[0]))
-    for key in ("alpha_envelope_rate", "window_width_exceeded", "z_shift_bitwise"):
+    for key in ("alpha_envelope_rate", "window_exceeds_certificate", "z_shift_bitwise"):
         if key in result.flags:
             print(f"{key}: {result.flags[key]}")
     print(f"elapsed: {elapsed:.2f}s")

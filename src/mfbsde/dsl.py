@@ -15,9 +15,9 @@ expression is scalar-valued.  Multi-component generators are written as
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -214,6 +214,17 @@ class GeneratorExpr:
     def n_components(self) -> int:
         return len(self.components)
 
+    @cached_property
+    def _programs(self) -> tuple:
+        """One compiled closure per component, built on first evaluation."""
+        return tuple(_compile(c) for c in self.components)
+
+    def __getstate__(self):
+        # closures do not pickle; an unpickled copy compiles again on use
+        state = dict(self.__dict__)
+        state.pop("_programs", None)
+        return state
+
     def free_variables(self) -> frozenset[str]:
         seen: set[str] = set()
         for c in self.components:
@@ -368,76 +379,141 @@ def _combine(node, a, b):
         )
 
 
-def _eval_node(node: Expr, env: dict) -> np.ndarray:
+# numpy reduces a row narrower than this one element at a time, from zero
+_SEQUENTIAL_ROW_WIDTH = 8
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.sum(a * b, axis=1, keepdims=True)``, bit for bit.
+
+    Narrow rows are summed column by column in numpy's own order
+    ``((0 + p0) + p1) + ...``.  Whole-column products and adds avoid one
+    short reduction per row, and stay fast on the strided node slices the
+    solvers pass in.
+    """
+    width = a.shape[1]
+    if width >= _SEQUENTIAL_ROW_WIDTH:
+        return np.sum(a * b, axis=1, keepdims=True)
+    total = a[:, 0] * b[:, 0] + 0.0
+    for k in range(1, width):
+        total += a[:, k] * b[:, k]
+    return total[:, None]
+
+
+def row_norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (P, m) array, as a (P, 1) array."""
+    return np.sqrt(_row_dot(a, a))
+
+
+_ELEMENTWISE = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "min": np.minimum,
+    "max": np.maximum,
+}
+_TRANSCENDENTAL = {"abs": np.abs, "sin": np.sin, "cos": np.cos, "exp": np.exp}
+
+
+def _compile(node: Expr):
+    """Closure mapping an environment of (P, width) arrays to ``node``'s value.
+
+    Dispatch on the node type happens here, once; the closures only run
+    numpy operations and the domain checks.
+    """
     if isinstance(node, Num):
-        return np.full((1, 1), node.value)
+        const = np.full((1, 1), node.value)
+        const.flags.writeable = False
+        return lambda env: const
     if isinstance(node, Var):
-        return env[node.name]
+        name = node.name
+        return lambda env: env[name]
     if isinstance(node, Neg):
-        return -_eval_node(node.operand, env)
+        operand = _compile(node.operand)
+        return lambda env: -operand(env)
     if isinstance(node, Bin):
-        a = _eval_node(node.left, env)
-        b = _eval_node(node.right, env)
-        _combine(node, a, b)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
+        left, right = _compile(node.left), _compile(node.right)
         if node.op == "/":
-            if np.any(b == 0.0):
-                raise EvalDomainError("division by zero", _node_text(node), node.pos)
-            return a / b
+            return _compile_divide(node, left, right)
         if node.op == "^":
-            if b.shape != (1, 1):
-                raise DimensionError(
-                    f"exponent must be a constant scalar in '{_node_text(node)}'"
-                )
-            e = float(b[0, 0])
-            if e != round(e):
-                if np.any(a < 0.0):
-                    raise EvalDomainError(
-                        "fractional power of a negative base",
-                        _node_text(node),
-                        node.pos,
-                    )
-            if e < 0 and np.any(a == 0.0):
-                raise EvalDomainError(
-                    "negative power of zero", _node_text(node), node.pos
-                )
-            return a**e
-        raise TypeError(node.op)  # pragma: no cover
+            return _compile_power(node, left, right)
+        return _compile_elementwise(node, _ELEMENTWISE[node.op], left, right)
     if isinstance(node, Call):
-        args = [_eval_node(a, env) for a in node.args]
-        f = node.func
-        if f == "norm2":
-            (a,) = args
-            return np.sqrt(np.sum(a * a, axis=1, keepdims=True))
-        if f == "dot":
-            a, b = args
-            if a.shape[1] != b.shape[1]:
-                raise DimensionError(
-                    f"dot of {a.shape[1]}- and {b.shape[1]}-component vectors"
+        args = [_compile(a) for a in node.args]
+        if node.func == "norm2":
+            (arg,) = args
+            return lambda env: row_norm(arg(env))
+        if node.func == "dot":
+            return _compile_dot(*args)
+        if node.func in _TRANSCENDENTAL:
+            return _compile_transcendental(_TRANSCENDENTAL[node.func], *args)
+        return _compile_elementwise(node, _ELEMENTWISE[node.func], *args)
+    raise TypeError(node)  # pragma: no cover - exhaustive
+
+
+def _compile_elementwise(node, ufunc, left, right):
+    def run(env):
+        a, b = left(env), right(env)
+        _combine(node, a, b)
+        return ufunc(a, b)
+
+    return run
+
+
+def _compile_transcendental(ufunc, arg):
+    def run(env):
+        a = arg(env)
+        if a.shape[1] > 1:
+            # scalar convention: unary transcendental of a vector acts on
+            # its Euclidean norm
+            a = row_norm(a)
+        return ufunc(a)
+
+    return run
+
+
+def _compile_dot(left, right):
+    def run(env):
+        a, b = left(env), right(env)
+        if a.shape[1] != b.shape[1]:
+            raise DimensionError(
+                f"dot of {a.shape[1]}- and {b.shape[1]}-component vectors"
+            )
+        return _row_dot(a, b)
+
+    return run
+
+
+def _compile_divide(node, left, right):
+    def run(env):
+        a, b = left(env), right(env)
+        _combine(node, a, b)
+        if np.any(b == 0.0):
+            raise EvalDomainError("division by zero", _node_text(node), node.pos)
+        return a / b
+
+    return run
+
+
+def _compile_power(node, left, right):
+    def run(env):
+        a, b = left(env), right(env)
+        _combine(node, a, b)
+        if b.shape != (1, 1):
+            raise DimensionError(
+                f"exponent must be a constant scalar in '{_node_text(node)}'"
+            )
+        e = float(b[0, 0])
+        if e != round(e):
+            if np.any(a < 0.0):
+                raise EvalDomainError(
+                    "fractional power of a negative base", _node_text(node), node.pos
                 )
-            return np.sum(a * b, axis=1, keepdims=True)
-        if f in ("abs", "sin", "cos", "exp"):
-            (a,) = args
-            if a.shape[1] > 1:
-                # scalar convention: unary transcendental of a vector acts on
-                # its Euclidean norm
-                a = np.sqrt(np.sum(a * a, axis=1, keepdims=True))
-            return {"abs": np.abs, "sin": np.sin, "cos": np.cos, "exp": np.exp}[f](a)
-        if f == "min":
-            a, b = args
-            _combine(node, a, b)
-            return np.minimum(a, b)
-        if f == "max":
-            a, b = args
-            _combine(node, a, b)
-            return np.maximum(a, b)
-        raise TypeError(f)  # pragma: no cover
-    raise TypeError(node)  # pragma: no cover
+        if e < 0 and np.any(a == 0.0):
+            raise EvalDomainError("negative power of zero", _node_text(node), node.pos)
+        return a**e
+
+    return run
 
 
 def _run_components(expr: GeneratorExpr, env: dict, n_out: int) -> np.ndarray:
@@ -448,15 +524,17 @@ def _run_components(expr: GeneratorExpr, env: dict, n_out: int) -> np.ndarray:
         )
     P = max(v.shape[0] for v in env.values()) if env else 1
     out = np.empty((P, n_out))
+    programs = expr._programs
     for j in range(n_out):
-        node = comps[0] if len(comps) == 1 else comps[j]
-        val = _eval_node(node, env)
-        if val.shape[1] != 1:
-            raise DimensionError(
-                f"component {j + 1} is {val.shape[1]}-dimensional, expected scalar:"
-                f" '{_node_text(node)}'"
-            )
-        out[:, j] = np.broadcast_to(val[:, 0], (P,))
+        # a single expression is evaluated once and serves every column
+        if j < len(programs):
+            val = programs[j](env)
+            if val.shape[1] != 1:
+                raise DimensionError(
+                    f"component {j + 1} is {val.shape[1]}-dimensional, expected"
+                    f" scalar: '{_node_text(comps[j])}'"
+                )
+        out[:, j] = val[:, 0]
     if not np.all(np.isfinite(out)):
         raise EvalDomainError("non-finite value", to_text(expr), 1)
     return out
@@ -546,43 +624,3 @@ def builtin(name: str, alpha: float | None = None) -> GeneratorExpr:
             raise InvalidInput(f"{name} takes no alpha parameter")
         return parse(_BUILTIN_TEXT[name])
     raise InvalidInput(f"unknown builtin generator {name!r}")
-
-
-def math_eval_scalar(expr: GeneratorExpr, s, y, ybar, z, zbar) -> float:
-    """Scalar-path evaluation used in tests to cross-check vectorisation.
-
-    Only supports the n = d = 1 case; deliberately routed through python
-    floats rather than numpy arrays.
-    """
-
-    def go(node):
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
-            return {"s": s, "y": y, "ybar": ybar, "z": z, "zbar": zbar}[node.name]
-        if isinstance(node, Neg):
-            return -go(node.operand)
-        if isinstance(node, Bin):
-            a, b = go(node.left), go(node.right)
-            return {
-                "+": lambda: a + b,
-                "-": lambda: a - b,
-                "*": lambda: a * b,
-                "/": lambda: a / b,
-                "^": lambda: a**b,
-            }[node.op]()
-        if isinstance(node, Call):
-            args = [go(a) for a in node.args]
-            return {
-                "abs": lambda: abs(args[0]),
-                "sin": lambda: math.sin(args[0]),
-                "cos": lambda: math.cos(args[0]),
-                "exp": lambda: math.exp(args[0]),
-                "min": lambda: min(args),
-                "max": lambda: max(args),
-                "norm2": lambda: abs(args[0]),
-                "dot": lambda: args[0] * args[1],
-            }[node.func]()
-        raise TypeError(node)
-
-    return go(expr.components[0])

@@ -52,7 +52,7 @@ from .scenario import (
     FORM_SPLIT_QUADRATIC,
     ScenarioSpec,
 )
-from .solver import BackwardSolver, SolverConfig, frozen_mean_driver
+from .solver import BackwardSolver, SolverConfig, frozen_mean_driver, y_free
 
 __all__ = [
     "FixedPointTrace",
@@ -186,6 +186,7 @@ def _window_steps(ensemble: PathEnsemble, window: Window) -> np.ndarray:
     return ensemble.grid.steps[window.lo : window.hi]
 
 
+@y_free
 def _zero_driver(i, s, y, z):
     return np.zeros_like(y)
 
@@ -251,11 +252,13 @@ def _raise_fixed_point(trace, context: str):
             f"(last ratios {', '.join(f'{x:.3f}' for x in r[-3:])})",
             trace,
         )
-    raise MaxIterations(
-        f"{context}: iteration budget exhausted at distance "
-        f"{trace.total_distances()[-1]:.3e}",
-        trace,
+    distances = trace.total_distances()
+    reached = (
+        f"at distance {distances[-1]:.3e}"
+        if distances
+        else "before two iterates could be compared"
     )
+    raise MaxIterations(f"{context}: iteration budget exhausted {reached}", trace)
 
 
 def _diverging(trace) -> bool:
@@ -632,6 +635,7 @@ def picard_global(
             )
             source[:, j] = full - core
 
+        @y_free
         def driver(i, s, y, z, _src=source):
             core = dsl.evaluate(
                 gen, s, zeros_y, np.zeros(n), z, np.zeros((d, n)), n=n, d=d
@@ -723,6 +727,7 @@ def shift_solve_simple(
     f1 = scenario.f1
     zeros_y = np.zeros((ensemble.n_paths, n))
 
+    @y_free
     def driver(i, s, y, z):
         return dsl.evaluate(f1, s, zeros_y, np.zeros(n), z, np.zeros((d, n)), n=n, d=d)
 
@@ -781,6 +786,7 @@ def shift_fixed_point(
             m_u = u_vals.mean(axis=0)
             m_v = v_vals.mean(axis=0)
 
+            @y_free
             def driver(i, s, y, z, _u=u_vals, _mu=m_u, _mv=m_v):
                 j = i - window.lo
                 return dsl.evaluate(f1, s, _u[:, j], _mu[j], z, _mv[j], n=n, d=d)
@@ -853,6 +859,7 @@ def multidim_solve(
             m_u = u_vals.mean(axis=0)
             sweep = None
             for inner in range(1, 13):
+                @y_free
                 def driver(i, s, y, z, _u=u_vals, _mu=m_u, _mz=mz_curve):
                     j = i - window.lo
                     return dsl.evaluate(f1, s, _u[:, j], _mu[j], z, _mz[j], n=n, d=d)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInput, RegressionError
 
-__all__ = ["RegressionBasis", "NodeRegression", "regress_conditional", "poly_features"]
+__all__ = ["RegressionBasis", "NodeRegression", "poly_features"]
 
 
 @dataclass(frozen=True)
@@ -133,11 +133,3 @@ class NodeRegression:
             fitted[members] = Xs @ c
             coeffs[b, keep, :] = c
         return (fitted[:, 0], coeffs) if squeeze else (fitted, coeffs)
-
-
-def regress_conditional(
-    values: np.ndarray, state: np.ndarray, basis: RegressionBasis | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-shot conditional expectation estimate of ``values`` given ``state``."""
-    reg = NodeRegression(state, basis or RegressionBasis())
-    return reg.fit(values)

@@ -8,7 +8,8 @@ One backward step at node i:
   variance than the raw product and the same conditional expectation),
 * state ``Y_i`` from the implicit equation ``y = c + h_i * f(t_i, y, Z_i)``
   solved by damped fixed-point iteration (the driver may be quadratic in z
-  but z enters explicitly).
+  but z enters explicitly).  A driver marked by :func:`y_free` does not read
+  its state argument, so the equation is explicit and takes one step.
 
 Driver evaluations clamp the z argument at a configurable norm level;
 clamp activations are counted and reported, and a converged run is expected
@@ -98,15 +99,12 @@ class BackwardSolver:
             self._cache[i] = reg
         return reg
 
-    def conditional(self, i: int, values: np.ndarray) -> np.ndarray:
-        fitted, _ = self.node_regression(i).fit(values)
-        return fitted
-
     def solve(self, window: Window, terminal: np.ndarray, driver) -> StandardSolve:
         """Backward sweep on ``window``.
 
         ``terminal`` has shape (P, n); ``driver(i, s, y, z)`` maps the node
-        index, time, state (P, n) and integrand (P, d, n) to (P, n).
+        index, time, state (P, n) and integrand (P, d, n) to (P, n).  A
+        driver marked by :func:`y_free` gets one explicit step per node.
         """
         ens = self.ensemble
         cfg = self.config
@@ -157,9 +155,20 @@ class BackwardSolver:
                              clamp_events=clamp_events)
 
 
+def y_free(driver):
+    """Mark ``driver`` as not reading its state argument ``y``.
+
+    The backward step ``y = cond + h * driver(i, t, y, z)`` is then
+    explicit: one driver evaluation, the same array the fixed-point loop
+    returns on its second pass.
+    """
+    driver.reads_y = False
+    return driver
+
+
 def _clamp_z(z: np.ndarray, level: float) -> tuple[np.ndarray, int]:
     P = z.shape[0]
-    norms = np.sqrt(np.sum(z.reshape(P, -1) ** 2, axis=1))
+    norms = dsl.row_norm(z.reshape(P, -1))[:, 0]
     over = norms > level
     n_over = int(np.count_nonzero(over))
     if n_over == 0:
@@ -171,6 +180,8 @@ def _clamp_z(z: np.ndarray, level: float) -> tuple[np.ndarray, int]:
 
 def _implicit_state(cond, h, t, i, z_drv, driver, cfg) -> tuple[np.ndarray, int]:
     """Damped fixed-point solve of ``y = cond + h * driver(i, t, y, z)``."""
+    if not getattr(driver, "reads_y", True):
+        return cond + h * driver(i, t, cond, z_drv), 1
     y = cond
     prev_res = np.inf
     for m in range(1, cfg.max_inner + 1):
@@ -233,7 +244,7 @@ def frozen_mean_driver(
         j = i - lo
         return dsl.evaluate(gen, s, y, m_y[j], z, m_z[j], n=n, d=d)
 
-    return drive
+    return drive if "y" in gen.free_variables() else y_free(drive)
 
 
 def solve_standard(

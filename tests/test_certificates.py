@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfbsde.certificates import (
@@ -133,6 +133,8 @@ moderate = dict(min_value=0.0, max_value=2.0, allow_nan=False)
     xi=st.floats(min_value=0.0, max_value=1.0),
     T=st.floats(min_value=0.25, max_value=2.0),
 )
+# horizon branch: exp(log(T)) is one ulp above T here
+@example(C=0.0, gamma=1.0, alpha=0.0, xi=0.0, T=0.36328125)
 def test_chain_identities_moderate_regime(C, gamma, alpha, xi, T):
     ch = build_chain(C, gamma, alpha, xi, T)
     assert ch.Delta >= 0.0

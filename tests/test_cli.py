@@ -1,6 +1,7 @@
 """Command line interface: exit codes, outputs, and overrides."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +100,30 @@ def test_solve_writes_outputs(tiny_cfg, tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "solver=global scenario=tiny" in captured
     assert "state mean at t=0" in captured
+
+
+def test_solve_summary_reports_window_override(tiny_cfg, tmp_path, capsys):
+    # one window spans the whole horizon, wider than the certified width;
+    # the config's override flag lets the solve proceed
+    with pytest.warns(RuntimeWarning, match="exceeds the certified width"):
+        rc = main(["solve", "--config", str(tiny_cfg), "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert "window_exceeds_certificate: True" in capsys.readouterr().out
+
+
+def test_exhausted_outer_budget_exits_1(tmp_path, capsys):
+    # a single outer iteration records no distance between iterates
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "ex22.cfg"
+    text = shipped.read_text()
+    assert "max_outer = 30" in text
+    cfg = tmp_path / "ex22.cfg"
+    cfg.write_text(text.replace("max_outer = 30", "max_outer = 1"))
+    rc = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+               "--paths", "400", "--steps", "8"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "MaxIterations" in err
+    assert "iteration budget exhausted before two iterates could be compared" in err
 
 
 def test_solve_overrides_reach_manifest(tiny_cfg, tmp_path):

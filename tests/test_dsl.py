@@ -2,10 +2,12 @@
 
 The two builtin families double as parser fixtures: their printed text is
 pinned, and their values are cross-checked against hand-coded closed
-forms at random points.
+forms at random points.  The compiled evaluator is held bit for bit to the
+tree-walking reference interpreter kept below.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,7 +15,109 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfbsde import dsl
+from mfbsde.dsl import Bin, Call, Neg, Num, Var
 from mfbsde.errors import DimensionError, EvalDomainError, InvalidInput, ParseError
+
+# ---------------------------------------------------------------------------
+# reference evaluators
+# ---------------------------------------------------------------------------
+
+
+def math_eval_scalar(expr, s, y, ybar, z, zbar) -> float:
+    """Scalar-path evaluation that cross-checks vectorisation.
+
+    Only supports the n = d = 1 case; deliberately routed through python
+    floats rather than numpy arrays.
+    """
+
+    def go(node):
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Var):
+            return {"s": s, "y": y, "ybar": ybar, "z": z, "zbar": zbar}[node.name]
+        if isinstance(node, Neg):
+            return -go(node.operand)
+        if isinstance(node, Bin):
+            a, b = go(node.left), go(node.right)
+            return {
+                "+": lambda: a + b,
+                "-": lambda: a - b,
+                "*": lambda: a * b,
+                "/": lambda: a / b,
+                "^": lambda: a**b,
+            }[node.op]()
+        if isinstance(node, Call):
+            args = [go(a) for a in node.args]
+            return {
+                "abs": lambda: abs(args[0]),
+                "sin": lambda: math.sin(args[0]),
+                "cos": lambda: math.cos(args[0]),
+                "exp": lambda: math.exp(args[0]),
+                "min": lambda: min(args),
+                "max": lambda: max(args),
+                "norm2": lambda: abs(args[0]),
+                "dot": lambda: args[0] * args[1],
+            }[node.func]()
+        raise TypeError(node)
+
+    return go(expr.components[0])
+
+
+def _interpret(node, env):
+    """Tree-walking evaluation on (P, width) arrays, reductions by np.sum."""
+    if isinstance(node, Num):
+        return np.full((1, 1), node.value)
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -_interpret(node.operand, env)
+    if isinstance(node, Bin):
+        a, b = _interpret(node.left, env), _interpret(node.right, env)
+        if node.op == "/":
+            if np.any(b == 0.0):
+                raise EvalDomainError("division by zero", dsl._node_text(node), node.pos)
+            return a / b
+        if node.op == "^":
+            e = float(b[0, 0])
+            if e != round(e) and np.any(a < 0.0):
+                raise EvalDomainError(
+                    "fractional power of a negative base", dsl._node_text(node), node.pos
+                )
+            return a**e
+        return {"+": np.add, "-": np.subtract, "*": np.multiply}[node.op](a, b)
+    args = [_interpret(a, env) for a in node.args]
+    if node.func == "norm2":
+        return np.sqrt(np.sum(args[0] * args[0], axis=1, keepdims=True))
+    if node.func == "dot":
+        return np.sum(args[0] * args[1], axis=1, keepdims=True)
+    if node.func in ("abs", "sin", "cos", "exp"):
+        a = args[0]
+        if a.shape[1] > 1:
+            a = np.sqrt(np.sum(a * a, axis=1, keepdims=True))
+        return getattr(np, node.func)(a)
+    return {"min": np.minimum, "max": np.maximum}[node.func](*args)
+
+
+def reference_evaluate(expr, s, y, ybar, z, zbar, n, d):
+    """Interpreter reading of :func:`dsl.evaluate` for (P, n) / (P, d, n) input:
+    every component evaluated separately, then the non-finite check."""
+    P = y.shape[0]
+    env = {
+        "s": np.asarray(s, dtype=np.float64).reshape(-1, 1),
+        "y": y,
+        "ybar": ybar.reshape(-1, n),
+        "z": z.reshape(z.shape[0], d * n),
+        "zbar": zbar.reshape(-1, d * n),
+    }
+    out = np.empty((P, n))
+    comps = expr.components
+    for j in range(n):
+        val = _interpret(comps[0] if len(comps) == 1 else comps[j], env)
+        out[:, j] = np.broadcast_to(val[:, 0], (P,))
+    if not np.all(np.isfinite(out)):
+        raise EvalDomainError("non-finite value", dsl.to_text(expr), 1)
+    return out
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -66,7 +170,7 @@ def test_terminal_variables_are_separate():
 
 def _scalar(expr_text, y):
     e = dsl.parse(expr_text)
-    return dsl.math_eval_scalar(e, 0.0, y, 0.0, 0.0, 0.0)
+    return math_eval_scalar(e, 0.0, y, 0.0, 0.0, 0.0)
 
 
 def test_unary_minus_binds_looser_than_power():
@@ -149,7 +253,7 @@ def test_power_growth_at_origin():
 def test_split_second_part_reference_value():
     # f2 = 1 + |y| + |ybar| + 0.5*(|z| + |zbar|)^2 at y=1, |z|=1, rest 0
     e = dsl.builtin("ex3.1-f2")
-    assert dsl.math_eval_scalar(e, 0.0, 1.0, 0.0, 1.0, 0.0) == 2.5
+    assert math_eval_scalar(e, 0.0, 1.0, 0.0, 1.0, 0.0) == 2.5
 
 
 def test_constant_expression_ignores_inputs(rng):
@@ -182,7 +286,7 @@ def test_vectorised_matches_scalar(rng):
     for e in exprs:
         batch = dsl.evaluate(e, s, y, yb, z, zb, n=1, d=1)
         for p in range(P):
-            ref = dsl.math_eval_scalar(
+            ref = math_eval_scalar(
                 e, s, y[p, 0], yb[p, 0], z[p, 0, 0], zb[p, 0, 0]
             )
             assert batch[p, 0] == pytest.approx(ref, rel=1e-14, abs=1e-14)
@@ -220,7 +324,7 @@ def test_builtins_against_hand_coded(rng):
     pts[:, 0] = np.abs(pts[:, 0])  # time stays nonnegative
     for expr, ref in cases:
         for s, y, yb, z, zb in pts:
-            got = dsl.math_eval_scalar(expr, s, y, yb, z, zb)
+            got = math_eval_scalar(expr, s, y, yb, z, zb)
             want = ref(s, y, yb, z, zb)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -303,3 +407,119 @@ def test_builtin_unknown_name():
         dsl.builtin("ex2.1")  # missing alpha
     with pytest.raises(InvalidInput):
         dsl.builtin("ex2.1", alpha=1.0)
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation against the reference interpreter
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _driver_inputs(rng, P, n, d):
+    """Inputs shaped as the solvers pass them: the state is a strided node
+    slice of a (P, L, n) array, and one path carries signed zeros."""
+    y = rng.uniform(-2, 2, (P, 3, n))[:, 1]
+    yb = rng.uniform(-2, 2, n)
+    z = rng.uniform(-2, 2, (P, d, n))
+    zb = rng.uniform(-2, 2, (d, n))
+    y[0] = -0.0
+    z[0] = -0.0
+    return y, yb, z, zb
+
+
+COMPILED_CASES = [
+    # vector arguments of abs, sin, cos and exp act on the Euclidean norm
+    ("abs(y) + sin(ybar) * exp(-norm2(z)) ; cos(zbar) - abs(z) + s", 2, 2),
+    ("norm2(z)^2 + dot(y, ybar) ; dot(z, zbar) / (1 + norm2(zbar))", 2, 2),
+    ("dot(y, y) - dot(ybar, y) ; max(norm2(y), s) - min(norm2(ybar), 0.5)", 2, 2),
+    ("1 + abs(sin(y)) + abs(sin(ybar)) + norm2(z) + norm2(zbar)", 2, 2),
+    # one expression broadcast to both components
+    ("exp(-(norm2(y) - norm2(ybar))^2) + dot(z, zbar)", 2, 2),
+    # z is 8 wide: the reductions take numpy's own row sum
+    ("norm2(z) + dot(z, zbar) ; abs(zbar) * sin(z)", 2, 4),
+    ("1 + s + abs(y) + abs(ybar) + 0.5*norm2(z)^2 + abs(sin(norm2(zbar)))", 1, 1),
+]
+
+
+@pytest.mark.parametrize("text,n,d", COMPILED_CASES)
+@pytest.mark.parametrize("P", [1, 3, 257])
+def test_compiled_matches_reference_bit_for_bit(rng, text, n, d, P):
+    e = dsl.parse(text)
+    y, yb, z, zb = _driver_inputs(rng, P, n, d)
+    for s in (0.3, rng.uniform(0, 1, P)):
+        got = dsl.evaluate(e, s, y, yb, z, zb, n=n, d=d)
+        want = reference_evaluate(e, s, y, yb, z, zb, n=n, d=d)
+        assert _same_bits(got, want)
+
+
+def test_dot_of_signed_zeros_matches_numpy_sum():
+    # numpy sums a row from +0, so a row of -0 products sums to +0
+    e = dsl.parse("dot(y, ybar)")
+    y = np.array([[-0.0, -0.0], [0.0, -0.0], [1.0, -0.0]])
+    z = np.zeros((3, 2, 2))
+    got = dsl.evaluate(e, 0.0, y, np.ones(2), z, z, n=2, d=2)
+    want = np.sum(y * np.ones(2), axis=1)
+    assert _same_bits(got[:, 0], want)
+    assert not np.signbit(got[0, 0])
+
+
+def test_row_norm_matches_numpy_at_every_width(rng):
+    for width in range(1, 11):
+        a = rng.standard_normal((101, width))
+        for arr in (a, np.asfortranarray(a), a[::-1]):
+            want = np.sqrt(np.sum(arr * arr, axis=1, keepdims=True))
+            assert _same_bits(dsl.row_norm(arr), want)
+
+
+def test_compiled_program_is_cached_on_the_expression(rng):
+    e = dsl.parse("norm2(z) + y")
+    assert e._programs is e._programs
+    # caching keeps value semantics: equal text, equal expressions, and an
+    # evaluated expression still pickles
+    assert e == dsl.parse("norm2(z) + y")
+    y, yb, z, zb = _driver_inputs(rng, 5, 1, 2)
+    first = dsl.evaluate(e, 0.0, y, yb, z, zb, n=1, d=2)
+    copy = pickle.loads(pickle.dumps(e))
+    assert copy == e
+    assert _same_bits(dsl.evaluate(copy, 0.0, y, yb, z, zb, n=1, d=2), first)
+
+
+def test_single_expression_evaluated_once_per_call(rng, monkeypatch):
+    e = dsl.parse("1 + norm2(z)")
+    calls = []
+    real = dsl.row_norm
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(dsl, "row_norm", counted)
+    y, yb, z, zb = _driver_inputs(rng, 50, 2, 2)
+    out = dsl.evaluate(e, 0.0, y, yb, z, zb, n=2, d=2)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(out[:, 0], out[:, 1])
+    assert _same_bits(out, reference_evaluate(e, 0.0, y, yb, z, zb, n=2, d=2))
+
+
+DOMAIN_CASES = [
+    ("1 + y / (ybar - ybar)", "division by zero", "y / (ybar - ybar)", 7),
+    ("2 + (y - 3)^0.5", "fractional power of a negative base", "(y - 3)^0.5", 12),
+    ("exp(1000 * s) ; s", "non-finite value", "exp(1000 * s) ; s", 1),
+]
+
+
+@pytest.mark.parametrize("text,message,node_text,column", DOMAIN_CASES)
+def test_domain_errors_keep_message_and_position(text, message, node_text, column):
+    e = dsl.parse(text)
+    y = np.ones((4, 2))
+    z = np.zeros((4, 2, 2))
+    with np.errstate(over="ignore"), pytest.raises(EvalDomainError) as got:
+        dsl.evaluate(e, 1.0, y, np.ones(2), z, z, n=2, d=2)
+    with np.errstate(over="ignore"), pytest.raises(EvalDomainError) as want:
+        reference_evaluate(e, 1.0, y, np.ones(2), z, z, n=2, d=2)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"{message} in '{node_text}' (column {column})"
+    assert (got.value.node_text, got.value.column) == (node_text, column)

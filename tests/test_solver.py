@@ -14,7 +14,9 @@ from mfbsde.solver import (
     BackwardSolver,
     SolverConfig,
     backward_step,
+    frozen_mean_driver,
     solve_standard,
+    y_free,
 )
 
 CFG = SolverConfig(n_steps=50, n_paths=20_000, seed=12345)
@@ -162,6 +164,37 @@ def test_interior_window_needs_terminal(ensemble50):
     sc = _scalar_scenario("0")
     with pytest.raises(InvalidInput):
         solve_standard(sc, ensemble50, CFG, window=Window(10, 30))
+
+
+def test_y_free_driver_takes_one_explicit_step(ensemble50):
+    # the explicit step is the array the implicit loop settles on at its
+    # second pass, when the driver does not read y
+    sc = _scalar_scenario("1 + s + 0.5*norm2(z)^2 + abs(sin(norm2(zbar)))",
+                          terminal="sin(w)")
+    window = ensemble50.grid.full_window()
+    L = window.n_nodes
+    m_y = np.full((L, 1), 0.3)
+    m_z = np.full((L, 1, 1), -0.2)
+    drive = frozen_mean_driver(sc, m_y, m_z, window.lo)
+    assert drive.reads_y is False
+    terminal = sc.terminal_values(ensemble50.state(window.hi))
+    solver = BackwardSolver(ensemble50, CFG)
+    explicit = solver.solve(window, terminal, drive)
+    implicit = solver.solve(window, terminal, lambda i, s, y, z: drive(i, s, y, z))
+    assert explicit.inner_iterations == [1] * (L - 1)
+    assert max(implicit.inner_iterations) == 2
+    assert np.array_equal(explicit.y, implicit.y)
+    assert np.array_equal(explicit.z, implicit.z)
+
+
+def test_y_reading_driver_keeps_the_implicit_loop(ensemble50):
+    sc = _scalar_scenario("1 + 0.5*abs(y)")
+    window = ensemble50.grid.full_window()
+    L = window.n_nodes
+    drive = frozen_mean_driver(sc, np.zeros((L, 1)), np.zeros((L, 1, 1)), window.lo)
+    assert not hasattr(drive, "reads_y")
+    _, _, info = solve_standard(sc, ensemble50, CFG)
+    assert min(info.inner_iterations) > 2
 
 
 def test_solver_cache_reused(ensemble50):
