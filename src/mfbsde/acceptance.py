@@ -13,14 +13,14 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
 
 from . import oracle
 from .certificates import build_chain, certify, ode_bound
-from .config import RunManifest, write_result_csv
+from .config import RunManifest, host_platform, write_result_csv
 from .core import Window, build_grid, simulate_brownian
 from .meanfield import global_solve, local_solve, multidim_solve, picard_global, shift_solve_simple
 from .scenario import (
@@ -242,6 +242,9 @@ def _c3_manifest(config: SolverConfig) -> RunManifest:
         n_steps=config.n_steps,
         n_paths=config.n_paths,
         package_version="acceptance",
+        solver=asdict(config),
+        numpy_version=np.__version__,
+        platform=host_platform(),
     )
 
 

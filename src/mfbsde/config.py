@@ -38,8 +38,11 @@ Config files are INI-style text with four sections::
     dir = out
     prefix = run
 
-Every output file embeds the SHA-256 manifest hash of (config text, solver
-settings, seed, selector), so results can be traced back to their inputs.
+Every output file embeds the SHA-256 manifest hash of (config text, the
+whole effective solver configuration after command-line overrides, seed,
+selector, package and numpy versions, platform), so results can be traced
+back to their inputs.  Reruns are byte-identical only on one platform and
+numpy version, so those are part of the hash.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import platform
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,6 +68,7 @@ from .solver import SolverConfig
 __all__ = [
     "OutputOptions",
     "RunManifest",
+    "host_platform",
     "load_config",
     "manifest_for",
     "write_result_csv",
@@ -180,6 +185,9 @@ class RunManifest:
     n_steps: int
     n_paths: int
     package_version: str
+    solver: dict
+    numpy_version: str
+    platform: str
 
     @property
     def digest(self) -> str:
@@ -203,7 +211,15 @@ def manifest_for(path, text: str, solver: SolverConfig, selector: str) -> RunMan
         n_steps=solver.n_steps,
         n_paths=solver.n_paths,
         package_version=__version__,
+        solver=dataclasses.asdict(solver),
+        numpy_version=np.__version__,
+        platform=host_platform(),
     )
+
+
+def host_platform() -> str:
+    """Operating system and machine architecture, e.g. ``Linux-x86_64``."""
+    return f"{platform.system()}-{platform.machine()}"
 
 
 def _fmt(x: float) -> str:

@@ -98,7 +98,7 @@ def bmo2_estimate(
             reg = NodeRegression(ensemble.state(i), basis)
             if regressions is not None:
                 regressions[i] = reg
-        fitted, _ = reg.fit(tails[:, j])
+        fitted = reg.fit(tails[:, j])
         worst = max(worst, float(fitted.max()))
     return worst
 

@@ -2,11 +2,12 @@
 
 The quadratic drivers couple each path to the ensemble through the means of
 the state and of the martingale integrand.  All solvers share one backward
-regression engine and differ only in what they freeze between sweeps:
+regression engine and differ only in the map they iterate:
 
-* ``gamma_map`` / ``local_solve`` freeze the mean curves and iterate the
-  frozen-mean solve to its fixed point on one window;
-* ``global_solve`` stitches windows backward across the horizon;
+* ``gamma_map`` is one frozen-mean solve; ``local_solve`` iterates it to its
+  fixed point on one window;
+* ``global_solve`` stitches those window fixed points backward across the
+  horizon;
 * ``picard_global`` iterates the linearised scheme whose source term is the
   previous iterate's full driver increment;
 * ``shift_solve_simple`` / ``shift_fixed_point`` handle split generators
@@ -15,6 +16,14 @@ regression engine and differ only in what they freeze between sweeps:
 * ``multidim_solve`` handles vector-valued split generators with a
   z-Lipschitz first part, iterating the mean-integrand curve inside and the
   frozen state outside.
+
+Every outer iteration runs in one engine, :func:`_iterate`: a solver hands
+it a step (one application of its map) and a distance between successive
+iterates, and the engine times the steps, records the trace, and stops on
+``tol_fp``, on divergence (:class:`NonContraction`) or on the
+``max_outer`` budget (:class:`MaxIterations`).  Window solves return plain
+arrays; each public solver then finalises once (diagnostics report,
+envelope rate, process grids) on the whole span it solved.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -214,7 +224,7 @@ def _check_window_width(
             f"window width {width:.6g} exceeds the certified width "
             f"{cert.chain.eps:.6g}; proceeding on the override flag",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     return exceeded
 
@@ -232,10 +242,14 @@ def _terminal_for(
     return scenario.terminal_values(ensemble.state(window.hi))
 
 
-def _track_ball(trace, solver, cert, ensemble, z_vals, y_vals, span):
-    zgrid = ProcessGrid(grid=ensemble.grid, values=z_vals, span=span)
-    bmo = bmo2_estimate(zgrid, ensemble, regressions=solver._cache)
-    sup = float(np.max(np.abs(y_vals)))
+def _track_ball(trace, config, solver, cert, new, span):
+    """Record the iterate's sup norm and BMO estimate against the
+    certified ball when ``config.track_ball`` is set."""
+    if not config.track_ball:
+        return
+    zgrid = ProcessGrid(grid=solver.ensemble.grid, values=new.z, span=span)
+    bmo = bmo2_estimate(zgrid, solver.ensemble, regressions=solver._cache)
+    sup = float(np.max(np.abs(new.y)))
     trace.ball_sup.append(sup)
     trace.ball_bmo.append(bmo)
     ok = True
@@ -244,9 +258,62 @@ def _track_ball(trace, solver, cert, ensemble, z_vals, y_vals, span):
     trace.ball_ok.append(bool(ok))
 
 
-def _raise_fixed_point(trace, context: str):
+class _Iterate(NamedTuple):
+    """One iterate of a mean-field map on a window: the state and
+    integrand values (None before the first sweep) and their mean curves."""
+
+    y: np.ndarray | None
+    z: np.ndarray | None
+    m_y: np.ndarray
+    m_z: np.ndarray
+
+
+def _distance(y_dist, steps):
+    """Distances ``(state, integrand, state mean)`` between two iterates:
+    ``y_dist`` for the state, empirical M2 for the integrand."""
+
+    def distance(new: _Iterate, old: _Iterate):
+        return (
+            y_dist(new.y, old.y),
+            _m2_dist(new.z, old.z, steps),
+            _sup_dist(new.m_y, old.m_y),
+        )
+
+    return distance
+
+
+def _stalled(ratios) -> bool:
+    return len(ratios) >= 3 and all(x >= 1.0 - 1e-12 for x in ratios[-3:])
+
+
+def _iterate(step, distance, state, trace, config, context: str):
+    """Apply ``state = step(state)`` until two successive iterates agree.
+
+    ``distance(new, old)`` returns the state, integrand and mean distances
+    of two iterates, or None when they cannot be compared yet.  Each
+    compared step is timed and pushed on ``trace``; the loop returns the
+    last iterate once the state plus integrand distance is within
+    ``tol_fp``.  It raises :class:`NonContraction` when the last three
+    ratios stay at or above one, and :class:`MaxIterations` when the
+    distance blows up or ``max_outer`` steps do not converge.
+    """
+    for _ in range(config.max_outer):
+        t0 = time.perf_counter()
+        new = step(state)
+        wall = time.perf_counter() - t0
+        dists = distance(new, state)
+        state = new
+        if dists is None:
+            continue
+        total = trace.push(*dists, wall)
+        if total <= config.tol_fp:
+            trace.converged = True
+            return state
+        first = trace.total_distances()[0]
+        if total > (first if _stalled(trace.ratios) else 1e9):
+            break
     r = trace.ratios
-    if len(r) >= 3 and all(x >= 1.0 - 1e-12 for x in r[-3:]):
+    if _stalled(r):
         raise NonContraction(
             f"{context}: successive distances stopped contracting "
             f"(last ratios {', '.join(f'{x:.3f}' for x in r[-3:])})",
@@ -259,15 +326,6 @@ def _raise_fixed_point(trace, context: str):
         else "before two iterates could be compared"
     )
     raise MaxIterations(f"{context}: iteration budget exhausted {reached}", trace)
-
-
-def _diverging(trace) -> bool:
-    r = trace.ratios
-    if len(r) >= 3 and all(x >= 1.0 - 1e-12 for x in r[-3:]):
-        d = trace.total_distances()
-        return d[-1] > d[0]
-    d = trace.total_distances()
-    return bool(d and d[-1] > 1e9)
 
 
 def _alpha_fn_for(scenario: ScenarioSpec, cert: Certificate | None):
@@ -314,9 +372,9 @@ def _finish_result(
         clamp_events=int(flags.get("clamp_events", 0)),
     )
     if alpha_fn is not None:
-        env = check_alpha_envelope(ygrid, alpha_fn)
-        flags["alpha_envelope_rate"] = env["violation_rate"]
-        flags["alpha_envelope_ok"] = env["violation_rate"] <= _ALPHA_RATE_TOLERANCE
+        rate = report.alpha_violation_rate
+        flags["alpha_envelope_rate"] = rate
+        flags["alpha_envelope_ok"] = rate <= _ALPHA_RATE_TOLERANCE
     return SolveResult(
         y=ygrid,
         z=zgrid,
@@ -393,64 +451,54 @@ def local_solve(
         raise InvalidInput("local_solve needs a single-generator scenario")
     window = window or ensemble.grid.full_window()
     cert = certificate if certificate is not None else certify(scenario)
-    exceeded = _check_window_width(window, ensemble, cert, config)
     solver = solver or BackwardSolver(ensemble, config)
+    y, z, trace, flags, extras = _local_window(
+        scenario, ensemble, config, cert, solver, window, terminal, init
+    )
+    span = (window.lo, window.hi)
+    return _finish_result(
+        scenario, ensemble, config, solver, cert,
+        y, z, span, trace, [span], flags, extras,
+    )
+
+
+def _local_window(scenario, ensemble, config, cert, solver, window, terminal, init):
+    """Frozen-mean fixed point on ``window``: ``(y, z, trace, flags, extras)``."""
+    exceeded = _check_window_width(window, ensemble, cert, config)
     terminal = _terminal_for(scenario, ensemble, window, terminal)
     steps = _window_steps(ensemble, window)
     span = (window.lo, window.hi)
     n, d = scenario.n, scenario.d
     L = window.n_nodes
-
     trace = FixedPointTrace()
-    clamp_events = 0
+    flags = {"window_exceeds_certificate": exceeded, "clamp_events": 0}
 
     if init is None:
         start = _martingale_start(solver, window, terminal)
-        m_y = start.y.mean(axis=0)
-        m_z = np.zeros((L, d, n))
+        m_y, m_z = start.y.mean(axis=0), np.zeros((L, d, n))
     else:
         m_y = np.asarray(init[0], dtype=np.float64).reshape(L, n)
         m_z = np.asarray(init[1], dtype=np.float64).reshape(L, d, n)
 
-    prev_y = prev_z = None
-    driver_for = lambda mu, mv: frozen_mean_driver(scenario, mu, mv, window.lo)
+    def step(it: _Iterate) -> _Iterate:
+        driver = frozen_mean_driver(scenario, it.m_y, it.m_z, window.lo)
+        sweep = solver.solve(window, terminal, driver)
+        flags["clamp_events"] += sweep.clamp_events
+        new = _Iterate(sweep.y, sweep.z, sweep.y.mean(axis=0), sweep.z.mean(axis=0))
+        _track_ball(trace, config, solver, cert, new, span)
+        return new
 
-    for _ in range(config.max_outer):
-        t0 = time.perf_counter()
-        sweep = solver.solve(window, terminal, driver_for(m_y, m_z))
-        clamp_events += sweep.clamp_events
-        wall = time.perf_counter() - t0
-        new_my = sweep.y.mean(axis=0)
-        new_mz = sweep.z.mean(axis=0)
-        if config.track_ball:
-            _track_ball(trace, solver, cert, ensemble, sweep.z, sweep.y, span)
-        if prev_y is not None:
-            y_dist = _sup_dist(sweep.y, prev_y)
-            z_dist = _m2_dist(sweep.z, prev_z, steps)
-            mean_dist = max(
-                _sup_dist(new_my, m_y), _sup_dist(new_mz, m_z)
-            )
-            total = trace.push(y_dist, z_dist, mean_dist, wall)
-            if total <= config.tol_fp:
-                trace.converged = True
-                prev_y, prev_z = sweep.y, sweep.z
-                m_y, m_z = new_my, new_mz
-                break
-            if _diverging(trace):
-                _raise_fixed_point(trace, f"local solve on window {span}")
-        prev_y, prev_z = sweep.y, sweep.z
-        m_y, m_z = new_my, new_mz
-    else:
-        _raise_fixed_point(trace, f"local solve on window {span}")
+    base = _distance(_sup_dist, steps)
 
-    flags = {
-        "window_exceeds_certificate": exceeded,
-        "clamp_events": clamp_events,
-    }
-    return _finish_result(
-        scenario, ensemble, config, solver, cert,
-        prev_y, prev_z, span, trace, [span], flags, {},
-    )
+    def distance(new: _Iterate, old: _Iterate):
+        if old.y is None:  # the start holds mean curves only
+            return None
+        y_dist, z_dist, my_dist = base(new, old)
+        return y_dist, z_dist, max(my_dist, _sup_dist(new.m_z, old.m_z))
+
+    last = _iterate(step, distance, _Iterate(None, None, m_y, m_z), trace, config,
+                    f"local solve on window {span}")
+    return last.y, last.z, trace, flags, {}
 
 
 # ---------------------------------------------------------------------------
@@ -550,21 +598,8 @@ def global_solve(
     solver = BackwardSolver(ensemble, config)
 
     def solve_window(window: Window, terminal: np.ndarray):
-        res = local_solve(
-            scenario,
-            ensemble,
-            config,
-            window=window,
-            terminal=terminal,
-            certificate=cert,
-            solver=solver,
-        )
-        return (
-            res.y.values,
-            res.z.values,
-            res.trace,
-            res.flags,
-            {},
+        return _local_window(
+            scenario, ensemble, config, cert, solver, window, terminal, None
         )
 
     return _stitched_solve(scenario, ensemble, config, cert, solve_window, solver)
@@ -604,10 +639,7 @@ def picard_global(
     alpha_fn = _alpha_fn_for(scenario, cert)
 
     trace = FixedPointTrace()
-    clamp_events = 0
-
-    start = _martingale_start(solver, window, terminal)
-    y_prev, z_prev = start.y, start.z
+    flags = {"clamp_events": 0}
     zeros_y = np.zeros((ensemble.n_paths, n))
 
     def record_alpha(y_vals):
@@ -616,55 +648,42 @@ def picard_global(
         grid_y = ProcessGrid(grid=ensemble.grid, values=y_vals, span=span)
         trace.alpha_rates.append(check_alpha_envelope(grid_y, alpha_fn)["violation_rate"])
 
-    record_alpha(y_prev)
-
-    for _ in range(config.max_outer):
-        t0 = time.perf_counter()
-        m_y = y_prev.mean(axis=0)
-        m_z = z_prev.mean(axis=0)
+    def step(it: _Iterate) -> _Iterate:
         # lagged source: full driver at the previous iterate minus its
         # z-quadratic core, node by node
         source = np.empty((ensemble.n_paths, L, n))
         for j in range(L):
             s = float(nodes[window.lo + j])
             full = dsl.evaluate(
-                gen, s, y_prev[:, j], m_y[j], z_prev[:, j], m_z[j], n=n, d=d
+                gen, s, it.y[:, j], it.m_y[j], it.z[:, j], it.m_z[j], n=n, d=d
             )
             core = dsl.evaluate(
-                gen, s, zeros_y, np.zeros(n), z_prev[:, j], np.zeros((d, n)), n=n, d=d
+                gen, s, zeros_y, np.zeros(n), it.z[:, j], np.zeros((d, n)), n=n, d=d
             )
             source[:, j] = full - core
 
         @y_free
-        def driver(i, s, y, z, _src=source):
+        def driver(i, s, y, z):
             core = dsl.evaluate(
                 gen, s, zeros_y, np.zeros(n), z, np.zeros((d, n)), n=n, d=d
             )
-            return core + _src[:, i - window.lo]
+            return core + source[:, i - window.lo]
 
         sweep = solver.solve(window, terminal, driver)
-        clamp_events += sweep.clamp_events
-        wall = time.perf_counter() - t0
-        record_alpha(sweep.y)
-        if config.track_ball:
-            _track_ball(trace, solver, cert, ensemble, sweep.z, sweep.y, span)
-        y_dist = _sup_dist(sweep.y, y_prev)
-        z_dist = _m2_dist(sweep.z, z_prev, steps)
-        mean_dist = _sup_dist(sweep.y.mean(axis=0), m_y)
-        total = trace.push(y_dist, z_dist, mean_dist, wall)
-        y_prev, z_prev = sweep.y, sweep.z
-        if total <= config.tol_fp:
-            trace.converged = True
-            break
-        if _diverging(trace):
-            _raise_fixed_point(trace, "global Picard")
-    else:
-        _raise_fixed_point(trace, "global Picard")
+        flags["clamp_events"] += sweep.clamp_events
+        new = _Iterate(sweep.y, sweep.z, sweep.y.mean(axis=0), sweep.z.mean(axis=0))
+        record_alpha(new.y)
+        _track_ball(trace, config, solver, cert, new, span)
+        return new
 
-    flags = {"clamp_events": clamp_events}
+    start = _martingale_start(solver, window, terminal)
+    record_alpha(start.y)
+    first = _Iterate(start.y, start.z, start.y.mean(axis=0), start.z.mean(axis=0))
+    last = _iterate(step, _distance(_sup_dist, steps), first, trace, config,
+                    "global Picard")
     return _finish_result(
         scenario, ensemble, config, solver, cert,
-        y_prev, z_prev, span, trace, [span], flags, {},
+        last.y, last.z, span, trace, [span], flags, {},
     )
 
 
@@ -680,6 +699,16 @@ def _require_split(scenario: ScenarioSpec, form: str, what: str):
         raise InvalidInput(
             f"{what} needs the scenario to assert the '{form}' structural form"
         )
+
+
+def _frozen_state_start(solver, window, terminal) -> _Iterate:
+    """Start of the frozen-state maps: the regression martingale of the
+    terminal data with a zero integrand."""
+    start = _martingale_start(solver, window, terminal)
+    ens = solver.ensemble
+    shape = (window.n_nodes, ens.d, terminal.shape[1])
+    return _Iterate(start.y, np.zeros((ens.n_paths, *shape)), start.y.mean(axis=0),
+                    np.zeros(shape))
 
 
 def _mean_shift(scenario, ensemble, window, u_vals, m_u, z_vals, m_z):
@@ -773,49 +802,31 @@ def shift_fixed_point(
     f1 = scenario.f1
 
     def solve_window(window: Window, terminal: np.ndarray):
-        steps = _window_steps(ensemble, window)
-        L = window.n_nodes
+        span = (window.lo, window.hi)
         trace = FixedPointTrace()
-        clamp = 0
-        start = _martingale_start(solver, window, terminal)
-        u_vals = start.y
-        v_vals = np.zeros((ensemble.n_paths, L, d, n))
-        y_out = z_out = None
-        for _ in range(config.max_outer):
-            t0 = time.perf_counter()
-            m_u = u_vals.mean(axis=0)
-            m_v = v_vals.mean(axis=0)
+        flags = {"clamp_events": 0}
 
+        def step(it: _Iterate) -> _Iterate:
             @y_free
-            def driver(i, s, y, z, _u=u_vals, _mu=m_u, _mv=m_v):
+            def driver(i, s, y, z):
                 j = i - window.lo
-                return dsl.evaluate(f1, s, _u[:, j], _mu[j], z, _mv[j], n=n, d=d)
+                return dsl.evaluate(f1, s, it.y[:, j], it.m_y[j], z, it.m_z[j], n=n, d=d)
 
             sweep = solver.solve(window, terminal, driver)
-            clamp += sweep.clamp_events
+            flags["clamp_events"] += sweep.clamp_events
             m_z = sweep.z.mean(axis=0)
-            shift = _mean_shift(scenario, ensemble, window, u_vals, m_u, sweep.z, m_z)
+            shift = _mean_shift(scenario, ensemble, window, it.y, it.m_y, sweep.z, m_z)
             y_new = sweep.y + shift[None, :, :]
-            wall = time.perf_counter() - t0
-            if config.track_ball:
-                _track_ball(trace, solver, cert, ensemble, sweep.z,
-                            y_new, (window.lo, window.hi))
-            y_dist = _sup_dist(y_new, u_vals)
-            z_dist = _m2_dist(sweep.z, v_vals, steps)
-            mean_dist = _sup_dist(y_new.mean(axis=0), m_u)
-            total = trace.push(y_dist, z_dist, mean_dist, wall)
-            u_vals, v_vals = y_new, sweep.z
-            y_out, z_out = y_new, sweep.z
-            if total <= config.tol_fp:
-                trace.converged = True
-                break
-            if _diverging(trace):
-                _raise_fixed_point(trace, f"shift fixed point on window "
-                                          f"({window.lo}, {window.hi})")
-        else:
-            _raise_fixed_point(trace, f"shift fixed point on window "
-                                      f"({window.lo}, {window.hi})")
-        return y_out, z_out, trace, {"clamp_events": clamp}, {}
+            new = _Iterate(y_new, sweep.z, y_new.mean(axis=0), m_z)
+            _track_ball(trace, config, solver, cert, new, span)
+            return new
+
+        last = _iterate(
+            step, _distance(_sup_dist, _window_steps(ensemble, window)),
+            _frozen_state_start(solver, window, terminal), trace, config,
+            f"shift fixed point on window {span}",
+        )
+        return last.y, last.z, trace, flags, {}
 
     result = _stitched_solve(scenario, ensemble, config, cert, solve_window, solver)
     result.flags["z_shift_bitwise"] = True
@@ -844,59 +855,40 @@ def multidim_solve(
     tol_curve = max(config.tol_fp * 0.1, 1e-9)
 
     def solve_window(window: Window, terminal: np.ndarray):
-        steps = _window_steps(ensemble, window)
-        L = window.n_nodes
+        span = (window.lo, window.hi)
         trace = FixedPointTrace()
-        clamp = 0
-        start = _martingale_start(solver, window, terminal)
-        u_vals = start.y
-        v_vals = np.zeros((ensemble.n_paths, L, d, n))
-        mz_curve = np.zeros((L, d, n))
-        y_out = z_out = None
+        flags = {"clamp_events": 0}
         inner_counts = []
-        for _ in range(config.max_outer):
-            t0 = time.perf_counter()
-            m_u = u_vals.mean(axis=0)
-            sweep = None
+
+        def step(it: _Iterate) -> _Iterate:
+            # warm start: the mean-integrand curve of the last iterate
+            mz_curve = it.m_z
             for inner in range(1, 13):
                 @y_free
-                def driver(i, s, y, z, _u=u_vals, _mu=m_u, _mz=mz_curve):
+                def driver(i, s, y, z, _mz=mz_curve):
                     j = i - window.lo
-                    return dsl.evaluate(f1, s, _u[:, j], _mu[j], z, _mz[j], n=n, d=d)
+                    return dsl.evaluate(f1, s, it.y[:, j], it.m_y[j], z, _mz[j], n=n, d=d)
 
                 sweep = solver.solve(window, terminal, driver)
-                clamp += sweep.clamp_events
+                flags["clamp_events"] += sweep.clamp_events
                 mz_new = sweep.z.mean(axis=0)
                 gap = float(np.max(np.abs(mz_new - mz_curve)))
                 mz_curve = mz_new
                 if gap <= tol_curve:
                     break
             inner_counts.append(inner)
-            m_z = sweep.z.mean(axis=0)
-            shift = _mean_shift(scenario, ensemble, window, u_vals, m_u, sweep.z, m_z)
+            shift = _mean_shift(scenario, ensemble, window, it.y, it.m_y, sweep.z, mz_curve)
             y_new = sweep.y + shift[None, :, :]
-            wall = time.perf_counter() - t0
-            if config.track_ball:
-                _track_ball(trace, solver, cert, ensemble, sweep.z,
-                            y_new, (window.lo, window.hi))
-            y_dist = _s2_dist(y_new, u_vals)
-            z_dist = _m2_dist(sweep.z, v_vals, steps)
-            mean_dist = _sup_dist(y_new.mean(axis=0), m_u)
-            total = trace.push(y_dist, z_dist, mean_dist, wall)
-            u_vals, v_vals = y_new, sweep.z
-            y_out, z_out = y_new, sweep.z
-            if total <= config.tol_fp:
-                trace.converged = True
-                break
-            if _diverging(trace):
-                _raise_fixed_point(trace, f"multidim solve on window "
-                                          f"({window.lo}, {window.hi})")
-        else:
-            _raise_fixed_point(trace, f"multidim solve on window "
-                                      f"({window.lo}, {window.hi})")
-        return y_out, z_out, trace, {"clamp_events": clamp}, {
-            "mz_inner_iterations": inner_counts
-        }
+            new = _Iterate(y_new, sweep.z, y_new.mean(axis=0), mz_curve)
+            _track_ball(trace, config, solver, cert, new, span)
+            return new
+
+        last = _iterate(
+            step, _distance(_s2_dist, _window_steps(ensemble, window)),
+            _frozen_state_start(solver, window, terminal), trace, config,
+            f"multidim solve on window {span}",
+        )
+        return last.y, last.z, trace, flags, {"mz_inner_iterations": inner_counts}
 
     result = _stitched_solve(scenario, ensemble, config, cert, solve_window, solver)
     result.flags["z_shift_bitwise"] = True

@@ -69,7 +69,7 @@ class NodeRegression:
         state = np.asarray(state, dtype=np.float64)
         P = state.shape[0]
         self.basis = basis
-        self._bins: list[tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]] = []
+        self._bins: list[tuple[np.ndarray, np.ndarray | None, np.ndarray]] = []
         if basis.n_bins > 1:
             edges = np.quantile(state[:, 0], np.linspace(0, 1, basis.n_bins + 1))
             idx = np.clip(np.searchsorted(edges, state[:, 0], side="right") - 1, 0,
@@ -79,7 +79,7 @@ class NodeRegression:
             memberships = [np.arange(P)]
         for members in memberships:
             if members.size == 0:
-                self._bins.append((members, None, np.empty(0), np.empty(0)))
+                self._bins.append((members, None, np.empty(0)))
                 continue
             X = poly_features(state[members], basis.degree)
             scale = np.sqrt(np.mean(X * X, axis=0))
@@ -97,7 +97,7 @@ class NodeRegression:
             except np.linalg.LinAlgError:
                 cond = float(np.linalg.cond(gram))
                 raise RegressionError("design rank-deficient after ridge", cond)
-            self._bins.append((members, chol, Xs, np.flatnonzero(keep)))
+            self._bins.append((members, chol, Xs))
         self._n_features = poly_features(state[:1], basis.degree).shape[1]
         self._n_paths = P
 
@@ -105,23 +105,17 @@ class NodeRegression:
     def n_features(self) -> int:
         return self._n_features
 
-    def fit(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Project ``values`` (shape (P,) or (P, m)) onto the basis.
-
-        Returns ``(fitted, coeffs)`` where ``fitted`` matches the input
-        shape and ``coeffs`` has shape (n_bins, k, m) in the unscaled basis
-        (zero rows for dropped columns).
-        """
+    def fit(self, values: np.ndarray) -> np.ndarray:
+        """Project ``values`` (shape (P,) or (P, m)) onto the basis; the
+        fitted values have the input's shape."""
         vals = np.asarray(values, dtype=np.float64)
         squeeze = vals.ndim == 1
         if squeeze:
             vals = vals[:, None]
         if vals.shape[0] != self._n_paths:
             raise InvalidInput("value rows do not match the node's path count")
-        m = vals.shape[1]
         fitted = np.empty_like(vals)
-        coeffs = np.zeros((len(self._bins), self._n_features, m))
-        for b, (members, chol, Xs, keep) in enumerate(self._bins):
+        for members, chol, Xs in self._bins:
             if members.size == 0:
                 continue
             sub = vals[members]
@@ -131,5 +125,4 @@ class NodeRegression:
             rhs = Xs.T @ sub
             c = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
             fitted[members] = Xs @ c
-            coeffs[b, keep, :] = c
-        return (fitted[:, 0], coeffs) if squeeze else (fitted, coeffs)
+        return fitted[:, 0] if squeeze else fitted

@@ -22,13 +22,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import PathEnsemble, ProcessGrid, Window
+from .core import PathEnsemble, Window
 from .errors import InvalidInput, StepDivergence
 from .regression import NodeRegression, RegressionBasis
 from .scenario import ScenarioSpec
 from . import dsl
 
-__all__ = ["SolverConfig", "StandardSolve", "BackwardSolver", "backward_step", "solve_standard"]
+__all__ = ["SolverConfig", "StandardSolve", "BackwardSolver", "backward_step"]
 
 
 @dataclass(frozen=True)
@@ -132,11 +132,11 @@ class BackwardSolver:
             y_next = Y[:, j + 1]
             reg = self.node_regression(i)
 
-            cond, _ = reg.fit(y_next)
+            cond = reg.fit(y_next)
             resid = y_next - cond
             dw = ens.increments[:, i, :]
             raw = resid[:, None, :] * dw[:, :, None] / h
-            z_fit, _ = reg.fit(raw.reshape(P, d * n))
+            z_fit = reg.fit(raw.reshape(P, d * n))
             z_i = z_fit.reshape(P, d, n)
             Z[:, j] = z_i
 
@@ -246,36 +246,3 @@ def frozen_mean_driver(
 
     return drive if "y" in gen.free_variables() else y_free(drive)
 
-
-def solve_standard(
-    scenario: ScenarioSpec,
-    ensemble: PathEnsemble,
-    config: SolverConfig,
-    m_y: np.ndarray | None = None,
-    m_z: np.ndarray | None = None,
-    window: Window | None = None,
-    terminal: np.ndarray | None = None,
-) -> tuple[ProcessGrid, ProcessGrid, StandardSolve]:
-    """Solve the frozen-mean BSDE on a window.
-
-    The mean slots of the generator are frozen at the curves ``m_y``/``m_z``
-    (zero when omitted).  Returns the state and integrand process grids plus
-    the raw sweep record (inner iteration counts, clamp activations).
-    """
-    window = window or ensemble.grid.full_window()
-    L = window.n_nodes
-    n, d = scenario.n, scenario.d
-    if m_y is None:
-        m_y = np.zeros((L, n))
-    if m_z is None:
-        m_z = np.zeros((L, d, n))
-    if terminal is None:
-        if window.hi != ensemble.grid.n_steps:
-            raise InvalidInput("interior window needs explicit terminal values")
-        terminal = scenario.terminal_values(ensemble.state(window.hi))
-    solver = BackwardSolver(ensemble, config)
-    res = solver.solve(window, terminal, frozen_mean_driver(scenario, m_y, m_z, window.lo))
-    span = (window.lo, window.hi)
-    y = ProcessGrid(grid=ensemble.grid, values=res.y, span=span)
-    z = ProcessGrid(grid=ensemble.grid, values=res.z, span=span)
-    return y, z, res

@@ -184,6 +184,10 @@ def test_manifest_digest_round_trip(tmp_path):
     man = manifest_for(path, text, solver, "global")
     assert man.config_sha256 == hashlib.sha256(text.encode()).hexdigest()
     assert man.seed == solver.seed and man.n_steps == solver.n_steps
+    # the whole effective solver configuration, basis included
+    assert man.solver == dataclasses.asdict(solver)
+    assert man.solver["basis"] == {"degree": 3, "n_bins": 1, "ridge": 1e-8}
+    assert man.numpy_version == np.__version__
     # digest is a pure function of the fields
     again = manifest_for(path, text, solver, "global")
     assert again.digest == man.digest
@@ -199,6 +203,13 @@ def test_manifest_digest_sensitivity(tmp_path):
     assert manifest_for(path, text, solver, "picard").digest != man.digest
     bumped = dataclasses.replace(man, seed=man.seed + 1)
     assert bumped.digest != man.digest
+    # window plans change the solution without touching the config text
+    one = manifest_for(path, text, solver.updated(n_windows=1), "global")
+    two = manifest_for(path, text, solver.updated(n_windows=2), "global")
+    assert len({man.digest, one.digest, two.digest}) == 3
+    for field, value in (("numpy_version", "0.0"), ("platform", "other")):
+        assert dataclasses.replace(man, **{field: value}).digest != man.digest
+
 
 
 # ----------------------------------------------------------- output writers
@@ -225,6 +236,9 @@ def small_run(tmp_path_factory):
         n_steps=10,
         n_paths=400,
         package_version="0.0-test",
+        solver=dataclasses.asdict(solver),
+        numpy_version="0.0-test",
+        platform="test",
     )
     return result, manifest
 

@@ -6,8 +6,9 @@ import pytest
 
 from mfbsde import dsl
 from mfbsde.core import Window, build_grid, simulate_brownian
-from mfbsde.errors import InvalidInput, NonContraction, WindowTooWide
+from mfbsde.errors import InvalidInput, MaxIterations, NonContraction, WindowTooWide
 from mfbsde.meanfield import (
+    FixedPointTrace,
     gamma_map,
     global_solve,
     local_solve,
@@ -24,7 +25,8 @@ from mfbsde.scenario import (
     example_41,
     linear_scenario,
 )
-from mfbsde.solver import SolverConfig, solve_standard
+from mfbsde.regression import RegressionBasis
+from mfbsde.solver import SolverConfig
 
 CFG = SolverConfig(
     n_steps=40,
@@ -93,7 +95,8 @@ def test_local_solve_mean_free_equals_standard_solve():
     sc = _mean_free_scenario()
     ens = _ensemble(sc)
     res = local_solve(sc, ens, CFG)
-    y_ref, z_ref, _ = solve_standard(sc, ens, CFG)
+    L = CFG.n_steps + 1
+    y_ref, z_ref, _, _ = gamma_map(np.zeros((L, 1)), np.zeros((L, 1, 1)), sc, ens, CFG)
     assert res.trace.converged
     assert res.y.values.tobytes() == y_ref.values.tobytes()
     assert res.z.values.tobytes() == z_ref.values.tobytes()
@@ -155,6 +158,31 @@ def test_local_solve_non_contraction_detected():
         local_solve(sc, ens, CFG.updated(max_outer=50))
 
 
+@pytest.mark.parametrize(
+    "solve, scenario, context, iterations",
+    [
+        # the local solve compares from its second sweep on
+        (local_solve, linear_scenario(b=0.5, dbar=0.5, xi_bound=4.0),
+         "local solve on window (0, 10)", 1),
+        (picard_global, linear_scenario(b=0.5, dbar=0.5, xi_bound=4.0),
+         "global Picard", 2),
+        (shift_fixed_point, example_31(T=0.5), "shift fixed point on window (0, 10)", 2),
+        (multidim_solve, example_41(), "multidim solve on window (0, 10)", 2),
+    ],
+    ids=["local", "picard", "shift", "multidim"],
+)
+def test_outer_budget_exhaustion_carries_the_trace(solve, scenario, context, iterations):
+    cfg = CFG.updated(n_steps=10, n_paths=2_000, max_outer=2, tol_fp=1e-14, n_windows=1)
+    ens = _ensemble(scenario, cfg)
+    with pytest.raises(MaxIterations, match="iteration budget exhausted at distance") as err:
+        solve(scenario, ens, cfg)
+    assert str(err.value).startswith(f"{context}: ")
+    trace = err.value.trace
+    assert isinstance(trace, FixedPointTrace)
+    assert trace.iterations == iterations and not trace.converged
+    assert all(dist > cfg.tol_fp for dist in trace.total_distances())
+
+
 def test_window_too_wide_without_override():
     sc = linear_scenario(dbar=1.0, xi_bound=4.0)
     ens = _ensemble(sc)
@@ -196,11 +224,13 @@ def test_global_solve_window_coverage():
     assert res.y.values.shape == (CFG.n_paths, CFG.n_steps + 1, 1)
 
 
-def test_global_solve_linear_closed_form():
+@pytest.mark.parametrize("n_bins", [1, 2])
+def test_global_solve_linear_closed_form(n_bins):
     # driver zbar alone: m_Y(t) = T - t, m_Z = 1
     sc = linear_scenario(dbar=1.0, xi_bound=4.0)
     ens = _ensemble(sc)
-    res = global_solve(sc, ens, CFG.updated(n_windows=2))
+    cfg = CFG.updated(n_windows=2, basis=RegressionBasis(n_bins=n_bins))
+    res = global_solve(sc, ens, cfg)
     t = res.m_y.times()
     assert np.max(np.abs(res.m_y.values[:, 0] - (1.0 - t))) < 0.03
     assert np.max(np.abs(res.m_z.values[:, 0, 0] - 1.0)) < 0.06

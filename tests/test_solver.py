@@ -7,6 +7,7 @@ import pytest
 from mfbsde import dsl
 from mfbsde.core import Window, build_grid, simulate_brownian
 from mfbsde.errors import InvalidInput, RegressionError, StepDivergence
+from mfbsde.meanfield import gamma_map
 from mfbsde.oracle import LinearMeanFieldSpec, linear_closed_form
 from mfbsde.regression import NodeRegression, RegressionBasis, poly_features
 from mfbsde.scenario import ScenarioSpec, linear_scenario
@@ -15,7 +16,6 @@ from mfbsde.solver import (
     SolverConfig,
     backward_step,
     frozen_mean_driver,
-    solve_standard,
     y_free,
 )
 
@@ -37,6 +37,18 @@ def _scalar_scenario(f_text, terminal="w", T=1.0):
     )
 
 
+def _zero_means(sc, n_nodes):
+    return np.zeros((n_nodes, sc.n)), np.zeros((n_nodes, sc.d, sc.n))
+
+
+def _frozen_mean_sweep(sc, ensemble, cfg):
+    """One sweep on the full window with the mean slots frozen at zero."""
+    window = ensemble.grid.full_window()
+    terminal = sc.terminal_values(ensemble.state(window.hi))
+    drive = frozen_mean_driver(sc, *_zero_means(sc, window.n_nodes), window.lo)
+    return BackwardSolver(ensemble, cfg).solve(window, terminal, drive)
+
+
 # ---------------------------------------------------------------------------
 # regression layer
 # ---------------------------------------------------------------------------
@@ -53,8 +65,31 @@ def test_regression_reproduces_polynomials(rng):
     x = rng.standard_normal((5000, 1))
     reg = NodeRegression(x, RegressionBasis(degree=3, ridge=0.0))
     target = 2.0 - x[:, 0] + 0.5 * x[:, 0] ** 3
-    fitted, _ = reg.fit(target)
+    fitted = reg.fit(target)
     np.testing.assert_allclose(fitted, target, rtol=0, atol=1e-10)
+
+
+def test_binned_regression_matches_per_bin_lstsq(rng):
+    x = rng.standard_normal((3000, 2))
+    vals = np.stack([np.sin(2.0 * x[:, 0]) + x[:, 1] ** 2, np.abs(x[:, 0] * x[:, 1])], axis=1)
+    basis = RegressionBasis(degree=3, n_bins=3, ridge=0.0)
+    fitted = NodeRegression(x, basis).fit(vals)
+    # quantile bins of the first coordinate, one least-squares fit each on
+    # the design scaled to unit root-mean-square columns
+    edges = np.quantile(x[:, 0], np.linspace(0.0, 1.0, 4))
+    bins = np.clip(np.searchsorted(edges, x[:, 0], side="right") - 1, 0, 2)
+    expected = np.empty_like(vals)
+    for b in range(3):
+        members = bins == b
+        assert members.sum() == 1000
+        X = poly_features(x[members], basis.degree)
+        Xs = X / np.sqrt(np.mean(X * X, axis=0))
+        coef, *_ = np.linalg.lstsq(Xs, vals[members], rcond=None)
+        expected[members] = Xs @ coef
+    np.testing.assert_allclose(fitted, expected, rtol=0, atol=1e-9)
+    # the bins fit separately: a single global fit is visibly different
+    single = NodeRegression(x, RegressionBasis(degree=3, ridge=0.0)).fit(vals)
+    assert np.max(np.abs(single - expected)) > 1e-3
 
 
 def test_regression_rank_deficiency_raises(rng):
@@ -75,11 +110,11 @@ def test_degenerate_state_falls_back_to_mean(grid50):
     ens = simulate_brownian(grid50, 1, 1000, 3)
     reg = NodeRegression(ens.state(0), RegressionBasis(degree=3, ridge=0.0))
     vals = np.arange(1000, dtype=np.float64)
-    fitted, _ = reg.fit(vals)
+    fitted = reg.fit(vals)
     np.testing.assert_allclose(fitted, vals.mean(), rtol=1e-13)
     # the default ridge biases the constant fit by its own magnitude only
     reg2 = NodeRegression(ens.state(0), RegressionBasis(degree=3))
-    fitted2, _ = reg2.fit(vals)
+    fitted2 = reg2.fit(vals)
     np.testing.assert_allclose(fitted2, vals.mean(), rtol=1e-7)
 
 
@@ -132,11 +167,11 @@ def test_backward_step_index_validation(ensemble50):
 def test_zero_driver_recovers_martingale(ensemble50):
     # f = 0, xi = W_T: Y_i = W_i and Z = 1 up to regression noise
     sc = _scalar_scenario("0")
-    y, z, info = solve_standard(sc, ensemble50, CFG)
+    info = _frozen_mean_sweep(sc, ensemble50, CFG)
     w = ensemble50.levels[:, :, 0]
-    err = np.max(np.mean(np.abs(y.values[:, :, 0] - w), axis=0))
+    err = np.max(np.mean(np.abs(info.y[:, :, 0] - w), axis=0))
     assert err < 0.02
-    m_z = z.values.mean(axis=0)
+    m_z = info.z.mean(axis=0)
     assert np.max(np.abs(m_z - 1.0)) < 0.05
     assert info.clamp_events == 0
     assert all(k == 1 for k in info.inner_iterations)  # z-only driver: 1 pass
@@ -145,7 +180,8 @@ def test_zero_driver_recovers_martingale(ensemble50):
 def test_tower_property_of_state_mean(ensemble50):
     # with f = 0 the state mean is constant in time (martingale property)
     sc = _scalar_scenario("0", terminal="w^2")
-    y, _, _ = solve_standard(sc, ensemble50, CFG)
+    L = ensemble50.grid.n_steps + 1
+    y, _, _, _ = gamma_map(*_zero_means(sc, L), sc, ensemble50, CFG)
     m = y.values.mean(axis=0)[:, 0]
     # E[W_T^2] = T = 1; drift of the estimated mean stays within MC noise
     assert np.max(np.abs(m - m[-1])) < 0.02
@@ -154,16 +190,17 @@ def test_tower_property_of_state_mean(ensemble50):
 def test_clamp_events_counted(ensemble50):
     sc = _scalar_scenario("0")
     cfg = CFG.updated(z_clamp=0.5)  # Z is ~1: every path clamps
-    _, z, info = solve_standard(sc, ensemble50, cfg)
+    info = _frozen_mean_sweep(sc, ensemble50, cfg)
     assert info.clamp_events > 0
     # the recorded integrand is the raw regression output, pre-clamp
-    assert z.values.mean() == pytest.approx(1.0, abs=0.05)
+    assert info.z.mean() == pytest.approx(1.0, abs=0.05)
 
 
 def test_interior_window_needs_terminal(ensemble50):
     sc = _scalar_scenario("0")
-    with pytest.raises(InvalidInput):
-        solve_standard(sc, ensemble50, CFG, window=Window(10, 30))
+    window = Window(10, 30)
+    with pytest.raises(InvalidInput, match="interior window needs explicit terminal"):
+        gamma_map(*_zero_means(sc, window.n_nodes), sc, ensemble50, CFG, window=window)
 
 
 def test_y_free_driver_takes_one_explicit_step(ensemble50):
@@ -193,7 +230,7 @@ def test_y_reading_driver_keeps_the_implicit_loop(ensemble50):
     L = window.n_nodes
     drive = frozen_mean_driver(sc, np.zeros((L, 1)), np.zeros((L, 1, 1)), window.lo)
     assert not hasattr(drive, "reads_y")
-    _, _, info = solve_standard(sc, ensemble50, CFG)
+    info = _frozen_mean_sweep(sc, ensemble50, CFG)
     assert min(info.inner_iterations) > 2
 
 
@@ -219,7 +256,7 @@ def test_linear_oracle_against_solver():
     t = grid.nodes
     m_y = sol.m_y(t)[:, None]
     m_z = sol.m_z(t)[:, None, None]
-    y, z, _ = solve_standard(sc, ens, CFG.updated(n_paths=40_000), m_y=m_y, m_z=m_z)
+    y, z, _, _ = gamma_map(m_y, m_z, sc, ens, CFG.updated(n_paths=40_000))
 
     got_my = y.values.mean(axis=0)[:, 0]
     got_mz = z.values.mean(axis=0)[:, 0, 0]
