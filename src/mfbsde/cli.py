@@ -17,6 +17,8 @@ Four commands:
 
 Exit codes: 0 on success, 1 when a solver or certificate computation fails,
 2 for invalid inputs (bad config, bad flags, solver/scenario mismatch).
+A solve whose outer iteration stops without converging also writes
+``<prefix>_failure.json``: the error, the partial trace and the manifest.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ from .config import (
     load_config,
     manifest_for,
     write_certificate_files,
+    write_failure_json,
     write_result_csv,
     write_result_json,
 )
 from .core import build_grid, simulate_brownian
-from .errors import InvalidInput, MFBSDEError
+from .errors import FixedPointError, InvalidInput, MFBSDEError
 from .meanfield import (
     gamma_map,
     global_solve,
@@ -149,12 +152,19 @@ def _cmd_solve(args) -> int:
 
     grid = build_grid(scenario.T, solver_cfg.n_steps)
     ensemble = simulate_brownian(grid, scenario.d, solver_cfg.n_paths, solver_cfg.seed)
-    t0 = time.perf_counter()
-    result = run(scenario, ensemble, solver_cfg)
-    elapsed = time.perf_counter() - t0
-
     manifest = manifest_for(args.config, text, solver_cfg, args.solver)
     out_dir = Path(options.directory)
+    t0 = time.perf_counter()
+    try:
+        result = run(scenario, ensemble, solver_cfg)
+    except FixedPointError as exc:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        failure_path = out_dir / f"{options.prefix}_failure.json"
+        write_failure_json(failure_path, exc, manifest)
+        print(f"wrote {failure_path}")
+        raise
+    elapsed = time.perf_counter() - t0
+
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{options.prefix}_result.csv"
     json_path = out_dir / f"{options.prefix}_result.json"

@@ -60,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsl
-from .errors import InvalidInput
+from .errors import FixedPointError, InvalidInput
 from .regression import RegressionBasis
 from .scenario import ScenarioSpec
 from .solver import SolverConfig
@@ -73,6 +73,7 @@ __all__ = [
     "manifest_for",
     "write_result_csv",
     "write_certificate_files",
+    "write_failure_json",
     "write_result_json",
 ]
 
@@ -269,6 +270,19 @@ def write_result_csv(path, result, manifest: RunManifest, alpha_fn=None) -> None
 def write_result_json(path, result, manifest: RunManifest) -> None:
     payload = result.as_dict()
     payload["manifest"] = manifest.as_dict()
+    Path(path).write_text(json.dumps(payload, indent=1))
+
+
+def write_failure_json(path, error: FixedPointError, manifest: RunManifest) -> None:
+    """Record of a solve whose outer iteration stopped without converging:
+    the error, its partial trace (the failing window's) and the manifest."""
+    trace = error.trace
+    payload = {
+        "error": type(error).__name__,
+        "message": str(error),
+        "trace": trace.as_dict() if trace is not None else None,
+        "manifest": manifest.as_dict(),
+    }
     Path(path).write_text(json.dumps(payload, indent=1))
 
 

@@ -24,10 +24,17 @@ iterates, and the engine times the steps, records the trace, and stops on
 ``max_outer`` budget (:class:`MaxIterations`).  Window solves return plain
 arrays; each public solver then finalises once (diagnostics report,
 envelope rate, process grids) on the whole span it solved.
+
+Iterates are node-major, ``(L, P, ...)``, as the backward sweep stores
+them: every per-node read (drivers, sources, mean shifts) and every mean
+over paths runs on contiguous blocks.  The public path-major layout
+``(P, L, ...)`` of :class:`ProcessGrid` is produced once, at finalisation.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -174,11 +181,28 @@ def _plain(v):
 # ---------------------------------------------------------------------------
 
 
+def _path_mean(a: np.ndarray) -> np.ndarray:
+    """Mean over paths of a node-major array (L, P, ...), shape (L, ...).
+
+    One product with a ones vector per node block: numpy's own reduction
+    over the middle axis loops per path when the trailing axes are short.
+    """
+    L, P = a.shape[:2]
+    return (np.ones(P) @ a.reshape(L, P, -1)).reshape(L, *a.shape[2:]) / P
+
+
+def _m2_norm(z: np.ndarray, steps: np.ndarray) -> float:
+    """Empirical M2 norm of a node-major integrand (L, P, ...), right-point
+    quadrature: the last node carries no step.  The path mean of the
+    integral is the step-weighted sum of each node's mean squared norm."""
+    L, P = z.shape[:2]
+    flat = z.reshape(L, -1)
+    sq = np.einsum("lk,lk->l", flat, flat)
+    return float(np.sqrt(steps @ sq[:-1] / P))
+
+
 def _m2_dist(z_a: np.ndarray, z_b: np.ndarray, steps: np.ndarray) -> float:
-    diff = z_a - z_b
-    P = diff.shape[0]
-    sq = np.sum(diff.reshape(P, diff.shape[1], -1) ** 2, axis=2)
-    return float(np.sqrt(np.mean(sq[:, :-1] @ steps)))
+    return _m2_norm(z_a - z_b, steps)
 
 
 def _sup_dist(y_a: np.ndarray, y_b: np.ndarray) -> float:
@@ -187,9 +211,15 @@ def _sup_dist(y_a: np.ndarray, y_b: np.ndarray) -> float:
 
 def _s2_dist(y_a: np.ndarray, y_b: np.ndarray) -> float:
     diff = y_a - y_b
-    P = diff.shape[0]
-    mags = np.linalg.norm(diff.reshape(P, diff.shape[1], -1), axis=2)
-    return float(np.sqrt(np.mean(mags.max(axis=1) ** 2)))
+    L, P = diff.shape[:2]
+    diff = diff.reshape(L, P, -1)
+    sq = np.einsum("lpk,lpk->lp", diff, diff)
+    return float(np.sqrt(np.mean(sq.max(axis=0))))
+
+
+def _path_major(a: np.ndarray) -> np.ndarray:
+    """A node-major sweep array (L, P, ...) in the public layout (P, L, ...)."""
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
 
 
 def _window_steps(ensemble: PathEnsemble, window: Window) -> np.ndarray:
@@ -224,9 +254,24 @@ def _check_window_width(
             f"window width {width:.6g} exceeds the certified width "
             f"{cert.chain.eps:.6g}; proceeding on the override flag",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=_caller_stacklevel(),
         )
     return exceeded
+
+
+def _caller_stacklevel() -> int:
+    """``stacklevel`` that makes a warning issued by the calling function
+    point at the first frame outside this package: the caller of whichever
+    public solver was entered, however deep the warning is raised."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    frame = sys._getframe(1)
+    level = 1
+    while frame is not None and os.path.dirname(
+        os.path.abspath(frame.f_code.co_filename)
+    ) == package:
+        frame = frame.f_back
+        level += 1
+    return level
 
 
 def _terminal_for(
@@ -247,7 +292,7 @@ def _track_ball(trace, config, solver, cert, new, span):
     certified ball when ``config.track_ball`` is set."""
     if not config.track_ball:
         return
-    zgrid = ProcessGrid(grid=solver.ensemble.grid, values=new.z, span=span)
+    zgrid = ProcessGrid(grid=solver.ensemble.grid, values=_path_major(new.z), span=span)
     bmo = bmo2_estimate(zgrid, solver.ensemble, regressions=solver._cache)
     sup = float(np.max(np.abs(new.y)))
     trace.ball_sup.append(sup)
@@ -259,8 +304,9 @@ def _track_ball(trace, config, solver, cert, new, span):
 
 
 class _Iterate(NamedTuple):
-    """One iterate of a mean-field map on a window: the state and
-    integrand values (None before the first sweep) and their mean curves."""
+    """One iterate of a mean-field map on a window: the node-major state
+    (L, P, n) and integrand (L, P, d, n) values, None before the first
+    sweep, and their mean curves."""
 
     y: np.ndarray | None
     z: np.ndarray | None
@@ -268,16 +314,18 @@ class _Iterate(NamedTuple):
     m_z: np.ndarray
 
 
+def _sweep_iterate(sweep) -> _Iterate:
+    return _Iterate(sweep.y, sweep.z, _path_mean(sweep.y), _path_mean(sweep.z))
+
+
 def _distance(y_dist, steps):
     """Distances ``(state, integrand, state mean)`` between two iterates:
-    ``y_dist`` for the state, empirical M2 for the integrand."""
+    ``y_dist`` for the state, empirical M2 for the integrand.  An old
+    iterate without an integrand stands for a zero one."""
 
     def distance(new: _Iterate, old: _Iterate):
-        return (
-            y_dist(new.y, old.y),
-            _m2_dist(new.z, old.z, steps),
-            _sup_dist(new.m_y, old.m_y),
-        )
+        z_dist = _m2_norm(new.z, steps) if old.z is None else _m2_dist(new.z, old.z, steps)
+        return y_dist(new.y, old.y), z_dist, _sup_dist(new.m_y, old.m_y)
 
     return distance
 
@@ -423,8 +471,8 @@ def gamma_map(
     solver = solver or BackwardSolver(ensemble, config)
     res = solver.solve(window, terminal, frozen_mean_driver(scenario, m_u, m_v, window.lo))
     span = (window.lo, window.hi)
-    ygrid = ProcessGrid(grid=ensemble.grid, values=res.y, span=span)
-    zgrid = ProcessGrid(grid=ensemble.grid, values=res.z, span=span)
+    ygrid = ProcessGrid(grid=ensemble.grid, values=_path_major(res.y), span=span)
+    zgrid = ProcessGrid(grid=ensemble.grid, values=_path_major(res.z), span=span)
     return ygrid, zgrid, ensemble_mean(ygrid), ensemble_mean(zgrid)
 
 
@@ -456,6 +504,7 @@ def local_solve(
         scenario, ensemble, config, cert, solver, window, terminal, init
     )
     span = (window.lo, window.hi)
+    y, z = _path_major(y), _path_major(z)
     return _finish_result(
         scenario, ensemble, config, solver, cert,
         y, z, span, trace, [span], flags, extras,
@@ -463,7 +512,8 @@ def local_solve(
 
 
 def _local_window(scenario, ensemble, config, cert, solver, window, terminal, init):
-    """Frozen-mean fixed point on ``window``: ``(y, z, trace, flags, extras)``."""
+    """Frozen-mean fixed point on ``window``: ``(y, z, trace, flags, extras)``
+    with node-major ``y`` and ``z``."""
     exceeded = _check_window_width(window, ensemble, cert, config)
     terminal = _terminal_for(scenario, ensemble, window, terminal)
     steps = _window_steps(ensemble, window)
@@ -474,8 +524,8 @@ def _local_window(scenario, ensemble, config, cert, solver, window, terminal, in
     flags = {"window_exceeds_certificate": exceeded, "clamp_events": 0}
 
     if init is None:
-        start = _martingale_start(solver, window, terminal)
-        m_y, m_z = start.y.mean(axis=0), np.zeros((L, d, n))
+        m_y = _path_mean(_martingale_start(solver, window, terminal).y)
+        m_z = np.zeros((L, d, n))
     else:
         m_y = np.asarray(init[0], dtype=np.float64).reshape(L, n)
         m_z = np.asarray(init[1], dtype=np.float64).reshape(L, d, n)
@@ -484,7 +534,7 @@ def _local_window(scenario, ensemble, config, cert, solver, window, terminal, in
         driver = frozen_mean_driver(scenario, it.m_y, it.m_z, window.lo)
         sweep = solver.solve(window, terminal, driver)
         flags["clamp_events"] += sweep.clamp_events
-        new = _Iterate(sweep.y, sweep.z, sweep.y.mean(axis=0), sweep.z.mean(axis=0))
+        new = _sweep_iterate(sweep)
         _track_ball(trace, config, solver, cert, new, span)
         return new
 
@@ -545,7 +595,9 @@ def _stitched_solve(
     solver: BackwardSolver,
 ) -> SolveResult:
     """Backward window recursion; ``solve_window(window, terminal)`` returns
-    per-window arrays ``(y, z, trace, flags, extras)``."""
+    per-window arrays ``(y, z, trace, flags, extras)``, ``y`` and ``z``
+    node-major.  Each window is written transposed into the path-major
+    result as soon as it is solved."""
     grid = ensemble.grid
     windows = _plan_windows(ensemble, config, cert)
     N = grid.n_steps
@@ -553,24 +605,28 @@ def _stitched_solve(
     n, d = scenario.n, scenario.d
     y_full = np.empty((P, N + 1, n))
     z_full = np.empty((P, N + 1, d, n))
-    traces: list[FixedPointTrace] = []
     flags: dict = {"clamp_events": 0, "window_exceeds_certificate": False}
-    extras_all: dict = {}
+    per_window = []
 
     terminal = scenario.terminal_values(ensemble.state(N))
-    per_window = []
     for w in reversed(windows):
         y_w, z_w, trace_w, flags_w, extras_w = solve_window(w, terminal)
-        per_window.append((w, y_w, z_w, trace_w, extras_w))
+        # the window to the right already wrote node w.hi: its integrand
+        # there is the solved one, not this window's copied last node
+        stop = w.hi + 1 if w.hi == N else w.hi
+        y_full[:, w.lo : stop] = np.swapaxes(y_w[: stop - w.lo], 0, 1)
+        z_full[:, w.lo : stop] = np.swapaxes(z_w[: stop - w.lo], 0, 1)
+        per_window.append((trace_w, extras_w))
         flags["clamp_events"] += flags_w.get("clamp_events", 0)
         flags["window_exceeds_certificate"] |= flags_w.get(
             "window_exceeds_certificate", False
         )
-        terminal = y_w[:, 0]
+        terminal = y_w[0].copy()
+    del y_w, z_w  # the last window's node-major arrays are not needed to finalise
 
-    for w, y_w, z_w, trace_w, extras_w in reversed(per_window):
-        y_full[:, w.lo : w.hi + 1] = y_w
-        z_full[:, w.lo : w.hi + 1] = z_w
+    traces: list[FixedPointTrace] = []
+    extras_all: dict = {}
+    for trace_w, extras_w in reversed(per_window):
         traces.append(trace_w)
         for key, val in extras_w.items():
             extras_all.setdefault(key, []).append(val)
@@ -645,45 +701,49 @@ def picard_global(
     def record_alpha(y_vals):
         if alpha_fn is None:
             return
-        grid_y = ProcessGrid(grid=ensemble.grid, values=y_vals, span=span)
+        grid_y = ProcessGrid(grid=ensemble.grid, values=_path_major(y_vals), span=span)
         trace.alpha_rates.append(check_alpha_envelope(grid_y, alpha_fn)["violation_rate"])
 
     def step(it: _Iterate) -> _Iterate:
         # lagged source: full driver at the previous iterate minus its
         # z-quadratic core, node by node
-        source = np.empty((ensemble.n_paths, L, n))
+        source = np.empty((L, ensemble.n_paths, n))
         for j in range(L):
             s = float(nodes[window.lo + j])
             full = dsl.evaluate(
-                gen, s, it.y[:, j], it.m_y[j], it.z[:, j], it.m_z[j], n=n, d=d
+                gen, s, it.y[j], it.m_y[j], it.z[j], it.m_z[j], n=n, d=d
             )
             core = dsl.evaluate(
-                gen, s, zeros_y, np.zeros(n), it.z[:, j], np.zeros((d, n)), n=n, d=d
+                gen, s, zeros_y, np.zeros(n), it.z[j], np.zeros((d, n)), n=n, d=d
             )
-            source[:, j] = full - core
+            source[j] = full - core
 
         @y_free
         def driver(i, s, y, z):
             core = dsl.evaluate(
                 gen, s, zeros_y, np.zeros(n), z, np.zeros((d, n)), n=n, d=d
             )
-            return core + source[:, i - window.lo]
+            return core + source[i - window.lo]
 
         sweep = solver.solve(window, terminal, driver)
         flags["clamp_events"] += sweep.clamp_events
-        new = _Iterate(sweep.y, sweep.z, sweep.y.mean(axis=0), sweep.z.mean(axis=0))
+        new = _sweep_iterate(sweep)
         record_alpha(new.y)
         _track_ball(trace, config, solver, cert, new, span)
         return new
 
-    start = _martingale_start(solver, window, terminal)
-    record_alpha(start.y)
-    first = _Iterate(start.y, start.z, start.y.mean(axis=0), start.z.mean(axis=0))
-    last = _iterate(step, _distance(_sup_dist, steps), first, trace, config,
+    def start() -> _Iterate:
+        sweep = _martingale_start(solver, window, terminal)
+        record_alpha(sweep.y)
+        return _sweep_iterate(sweep)
+
+    last = _iterate(step, _distance(_sup_dist, steps), start(), trace, config,
                     "global Picard")
+    y, z = _path_major(last.y), _path_major(last.z)
+    del last  # finalise on the public copies only
     return _finish_result(
         scenario, ensemble, config, solver, cert,
-        last.y, last.z, span, trace, [span], flags, {},
+        y, z, span, trace, [span], flags, {},
     )
 
 
@@ -703,16 +763,16 @@ def _require_split(scenario: ScenarioSpec, form: str, what: str):
 
 def _frozen_state_start(solver, window, terminal) -> _Iterate:
     """Start of the frozen-state maps: the regression martingale of the
-    terminal data with a zero integrand."""
-    start = _martingale_start(solver, window, terminal)
-    ens = solver.ensemble
-    shape = (window.n_nodes, ens.d, terminal.shape[1])
-    return _Iterate(start.y, np.zeros((ens.n_paths, *shape)), start.y.mean(axis=0),
-                    np.zeros(shape))
+    terminal data with a zero integrand, which is left implicit (None) and
+    only its zero mean curve is stored."""
+    y = _martingale_start(solver, window, terminal).y
+    shape = (window.n_nodes, solver.ensemble.d, terminal.shape[1])
+    return _Iterate(y, None, _path_mean(y), np.zeros(shape))
 
 
 def _mean_shift(scenario, ensemble, window, u_vals, m_u, z_vals, m_z):
-    """Tail integral of the mean of f2 along the window (trapezoid rule)."""
+    """Tail integral of the mean of f2 along the window (trapezoid rule);
+    ``u_vals`` and ``z_vals`` are node-major."""
     f2 = scenario.f2
     n, d = scenario.n, scenario.d
     L = window.n_nodes
@@ -720,7 +780,7 @@ def _mean_shift(scenario, ensemble, window, u_vals, m_u, z_vals, m_z):
     fbar = np.empty((L, n))
     for j in range(L):
         s = float(nodes[window.lo + j])
-        vals = dsl.evaluate(f2, s, u_vals[:, j], m_u[j], z_vals[:, j], m_z[j], n=n, d=d)
+        vals = dsl.evaluate(f2, s, u_vals[j], m_u[j], z_vals[j], m_z[j], n=n, d=d)
         fbar[j] = vals.mean(axis=0)
     steps = ensemble.grid.steps[window.lo : window.hi]
     shift = np.zeros((L, n))
@@ -762,22 +822,23 @@ def shift_solve_simple(
 
     t0 = time.perf_counter()
     sweep = solver.solve(window, terminal, driver)
-    m_z = sweep.z.mean(axis=0)
+    m_z = _path_mean(sweep.z)
     shift = _mean_shift(
         scenario, ensemble, window, np.zeros_like(sweep.y),
         np.zeros((window.n_nodes, n)), sweep.z, m_z,
     )
-    y_shifted = sweep.y + shift[None, :, :]
+    y_shifted = sweep.y + shift[:, None, :]
     wall = time.perf_counter() - t0
 
     trace = FixedPointTrace(converged=True)
     trace.push(0.0, 0.0, 0.0, wall)
     span = (window.lo, window.hi)
     flags = {"clamp_events": sweep.clamp_events, "z_shift_bitwise": True}
-    extras = {"z_before_shift": sweep.z, "y_before_shift": sweep.y, "shift": shift}
+    z = _path_major(sweep.z)
+    extras = {"z_before_shift": z, "y_before_shift": _path_major(sweep.y), "shift": shift}
     return _finish_result(
         scenario, ensemble, config, solver, None,
-        y_shifted, sweep.z, span, trace, [span], flags, extras,
+        _path_major(y_shifted), z, span, trace, [span], flags, extras,
     )
 
 
@@ -810,14 +871,14 @@ def shift_fixed_point(
             @y_free
             def driver(i, s, y, z):
                 j = i - window.lo
-                return dsl.evaluate(f1, s, it.y[:, j], it.m_y[j], z, it.m_z[j], n=n, d=d)
+                return dsl.evaluate(f1, s, it.y[j], it.m_y[j], z, it.m_z[j], n=n, d=d)
 
             sweep = solver.solve(window, terminal, driver)
             flags["clamp_events"] += sweep.clamp_events
-            m_z = sweep.z.mean(axis=0)
+            m_z = _path_mean(sweep.z)
             shift = _mean_shift(scenario, ensemble, window, it.y, it.m_y, sweep.z, m_z)
-            y_new = sweep.y + shift[None, :, :]
-            new = _Iterate(y_new, sweep.z, y_new.mean(axis=0), m_z)
+            y_new = sweep.y + shift[:, None, :]
+            new = _Iterate(y_new, sweep.z, _path_mean(y_new), m_z)
             _track_ball(trace, config, solver, cert, new, span)
             return new
 
@@ -867,19 +928,20 @@ def multidim_solve(
                 @y_free
                 def driver(i, s, y, z, _mz=mz_curve):
                     j = i - window.lo
-                    return dsl.evaluate(f1, s, it.y[:, j], it.m_y[j], z, _mz[j], n=n, d=d)
+                    return dsl.evaluate(f1, s, it.y[j], it.m_y[j], z, _mz[j], n=n, d=d)
 
+                sweep = None  # only its mean curve is needed: free it before the next sweep
                 sweep = solver.solve(window, terminal, driver)
                 flags["clamp_events"] += sweep.clamp_events
-                mz_new = sweep.z.mean(axis=0)
+                mz_new = _path_mean(sweep.z)
                 gap = float(np.max(np.abs(mz_new - mz_curve)))
                 mz_curve = mz_new
                 if gap <= tol_curve:
                     break
             inner_counts.append(inner)
             shift = _mean_shift(scenario, ensemble, window, it.y, it.m_y, sweep.z, mz_curve)
-            y_new = sweep.y + shift[None, :, :]
-            new = _Iterate(y_new, sweep.z, y_new.mean(axis=0), mz_curve)
+            y_new = sweep.y + shift[:, None, :]
+            new = _Iterate(y_new, sweep.z, _path_mean(y_new), mz_curve)
             _track_ball(trace, config, solver, cert, new, span)
             return new
 

@@ -3,9 +3,12 @@
 The conditional expectation given the Brownian level at a node is
 approximated by projection onto polynomial features of that level,
 optionally fitted separately on quantile bins of the first coordinate
-(a cheap localisation).  Normal equations are solved with a ridge term and
-column scaling; a design that stays rank-deficient after the ridge raises
-:class:`RegressionError` with a condition estimate.
+(a cheap localisation).  The design depends only on the node's Brownian
+state, so each node is factorised once: with ``L`` the Cholesky factor of
+the ridged Gram matrix of the column-scaled design ``Xs``, the node keeps
+``Q^T = L^-1 Xs^T`` and every fit is the projection ``Q (Q^T v)``, two
+matrix products and no solve.  A design that stays rank-deficient after the
+ridge raises :class:`RegressionError` with a condition estimate.
 """
 
 from __future__ import annotations
@@ -43,61 +46,61 @@ def poly_features(state: np.ndarray, degree: int) -> np.ndarray:
     ``state`` has shape (P, d); the result has shape (P, k) with
     ``k = binom(d + degree, degree)``.
     """
+    return _design_rows(state, degree).T
+
+
+def _design_rows(state: np.ndarray, degree: int) -> np.ndarray:
+    """The monomials of :func:`poly_features` as contiguous rows, (k, P).
+
+    Each monomial is its lower-degree prefix times one coordinate (the
+    degree-one monomials take the constant row as prefix), so the
+    coordinates are multiplied left to right.
+    """
     state = np.asarray(state, dtype=np.float64)
     if state.ndim != 2:
         raise InvalidInput("state must have shape (paths, d)")
     P, d = state.shape
-    cols = [np.ones(P)]
-    for deg in range(1, degree + 1):
-        for combo in combinations_with_replacement(range(d), deg):
-            col = state[:, combo[0]].copy()
-            for j in combo[1:]:
-                col *= state[:, j]
-            cols.append(col)
-    return np.stack(cols, axis=1)
+    coords = np.ascontiguousarray(state.T)
+    combos = [
+        combo
+        for deg in range(1, degree + 1)
+        for combo in combinations_with_replacement(range(d), deg)
+    ]
+    rows = np.empty((1 + len(combos), P))
+    rows[0] = 1.0
+    index = {(): 0}
+    for r, combo in enumerate(combos, start=1):
+        np.multiply(rows[index[combo[:-1]]], coords[combo[-1]], out=rows[r])
+        index[combo] = r
+    return rows
 
 
 class NodeRegression:
     """Projector onto basis functions of one node's state.
 
-    Degenerate states (all columns constant, e.g. the t=0 node) fall back
-    to the plain path average, which is the exact conditional expectation
-    given a trivial state.
+    Built once per node; each bin keeps ``Q^T = L^-1 Xs^T`` as a
+    C-contiguous ``(k, paths in bin)`` array.  A single bin fits the values
+    as given, without a member index.  Degenerate states (all non-constant
+    columns vanish, e.g. the t=0 node) keep the constant column only, so the
+    fit is the plain path average up to the ridge.
     """
 
     def __init__(self, state: np.ndarray, basis: RegressionBasis):
         state = np.asarray(state, dtype=np.float64)
         P = state.shape[0]
         self.basis = basis
-        self._bins: list[tuple[np.ndarray, np.ndarray | None, np.ndarray]] = []
+        # (members, Q^T) per bin; members is None for the single-bin case
+        self._bins: list[tuple[np.ndarray | None, np.ndarray | None]] = []
         if basis.n_bins > 1:
             edges = np.quantile(state[:, 0], np.linspace(0, 1, basis.n_bins + 1))
             idx = np.clip(np.searchsorted(edges, state[:, 0], side="right") - 1, 0,
                           basis.n_bins - 1)
-            memberships = [np.flatnonzero(idx == b) for b in range(basis.n_bins)]
+            for b in range(basis.n_bins):
+                members = np.flatnonzero(idx == b)
+                qt = _projector(state[members], basis) if members.size else None
+                self._bins.append((members, qt))
         else:
-            memberships = [np.arange(P)]
-        for members in memberships:
-            if members.size == 0:
-                self._bins.append((members, None, np.empty(0)))
-                continue
-            X = poly_features(state[members], basis.degree)
-            scale = np.sqrt(np.mean(X * X, axis=0))
-            keep = scale > 0.0
-            scale = np.where(keep, scale, 1.0)
-            Xs = X[:, keep] / scale[keep]
-            if members.size <= int(keep.sum()):
-                raise InvalidInput(
-                    f"{members.size} paths cannot support {int(keep.sum())} features"
-                )
-            gram = Xs.T @ Xs
-            gram[np.diag_indices_from(gram)] += basis.ridge * members.size
-            try:
-                chol = np.linalg.cholesky(gram)
-            except np.linalg.LinAlgError:
-                cond = float(np.linalg.cond(gram))
-                raise RegressionError("design rank-deficient after ridge", cond)
-            self._bins.append((members, chol, Xs))
+            self._bins.append((None, _projector(state, basis)))
         self._n_features = poly_features(state[:1], basis.degree).shape[1]
         self._n_paths = P
 
@@ -109,20 +112,34 @@ class NodeRegression:
         """Project ``values`` (shape (P,) or (P, m)) onto the basis; the
         fitted values have the input's shape."""
         vals = np.asarray(values, dtype=np.float64)
-        squeeze = vals.ndim == 1
-        if squeeze:
-            vals = vals[:, None]
         if vals.shape[0] != self._n_paths:
             raise InvalidInput("value rows do not match the node's path count")
+        members, qt = self._bins[0]
+        if members is None:
+            return qt.T @ (qt @ vals)
         fitted = np.empty_like(vals)
-        for members, chol, Xs in self._bins:
-            if members.size == 0:
-                continue
-            sub = vals[members]
-            if chol is None or Xs.shape[1] == 0:
-                fitted[members] = sub.mean(axis=0, keepdims=True)
-                continue
-            rhs = Xs.T @ sub
-            c = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-            fitted[members] = Xs @ c
-        return fitted[:, 0] if squeeze else fitted
+        for members, qt in self._bins:
+            if qt is not None:
+                fitted[members] = qt.T @ (qt @ vals[members])
+        return fitted
+
+
+def _projector(state: np.ndarray, basis: RegressionBasis) -> np.ndarray:
+    """``Q^T = L^-1 Xs^T`` for the column-scaled design ``Xs`` of ``state``,
+    where ``L L^T = Xs^T Xs + ridge * P * I``."""
+    rows = _design_rows(state, basis.degree)
+    P = rows.shape[1]
+    scale = np.sqrt(np.mean(rows * rows, axis=1))
+    keep = scale > 0.0
+    xs_t = rows[keep] / scale[keep, None]
+    k = xs_t.shape[0]
+    if P <= k:
+        raise InvalidInput(f"{P} paths cannot support {k} features")
+    gram = xs_t @ xs_t.T
+    gram[np.diag_indices_from(gram)] += basis.ridge * P
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        cond = float(np.linalg.cond(gram))
+        raise RegressionError("design rank-deficient after ridge", cond)
+    return np.linalg.inv(chol) @ xs_t

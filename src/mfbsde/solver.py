@@ -73,8 +73,8 @@ class SolverConfig:
 class StandardSolve:
     """Result of one backward sweep on a window."""
 
-    y: np.ndarray            # (P, L, n)
-    z: np.ndarray            # (P, L, d, n)
+    y: np.ndarray            # (L, P, n), node-major
+    z: np.ndarray            # (L, P, d, n), node-major
     inner_iterations: list[int]
     clamp_events: int
 
@@ -82,9 +82,10 @@ class StandardSolve:
 class BackwardSolver:
     """Backward sweeps over one ensemble, with node regressions cached.
 
-    The basis depends only on the Brownian levels, so the factorised
-    normal equations are reused across fixed-point iterations; right-hand
-    sides are the only per-iteration work.
+    The basis depends only on the Brownian levels, so each node's projector
+    is built once and reused across fixed-point iterations; a fit is two
+    matrix products against it.  Sweeps store their values node-major, so
+    every node is read and written as one contiguous block.
     """
 
     def __init__(self, ensemble: PathEnsemble, config: SolverConfig):
@@ -105,6 +106,7 @@ class BackwardSolver:
         ``terminal`` has shape (P, n); ``driver(i, s, y, z)`` maps the node
         index, time, state (P, n) and integrand (P, d, n) to (P, n).  A
         driver marked by :func:`y_free` gets one explicit step per node.
+        The returned ``y`` and ``z`` are node-major, (L, P, ...).
         """
         ens = self.ensemble
         cfg = self.config
@@ -119,9 +121,10 @@ class BackwardSolver:
         if terminal.shape != (P, n):
             raise InvalidInput("terminal shape does not match ensemble")
 
-        Y = np.empty((P, L, n))
-        Z = np.empty((P, L, d, n))
-        Y[:, L - 1] = terminal
+        Y = np.empty((L, P, n))
+        Z = np.empty((L, P, d, n))
+        Y[L - 1] = terminal
+        raw = np.empty((P, d, n))
         inner_counts: list[int] = []
         clamp_events = 0
 
@@ -129,16 +132,21 @@ class BackwardSolver:
             j = i - lo
             h = float(steps[i])
             t = float(nodes[i])
-            y_next = Y[:, j + 1]
+            y_next = Y[j + 1]
             reg = self.node_regression(i)
 
             cond = reg.fit(y_next)
             resid = y_next - cond
             dw = ens.increments[:, i, :]
-            raw = resid[:, None, :] * dw[:, :, None] / h
+            # one product per (increment, state) component pair: each is a
+            # single loop over the paths, reading the increments in place
+            for a in range(d):
+                for b in range(n):
+                    np.multiply(dw[:, a], resid[:, b], out=raw[:, a, b])
+            raw /= h
             z_fit = reg.fit(raw.reshape(P, d * n))
             z_i = z_fit.reshape(P, d, n)
-            Z[:, j] = z_i
+            Z[j] = z_i
 
             z_drv, n_clamped = _clamp_z(z_i, cfg.z_clamp)
             clamp_events += n_clamped
@@ -146,10 +154,10 @@ class BackwardSolver:
             y, iters = _implicit_state(cond, h, t, i, z_drv, driver, cfg)
             if not np.all(np.isfinite(y)):
                 raise StepDivergence("non-finite state in backward step", i)
-            Y[:, j] = y
+            Y[j] = y
             inner_counts.append(iters)
 
-        Z[:, L - 1] = Z[:, L - 2] if L >= 2 else 0.0
+        Z[L - 1] = Z[L - 2] if L >= 2 else 0.0
         inner_counts.reverse()
         return StandardSolve(y=Y, z=Z, inner_iterations=inner_counts,
                              clamp_events=clamp_events)
@@ -221,7 +229,7 @@ def backward_step(
     solver = BackwardSolver(ensemble, config)
     window = Window(i, i + 1)
     res = solver.solve(window, y_next, lambda _i, s, y, z: driver(s, y, z))
-    return res.y[:, 0], res.z[:, 0]
+    return res.y[0], res.z[0]
 
 
 def frozen_mean_driver(

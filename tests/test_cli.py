@@ -118,12 +118,25 @@ def test_exhausted_outer_budget_exits_1(tmp_path, capsys):
     assert "max_outer = 30" in text
     cfg = tmp_path / "ex22.cfg"
     cfg.write_text(text.replace("max_outer = 30", "max_outer = 1"))
-    rc = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", str(cfg), "--out-dir", str(out),
                "--paths", "400", "--steps", "8"])
     assert rc == 1
     err = capsys.readouterr().err
     assert "MaxIterations" in err
     assert "iteration budget exhausted before two iterates could be compared" in err
+    # the failure record: the error, the failing window's partial trace, the manifest
+    assert not (out / "ex22_result.csv").exists()
+    record = json.loads((out / "ex22_failure.json").read_text())
+    assert record["error"] == "MaxIterations"
+    assert err.strip() == f"error: MaxIterations: {record['message']}"
+    assert record["message"].startswith("local solve on window (6, 8): ")
+    assert record["trace"]["iterations"] == 0
+    assert record["trace"]["converged"] is False
+    man = record["manifest"]
+    assert (man["selector"], man["n_paths"], man["n_steps"]) == ("global", 400, 8)
+    assert man["solver"]["max_outer"] == 1
+    assert len(man["manifest_sha256"]) == 64
 
 
 def test_solve_overrides_reach_manifest(tiny_cfg, tmp_path):

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from mfbsde import dsl
-from mfbsde.core import Window, build_grid, simulate_brownian
+from mfbsde.core import ProcessGrid, TimeGrid, Window, build_grid, simulate_brownian
+from mfbsde.diagnostics import mp_norm
 from mfbsde.errors import InvalidInput, MaxIterations, NonContraction, WindowTooWide
 from mfbsde.meanfield import (
     FixedPointTrace,
+    _m2_dist,
+    _m2_norm,
     gamma_map,
     global_solve,
     local_solve,
@@ -26,7 +29,7 @@ from mfbsde.scenario import (
     linear_scenario,
 )
 from mfbsde.regression import RegressionBasis
-from mfbsde.solver import SolverConfig
+from mfbsde.solver import BackwardSolver, SolverConfig
 
 CFG = SolverConfig(
     n_steps=40,
@@ -40,6 +43,12 @@ CFG = SolverConfig(
 
 def _ensemble(scenario, cfg=CFG):
     grid = build_grid(scenario.T, cfg.n_steps)
+    return simulate_brownian(grid, scenario.d, cfg.n_paths, cfg.seed)
+
+
+def _graded_ensemble(scenario, cfg=CFG):
+    # non-uniform grid: steps grow from T/N^1.5 at t=0 to about 1.5 T/N at T
+    grid = TimeGrid(scenario.T * np.linspace(0.0, 1.0, cfg.n_steps + 1) ** 1.5)
     return simulate_brownian(grid, scenario.d, cfg.n_paths, cfg.seed)
 
 
@@ -183,6 +192,16 @@ def test_outer_budget_exhaustion_carries_the_trace(solve, scenario, context, ite
     assert all(dist > cfg.tol_fp for dist in trace.total_distances())
 
 
+@pytest.mark.parametrize("solve", [local_solve, global_solve], ids=["local", "global"])
+def test_window_warning_points_at_the_caller(solve):
+    sc = linear_scenario(dbar=1.0, xi_bound=4.0)
+    cfg = CFG.updated(n_steps=10, n_paths=2_000, n_windows=2)
+    ens = _ensemble(sc, cfg)
+    with pytest.warns(RuntimeWarning, match="exceeds the certified width") as record:
+        solve(sc, ens, cfg)
+    assert [w.filename for w in record] == [__file__] * len(record)
+
+
 def test_window_too_wide_without_override():
     sc = linear_scenario(dbar=1.0, xi_bound=4.0)
     ens = _ensemble(sc)
@@ -236,6 +255,34 @@ def test_global_solve_linear_closed_form(n_bins):
     assert np.max(np.abs(res.m_z.values[:, 0, 0] - 1.0)) < 0.06
 
 
+def test_global_solve_linear_closed_form_on_a_graded_grid():
+    # criterion 3's problem, path count, windows and tolerances on a
+    # non-uniform grid
+    sc = linear_scenario(dbar=1.0, xi_bound=4.0)
+    cfg = CFG.updated(n_paths=100_000, n_windows=4)
+    ens = _graded_ensemble(sc, cfg)
+    steps = ens.grid.steps
+    assert steps[-1] / steps[0] > 5.0
+    res = global_solve(sc, ens, cfg)
+    assert all(t.converged for t in res.trace)
+    t = res.m_y.times()
+    assert np.max(np.abs(res.m_y.values[:, 0] - (1.0 - t))) <= 0.02
+    assert np.max(np.abs(res.m_z.values[:, 0, 0] - 1.0)) <= 0.03
+
+
+def test_m2_distance_weights_each_node_by_its_own_step(rng):
+    # node-major distance against the path-major diagnostics norm; the
+    # node-dependent magnitudes make a shifted step vector visible
+    sc = example_41()
+    ens = _graded_ensemble(sc, CFG.updated(n_steps=12, n_paths=500))
+    L, P = ens.grid.n_steps + 1, ens.n_paths
+    z = rng.standard_normal((L, P, 2, 2)) * np.arange(1.0, L + 1.0)[:, None, None, None]
+    steps = ens.grid.steps
+    expected = mp_norm(ProcessGrid(grid=ens.grid, values=np.swapaxes(z, 0, 1)))
+    assert _m2_norm(z, steps) == pytest.approx(expected, rel=1e-12)
+    assert _m2_dist(z, np.zeros_like(z), steps) == _m2_norm(z, steps)
+
+
 def test_global_solve_deterministic():
     sc = linear_scenario(dbar=1.0, xi_bound=4.0)
     cfg = CFG.updated(n_windows=2)
@@ -275,6 +322,33 @@ def _shift_identity_scenario():
         xi_bound=4.0,
         forms=frozenset({FORM_SPLIT_QUADRATIC}),
     )
+
+
+@pytest.mark.parametrize(
+    "solve, scenario",
+    [(shift_fixed_point, example_31(T=0.5)), (multidim_solve, example_41())],
+    ids=["shift", "multidim"],
+)
+def test_first_integrand_distance_is_taken_from_zero(solve, scenario, monkeypatch):
+    # the frozen-state start has a zero integrand: the first recorded
+    # distance is the M2 distance of the first step's integrand to zero
+    sweeps = []
+    sweep = BackwardSolver.solve
+
+    def recording(self, window, terminal, driver):
+        sweeps.append(sweep(self, window, terminal, driver))
+        return sweeps[-1]
+
+    monkeypatch.setattr(BackwardSolver, "solve", recording)
+    cfg = CFG.updated(n_steps=10, n_paths=2_000, tol_fp=1e-3, n_windows=1)
+    ens = _ensemble(scenario, cfg)
+    res = solve(scenario, ens, cfg)
+    # sweep 0 is the martingale start; the first step ends on its last sweep
+    inner = res.extras.get("mz_inner_iterations", [[1]])[0][0]
+    z = sweeps[inner].z
+    first = res.trace[0].z_distances[0]
+    assert first > 0.0
+    assert first == _m2_dist(z, np.zeros_like(z), ens.grid.steps)
 
 
 def test_shift_leaves_integrand_bitwise_identical():

@@ -1,6 +1,8 @@
 """Backward regression solver: martingale limits, implicit stepping,
 clamping, and the linear closed form."""
 
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,19 @@ def test_poly_feature_count():
     assert np.all(X[:, 0] == 1.0)
 
 
+def test_poly_features_match_column_products(rng):
+    # each monomial is its coordinates multiplied left to right, bit for bit
+    x = rng.standard_normal((500, 3))
+    cols = [np.ones(500)]
+    for deg in range(1, 4):
+        for combo in combinations_with_replacement(range(3), deg):
+            col = x[:, combo[0]].copy()
+            for j in combo[1:]:
+                col *= x[:, j]
+            cols.append(col)
+    assert np.array_equal(poly_features(x, 3), np.stack(cols, axis=1))
+
+
 def test_regression_reproduces_polynomials(rng):
     x = rng.standard_normal((5000, 1))
     reg = NodeRegression(x, RegressionBasis(degree=3, ridge=0.0))
@@ -90,6 +105,62 @@ def test_binned_regression_matches_per_bin_lstsq(rng):
     # the bins fit separately: a single global fit is visibly different
     single = NodeRegression(x, RegressionBasis(degree=3, ridge=0.0)).fit(vals)
     assert np.max(np.abs(single - expected)) > 1e-3
+
+
+def _normal_equations_fit(state, basis, values):
+    """Reference regression: per bin, a Cholesky solve of the ridged normal
+    equations on the column-scaled design, once per fit."""
+    vals = np.asarray(values, dtype=np.float64)
+    squeeze = vals.ndim == 1
+    if squeeze:
+        vals = vals[:, None]
+    P = state.shape[0]
+    if basis.n_bins > 1:
+        edges = np.quantile(state[:, 0], np.linspace(0, 1, basis.n_bins + 1))
+        idx = np.clip(np.searchsorted(edges, state[:, 0], side="right") - 1, 0,
+                      basis.n_bins - 1)
+        memberships = [np.flatnonzero(idx == b) for b in range(basis.n_bins)]
+    else:
+        memberships = [np.arange(P)]
+    fitted = np.empty_like(vals)
+    for members in memberships:
+        X = poly_features(state[members], basis.degree)
+        scale = np.sqrt(np.mean(X * X, axis=0))
+        keep = scale > 0.0
+        Xs = X[:, keep] / scale[keep]
+        gram = Xs.T @ Xs
+        gram[np.diag_indices_from(gram)] += basis.ridge * members.size
+        chol = np.linalg.cholesky(gram)
+        c = np.linalg.solve(chol.T, np.linalg.solve(chol, Xs.T @ vals[members]))
+        fitted[members] = Xs @ c
+    return fitted[:, 0] if squeeze else fitted
+
+
+@pytest.mark.parametrize("n_bins, d", [(1, 1), (1, 2), (3, 2)])
+@pytest.mark.parametrize("m", [None, 3])
+def test_projector_matches_normal_equations(rng, n_bins, d, m):
+    x = rng.standard_normal((4000, d))
+    shape = (4000,) if m is None else (4000, m)
+    vals = np.sin(3.0 * x[:, :1] + np.arange(m or 1)) + x[:, -1:] ** 2
+    vals = vals.reshape(shape)
+    basis = RegressionBasis(degree=3, n_bins=n_bins)
+    fitted = NodeRegression(x, basis).fit(vals)
+    assert fitted.shape == shape
+    expected = _normal_equations_fit(x, basis, vals)
+    np.testing.assert_allclose(fitted, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [None, 2])
+def test_projector_matches_normal_equations_at_t0(grid50, m):
+    # the t=0 state is zero on every path: only the constant column is kept
+    ens = simulate_brownian(grid50, 1, 1000, 3)
+    vals = np.cos(np.arange(1000.0 * (m or 1))).reshape((1000,) if m is None else (1000, m))
+    basis = RegressionBasis(degree=3)
+    fitted = NodeRegression(ens.state(0), basis).fit(vals)
+    expected = _normal_equations_fit(ens.state(0), basis, vals)
+    np.testing.assert_allclose(fitted, expected, rtol=0, atol=1e-12)
+    mean = np.broadcast_to(vals.mean(axis=0), vals.shape)
+    np.testing.assert_allclose(fitted, mean, rtol=1e-7)
 
 
 def test_regression_rank_deficiency_raises(rng):
@@ -165,13 +236,16 @@ def test_backward_step_index_validation(ensemble50):
 
 
 def test_zero_driver_recovers_martingale(ensemble50):
-    # f = 0, xi = W_T: Y_i = W_i and Z = 1 up to regression noise
+    # f = 0, xi = W_T: Y_i = W_i and Z = 1 up to regression noise; the
+    # sweep's arrays are node-major, (L, P, ...)
     sc = _scalar_scenario("0")
     info = _frozen_mean_sweep(sc, ensemble50, CFG)
-    w = ensemble50.levels[:, :, 0]
-    err = np.max(np.mean(np.abs(info.y[:, :, 0] - w), axis=0))
+    assert info.y.shape == (51, ensemble50.n_paths, 1)
+    assert info.z.shape == (51, ensemble50.n_paths, 1, 1)
+    w = ensemble50.levels[:, :, 0].T
+    err = np.max(np.mean(np.abs(info.y[:, :, 0] - w), axis=1))
     assert err < 0.02
-    m_z = info.z.mean(axis=0)
+    m_z = info.z.mean(axis=1)
     assert np.max(np.abs(m_z - 1.0)) < 0.05
     assert info.clamp_events == 0
     assert all(k == 1 for k in info.inner_iterations)  # z-only driver: 1 pass
