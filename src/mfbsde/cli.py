@@ -17,8 +17,10 @@ Four commands:
 
 Exit codes: 0 on success, 1 when a solver or certificate computation fails,
 2 for invalid inputs (bad config, bad flags, solver/scenario mismatch).
-A solve whose outer iteration stops without converging also writes
-``<prefix>_failure.json``: the error, the partial trace and the manifest.
+A solve that fails with exit code 1 (an outer iteration that stops without
+converging, a diverging backward step, an unusable regression, ...) also
+writes ``<prefix>_failure.json``: the error, the partial trace of a failed
+outer iteration (null for other failures) and the manifest.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .config import (
     write_result_json,
 )
 from .core import build_grid, simulate_brownian
-from .errors import FixedPointError, InvalidInput, MFBSDEError
+from .errors import InvalidInput, MFBSDEError
 from .meanfield import (
     gamma_map,
     global_solve,
@@ -157,7 +159,9 @@ def _cmd_solve(args) -> int:
     t0 = time.perf_counter()
     try:
         result = run(scenario, ensemble, solver_cfg)
-    except FixedPointError as exc:
+    except InvalidInput:
+        raise
+    except MFBSDEError as exc:
         out_dir.mkdir(parents=True, exist_ok=True)
         failure_path = out_dir / f"{options.prefix}_failure.json"
         write_failure_json(failure_path, exc, manifest)

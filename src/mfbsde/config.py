@@ -60,7 +60,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dsl
-from .errors import FixedPointError, InvalidInput
+from .diagnostics import node_square_norms
+from .errors import InvalidInput, MFBSDEError
 from .regression import RegressionBasis
 from .scenario import ScenarioSpec
 from .solver import SolverConfig
@@ -236,10 +237,11 @@ def write_result_csv(path, result, manifest: RunManifest, alpha_fn=None) -> None
     my = result.m_y.values.reshape(len(times), -1)
     mz = result.m_z.values.reshape(len(times), -1)
     P = result.y.n_paths
-    sd = result.y.values.reshape(P, len(times), -1).std(axis=0)
-    zsq = np.mean(
-        np.sum(result.z.values.reshape(P, len(times), -1) ** 2, axis=2), axis=0
-    )
+    # node by node on the node-major views, one state component at a time:
+    # numpy reduces short rows one path at a time
+    sd = np.array([[column.std() for column in node.reshape(P, -1).T]
+                   for node in np.swapaxes(result.y.values, 0, 1)])
+    zsq = np.array([sq.mean() for sq in node_square_norms(result.z)])
     env = alpha_fn(times) if alpha_fn is not None else None
 
     buf = io.StringIO()
@@ -273,10 +275,11 @@ def write_result_json(path, result, manifest: RunManifest) -> None:
     Path(path).write_text(json.dumps(payload, indent=1))
 
 
-def write_failure_json(path, error: FixedPointError, manifest: RunManifest) -> None:
-    """Record of a solve whose outer iteration stopped without converging:
-    the error, its partial trace (the failing window's) and the manifest."""
-    trace = error.trace
+def write_failure_json(path, error: MFBSDEError, manifest: RunManifest) -> None:
+    """Record of a failed solve: the error, the partial trace of an outer
+    iteration that stopped without converging (the failing window's; None
+    for other errors) and the manifest."""
+    trace = getattr(error, "trace", None)
     payload = {
         "error": type(error).__name__,
         "message": str(error),

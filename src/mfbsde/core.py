@@ -22,6 +22,7 @@ __all__ = [
     "build_grid",
     "simulate_brownian",
     "ensemble_mean",
+    "path_mean",
 ]
 
 
@@ -167,6 +168,10 @@ class ProcessGrid:
 
     ``values`` has shape (n_paths, L, *dims) where L is the number of nodes
     in ``span`` (defaults to the whole grid).  All entries must be finite.
+    A float64 array is kept as a read-only view, not copied: the solvers
+    pass ``np.swapaxes`` of their node-major ``(L, n_paths, ...)`` storage,
+    so ``values`` has the shape above but need not be C-contiguous.  The
+    caller's own array stays writable.
     """
 
     grid: TimeGrid
@@ -185,7 +190,9 @@ class ProcessGrid:
             raise InvalidInput("empty path axis")
         if not np.all(np.isfinite(vals)):
             raise InvalidInput("process values must be finite")
-        object.__setattr__(self, "values", _readonly(vals))
+        vals = vals.view()
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
         object.__setattr__(self, "span", (lo, hi))
 
     @property
@@ -231,7 +238,19 @@ class MeanCurve:
         return self.grid.nodes[lo : hi + 1]
 
 
+def path_mean(a: np.ndarray) -> np.ndarray:
+    """Mean over paths of a node-major array (L, P, ...), shape (L, ...).
+
+    One product with a ones vector per node block, so repeated runs give
+    bit-identical means; numpy's own reduction over the middle axis loops
+    per path when the trailing axes are short.
+    """
+    L, P = a.shape[:2]
+    return (np.ones(P) @ a.reshape(L, P, -1)).reshape(L, *a.shape[2:]) / P
+
+
 def ensemble_mean(p: ProcessGrid) -> MeanCurve:
-    """Node-wise path average.  Reduction order is fixed, so the result is
-    reproducible and exactly linear in the input values."""
-    return MeanCurve(grid=p.grid, values=p.values.mean(axis=0), span=p.span)
+    """Node-wise path average of a process, by :func:`path_mean` on its
+    node-major view."""
+    values = path_mean(np.swapaxes(p.values, 0, 1))
+    return MeanCurve(grid=p.grid, values=values, span=p.span)

@@ -6,6 +6,15 @@ the conditional tail integral ``E_i[ integral_{t_i}^{T} |Z_s|^2 ds ]``
 each node, and then the worst node.  Grid nodes stand in for general
 stopping times, so the estimate is a lower bound of the continuous-time
 norm up to discretisation.
+
+Every norm and check reads a process node by node, through the node-major
+view ``np.swapaxes(values, 0, 1)``: no transposed copy is made, whatever
+the layout behind ``values``.  At each node the squared Euclidean norms of
+the paths go into one reused ``(P,)`` buffer (:func:`node_square_norms`,
+column products in numpy's own summation order), and each check folds them
+into O(P) state: a running per-path maximum (S^p), a running per-path
+integral (M^p), a backward running tail with one regression fit per node
+(BMO), or per-node violation counts and margins (the envelope).
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PathEnsemble, ProcessGrid
+from .dsl import row_dot
 from .errors import InvalidInput
 from .regression import NodeRegression, RegressionBasis
 
@@ -24,6 +34,7 @@ __all__ = [
     "sp_norm",
     "mp_norm",
     "bmo2_estimate",
+    "node_square_norms",
     "phi",
     "phi_prime",
     "phi_double_prime",
@@ -35,29 +46,50 @@ __all__ = [
 ]
 
 
+def _node_rows(p: ProcessGrid, nodes=None):
+    """The process at each node of ``nodes`` (local indices, all nodes in
+    order by default) as a (P, m) view, its components flattened."""
+    values = np.swapaxes(p.values, 0, 1)
+    P = p.n_paths
+    for j in range(p.n_nodes) if nodes is None else nodes:
+        yield values[j].reshape(P, -1)
+
+
+def node_square_norms(p: ProcessGrid, nodes=None):
+    """Squared Euclidean norm of every path's value, node by node.
+
+    Yields one (P,) buffer per node of ``nodes`` (local indices, all nodes
+    in order by default), equal bit for bit to ``np.sum(v ** 2, axis=-1)``
+    over the flattened components.  The buffer is reused: read each node
+    before taking the next.
+    """
+    buf = np.empty(p.n_paths)
+    for row in _node_rows(p, nodes):
+        yield row_dot(row, row, out=buf)
+
+
 def sup_norm(y: ProcessGrid) -> float:
     """Largest absolute entry over paths, nodes, and components."""
     if y.values.size == 0:
         raise InvalidInput("empty process")
-    return float(np.max(np.abs(y.values)))
+    buf = None
+    sup = 0.0
+    for row in _node_rows(y):
+        buf = np.abs(row, out=buf)
+        sup = max(sup, float(buf.max()))
+    return sup
 
 
 def sp_norm(y: ProcessGrid, p: float = 2.0) -> float:
     """Empirical S^p norm ``(E[sup_t |Y_t|^p])^(1/p)``."""
     if p <= 0:
         raise InvalidInput("p must be positive")
-    P = y.n_paths
-    mags = np.linalg.norm(y.values.reshape(P, y.n_nodes, -1), axis=2)
-    sups = mags.max(axis=1)
+    # the square root is monotone, so the largest square gives the sup norm
+    sup_sq = np.zeros(y.n_paths)
+    for sq in node_square_norms(y):
+        np.maximum(sup_sq, sq, out=sup_sq)
+    sups = np.sqrt(sup_sq)
     return float(np.mean(sups**p) ** (1.0 / p))
-
-
-def _z_square_steps(z: ProcessGrid) -> tuple[np.ndarray, np.ndarray]:
-    P, L = z.n_paths, z.n_nodes
-    lo, hi = z.span
-    steps = z.grid.steps[lo:hi]
-    sq = np.sum(z.values.reshape(P, L, -1) ** 2, axis=2)
-    return sq, steps
 
 
 def mp_norm(z: ProcessGrid, p: float = 2.0) -> float:
@@ -65,8 +97,11 @@ def mp_norm(z: ProcessGrid, p: float = 2.0) -> float:
     right-point quadrature on the grid."""
     if p <= 0:
         raise InvalidInput("p must be positive")
-    sq, steps = _z_square_steps(z)
-    integral = sq[:, :-1] @ steps
+    lo, hi = z.span
+    steps = z.grid.steps[lo:hi]
+    integral = np.zeros(z.n_paths)
+    for h, sq in zip(steps, node_square_norms(z, range(z.n_nodes - 1))):
+        integral += sq * h
     return float(np.mean(integral ** (p / 2.0)) ** (1.0 / p))
 
 
@@ -81,16 +116,15 @@ def bmo2_estimate(
     ``regressions`` may supply pre-factorised node regressions (e.g. a
     solver's cache) keyed by global node index.
     """
-    sq, steps = _z_square_steps(z)
-    lo, _ = z.span
-    P, L = sq.shape
-    # tail integrals per path: tail[j] = sum_{l >= j} sq[l] * h[l]
-    contrib = sq[:, :-1] * steps[None, :]
-    tails = np.zeros((P, L))
-    tails[:, :-1] = contrib[:, ::-1].cumsum(axis=1)[:, ::-1]
+    lo, hi = z.span
+    steps = z.grid.steps[lo:hi]
     basis = basis or RegressionBasis()
+    # per-path tail integral, backward: tail_j = tail_{j+1} + |Z_j|^2 h_j
+    tail = np.zeros(z.n_paths)
     worst = 0.0
-    for j in range(L - 1):
+    backward = range(z.n_nodes - 2, -1, -1)
+    for j, sq in zip(backward, node_square_norms(z, backward)):
+        tail += sq * steps[j]
         i = lo + j
         if regressions is not None and i in regressions:
             reg = regressions[i]
@@ -98,8 +132,7 @@ def bmo2_estimate(
             reg = NodeRegression(ensemble.state(i), basis)
             if regressions is not None:
                 regressions[i] = reg
-        fitted = reg.fit(tails[:, j])
-        worst = max(worst, float(fitted.max()))
+        worst = max(worst, float(reg.fit(tail).max()))
     return worst
 
 
@@ -144,12 +177,15 @@ def bmo_budget_global(xi_bound: float, C: float, lam: float, T: float, gamma: fl
 def check_alpha_envelope(y: ProcessGrid, alpha_fn) -> dict:
     """Fraction of (path, node) samples with ``|Y_t|^2 > alpha(t)``."""
     P, L = y.n_paths, y.n_nodes
-    sq = np.sum(y.values.reshape(P, L, -1) ** 2, axis=2)
-    env = np.asarray(alpha_fn(y.times()), dtype=np.float64)[None, :]
-    viol = sq > env
-    rate = float(np.mean(viol))
-    margin = float(np.min(env - sq))
-    return {"violation_rate": rate, "min_margin": margin, "nodes": L, "paths": P}
+    env = np.broadcast_to(np.asarray(alpha_fn(y.times()), dtype=np.float64), (L,))
+    violations = 0
+    margin = math.inf
+    for e, sq in zip(env, node_square_norms(y)):
+        violations += int(np.count_nonzero(sq > e))
+        # subtraction is monotone: the largest square gives the node's margin
+        margin = min(margin, float(e - sq.max()))
+    return {"violation_rate": violations / (P * L), "min_margin": margin,
+            "nodes": L, "paths": P}
 
 
 def check_lemma21(

@@ -225,11 +225,16 @@ class GeneratorExpr:
         state.pop("_programs", None)
         return state
 
-    def free_variables(self) -> frozenset[str]:
+    @cached_property
+    def _free_variables(self) -> frozenset[str]:
+        """Variable names the components read, collected on first use."""
         seen: set[str] = set()
         for c in self.components:
             _collect_vars(c, seen)
         return frozenset(seen)
+
+    def free_variables(self) -> frozenset[str]:
+        return self._free_variables
 
     def __str__(self) -> str:
         return to_text(self)
@@ -383,8 +388,9 @@ def _combine(node, a, b):
 _SEQUENTIAL_ROW_WIDTH = 8
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.sum(a * b, axis=1, keepdims=True)``, bit for bit.
+def row_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.sum(a * b, axis=1)`` of two (P, m) arrays, bit for bit, as a
+    (P,) array (written into ``out`` when given).
 
     Narrow rows are summed column by column in numpy's own order
     ``((0 + p0) + p1) + ...``.  Whole-column products and adds avoid one
@@ -393,16 +399,17 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     width = a.shape[1]
     if width >= _SEQUENTIAL_ROW_WIDTH:
-        return np.sum(a * b, axis=1, keepdims=True)
-    total = a[:, 0] * b[:, 0] + 0.0
+        return np.sum(a * b, axis=1, out=out)
+    out = np.multiply(a[:, 0], b[:, 0], out=out)
+    out += 0.0
     for k in range(1, width):
-        total += a[:, k] * b[:, k]
-    return total[:, None]
+        out += a[:, k] * b[:, k]
+    return out
 
 
 def row_norm(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a (P, m) array, as a (P, 1) array."""
-    return np.sqrt(_row_dot(a, a))
+    return np.sqrt(row_dot(a, a))[:, None]
 
 
 _ELEMENTWISE = {
@@ -479,7 +486,7 @@ def _compile_dot(left, right):
             raise DimensionError(
                 f"dot of {a.shape[1]}- and {b.shape[1]}-component vectors"
             )
-        return _row_dot(a, b)
+        return row_dot(a, b)[:, None]
 
     return run
 

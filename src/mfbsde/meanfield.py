@@ -27,8 +27,11 @@ envelope rate, process grids) on the whole span it solved.
 
 Iterates are node-major, ``(L, P, ...)``, as the backward sweep stores
 them: every per-node read (drivers, sources, mean shifts) and every mean
-over paths runs on contiguous blocks.  The public path-major layout
-``(P, L, ...)`` of :class:`ProcessGrid` is produced once, at finalisation.
+over paths runs on contiguous blocks.  Nothing is transposed: the public
+path-major layout ``(P, L, ...)`` of :class:`ProcessGrid` is the view
+``np.swapaxes(node_major, 0, 1)`` of the sweep's own storage, and the
+diagnostics (the final report, per-step ball tracking, Picard's per-step
+envelope rate) read it back node by node with O(P) working memory.
 """
 
 from __future__ import annotations
@@ -50,12 +53,14 @@ from .core import (
     ProcessGrid,
     Window,
     ensemble_mean,
+    path_mean,
 )
 from .diagnostics import (
     bmo2_estimate,
     bmo_budget_global,
     build_report,
     check_alpha_envelope,
+    sup_norm,
 )
 from .errors import (
     InvalidInput,
@@ -181,16 +186,6 @@ def _plain(v):
 # ---------------------------------------------------------------------------
 
 
-def _path_mean(a: np.ndarray) -> np.ndarray:
-    """Mean over paths of a node-major array (L, P, ...), shape (L, ...).
-
-    One product with a ones vector per node block: numpy's own reduction
-    over the middle axis loops per path when the trailing axes are short.
-    """
-    L, P = a.shape[:2]
-    return (np.ones(P) @ a.reshape(L, P, -1)).reshape(L, *a.shape[2:]) / P
-
-
 def _m2_norm(z: np.ndarray, steps: np.ndarray) -> float:
     """Empirical M2 norm of a node-major integrand (L, P, ...), right-point
     quadrature: the last node carries no step.  The path mean of the
@@ -217,9 +212,10 @@ def _s2_dist(y_a: np.ndarray, y_b: np.ndarray) -> float:
     return float(np.sqrt(np.mean(sq.max(axis=0))))
 
 
-def _path_major(a: np.ndarray) -> np.ndarray:
-    """A node-major sweep array (L, P, ...) in the public layout (P, L, ...)."""
-    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
+def _process(ensemble: PathEnsemble, values: np.ndarray, span) -> ProcessGrid:
+    """Process grid over a node-major array (L, P, ...): the public
+    path-major layout (P, L, ...) as a view, without a copy."""
+    return ProcessGrid(grid=ensemble.grid, values=np.swapaxes(values, 0, 1), span=span)
 
 
 def _window_steps(ensemble: PathEnsemble, window: Window) -> np.ndarray:
@@ -292,9 +288,9 @@ def _track_ball(trace, config, solver, cert, new, span):
     certified ball when ``config.track_ball`` is set."""
     if not config.track_ball:
         return
-    zgrid = ProcessGrid(grid=solver.ensemble.grid, values=_path_major(new.z), span=span)
+    zgrid = _process(solver.ensemble, new.z, span)
     bmo = bmo2_estimate(zgrid, solver.ensemble, regressions=solver._cache)
-    sup = float(np.max(np.abs(new.y)))
+    sup = sup_norm(_process(solver.ensemble, new.y, span))
     trace.ball_sup.append(sup)
     trace.ball_bmo.append(bmo)
     ok = True
@@ -315,7 +311,7 @@ class _Iterate(NamedTuple):
 
 
 def _sweep_iterate(sweep) -> _Iterate:
-    return _Iterate(sweep.y, sweep.z, _path_mean(sweep.y), _path_mean(sweep.z))
+    return _Iterate(sweep.y, sweep.z, path_mean(sweep.y), path_mean(sweep.z))
 
 
 def _distance(y_dist, steps):
@@ -399,8 +395,11 @@ def _finish_result(
     flags,
     extras,
 ):
-    ygrid = ProcessGrid(grid=ensemble.grid, values=y_vals, span=span)
-    zgrid = ProcessGrid(grid=ensemble.grid, values=z_vals, span=span)
+    """One diagnostics report and the public result over node-major
+    ``y_vals`` (L, P, n) and ``z_vals`` (L, P, d, n), which the result's
+    process grids view without copying."""
+    ygrid = _process(ensemble, y_vals, span)
+    zgrid = _process(ensemble, z_vals, span)
     alpha_fn = _alpha_fn_for(scenario, cert)
     budget = config.bmo_budget
     if budget is None and cert is not None and FORM_GLOBAL_ODE in scenario.forms:
@@ -471,8 +470,8 @@ def gamma_map(
     solver = solver or BackwardSolver(ensemble, config)
     res = solver.solve(window, terminal, frozen_mean_driver(scenario, m_u, m_v, window.lo))
     span = (window.lo, window.hi)
-    ygrid = ProcessGrid(grid=ensemble.grid, values=_path_major(res.y), span=span)
-    zgrid = ProcessGrid(grid=ensemble.grid, values=_path_major(res.z), span=span)
+    ygrid = _process(ensemble, res.y, span)
+    zgrid = _process(ensemble, res.z, span)
     return ygrid, zgrid, ensemble_mean(ygrid), ensemble_mean(zgrid)
 
 
@@ -504,7 +503,6 @@ def local_solve(
         scenario, ensemble, config, cert, solver, window, terminal, init
     )
     span = (window.lo, window.hi)
-    y, z = _path_major(y), _path_major(z)
     return _finish_result(
         scenario, ensemble, config, solver, cert,
         y, z, span, trace, [span], flags, extras,
@@ -524,7 +522,7 @@ def _local_window(scenario, ensemble, config, cert, solver, window, terminal, in
     flags = {"window_exceeds_certificate": exceeded, "clamp_events": 0}
 
     if init is None:
-        m_y = _path_mean(_martingale_start(solver, window, terminal).y)
+        m_y = path_mean(_martingale_start(solver, window, terminal).y)
         m_z = np.zeros((L, d, n))
     else:
         m_y = np.asarray(init[0], dtype=np.float64).reshape(L, n)
@@ -596,15 +594,15 @@ def _stitched_solve(
 ) -> SolveResult:
     """Backward window recursion; ``solve_window(window, terminal)`` returns
     per-window arrays ``(y, z, trace, flags, extras)``, ``y`` and ``z``
-    node-major.  Each window is written transposed into the path-major
-    result as soon as it is solved."""
+    node-major.  Each window is copied, as one contiguous block per array,
+    into the node-major result as soon as it is solved."""
     grid = ensemble.grid
     windows = _plan_windows(ensemble, config, cert)
     N = grid.n_steps
     P = ensemble.n_paths
     n, d = scenario.n, scenario.d
-    y_full = np.empty((P, N + 1, n))
-    z_full = np.empty((P, N + 1, d, n))
+    y_full = np.empty((N + 1, P, n))
+    z_full = np.empty((N + 1, P, d, n))
     flags: dict = {"clamp_events": 0, "window_exceeds_certificate": False}
     per_window = []
 
@@ -614,8 +612,8 @@ def _stitched_solve(
         # the window to the right already wrote node w.hi: its integrand
         # there is the solved one, not this window's copied last node
         stop = w.hi + 1 if w.hi == N else w.hi
-        y_full[:, w.lo : stop] = np.swapaxes(y_w[: stop - w.lo], 0, 1)
-        z_full[:, w.lo : stop] = np.swapaxes(z_w[: stop - w.lo], 0, 1)
+        y_full[w.lo : stop] = y_w[: stop - w.lo]
+        z_full[w.lo : stop] = z_w[: stop - w.lo]
         per_window.append((trace_w, extras_w))
         flags["clamp_events"] += flags_w.get("clamp_events", 0)
         flags["window_exceeds_certificate"] |= flags_w.get(
@@ -701,7 +699,7 @@ def picard_global(
     def record_alpha(y_vals):
         if alpha_fn is None:
             return
-        grid_y = ProcessGrid(grid=ensemble.grid, values=_path_major(y_vals), span=span)
+        grid_y = _process(ensemble, y_vals, span)
         trace.alpha_rates.append(check_alpha_envelope(grid_y, alpha_fn)["violation_rate"])
 
     def step(it: _Iterate) -> _Iterate:
@@ -739,11 +737,9 @@ def picard_global(
 
     last = _iterate(step, _distance(_sup_dist, steps), start(), trace, config,
                     "global Picard")
-    y, z = _path_major(last.y), _path_major(last.z)
-    del last  # finalise on the public copies only
     return _finish_result(
         scenario, ensemble, config, solver, cert,
-        y, z, span, trace, [span], flags, {},
+        last.y, last.z, span, trace, [span], flags, {},
     )
 
 
@@ -767,7 +763,7 @@ def _frozen_state_start(solver, window, terminal) -> _Iterate:
     only its zero mean curve is stored."""
     y = _martingale_start(solver, window, terminal).y
     shape = (window.n_nodes, solver.ensemble.d, terminal.shape[1])
-    return _Iterate(y, None, _path_mean(y), np.zeros(shape))
+    return _Iterate(y, None, path_mean(y), np.zeros(shape))
 
 
 def _mean_shift(scenario, ensemble, window, u_vals, m_u, z_vals, m_z):
@@ -822,7 +818,7 @@ def shift_solve_simple(
 
     t0 = time.perf_counter()
     sweep = solver.solve(window, terminal, driver)
-    m_z = _path_mean(sweep.z)
+    m_z = path_mean(sweep.z)
     shift = _mean_shift(
         scenario, ensemble, window, np.zeros_like(sweep.y),
         np.zeros((window.n_nodes, n)), sweep.z, m_z,
@@ -834,12 +830,13 @@ def shift_solve_simple(
     trace.push(0.0, 0.0, 0.0, wall)
     span = (window.lo, window.hi)
     flags = {"clamp_events": sweep.clamp_events, "z_shift_bitwise": True}
-    z = _path_major(sweep.z)
-    extras = {"z_before_shift": z, "y_before_shift": _path_major(sweep.y), "shift": shift}
-    return _finish_result(
+    extras = {"y_before_shift": np.swapaxes(sweep.y, 0, 1), "shift": shift}
+    result = _finish_result(
         scenario, ensemble, config, solver, None,
-        _path_major(y_shifted), z, span, trace, [span], flags, extras,
+        y_shifted, sweep.z, span, trace, [span], flags, extras,
     )
+    extras["z_before_shift"] = result.z.values  # the shift leaves the integrand as it is
+    return result
 
 
 def shift_fixed_point(
@@ -863,9 +860,10 @@ def shift_fixed_point(
     f1 = scenario.f1
 
     def solve_window(window: Window, terminal: np.ndarray):
+        exceeded = _check_window_width(window, ensemble, cert, config)
         span = (window.lo, window.hi)
         trace = FixedPointTrace()
-        flags = {"clamp_events": 0}
+        flags = {"window_exceeds_certificate": exceeded, "clamp_events": 0}
 
         def step(it: _Iterate) -> _Iterate:
             @y_free
@@ -875,10 +873,10 @@ def shift_fixed_point(
 
             sweep = solver.solve(window, terminal, driver)
             flags["clamp_events"] += sweep.clamp_events
-            m_z = _path_mean(sweep.z)
+            m_z = path_mean(sweep.z)
             shift = _mean_shift(scenario, ensemble, window, it.y, it.m_y, sweep.z, m_z)
             y_new = sweep.y + shift[:, None, :]
-            new = _Iterate(y_new, sweep.z, _path_mean(y_new), m_z)
+            new = _Iterate(y_new, sweep.z, path_mean(y_new), m_z)
             _track_ball(trace, config, solver, cert, new, span)
             return new
 
@@ -916,9 +914,10 @@ def multidim_solve(
     tol_curve = max(config.tol_fp * 0.1, 1e-9)
 
     def solve_window(window: Window, terminal: np.ndarray):
+        exceeded = _check_window_width(window, ensemble, cert, config)
         span = (window.lo, window.hi)
         trace = FixedPointTrace()
-        flags = {"clamp_events": 0}
+        flags = {"window_exceeds_certificate": exceeded, "clamp_events": 0}
         inner_counts = []
 
         def step(it: _Iterate) -> _Iterate:
@@ -933,7 +932,7 @@ def multidim_solve(
                 sweep = None  # only its mean curve is needed: free it before the next sweep
                 sweep = solver.solve(window, terminal, driver)
                 flags["clamp_events"] += sweep.clamp_events
-                mz_new = _path_mean(sweep.z)
+                mz_new = path_mean(sweep.z)
                 gap = float(np.max(np.abs(mz_new - mz_curve)))
                 mz_curve = mz_new
                 if gap <= tol_curve:
@@ -941,7 +940,7 @@ def multidim_solve(
             inner_counts.append(inner)
             shift = _mean_shift(scenario, ensemble, window, it.y, it.m_y, sweep.z, mz_curve)
             y_new = sweep.y + shift[:, None, :]
-            new = _Iterate(y_new, sweep.z, _path_mean(y_new), mz_curve)
+            new = _Iterate(y_new, sweep.z, path_mean(y_new), mz_curve)
             _track_ball(trace, config, solver, cert, new, span)
             return new
 

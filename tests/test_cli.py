@@ -139,6 +139,32 @@ def test_exhausted_outer_budget_exits_1(tmp_path, capsys):
     assert len(man["manifest_sha256"]) == 64
 
 
+def test_diverging_backward_step_writes_failure_record(tmp_path, capsys):
+    # ex22's generator reads y: one inner pass cannot settle the implicit state
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "ex22.cfg"
+    text = shipped.read_text()
+    assert "max_outer = 30\n" in text and "max_inner" not in text
+    cfg = tmp_path / "ex22.cfg"
+    cfg.write_text(text.replace("max_outer = 30\n", "max_outer = 30\nmax_inner = 1\n"))
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", str(cfg), "--out-dir", str(out),
+               "--paths", "400", "--steps", "8"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    failure = out / "ex22_failure.json"
+    assert f"wrote {failure}" in captured.out
+    assert not (out / "ex22_result.csv").exists()
+    record = json.loads(failure.read_text())
+    assert record["error"] == "StepDivergence"
+    assert record["message"].startswith("state iteration stalled at residual")
+    assert captured.err.strip() == f"error: StepDivergence: {record['message']}"
+    assert record["trace"] is None
+    man = record["manifest"]
+    assert (man["selector"], man["n_paths"], man["n_steps"]) == ("global", 400, 8)
+    assert man["solver"]["max_inner"] == 1
+    assert len(man["manifest_sha256"]) == 64
+
+
 def test_solve_overrides_reach_manifest(tiny_cfg, tmp_path):
     out = tmp_path / "out"
     rc = main(["solve", "--config", str(tiny_cfg), "--out-dir", str(out),

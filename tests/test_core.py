@@ -10,6 +10,7 @@ from mfbsde.core import (
     Window,
     build_grid,
     ensemble_mean,
+    path_mean,
     simulate_brownian,
 )
 from mfbsde.errors import InvalidInput
@@ -114,6 +115,32 @@ def test_ensemble_mean_is_exactly_linear(grid50, rng):
     rhs = ensemble_mean(pa).values + 2.0 * ensemble_mean(pb).values
     # fixed reduction order: linearity holds to rounding of the final add
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-13)
+
+
+def test_process_grid_views_node_major_storage(grid50):
+    node_major = np.arange(51 * 4 * 2, dtype=np.float64).reshape(51, 4, 2)
+    p = ProcessGrid(grid=grid50, values=np.swapaxes(node_major, 0, 1))
+    assert p.values.shape == (4, 51, 2)
+    assert (p.n_paths, p.n_nodes, p.dims) == (4, 51, (2,))
+    assert np.shares_memory(p.values, node_major)
+    assert not p.values.flags.c_contiguous
+    with pytest.raises(ValueError):
+        p.values[0, 0, 0] = 1.0
+    # the caller's array stays writable
+    assert node_major.flags.writeable
+    node_major[0, 0, 0] = -1.0
+    assert p.values[0, 0, 0] == -1.0
+
+
+def test_ensemble_mean_is_the_node_major_path_mean(grid50, rng):
+    node_major = rng.standard_normal((51, 300, 2, 2))
+    view = ProcessGrid(grid=grid50, values=np.swapaxes(node_major, 0, 1))
+    want = path_mean(node_major)
+    assert want.shape == (51, 2, 2)
+    assert ensemble_mean(view).values.tobytes() == want.tobytes()
+    copy = ProcessGrid(grid=grid50, values=np.ascontiguousarray(view.values))
+    np.testing.assert_allclose(ensemble_mean(copy).values, want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(want, node_major.mean(axis=1), rtol=0, atol=1e-15)
 
 
 def test_mean_curve_span(grid50):

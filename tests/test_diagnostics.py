@@ -13,12 +13,14 @@ from mfbsde.diagnostics import (
     check_alpha_envelope,
     check_lemma21,
     mp_norm,
+    node_square_norms,
     phi,
     phi_double_prime,
     phi_prime,
     sp_norm,
     sup_norm,
 )
+from mfbsde.regression import NodeRegression, RegressionBasis
 
 
 def _const_process(grid, value, P=500, dims=(1,)):
@@ -67,6 +69,124 @@ def test_bmo2_sees_conditional_tails(grid50):
     est = bmo2_estimate(z, ens)
     mean_sq = mp_norm(z, 2.0) ** 2
     assert est > mean_sq
+
+
+# ---------------------------------------------------------------------------
+# node-by-node kernels against whole-array references
+# ---------------------------------------------------------------------------
+
+# Whole-array implementations of the norms and the envelope check, reading
+# path-major (P, L, m) squares with trailing-axis reductions: the node-by-node
+# kernels must reproduce them on any layout of the same values.
+
+
+def _ref_square_norms(p):
+    return np.sum(p.values.reshape(p.n_paths, p.n_nodes, -1) ** 2, axis=2)
+
+
+def _ref_sup(y):
+    return float(np.max(np.abs(y.values)))
+
+
+def _ref_sp(y, p):
+    mags = np.linalg.norm(y.values.reshape(y.n_paths, y.n_nodes, -1), axis=2)
+    return float(np.mean(mags.max(axis=1) ** p) ** (1.0 / p))
+
+
+def _ref_mp(z, p):
+    lo, hi = z.span
+    integral = _ref_square_norms(z)[:, :-1] @ z.grid.steps[lo:hi]
+    return float(np.mean(integral ** (p / 2.0)) ** (1.0 / p))
+
+
+def _ref_bmo2(z, ensemble):
+    lo, hi = z.span
+    sq = _ref_square_norms(z)
+    P, L = sq.shape
+    contrib = sq[:, :-1] * z.grid.steps[lo:hi][None, :]
+    tails = np.zeros((P, L))
+    tails[:, :-1] = contrib[:, ::-1].cumsum(axis=1)[:, ::-1]
+    worst = 0.0
+    for j in range(L - 1):
+        reg = NodeRegression(ensemble.state(lo + j), RegressionBasis())
+        worst = max(worst, float(reg.fit(tails[:, j]).max()))
+    return worst
+
+
+def _ref_envelope(y, alpha_fn):
+    sq = _ref_square_norms(y)
+    env = np.asarray(alpha_fn(y.times()), dtype=np.float64)[None, :]
+    return float(np.mean(sq > env)), float(np.min(env - sq))
+
+
+_DIMS = [(1,), (1, 1), (2, 1), (2, 2)]
+_SPANS = [(0, 12), (4, 12), (3, 9)]
+
+
+@pytest.fixture(scope="module")
+def grid12():
+    return build_grid(1.0, 12)
+
+
+def _process(grid12, dims, span, layout, seed=0):
+    rng = np.random.default_rng([seed, len(dims), sum(dims), *span])
+    L = span[1] - span[0] + 1
+    node_major = 1.5 * rng.standard_normal((L, 300, *dims))
+    values = np.swapaxes(node_major, 0, 1)
+    if layout == "path-major":
+        values = np.ascontiguousarray(values)
+    return ProcessGrid(grid=grid12, values=values, span=span)
+
+
+@pytest.mark.parametrize("layout", ["path-major", "node-major"])
+@pytest.mark.parametrize("span", _SPANS, ids=str)
+@pytest.mark.parametrize("dims", _DIMS, ids=str)
+def test_norms_match_whole_array_reference(grid12, dims, span, layout):
+    proc = _process(grid12, dims, span, layout)
+    assert proc.values.flags.c_contiguous == (layout == "path-major")
+    assert sup_norm(proc) == _ref_sup(proc)
+    for p in (1.0, 2.0, 3.0):
+        assert sp_norm(proc, p) == _ref_sp(proc, p)
+        assert mp_norm(proc, p) == pytest.approx(_ref_mp(proc, p), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("layout", ["path-major", "node-major"])
+@pytest.mark.parametrize("span", _SPANS, ids=str)
+@pytest.mark.parametrize("dims", _DIMS, ids=str)
+def test_bmo2_matches_whole_array_reference(grid12, dims, span, layout):
+    ens = simulate_brownian(grid12, 2, 300, 41)
+    z = _process(grid12, dims, span, layout)
+    want = _ref_bmo2(z, ens)
+    assert bmo2_estimate(z, ens) == pytest.approx(want, rel=1e-12, abs=0)
+    # a solver's regression cache gives the same estimate and is filled in
+    cache = {}
+    assert bmo2_estimate(z, ens, regressions=cache) == pytest.approx(want, rel=1e-12, abs=0)
+    assert sorted(cache) == list(range(span[0], span[1]))
+
+
+@pytest.mark.parametrize("layout", ["path-major", "node-major"])
+@pytest.mark.parametrize("span", _SPANS, ids=str)
+@pytest.mark.parametrize("dims", _DIMS, ids=str)
+def test_envelope_matches_whole_array_reference(grid12, dims, span, layout):
+    y = _process(grid12, dims, span, layout)
+    alpha_fn = lambda t: 1.0 + 2.0 * np.asarray(t)
+    rate, margin = _ref_envelope(y, alpha_fn)
+    out = check_alpha_envelope(y, alpha_fn)
+    assert 0.0 < out["violation_rate"] < 1.0
+    assert out["violation_rate"] == rate
+    assert out["min_margin"] == margin
+    assert (out["nodes"], out["paths"]) == (span[1] - span[0] + 1, 300)
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+def test_node_square_norms_match_trailing_sum(grid12, width):
+    # widths from 8 on take numpy's own pairwise row sum
+    y = _process(grid12, (width,), (0, 12), "node-major")
+    want = _ref_square_norms(y)
+    got = [sq.copy() for sq in node_square_norms(y)]
+    assert np.array_equal(np.stack(got, axis=1), want)
+    backward = [sq.copy() for sq in node_square_norms(y, range(11, -1, -2))]
+    assert np.array_equal(np.stack(backward, axis=1), want[:, 11::-2])
 
 
 # ---------------------------------------------------------------------------

@@ -487,6 +487,41 @@ def test_compiled_program_is_cached_on_the_expression(rng):
     assert _same_bits(dsl.evaluate(copy, 0.0, y, yb, z, zb, n=1, d=2), first)
 
 
+def test_free_variables_are_collected_once(rng, monkeypatch):
+    e = dsl.parse("1 + abs(y) + norm2(z)^2 + ybar")
+    walked = []
+    real = dsl._collect_vars
+
+    def counted(node, out):
+        walked.append(node)
+        real(node, out)
+
+    monkeypatch.setattr(dsl, "_collect_vars", counted)
+    y, yb, z, zb = _driver_inputs(rng, 5, 1, 2)
+    first = dsl.evaluate(e, 0.0, y, yb, z, zb, n=1, d=2)
+    assert walked and e.free_variables() == {"y", "z", "ybar"}
+    n_walked = len(walked)
+    second = dsl.evaluate(e, 0.0, y, yb, z, zb, n=1, d=2)
+    assert len(walked) == n_walked
+    assert _same_bits(second, first)
+    # the cached set survives pickling, and the copy still evaluates
+    copy = pickle.loads(pickle.dumps(e))
+    assert copy.free_variables() == e.free_variables()
+    assert _same_bits(dsl.evaluate(copy, 0.0, y, yb, z, zb, n=1, d=2), first)
+    assert len(walked) == n_walked
+
+
+def test_row_dot_into_a_buffer_matches_numpy_at_every_width(rng):
+    for width in range(1, 11):
+        a = rng.standard_normal((101, width))
+        b = rng.standard_normal((101, width))
+        out = np.empty(101)
+        for x, y in ((a, b), (a[::-1], np.asfortranarray(b))):
+            got = dsl.row_dot(x, y, out=out)
+            assert got is out
+            assert _same_bits(got, np.sum(x * y, axis=1))
+
+
 def test_single_expression_evaluated_once_per_call(rng, monkeypatch):
     e = dsl.parse("1 + norm2(z)")
     calls = []

@@ -1,10 +1,13 @@
 """Mean-field fixed point machinery: frozen-mean map, local solve,
 stitching, the Picard scheme, shift solvers, and the vector scheme."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mfbsde import dsl
+from mfbsde.config import load_config
 from mfbsde.core import ProcessGrid, TimeGrid, Window, build_grid, simulate_brownian
 from mfbsde.diagnostics import mp_norm
 from mfbsde.errors import InvalidInput, MaxIterations, NonContraction, WindowTooWide
@@ -200,6 +203,26 @@ def test_window_warning_points_at_the_caller(solve):
     with pytest.warns(RuntimeWarning, match="exceeds the certified width") as record:
         solve(sc, ens, cfg)
     assert [w.filename for w in record] == [__file__] * len(record)
+
+
+@pytest.mark.parametrize(
+    "solve, config",
+    [(shift_fixed_point, "ex31.cfg"), (multidim_solve, "ex41.cfg")],
+    ids=["shift", "multidim"],
+)
+def test_split_solvers_check_every_window_width(solve, config):
+    # the shipped split configs certify a zero width: every window is too wide
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    scenario, cfg, _, _ = load_config(configs / config)
+    cfg = cfg.updated(n_paths=500, n_steps=10)
+    ens = _ensemble(scenario, cfg)
+    with pytest.raises(WindowTooWide, match="exceeds the certified width"):
+        solve(scenario, ens, cfg.updated(override_epsilon=False))
+    with pytest.warns(RuntimeWarning, match="exceeds the certified width") as record:
+        res = solve(scenario, ens, cfg)
+    width_warnings = [w for w in record if "exceeds the certified width" in str(w.message)]
+    assert [w.filename for w in width_warnings] == [__file__] * len(res.windows)
+    assert res.flags["window_exceeds_certificate"] is True
 
 
 def test_window_too_wide_without_override():
