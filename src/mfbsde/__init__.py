@@ -77,7 +77,7 @@ from .scenario import (
     linear_scenario,
 )
 from .certificates import Certificate, ConstantChain, build_chain, certify, ode_bound
-from .solver import BackwardSolver, SolverConfig, backward_step
+from .solver import BackwardSolver, SolverConfig
 from .meanfield import (
     FixedPointTrace,
     SolveResult,
@@ -105,7 +105,7 @@ __all__ = [
     # certificates
     "ConstantChain", "Certificate", "build_chain", "certify", "ode_bound",
     # solvers
-    "SolverConfig", "BackwardSolver", "backward_step",
+    "SolverConfig", "BackwardSolver",
     "FixedPointTrace", "SolveResult", "gamma_map", "local_solve",
     "global_solve", "picard_global", "shift_solve_simple",
     "shift_fixed_point", "multidim_solve",

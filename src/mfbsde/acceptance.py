@@ -2,16 +2,15 @@
 suite and the ``validate`` CLI command.
 
 Each criterion returns a :class:`CriterionResult` with a machine-readable
-pass/fail, its runtime, the effective tolerances (environment overrides via
-``MFBSDE_TOL_<KEY>`` are honoured and reported), and enough detail to see
-*why* it passed or failed.  Heavy runs shared between criteria are cached
-module-wide.
+pass/fail, its runtime, its tolerances as ``{key: value}``, and enough
+detail to see *why* it passed or failed.  The tolerances are constants of
+this module: nothing outside it, no flag or environment variable, can move
+them.  Heavy runs shared between criteria are cached module-wide.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
@@ -34,7 +33,7 @@ from .scenario import (
 from .solver import SolverConfig
 from . import dsl
 
-__all__ = ["CriterionResult", "run_criterion", "run_all", "CRITERIA"]
+__all__ = ["CriterionResult", "run_criterion", "CRITERIA"]
 
 _FIXTURE_DIR = Path(__file__).resolve().parents[2] / "tests" / "fixtures"
 _cache: dict = {}
@@ -53,9 +52,7 @@ class CriterionResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         lim = f"/{self.limit:.0f}s" if self.limit else ""
-        over = [k for k, v in self.tolerances.items() if v.get("overridden")]
-        note = f" [tolerance overrides: {', '.join(over)}]" if over else ""
-        return f"{status} criterion {self.cid}: {self.name} ({self.runtime:.2f}s{lim}){note}"
+        return f"{status} criterion {self.cid}: {self.name} ({self.runtime:.2f}s{lim})"
 
     def as_dict(self) -> dict:
         return {
@@ -81,22 +78,15 @@ def _plain(obj):
     return obj
 
 
-def _tol(key: str, default: float, tolerances: dict) -> float:
-    env = os.environ.get(f"MFBSDE_TOL_{key.upper()}")
-    value = float(env) if env is not None else default
-    tolerances[key] = {"value": value, "default": default, "overridden": env is not None}
-    return value
-
-
 # ---------------------------------------------------------------------------
 # criterion 1: certificate algebra on random parameter tuples
 # ---------------------------------------------------------------------------
 
 
 def criterion_1() -> CriterionResult:
-    tols: dict = {}
-    t_linear = _tol("c1_linear_identity", 1e-12, tols)
-    t_root = _tol("c1_root_identity", 1e-10, tols)
+    tols = {"c1_linear_identity": 1e-12, "c1_root_identity": 1e-10}
+    t_linear = tols["c1_linear_identity"]
+    t_root = tols["c1_root_identity"]
     rng = np.random.default_rng(20240819)
     n_tuples = 1000
     t0 = time.perf_counter()
@@ -175,8 +165,8 @@ def _rk4_envelope(ctilde: np.ndarray, T: np.ndarray, n_steps: int, n_out: int):
 
 
 def criterion_2() -> CriterionResult:
-    tols: dict = {}
-    t_sup = _tol("c2_sup_error", 1e-8, tols)
+    tols = {"c2_sup_error": 1e-8}
+    t_sup = tols["c2_sup_error"]
     t0 = time.perf_counter()
     combos = [(c, T) for c in (0.5, 1.0, 2.0) for T in (0.5, 1.0, 2.0)]
     cs = np.array([c for c, _ in combos])
@@ -248,8 +238,15 @@ def _c3_manifest(config: SolverConfig) -> RunManifest:
     )
 
 
-def _c3_csv_bytes() -> bytes:
-    scenario, config, result = _c3_run()
+def _c3_cached():
+    """Criterion 3's solve, run once and shared with criterion 10."""
+    if "c3" not in _cache:
+        _cache["c3"] = _c3_run()
+    return _cache["c3"]
+
+
+def _c3_csv_bytes(run) -> bytes:
+    _, config, result = run
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -260,13 +257,11 @@ def _c3_csv_bytes() -> bytes:
 
 
 def criterion_3() -> CriterionResult:
-    tols: dict = {}
-    t_my = _tol("c3_mean_y", 0.02, tols)
-    t_mz = _tol("c3_mean_z", 0.03, tols)
+    tols = {"c3_mean_y": 0.02, "c3_mean_z": 0.03}
+    t_my = tols["c3_mean_y"]
+    t_mz = tols["c3_mean_z"]
     t0 = time.perf_counter()
-    if "c3" not in _cache:
-        _cache["c3"] = _c3_run()
-    scenario, config, result = _cache["c3"]
+    scenario, config, result = _c3_cached()
     runtime = time.perf_counter() - t0
     times = result.m_y.times()
     my_err = float(np.max(np.abs(result.m_y.values[:, 0] - (scenario.T - times))))
@@ -294,8 +289,8 @@ def criterion_3() -> CriterionResult:
 
 
 def criterion_4() -> CriterionResult:
-    tols: dict = {}
-    t_y = _tol("c4_mean_abs_y", 0.02, tols)
+    tols = {"c4_mean_abs_y": 0.02}
+    t_y = tols["c4_mean_abs_y"]
     t0 = time.perf_counter()
     scenario = ScenarioSpec(
         name="shift-identity",
@@ -369,8 +364,8 @@ def _c5_runs():
 
 
 def criterion_5() -> CriterionResult:
-    tols: dict = {}
-    t_extra = _tol("c5_extra_relative", 0.01, tols)
+    tols = {"c5_extra_relative": 0.01}
+    t_extra = tols["c5_extra_relative"]
     t0 = time.perf_counter()
     scenario, config, stitched, picard = _c5_runs()
     runtime = time.perf_counter() - t0
@@ -397,8 +392,8 @@ def criterion_5() -> CriterionResult:
 
 
 def criterion_6() -> CriterionResult:
-    tols: dict = {}
-    t_rate = _tol("c6_violation_rate", 0.005, tols)
+    tols = {"c6_violation_rate": 0.005}
+    t_rate = tols["c6_violation_rate"]
     t0 = time.perf_counter()
     scenario, config, stitched, picard = _c5_runs()
     runtime = time.perf_counter() - t0
@@ -431,8 +426,8 @@ def _c7_scenario() -> ScenarioSpec:
 
 
 def criterion_7() -> CriterionResult:
-    tols: dict = {}
-    t_my = _tol("c7_mean_y", 0.02, tols)
+    tols = {"c7_mean_y": 0.02}
+    t_my = tols["c7_mean_y"]
     fixture = oracle.load_fixture(_FIXTURE_DIR / "ex21_lattice.json")
     t0 = time.perf_counter()
     scenario = _c7_scenario()
@@ -478,7 +473,6 @@ def criterion_7() -> CriterionResult:
 
 
 def criterion_8() -> CriterionResult:
-    tols: dict = {}
     t0 = time.perf_counter()
     scenario = _c7_scenario()
     config = SolverConfig(
@@ -522,7 +516,6 @@ def criterion_8() -> CriterionResult:
             "certified_width_log": cert.chain.log_eps,
             "certified_width_underflows": cert.chain.eps_underflow,
         },
-        tolerances=tols,
     )
 
 
@@ -532,8 +525,8 @@ def criterion_8() -> CriterionResult:
 
 
 def criterion_9() -> CriterionResult:
-    tols: dict = {}
-    t_ratio = _tol("c9_mean_ratio", 0.9, tols)
+    tols = {"c9_mean_ratio": 0.9}
+    t_ratio = tols["c9_mean_ratio"]
     t0 = time.perf_counter()
     scenario = example_41()
     config = SolverConfig(
@@ -577,12 +570,11 @@ def criterion_9() -> CriterionResult:
 
 
 def criterion_10() -> CriterionResult:
-    tols: dict = {}
     t0 = time.perf_counter()
-    if "c3_csv" not in _cache:
-        _cache["c3_csv"] = _c3_csv_bytes()
-    first = _cache["c3_csv"]
-    second = _c3_csv_bytes()
+    # criterion 3's solve (run here if it is not cached) against one fresh
+    # solve: two independent runs of the same config and seed
+    first = _c3_csv_bytes(_c3_cached())
+    second = _c3_csv_bytes(_c3_run())
     runtime = time.perf_counter() - t0
     passed = first == second
     return CriterionResult(
@@ -592,7 +584,6 @@ def criterion_10() -> CriterionResult:
         runtime,
         None,
         details={"bytes": len(first), "identical": passed},
-        tolerances=tols,
     )
 
 
@@ -615,9 +606,3 @@ def run_criterion(cid: int) -> CriterionResult:
         raise KeyError(f"no criterion {cid}")
     return CRITERIA[cid]()
 
-
-def run_all(ids=None) -> list[CriterionResult]:
-    results = []
-    for cid in sorted(ids or CRITERIA):
-        results.append(run_criterion(cid))
-    return results

@@ -34,8 +34,6 @@ __all__ = [
     "mu_const",
     "c_delta_exponent",
     "c_delta",
-    "choose_delta_epsilon",
-    "solve_A",
     "ode_bound",
     "ConstantChain",
     "build_chain",
@@ -335,54 +333,6 @@ def _solve_root_canonical(delta: float, k: float, m_eps: float):
     one_closed = 0.25 * (1.0 + 2.0 * sqrtD)
     resid = abs(k + m_eps / one_direct - 0.25 * A) / (0.25 * A)
     return Delta, sqrtD, A, one_direct, one_closed, resid
-
-
-def choose_delta_epsilon(
-    C: float, gamma: float, alpha: float, xi_bound: float, T: float
-) -> tuple[float, float]:
-    """Canonical margin ``delta = gamma^2 * exp(-gamma*xi_bound)/8`` and the
-    certified window width ``eps`` (linear scale, 0.0 on underflow; the full
-    log-space record is available from :func:`build_chain`)."""
-    chain = build_chain(C, gamma, alpha, xi_bound, T)
-    if chain.delta <= 0.0:
-        raise InfeasibleCertificate("margin delta is nonpositive")
-    return chain.delta, chain.eps
-
-
-def solve_A(
-    delta: float,
-    eps: float,
-    gamma: float,
-    xi_bound: float,
-    mu: float,
-    c_delta_value: float,
-    C: float,
-    T: float,
-    alpha: float,
-) -> tuple[float, float]:
-    """Smaller root of the margin quadratic for *generic* ``(delta, eps)``.
-
-    Unlike :func:`build_chain`, this evaluates the displayed formulas
-    without the canonical simplifications and hence refuses negative
-    discriminants (these arise only when a caller overrides ``eps`` above
-    the certified width)."""
-    _check_params(C, gamma, alpha)
-    if not (delta > 0.0):
-        raise InvalidInput("delta must be positive")
-    if eps < 0.0:
-        raise InvalidInput("eps must be >= 0")
-    k = math.exp(gamma * xi_bound) / gamma**2
-    m = mu * c_delta_value * math.exp(
-        3.0 * math.exp(C * T) * gamma * xi_bound / (1.0 - alpha)
-    )
-    b = 1.0 + 4.0 * k * delta
-    Delta = (1.0 - 4.0 * k * delta) ** 2 - 16.0 * m * delta * eps
-    if Delta < 0.0:
-        raise InfeasibleCertificate(
-            f"negative discriminant {Delta:.6g} for the requested window"
-        )
-    A = (b - math.sqrt(Delta)) / (2.0 * delta)
-    return Delta, A
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,14 @@ class TimeGrid:
     def full_window(self) -> "Window":
         return Window(0, self.n_steps)
 
+    def check_window(self, window: "Window") -> None:
+        """Raise :class:`InvalidInput` when ``window`` runs past the last node."""
+        if window.hi > self.n_steps:
+            raise InvalidInput(
+                f"window ({window.lo}, {window.hi}) runs past the last node "
+                f"{self.n_steps} of the grid"
+            )
+
 
 @dataclass(frozen=True)
 class Window:

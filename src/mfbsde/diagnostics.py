@@ -5,7 +5,11 @@ the conditional tail integral ``E_i[ integral_{t_i}^{T} |Z_s|^2 ds ]``
 (right-point quadrature on the stored integrand), takes the worst path at
 each node, and then the worst node.  Grid nodes stand in for general
 stopping times, so the estimate is a lower bound of the continuous-time
-norm up to discretisation.
+norm up to discretisation.  The estimator and :func:`build_report` take the
+node regressions as a callable ``node_regression(i)`` of the global node
+index; the solvers pass :meth:`BackwardSolver.node_regression`, so the
+diagnostics fit against the projectors the backward sweep already built and
+keep no cache of their own.
 
 Every norm and check reads a process node by node, through the node-major
 view ``np.swapaxes(values, 0, 1)``: no transposed copy is made, whatever
@@ -24,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PathEnsemble, ProcessGrid
+from .core import ProcessGrid
 from .dsl import row_dot
 from .errors import InvalidInput
-from .regression import NodeRegression, RegressionBasis
 
 __all__ = [
     "sup_norm",
@@ -37,10 +40,8 @@ __all__ = [
     "node_square_norms",
     "phi",
     "phi_prime",
-    "phi_double_prime",
     "bmo_budget_global",
     "check_alpha_envelope",
-    "check_lemma21",
     "DiagnosticsReport",
     "build_report",
 ]
@@ -105,34 +106,22 @@ def mp_norm(z: ProcessGrid, p: float = 2.0) -> float:
     return float(np.mean(integral ** (p / 2.0)) ** (1.0 / p))
 
 
-def bmo2_estimate(
-    z: ProcessGrid,
-    ensemble: PathEnsemble,
-    basis: RegressionBasis | None = None,
-    regressions: dict[int, NodeRegression] | None = None,
-) -> float:
+def bmo2_estimate(z: ProcessGrid, node_regression) -> float:
     """Squared BMO estimate ``max_i max_paths E_i[int_{t_i}^T |Z|^2 ds]``.
 
-    ``regressions`` may supply pre-factorised node regressions (e.g. a
-    solver's cache) keyed by global node index.
+    ``node_regression(i)`` returns the :class:`NodeRegression` of global
+    node ``i`` (a solver's :meth:`BackwardSolver.node_regression`); it is
+    asked once for every node of the span but the last.
     """
     lo, hi = z.span
     steps = z.grid.steps[lo:hi]
-    basis = basis or RegressionBasis()
     # per-path tail integral, backward: tail_j = tail_{j+1} + |Z_j|^2 h_j
     tail = np.zeros(z.n_paths)
     worst = 0.0
     backward = range(z.n_nodes - 2, -1, -1)
     for j, sq in zip(backward, node_square_norms(z, backward)):
         tail += sq * steps[j]
-        i = lo + j
-        if regressions is not None and i in regressions:
-            reg = regressions[i]
-        else:
-            reg = NodeRegression(ensemble.state(i), basis)
-            if regressions is not None:
-                regressions[i] = reg
-        worst = max(worst, float(reg.fit(tail).max()))
+        worst = max(worst, float(node_regression(lo + j).fit(tail).max()))
     return worst
 
 
@@ -151,11 +140,6 @@ def phi_prime(y, gamma: float):
     """Derivative ``sign(y) * (exp(gamma*|y|) - 1) / gamma``."""
     y = np.asarray(y, dtype=np.float64)
     return np.sign(y) * np.expm1(gamma * np.abs(y)) / gamma
-
-
-def phi_double_prime(y, gamma: float):
-    """Second derivative ``exp(gamma*|y|)`` (off the kink)."""
-    return np.exp(gamma * np.abs(np.asarray(y, dtype=np.float64)))
 
 
 def bmo_budget_global(xi_bound: float, C: float, lam: float, T: float, gamma: float) -> float:
@@ -188,41 +172,6 @@ def check_alpha_envelope(y: ProcessGrid, alpha_fn) -> dict:
             "nodes": L, "paths": P}
 
 
-def check_lemma21(
-    y: ProcessGrid,
-    xi_abs: np.ndarray,
-    g_curve: np.ndarray,
-    beta: float,
-    gamma: float,
-) -> dict:
-    """Exponential-moment bound on the initial state.
-
-    Checks ``exp(gamma*|Y_0|) <= E[exp(gamma*e^{beta*T}*|xi| +
-    gamma * int_0^T |g(s)| e^{beta*s} ds)]`` with ``g`` a deterministic
-    envelope of the driver magnitude along the run.  Returns the log-scale
-    margin (nonnegative when the bound holds).
-    """
-    times = y.times()
-    T = float(times[-1] - times[0])
-    g_curve = np.asarray(g_curve, dtype=np.float64)
-    if g_curve.shape != times.shape:
-        raise InvalidInput("g_curve must be aligned with the process nodes")
-    weights = np.exp(beta * (times - times[0]))
-    integral = float(np.trapezoid(np.abs(g_curve) * weights, times - times[0]))
-    exponent = gamma * math.exp(beta * T) * np.abs(xi_abs) + gamma * integral
-    # average in log space to avoid overflow for crude envelopes
-    m = float(np.max(exponent))
-    log_rhs = m + math.log(float(np.mean(np.exp(exponent - m))))
-    y0 = float(np.max(np.linalg.norm(y.values[:, 0, :].reshape(y.n_paths, -1), axis=1)))
-    log_lhs = gamma * y0
-    return {
-        "log_lhs": log_lhs,
-        "log_rhs": log_rhs,
-        "margin": log_rhs - log_lhs,
-        "holds": log_lhs <= log_rhs * (1.0 + 1e-12) + 1e-12,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -239,7 +188,6 @@ class DiagnosticsReport:
     bmo_budget: float | None = None
     bmo_within_budget: bool | None = None
     alpha_violation_rate: float | None = None
-    lemma21_margin: float | None = None
     clamp_events: int = 0
 
     def as_dict(self) -> dict:
@@ -253,7 +201,6 @@ class DiagnosticsReport:
             "bmo_budget": self.bmo_budget,
             "bmo_within_budget": self.bmo_within_budget,
             "alpha_violation_rate": self.alpha_violation_rate,
-            "lemma21_margin": self.lemma21_margin,
             "clamp_events": self.clamp_events,
         }
 
@@ -261,16 +208,16 @@ class DiagnosticsReport:
 def build_report(
     y: ProcessGrid,
     z: ProcessGrid,
-    ensemble: PathEnsemble,
+    node_regression,
     gamma: float,
     p: float = 2.0,
     bmo_budget: float | None = None,
     alpha_fn=None,
-    regressions: dict[int, NodeRegression] | None = None,
-    basis: RegressionBasis | None = None,
     clamp_events: int = 0,
 ) -> DiagnosticsReport:
-    bmo = bmo2_estimate(z, ensemble, basis=basis, regressions=regressions)
+    """Norms, BMO estimate and envelope rate of one solved ``(y, z)``;
+    ``node_regression`` is passed on to :func:`bmo2_estimate`."""
+    bmo = bmo2_estimate(z, node_regression)
     rep = DiagnosticsReport(
         sup_y=sup_norm(y),
         sp_y=sp_norm(y, p),

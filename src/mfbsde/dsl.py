@@ -210,10 +210,6 @@ class GeneratorExpr:
     components: tuple
     variables: tuple[str, ...] = GENERATOR_VARS
 
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
     @cached_property
     def _programs(self) -> tuple:
         """One compiled closure per component, built on first evaluation."""

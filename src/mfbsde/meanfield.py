@@ -10,12 +10,12 @@ regression engine and differ only in the map they iterate:
   horizon;
 * ``picard_global`` iterates the linearised scheme whose source term is the
   previous iterate's full driver increment;
-* ``shift_solve_simple`` / ``shift_fixed_point`` handle split generators
-  ``f1 + mean(f2)`` where the mean shift moves the state but leaves the
-  integrand untouched;
-* ``multidim_solve`` handles vector-valued split generators with a
-  z-Lipschitz first part, iterating the mean-integrand curve inside and the
-  frozen state outside.
+* split generators ``f1 + mean(f2)``: the mean shift moves the state but
+  leaves the integrand untouched.  ``shift_solve_simple`` needs no fixed
+  point; ``shift_fixed_point`` and ``multidim_solve`` (vector-valued,
+  z-Lipschitz ``f1``) iterate one frozen-state map,
+  :func:`_frozen_state_solve`, with one inner E[Z] sweep per step and the
+  sup state distance, or up to twelve and the S2 distance.
 
 Every outer iteration runs in one engine, :func:`_iterate`: a solver hands
 it a step (one application of its map) and a distance between successive
@@ -288,8 +288,7 @@ def _track_ball(trace, config, solver, cert, new, span):
     certified ball when ``config.track_ball`` is set."""
     if not config.track_ball:
         return
-    zgrid = _process(solver.ensemble, new.z, span)
-    bmo = bmo2_estimate(zgrid, solver.ensemble, regressions=solver._cache)
+    bmo = bmo2_estimate(_process(solver.ensemble, new.z, span), solver.node_regression)
     sup = sup_norm(_process(solver.ensemble, new.y, span))
     trace.ball_sup.append(sup)
     trace.ball_bmo.append(bmo)
@@ -409,13 +408,11 @@ def _finish_result(
     report = build_report(
         ygrid,
         zgrid,
-        ensemble,
+        solver.node_regression,
         gamma=scenario.gamma,
         p=config.p_norm,
         bmo_budget=budget,
         alpha_fn=alpha_fn,
-        regressions=solver._cache,
-        basis=config.basis,
         clamp_events=int(flags.get("clamp_events", 0)),
     )
     if alpha_fn is not None:
@@ -512,6 +509,7 @@ def local_solve(
 def _local_window(scenario, ensemble, config, cert, solver, window, terminal, init):
     """Frozen-mean fixed point on ``window``: ``(y, z, trace, flags, extras)``
     with node-major ``y`` and ``z``."""
+    ensemble.grid.check_window(window)
     exceeded = _check_window_width(window, ensemble, cert, config)
     terminal = _terminal_for(scenario, ensemble, window, terminal)
     steps = _window_steps(ensemble, window)
@@ -839,74 +837,16 @@ def shift_solve_simple(
     return result
 
 
-def shift_fixed_point(
-    scenario: ScenarioSpec,
-    ensemble: PathEnsemble,
-    config: SolverConfig,
-    certificate: Certificate | None = None,
-) -> SolveResult:
-    """General split solve: freeze the full state process between sweeps.
+def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
+                        inner_budget: int, context: str) -> SolveResult:
+    """Stitched fixed point of the frozen-state map of a split scenario.
 
-    Each iterate solves the base BSDE whose driver evaluates ``f1`` at the
-    frozen per-path state (so the state slot carries no implicitness), then
-    shifts by the tail integral of the mean of ``f2`` evaluated along the
-    frozen state and the fresh integrand.  The integrand is never moved by
-    the shift.  Windows follow the configuration, stitched right to left.
+    A step sweeps with ``f1`` at the previous iterate's state and at a
+    mean-integrand curve, warm-started at the previous iterate's and
+    re-swept up to ``inner_budget`` times until it settles, then shifts the
+    state.  Iterates are compared by ``state_dist`` and the M2 distance;
+    ``context`` names the solver in fixed-point errors.
     """
-    _require_split(scenario, FORM_SPLIT_QUADRATIC, "shift_fixed_point")
-    cert = certificate if certificate is not None else certify(scenario)
-    solver = BackwardSolver(ensemble, config)
-    n, d = scenario.n, scenario.d
-    f1 = scenario.f1
-
-    def solve_window(window: Window, terminal: np.ndarray):
-        exceeded = _check_window_width(window, ensemble, cert, config)
-        span = (window.lo, window.hi)
-        trace = FixedPointTrace()
-        flags = {"window_exceeds_certificate": exceeded, "clamp_events": 0}
-
-        def step(it: _Iterate) -> _Iterate:
-            @y_free
-            def driver(i, s, y, z):
-                j = i - window.lo
-                return dsl.evaluate(f1, s, it.y[j], it.m_y[j], z, it.m_z[j], n=n, d=d)
-
-            sweep = solver.solve(window, terminal, driver)
-            flags["clamp_events"] += sweep.clamp_events
-            m_z = path_mean(sweep.z)
-            shift = _mean_shift(scenario, ensemble, window, it.y, it.m_y, sweep.z, m_z)
-            y_new = sweep.y + shift[:, None, :]
-            new = _Iterate(y_new, sweep.z, path_mean(y_new), m_z)
-            _track_ball(trace, config, solver, cert, new, span)
-            return new
-
-        last = _iterate(
-            step, _distance(_sup_dist, _window_steps(ensemble, window)),
-            _frozen_state_start(solver, window, terminal), trace, config,
-            f"shift fixed point on window {span}",
-        )
-        return last.y, last.z, trace, flags, {}
-
-    result = _stitched_solve(scenario, ensemble, config, cert, solve_window, solver)
-    result.flags["z_shift_bitwise"] = True
-    return result
-
-
-def multidim_solve(
-    scenario: ScenarioSpec,
-    ensemble: PathEnsemble,
-    config: SolverConfig,
-    certificate: Certificate | None = None,
-) -> SolveResult:
-    """Vector-valued split solve with a z-Lipschitz first part.
-
-    The mean-integrand curve seen by ``f1`` is resolved by an inner Picard
-    loop (the curve is low-dimensional, so this is cheap and warm-started
-    across outer iterations); the outer loop freezes the full state process
-    as in :func:`shift_fixed_point`.  Distances use the empirical S2 norm
-    for the state and M2 for the integrand.
-    """
-    _require_split(scenario, FORM_SPLIT_LIPSCHITZ, "multidim_solve")
     cert = certificate if certificate is not None else certify(scenario)
     solver = BackwardSolver(ensemble, config)
     n, d = scenario.n, scenario.d
@@ -921,9 +861,8 @@ def multidim_solve(
         inner_counts = []
 
         def step(it: _Iterate) -> _Iterate:
-            # warm start: the mean-integrand curve of the last iterate
             mz_curve = it.m_z
-            for inner in range(1, 13):
+            for inner in range(1, inner_budget + 1):
                 @y_free
                 def driver(i, s, y, z, _mz=mz_curve):
                     j = i - window.lo
@@ -945,12 +884,50 @@ def multidim_solve(
             return new
 
         last = _iterate(
-            step, _distance(_s2_dist, _window_steps(ensemble, window)),
+            step, _distance(state_dist, _window_steps(ensemble, window)),
             _frozen_state_start(solver, window, terminal), trace, config,
-            f"multidim solve on window {span}",
+            f"{context} on window {span}",
         )
         return last.y, last.z, trace, flags, {"mz_inner_iterations": inner_counts}
 
     result = _stitched_solve(scenario, ensemble, config, cert, solve_window, solver)
     result.flags["z_shift_bitwise"] = True
     return result
+
+
+def shift_fixed_point(
+    scenario: ScenarioSpec,
+    ensemble: PathEnsemble,
+    config: SolverConfig,
+    certificate: Certificate | None = None,
+) -> SolveResult:
+    """General split solve: freeze the full state process between sweeps.
+
+    Each iterate solves the base BSDE whose driver evaluates ``f1`` at the
+    frozen per-path state (so the state slot carries no implicitness), then
+    shifts by the tail integral of the mean of ``f2`` evaluated along the
+    frozen state and the fresh integrand.  The integrand is never moved by
+    the shift.  Windows follow the configuration, stitched right to left.
+    """
+    _require_split(scenario, FORM_SPLIT_QUADRATIC, "shift_fixed_point")
+    return _frozen_state_solve(scenario, ensemble, config, certificate,
+                               _sup_dist, 1, "shift fixed point")
+
+
+def multidim_solve(
+    scenario: ScenarioSpec,
+    ensemble: PathEnsemble,
+    config: SolverConfig,
+    certificate: Certificate | None = None,
+) -> SolveResult:
+    """Vector-valued split solve with a z-Lipschitz first part.
+
+    The mean-integrand curve seen by ``f1`` is resolved by an inner Picard
+    loop of up to twelve sweeps (the curve is low-dimensional, so this is
+    cheap and warm-started across outer iterations); the outer loop freezes
+    the full state process as in :func:`shift_fixed_point`.  Distances use
+    the empirical S2 norm for the state and M2 for the integrand.
+    """
+    _require_split(scenario, FORM_SPLIT_LIPSCHITZ, "multidim_solve")
+    return _frozen_state_solve(scenario, ensemble, config, certificate,
+                               _s2_dist, 12, "multidim solve")

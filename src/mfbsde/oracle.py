@@ -31,7 +31,6 @@ __all__ = [
     "LinearMeanFieldSpec",
     "LinearSolution",
     "linear_closed_form",
-    "discretization_residual",
     "BruteForceResult",
     "brute_force_1d",
     "save_fixture",
@@ -104,23 +103,6 @@ class LinearSolution:
 def linear_closed_form(spec: LinearMeanFieldSpec) -> LinearSolution:
     """Exact solution of the linear mean-field problem."""
     return LinearSolution(spec)
-
-
-def discretization_residual(spec: LinearMeanFieldSpec, n_steps: int) -> float:
-    """Sup-node residual of the closed form in the trapezoid-discretised
-    integral equation ``m_y(t) = m_y(T) + int_t^T rhs``; decays at second
-    order in the step."""
-    sol = linear_closed_form(spec)
-    t = np.linspace(0.0, spec.T, n_steps + 1)
-    my = sol.m_y(t)
-    mz = sol.m_z(t)
-    rhs = spec.a * my + spec.b * my + spec.c * mz + spec.dbar * mz + spec.g
-    h = spec.T / n_steps
-    pieces = 0.5 * h * (rhs[:-1] + rhs[1:])
-    tail = np.zeros(n_steps + 1)
-    tail[:-1] = pieces[::-1].cumsum()[::-1]
-    resid = my - (my[-1] + tail)
-    return float(np.max(np.abs(resid)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ them as assertions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -135,9 +135,6 @@ class ScenarioSpec:
         if self.terminal_clamp is not None:
             vals = np.clip(vals, -self.terminal_clamp, self.terminal_clamp)
         return vals
-
-    def with_config(self, **changes) -> "ScenarioSpec":
-        return replace(self, **changes)
 
 
 # ---------------------------------------------------------------------------

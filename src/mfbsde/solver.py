@@ -28,7 +28,7 @@ from .regression import NodeRegression, RegressionBasis
 from .scenario import ScenarioSpec
 from . import dsl
 
-__all__ = ["SolverConfig", "StandardSolve", "BackwardSolver", "backward_step"]
+__all__ = ["SolverConfig", "StandardSolve", "BackwardSolver"]
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,10 @@ class BackwardSolver:
         index, time, state (P, n) and integrand (P, d, n) to (P, n).  A
         driver marked by :func:`y_free` gets one explicit step per node.
         The returned ``y`` and ``z`` are node-major, (L, P, ...).
+        Raises :class:`InvalidInput` when ``window`` runs past the grid.
         """
         ens = self.ensemble
+        ens.grid.check_window(window)
         cfg = self.config
         P = ens.n_paths
         n = terminal.shape[1]
@@ -207,29 +209,6 @@ def _implicit_state(cond, h, t, i, z_drv, driver, cfg) -> tuple[np.ndarray, int]
     raise StepDivergence(
         f"state iteration stalled at residual {prev_res:.3e}", i
     )
-
-
-def backward_step(
-    y_next: np.ndarray,
-    ensemble: PathEnsemble,
-    i: int,
-    driver,
-    config: SolverConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single backward step at node ``i``; ``driver(s, y, z) -> (P, n)``.
-
-    Convenience wrapper over the cached solver machinery for tests and
-    custom stepping loops.
-    """
-    y_next = np.asarray(y_next, dtype=np.float64)
-    if y_next.ndim == 1:
-        y_next = y_next[:, None]
-    if not (0 <= i < ensemble.grid.n_steps):
-        raise InvalidInput(f"node {i} has no forward step")
-    solver = BackwardSolver(ensemble, config)
-    window = Window(i, i + 1)
-    res = solver.solve(window, y_next, lambda _i, s, y, z: driver(s, y, z))
-    return res.y[0], res.z[0]
 
 
 def frozen_mean_driver(

@@ -18,3 +18,12 @@ def test_criterion(cid, capsys):
         print()
         print(res.line())
     assert res.passed, res.line()
+
+
+def test_tolerances_are_reported_constants(monkeypatch):
+    # the yardstick cannot be moved from the environment; the result
+    # reports each tolerance as {key: value}
+    monkeypatch.setenv("MFBSDE_TOL_C1_LINEAR_IDENTITY", "1.0")
+    res = acceptance.run_criterion(1)
+    assert res.tolerances == {"c1_linear_identity": 1e-12, "c1_root_identity": 1e-10}
+    assert res.as_dict()["tolerances"] == res.tolerances

@@ -15,16 +15,15 @@ from hypothesis import strategies as st
 
 from mfbsde.certificates import (
     BRANCH_HORIZON,
+    _solve_root_canonical,
     beta_const,
     build_chain,
     c_delta,
     c_delta_exponent,
     certify,
-    choose_delta_epsilon,
     mu_const,
     mu_consts,
     ode_bound,
-    solve_A,
 )
 from mfbsde.errors import InfeasibleCertificate, InvalidInput
 from mfbsde.scenario import example_21, example_22, example_41, linear_scenario
@@ -89,21 +88,19 @@ def test_canonical_margin_and_mass():
 
 
 def test_quadratic_root_frozen_value():
-    # eps=0 decouples the mass term: Delta=(1-4k*delta)^2=1/4, A=1
-    Delta, A = solve_A(
-        delta=0.5, eps=0.0, gamma=2.0, xi_bound=0.0,
-        mu=1.0, c_delta_value=1.0, C=1.0, T=1.0, alpha=0.0,
-    )
-    assert Delta == pytest.approx(0.25, rel=1e-15)
-    assert A == pytest.approx(1.0, rel=1e-15)
+    # C=0 has no mass term (m*eps = 0), which decouples the quadratic:
+    # delta=1/2, k=1/4, Delta=(1-4k*delta)^2=1/4, A=1
+    ch = build_chain(0.0, 2.0, 0.0, 0.0, 1.0)
+    assert ch.m_eps == 0.0
+    assert ch.Delta == pytest.approx(0.25, rel=1e-15)
+    assert ch.A == pytest.approx(1.0, rel=1e-15)
 
 
 def test_solve_A_refuses_oversized_window():
+    # m*eps far above k/8 (a window wider than the certified one): the
+    # discriminant 1/4 - 16*delta*m*eps is negative
     with pytest.raises(InfeasibleCertificate):
-        solve_A(
-            delta=0.5, eps=50.0, gamma=2.0, xi_bound=0.0,
-            mu=1.0, c_delta_value=1.0, C=1.0, T=1.0, alpha=0.0,
-        )
+        _solve_root_canonical(0.5, 0.25, 50.0)
 
 
 def test_ode_envelope_frozen_value():
@@ -161,12 +158,6 @@ def test_window_width_nonincreasing_in_terminal_bound(xi1, xi2):
     a = build_chain(0.5, 1.0, 0.2, lo, 1.0)
     b = build_chain(0.5, 1.0, 0.2, hi, 1.0)
     assert b.eps <= a.eps * (1.0 + 1e-12)
-
-
-def test_choose_delta_epsilon_consistent():
-    d, e = choose_delta_epsilon(0.5, 1.0, 0.0, 1.0, 1.0)
-    ch = build_chain(0.5, 1.0, 0.0, 1.0, 1.0)
-    assert (d, e) == (ch.delta, ch.eps)
 
 
 def test_width_capped_by_horizon():

@@ -11,21 +11,31 @@ from mfbsde.diagnostics import (
     bmo_budget_global,
     build_report,
     check_alpha_envelope,
-    check_lemma21,
     mp_norm,
     node_square_norms,
     phi,
-    phi_double_prime,
     phi_prime,
     sp_norm,
     sup_norm,
 )
 from mfbsde.regression import NodeRegression, RegressionBasis
+from mfbsde.solver import BackwardSolver, SolverConfig
 
 
 def _const_process(grid, value, P=500, dims=(1,)):
     vals = np.full((P, grid.n_steps + 1, *dims), float(value))
     return ProcessGrid(grid=grid, values=vals)
+
+
+def _regressions(ensemble):
+    """``node_regression`` over ``ensemble`` with the default basis,
+    factorising every node afresh."""
+    return lambda i: NodeRegression(ensemble.state(i), RegressionBasis())
+
+
+def phi_double_prime(y, gamma: float):
+    """Second derivative ``exp(gamma*|y|)`` of the transform (off the kink)."""
+    return np.exp(gamma * np.abs(np.asarray(y, dtype=np.float64)))
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +67,7 @@ def test_bmo2_constant_integrand(grid50):
     # E_i[int_{t_i}^T 1 ds] = T - t_i, maximal at t_0
     ens = simulate_brownian(grid50, 1, 4000, 5)
     z = _const_process(grid50, 1.0, P=4000, dims=(1, 1))
-    est = bmo2_estimate(z, ens)
+    est = bmo2_estimate(z, _regressions(ens))
     assert est == pytest.approx(1.0, rel=0.02)
 
 
@@ -66,7 +76,7 @@ def test_bmo2_sees_conditional_tails(grid50):
     # so the BMO estimate must exceed the plain expectation
     ens = simulate_brownian(grid50, 1, 20_000, 6)
     z = ProcessGrid(grid=grid50, values=np.abs(ens.levels)[:, :, :, None])
-    est = bmo2_estimate(z, ens)
+    est = bmo2_estimate(z, _regressions(ens))
     mean_sq = mp_norm(z, 2.0) ** 2
     assert est > mean_sq
 
@@ -157,11 +167,18 @@ def test_bmo2_matches_whole_array_reference(grid12, dims, span, layout):
     ens = simulate_brownian(grid12, 2, 300, 41)
     z = _process(grid12, dims, span, layout)
     want = _ref_bmo2(z, ens)
-    assert bmo2_estimate(z, ens) == pytest.approx(want, rel=1e-12, abs=0)
-    # a solver's regression cache gives the same estimate and is filled in
-    cache = {}
-    assert bmo2_estimate(z, ens, regressions=cache) == pytest.approx(want, rel=1e-12, abs=0)
-    assert sorted(cache) == list(range(span[0], span[1]))
+    assert bmo2_estimate(z, _regressions(ens)) == pytest.approx(want, rel=1e-12, abs=0)
+    # a solver's cached regressions give the same estimate; every node of
+    # the span but the last is asked for once
+    solver = BackwardSolver(ens, SolverConfig(n_steps=12, n_paths=300))
+    asked = []
+
+    def node_regression(i):
+        asked.append(i)
+        return solver.node_regression(i)
+
+    assert bmo2_estimate(z, node_regression) == pytest.approx(want, rel=1e-12, abs=0)
+    assert sorted(asked) == list(range(span[0], span[1]))
 
 
 @pytest.mark.parametrize("layout", ["path-major", "node-major"])
@@ -241,36 +258,6 @@ def test_alpha_envelope_synthetic(grid50):
     assert check_alpha_envelope(above, env)["violation_rate"] == 1.0
 
 
-def test_exponential_bound_holds_on_martingale(grid50):
-    # Y = W (zero driver): |Y_0| = 0, so the bound holds with margin
-    ens = simulate_brownian(grid50, 1, 2000, 8)
-    y = ProcessGrid(grid=grid50, values=ens.levels)
-    xi_abs = np.abs(ens.levels[:, -1, 0])
-    g = np.zeros(51)
-    out = check_lemma21(y, xi_abs, g, beta=0.5, gamma=1.0)
-    assert out["holds"]
-    assert out["margin"] > 0.0
-
-
-def test_exponential_bound_rejects_misaligned_curve(grid50):
-    ens = simulate_brownian(grid50, 1, 100, 9)
-    y = ProcessGrid(grid=grid50, values=ens.levels)
-    from mfbsde.errors import InvalidInput
-
-    with pytest.raises(InvalidInput):
-        check_lemma21(y, np.abs(ens.levels[:, -1, 0]), np.zeros(7), 0.5, 1.0)
-
-
-def test_exponential_bound_detects_violation(grid50):
-    # a state far above anything the terminal data and envelope allow
-    ens = simulate_brownian(grid50, 1, 500, 10)
-    vals = ens.levels.copy()
-    vals[:, 0, :] = 50.0
-    y = ProcessGrid(grid=grid50, values=vals)
-    out = check_lemma21(y, np.abs(ens.levels[:, -1, 0]), np.zeros(51), 0.5, 1.0)
-    assert not out["holds"]
-
-
 # ---------------------------------------------------------------------------
 # report assembly
 # ---------------------------------------------------------------------------
@@ -280,7 +267,7 @@ def test_build_report_fields(grid50):
     ens = simulate_brownian(grid50, 1, 3000, 11)
     y = ProcessGrid(grid=grid50, values=ens.levels)
     z = _const_process(grid50, 1.0, P=3000, dims=(1, 1))
-    rep = build_report(y, z, ens, gamma=0.4, bmo_budget=5.0,
+    rep = build_report(y, z, _regressions(ens), gamma=0.4, bmo_budget=5.0,
                        alpha_fn=lambda t: 100.0 * np.ones_like(np.asarray(t)))
     assert rep.bmo2_z == pytest.approx(1.0, rel=0.05)
     assert rep.bmo_within_budget

@@ -248,6 +248,29 @@ def test_local_solve_needs_single_generator():
         local_solve(sc, ens, CFG)
 
 
+@pytest.mark.parametrize("entry", ["BackwardSolver.solve", "gamma_map", "local_solve"])
+def test_windows_past_the_grid_are_rejected(entry):
+    # a 10-step grid has nodes 0..10: each entry point refuses a window
+    # reaching past node 10 before it reads the grid there
+    sc = _mean_free_scenario()
+    cfg = CFG.updated(n_steps=10, n_paths=500)
+    ens = _ensemble(sc, cfg)
+    terminal = np.zeros((cfg.n_paths, 1))
+    window = Window(5, 12)
+    calls = {
+        "BackwardSolver.solve": lambda: BackwardSolver(ens, cfg).solve(
+            Window(10, 11), terminal, lambda i, s, y, z: y
+        ),
+        "gamma_map": lambda: gamma_map(
+            np.zeros(window.n_nodes), np.zeros(window.n_nodes), sc, ens, cfg,
+            window=window, terminal=terminal,
+        ),
+        "local_solve": lambda: local_solve(sc, ens, cfg, window=window, terminal=terminal),
+    }
+    with pytest.raises(InvalidInput, match="runs past the last node 10 of the grid"):
+        calls[entry]()
+
+
 # ---------------------------------------------------------------------------
 # stitched global solve
 # ---------------------------------------------------------------------------
@@ -313,6 +336,39 @@ def test_global_solve_deterministic():
     b = global_solve(sc, _ensemble(sc, cfg), cfg)
     assert a.y.values.tobytes() == b.y.values.tobytes()
     assert a.z.values.tobytes() == b.z.values.tobytes()
+
+
+@pytest.mark.parametrize("solve", [global_solve, picard_global],
+                         ids=["global", "picard"])
+def test_vector_noise_scalar_state_closed_form(solve):
+    # d = 2, n = 1: Y = W1 + W2 + 2 (T - t) solves xi = W1_T + W2_T with
+    # f = |E[Z]|^2, so E[Y_t] = 2 (T - t) and E[Z] = (1, 1)
+    sc = ScenarioSpec(
+        name="d2n1",
+        n=1,
+        d=2,
+        T=1.0,
+        terminal=dsl.parse("w1 + w2", dsl.TERMINAL_VARS),
+        f=dsl.parse("norm2(zbar)^2"),
+        C=2.0,
+        gamma=1.0,
+        alpha=0.0,
+        xi_bound=4.0,
+    )
+    cfg = CFG.updated(n_steps=20, n_paths=20_000, seed=5, n_windows=2)
+    ens = _ensemble(sc, cfg)
+    res = solve(sc, ens, cfg)
+    assert res.y.values.shape == (cfg.n_paths, cfg.n_steps + 1, 1)
+    assert res.z.values.shape == (cfg.n_paths, cfg.n_steps + 1, 2, 1)
+    # Monte Carlo error at 20k paths: each node's E[Z] component averages
+    # (dW_a (dW_1 + dW_2)) / h, of variance 3, so its standard error is
+    # sqrt(3 / 20000) = 0.012 and 0.08 is over 6 of them for the largest of
+    # the 42 estimates.  E[Y] carries the terminal mean's standard error
+    # sqrt(2 / 20000) = 0.010 plus the integrated E[Z] error (about 0.008):
+    # 0.06 is over 4 combined standard errors.  Seed 5 reads 0.015 and 0.044.
+    t = res.m_y.times()
+    assert np.max(np.abs(res.m_y.values[:, 0] - 2.0 * (1.0 - t))) < 0.06
+    assert np.max(np.abs(res.m_z.values[:, :, 0] - 1.0)) < 0.08
 
 
 def test_picard_matches_stitched_on_linear():

@@ -16,7 +16,6 @@ from mfbsde.scenario import ScenarioSpec, linear_scenario
 from mfbsde.solver import (
     BackwardSolver,
     SolverConfig,
-    backward_step,
     frozen_mean_driver,
     y_free,
 )
@@ -194,11 +193,17 @@ def test_degenerate_state_falls_back_to_mean(grid50):
 # ---------------------------------------------------------------------------
 
 
+def _last_step(ensemble, driver):
+    """The backward step at node 49 alone: a sweep on ``Window(49, 50)``
+    from ``W_T``; returns the state (P, n) and integrand (P, d, n) at 49."""
+    res = BackwardSolver(ensemble, CFG).solve(Window(49, 50), ensemble.state(50), driver)
+    return res.y[0], res.z[0]
+
+
 def test_backward_step_source_only(ensemble50):
     # f constant: y_i = E_i[y_next] + h
     w_last = ensemble50.state(49)[:, 0]
-    y_next = ensemble50.state(50)[:, 0]
-    y, z = backward_step(y_next, ensemble50, 49, lambda s, y, z: np.ones_like(y), CFG)
+    y, z = _last_step(ensemble50, lambda i, s, y, z: np.ones_like(y))
     h = 0.02
     err = y[:, 0] - (w_last + h)
     # regression noise is worst in the state tails; the bulk is tight
@@ -211,23 +216,23 @@ def test_backward_step_source_only(ensemble50):
 def test_backward_step_implicit_linear(ensemble50):
     # f = 10*y is stiff enough that the implicit solve matters:
     # y = cond/(1 - 10*h) with cond = E_i[W_T | W_i] = W_i
-    y_next = ensemble50.state(50)[:, 0]
-    y, _ = backward_step(y_next, ensemble50, 49, lambda s, y, z: 10.0 * y, CFG)
+    y, _ = _last_step(ensemble50, lambda i, s, y, z: 10.0 * y)
     w = ensemble50.state(49)[:, 0]
     np.testing.assert_allclose(y[:, 0], w / 0.8, rtol=0, atol=2e-2)
 
 
 def test_backward_step_divergence(ensemble50):
     # h * Lipschitz = 2: the damped iteration cannot settle
-    y_next = ensemble50.state(50)[:, 0]
     with pytest.raises(StepDivergence):
-        backward_step(y_next, ensemble50, 49, lambda s, y, z: 100.0 * y, CFG)
+        _last_step(ensemble50, lambda i, s, y, z: 100.0 * y)
 
 
 def test_backward_step_index_validation(ensemble50):
+    # node 50 is the last one: it has no forward step
     with pytest.raises(InvalidInput):
-        backward_step(np.zeros(ensemble50.n_paths), ensemble50, 50,
-                      lambda s, y, z: y, CFG)
+        BackwardSolver(ensemble50, CFG).solve(
+            Window(50, 51), np.zeros((ensemble50.n_paths, 1)), lambda i, s, y, z: y
+        )
 
 
 # ---------------------------------------------------------------------------
