@@ -21,22 +21,6 @@ The package is organised in layers:
 
 __version__ = "0.1.0"
 
-import os as _os
-
-# Thread budget for the BLAS backends.  This has to land in the environment
-# before numpy is imported for the first time, which is why it lives at the
-# top of the package rather than in the command line module.
-_threads = _os.environ.get("MFBSDE_THREADS")
-if _threads:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        _os.environ.setdefault(_var, _threads)
-del _os
-
 from .core import (
     MeanCurve,
     PathEnsemble,
@@ -49,7 +33,6 @@ from .core import (
 )
 from .dsl import GeneratorExpr, builtin, evaluate, evaluate_terminal, parse, to_text
 from .errors import (
-    CertificateOverflow,
     DimensionError,
     EvalDomainError,
     FixedPointError,
@@ -115,5 +98,5 @@ __all__ = [
     "MFBSDEError", "InvalidInput", "ParseError", "DimensionError",
     "WindowTooWide", "EvalDomainError", "RegressionError", "StepDivergence",
     "FixedPointError", "NonContraction", "MaxIterations",
-    "CertificateOverflow", "InfeasibleCertificate", "FixtureMissing",
+    "InfeasibleCertificate", "FixtureMissing",
 ]

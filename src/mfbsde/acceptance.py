@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
 
 from . import oracle
 from .certificates import build_chain, certify, ode_bound
-from .config import RunManifest, host_platform, write_result_csv
+from .config import manifest_for, write_result_csv
 from .core import Window, build_grid, simulate_brownian
 from .meanfield import global_solve, local_solve, multidim_solve, picard_global, shift_solve_simple
 from .scenario import (
@@ -223,21 +223,6 @@ def _c3_run():
     return scenario, config, global_solve(scenario, ensemble, config)
 
 
-def _c3_manifest(config: SolverConfig) -> RunManifest:
-    return RunManifest(
-        config_path="<criterion-3>",
-        config_sha256="0" * 64,
-        selector="global",
-        seed=config.seed,
-        n_steps=config.n_steps,
-        n_paths=config.n_paths,
-        package_version="acceptance",
-        solver=asdict(config),
-        numpy_version=np.__version__,
-        platform=host_platform(),
-    )
-
-
 def _c3_cached():
     """Criterion 3's solve, run once and shared with criterion 10."""
     if "c3" not in _cache:
@@ -251,7 +236,7 @@ def _c3_csv_bytes(run) -> bytes:
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "c3.csv"
-        write_result_csv(out, result, _c3_manifest(config))
+        write_result_csv(out, result, manifest_for("<criterion-3>", "", config, "global"))
         data = out.read_bytes()
     return data
 
@@ -543,7 +528,7 @@ def criterion_9() -> CriterionResult:
     ensemble = simulate_brownian(grid, scenario.d, config.n_paths, config.seed)
     result = multidim_solve(scenario, ensemble, config)
     runtime = time.perf_counter() - t0
-    trace = result.trace[0] if isinstance(result.trace, list) else result.trace
+    trace = result.trace[0]
     ratios = trace.ratios
     tail = ratios[-3:] if len(ratios) >= 3 else ratios
     avg_tail = float(np.mean(tail)) if tail else math.inf

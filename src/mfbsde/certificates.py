@@ -25,15 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificateOverflow, InfeasibleCertificate, InvalidInput
+from .errors import InfeasibleCertificate, InvalidInput
 from .scenario import FORM_QUAD_GROWTH, FORM_SPLIT_LIPSCHITZ, ScenarioSpec
 
 __all__ = [
     "beta_const",
     "mu_consts",
     "mu_const",
-    "c_delta_exponent",
-    "c_delta",
     "ode_bound",
     "ConstantChain",
     "build_chain",
@@ -43,6 +41,8 @@ __all__ = [
 
 _LOG_MAX = math.log(np.finfo(np.float64).max)  # ~709.78
 _LARGE_VALUE = 1e12  # report-as-large threshold for linear-scale constants
+_SPOT_SAMPLES = 256  # random driver evaluations per spot check
+_SPOT_SEED = 0
 
 
 def _safe_exp(log_value: float) -> float:
@@ -87,20 +87,14 @@ def mu_const(
     return (beta + C * mu1) * gamma ** (2.0 / (alpha - 1.0)) + 2.0 * C * mu2
 
 
-def c_delta_exponent(C: float, gamma: float, alpha: float, T: float, delta: float) -> float:
-    """Logarithm of the exponential-moment constant for margin ``delta``."""
-    if not (delta > 0.0):
-        raise InvalidInput("delta must be positive")
-    return _c_delta_exponent_log(C, gamma, alpha, T, math.log(delta))
-
-
-def _c_delta_exponent_log(
+def _log_c_delta(
     C: float, gamma: float, alpha: float, T: float, log_delta: float
 ) -> float:
-    """Same exponent with the margin passed in log scale, so that margins
-    below the double range stay computable.  The second term is itself an
-    exponential in ``-log_delta`` and is saturated to inf when it leaves
-    the double range (the chain then reports an underflowed window)."""
+    """Logarithm of the exponential-moment constant, with the margin passed
+    in log scale so that margins below the double range stay computable.
+    The second term is itself an exponential in ``-log_delta`` and is
+    saturated to inf when it leaves the double range (the chain then
+    reports an underflowed window)."""
     _check_params(C, gamma, alpha)
     if not (T > 0.0):
         raise InvalidInput("T must be positive")
@@ -117,18 +111,6 @@ def _c_delta_exponent_log(
         + math.log(T)
     )
     return first + _safe_exp(log_second)
-
-
-def c_delta(C: float, gamma: float, alpha: float, T: float, delta: float) -> float:
-    """Exponential-moment constant.  Raises :class:`CertificateOverflow`
-    when the value exceeds the double range (the exponent itself is finite
-    and available via :func:`c_delta_exponent`)."""
-    expo = c_delta_exponent(C, gamma, alpha, T, delta)
-    if expo > _LOG_MAX:
-        raise CertificateOverflow(
-            f"exponential-moment constant overflows doubles (log value {expo:.6g})"
-        )
-    return math.exp(expo)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +197,7 @@ def build_chain(
         delta = _safe_exp(log_delta)
         k = _safe_exp(log_k)
 
-    log_cd = _c_delta_exponent_log(C, gamma, alpha, T, log_delta)
+    log_cd = _log_c_delta(C, gamma, alpha, T, log_delta)
     cd_over = log_cd > _LOG_MAX
     cd = math.inf if cd_over else math.exp(log_cd)
     cd_large = cd_over or cd > _LARGE_VALUE
@@ -468,17 +450,14 @@ def _ball_radius(chain: ConstantChain) -> tuple[float, float]:
     return min(base, ceiling), ceiling
 
 
-def certify(
-    scenario: ScenarioSpec,
-    spot_samples: int = 256,
-    spot_seed: int = 0,
-) -> Certificate:
+def certify(scenario: ScenarioSpec) -> Certificate:
     """Build the full certificate for a scenario.
 
     Everything derivable from the declared constants is computed; the
     structural form flags remain user assertions and are reported as such.
-    A quick random spot check compares the driver against the declared
-    growth envelope and estimates the terminal-bound exceedance mass.
+    A quick random spot check (256 draws at a fixed seed) compares the
+    driver against the declared growth envelope and estimates the
+    terminal-bound exceedance mass.
     """
     chain = build_chain(
         scenario.C, scenario.gamma, scenario.alpha, scenario.xi_bound, scenario.T
@@ -491,7 +470,7 @@ def certify(
     )
     radius, ceiling = _ball_radius(chain)
 
-    spot = _spot_check(scenario, spot_samples, spot_seed)
+    spot = _spot_check(scenario, _SPOT_SAMPLES, _SPOT_SEED)
 
     return Certificate(
         scenario_name=scenario.name,

@@ -1,6 +1,6 @@
 """Command line interface.
 
-Four commands:
+Three commands:
 
 ``mfbsde certify --config FILE``
     Compute the constant chain for the configured scenario and write a
@@ -11,9 +11,6 @@ Four commands:
 
 ``mfbsde validate [--criteria 1,2,...]``
     Run the acceptance criteria and print one PASS/FAIL line each.
-
-``mfbsde bench --config FILE``
-    Time one backward sweep and one fixed-point solve at a few path counts.
 
 Exit codes: 0 on success, 1 when a solver or certificate computation fails,
 2 for invalid inputs (bad config, bad flags, solver/scenario mismatch).
@@ -45,7 +42,6 @@ from .config import (
 from .core import build_grid, simulate_brownian
 from .errors import InvalidInput, MFBSDEError
 from .meanfield import (
-    gamma_map,
     global_solve,
     local_solve,
     multidim_solve,
@@ -73,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="config file (INI)")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="config file (INI)")
         p.add_argument("--out-dir", default=None, help="output directory override")
         p.add_argument("--prefix", default=None, help="output file prefix override")
 
@@ -106,24 +102,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated criterion numbers (default: all)",
     )
     p_val.add_argument("--json", default=None, help="also write results to this JSON file")
-
-    p_bench = sub.add_parser("bench", help="time sweeps and solves")
-    add_common(p_bench)
-    p_bench.add_argument("--paths", type=int, nargs="*", default=None)
     return parser
 
 
 def _apply_overrides(solver_cfg, args):
     changes = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         changes["seed"] = args.seed
-    if getattr(args, "paths", None) is not None:
+    if args.paths is not None:
         changes["n_paths"] = args.paths
-    if getattr(args, "steps", None) is not None:
+    if args.steps is not None:
         changes["n_steps"] = args.steps
-    if getattr(args, "windows", None) is not None:
+    if args.windows is not None:
         changes["n_windows"] = args.windows
-    if getattr(args, "override_epsilon", False):
+    if args.override_epsilon:
         changes["override_epsilon"] = True
     return solver_cfg.updated(**changes) if changes else solver_cfg
 
@@ -223,39 +215,6 @@ def _cmd_validate(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _cmd_bench(args) -> int:
-    import numpy as np
-
-    scenario, solver_cfg, _options, _text = load_config(args.config)
-    path_counts = args.paths or [10_000, 50_000]
-    print(f"scenario={scenario.name} steps={solver_cfg.n_steps}")
-    for n_paths in path_counts:
-        cfg = solver_cfg.updated(n_paths=n_paths, track_ball=False, override_epsilon=True)
-        grid = build_grid(scenario.T, cfg.n_steps)
-        ensemble = simulate_brownian(grid, scenario.d, cfg.n_paths, cfg.seed)
-        L = cfg.n_steps + 1
-        m_u = np.zeros((L, scenario.n))
-        m_v = np.zeros((L, scenario.d, scenario.n))
-        if scenario.f is not None:
-            t0 = time.perf_counter()
-            gamma_map(m_u, m_v, scenario, ensemble, cfg)
-            sweep = time.perf_counter() - t0
-        else:
-            sweep = float("nan")
-        t0 = time.perf_counter()
-        runner = global_solve if scenario.f is not None else multidim_solve
-        try:
-            result = runner(scenario, ensemble, cfg)
-            solve_t = time.perf_counter() - t0
-            traces = result.trace if isinstance(result.trace, list) else [result.trace]
-            iters = sum(t.iterations for t in traces)
-        except MFBSDEError as exc:
-            solve_t, iters = float("nan"), f"failed: {exc}"
-        print(f"paths={n_paths:>8d}  sweep={sweep:7.2f}s  solve={solve_t:7.2f}s  "
-              f"iterations={iters}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -270,8 +229,6 @@ def main(argv=None) -> int:
             return _cmd_solve(args)
         if args.command == "validate":
             return _cmd_validate(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         raise InvalidInput(f"unknown command {args.command!r}")
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

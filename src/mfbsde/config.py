@@ -30,13 +30,20 @@ Config files are INI-style text with four sections::
     tol_fp = 1e-3
     max_outer = 30
     ; n_windows = 4
-    ; window_width = 0.25
     override_epsilon = true
     z_clamp = 100.0
 
     [output]
     dir = out
     prefix = run
+
+Comments take whole lines: ``;`` inside a value separates vector
+components, so a trailing ``; note`` would become part of the value.  Each
+section accepts only the keys it reads; any other key, or any other
+section, raises :class:`InvalidInput`.  ``[solver]`` and ``[output]`` map
+their keys onto the fields of :class:`SolverConfig`,
+:class:`RegressionBasis` and :class:`OutputOptions`; a key left out keeps
+that field's default.
 
 Every output file embeds the SHA-256 manifest hash of (config text, the
 whole effective solver configuration after command-line overrides, seed,
@@ -85,6 +92,32 @@ class OutputOptions:
     prefix: str = "run"
 
 
+# key -> (field, type) for the sections parsed straight into dataclasses;
+# the [solver] fields belong to SolverConfig or, for the basis, to
+# RegressionBasis, whose field names do not overlap
+_SOLVER_KEYS = {
+    "steps": ("n_steps", int),
+    "paths": ("n_paths", int),
+    "seed": ("seed", int),
+    "basis_degree": ("degree", int),
+    "basis_bins": ("n_bins", int),
+    "ridge": ("ridge", float),
+    "max_inner": ("max_inner", int),
+    "tol_fp": ("tol_fp", float),
+    "max_outer": ("max_outer", int),
+    "z_clamp": ("z_clamp", float),
+    "n_windows": ("n_windows", int),
+    "override_epsilon": ("override_epsilon", bool),
+    "track_ball": ("track_ball", bool),
+}
+_OUTPUT_KEYS = {
+    "dir": ("directory", str),
+    "prefix": ("prefix", str),
+}
+_SCENARIO_KEYS = ("name", "n", "d", "T", "terminal", "terminal_clamp", "f", "f1", "f2", "forms")
+_CONSTANTS_KEYS = ("C", "gamma", "alpha", "xi_bound", "ctilde")
+
+
 def _get(section, key, conv, default=None, required=False):
     if key not in section or section[key].strip() == "":
         if required:
@@ -104,6 +137,24 @@ def _get(section, key, conv, default=None, required=False):
         raise InvalidInput(f"bad value for '{key}': {raw!r}") from exc
 
 
+def _check_keys(section, name: str, keys) -> None:
+    known = {key.lower() for key in keys}  # the parser lower-cases keys
+    for key in section:
+        if key not in known:
+            raise InvalidInput(f"unknown config key '{key}' in [{name}]")
+
+
+def _fields(section, name: str, table: dict) -> dict:
+    """``{field: value}`` for the keys of ``table`` set in ``section``."""
+    _check_keys(section, name, table)
+    values = {}
+    for key, (fld, conv) in table.items():
+        value = _get(section, key, conv)
+        if value is not None:
+            values[fld] = value
+    return values
+
+
 def load_config(path) -> tuple[ScenarioSpec, SolverConfig, OutputOptions, str]:
     """Parse a config file into a scenario, solver settings, and output
     options.  Returns the raw text as well (it feeds the manifest hash)."""
@@ -119,11 +170,14 @@ def load_config(path) -> tuple[ScenarioSpec, SolverConfig, OutputOptions, str]:
     for sect in ("scenario", "constants", "solver"):
         if sect not in cp:
             raise InvalidInput(f"missing [{sect}] section")
+    for sect in cp.sections():
+        if sect not in ("scenario", "constants", "solver", "output"):
+            raise InvalidInput(f"unknown config section [{sect}]")
 
     sc = cp["scenario"]
     cs = cp["constants"]
-    sv = cp["solver"]
-    out = cp["output"] if "output" in cp else {}
+    _check_keys(sc, "scenario", _SCENARIO_KEYS)
+    _check_keys(cs, "constants", _CONSTANTS_KEYS)
 
     f_text = _get(sc, "f", str)
     f1_text = _get(sc, "f1", str)
@@ -148,31 +202,14 @@ def load_config(path) -> tuple[ScenarioSpec, SolverConfig, OutputOptions, str]:
         forms=frozenset(forms),
     )
 
-    basis = RegressionBasis(
-        degree=_get(sv, "basis_degree", int, default=3),
-        n_bins=_get(sv, "basis_bins", int, default=1),
-        ridge=_get(sv, "ridge", float, default=1e-8),
-    )
+    settings = _fields(cp["solver"], "solver", _SOLVER_KEYS)
+    basis_fields = {f.name for f in dataclasses.fields(RegressionBasis)}
+    basis = RegressionBasis(**{k: v for k, v in settings.items() if k in basis_fields})
     solver = SolverConfig(
-        n_steps=_get(sv, "steps", int, default=100),
-        n_paths=_get(sv, "paths", int, default=50_000),
-        seed=_get(sv, "seed", int, default=0),
-        basis=basis,
-        tol_inner=_get(sv, "tol_inner", float, default=1e-10),
-        max_inner=_get(sv, "max_inner", int, default=60),
-        tol_fp=_get(sv, "tol_fp", float, default=1e-3),
-        max_outer=_get(sv, "max_outer", int, default=30),
-        z_clamp=_get(sv, "z_clamp", float, default=100.0),
-        n_windows=_get(sv, "n_windows", int),
-        window_width=_get(sv, "window_width", float),
-        override_epsilon=_get(sv, "override_epsilon", bool, default=False),
-        track_ball=_get(sv, "track_ball", bool, default=True),
-        bmo_budget=_get(sv, "bmo_budget", float),
+        basis=basis, **{k: v for k, v in settings.items() if k not in basis_fields}
     )
-    options = OutputOptions(
-        directory=_get(out, "dir", str, default="out"),
-        prefix=_get(out, "prefix", str, default="run"),
-    )
+    out = cp["output"] if "output" in cp else {}
+    options = OutputOptions(**_fields(out, "output", _OUTPUT_KEYS))
     return scenario, solver, options, text
 
 

@@ -24,7 +24,7 @@ integral (M^p), a backward running tail with one regression fit per node
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -191,18 +191,7 @@ class DiagnosticsReport:
     clamp_events: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "sup_y": self.sup_y,
-            "sp_y": self.sp_y,
-            "mp_z": self.mp_z,
-            "bmo2_z": self.bmo2_z,
-            "p": self.p,
-            "gamma": self.gamma,
-            "bmo_budget": self.bmo_budget,
-            "bmo_within_budget": self.bmo_within_budget,
-            "alpha_violation_rate": self.alpha_violation_rate,
-            "clamp_events": self.clamp_events,
-        }
+        return asdict(self)
 
 
 def build_report(

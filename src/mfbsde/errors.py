@@ -74,11 +74,6 @@ class MaxIterations(FixedPointError):
     """Iteration budget exhausted before the tolerance was met."""
 
 
-class CertificateOverflow(MFBSDEError, OverflowError):
-    """A certificate constant exceeded the double-precision range.  The
-    logarithm is always representable and is carried by the certificate."""
-
-
 class InfeasibleCertificate(MFBSDEError, ValueError):
     """Constant chain produced a nonpositive radius or a negative discriminant
     (possible only when a caller overrides the window size upward)."""

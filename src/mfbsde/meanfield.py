@@ -40,7 +40,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -125,19 +125,7 @@ class FixedPointTrace:
         return total
 
     def as_dict(self) -> dict:
-        return {
-            "y_distances": self.y_distances,
-            "z_distances": self.z_distances,
-            "mean_distances": self.mean_distances,
-            "ratios": self.ratios,
-            "ball_sup": self.ball_sup,
-            "ball_bmo": self.ball_bmo,
-            "ball_ok": self.ball_ok,
-            "wall_times": self.wall_times,
-            "alpha_rates": self.alpha_rates,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
+        return asdict(self) | {"iterations": self.iterations}
 
 
 @dataclass
@@ -383,7 +371,6 @@ def _alpha_fn_for(scenario: ScenarioSpec, cert: Certificate | None):
 def _finish_result(
     scenario,
     ensemble,
-    config,
     solver,
     cert,
     y_vals,
@@ -400,8 +387,8 @@ def _finish_result(
     ygrid = _process(ensemble, y_vals, span)
     zgrid = _process(ensemble, z_vals, span)
     alpha_fn = _alpha_fn_for(scenario, cert)
-    budget = config.bmo_budget
-    if budget is None and cert is not None and FORM_GLOBAL_ODE in scenario.forms:
+    budget = None
+    if cert is not None and FORM_GLOBAL_ODE in scenario.forms:
         budget = bmo_budget_global(
             scenario.xi_bound, scenario.C, cert.lam, scenario.T, scenario.gamma
         )
@@ -410,7 +397,6 @@ def _finish_result(
         zgrid,
         solver.node_regression,
         gamma=scenario.gamma,
-        p=config.p_norm,
         bmo_budget=budget,
         alpha_fn=alpha_fn,
         clamp_events=int(flags.get("clamp_events", 0)),
@@ -446,7 +432,6 @@ def gamma_map(
     config: SolverConfig,
     window: Window | None = None,
     terminal: np.ndarray | None = None,
-    solver: BackwardSolver | None = None,
 ):
     """One application of the frozen-mean solution map.
 
@@ -464,8 +449,8 @@ def gamma_map(
     if m_u.shape[0] != window.n_nodes or m_v.shape[0] != window.n_nodes:
         raise InvalidInput("mean curves must be aligned with the window nodes")
     terminal = _terminal_for(scenario, ensemble, window, terminal)
-    solver = solver or BackwardSolver(ensemble, config)
-    res = solver.solve(window, terminal, frozen_mean_driver(scenario, m_u, m_v, window.lo))
+    driver = frozen_mean_driver(scenario, m_u, m_v, window.lo)
+    res = BackwardSolver(ensemble, config).solve(window, terminal, driver)
     span = (window.lo, window.hi)
     ygrid = _process(ensemble, res.y, span)
     zgrid = _process(ensemble, res.z, span)
@@ -480,7 +465,6 @@ def local_solve(
     terminal: np.ndarray | None = None,
     certificate: Certificate | None = None,
     init: tuple[np.ndarray, np.ndarray] | None = None,
-    solver: BackwardSolver | None = None,
 ) -> SolveResult:
     """Fixed point of the frozen-mean map on one window.
 
@@ -495,13 +479,13 @@ def local_solve(
         raise InvalidInput("local_solve needs a single-generator scenario")
     window = window or ensemble.grid.full_window()
     cert = certificate if certificate is not None else certify(scenario)
-    solver = solver or BackwardSolver(ensemble, config)
+    solver = BackwardSolver(ensemble, config)
     y, z, trace, flags, extras = _local_window(
         scenario, ensemble, config, cert, solver, window, terminal, init
     )
     span = (window.lo, window.hi)
     return _finish_result(
-        scenario, ensemble, config, solver, cert,
+        scenario, ensemble, solver, cert,
         y, z, span, trace, [span], flags, extras,
     )
 
@@ -559,16 +543,11 @@ def _plan_windows(ensemble: PathEnsemble, config: SolverConfig, cert: Certificat
         bounds = np.linspace(0, N, config.n_windows + 1).round().astype(int)
         bounds = np.unique(bounds)
         return [Window(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-    if config.window_width is not None:
-        width = config.window_width
-    elif cert is not None and cert.eta > 0.0:
-        width = cert.eta
-    else:
-        width = 0.0
+    width = cert.eta if cert is not None and cert.eta > 0.0 else 0.0
     if width < float(np.min(grid.steps)):
         raise WindowTooWide(
             "certified stitching width is below the grid resolution; "
-            "pass n_windows or window_width together with override_epsilon"
+            "set n_windows together with override_epsilon"
         )
     windows = []
     hi = N
@@ -628,7 +607,7 @@ def _stitched_solve(
             extras_all.setdefault(key, []).append(val)
 
     return _finish_result(
-        scenario, ensemble, config, solver, cert,
+        scenario, ensemble, solver, cert,
         y_full, z_full, (0, N), traces, [(w.lo, w.hi) for w in windows],
         flags, extras_all,
     )
@@ -736,7 +715,7 @@ def picard_global(
     last = _iterate(step, _distance(_sup_dist, steps), start(), trace, config,
                     "global Picard")
     return _finish_result(
-        scenario, ensemble, config, solver, cert,
+        scenario, ensemble, solver, cert,
         last.y, last.z, span, trace, [span], flags, {},
     )
 
@@ -830,7 +809,7 @@ def shift_solve_simple(
     flags = {"clamp_events": sweep.clamp_events, "z_shift_bitwise": True}
     extras = {"y_before_shift": np.swapaxes(sweep.y, 0, 1), "shift": shift}
     result = _finish_result(
-        scenario, ensemble, config, solver, None,
+        scenario, ensemble, solver, None,
         y_shifted, sweep.z, span, trace, [span], flags, extras,
     )
     extras["z_before_shift"] = result.z.values  # the shift leaves the integrand as it is

@@ -30,6 +30,8 @@ from . import dsl
 
 __all__ = ["SolverConfig", "StandardSolve", "BackwardSolver"]
 
+_TOL_INNER = 1e-10  # relative residual at which the implicit state solve stops
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -39,31 +41,25 @@ class SolverConfig:
     n_paths: int = 50_000
     seed: int = 0
     basis: RegressionBasis = field(default_factory=RegressionBasis)
-    tol_inner: float = 1e-10
     max_inner: int = 60
     tol_fp: float = 1e-3
     max_outer: int = 30
     z_clamp: float = 100.0
     n_windows: int | None = None
-    window_width: float | None = None
     override_epsilon: bool = False
     track_ball: bool = True
-    bmo_budget: float | None = None
-    p_norm: float = 2.0
 
     def __post_init__(self):
         if self.n_steps < 1 or self.n_paths < 2:
             raise InvalidInput("need n_steps >= 1 and n_paths >= 2")
-        if self.tol_inner <= 0 or self.tol_fp <= 0:
-            raise InvalidInput("tolerances must be positive")
+        if self.tol_fp <= 0:
+            raise InvalidInput("tol_fp must be positive")
         if self.max_inner < 1 or self.max_outer < 1:
             raise InvalidInput("iteration budgets must be >= 1")
         if self.z_clamp <= 0:
             raise InvalidInput("z_clamp must be positive")
         if self.n_windows is not None and self.n_windows < 1:
             raise InvalidInput("n_windows must be >= 1")
-        if self.window_width is not None and self.window_width <= 0:
-            raise InvalidInput("window_width must be positive")
 
     def updated(self, **changes) -> "SolverConfig":
         return replace(self, **changes)
@@ -204,7 +200,7 @@ def _implicit_state(cond, h, t, i, z_drv, driver, cfg) -> tuple[np.ndarray, int]
         scale = max(1.0, float(np.max(np.abs(y_new))))
         y = y_new
         prev_res = res
-        if res <= cfg.tol_inner * scale:
+        if res <= _TOL_INNER * scale:
             return y, m
     raise StepDivergence(
         f"state iteration stalled at residual {prev_res:.3e}", i

@@ -15,11 +15,10 @@ from hypothesis import strategies as st
 
 from mfbsde.certificates import (
     BRANCH_HORIZON,
+    _log_c_delta,
     _solve_root_canonical,
     beta_const,
     build_chain,
-    c_delta,
-    c_delta_exponent,
     certify,
     mu_const,
     mu_consts,
@@ -68,15 +67,15 @@ def test_mu_aggregate_frozen_values():
 
 def test_moment_exponent_frozen_value():
     # C=gamma=T=1, alpha=0, delta=1/2: 6e + (1/2)(3e)^2
-    got = c_delta_exponent(1.0, 1.0, 0.0, 1.0, 0.5)
+    got = _log_c_delta(1.0, 1.0, 0.0, 1.0, math.log(0.5))
     assert got == pytest.approx(6 * E + 4.5 * E * E, rel=1e-14)
     assert got == pytest.approx(49.5604434159422, rel=1e-12)
 
 
 def test_moment_constant_degenerate_generator():
     # C = 0 kills both exponent terms; the constant itself is exp(0) = 1
-    assert c_delta_exponent(0.0, 1.0, 0.3, 2.0, 0.1) == 0.0
-    assert c_delta(0.0, 1.0, 0.3, 2.0, 0.1) == 1.0
+    assert _log_c_delta(0.0, 1.0, 0.3, 2.0, math.log(0.1)) == 0.0
+    assert build_chain(0.0, 1.0, 0.3, 0.0, 2.0).c_delta == 1.0
 
 
 def test_canonical_margin_and_mass():

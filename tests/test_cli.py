@@ -48,6 +48,12 @@ def test_unknown_flag_is_usage_error(capsys):
     assert main(["solve", "--no-such-flag"]) == 2
 
 
+def test_bench_is_usage_error(tiny_cfg, capsys):
+    # benchmark/run.py is the one timing harness
+    assert main(["bench", "--config", str(tiny_cfg)]) == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 def test_unknown_solver_is_usage_error(tiny_cfg, capsys):
     assert main(["solve", "--config", str(tiny_cfg), "--solver", "nope"]) == 2
 
@@ -56,6 +62,15 @@ def test_missing_config_exits_2(tmp_path, capsys):
     rc = main(["solve", "--config", str(tmp_path / "ghost.cfg")])
     assert rc == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    p = tmp_path / "typo.cfg"
+    p.write_text(TINY.replace("seed = 3", "sed = 3"))
+    rc = main(["solve", "--config", str(p), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "unknown config key 'sed' in [solver]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_alpha_out_of_range_exits_2(tmp_path, capsys):
@@ -211,11 +226,3 @@ def test_validate_rejects_bad_list(capsys):
 def test_validate_rejects_unknown_ids(capsys):
     assert main(["validate", "--criteria", "99"]) == 2
     assert "unknown criteria" in capsys.readouterr().err
-
-
-def test_bench_runs_small(tiny_cfg, capsys):
-    rc = main(["bench", "--config", str(tiny_cfg), "--paths", "200"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "scenario=tiny" in out
-    assert "paths=     200" in out

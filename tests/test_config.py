@@ -18,6 +18,8 @@ from mfbsde import (
     simulate_brownian,
 )
 from mfbsde.config import (
+    _OUTPUT_KEYS,
+    _SOLVER_KEYS,
     OutputOptions,
     RunManifest,
     manifest_for,
@@ -26,9 +28,11 @@ from mfbsde.config import (
     write_result_json,
 )
 from mfbsde.meanfield import global_solve
+from mfbsde.regression import RegressionBasis
 from mfbsde.solver import SolverConfig
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 MINIMAL = """
 [scenario]
@@ -110,9 +114,98 @@ def test_defaults_fill_in(tmp_path):
     assert solver.z_clamp == 100.0
     assert solver.override_epsilon is False
     assert solver.track_ball is True
-    assert solver.n_windows is None and solver.window_width is None
+    assert solver.n_windows is None
     assert solver.basis.degree == 3 and solver.basis.ridge == 1e-8
     assert options == OutputOptions()
+
+
+def test_solver_table_matches_the_dataclasses():
+    # one [solver] key per SolverConfig field, the basis by its own fields,
+    # and one [output] key per OutputOptions field: a field without a key
+    # (or a key without a field) fails here
+    fields = [f.name for f in dataclasses.fields(SolverConfig) if f.name != "basis"]
+    fields += [f.name for f in dataclasses.fields(RegressionBasis)]
+    assert sorted(fld for fld, _ in _SOLVER_KEYS.values()) == sorted(fields)
+    assert sorted(fld for fld, _ in _OUTPUT_KEYS.values()) == sorted(
+        f.name for f in dataclasses.fields(OutputOptions)
+    )
+
+
+# non-default value of every [solver] key: (text, parsed value)
+SOLVER_VALUES = {
+    "steps": ("7", 7),
+    "paths": ("9", 9),
+    "seed": ("5", 5),
+    "basis_degree": ("2", 2),
+    "basis_bins": ("4", 4),
+    "ridge": ("1e-6", 1e-6),
+    "max_inner": ("8", 8),
+    "tol_fp": ("0.25", 0.25),
+    "max_outer": ("6", 6),
+    "z_clamp": ("7.5", 7.5),
+    "n_windows": ("3", 3),
+    "override_epsilon": ("true", True),
+    "track_ball": ("false", False),
+}
+
+
+def test_every_solver_key_reaches_its_field(tmp_path):
+    assert set(SOLVER_VALUES) == set(_SOLVER_KEYS)
+    text = MINIMAL + "".join(f"{k} = {raw}\n" for k, (raw, _) in SOLVER_VALUES.items())
+    _, solver, _, _ = load_config(_write(tmp_path, text))
+
+    def flat(cfg):
+        d = dataclasses.asdict(cfg)
+        return d | d.pop("basis")
+
+    got, default = flat(solver), flat(SolverConfig())
+    for key, (_, value) in SOLVER_VALUES.items():
+        fld = _SOLVER_KEYS[key][0]
+        assert got[fld] == value != default[fld], key
+
+
+def test_misspelt_key_rejected(tmp_path):
+    text = (CONFIG_DIR / "ex22.cfg").read_text()
+    assert "tol_fp = 1e-3" in text
+    path = _write(tmp_path, text.replace("tol_fp = 1e-3", "tolfp = 1e-9"))
+    with pytest.raises(InvalidInput, match=r"unknown config key 'tolfp' in \[solver\]"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "line", ["window_width = 0.25", "bmo_budget = 5.0", "tol_inner = 1e-12"]
+)
+def test_removed_solver_key_rejected(tmp_path, line):
+    key = line.split()[0]
+    with pytest.raises(InvalidInput, match=rf"unknown config key '{key}' in \[solver\]"):
+        load_config(_write(tmp_path, MINIMAL + line + "\n"))
+
+
+@pytest.mark.parametrize(
+    "section, line",
+    [("scenario", "horizon = 2.0"), ("constants", "lam = 1.0"), ("output", "directory = x")],
+)
+def test_unknown_key_rejected_in_every_section(tmp_path, section, line):
+    text = MINIMAL + "[output]\n"
+    text = text.replace(f"[{section}]", f"[{section}]\n{line}")
+    key = line.split()[0]
+    with pytest.raises(InvalidInput, match=rf"unknown config key '{key}' in \[{section}\]"):
+        load_config(_write(tmp_path, text))
+
+
+def test_unknown_section_rejected(tmp_path):
+    with pytest.raises(InvalidInput, match=r"unknown config section \[outputs\]"):
+        load_config(_write(tmp_path, MINIMAL + "[outputs]\ndir = x\n"))
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    scenario, solver, options, _ = load_config(_write(tmp_path, block))
+    assert (scenario.name, scenario.n, scenario.d) == ("ex2.2", 1, 1)
+    assert scenario.ctilde == 5.0
+    assert (solver.n_steps, solver.n_paths, solver.n_windows) == (80, 20_000, 4)
+    assert options.prefix == "ex22"
 
 
 def test_split_pair_config(tmp_path):
