@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 
+_DRAW_BLOCK = 1024  # paths per block of Brownian draws: (N, d) doubles each, cache-sized
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)
@@ -110,55 +113,71 @@ def build_grid(T: float, n_steps: int) -> TimeGrid:
 class PathEnsemble:
     """Monte Carlo ensemble of d-dimensional Brownian paths on a grid.
 
-    ``increments`` has shape (n_paths, N, d); the path levels ``levels``
-    (shape (n_paths, N+1, d), zero at t=0) are materialised once and cached.
+    The paths are held once, as one node-major array of their levels,
+    ``node_levels`` of shape (N+1, n_paths, d), zero at t=0: node i's state
+    :meth:`state` is one contiguous block, and ``levels`` is the path-major
+    view (n_paths, N+1, d) of the same memory.  No increment array is kept:
+    the increment over step i is the difference of levels ``state(i+1) -
+    state(i)``, which lies within an ulp of the larger of the two levels
+    from the drawn increment they were summed from.
     """
 
     grid: TimeGrid
     d: int
-    increments: np.ndarray
+    node_levels: np.ndarray
     seed: int | None = None
 
     def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=np.float64)
-        if inc.shape != (inc.shape[0], self.grid.n_steps, self.d):
+        levels = np.asarray(self.node_levels, dtype=np.float64)
+        if levels.shape != (self.grid.n_steps + 1, levels.shape[1], self.d):
             raise InvalidInput(
-                f"increments shape {inc.shape} does not match grid/d"
+                f"node levels shape {levels.shape} does not match grid/d"
             )
-        if inc.shape[0] < 2:
+        if levels.shape[1] < 2:
             raise InvalidInput("an ensemble needs at least two paths")
-        object.__setattr__(self, "increments", _readonly(inc))
-        levels = np.zeros((inc.shape[0], self.grid.n_steps + 1, self.d))
-        np.cumsum(inc, axis=1, out=levels[:, 1:, :])
-        object.__setattr__(self, "_levels", _readonly(levels))
+        if np.any(levels[0] != 0.0):
+            raise InvalidInput("Brownian paths start at zero")
+        object.__setattr__(self, "node_levels", _readonly(levels))
 
     @property
     def n_paths(self) -> int:
-        return self.increments.shape[0]
+        return self.node_levels.shape[1]
 
     @property
     def levels(self) -> np.ndarray:
-        return self._levels  # type: ignore[attr-defined]
+        """Path levels W_{t_i}, shape (n_paths, N+1, d): a read-only view."""
+        return np.swapaxes(self.node_levels, 0, 1)
 
     def state(self, i: int) -> np.ndarray:
-        """Brownian level W_{t_i}, shape (n_paths, d)."""
-        return self.levels[:, i, :]
+        """Brownian level W_{t_i}, shape (n_paths, d), C-contiguous."""
+        return self.node_levels[i]
 
 
 def simulate_brownian(grid: TimeGrid, d: int, n_paths: int, seed: int) -> PathEnsemble:
     """Draw a Brownian ensemble with a counter-based generator.
 
     The stream is a pure function of ``seed`` (numpy PCG64), so identical
-    calls reproduce identical paths byte for byte.
+    calls reproduce identical paths byte for byte.  The increments are drawn
+    path-major, (n_paths, N, d), in blocks of ``_DRAW_BLOCK`` paths (the
+    generator fills its output in order, so the blocks continue one stream)
+    and each block is summed along its paths straight into the node-major
+    levels while it is in cache: the same additions, in the same order, as
+    a path-major running sum of one whole draw, which is never held.
     """
     if d < 1:
         raise InvalidInput("dimension d must be >= 1")
     if n_paths < 2:
         raise InvalidInput("need at least two paths")
     rng = np.random.default_rng(seed)
-    gauss = rng.standard_normal((n_paths, grid.n_steps, d))
-    gauss *= np.sqrt(grid.steps)[None, :, None]
-    return PathEnsemble(grid=grid, d=d, increments=gauss, seed=seed)
+    scale = np.sqrt(grid.steps)[None, :, None]
+    levels = np.empty((grid.n_steps + 1, n_paths, d))
+    levels[0] = 0.0
+    for lo in range(0, n_paths, _DRAW_BLOCK):
+        hi = min(lo + _DRAW_BLOCK, n_paths)
+        draws = rng.standard_normal((hi - lo, grid.n_steps, d))
+        draws *= scale
+        np.cumsum(np.swapaxes(draws, 0, 1), axis=0, out=levels[1:, lo:hi])
+    return PathEnsemble(grid=grid, d=d, node_levels=levels, seed=seed)
 
 
 def _check_span(grid: TimeGrid, span: tuple[int, int], length: int) -> tuple[int, int]:
@@ -196,7 +215,7 @@ class ProcessGrid:
         lo, hi = _check_span(self.grid, span, vals.shape[1])
         if vals.shape[0] < 1:
             raise InvalidInput("empty path axis")
-        if not np.all(np.isfinite(vals)):
+        if not _all_finite(vals):
             raise InvalidInput("process values must be finite")
         vals = vals.view()
         vals.setflags(write=False)
@@ -218,6 +237,16 @@ class ProcessGrid:
     def times(self) -> np.ndarray:
         lo, hi = self.span
         return self.grid.nodes[lo : hi + 1]
+
+
+def _all_finite(vals: np.ndarray) -> bool:
+    """Whether every entry of a (paths, nodes, ...) array is finite, checked
+    node by node into one reused (paths, ...) mask."""
+    mask = np.empty(vals.shape[:1] + vals.shape[2:], dtype=bool)
+    for node in np.swapaxes(vals, 0, 1):
+        if not np.isfinite(node, out=mask).all():
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,14 @@ the conditional tail integral ``E_i[ integral_{t_i}^{T} |Z_s|^2 ds ]``
 (right-point quadrature on the stored integrand), takes the worst path at
 each node, and then the worst node.  Grid nodes stand in for general
 stopping times, so the estimate is a lower bound of the continuous-time
-norm up to discretisation.  The estimator and :func:`build_report` take the
-node regressions as a callable ``node_regression(i)`` of the global node
-index; the solvers pass :meth:`BackwardSolver.node_regression`, so the
-diagnostics fit against the projectors the backward sweep already built and
-keep no cache of their own.
+norm up to discretisation.  The estimator takes the node regressions as a
+callable ``node_regression(i)`` of the global node index; the solvers pass
+:meth:`BackwardSolver.node_regression`, so the diagnostics fit against the
+projectors the backward sweep already built and keep no cache of their own.
+Its tail can be carried from span to span, right to left, so a stitched
+solve folds each window into the estimate while that window's projectors are
+cached and then drops them; :func:`build_report` takes the finished
+estimate.
 
 Every norm and check reads a process node by node, through the node-major
 view ``np.swapaxes(values, 0, 1)``: no transposed copy is made, whatever
@@ -106,17 +109,25 @@ def mp_norm(z: ProcessGrid, p: float = 2.0) -> float:
     return float(np.mean(integral ** (p / 2.0)) ** (1.0 / p))
 
 
-def bmo2_estimate(z: ProcessGrid, node_regression) -> float:
+def bmo2_estimate(z: ProcessGrid, node_regression, tail: np.ndarray | None = None) -> float:
     """Squared BMO estimate ``max_i max_paths E_i[int_{t_i}^T |Z|^2 ds]``.
 
     ``node_regression(i)`` returns the :class:`NodeRegression` of global
     node ``i`` (a solver's :meth:`BackwardSolver.node_regression`); it is
     asked once for every node of the span but the last.
+
+    The per-path tail integral starts at zero at the span's last node, or
+    at ``tail`` (shape (P,)), the tail carried in from the spans to the
+    right, which is then advanced in place to the span's first node.
+    Folding adjacent spans right to left through one ``tail`` and taking
+    the largest of their estimates gives the estimate over their union bit
+    for bit: the same additions and fits in the same order.
     """
     lo, hi = z.span
     steps = z.grid.steps[lo:hi]
     # per-path tail integral, backward: tail_j = tail_{j+1} + |Z_j|^2 h_j
-    tail = np.zeros(z.n_paths)
+    if tail is None:
+        tail = np.zeros(z.n_paths)
     worst = 0.0
     backward = range(z.n_nodes - 2, -1, -1)
     for j, sq in zip(backward, node_square_norms(z, backward)):
@@ -197,16 +208,16 @@ class DiagnosticsReport:
 def build_report(
     y: ProcessGrid,
     z: ProcessGrid,
-    node_regression,
+    bmo: float,
     gamma: float,
     p: float = 2.0,
     bmo_budget: float | None = None,
     alpha_fn=None,
     clamp_events: int = 0,
 ) -> DiagnosticsReport:
-    """Norms, BMO estimate and envelope rate of one solved ``(y, z)``;
-    ``node_regression`` is passed on to :func:`bmo2_estimate`."""
-    bmo = bmo2_estimate(z, node_regression)
+    """Norms and envelope rate of one solved ``(y, z)``, with ``bmo``, its
+    :func:`bmo2_estimate` (folded window by window in a stitched solve,
+    whose projectors are gone by the time it reports)."""
     rep = DiagnosticsReport(
         sup_y=sup_norm(y),
         sp_y=sp_norm(y, p),

@@ -23,7 +23,12 @@ iterates, and the engine times the steps, records the trace, and stops on
 ``tol_fp``, on divergence (:class:`NonContraction`) or on the
 ``max_outer`` budget (:class:`MaxIterations`).  Window solves return plain
 arrays; each public solver then finalises once (diagnostics report,
-envelope rate, process grids) on the whole span it solved.
+envelope rate, process grids) on the whole span it solved.  Besides the
+horizon arrays, a stitched solve holds one window at a time: as soon as a
+window is copied into the horizon arrays it is freed, its nodes are folded into the BMO
+estimate (a per-path tail integral carried right to left from window to
+window, as the estimator runs), and the solver releases their regressions.
+Finalisation takes the folded estimate and fits nothing.
 
 Iterates are node-major, ``(L, P, ...)``, as the backward sweep stores
 them: every per-node read (drivers, sources, mean shifts) and every mean
@@ -31,7 +36,9 @@ over paths runs on contiguous blocks.  Nothing is transposed: the public
 path-major layout ``(P, L, ...)`` of :class:`ProcessGrid` is the view
 ``np.swapaxes(node_major, 0, 1)`` of the sweep's own storage, and the
 diagnostics (the final report, per-step ball tracking, Picard's per-step
-envelope rate) read it back node by node with O(P) working memory.
+envelope rate) read it back node by node with O(P) working memory.  The
+distances between iterates work node by node too, into reused buffers, so
+no full-size difference is ever allocated.
 """
 
 from __future__ import annotations
@@ -174,36 +181,59 @@ def _plain(v):
 # ---------------------------------------------------------------------------
 
 
-def _m2_norm(z: np.ndarray, steps: np.ndarray) -> float:
-    """Empirical M2 norm of a node-major integrand (L, P, ...), right-point
-    quadrature: the last node carries no step.  The path mean of the
-    integral is the step-weighted sum of each node's mean squared norm."""
-    L, P = z.shape[:2]
-    flat = z.reshape(L, -1)
-    sq = np.einsum("lk,lk->l", flat, flat)
-    return float(np.sqrt(steps @ sq[:-1] / P))
-
-
-def _m2_dist(z_a: np.ndarray, z_b: np.ndarray, steps: np.ndarray) -> float:
-    return _m2_norm(z_a - z_b, steps)
+def _m2_dist(z_a: np.ndarray, z_b: np.ndarray | None, steps: np.ndarray) -> float:
+    """Empirical M2 distance of two node-major integrands (L, P, ...), or
+    with ``z_b`` None the M2 norm of ``z_a``; right-point quadrature, so the
+    last node carries no step.  The path mean of the integral is the
+    step-weighted sum of each node's mean squared norm; each node's
+    difference goes into one reused buffer."""
+    L, P = z_a.shape[:2]
+    sq = np.empty(L - 1)
+    diff = None if z_b is None else np.empty(z_a[0].size)
+    for j in range(L - 1):
+        row = z_a[j].reshape(-1)
+        if diff is not None:
+            row = np.subtract(row, z_b[j].reshape(-1), out=diff)
+        sq[j] = np.einsum("k,k->", row, row)
+    return float(np.sqrt(steps @ sq / P))
 
 
 def _sup_dist(y_a: np.ndarray, y_b: np.ndarray) -> float:
-    return float(np.max(np.abs(y_a - y_b)))
+    """Largest absolute entry of ``y_a - y_b`` over node-major arrays,
+    taken node by node into one reused buffer; a NaN anywhere gives NaN,
+    as the whole-array maximum does."""
+    diff = np.empty(y_a.shape[1:])
+    peaks = np.empty(y_a.shape[0])
+    for j in range(y_a.shape[0]):
+        np.subtract(y_a[j], y_b[j], out=diff)
+        peaks[j] = np.abs(diff, out=diff).max()
+    return float(peaks.max())
 
 
 def _s2_dist(y_a: np.ndarray, y_b: np.ndarray) -> float:
-    diff = y_a - y_b
-    L, P = diff.shape[:2]
-    diff = diff.reshape(L, P, -1)
-    sq = np.einsum("lpk,lpk->lp", diff, diff)
-    return float(np.sqrt(np.mean(sq.max(axis=0))))
+    """Empirical S2 distance ``sqrt(E[max_t |y_a - y_b|^2])`` of node-major
+    states (L, P, ...), node by node into reused (P, ...) buffers."""
+    L, P = y_a.shape[:2]
+    diff = np.empty(y_a.shape[1:])
+    flat = diff.reshape(P, -1)
+    sq = np.empty(P)
+    sup_sq = np.zeros(P)  # squares are non-negative
+    for j in range(L):
+        np.subtract(y_a[j], y_b[j], out=diff)
+        np.maximum(sup_sq, np.einsum("pk,pk->p", flat, flat, out=sq), out=sup_sq)
+    return float(np.sqrt(np.mean(sup_sq)))
 
 
 def _process(ensemble: PathEnsemble, values: np.ndarray, span) -> ProcessGrid:
     """Process grid over a node-major array (L, P, ...): the public
     path-major layout (P, L, ...) as a view, without a copy."""
     return ProcessGrid(grid=ensemble.grid, values=np.swapaxes(values, 0, 1), span=span)
+
+
+def _bmo2(solver: BackwardSolver, z_vals: np.ndarray, span, tail=None) -> float:
+    """:func:`bmo2_estimate` of a node-major integrand over ``span``,
+    fitted with the solver's cached regressions; ``tail`` as there."""
+    return bmo2_estimate(_process(solver.ensemble, z_vals, span), solver.node_regression, tail)
 
 
 def _window_steps(ensemble: PathEnsemble, window: Window) -> np.ndarray:
@@ -276,7 +306,7 @@ def _track_ball(trace, config, solver, cert, new, span):
     certified ball when ``config.track_ball`` is set."""
     if not config.track_ball:
         return
-    bmo = bmo2_estimate(_process(solver.ensemble, new.z, span), solver.node_regression)
+    bmo = _bmo2(solver, new.z, span)
     sup = sup_norm(_process(solver.ensemble, new.y, span))
     trace.ball_sup.append(sup)
     trace.ball_bmo.append(bmo)
@@ -288,8 +318,9 @@ def _track_ball(trace, config, solver, cert, new, span):
 
 class _Iterate(NamedTuple):
     """One iterate of a mean-field map on a window: the node-major state
-    (L, P, n) and integrand (L, P, d, n) values, None before the first
-    sweep, and their mean curves."""
+    (L, P, n) and integrand (L, P, d, n) values, and their mean curves.  A
+    start of mean curves only has ``y`` and ``z`` None; a start with a
+    state but a zero integrand has ``z`` None."""
 
     y: np.ndarray | None
     z: np.ndarray | None
@@ -307,7 +338,7 @@ def _distance(y_dist, steps):
     iterate without an integrand stands for a zero one."""
 
     def distance(new: _Iterate, old: _Iterate):
-        z_dist = _m2_norm(new.z, steps) if old.z is None else _m2_dist(new.z, old.z, steps)
+        z_dist = _m2_dist(new.z, old.z, steps)
         return y_dist(new.y, old.y), z_dist, _sup_dist(new.m_y, old.m_y)
 
     return distance
@@ -321,22 +352,25 @@ def _iterate(step, distance, state, trace, config, context: str):
     """Apply ``state = step(state)`` until two successive iterates agree.
 
     ``distance(new, old)`` returns the state, integrand and mean distances
-    of two iterates, or None when they cannot be compared yet.  Each
-    compared step is timed and pushed on ``trace``; the loop returns the
-    last iterate once the state plus integrand distance is within
-    ``tol_fp``.  It raises :class:`NonContraction` when the last three
-    ratios stay at or above one, and :class:`MaxIterations` when the
+    of two iterates.  From a start of mean curves only (``y`` None) the
+    first step is taken but not compared, and counts against ``max_outer``
+    (its caller, :func:`_local_window`, rejects ``max_outer < 2`` before
+    any sweep).  Each compared step is timed and pushed on ``trace``; the
+    loop returns the last iterate once the state plus integrand distance is
+    within ``tol_fp``.  It raises :class:`NonContraction` when the last
+    three ratios stay at or above one, and :class:`MaxIterations` when the
     distance blows up or ``max_outer`` steps do not converge.
     """
-    for _ in range(config.max_outer):
+    budget = config.max_outer
+    if state.y is None:
+        state = step(state)
+        budget -= 1
+    for _ in range(budget):
         t0 = time.perf_counter()
         new = step(state)
         wall = time.perf_counter() - t0
-        dists = distance(new, state)
+        total = trace.push(*distance(new, state), wall)
         state = new
-        if dists is None:
-            continue
-        total = trace.push(*dists, wall)
         if total <= config.tol_fp:
             trace.converged = True
             return state
@@ -350,13 +384,11 @@ def _iterate(step, distance, state, trace, config, context: str):
             f"(last ratios {', '.join(f'{x:.3f}' for x in r[-3:])})",
             trace,
         )
-    distances = trace.total_distances()
-    reached = (
-        f"at distance {distances[-1]:.3e}"
-        if distances
-        else "before two iterates could be compared"
+    raise MaxIterations(
+        f"{context}: iteration budget exhausted at distance "
+        f"{trace.total_distances()[-1]:.3e}",
+        trace,
     )
-    raise MaxIterations(f"{context}: iteration budget exhausted {reached}", trace)
 
 
 def _alpha_fn_for(scenario: ScenarioSpec, cert: Certificate | None):
@@ -371,11 +403,11 @@ def _alpha_fn_for(scenario: ScenarioSpec, cert: Certificate | None):
 def _finish_result(
     scenario,
     ensemble,
-    solver,
     cert,
     y_vals,
     z_vals,
     span,
+    bmo2_z,
     trace,
     windows,
     flags,
@@ -383,7 +415,8 @@ def _finish_result(
 ):
     """One diagnostics report and the public result over node-major
     ``y_vals`` (L, P, n) and ``z_vals`` (L, P, d, n), which the result's
-    process grids view without copying."""
+    process grids view without copying; ``bmo2_z`` is the integrand's
+    finished BMO estimate, so nothing is fitted here."""
     ygrid = _process(ensemble, y_vals, span)
     zgrid = _process(ensemble, z_vals, span)
     alpha_fn = _alpha_fn_for(scenario, cert)
@@ -395,7 +428,7 @@ def _finish_result(
     report = build_report(
         ygrid,
         zgrid,
-        solver.node_regression,
+        bmo2_z,
         gamma=scenario.gamma,
         bmo_budget=budget,
         alpha_fn=alpha_fn,
@@ -485,8 +518,8 @@ def local_solve(
     )
     span = (window.lo, window.hi)
     return _finish_result(
-        scenario, ensemble, solver, cert,
-        y, z, span, trace, [span], flags, extras,
+        scenario, ensemble, cert,
+        y, z, span, _bmo2(solver, z, span), trace, [span], flags, extras,
     )
 
 
@@ -502,6 +535,12 @@ def _local_window(scenario, ensemble, config, cert, solver, window, terminal, in
     L = window.n_nodes
     trace = FixedPointTrace()
     flags = {"window_exceeds_certificate": exceeded, "clamp_events": 0}
+    context = f"local solve on window {span}"
+    if config.max_outer < 2:  # the first step starts from mean curves only
+        raise MaxIterations(
+            f"{context}: iteration budget exhausted before two iterates could be compared",
+            trace,
+        )
 
     if init is None:
         m_y = path_mean(_martingale_start(solver, window, terminal).y)
@@ -521,13 +560,10 @@ def _local_window(scenario, ensemble, config, cert, solver, window, terminal, in
     base = _distance(_sup_dist, steps)
 
     def distance(new: _Iterate, old: _Iterate):
-        if old.y is None:  # the start holds mean curves only
-            return None
         y_dist, z_dist, my_dist = base(new, old)
         return y_dist, z_dist, max(my_dist, _sup_dist(new.m_z, old.m_z))
 
-    last = _iterate(step, distance, _Iterate(None, None, m_y, m_z), trace, config,
-                    f"local solve on window {span}")
+    last = _iterate(step, distance, _Iterate(None, None, m_y, m_z), trace, config, context)
     return last.y, last.z, trace, flags, {}
 
 
@@ -572,7 +608,11 @@ def _stitched_solve(
     """Backward window recursion; ``solve_window(window, terminal)`` returns
     per-window arrays ``(y, z, trace, flags, extras)``, ``y`` and ``z``
     node-major.  Each window is copied, as one contiguous block per array,
-    into the node-major result as soon as it is solved."""
+    into the node-major result as soon as it is solved, and its arrays are
+    freed.  Its nodes are then folded into the horizon's BMO estimate,
+    through one per-path tail carried from window to window, and their
+    regressions are released: only one window's projectors are ever
+    cached, and finalisation fits nothing."""
     grid = ensemble.grid
     windows = _plan_windows(ensemble, config, cert)
     N = grid.n_steps
@@ -582,6 +622,8 @@ def _stitched_solve(
     z_full = np.empty((N + 1, P, d, n))
     flags: dict = {"clamp_events": 0, "window_exceeds_certificate": False}
     per_window = []
+    tail = np.zeros(P)
+    bmo2_z = 0.0
 
     terminal = scenario.terminal_values(ensemble.state(N))
     for w in reversed(windows):
@@ -597,7 +639,11 @@ def _stitched_solve(
             "window_exceeds_certificate", False
         )
         terminal = y_w[0].copy()
-    del y_w, z_w  # the last window's node-major arrays are not needed to finalise
+        del y_w, z_w  # freed before the fold allocates
+        # nodes w.hi - 1 .. w.lo of z_full are final: the windows to the
+        # left write only nodes below w.lo
+        bmo2_z = max(bmo2_z, _bmo2(solver, z_full[w.lo : w.hi + 1], (w.lo, w.hi), tail))
+        solver.release(w)
 
     traces: list[FixedPointTrace] = []
     extras_all: dict = {}
@@ -607,8 +653,8 @@ def _stitched_solve(
             extras_all.setdefault(key, []).append(val)
 
     return _finish_result(
-        scenario, ensemble, solver, cert,
-        y_full, z_full, (0, N), traces, [(w.lo, w.hi) for w in windows],
+        scenario, ensemble, cert,
+        y_full, z_full, (0, N), bmo2_z, traces, [(w.lo, w.hi) for w in windows],
         flags, extras_all,
     )
 
@@ -715,8 +761,8 @@ def picard_global(
     last = _iterate(step, _distance(_sup_dist, steps), start(), trace, config,
                     "global Picard")
     return _finish_result(
-        scenario, ensemble, solver, cert,
-        last.y, last.z, span, trace, [span], flags, {},
+        scenario, ensemble, cert,
+        last.y, last.z, span, _bmo2(solver, last.z, span), trace, [span], flags, {},
     )
 
 
@@ -809,8 +855,8 @@ def shift_solve_simple(
     flags = {"clamp_events": sweep.clamp_events, "z_shift_bitwise": True}
     extras = {"y_before_shift": np.swapaxes(sweep.y, 0, 1), "shift": shift}
     result = _finish_result(
-        scenario, ensemble, solver, None,
-        y_shifted, sweep.z, span, trace, [span], flags, extras,
+        scenario, ensemble, None,
+        y_shifted, sweep.z, span, _bmo2(solver, sweep.z, span), trace, [span], flags, extras,
     )
     extras["z_before_shift"] = result.z.values  # the shift leaves the integrand as it is
     return result

@@ -79,9 +79,12 @@ class BackwardSolver:
     """Backward sweeps over one ensemble, with node regressions cached.
 
     The basis depends only on the Brownian levels, so each node's projector
-    is built once and reused across fixed-point iterations; a fit is two
-    matrix products against it.  Sweeps store their values node-major, so
-    every node is read and written as one contiguous block.
+    is built once and reused across fixed-point iterations, until
+    :meth:`release` drops a solved window's; a fit is two matrix products
+    against it.  Sweeps store their values node-major, so every node is
+    read and written as one contiguous block, and take each step's
+    Brownian increment as the difference of two node levels into one
+    reused buffer.
     """
 
     def __init__(self, ensemble: PathEnsemble, config: SolverConfig):
@@ -95,6 +98,12 @@ class BackwardSolver:
             reg = NodeRegression(self.ensemble.state(i), self.config.basis)
             self._cache[i] = reg
         return reg
+
+    def release(self, window: Window) -> None:
+        """Drop the cached regressions of the nodes a sweep on ``window``
+        fits (``lo`` to ``hi - 1``); a later request factorises afresh."""
+        for i in range(window.lo, window.hi):
+            self._cache.pop(i, None)
 
     def solve(self, window: Window, terminal: np.ndarray, driver) -> StandardSolve:
         """Backward sweep on ``window``.
@@ -123,6 +132,7 @@ class BackwardSolver:
         Z = np.empty((L, P, d, n))
         Y[L - 1] = terminal
         raw = np.empty((P, d, n))
+        dw = np.empty((P, d))
         inner_counts: list[int] = []
         clamp_events = 0
 
@@ -135,9 +145,9 @@ class BackwardSolver:
 
             cond = reg.fit(y_next)
             resid = y_next - cond
-            dw = ens.increments[:, i, :]
+            np.subtract(ens.state(i + 1), ens.state(i), out=dw)
             # one product per (increment, state) component pair: each is a
-            # single loop over the paths, reading the increments in place
+            # single loop over the paths
             for a in range(d):
                 for b in range(n):
                     np.multiply(dw[:, a], resid[:, b], out=raw[:, a, b])

@@ -5,6 +5,7 @@ import pytest
 
 from mfbsde.core import (
     MeanCurve,
+    PathEnsemble,
     ProcessGrid,
     TimeGrid,
     Window,
@@ -54,12 +55,13 @@ def test_window_validation():
 
 def test_brownian_shapes_and_t0(grid50):
     ens = simulate_brownian(grid50, 2, 100, 7)
-    assert ens.increments.shape == (100, 50, 2)
+    increments = np.diff(ens.levels, axis=1)
+    assert increments.shape == (100, 50, 2)
     assert ens.levels.shape == (100, 51, 2)
     assert np.all(ens.levels[:, 0, :] == 0.0)
     # levels really are the running sums of the increments
     np.testing.assert_allclose(
-        ens.levels[:, -1, :], ens.increments.sum(axis=1), rtol=0, atol=1e-12
+        ens.levels[:, -1, :], increments.sum(axis=1), rtol=0, atol=1e-12
     )
 
 
@@ -67,8 +69,52 @@ def test_brownian_seed_reproducibility(grid50):
     a = simulate_brownian(grid50, 1, 500, 42)
     b = simulate_brownian(grid50, 1, 500, 42)
     c = simulate_brownian(grid50, 1, 500, 43)
-    assert a.increments.tobytes() == b.increments.tobytes()
-    assert a.increments.tobytes() != c.increments.tobytes()
+    assert np.diff(a.levels, axis=1).tobytes() == np.diff(b.levels, axis=1).tobytes()
+    assert np.diff(a.levels, axis=1).tobytes() != np.diff(c.levels, axis=1).tobytes()
+
+
+def _seed_draws(grid, d, n_paths, seed):
+    """The increments ``simulate_brownian`` draws for ``seed``, path-major."""
+    draws = np.random.default_rng(seed).standard_normal((n_paths, grid.n_steps, d))
+    return draws * np.sqrt(grid.steps)[None, :, None]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_brownian_levels_are_the_path_major_running_sums_of_the_draws(d):
+    # a graded grid, so every step has its own scale; more paths than one
+    # block of draws, and a partial last block
+    grid = TimeGrid(np.linspace(0.0, 1.0, 31) ** 1.5)
+    ens = simulate_brownian(grid, d, 2_500, 5)
+    draws = _seed_draws(grid, d, 2_500, 5)
+    assert ens.node_levels.shape == (31, 2_500, d)
+    assert ens.levels[:, 1:].tobytes() == np.cumsum(draws, axis=1).tobytes()
+    # an increment, a difference of levels, lies within an ulp of the
+    # larger of its two levels from the draw
+    levels = ens.levels
+    ulp = np.spacing(np.maximum(np.abs(levels[:, 1:]), np.abs(levels[:, :-1])))
+    assert np.all(np.abs(np.diff(levels, axis=1) - draws) <= ulp)
+
+
+def test_path_ensemble_validates_its_levels(grid50):
+    assert PathEnsemble(grid=grid50, d=2, node_levels=np.zeros((51, 4, 2))).n_paths == 4
+    with pytest.raises(InvalidInput, match="does not match"):
+        PathEnsemble(grid=grid50, d=2, node_levels=np.zeros((4, 51, 2)))
+    with pytest.raises(InvalidInput, match="two paths"):
+        PathEnsemble(grid=grid50, d=2, node_levels=np.zeros((51, 1, 2)))
+    levels = np.zeros((51, 4, 2))
+    levels[0, 3, 1] = 0.5
+    with pytest.raises(InvalidInput, match="start at zero"):
+        PathEnsemble(grid=grid50, d=2, node_levels=levels)
+
+
+def test_brownian_state_is_one_contiguous_node_block(grid50):
+    ens = simulate_brownian(grid50, 2, 300, 9)
+    for i in (0, 17, 50):
+        state = ens.state(i)
+        assert state.shape == (300, 2)
+        assert state.flags.c_contiguous
+        assert np.shares_memory(state, ens.levels)
+        assert state.tobytes() == np.ascontiguousarray(ens.levels[:, i, :]).tobytes()
 
 
 def test_brownian_terminal_statistics(grid50):
@@ -83,7 +129,7 @@ def test_brownian_terminal_statistics(grid50):
 
 def test_brownian_increment_independence(grid50):
     ens = simulate_brownian(grid50, 1, 50_000, 99)
-    inc = ens.increments[:, :, 0]
+    inc = np.diff(ens.levels, axis=1)[:, :, 0]
     corr = np.corrcoef(inc[:, 3], inc[:, 17])[0, 1]
     assert abs(corr) < 0.02
 
@@ -102,6 +148,23 @@ def test_process_grid_rejects_nonfinite(grid50):
     vals = np.zeros((4, 51, 1))
     vals[2, 7, 0] = np.nan
     with pytest.raises(InvalidInput):
+        ProcessGrid(grid=grid50, values=vals)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("node", [0, 25, 50], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("layout", ["path-major", "node-major"])
+def test_process_grid_rejects_nonfinite_at_any_node(grid50, bad, node, layout):
+    if layout == "path-major":
+        vals = np.zeros((4, 51, 2, 2))
+        entry = vals[3, node]
+    else:
+        storage = np.zeros((51, 4, 2, 2))
+        vals = np.swapaxes(storage, 0, 1)
+        entry = storage[node, 3]
+    ProcessGrid(grid=grid50, values=vals)
+    entry[1, 0] = bad
+    with pytest.raises(InvalidInput, match="finite"):
         ProcessGrid(grid=grid50, values=vals)
 
 

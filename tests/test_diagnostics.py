@@ -267,7 +267,7 @@ def test_build_report_fields(grid50):
     ens = simulate_brownian(grid50, 1, 3000, 11)
     y = ProcessGrid(grid=grid50, values=ens.levels)
     z = _const_process(grid50, 1.0, P=3000, dims=(1, 1))
-    rep = build_report(y, z, _regressions(ens), gamma=0.4, bmo_budget=5.0,
+    rep = build_report(y, z, bmo2_estimate(z, _regressions(ens)), gamma=0.4, bmo_budget=5.0,
                        alpha_fn=lambda t: 100.0 * np.ones_like(np.asarray(t)))
     assert rep.bmo2_z == pytest.approx(1.0, rel=0.05)
     assert rep.bmo_within_budget

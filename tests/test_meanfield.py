@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from mfbsde import dsl
+from mfbsde import solver as solver_module
 from mfbsde.config import load_config
 from mfbsde.core import ProcessGrid, TimeGrid, Window, build_grid, simulate_brownian
-from mfbsde.diagnostics import mp_norm
+from mfbsde.diagnostics import bmo2_estimate, mp_norm
 from mfbsde.errors import InvalidInput, MaxIterations, NonContraction, WindowTooWide
 from mfbsde.meanfield import (
     FixedPointTrace,
     _m2_dist,
-    _m2_norm,
+    _s2_dist,
+    _sup_dist,
     gamma_map,
     global_solve,
     local_solve,
@@ -31,7 +33,7 @@ from mfbsde.scenario import (
     example_41,
     linear_scenario,
 )
-from mfbsde.regression import RegressionBasis
+from mfbsde.regression import NodeRegression, RegressionBasis
 from mfbsde.solver import BackwardSolver, SolverConfig
 
 CFG = SolverConfig(
@@ -325,8 +327,8 @@ def test_m2_distance_weights_each_node_by_its_own_step(rng):
     z = rng.standard_normal((L, P, 2, 2)) * np.arange(1.0, L + 1.0)[:, None, None, None]
     steps = ens.grid.steps
     expected = mp_norm(ProcessGrid(grid=ens.grid, values=np.swapaxes(z, 0, 1)))
-    assert _m2_norm(z, steps) == pytest.approx(expected, rel=1e-12)
-    assert _m2_dist(z, np.zeros_like(z), steps) == _m2_norm(z, steps)
+    assert _m2_dist(z, None, steps) == pytest.approx(expected, rel=1e-12)
+    assert _m2_dist(z, np.zeros_like(z), steps) == _m2_dist(z, None, steps)
 
 
 def test_global_solve_deterministic():
@@ -498,3 +500,107 @@ def test_multidim_rejects_single_generator():
     ens = _ensemble(sc)
     with pytest.raises(InvalidInput):
         multidim_solve(sc, ens, CFG)
+
+
+# ---------------------------------------------------------------------------
+# iteration budgets, window-folded BMO, buffered distances
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("solve", [local_solve, global_solve], ids=["local", "global"])
+def test_unconvergeable_budget_is_rejected_before_any_sweep(solve, monkeypatch):
+    # the first step starts from mean curves only, so one outer step can
+    # never be compared with anything
+    calls = []
+    monkeypatch.setattr(BackwardSolver, "solve", lambda *args: calls.append(args))
+    sc = linear_scenario(dbar=1.0, xi_bound=4.0)
+    cfg = CFG.updated(n_steps=10, n_paths=2_000, max_outer=1, n_windows=2)
+    with pytest.raises(MaxIterations) as err:
+        solve(sc, _ensemble(sc, cfg), cfg)
+    assert str(err.value).endswith(
+        ": iteration budget exhausted before two iterates could be compared"
+    )
+    assert err.value.trace.iterations == 0 and not err.value.trace.converged
+    assert calls == []
+
+
+def _shipped(name: str, **changes):
+    sc, cfg, _, _ = load_config(Path(__file__).resolve().parents[1] / "configs" / name)
+    return sc, cfg.updated(**changes)
+
+
+def _horizon_bmo2(result, ensemble, basis) -> float:
+    """The whole-horizon estimate, every node factorised afresh."""
+    return bmo2_estimate(result.z, lambda i: NodeRegression(ensemble.state(i), basis))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["graded", "two-bins", "multidim-d2", "shift-3-windows"],
+)
+def test_window_folded_bmo_equals_the_horizon_estimate(case, monkeypatch):
+    if case == "graded":
+        sc = linear_scenario(dbar=1.0, xi_bound=4.0)
+        cfg = CFG.updated(n_paths=4_000, n_windows=4)
+        ens, solve = _graded_ensemble(sc, cfg), global_solve
+    elif case == "two-bins":
+        sc = linear_scenario(dbar=1.0, xi_bound=4.0)
+        cfg = CFG.updated(n_paths=4_000, n_windows=3, basis=RegressionBasis(n_bins=2))
+        ens, solve = _ensemble(sc, cfg), global_solve
+    elif case == "multidim-d2":
+        sc, cfg = _shipped("ex41.cfg", n_steps=20, n_paths=3_000, n_windows=2)
+        ens, solve = _ensemble(sc, cfg), multidim_solve
+    else:
+        sc, cfg = _shipped("ex31.cfg", n_steps=30, n_paths=3_000, n_windows=3)
+        ens, solve = _ensemble(sc, cfg), shift_fixed_point
+    built = []
+
+    def counting(state, basis):
+        built.extend(i for i in range(ens.grid.n_steps + 1)
+                     if np.shares_memory(state, ens.state(i)))
+        return NodeRegression(state, basis)
+
+    monkeypatch.setattr(solver_module, "NodeRegression", counting)
+    res = solve(sc, ens, cfg)
+    assert len(res.windows) == cfg.n_windows
+    # every node but the last is factorised exactly once: nothing is
+    # refitted after its window is released
+    assert sorted(built) == list(range(ens.grid.n_steps))
+    assert res.diagnostics.bmo2_z == _horizon_bmo2(res, ens, cfg.basis)
+
+
+def _whole_sup(a, b):
+    return float(np.max(np.abs(a - b)))
+
+
+def _whole_s2(a, b):
+    diff = (a - b).reshape(a.shape[0], a.shape[1], -1)
+    sq = np.einsum("lpk,lpk->lp", diff, diff)
+    return float(np.sqrt(np.mean(sq.max(axis=0))))
+
+
+def _whole_m2(a, b, steps):
+    flat = (a - b).reshape(a.shape[0], -1)
+    sq = np.einsum("lk,lk->l", flat, flat)
+    return float(np.sqrt(steps @ sq[:-1] / a.shape[1]))
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (2, 2)], ids=["1", "2", "2x2"])
+def test_node_by_node_distances_match_the_whole_array_forms(dims, rng):
+    grid = TimeGrid(np.linspace(0.0, 1.0, 14) ** 1.5)
+    L, P = grid.n_steps + 1, 700
+    scale = np.arange(1.0, L + 1.0).reshape(L, 1, *([1] * len(dims)))
+    a = rng.standard_normal((L, P, *dims)) * scale
+    b = rng.standard_normal((L, P, *dims))
+    assert _sup_dist(a, b) == _whole_sup(a, b)
+    assert _s2_dist(a, b) == _whole_s2(a, b)
+    # the per-node sums of squares are added in another order
+    assert _m2_dist(a, b, grid.steps) == pytest.approx(_whole_m2(a, b, grid.steps), rel=1e-13)
+    assert _m2_dist(a, None, grid.steps) == pytest.approx(
+        _whole_m2(a, np.zeros_like(a), grid.steps), rel=1e-13
+    )
+    # a NaN anywhere gives NaN, as the whole-array forms do
+    a[L // 2, P - 1] = np.nan
+    assert np.isnan(_sup_dist(a, b)) and np.isnan(_whole_sup(a, b))
+    assert np.isnan(_s2_dist(a, b)) and np.isnan(_whole_s2(a, b))
+    assert np.isnan(_m2_dist(a, b, grid.steps))
