@@ -141,7 +141,13 @@ def criterion_1() -> CriterionResult:
 def _rk4_envelope(ctilde: np.ndarray, T: np.ndarray, n_steps: int, n_out: int):
     """Backward-in-time RK4 for ``a' = -c - 3c*a`` on the normalised clock,
     in extended precision; returns values at ``n_out + 1`` evenly spaced
-    times (t = T down to 0) per parameter pair."""
+    times (t = T down to 0) per parameter pair.
+
+    On the normalised clock the equation is ``a' = T(c + 3c a)``, linear,
+    so one RK4 step is exactly the affine map ``a -> R a + S`` with
+    ``z = 3cTh``, ``R = 1 + z + z^2/2 + z^3/6 + z^4/24`` and
+    ``S = hTc (1 + z/2 + z^2/6 + z^3/24)``: the four stages collapse into
+    one multiply and one add per step."""
     c = np.asarray(ctilde, dtype=np.longdouble)
     Tl = np.asarray(T, dtype=np.longdouble)
     a = c.copy()  # value at t = T
@@ -150,15 +156,11 @@ def _rk4_envelope(ctilde: np.ndarray, T: np.ndarray, n_steps: int, n_out: int):
     out = np.empty((n_out + 1, c.size), dtype=np.longdouble)
     out[0] = a
 
-    def f(v):
-        return Tl * (c + 3.0 * c * v)
-
+    z = h * 3.0 * c * Tl
+    R = 1.0 + z + z * z / 2.0 + z**3 / 6.0 + z**4 / 24.0
+    S = h * Tl * c * (1.0 + z / 2.0 + z * z / 6.0 + z**3 / 24.0)
     for step in range(1, n_steps + 1):
-        k1 = f(a)
-        k2 = f(a + 0.5 * h * k1)
-        k3 = f(a + 0.5 * h * k2)
-        k4 = f(a + h * k3)
-        a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        a = R * a + S
         if step % keep == 0:
             out[step // keep] = a
     return out
@@ -172,7 +174,7 @@ def criterion_2() -> CriterionResult:
     cs = np.array([c for c, _ in combos])
     Ts = np.array([T for _, T in combos])
     n_out = 100
-    numeric = _rk4_envelope(cs, Ts, 20_000, n_out)
+    numeric = _rk4_envelope(cs, Ts, 40_000, n_out)
     worst = 0.0
     for j, (c, T) in enumerate(combos):
         fn, _ = ode_bound(c, T)

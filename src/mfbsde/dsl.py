@@ -11,6 +11,16 @@ Scalar convention for vectors: ``abs``, ``sin``, ``cos`` and ``exp`` applied
 to a vector quantity act on its Euclidean norm, so every well-formed
 expression is scalar-valued.  Multi-component generators are written as
 ``;``-separated expression lists.
+
+Evaluation is staged.  An expression is compiled once per set of *late*
+slots, the ones that still change between calls: constant subtrees are
+folded, and the maximal subtrees that read no late slot are evaluated once
+by :meth:`Staged.bind`; each call of a :class:`Staged` program runs only
+the late remainder, in the tree's own operation order (so the result is
+bit for bit that of the whole tree), writing into buffers the program
+owns.  The returned array is one of those buffers and stays valid until
+the program's next call.  :func:`evaluate` is the every-slot-late case and
+returns a fresh array.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,6 +40,7 @@ __all__ = [
     "to_text",
     "evaluate",
     "evaluate_terminal",
+    "Staged",
     "builtin",
     "GENERATOR_VARS",
     "TERMINAL_VARS",
@@ -211,9 +223,15 @@ class GeneratorExpr:
     variables: tuple[str, ...] = GENERATOR_VARS
 
     @cached_property
-    def _programs(self) -> tuple:
-        """One compiled closure per component, built on first evaluation."""
-        return tuple(_compile(c) for c in self.components)
+    def _programs(self) -> dict:
+        """Compiled plans by late-slot set, each built on first use."""
+        return {}
+
+    def _plan(self, late: frozenset) -> "_Plan":
+        plan = self._programs.get(late)
+        if plan is None:
+            plan = self._programs[late] = _Plan(self.components, late)
+        return plan
 
     def __getstate__(self):
         # closures do not pickle; an unpickled copy compiles again on use
@@ -405,7 +423,8 @@ def row_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
 
 def row_norm(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a (P, m) array, as a (P, 1) array."""
-    return np.sqrt(row_dot(a, a))[:, None]
+    out = row_dot(a, a)
+    return np.sqrt(out, out=out)[:, None]
 
 
 _ELEMENTWISE = {
@@ -418,89 +437,181 @@ _ELEMENTWISE = {
 _TRANSCENDENTAL = {"abs": np.abs, "sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 
-def _compile(node: Expr):
-    """Closure mapping an environment of (P, width) arrays to ``node``'s value.
+class _Plan:
+    """A component list compiled once for one set of late slots.
 
-    Dispatch on the node type happens here, once; the closures only run
-    numpy operations and the domain checks.
+    Every node is classified by the slots it reads.  A subtree that reads
+    no slot is folded into a constant here; a maximal subtree that reads
+    slots but no late one becomes a *binder*, evaluated by
+    :meth:`_Program._bind`; the rest (``roots``) runs on every call.
+    Operations keep the tree's own order, so a staged value is bit for bit
+    the value of the whole tree.  The closures take the running program,
+    read its environment and bound values, and write into its buffers by
+    index, so one plan serves any number of programs.
     """
+
+    def __init__(self, components, late: frozenset):
+        self.late = late
+        self.n_buffers = 0
+        self.binders: list = []
+        reads = frozenset()
+        roots = []
+        for c in components:
+            r, run, _ = _compile(c, self)
+            reads |= r
+            roots.append(self.stage(r, run))
+        self.roots = tuple(roots)
+        self.reads_late = reads & late
+        self.reads_early = reads - late
+
+    def buffer(self) -> int:
+        self.n_buffers += 1
+        return self.n_buffers - 1
+
+    def stage(self, reads: frozenset, run):
+        """``run`` as an operand of a node that runs on every call."""
+        if reads & self.late:
+            return run
+        if reads:
+            k = len(self.binders)
+            self.binders.append(run)
+            return lambda st: st._bound[k]
+        const = run(SimpleNamespace(_bufs=[None] * self.n_buffers, _env={}, _bound=[]))
+        const.flags.writeable = False
+        return lambda st: const
+
+
+def _compile(node: Expr, plan: _Plan):
+    """``(reads, run, owned)``: the slots ``node`` reads, the closure
+    mapping a program to ``node``'s (P, width) value, and whether that
+    value is an intermediate only its parent reads, which the parent may
+    overwrite.  Constant operands are folded; the other operands of a node
+    that reads a late slot are bound, and inside a subtree that reads none
+    everything runs when it does."""
     if isinstance(node, Num):
         const = np.full((1, 1), node.value)
         const.flags.writeable = False
-        return lambda env: const
+        return frozenset(), lambda st: const, False
     if isinstance(node, Var):
         name = node.name
-        return lambda env: env[name]
+        return frozenset((name,)), lambda st: st._env[name], False
+    children = (node.operand,) if isinstance(node, Neg) else (
+        (node.left, node.right) if isinstance(node, Bin) else node.args
+    )
+    parts = [_compile(c, plan) for c in children]
+    reads = frozenset().union(*(r for r, _, _ in parts))
+    late = bool(reads & plan.late)
+    runs, owned = [], []
+    for child, (r, run, own) in zip(children, parts):
+        # a literal already is a constant: only computed operands are staged
+        if (late or not r) and not isinstance(child, Num):
+            run, own = plan.stage(r, run), own and bool(r & plan.late)
+        runs.append(run)
+        owned.append(own)
+    return reads, _operation(node, runs, owned, plan), True
+
+
+def _operation(node: Expr, runs, owned, plan: _Plan):
     if isinstance(node, Neg):
-        operand = _compile(node.operand)
-        return lambda env: -operand(env)
+        return _compile_negative(*runs, *owned, plan.buffer())
     if isinstance(node, Bin):
-        left, right = _compile(node.left), _compile(node.right)
         if node.op == "/":
-            return _compile_divide(node, left, right)
+            return _compile_divide(node, *runs, *owned, plan.buffer())
         if node.op == "^":
-            return _compile_power(node, left, right)
-        return _compile_elementwise(node, _ELEMENTWISE[node.op], left, right)
-    if isinstance(node, Call):
-        args = [_compile(a) for a in node.args]
-        if node.func == "norm2":
-            (arg,) = args
-            return lambda env: row_norm(arg(env))
-        if node.func == "dot":
-            return _compile_dot(*args)
-        if node.func in _TRANSCENDENTAL:
-            return _compile_transcendental(_TRANSCENDENTAL[node.func], *args)
-        return _compile_elementwise(node, _ELEMENTWISE[node.func], *args)
-    raise TypeError(node)  # pragma: no cover - exhaustive
+            return _compile_power(node, *runs, *owned, plan.buffer())
+        return _compile_elementwise(node, _ELEMENTWISE[node.op], *runs, *owned, plan.buffer())
+    if node.func == "norm2":
+        (arg,) = runs
+        return lambda st: row_norm(arg(st))
+    if node.func == "dot":
+        return _compile_dot(*runs, plan.buffer())
+    if node.func in _TRANSCENDENTAL:
+        return _compile_transcendental(_TRANSCENDENTAL[node.func], *runs, *owned, plan.buffer())
+    return _compile_elementwise(node, _ELEMENTWISE[node.func], *runs, *owned, plan.buffer())
 
 
-def _compile_elementwise(node, ufunc, left, right):
-    def run(env):
-        a, b = left(env), right(env)
-        _combine(node, a, b)
-        return ufunc(a, b)
+def _buffer(st, k: int, shape: tuple) -> np.ndarray:
+    """The program's buffer ``k``, (re)allocated when ``shape`` changes."""
+    buf = st._bufs[k]
+    if buf is None or buf.shape != shape:
+        buf = st._bufs[k] = np.empty(shape)
+    return buf
+
+
+def _destination(st, k: int, shape: tuple, a, own_a: bool, b=None, own_b: bool = False):
+    """Where an operation writes its ``shape`` result: into an operand it
+    owns (elementwise ufuncs may write over their input), which keeps the
+    working set to a few arrays, else into its buffer ``k``."""
+    if own_a and a.shape == shape:
+        return a
+    if own_b and b.shape == shape:
+        return b
+    return _buffer(st, k, shape)
+
+
+def _pair_shape(a: np.ndarray, b: np.ndarray) -> tuple:
+    # (P, width) operands broadcast row- and column-wise; a mismatch the
+    # ufunc cannot broadcast still raises there
+    return (max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1]))
+
+
+def _compile_negative(arg, own, k):
+    def run(st):
+        a = arg(st)
+        return np.negative(a, out=_destination(st, k, a.shape, a, own))
 
     return run
 
 
-def _compile_transcendental(ufunc, arg):
-    def run(env):
-        a = arg(env)
+def _compile_elementwise(node, ufunc, left, right, own_a, own_b, k):
+    def run(st):
+        a, b = left(st), right(st)
+        _combine(node, a, b)
+        return ufunc(a, b, out=_destination(st, k, _pair_shape(a, b), a, own_a, b, own_b))
+
+    return run
+
+
+def _compile_transcendental(ufunc, arg, own, k):
+    def run(st):
+        a = arg(st)
         if a.shape[1] > 1:
             # scalar convention: unary transcendental of a vector acts on
-            # its Euclidean norm
-            a = row_norm(a)
-        return ufunc(a)
+            # its Euclidean norm (a fresh array, so this node owns it)
+            return ufunc(a := row_norm(a), out=a)
+        return ufunc(a, out=_destination(st, k, a.shape, a, own))
 
     return run
 
 
-def _compile_dot(left, right):
-    def run(env):
-        a, b = left(env), right(env)
+def _compile_dot(left, right, k):
+    def run(st):
+        a, b = left(st), right(st)
         if a.shape[1] != b.shape[1]:
             raise DimensionError(
                 f"dot of {a.shape[1]}- and {b.shape[1]}-component vectors"
             )
-        return row_dot(a, b)[:, None]
+        out = _buffer(st, k, (max(a.shape[0], b.shape[0]), 1))
+        row_dot(a, b, out=out[:, 0])
+        return out
 
     return run
 
 
-def _compile_divide(node, left, right):
-    def run(env):
-        a, b = left(env), right(env)
+def _compile_divide(node, left, right, own_a, own_b, k):
+    def run(st):
+        a, b = left(st), right(st)
         _combine(node, a, b)
         if np.any(b == 0.0):
             raise EvalDomainError("division by zero", _node_text(node), node.pos)
-        return a / b
+        return np.divide(a, b, out=_destination(st, k, _pair_shape(a, b), a, own_a, b, own_b))
 
     return run
 
 
-def _compile_power(node, left, right):
-    def run(env):
-        a, b = left(env), right(env)
+def _compile_power(node, left, right, own_a, _own_b, k):
+    def run(st):
+        a, b = left(st), right(st)
         _combine(node, a, b)
         if b.shape != (1, 1):
             raise DimensionError(
@@ -514,33 +625,162 @@ def _compile_power(node, left, right):
                 )
         if e < 0 and np.any(a == 0.0):
             raise EvalDomainError("negative power of zero", _node_text(node), node.pos)
-        return a**e
+        # the power ufunc takes the same scalar-exponent fast paths as a**e
+        return np.power(a, e, out=_destination(st, k, a.shape, a, own_a))
 
     return run
 
 
-def _run_components(expr: GeneratorExpr, env: dict, n_out: int) -> np.ndarray:
-    comps = expr.components
-    if len(comps) not in (1, n_out):
-        raise DimensionError(
-            f"generator has {len(comps)} component(s), scenario needs {n_out}"
-        )
-    P = max(v.shape[0] for v in env.values()) if env else 1
-    out = np.empty((P, n_out))
-    programs = expr._programs
-    for j in range(n_out):
-        # a single expression is evaluated once and serves every column
-        if j < len(programs):
-            val = programs[j](env)
-            if val.shape[1] != 1:
-                raise DimensionError(
-                    f"component {j + 1} is {val.shape[1]}-dimensional, expected"
-                    f" scalar: '{_node_text(comps[j])}'"
-                )
-        out[:, j] = val[:, 0]
-    if not np.all(np.isfinite(out)):
-        raise EvalDomainError("non-finite value", to_text(expr), 1)
-    return out
+class _Program:
+    """A running instance of a plan: the environment, the bound values and
+    the buffers every operation writes into.  Two programs never share a
+    buffer, and a program's output stays valid until its next run."""
+
+    def __init__(self, expr: GeneratorExpr, late: frozenset, n_out: int):
+        comps = expr.components
+        if len(comps) not in (1, n_out):
+            raise DimensionError(
+                f"generator has {len(comps)} component(s), scenario needs {n_out}"
+            )
+        self._expr = expr
+        self._plan = expr._plan(late)
+        self._n_out = n_out
+        self._bufs = [None] * self._plan.n_buffers
+        self._bound = [None] * len(self._plan.binders)
+        self._env: dict = {}
+        self._rows = 1  # path count of the slots given at bind time
+        self._out = self._finite = None
+
+    def _bind(self, env: dict) -> None:
+        missing = self._plan.reads_early - env.keys()
+        if missing:
+            raise InvalidInput(f"bind needs the slot(s) {sorted(missing)}")
+        self._env.update(env)
+        self._rows = max((v.shape[0] for v in env.values()), default=1)
+        for k, binder in enumerate(self._plan.binders):
+            self._bound[k] = binder(self)
+
+    def _run(self, env: dict) -> np.ndarray:
+        missing = self._plan.reads_late - env.keys()
+        if missing:
+            raise InvalidInput(f"call needs the slot(s) {sorted(missing)}")
+        self._env.update(env)
+        P = self._rows
+        for v in env.values():
+            if v.shape[0] > P:
+                P = v.shape[0]
+        n = self._n_out
+        out = self._out
+        if out is None or out.shape[0] != P:
+            out = self._out = np.empty((P, n))
+            self._finite = np.empty((P, n), dtype=bool)
+        roots = self._plan.roots
+        for j in range(n):
+            # a single expression is evaluated once and serves every column
+            if j < len(roots):
+                val = roots[j](self)
+                if val.shape[1] != 1:
+                    raise DimensionError(
+                        f"component {j + 1} is {val.shape[1]}-dimensional, expected"
+                        f" scalar: '{_node_text(self._expr.components[j])}'"
+                    )
+            out[:, j] = val[:, 0]
+        if not np.isfinite(out, out=self._finite).all():
+            raise EvalDomainError("non-finite value", to_text(self._expr), 1)
+        return out
+
+
+_ALL_SLOTS = frozenset(GENERATOR_VARS)
+
+
+def _driver_env(s, y, ybar, z, zbar, n: int, d: int) -> dict:
+    """The given driver slots as (P, width) arrays; ``None`` is left out."""
+    env = {}
+    if s is not None:
+        env["s"] = _as_paths_vec(s, 1, "s")
+    if y is not None:
+        env["y"] = _as_paths_vec(y, n, "y")
+    if ybar is not None:
+        env["ybar"] = _as_paths_vec(ybar, n, "ybar")
+    if z is not None:
+        env["z"] = _as_paths_mat(z, d, n, "z")
+    if zbar is not None:
+        env["zbar"] = _as_paths_mat(zbar, d, n, "zbar")
+    return env
+
+
+def _check_driver(expr: GeneratorExpr) -> None:
+    unknown = expr.free_variables() - _ALL_SLOTS
+    if unknown:
+        raise InvalidInput(f"not a driver expression, uses {sorted(unknown)}")
+
+
+class Staged(_Program):
+    """A driver expression staged for the slots that still change.
+
+    ``late`` names the slots (of ``s, y, ybar, z, zbar``) that change
+    between calls.  :meth:`bind` takes the other slots and evaluates, once,
+    every maximal subtree that reads no late slot; each call then runs only
+    the remainder, from the late slots and those bound values, into
+    buffers the instance owns.  Operations run in the tree's own order, so
+    ``bind`` + call is bit for bit :func:`evaluate` of the whole
+    expression, with the same checks: a domain check inside a bound
+    subtree raises at bind time, the rest and the non-finite check at call
+    time.  Slots take the shapes :func:`evaluate` accepts.
+
+    The returned (P, n) array is the instance's own buffer: it stays valid
+    until the next call on the same instance.  ``reads_late`` is the set of
+    late slots the expression reads; a call may leave out the others.
+    """
+
+    def __init__(self, expr: GeneratorExpr, late, n: int = 1, d: int = 1):
+        _check_driver(expr)
+        late = frozenset(late)
+        if not late <= _ALL_SLOTS:
+            raise InvalidInput(f"unknown slot(s) {sorted(late - _ALL_SLOTS)}")
+        super().__init__(expr, late, n)
+        self._late = late
+        self._d = d
+        self._layout = None  # offsets and shapes of the last saved binding
+        self.reads_late: frozenset = self._plan.reads_late
+
+    def bind(self, s=None, y=None, ybar=None, z=None, zbar=None) -> None:
+        """Evaluate the subtrees that read only the given (non-late) slots."""
+        env = _driver_env(s, y, ybar, z, zbar, self._n_out, self._d)
+        if not self._late.isdisjoint(env):
+            raise InvalidInput(f"late slot(s) {sorted(self._late & env.keys())} given to bind")
+        self._bind(env)
+
+    def __call__(self, s=None, y=None, ybar=None, z=None, zbar=None) -> np.ndarray:
+        """The expression's (P, n) value at the given late slots."""
+        env = _driver_env(s, y, ybar, z, zbar, self._n_out, self._d)
+        if not self._late.issuperset(env):
+            raise InvalidInput(f"slot(s) {sorted(env.keys() - self._late)} are not late")
+        return self._run(env)
+
+    @property
+    def bound_size(self) -> int:
+        """Number of floats the current binding holds."""
+        return sum(v.size for v in self._bound)
+
+    def save(self, row: np.ndarray) -> None:
+        """Copy the current binding into ``row``, a float64 vector of
+        :attr:`bound_size` entries (typically one row of a per-node table)."""
+        layout = []
+        offset = 0
+        for v in self._bound:
+            row[offset : offset + v.size].reshape(v.shape)[...] = v
+            layout.append((offset, v.shape))
+            offset += v.size
+        self._layout = (tuple(layout), self._rows)
+
+    def load(self, row: np.ndarray) -> None:
+        """Make the binding saved in ``row`` current, without copying it;
+        ``row`` must come from a :meth:`save` of a binding of the same
+        shapes as the last one saved."""
+        layout, self._rows = self._layout
+        for k, (offset, shape) in enumerate(layout):
+            self._bound[k] = row[offset : offset + shape[0] * shape[1]].reshape(shape)
 
 
 def evaluate(expr: GeneratorExpr, s, y, ybar, z, zbar, n: int = 1, d: int = 1) -> np.ndarray:
@@ -556,21 +796,14 @@ def evaluate(expr: GeneratorExpr, s, y, ybar, z, zbar, n: int = 1, d: int = 1) -
         Integrand and mean integrand; scalars, ``(d, n)`` matrices, or
         ``(P, d, n)`` arrays.
 
-    Returns an ``(P, n)`` array (``P = 1`` for fully deterministic input).
-    Vectorised evaluation agrees with pointwise scalar evaluation to within
+    Returns a fresh ``(P, n)`` array (``P = 1`` for fully deterministic
+    input): the every-slot-late case of :class:`Staged`.  Vectorised
+    evaluation agrees with pointwise scalar evaluation to within
     floating-point roundoff.
     """
-    env = {
-        "s": _as_paths_vec(s, 1, "s"),
-        "y": _as_paths_vec(y, n, "y"),
-        "ybar": _as_paths_vec(ybar, n, "ybar"),
-        "z": _as_paths_mat(z, d, n, "z"),
-        "zbar": _as_paths_mat(zbar, d, n, "zbar"),
-    }
-    unknown = expr.free_variables() - set(GENERATOR_VARS)
-    if unknown:
-        raise InvalidInput(f"not a driver expression, uses {sorted(unknown)}")
-    return _run_components(expr, env, n)
+    env = _driver_env(s, y, ybar, z, zbar, n, d)
+    _check_driver(expr)
+    return _Program(expr, _ALL_SLOTS, n)._run(env)
 
 
 def evaluate_terminal(expr: GeneratorExpr, w, n: int = 1, d: int = 1) -> np.ndarray:
@@ -588,7 +821,7 @@ def evaluate_terminal(expr: GeneratorExpr, w, n: int = 1, d: int = 1) -> np.ndar
     unknown = used - set(env)
     if unknown:
         raise InvalidInput(f"not a terminal expression, uses {sorted(unknown)}")
-    return _run_components(expr, env, n)
+    return _Program(expr, frozenset(env), n)._run(env)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,17 @@ diagnostics (the final report, per-step ball tracking, Picard's per-step
 envelope rate) read it back node by node with O(P) working memory.  The
 distances between iterates work node by node too, into reused buffers, so
 no full-size difference is ever allocated.
+
+Each solver evaluates its generators as :class:`dsl.Staged` programs that
+bind what its map holds fixed.  The frozen-mean driver binds ``s, ybar, z,
+zbar`` per node, so the implicit state solve re-runs only the ``y``
+terms.  The frozen-state map binds ``f1``'s ``s, y, ybar`` terms once per
+node per outer step, into one table per window, and every inner E[Z] sweep
+re-runs only the ``z, zbar`` terms.  Picard's lagged source binds ``s, z``
+per node and runs the rest at the iterate and at zeros, and its in-sweep
+core binds the zero slots once per solve.  The mean shift runs one
+buffered all-late program per window.  Results are bit for bit those of
+evaluating each expression whole.
 """
 
 from __future__ import annotations
@@ -81,7 +92,7 @@ from .scenario import (
     FORM_SPLIT_QUADRATIC,
     ScenarioSpec,
 )
-from .solver import BackwardSolver, SolverConfig, frozen_mean_driver, y_free
+from .solver import BackwardSolver, SolverConfig, frozen_mean_driver
 
 __all__ = [
     "FixedPointTrace",
@@ -240,9 +251,8 @@ def _window_steps(ensemble: PathEnsemble, window: Window) -> np.ndarray:
     return ensemble.grid.steps[window.lo : window.hi]
 
 
-@y_free
-def _zero_driver(i, s, y, z):
-    return np.zeros_like(y)
+def _zero_driver(i, s, z):
+    return np.zeros((z.shape[0], z.shape[2]))
 
 
 def _martingale_start(solver: BackwardSolver, window: Window, terminal: np.ndarray):
@@ -717,7 +727,12 @@ def picard_global(
 
     trace = FixedPointTrace()
     flags = {"clamp_events": 0}
-    zeros_y = np.zeros((ensemble.n_paths, n))
+    # the lagged source binds (s, z) once per node and runs the rest at the
+    # iterate and at zeros; the sweep's core binds the zero slots once
+    zeros = {"y": np.zeros((ensemble.n_paths, n)), "ybar": np.zeros(n), "zbar": np.zeros((d, n))}
+    lagged = dsl.Staged(gen, ("y", "ybar", "zbar"), n=n, d=d)
+    core = dsl.Staged(gen, ("s", "z"), n=n, d=d)
+    core.bind(**zeros)
 
     def record_alpha(y_vals):
         if alpha_fn is None:
@@ -730,21 +745,13 @@ def picard_global(
         # z-quadratic core, node by node
         source = np.empty((L, ensemble.n_paths, n))
         for j in range(L):
-            s = float(nodes[window.lo + j])
-            full = dsl.evaluate(
-                gen, s, it.y[j], it.m_y[j], it.z[j], it.m_z[j], n=n, d=d
-            )
-            core = dsl.evaluate(
-                gen, s, zeros_y, np.zeros(n), it.z[j], np.zeros((d, n)), n=n, d=d
-            )
-            source[j] = full - core
+            lagged.bind(s=float(nodes[window.lo + j]), z=it.z[j])
+            np.copyto(source[j], lagged(y=it.y[j], ybar=it.m_y[j], zbar=it.m_z[j]))
+            np.subtract(source[j], lagged(**zeros), out=source[j])
 
-        @y_free
-        def driver(i, s, y, z):
-            core = dsl.evaluate(
-                gen, s, zeros_y, np.zeros(n), z, np.zeros((d, n)), n=n, d=d
-            )
-            return core + source[i - window.lo]
+        def driver(i, s, z):
+            f = core(s=s, z=z)
+            return np.add(f, source[i - window.lo], out=f)
 
         sweep = solver.solve(window, terminal, driver)
         flags["clamp_events"] += sweep.clamp_events
@@ -789,18 +796,16 @@ def _frozen_state_start(solver, window, terminal) -> _Iterate:
     return _Iterate(y, None, path_mean(y), np.zeros(shape))
 
 
-def _mean_shift(scenario, ensemble, window, u_vals, m_u, z_vals, m_z):
+def _mean_shift(f2, ensemble, window, u_vals, m_u, z_vals, m_z):
     """Tail integral of the mean of f2 along the window (trapezoid rule);
-    ``u_vals`` and ``z_vals`` are node-major."""
-    f2 = scenario.f2
-    n, d = scenario.n, scenario.d
-    L = window.n_nodes
+    ``f2`` is the window's all-late :class:`dsl.Staged` program, ``u_vals``
+    and ``z_vals`` are node-major."""
+    L, n = window.n_nodes, u_vals.shape[-1]
     nodes = ensemble.grid.nodes
     fbar = np.empty((L, n))
     for j in range(L):
         s = float(nodes[window.lo + j])
-        vals = dsl.evaluate(f2, s, u_vals[j], m_u[j], z_vals[j], m_z[j], n=n, d=d)
-        fbar[j] = vals.mean(axis=0)
+        fbar[j] = f2(s, u_vals[j], m_u[j], z_vals[j], m_z[j]).mean(axis=0)
     steps = ensemble.grid.steps[window.lo : window.hi]
     shift = np.zeros((L, n))
     for j in range(L - 2, -1, -1):
@@ -832,19 +837,17 @@ def shift_solve_simple(
     solver = BackwardSolver(ensemble, config)
     terminal = _terminal_for(scenario, ensemble, window, None)
     n, d = scenario.n, scenario.d
-    f1 = scenario.f1
-    zeros_y = np.zeros((ensemble.n_paths, n))
+    f1 = dsl.Staged(scenario.f1, ("s", "z"), n=n, d=d)
 
-    @y_free
-    def driver(i, s, y, z):
-        return dsl.evaluate(f1, s, zeros_y, np.zeros(n), z, np.zeros((d, n)), n=n, d=d)
+    def driver(i, s, z):
+        return f1(s=s, z=z)
 
     t0 = time.perf_counter()
     sweep = solver.solve(window, terminal, driver)
     m_z = path_mean(sweep.z)
     shift = _mean_shift(
-        scenario, ensemble, window, np.zeros_like(sweep.y),
-        np.zeros((window.n_nodes, n)), sweep.z, m_z,
+        dsl.Staged(scenario.f2, dsl.GENERATOR_VARS, n=n, d=d), ensemble, window,
+        np.zeros_like(sweep.y), np.zeros((window.n_nodes, n)), sweep.z, m_z,
     )
     y_shifted = sweep.y + shift[:, None, :]
     wall = time.perf_counter() - t0
@@ -869,13 +872,16 @@ def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
     A step sweeps with ``f1`` at the previous iterate's state and at a
     mean-integrand curve, warm-started at the previous iterate's and
     re-swept up to ``inner_budget`` times until it settles, then shifts the
-    state.  Iterates are compared by ``state_dist`` and the M2 distance;
+    state.  The state slots stay fixed for the whole step, so ``f1``'s
+    subtrees that read only them are bound once per node per step, into
+    one ``(nodes, paths, .)`` table per window that every inner sweep
+    reads.  Iterates are compared by ``state_dist`` and the M2 distance;
     ``context`` names the solver in fixed-point errors.
     """
     cert = certificate if certificate is not None else certify(scenario)
     solver = BackwardSolver(ensemble, config)
     n, d = scenario.n, scenario.d
-    f1 = scenario.f1
+    nodes = ensemble.grid.nodes
     tol_curve = max(config.tol_fp * 0.1, 1e-9)
 
     def solve_window(window: Window, terminal: np.ndarray):
@@ -884,14 +890,23 @@ def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
         trace = FixedPointTrace()
         flags = {"window_exceeds_certificate": exceeded, "clamp_events": 0}
         inner_counts = []
+        f1 = dsl.Staged(scenario.f1, ("z", "zbar"), n=n, d=d)
+        f2 = dsl.Staged(scenario.f2, dsl.GENERATOR_VARS, n=n, d=d)
+        bound = None  # f1's bound values, one row per swept node
 
         def step(it: _Iterate) -> _Iterate:
+            nonlocal bound
+            for j in range(window.n_nodes - 1):
+                f1.bind(s=float(nodes[window.lo + j]), y=it.y[j], ybar=it.m_y[j])
+                if bound is None:
+                    bound = np.empty((window.n_nodes - 1, f1.bound_size))
+                f1.save(bound[j])
             mz_curve = it.m_z
             for inner in range(1, inner_budget + 1):
-                @y_free
-                def driver(i, s, y, z, _mz=mz_curve):
+                def driver(i, s, z, _mz=mz_curve):
                     j = i - window.lo
-                    return dsl.evaluate(f1, s, it.y[j], it.m_y[j], z, _mz[j], n=n, d=d)
+                    f1.load(bound[j])
+                    return f1(z=z, zbar=_mz[j])
 
                 sweep = None  # only its mean curve is needed: free it before the next sweep
                 sweep = solver.solve(window, terminal, driver)
@@ -902,7 +917,7 @@ def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
                 if gap <= tol_curve:
                     break
             inner_counts.append(inner)
-            shift = _mean_shift(scenario, ensemble, window, it.y, it.m_y, sweep.z, mz_curve)
+            shift = _mean_shift(f2, ensemble, window, it.y, it.m_y, sweep.z, mz_curve)
             y_new = sweep.y + shift[:, None, :]
             new = _Iterate(y_new, sweep.z, path_mean(y_new), mz_curve)
             _track_ball(trace, config, solver, cert, new, span)

@@ -8,8 +8,14 @@ One backward step at node i:
   variance than the raw product and the same conditional expectation),
 * state ``Y_i`` from the implicit equation ``y = c + h_i * f(t_i, y, Z_i)``
   solved by damped fixed-point iteration (the driver may be quadratic in z
-  but z enters explicitly).  A driver marked by :func:`y_free` does not read
-  its state argument, so the equation is explicit and takes one step.
+  but z enters explicitly).
+
+The driver is bound once per node: ``driver(i, s, z)`` returns the node's
+driver values when they do not read the state, and the equation is explicit
+(one step), or a callable of ``y`` that re-runs only the state-reading
+remainder on each pass, such as a :class:`~mfbsde.dsl.Staged` program with
+``y`` late.  The step's ``c + h*f``, damping step, residual and scale are
+written into buffers reused across the sweep.
 
 Driver evaluations clamp the z argument at a configurable norm level;
 clamp activations are counted and reported, and a converged run is expected
@@ -108,9 +114,14 @@ class BackwardSolver:
     def solve(self, window: Window, terminal: np.ndarray, driver) -> StandardSolve:
         """Backward sweep on ``window``.
 
-        ``terminal`` has shape (P, n); ``driver(i, s, y, z)`` maps the node
-        index, time, state (P, n) and integrand (P, d, n) to (P, n).  A
-        driver marked by :func:`y_free` gets one explicit step per node.
+        ``terminal`` has shape (P, n).  ``driver(i, s, z)`` is called once
+        per node with the node index, time and clamped integrand (P, d, n).
+        It returns either the driver's (P, n) values, when they do not
+        depend on the state, which gives one explicit step, or a callable
+        ``f(y=...)`` mapping a state (P, n) to (P, n), which the damped
+        fixed-point loop calls on each pass.  A returned array, and the
+        array ``f`` returns, need only stay valid until the driver or ``f``
+        is called again: the sweep uses each at once.
         The returned ``y`` and ``z`` are node-major, (L, P, ...).
         Raises :class:`InvalidInput` when ``window`` runs past the grid.
         """
@@ -133,6 +144,8 @@ class BackwardSolver:
         Y[L - 1] = terminal
         raw = np.empty((P, d, n))
         dw = np.empty((P, d))
+        work = np.empty((3, P, n))  # two alternating iterates and a scratch row
+        finite = np.empty((P, n), dtype=bool)
         inner_counts: list[int] = []
         clamp_events = 0
 
@@ -159,8 +172,8 @@ class BackwardSolver:
             z_drv, n_clamped = _clamp_z(z_i, cfg.z_clamp)
             clamp_events += n_clamped
 
-            y, iters = _implicit_state(cond, h, t, i, z_drv, driver, cfg)
-            if not np.all(np.isfinite(y)):
+            y, iters = _implicit_state(cond, h, i, driver(i, t, z_drv), work, cfg)
+            if not np.isfinite(y, out=finite).all():
                 raise StepDivergence("non-finite state in backward step", i)
             Y[j] = y
             inner_counts.append(iters)
@@ -169,17 +182,6 @@ class BackwardSolver:
         inner_counts.reverse()
         return StandardSolve(y=Y, z=Z, inner_iterations=inner_counts,
                              clamp_events=clamp_events)
-
-
-def y_free(driver):
-    """Mark ``driver`` as not reading its state argument ``y``.
-
-    The backward step ``y = cond + h * driver(i, t, y, z)`` is then
-    explicit: one driver evaluation, the same array the fixed-point loop
-    returns on its second pass.
-    """
-    driver.reads_y = False
-    return driver
 
 
 def _clamp_z(z: np.ndarray, level: float) -> tuple[np.ndarray, int]:
@@ -194,20 +196,28 @@ def _clamp_z(z: np.ndarray, level: float) -> tuple[np.ndarray, int]:
     return z * scale[:, None, None], n_over
 
 
-def _implicit_state(cond, h, t, i, z_drv, driver, cfg) -> tuple[np.ndarray, int]:
-    """Damped fixed-point solve of ``y = cond + h * driver(i, t, y, z)``."""
-    if not getattr(driver, "reads_y", True):
-        return cond + h * driver(i, t, cond, z_drv), 1
+def _implicit_state(cond, h, i, f, work, cfg) -> tuple[np.ndarray, int]:
+    """Damped fixed-point solve of ``y = cond + h * f(y)`` for the node's
+    bound driver ``f``; an array ``f`` gives the explicit step.  Every pass
+    writes into ``work`` (two alternating iterates and a scratch row), so
+    the returned state is one of its rows."""
+    y_a, y_b, tmp = work
+    # cond + h*f is formed in the iterate's own buffer (addition commutes
+    # bit for bit): one buffer fewer in the working set than a scratch row
+    if not callable(f):
+        return np.add(cond, np.multiply(h, f, out=y_a), out=y_a), 1
     y = cond
     prev_res = np.inf
     for m in range(1, cfg.max_inner + 1):
-        y_new = cond + h * driver(i, t, y, z_drv)
-        res = float(np.max(np.abs(y_new - y)))
+        y_new = y_b if y is y_a else y_a
+        np.add(cond, np.multiply(h, f(y=y), out=y_new), out=y_new)
+        res = float(np.abs(np.subtract(y_new, y, out=tmp), out=tmp).max())
         if res > prev_res:
             # non-monotone residual: damp the update by half
-            y_new = 0.5 * (y_new + y)
-            res = float(np.max(np.abs(y_new - y)))
-        scale = max(1.0, float(np.max(np.abs(y_new))))
+            np.add(y_new, y, out=y_new)
+            np.multiply(0.5, y_new, out=y_new)
+            res = float(np.abs(np.subtract(y_new, y, out=tmp), out=tmp).max())
+        scale = max(1.0, float(np.abs(y_new, out=tmp).max()))
         y = y_new
         prev_res = res
         if res <= _TOL_INNER * scale:
@@ -226,16 +236,19 @@ def frozen_mean_driver(
     """Driver with the mean slots frozen at given curves.
 
     ``m_y`` has shape (L, n) and ``m_z`` shape (L, d, n), aligned with the
-    window whose first global node index is ``lo``.
+    window whose first global node index is ``lo``.  Each node binds the
+    time, mean state, integrand and mean integrand of one staged program
+    once; a generator that reads ``y`` returns that program, whose calls
+    re-run only the ``y``-reading remainder, and any other its values.
     """
     gen = scenario.f
     if gen is None:
         raise InvalidInput("frozen-mean driver needs a single-generator scenario")
-    n, d = scenario.n, scenario.d
+    stage = dsl.Staged(gen, ("y",), n=scenario.n, d=scenario.d)
 
-    def drive(i: int, s: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    def drive(i: int, s: float, z: np.ndarray):
         j = i - lo
-        return dsl.evaluate(gen, s, y, m_y[j], z, m_z[j], n=n, d=d)
+        stage.bind(s=s, ybar=m_y[j], z=z, zbar=m_z[j])
+        return stage if stage.reads_late else stage()
 
-    return drive if "y" in gen.free_variables() else y_free(drive)
-
+    return drive

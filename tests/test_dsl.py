@@ -2,12 +2,14 @@
 
 The two builtin families double as parser fixtures: their printed text is
 pinned, and their values are cross-checked against hand-coded closed
-forms at random points.  The compiled evaluator is held bit for bit to the
-tree-walking reference interpreter kept below.
+forms at random points.  The compiled evaluator, staged for every set of
+late slots, is held bit for bit to the tree-walking reference interpreter
+kept below.
 """
 
 import math
 import pickle
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -83,6 +85,8 @@ def _interpret(node, env):
                 raise EvalDomainError(
                     "fractional power of a negative base", dsl._node_text(node), node.pos
                 )
+            if e < 0 and np.any(a == 0.0):
+                raise EvalDomainError("negative power of zero", dsl._node_text(node), node.pos)
             return a**e
         return {"+": np.add, "-": np.subtract, "*": np.multiply}[node.op](a, b)
     args = [_interpret(a, env) for a in node.args]
@@ -218,19 +222,28 @@ def test_print_parse_fixed_point(text):
     assert dsl.to_text(ast2) == printed
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.recursive(
-        st.sampled_from(["y", "ybar", "s", "norm2(z)", "norm2(zbar)"])
-        | st.floats(min_value=0.0, max_value=9.0).map(lambda v: f"{v!r}"),
-        lambda inner: st.tuples(inner, st.sampled_from("+-*/"), inner).map(
-            lambda t: f"({t[0]} {t[1]} {t[2]})"
-        )
-        | inner.map(lambda s: f"sin({s})")
-        | inner.map(lambda s: f"abs({s})"),
-        max_leaves=12,
+# scalar-valued driver texts over every slot and every operation
+GENERATED_TEXTS = st.recursive(
+    st.sampled_from(["y", "ybar", "s", "norm2(z)", "norm2(zbar)"])
+    | st.floats(min_value=0.0, max_value=9.0).map(lambda v: f"{v!r}"),
+    lambda inner: st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+        lambda t: f"({t[0]} {t[1]} {t[2]})"
     )
+    | inner.map(lambda s: f"sin({s})")
+    | inner.map(lambda s: f"abs({s})")
+    | inner.map(lambda s: f"-({s})")
+    | st.tuples(inner, st.sampled_from(["2", "3", "0.5", "-1"])).map(
+        lambda t: f"({t[0]})^{t[1]}"
+    )
+    | st.tuples(st.sampled_from(["dot", "min", "max"]), inner, inner).map(
+        lambda t: f"{t[0]}({t[1]}, {t[2]})"
+    ),
+    max_leaves=12,
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(GENERATED_TEXTS)
 def test_round_trip_generated(text):
     ast1 = dsl.parse(text)
     assert dsl.parse(dsl.to_text(ast1)) == ast1
@@ -539,6 +552,110 @@ def test_single_expression_evaluated_once_per_call(rng, monkeypatch):
     assert _same_bits(out, reference_evaluate(e, 0.0, y, yb, z, zb, n=2, d=2))
 
 
+LATE_SETS = [
+    frozenset(c) for k in range(len(dsl.GENERATOR_VARS) + 1)
+    for c in combinations(dsl.GENERATOR_VARS, k)
+]
+
+
+def _staged(e, late, s, y, yb, z, zb, n, d):
+    """Bind the slots outside ``late``, then call with the late ones; a
+    second call on the same binding returns the same bits."""
+    slots = {"s": s, "y": y, "ybar": yb, "z": z, "zbar": zb}
+    program = dsl.Staged(e, late, n=n, d=d)
+    program.bind(**{k: v for k, v in slots.items() if k not in late})
+    first = program(**{k: v for k, v in slots.items() if k in late}).copy()
+    again = program(**{k: v for k, v in slots.items() if k in late})
+    assert _same_bits(again, first)
+    return again
+
+
+def _outcome(fn):
+    """The value of ``fn()``, or the type and text of the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn()
+    except (EvalDomainError, DimensionError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, tuple):
+        return got == want
+    return isinstance(got, np.ndarray) and _same_bits(got, want)
+
+
+@pytest.mark.parametrize("text,n,d", COMPILED_CASES)
+@pytest.mark.parametrize("P", [1, 3, 257])
+def test_staged_matches_reference_for_every_late_set(rng, text, n, d, P):
+    e = dsl.parse(text)
+    y, yb, z, zb = _driver_inputs(rng, P, n, d)
+    for s in (0.3, rng.uniform(0, 1, P)):
+        want = reference_evaluate(e, s, y, yb, z, zb, n=n, d=d)
+        for late in LATE_SETS:
+            assert _same_bits(_staged(e, late, s, y, yb, z, zb, n, d), want), late
+
+
+@settings(max_examples=60, deadline=None)
+@given(GENERATED_TEXTS, st.sampled_from([1, 3, 257]), st.integers(0, 2**32 - 1))
+def test_staged_generated_matches_reference(text, P, seed):
+    # every operation, every set of late slots: the staged value is the
+    # reference's bit for bit, or both raise the same error
+    e = dsl.parse(text)
+    rng = np.random.default_rng(seed)
+    y, yb, z, zb = _driver_inputs(rng, P, 1, 1)
+    s = rng.uniform(0, 1, P)
+    want = _outcome(lambda: reference_evaluate(e, s, y, yb, z, zb, n=1, d=1))
+    for late in LATE_SETS:
+        got = _outcome(lambda: _staged(e, late, s, y, yb, z, zb, 1, 1))
+        assert _same_outcome(got, want), late
+
+
+def test_staged_instances_share_no_buffer(rng):
+    # two live programs of one expression, called in turn on different
+    # inputs, each keep their own output
+    e = dsl.parse("1 + s + abs(y) + abs(ybar) + 0.5*norm2(z)^2 + abs(sin(norm2(zbar)))")
+    a, b = dsl.Staged(e, ("y",)), dsl.Staged(e, ("y",))
+    ins_a, ins_b = _driver_inputs(rng, 50, 1, 1), _driver_inputs(rng, 50, 1, 1)
+    a.bind(s=0.1, ybar=ins_a[1], z=ins_a[2], zbar=ins_a[3])
+    b.bind(s=0.7, ybar=ins_b[1], z=ins_b[2], zbar=ins_b[3])
+    out_a = a(y=ins_a[0])
+    out_b = b(y=ins_b[0])
+    assert not np.shares_memory(out_a, out_b)
+    assert _same_bits(out_a, reference_evaluate(e, 0.1, *ins_a, n=1, d=1))
+    assert _same_bits(out_b, reference_evaluate(e, 0.7, *ins_b, n=1, d=1))
+    # a call returns the same buffer, overwritten
+    assert a(y=ins_b[0]) is out_a
+
+
+def test_saved_bindings_restore_bit_for_bit(rng):
+    # a per-node table of bindings: each node's saved row, loaded back,
+    # gives that node's value
+    e = dsl.builtin("ex4.1-f1")
+    program = dsl.Staged(e, ("z", "zbar"), n=2, d=2)
+    nodes = [_driver_inputs(rng, 40, 2, 2) for _ in range(3)]
+    table = None
+    for j, (y, yb, _, _) in enumerate(nodes):
+        program.bind(s=0.1 * j, y=y, ybar=yb)
+        if table is None:
+            table = np.empty((len(nodes), program.bound_size))
+        program.save(table[j])
+    for j in (2, 0, 1):
+        y, yb, z, zb = nodes[j]
+        program.load(table[j])
+        assert _same_bits(program(z=z, zbar=zb),
+                          reference_evaluate(e, 0.1 * j, y, yb, z, zb, n=2, d=2))
+
+
+def test_pickled_expression_still_stages(rng):
+    e = dsl.parse("abs(y) + dot(z, zbar) / (1 + norm2(zbar))")
+    y, yb, z, zb = _driver_inputs(rng, 9, 2, 2)
+    first = _staged(e, {"y"}, 0.2, y, yb, z, zb, 2, 2).copy()
+    copy = pickle.loads(pickle.dumps(e))
+    assert copy == e
+    assert _same_bits(_staged(copy, {"y"}, 0.2, y, yb, z, zb, 2, 2), first)
+
+
 DOMAIN_CASES = [
     ("1 + y / (ybar - ybar)", "division by zero", "y / (ybar - ybar)", 7),
     ("2 + (y - 3)^0.5", "fractional power of a negative base", "(y - 3)^0.5", 12),
@@ -556,5 +673,27 @@ def test_domain_errors_keep_message_and_position(text, message, node_text, colum
     with np.errstate(over="ignore"), pytest.raises(EvalDomainError) as want:
         reference_evaluate(e, 1.0, y, np.ones(2), z, z, n=2, d=2)
     assert str(got.value) == str(want.value)
+    assert str(got.value) == f"{message} in '{node_text}' (column {column})"
+    assert (got.value.node_text, got.value.column) == (node_text, column)
+
+
+@pytest.mark.parametrize("text,message,node_text,column", DOMAIN_CASES)
+@pytest.mark.parametrize("late", LATE_SETS, ids=lambda late: "+".join(sorted(late)) or "none")
+def test_domain_errors_are_the_same_bound_or_late(text, message, node_text, column, late):
+    # a check inside a bound subtree raises at bind time, any other at
+    # call time, with the same message, node text and column
+    e = dsl.parse(text)
+    y = np.ones((4, 2))
+    z = np.zeros((4, 2, 2))
+    slots = {"s": 1.0, "y": y, "ybar": np.ones(2), "z": z, "zbar": z}
+    program = dsl.Staged(e, late, n=2, d=2)
+    bind = lambda: program.bind(**{k: v for k, v in slots.items() if k not in late})
+    call = lambda: program(**{k: v for k, v in slots.items() if k in late})
+    at_bind = message != "non-finite value" and not dsl.parse(node_text).free_variables() & late
+    with np.errstate(over="ignore"):
+        if not at_bind:
+            bind()
+        with pytest.raises(EvalDomainError) as got:
+            bind() if at_bind else call()
     assert str(got.value) == f"{message} in '{node_text}' (column {column})"
     assert (got.value.node_text, got.value.column) == (node_text, column)

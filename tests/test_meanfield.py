@@ -9,7 +9,7 @@ import pytest
 from mfbsde import dsl
 from mfbsde import solver as solver_module
 from mfbsde.config import load_config
-from mfbsde.core import ProcessGrid, TimeGrid, Window, build_grid, simulate_brownian
+from mfbsde.core import ProcessGrid, TimeGrid, Window, build_grid, path_mean, simulate_brownian
 from mfbsde.diagnostics import bmo2_estimate, mp_norm
 from mfbsde.errors import InvalidInput, MaxIterations, NonContraction, WindowTooWide
 from mfbsde.meanfield import (
@@ -261,7 +261,7 @@ def test_windows_past_the_grid_are_rejected(entry):
     window = Window(5, 12)
     calls = {
         "BackwardSolver.solve": lambda: BackwardSolver(ens, cfg).solve(
-            Window(10, 11), terminal, lambda i, s, y, z: y
+            Window(10, 11), terminal, lambda i, s, z: lambda y: y
         ),
         "gamma_map": lambda: gamma_map(
             np.zeros(window.n_nodes), np.zeros(window.n_nodes), sc, ens, cfg,
@@ -604,3 +604,129 @@ def test_node_by_node_distances_match_the_whole_array_forms(dims, rng):
     assert np.isnan(_sup_dist(a, b)) and np.isnan(_whole_sup(a, b))
     assert np.isnan(_s2_dist(a, b)) and np.isnan(_whole_s2(a, b))
     assert np.isnan(_m2_dist(a, b, grid.steps))
+
+
+# ---------------------------------------------------------------------------
+# staged drivers
+# ---------------------------------------------------------------------------
+
+
+class _EvaluatingStage:
+    """Stand-in for :class:`dsl.Staged` that binds nothing: every call
+    evaluates the whole expression with :func:`dsl.evaluate`.  A saved
+    binding is one cell holding the index of the slots it stored."""
+
+    bound_size = 1
+
+    def __init__(self, expr, late, n=1, d=1):
+        self.expr, self.n, self.d = expr, n, d
+        self.reads_late = expr.free_variables() & frozenset(late)
+        self.slots, self.saved = {}, []
+
+    def bind(self, s=None, y=None, ybar=None, z=None, zbar=None):
+        self.slots = {"s": s, "y": y, "ybar": ybar, "z": z, "zbar": zbar}
+
+    def save(self, row):
+        row[0] = len(self.saved)
+        self.saved.append(self.slots)
+
+    def load(self, row):
+        self.slots = self.saved[int(row[0])]
+
+    def __call__(self, s=None, y=None, ybar=None, z=None, zbar=None):
+        given = {"s": s, "y": y, "ybar": ybar, "z": z, "zbar": zbar}
+        slots = {k: v if v is not None else self.slots.get(k) for k, v in given.items()}
+        # a slot the expression does not read may be absent: a one-row
+        # zero leaves the path count to the others
+        n, d = self.n, self.d
+        absent = {"s": 0.0, "y": np.zeros(n), "ybar": np.zeros(n),
+                  "z": np.zeros((d, n)), "zbar": np.zeros((d, n))}
+        slots = {k: absent[k] if v is None else v for k, v in slots.items()}
+        return dsl.evaluate(self.expr, slots["s"], slots["y"], slots["ybar"],
+                            slots["z"], slots["zbar"], n=n, d=d)
+
+
+def _staging_cases():
+    return {
+        "global": (lambda: _shipped("ex22.cfg", n_steps=16, n_paths=2_000, n_windows=2),
+                   global_solve),
+        "picard": (lambda: _shipped("ex22.cfg", n_steps=16, n_paths=2_000), picard_global),
+        "multidim": (lambda: _shipped("ex41.cfg", n_steps=12, n_paths=2_000), multidim_solve),
+        "shift": (lambda: _shipped("ex31.cfg", n_steps=15, n_paths=2_000, n_windows=3),
+                  shift_fixed_point),
+        "shift-simple": (
+            lambda: (_shift_identity_scenario(), CFG.updated(n_steps=12, n_paths=2_000)),
+            lambda sc, ens, cfg: shift_solve_simple(sc, ens, cfg),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_staging_cases()))
+def test_staged_solves_equal_whole_expression_evaluation(case, monkeypatch):
+    # staged drivers (bound once per node, remainder in reused buffers)
+    # against drivers that evaluate the whole expression on every call;
+    # Picard's lagged source is then the two-evaluation full - core form
+    make, solve = _staging_cases()[case]
+    sc, cfg = make()
+    ens = _ensemble(sc, cfg)
+    staged = solve(sc, ens, cfg)
+    monkeypatch.setattr(dsl, "Staged", _EvaluatingStage)
+    evaluated = solve(sc, ens, cfg)
+    assert staged.y.values.tobytes() == evaluated.y.values.tobytes()
+    assert staged.z.values.tobytes() == evaluated.z.values.tobytes()
+    assert staged.m_y.values.tobytes() == evaluated.m_y.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "config, changes, solve",
+    [("ex41.cfg", {"n_steps": 12, "n_paths": 2_000}, multidim_solve),
+     ("ex31.cfg", {"n_steps": 15, "n_paths": 2_000, "n_windows": 3}, shift_fixed_point)],
+    ids=["multidim", "shift"],
+)
+def test_state_terms_are_bound_once_per_node_per_outer_step(config, changes, solve, monkeypatch):
+    # f1's state slots are frozen for a whole outer step: its y and ybar
+    # subtrees are bound once per swept node per step, whatever the
+    # number of inner E[Z] sweeps
+    sc, cfg = _shipped(config, **changes)
+    ens = _ensemble(sc, cfg)
+    bound = []
+    bind = dsl.Staged.bind
+
+    def counted(self, *args, **kwargs):
+        bound.append(self.reads_late)
+        return bind(self, *args, **kwargs)
+
+    monkeypatch.setattr(dsl.Staged, "bind", counted)
+    res = solve(sc, ens, cfg)
+    steps = sum((hi - lo) * t.iterations for (lo, hi), t in zip(res.windows, res.trace))
+    assert bound == [frozenset({"z", "zbar"})] * steps
+    sweeps = sum(sum(k) for k in res.extras["mz_inner_iterations"])
+    if solve is multidim_solve:
+        assert sweeps > sum(t.iterations for t in res.trace)
+
+
+def test_picard_source_is_full_minus_core_bit_for_bit(monkeypatch):
+    # the first Picard sweep's driver is core(z) + [full - core] at the
+    # martingale start, each term evaluated whole here
+    sc, cfg = _shipped("ex22.cfg", n_steps=8, n_paths=1_000)
+    ens = _ensemble(sc, cfg)
+    sweeps = []
+    sweep = BackwardSolver.solve
+
+    def recording(self, window, terminal, driver):
+        sweeps.append((sweep(self, window, terminal, driver), driver))
+        return sweeps[-1][0]
+
+    monkeypatch.setattr(BackwardSolver, "solve", recording)
+    picard_global(sc, ens, cfg)
+    start, driver = sweeps[0][0], sweeps[1][1]
+    m_y, m_z = path_mean(start.y), path_mean(start.z)
+    gen, n, d, P = sc.f, sc.n, sc.d, cfg.n_paths
+    zeros = (np.zeros((P, n)), np.zeros(n))
+    for j in range(cfg.n_steps + 1):
+        s = float(ens.grid.nodes[j])
+        z = start.z[(j + 3) % (cfg.n_steps + 1)]  # any integrand
+        full = dsl.evaluate(gen, s, start.y[j], m_y[j], start.z[j], m_z[j], n=n, d=d)
+        lagged_core = dsl.evaluate(gen, s, *zeros, start.z[j], np.zeros((d, n)), n=n, d=d)
+        core = dsl.evaluate(gen, s, *zeros, z, np.zeros((d, n)), n=n, d=d)
+        assert driver(j, s, z).tobytes() == (core + (full - lagged_core)).tobytes()

@@ -17,7 +17,6 @@ from mfbsde.solver import (
     BackwardSolver,
     SolverConfig,
     frozen_mean_driver,
-    y_free,
 )
 
 CFG = SolverConfig(n_steps=50, n_paths=20_000, seed=12345)
@@ -203,7 +202,7 @@ def _last_step(ensemble, driver):
 def test_backward_step_source_only(ensemble50):
     # f constant: y_i = E_i[y_next] + h
     w_last = ensemble50.state(49)[:, 0]
-    y, z = _last_step(ensemble50, lambda i, s, y, z: np.ones_like(y))
+    y, z = _last_step(ensemble50, lambda i, s, z: lambda y: np.ones_like(y))
     h = 0.02
     err = y[:, 0] - (w_last + h)
     # regression noise is worst in the state tails; the bulk is tight
@@ -216,7 +215,7 @@ def test_backward_step_source_only(ensemble50):
 def test_backward_step_implicit_linear(ensemble50):
     # f = 10*y is stiff enough that the implicit solve matters:
     # y = cond/(1 - 10*h) with cond = E_i[W_T | W_i] = W_i
-    y, _ = _last_step(ensemble50, lambda i, s, y, z: 10.0 * y)
+    y, _ = _last_step(ensemble50, lambda i, s, z: lambda y: 10.0 * y)
     w = ensemble50.state(49)[:, 0]
     np.testing.assert_allclose(y[:, 0], w / 0.8, rtol=0, atol=2e-2)
 
@@ -224,14 +223,14 @@ def test_backward_step_implicit_linear(ensemble50):
 def test_backward_step_divergence(ensemble50):
     # h * Lipschitz = 2: the damped iteration cannot settle
     with pytest.raises(StepDivergence):
-        _last_step(ensemble50, lambda i, s, y, z: 100.0 * y)
+        _last_step(ensemble50, lambda i, s, z: lambda y: 100.0 * y)
 
 
 def test_backward_step_index_validation(ensemble50):
     # node 50 is the last one: it has no forward step
     with pytest.raises(InvalidInput):
         BackwardSolver(ensemble50, CFG).solve(
-            Window(50, 51), np.zeros((ensemble50.n_paths, 1)), lambda i, s, y, z: y
+            Window(50, 51), np.zeros((ensemble50.n_paths, 1)), lambda i, s, z: lambda y: y
         )
 
 
@@ -282,6 +281,10 @@ def test_interior_window_needs_terminal(ensemble50):
         gamma_map(*_zero_means(sc, window.n_nodes), sc, ensemble50, CFG, window=window)
 
 
+def _node_integrand(ensemble, sc):
+    return np.zeros((ensemble.n_paths, sc.d, sc.n))
+
+
 def test_y_free_driver_takes_one_explicit_step(ensemble50):
     # the explicit step is the array the implicit loop settles on at its
     # second pass, when the driver does not read y
@@ -292,11 +295,14 @@ def test_y_free_driver_takes_one_explicit_step(ensemble50):
     m_y = np.full((L, 1), 0.3)
     m_z = np.full((L, 1, 1), -0.2)
     drive = frozen_mean_driver(sc, m_y, m_z, window.lo)
-    assert drive.reads_y is False
+    # a y-free generator binds to its values, not to a function of y
+    assert isinstance(drive(0, 0.0, _node_integrand(ensemble50, sc)), np.ndarray)
     terminal = sc.terminal_values(ensemble50.state(window.hi))
     solver = BackwardSolver(ensemble50, CFG)
     explicit = solver.solve(window, terminal, drive)
-    implicit = solver.solve(window, terminal, lambda i, s, y, z: drive(i, s, y, z))
+    # the same values behind a function of y take the implicit loop
+    implicit = solver.solve(window, terminal,
+                            lambda i, s, z: (lambda f: lambda y: f)(drive(i, s, z)))
     assert explicit.inner_iterations == [1] * (L - 1)
     assert max(implicit.inner_iterations) == 2
     assert np.array_equal(explicit.y, implicit.y)
@@ -308,8 +314,33 @@ def test_y_reading_driver_keeps_the_implicit_loop(ensemble50):
     window = ensemble50.grid.full_window()
     L = window.n_nodes
     drive = frozen_mean_driver(sc, np.zeros((L, 1)), np.zeros((L, 1, 1)), window.lo)
-    assert not hasattr(drive, "reads_y")
+    bound = drive(0, 0.0, _node_integrand(ensemble50, sc))
+    assert callable(bound) and bound.reads_late == {"y"}
     info = _frozen_mean_sweep(sc, ensemble50, CFG)
+    assert min(info.inner_iterations) > 2
+
+
+def test_y_reading_driver_binds_once_per_node_per_sweep(ensemble50, monkeypatch):
+    # the y-free terms are evaluated once per node; every pass of the
+    # implicit loop re-runs only the abs(y) remainder
+    sc = _scalar_scenario("1 + s + abs(y) + 0.5*norm2(z)^2 + abs(sin(norm2(zbar)))")
+    calls = {"bind": 0, "call": 0}
+    bind, call = dsl.Staged.bind, dsl.Staged.__call__
+
+    def counted_bind(self, *args, **kwargs):
+        calls["bind"] += 1
+        return bind(self, *args, **kwargs)
+
+    def counted_call(self, *args, **kwargs):
+        calls["call"] += 1
+        return call(self, *args, **kwargs)
+
+    monkeypatch.setattr(dsl.Staged, "bind", counted_bind)
+    monkeypatch.setattr(dsl.Staged, "__call__", counted_call)
+    info = _frozen_mean_sweep(sc, ensemble50, CFG)
+    L = ensemble50.grid.n_steps + 1
+    assert calls["bind"] == L - 1
+    assert calls["call"] == sum(info.inner_iterations)
     assert min(info.inner_iterations) > 2
 
 
