@@ -64,7 +64,6 @@ from .solver import BackwardSolver, SolverConfig
 from .meanfield import (
     FixedPointTrace,
     SolveResult,
-    gamma_map,
     global_solve,
     local_solve,
     multidim_solve,
@@ -89,7 +88,7 @@ __all__ = [
     "ConstantChain", "Certificate", "build_chain", "certify", "ode_bound",
     # solvers
     "SolverConfig", "BackwardSolver",
-    "FixedPointTrace", "SolveResult", "gamma_map", "local_solve",
+    "FixedPointTrace", "SolveResult", "local_solve",
     "global_solve", "picard_global", "shift_solve_simple",
     "shift_fixed_point", "multidim_solve",
     # config

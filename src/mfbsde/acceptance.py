@@ -30,7 +30,7 @@ from .scenario import (
     example_41,
     linear_scenario,
 )
-from .solver import SolverConfig
+from .solver import BackwardSolver, SolverConfig
 from . import dsl
 
 __all__ = ["CriterionResult", "run_criterion", "CRITERIA"]
@@ -300,9 +300,17 @@ def criterion_4() -> CriterionResult:
     grid = build_grid(scenario.T, config.n_steps)
     ensemble = simulate_brownian(grid, scenario.d, config.n_paths, config.seed)
     result = shift_solve_simple(scenario, ensemble, config)
+    # the base BSDE of f1 alone, solved afresh: the shift must not have
+    # moved a single bit of its integrand
+    f1 = dsl.Staged(scenario.f1, ("s", "z"))
+    window = grid.full_window()
+    base = BackwardSolver(ensemble, config).solve(
+        window, scenario.terminal_values(ensemble.state(window.hi)),
+        lambda i, s, z: f1(s=s, z=z),
+    )
     runtime = time.perf_counter() - t0
 
-    z_same = result.z.values.tobytes() == result.extras["z_before_shift"].tobytes()
+    z_same = result.z.values.tobytes() == np.swapaxes(base.z, 0, 1).tobytes()
     times = result.m_y.times()
     target = ensemble.levels[:, :, 0] + (scenario.T - times)[None, :]
     err = float(np.max(np.mean(np.abs(result.y.values[:, :, 0] - target), axis=0)))

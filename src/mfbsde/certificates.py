@@ -371,6 +371,12 @@ class Certificate:
     forms_asserted: tuple[str, ...]
     spot_check: dict | None = None
 
+    def alpha_envelope(self, t):
+        """The envelope ``alpha(t)`` of :func:`ode_bound` for ``ctilde`` on
+        the certified horizon ``chain.T``, vectorised over ``t``."""
+        alpha_fn, _ = ode_bound(self.ctilde, self.chain.T)
+        return alpha_fn(t)
+
     def as_dict(self) -> dict:
         out = {
             "scenario": self.scenario_name,

@@ -7,7 +7,11 @@ Three commands:
     human-readable report plus a JSON version next to it.
 
 ``mfbsde solve --config FILE [--solver NAME] [overrides...]``
-    Run one of the solvers and write CSV/JSON results.
+    Run one of the solvers and write CSV/JSON results.  The CSV has an
+    ``alpha_bound`` column, the certificate's envelope, when the solver
+    has a certificate; the JSON is ``SolveResult.as_dict()`` plus the
+    manifest, its traces counting each window's z-clamp activations
+    (``clamp_events``) and inner E[Z] sweeps (``inner_sweeps``).
 
 ``mfbsde validate [--criteria 1,2,...]``
     Run the acceptance criteria and print one PASS/FAIL line each.
@@ -17,7 +21,8 @@ Exit codes: 0 on success, 1 when a solver or certificate computation fails,
 A solve that fails with exit code 1 (an outer iteration that stops without
 converging, a diverging backward step, an unusable regression, ...) also
 writes ``<prefix>_failure.json``: the error, the partial trace of a failed
-outer iteration (null for other failures) and the manifest.
+outer iteration (null for other failures), with the same counts, and the
+manifest.
 """
 
 from __future__ import annotations
@@ -164,10 +169,9 @@ def _cmd_solve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{options.prefix}_result.csv"
     json_path = out_dir / f"{options.prefix}_result.json"
-    alpha_fn = None
-    if result.certificate is not None and result.flags.get("alpha_envelope_rate") is not None:
-        alpha_fn, _ = _envelope(result)
-    write_result_csv(csv_path, result, manifest, alpha_fn=alpha_fn)
+    cert = result.certificate
+    write_result_csv(csv_path, result, manifest,
+                     alpha_fn=cert.alpha_envelope if cert is not None else None)
     write_result_json(json_path, result, manifest)
 
     traces = result.trace if isinstance(result.trace, list) else [result.trace]
@@ -177,18 +181,12 @@ def _cmd_solve(args) -> int:
     print(f"iterations per window: {iters}")
     print(f"state mean at t=0: "
           + ", ".join(f"{v:.6f}" for v in result.m_y.values[0]))
-    for key in ("alpha_envelope_rate", "window_exceeds_certificate", "z_shift_bitwise"):
+    for key in ("alpha_envelope_rate", "window_exceeds_certificate"):
         if key in result.flags:
             print(f"{key}: {result.flags[key]}")
     print(f"elapsed: {elapsed:.2f}s")
     print(f"wrote {csv_path} and {json_path}")
     return 0
-
-
-def _envelope(result):
-    from .certificates import ode_bound
-
-    return ode_bound(result.certificate.ctilde, result.y.grid.horizon)
 
 
 def _cmd_validate(args) -> int:

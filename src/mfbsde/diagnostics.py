@@ -199,7 +199,6 @@ class DiagnosticsReport:
     bmo_budget: float | None = None
     bmo_within_budget: bool | None = None
     alpha_violation_rate: float | None = None
-    clamp_events: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -213,7 +212,6 @@ def build_report(
     p: float = 2.0,
     bmo_budget: float | None = None,
     alpha_fn=None,
-    clamp_events: int = 0,
 ) -> DiagnosticsReport:
     """Norms and envelope rate of one solved ``(y, z)``, with ``bmo``, its
     :func:`bmo2_estimate` (folded window by window in a stitched solve,
@@ -225,7 +223,6 @@ def build_report(
         bmo2_z=bmo,
         p=p,
         gamma=gamma,
-        clamp_events=clamp_events,
     )
     if bmo_budget is not None:
         rep.bmo_budget = bmo_budget

@@ -4,8 +4,8 @@ The quadratic drivers couple each path to the ensemble through the means of
 the state and of the martingale integrand.  All solvers share one backward
 regression engine and differ only in the map they iterate:
 
-* ``gamma_map`` is one frozen-mean solve; ``local_solve`` iterates it to its
-  fixed point on one window;
+* ``local_solve`` iterates the frozen-mean solve (the mean slots of the
+  driver frozen at given curves) to its fixed point on one window;
 * ``global_solve`` stitches those window fixed points backward across the
   horizon;
 * ``picard_global`` iterates the linearised scheme whose source term is the
@@ -21,14 +21,18 @@ Every outer iteration runs in one engine, :func:`_iterate`: a solver hands
 it a step (one application of its map) and a distance between successive
 iterates, and the engine times the steps, records the trace, and stops on
 ``tol_fp``, on divergence (:class:`NonContraction`) or on the
-``max_outer`` budget (:class:`MaxIterations`).  Window solves return plain
-arrays; each public solver then finalises once (diagnostics report,
-envelope rate, process grids) on the whole span it solved.  Besides the
-horizon arrays, a stitched solve holds one window at a time: as soon as a
-window is copied into the horizon arrays it is freed, its nodes are folded into the BMO
-estimate (a per-path tail integral carried right to left from window to
-window, as the estimator runs), and the solver releases their regressions.
-Finalisation takes the folded estimate and fits nothing.
+``max_outer`` budget (:class:`MaxIterations`).  A window solve returns
+``(y, z, trace)``: node-major arrays and the window's
+:class:`FixedPointTrace`, which also counts the z-clamp activations and
+the inner E[Z] sweeps of its steps, so whatever a window did reaches the
+result JSON and, on failure, the failure record.  Each public solver then
+finalises once (diagnostics report, envelope rate, process grids, flags)
+on the whole span it solved.  Besides the horizon arrays, a stitched solve
+holds one window at a time: it checks the window against the certified
+width, solves it, copies it into the horizon arrays and frees it, folds
+its nodes into the BMO estimate (a per-path tail integral carried right to
+left from window to window, as the estimator runs), and releases their
+regressions.  Finalisation takes the folded estimate and fits nothing.
 
 Iterates are node-major, ``(L, P, ...)``, as the backward sweep stores
 them: every per-node read (drivers, sources, mean shifts) and every mean
@@ -97,7 +101,6 @@ from .solver import BackwardSolver, SolverConfig, frozen_mean_driver
 __all__ = [
     "FixedPointTrace",
     "SolveResult",
-    "gamma_map",
     "local_solve",
     "global_solve",
     "picard_global",
@@ -111,7 +114,12 @@ _ALPHA_RATE_TOLERANCE = 0.005  # flagged when the envelope violation rate exceed
 
 @dataclass
 class FixedPointTrace:
-    """Per-iterate record of one fixed-point run."""
+    """Per-iterate record of one fixed-point run.
+
+    ``clamp_events`` counts the integrand rows clamped by the run's step
+    sweeps (a martingale start is not a step); ``inner_sweeps`` has, for
+    the frozen-state maps, the number of E[Z] sweeps each step took, and
+    stays empty where a step is one sweep."""
 
     y_distances: list[float] = field(default_factory=list)
     z_distances: list[float] = field(default_factory=list)
@@ -122,6 +130,8 @@ class FixedPointTrace:
     ball_ok: list[bool] = field(default_factory=list)
     wall_times: list[float] = field(default_factory=list)
     alpha_rates: list[float] = field(default_factory=list)
+    clamp_events: int = 0
+    inner_sweeps: list[int] = field(default_factory=list)
     converged: bool = False
 
     @property
@@ -148,7 +158,9 @@ class FixedPointTrace:
 
 @dataclass
 class SolveResult:
-    """Solver output: processes, means, trace(s), diagnostics, certificate."""
+    """Solver output: processes, means, trace(s), diagnostics, certificate.
+
+    Everything but the process grids is written by :meth:`as_dict`."""
 
     y: ProcessGrid
     z: ProcessGrid
@@ -159,7 +171,6 @@ class SolveResult:
     diagnostics: object = None
     windows: list[tuple[int, int]] = field(default_factory=list)
     flags: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         trace = self.trace
@@ -173,18 +184,10 @@ class SolveResult:
             "m_z": self.m_z.values.tolist(),
             "trace": trace_out,
             "windows": [list(w) for w in self.windows],
-            "flags": {k: _plain(v) for k, v in self.flags.items()},
+            "flags": self.flags,
             "diagnostics": self.diagnostics.as_dict() if self.diagnostics else None,
             "certificate": self.certificate.as_dict() if self.certificate else None,
         }
-
-
-def _plain(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.bool_):
-        return bool(v)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +266,8 @@ def _martingale_start(solver: BackwardSolver, window: Window, terminal: np.ndarr
 def _check_window_width(
     window: Window, ensemble: PathEnsemble, cert: Certificate | None, config: SolverConfig
 ) -> bool:
+    """Whether ``window`` is wider than the certified width: raises
+    :class:`WindowTooWide` if so, or warns under ``override_epsilon``."""
     if cert is None:
         return False
     width = window.width(ensemble.grid)
@@ -401,15 +406,6 @@ def _iterate(step, distance, state, trace, config, context: str):
     )
 
 
-def _alpha_fn_for(scenario: ScenarioSpec, cert: Certificate | None):
-    if cert is None:
-        return None
-    from .certificates import ode_bound
-
-    fn, _ = ode_bound(cert.ctilde, scenario.T)
-    return fn
-
-
 def _finish_result(
     scenario,
     ensemble,
@@ -421,15 +417,15 @@ def _finish_result(
     trace,
     windows,
     flags,
-    extras,
 ):
     """One diagnostics report and the public result over node-major
     ``y_vals`` (L, P, n) and ``z_vals`` (L, P, d, n), which the result's
     process grids view without copying; ``bmo2_z`` is the integrand's
-    finished BMO estimate, so nothing is fitted here."""
+    finished BMO estimate, so nothing is fitted here.  ``flags`` gains the
+    envelope rate when there is a certificate."""
     ygrid = _process(ensemble, y_vals, span)
     zgrid = _process(ensemble, z_vals, span)
-    alpha_fn = _alpha_fn_for(scenario, cert)
+    alpha_fn = cert.alpha_envelope if cert is not None else None
     budget = None
     if cert is not None and FORM_GLOBAL_ODE in scenario.forms:
         budget = bmo_budget_global(
@@ -442,7 +438,6 @@ def _finish_result(
         gamma=scenario.gamma,
         bmo_budget=budget,
         alpha_fn=alpha_fn,
-        clamp_events=int(flags.get("clamp_events", 0)),
     )
     if alpha_fn is not None:
         rate = report.alpha_violation_rate
@@ -458,46 +453,12 @@ def _finish_result(
         diagnostics=report,
         windows=windows,
         flags=flags,
-        extras=extras,
     )
 
 
 # ---------------------------------------------------------------------------
 # frozen-mean map and its local fixed point
 # ---------------------------------------------------------------------------
-
-
-def gamma_map(
-    m_u,
-    m_v,
-    scenario: ScenarioSpec,
-    ensemble: PathEnsemble,
-    config: SolverConfig,
-    window: Window | None = None,
-    terminal: np.ndarray | None = None,
-):
-    """One application of the frozen-mean solution map.
-
-    Solves the BSDE whose generator has its mean slots frozen at the input
-    curves and returns ``(Y, Z, m_Y, m_Z)``.  Drivers that ignore the mean
-    slots make the output independent of the inputs, identically.
-    """
-    window = window or ensemble.grid.full_window()
-    m_u = m_u.values if isinstance(m_u, MeanCurve) else np.asarray(m_u, dtype=np.float64)
-    m_v = m_v.values if isinstance(m_v, MeanCurve) else np.asarray(m_v, dtype=np.float64)
-    if m_u.ndim == 1:
-        m_u = m_u[:, None]
-    if m_v.ndim == 1:
-        m_v = m_v[:, None, None]
-    if m_u.shape[0] != window.n_nodes or m_v.shape[0] != window.n_nodes:
-        raise InvalidInput("mean curves must be aligned with the window nodes")
-    terminal = _terminal_for(scenario, ensemble, window, terminal)
-    driver = frozen_mean_driver(scenario, m_u, m_v, window.lo)
-    res = BackwardSolver(ensemble, config).solve(window, terminal, driver)
-    span = (window.lo, window.hi)
-    ygrid = _process(ensemble, res.y, span)
-    zgrid = _process(ensemble, res.z, span)
-    return ygrid, zgrid, ensemble_mean(ygrid), ensemble_mean(zgrid)
 
 
 def local_solve(
@@ -522,29 +483,27 @@ def local_solve(
         raise InvalidInput("local_solve needs a single-generator scenario")
     window = window or ensemble.grid.full_window()
     cert = certificate if certificate is not None else certify(scenario)
-    solver = BackwardSolver(ensemble, config)
-    y, z, trace, flags, extras = _local_window(
-        scenario, ensemble, config, cert, solver, window, terminal, init
-    )
-    span = (window.lo, window.hi)
-    return _finish_result(
-        scenario, ensemble, cert,
-        y, z, span, _bmo2(solver, z, span), trace, [span], flags, extras,
-    )
-
-
-def _local_window(scenario, ensemble, config, cert, solver, window, terminal, init):
-    """Frozen-mean fixed point on ``window``: ``(y, z, trace, flags, extras)``
-    with node-major ``y`` and ``z``."""
     ensemble.grid.check_window(window)
     exceeded = _check_window_width(window, ensemble, cert, config)
     terminal = _terminal_for(scenario, ensemble, window, terminal)
-    steps = _window_steps(ensemble, window)
+    solver = BackwardSolver(ensemble, config)
+    y, z, trace = _local_window(scenario, config, cert, solver, window, terminal, init)
+    span = (window.lo, window.hi)
+    return _finish_result(
+        scenario, ensemble, cert,
+        y, z, span, _bmo2(solver, z, span), trace, [span],
+        {"window_exceeds_certificate": exceeded},
+    )
+
+
+def _local_window(scenario, config, cert, solver, window, terminal, init):
+    """Frozen-mean fixed point on ``window``, closed by the (P, n)
+    ``terminal``: ``(y, z, trace)`` with node-major ``y`` and ``z``."""
+    steps = _window_steps(solver.ensemble, window)
     span = (window.lo, window.hi)
     n, d = scenario.n, scenario.d
     L = window.n_nodes
     trace = FixedPointTrace()
-    flags = {"window_exceeds_certificate": exceeded, "clamp_events": 0}
     context = f"local solve on window {span}"
     if config.max_outer < 2:  # the first step starts from mean curves only
         raise MaxIterations(
@@ -562,7 +521,7 @@ def _local_window(scenario, ensemble, config, cert, solver, window, terminal, in
     def step(it: _Iterate) -> _Iterate:
         driver = frozen_mean_driver(scenario, it.m_y, it.m_z, window.lo)
         sweep = solver.solve(window, terminal, driver)
-        flags["clamp_events"] += sweep.clamp_events
+        trace.clamp_events += sweep.clamp_events
         new = _sweep_iterate(sweep)
         _track_ball(trace, config, solver, cert, new, span)
         return new
@@ -574,7 +533,7 @@ def _local_window(scenario, ensemble, config, cert, solver, window, terminal, in
         return y_dist, z_dist, max(my_dist, _sup_dist(new.m_z, old.m_z))
 
     last = _iterate(step, distance, _Iterate(None, None, m_y, m_z), trace, config, context)
-    return last.y, last.z, trace, flags, {}
+    return last.y, last.z, trace
 
 
 # ---------------------------------------------------------------------------
@@ -616,13 +575,14 @@ def _stitched_solve(
     solver: BackwardSolver,
 ) -> SolveResult:
     """Backward window recursion; ``solve_window(window, terminal)`` returns
-    per-window arrays ``(y, z, trace, flags, extras)``, ``y`` and ``z``
-    node-major.  Each window is copied, as one contiguous block per array,
-    into the node-major result as soon as it is solved, and its arrays are
-    freed.  Its nodes are then folded into the horizon's BMO estimate,
-    through one per-path tail carried from window to window, and their
-    regressions are released: only one window's projectors are ever
-    cached, and finalisation fits nothing."""
+    ``(y, z, trace)`` of one window, ``y`` and ``z`` node-major.  Each
+    window is checked against the certified width before it is solved, and
+    copied, as one contiguous block per array, into the node-major result
+    as soon as it is solved; its arrays are freed.  Its nodes are then
+    folded into the horizon's BMO estimate, through one per-path tail
+    carried from window to window, and their regressions are released:
+    only one window's projectors are ever cached, and finalisation fits
+    nothing."""
     grid = ensemble.grid
     windows = _plan_windows(ensemble, config, cert)
     N = grid.n_steps
@@ -630,24 +590,21 @@ def _stitched_solve(
     n, d = scenario.n, scenario.d
     y_full = np.empty((N + 1, P, n))
     z_full = np.empty((N + 1, P, d, n))
-    flags: dict = {"clamp_events": 0, "window_exceeds_certificate": False}
-    per_window = []
+    exceeded = False
+    traces: list[FixedPointTrace] = []
     tail = np.zeros(P)
     bmo2_z = 0.0
 
     terminal = scenario.terminal_values(ensemble.state(N))
     for w in reversed(windows):
-        y_w, z_w, trace_w, flags_w, extras_w = solve_window(w, terminal)
+        exceeded |= _check_window_width(w, ensemble, cert, config)
+        y_w, z_w, trace_w = solve_window(w, terminal)
+        traces.append(trace_w)
         # the window to the right already wrote node w.hi: its integrand
         # there is the solved one, not this window's copied last node
         stop = w.hi + 1 if w.hi == N else w.hi
         y_full[w.lo : stop] = y_w[: stop - w.lo]
         z_full[w.lo : stop] = z_w[: stop - w.lo]
-        per_window.append((trace_w, extras_w))
-        flags["clamp_events"] += flags_w.get("clamp_events", 0)
-        flags["window_exceeds_certificate"] |= flags_w.get(
-            "window_exceeds_certificate", False
-        )
         terminal = y_w[0].copy()
         del y_w, z_w  # freed before the fold allocates
         # nodes w.hi - 1 .. w.lo of z_full are final: the windows to the
@@ -655,17 +612,11 @@ def _stitched_solve(
         bmo2_z = max(bmo2_z, _bmo2(solver, z_full[w.lo : w.hi + 1], (w.lo, w.hi), tail))
         solver.release(w)
 
-    traces: list[FixedPointTrace] = []
-    extras_all: dict = {}
-    for trace_w, extras_w in reversed(per_window):
-        traces.append(trace_w)
-        for key, val in extras_w.items():
-            extras_all.setdefault(key, []).append(val)
-
+    traces.reverse()
     return _finish_result(
         scenario, ensemble, cert,
         y_full, z_full, (0, N), bmo2_z, traces, [(w.lo, w.hi) for w in windows],
-        flags, extras_all,
+        {"window_exceeds_certificate": exceeded},
     )
 
 
@@ -685,9 +636,7 @@ def global_solve(
     solver = BackwardSolver(ensemble, config)
 
     def solve_window(window: Window, terminal: np.ndarray):
-        return _local_window(
-            scenario, ensemble, config, cert, solver, window, terminal, None
-        )
+        return _local_window(scenario, config, cert, solver, window, terminal, None)
 
     return _stitched_solve(scenario, ensemble, config, cert, solve_window, solver)
 
@@ -723,10 +672,8 @@ def picard_global(
     n, d = scenario.n, scenario.d
     L = window.n_nodes
     nodes = ensemble.grid.nodes
-    alpha_fn = _alpha_fn_for(scenario, cert)
 
     trace = FixedPointTrace()
-    flags = {"clamp_events": 0}
     # the lagged source binds (s, z) once per node and runs the rest at the
     # iterate and at zeros; the sweep's core binds the zero slots once
     zeros = {"y": np.zeros((ensemble.n_paths, n)), "ybar": np.zeros(n), "zbar": np.zeros((d, n))}
@@ -735,10 +682,9 @@ def picard_global(
     core.bind(**zeros)
 
     def record_alpha(y_vals):
-        if alpha_fn is None:
-            return
         grid_y = _process(ensemble, y_vals, span)
-        trace.alpha_rates.append(check_alpha_envelope(grid_y, alpha_fn)["violation_rate"])
+        rate = check_alpha_envelope(grid_y, cert.alpha_envelope)["violation_rate"]
+        trace.alpha_rates.append(rate)
 
     def step(it: _Iterate) -> _Iterate:
         # lagged source: full driver at the previous iterate minus its
@@ -754,7 +700,7 @@ def picard_global(
             return np.add(f, source[i - window.lo], out=f)
 
         sweep = solver.solve(window, terminal, driver)
-        flags["clamp_events"] += sweep.clamp_events
+        trace.clamp_events += sweep.clamp_events
         new = _sweep_iterate(sweep)
         record_alpha(new.y)
         _track_ball(trace, config, solver, cert, new, span)
@@ -769,7 +715,7 @@ def picard_global(
                     "global Picard")
     return _finish_result(
         scenario, ensemble, cert,
-        last.y, last.z, span, _bmo2(solver, last.z, span), trace, [span], flags, {},
+        last.y, last.z, span, _bmo2(solver, last.z, span), trace, [span], {},
     )
 
 
@@ -796,16 +742,18 @@ def _frozen_state_start(solver, window, terminal) -> _Iterate:
     return _Iterate(y, None, path_mean(y), np.zeros(shape))
 
 
-def _mean_shift(f2, ensemble, window, u_vals, m_u, z_vals, m_z):
+def _mean_shift(f2, ensemble, window, z_vals, m_z, **state):
     """Tail integral of the mean of f2 along the window (trapezoid rule);
-    ``f2`` is the window's all-late :class:`dsl.Staged` program, ``u_vals``
-    and ``z_vals`` are node-major."""
-    L, n = window.n_nodes, u_vals.shape[-1]
+    ``f2`` is the window's all-late :class:`dsl.Staged` program, ``z_vals``
+    is node-major, and ``state`` has the ``y`` and ``ybar`` slots, node-major,
+    when ``f2`` reads them."""
+    L, n = window.n_nodes, z_vals.shape[-1]
     nodes = ensemble.grid.nodes
     fbar = np.empty((L, n))
     for j in range(L):
         s = float(nodes[window.lo + j])
-        fbar[j] = f2(s, u_vals[j], m_u[j], z_vals[j], m_z[j]).mean(axis=0)
+        at_node = {k: v[j] for k, v in state.items()}
+        fbar[j] = f2(s=s, z=z_vals[j], zbar=m_z[j], **at_node).mean(axis=0)
     steps = ensemble.grid.steps[window.lo : window.hi]
     shift = np.zeros((L, n))
     for j in range(L - 2, -1, -1):
@@ -844,25 +792,20 @@ def shift_solve_simple(
 
     t0 = time.perf_counter()
     sweep = solver.solve(window, terminal, driver)
-    m_z = path_mean(sweep.z)
     shift = _mean_shift(
         dsl.Staged(scenario.f2, dsl.GENERATOR_VARS, n=n, d=d), ensemble, window,
-        np.zeros_like(sweep.y), np.zeros((window.n_nodes, n)), sweep.z, m_z,
+        sweep.z, path_mean(sweep.z),
     )
     y_shifted = sweep.y + shift[:, None, :]
     wall = time.perf_counter() - t0
 
-    trace = FixedPointTrace(converged=True)
+    trace = FixedPointTrace(converged=True, clamp_events=sweep.clamp_events)
     trace.push(0.0, 0.0, 0.0, wall)
     span = (window.lo, window.hi)
-    flags = {"clamp_events": sweep.clamp_events, "z_shift_bitwise": True}
-    extras = {"y_before_shift": np.swapaxes(sweep.y, 0, 1), "shift": shift}
-    result = _finish_result(
+    return _finish_result(
         scenario, ensemble, None,
-        y_shifted, sweep.z, span, _bmo2(solver, sweep.z, span), trace, [span], flags, extras,
+        y_shifted, sweep.z, span, _bmo2(solver, sweep.z, span), trace, [span], {},
     )
-    extras["z_before_shift"] = result.z.values  # the shift leaves the integrand as it is
-    return result
 
 
 def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
@@ -885,11 +828,8 @@ def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
     tol_curve = max(config.tol_fp * 0.1, 1e-9)
 
     def solve_window(window: Window, terminal: np.ndarray):
-        exceeded = _check_window_width(window, ensemble, cert, config)
         span = (window.lo, window.hi)
         trace = FixedPointTrace()
-        flags = {"window_exceeds_certificate": exceeded, "clamp_events": 0}
-        inner_counts = []
         f1 = dsl.Staged(scenario.f1, ("z", "zbar"), n=n, d=d)
         f2 = dsl.Staged(scenario.f2, dsl.GENERATOR_VARS, n=n, d=d)
         bound = None  # f1's bound values, one row per swept node
@@ -910,14 +850,14 @@ def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
 
                 sweep = None  # only its mean curve is needed: free it before the next sweep
                 sweep = solver.solve(window, terminal, driver)
-                flags["clamp_events"] += sweep.clamp_events
+                trace.clamp_events += sweep.clamp_events
                 mz_new = path_mean(sweep.z)
                 gap = float(np.max(np.abs(mz_new - mz_curve)))
                 mz_curve = mz_new
                 if gap <= tol_curve:
                     break
-            inner_counts.append(inner)
-            shift = _mean_shift(f2, ensemble, window, it.y, it.m_y, sweep.z, mz_curve)
+            trace.inner_sweeps.append(inner)
+            shift = _mean_shift(f2, ensemble, window, sweep.z, mz_curve, y=it.y, ybar=it.m_y)
             y_new = sweep.y + shift[:, None, :]
             new = _Iterate(y_new, sweep.z, path_mean(y_new), mz_curve)
             _track_ball(trace, config, solver, cert, new, span)
@@ -928,11 +868,9 @@ def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
             _frozen_state_start(solver, window, terminal), trace, config,
             f"{context} on window {span}",
         )
-        return last.y, last.z, trace, flags, {"mz_inner_iterations": inner_counts}
+        return last.y, last.z, trace
 
-    result = _stitched_solve(scenario, ensemble, config, cert, solve_window, solver)
-    result.flags["z_shift_bitwise"] = True
-    return result
+    return _stitched_solve(scenario, ensemble, config, cert, solve_window, solver)
 
 
 def shift_fixed_point(

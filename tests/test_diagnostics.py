@@ -274,4 +274,3 @@ def test_build_report_fields(grid50):
     assert rep.alpha_violation_rate == 0.0
     d = rep.as_dict()
     assert d["gamma"] == 0.4
-    assert d["clamp_events"] == 0

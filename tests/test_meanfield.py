@@ -1,14 +1,18 @@
 """Mean-field fixed point machinery: frozen-mean map, local solve,
 stitching, the Picard scheme, shift solvers, and the vector scheme."""
 
+import dataclasses
+import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfbsde import dsl
+from mfbsde import dsl, meanfield
 from mfbsde import solver as solver_module
-from mfbsde.config import load_config
+from mfbsde.cli import _SOLVERS
+from mfbsde.config import load_config, manifest_for, write_failure_json
 from mfbsde.core import ProcessGrid, TimeGrid, Window, build_grid, path_mean, simulate_brownian
 from mfbsde.diagnostics import bmo2_estimate, mp_norm
 from mfbsde.errors import InvalidInput, MaxIterations, NonContraction, WindowTooWide
@@ -17,7 +21,7 @@ from mfbsde.meanfield import (
     _m2_dist,
     _s2_dist,
     _sup_dist,
-    gamma_map,
+    SolveResult,
     global_solve,
     local_solve,
     multidim_solve,
@@ -34,7 +38,7 @@ from mfbsde.scenario import (
     linear_scenario,
 )
 from mfbsde.regression import NodeRegression, RegressionBasis
-from mfbsde.solver import BackwardSolver, SolverConfig
+from mfbsde.solver import BackwardSolver, SolverConfig, frozen_mean_driver
 
 CFG = SolverConfig(
     n_steps=40,
@@ -73,29 +77,31 @@ def _mean_free_scenario():
     )
 
 
+def _frozen_mean_solve(sc, ens, m_y, m_z):
+    """One backward sweep on the full window with the mean slots frozen at
+    the curves ``m_y`` (L, n) and ``m_z`` (L, d, n)."""
+    window = ens.grid.full_window()
+    terminal = sc.terminal_values(ens.state(window.hi))
+    drive = frozen_mean_driver(sc, m_y, m_z, window.lo)
+    return BackwardSolver(ens, CFG).solve(window, terminal, drive)
+
+
 # ---------------------------------------------------------------------------
 # frozen-mean map
 # ---------------------------------------------------------------------------
 
 
-def test_gamma_map_ignores_inert_mean_slots():
+def test_frozen_mean_solve_ignores_inert_mean_slots():
     sc = _mean_free_scenario()
     ens = _ensemble(sc)
     L = CFG.n_steps + 1
     zeros = (np.zeros((L, 1)), np.zeros((L, 1, 1)))
     crazy = (50.0 * np.ones((L, 1)), -7.0 * np.ones((L, 1, 1)))
-    y1, z1, _, _ = gamma_map(*zeros, sc, ens, CFG)
-    y2, z2, _, _ = gamma_map(*crazy, sc, ens, CFG)
+    first = _frozen_mean_solve(sc, ens, *zeros)
+    second = _frozen_mean_solve(sc, ens, *crazy)
     # identical, not merely close
-    assert y1.values.tobytes() == y2.values.tobytes()
-    assert z1.values.tobytes() == z2.values.tobytes()
-
-
-def test_gamma_map_window_alignment_checked():
-    sc = _mean_free_scenario()
-    ens = _ensemble(sc)
-    with pytest.raises(InvalidInput):
-        gamma_map(np.zeros((7, 1)), np.zeros((7, 1, 1)), sc, ens, CFG)
+    assert first.y.tobytes() == second.y.tobytes()
+    assert first.z.tobytes() == second.z.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +116,10 @@ def test_local_solve_mean_free_equals_standard_solve():
     ens = _ensemble(sc)
     res = local_solve(sc, ens, CFG)
     L = CFG.n_steps + 1
-    y_ref, z_ref, _, _ = gamma_map(np.zeros((L, 1)), np.zeros((L, 1, 1)), sc, ens, CFG)
+    ref = _frozen_mean_solve(sc, ens, np.zeros((L, 1)), np.zeros((L, 1, 1)))
     assert res.trace.converged
-    assert res.y.values.tobytes() == y_ref.values.tobytes()
-    assert res.z.values.tobytes() == z_ref.values.tobytes()
+    assert res.y.values.tobytes() == np.swapaxes(ref.y, 0, 1).tobytes()
+    assert res.z.values.tobytes() == np.swapaxes(ref.z, 0, 1).tobytes()
 
 
 def test_local_solve_zero_driver_single_iteration():
@@ -250,7 +256,7 @@ def test_local_solve_needs_single_generator():
         local_solve(sc, ens, CFG)
 
 
-@pytest.mark.parametrize("entry", ["BackwardSolver.solve", "gamma_map", "local_solve"])
+@pytest.mark.parametrize("entry", ["BackwardSolver.solve", "local_solve"])
 def test_windows_past_the_grid_are_rejected(entry):
     # a 10-step grid has nodes 0..10: each entry point refuses a window
     # reaching past node 10 before it reads the grid there
@@ -262,10 +268,6 @@ def test_windows_past_the_grid_are_rejected(entry):
     calls = {
         "BackwardSolver.solve": lambda: BackwardSolver(ens, cfg).solve(
             Window(10, 11), terminal, lambda i, s, z: lambda y: y
-        ),
-        "gamma_map": lambda: gamma_map(
-            np.zeros(window.n_nodes), np.zeros(window.n_nodes), sc, ens, cfg,
-            window=window, terminal=terminal,
         ),
         "local_solve": lambda: local_solve(sc, ens, cfg, window=window, terminal=terminal),
     }
@@ -425,7 +427,7 @@ def test_first_integrand_distance_is_taken_from_zero(solve, scenario, monkeypatc
     ens = _ensemble(scenario, cfg)
     res = solve(scenario, ens, cfg)
     # sweep 0 is the martingale start; the first step ends on its last sweep
-    inner = res.extras.get("mz_inner_iterations", [[1]])[0][0]
+    inner = res.trace[0].inner_sweeps[0]
     z = sweeps[inner].z
     first = res.trace[0].z_distances[0]
     assert first > 0.0
@@ -436,8 +438,13 @@ def test_shift_leaves_integrand_bitwise_identical():
     sc = _shift_identity_scenario()
     ens = _ensemble(sc)
     res = shift_solve_simple(sc, ens, CFG)
-    assert res.flags["z_shift_bitwise"] is True
-    assert res.z.values.tobytes() == res.extras["z_before_shift"].tobytes()
+    # the base BSDE of f1 alone, solved afresh
+    f1 = dsl.Staged(sc.f1, ("s", "z"))
+    window = ens.grid.full_window()
+    base = BackwardSolver(ens, CFG).solve(
+        window, sc.terminal_values(ens.state(window.hi)), lambda i, s, z: f1(s=s, z=z)
+    )
+    assert res.z.values.tobytes() == np.swapaxes(base.z, 0, 1).tobytes()
 
 
 def test_shift_identity_state():
@@ -700,7 +707,7 @@ def test_state_terms_are_bound_once_per_node_per_outer_step(config, changes, sol
     res = solve(sc, ens, cfg)
     steps = sum((hi - lo) * t.iterations for (lo, hi), t in zip(res.windows, res.trace))
     assert bound == [frozenset({"z", "zbar"})] * steps
-    sweeps = sum(sum(k) for k in res.extras["mz_inner_iterations"])
+    sweeps = sum(sum(t.inner_sweeps) for t in res.trace)
     if solve is multidim_solve:
         assert sweeps > sum(t.iterations for t in res.trace)
 
@@ -730,3 +737,81 @@ def test_picard_source_is_full_minus_core_bit_for_bit(monkeypatch):
         lagged_core = dsl.evaluate(gen, s, *zeros, start.z[j], np.zeros((d, n)), n=n, d=d)
         core = dsl.evaluate(gen, s, *zeros, z, np.zeros((d, n)), n=n, d=d)
         assert driver(j, s, z).tobytes() == (core + (full - lagged_core)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the result record
+# ---------------------------------------------------------------------------
+
+# a tiny run of each CLI selector: shipped config (None: the shift-identity
+# scenario) and settings over the shared small ones
+_TINY_RUNS = {
+    "local": ("linear.cfg", {}),
+    "global": ("linear.cfg", {"n_windows": 2}),
+    "picard": ("linear.cfg", {}),
+    "shift": ("ex31.cfg", {"n_windows": 2}),
+    "shift-simple": (None, {}),
+    "multidim": ("ex41.cfg", {"n_windows": 2}),
+}
+
+
+def _tiny_run(selector, **changes):
+    name, settings = _TINY_RUNS[selector]
+    sc, cfg = (_shift_identity_scenario(), CFG) if name is None else _shipped(name)
+    cfg = cfg.updated(n_steps=8, n_paths=500, override_epsilon=True, track_ball=True,
+                      **settings, **changes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # windows wider than certified
+        return _SOLVERS[selector](sc, _ensemble(sc, cfg), cfg)
+
+
+@pytest.mark.parametrize("selector", sorted(_SOLVERS))
+def test_result_record_is_plain_json(selector):
+    # every value the record holds is a plain Python value
+    json.dumps(_tiny_run(selector).as_dict())
+
+
+def test_every_result_field_is_written():
+    # nothing a solve returns besides its process grids stays out of the
+    # record, so no unwritten side channel can come back
+    record = _tiny_run("global").as_dict()
+    names = [f.name for f in dataclasses.fields(SolveResult)]
+    missing = [n for n in names if n not in ("y", "z") and n not in record]
+    assert missing == []
+
+
+def _record_step_clamps(monkeypatch):
+    """Clamp events of every sweep from now on, summed per window for the
+    step sweeps and in total for the martingale starts."""
+    counts = {"start": 0}
+    sweep = BackwardSolver.solve
+
+    def recording(self, window, terminal, driver):
+        out = sweep(self, window, terminal, driver)
+        key = "start" if driver is meanfield._zero_driver else (window.lo, window.hi)
+        counts[key] = counts.get(key, 0) + out.clamp_events
+        return out
+
+    monkeypatch.setattr(BackwardSolver, "solve", recording)
+    return counts
+
+
+@pytest.mark.parametrize("selector", sorted(_TINY_RUNS))
+def test_trace_counts_the_clamps_of_its_step_sweeps(selector, monkeypatch):
+    counts = _record_step_clamps(monkeypatch)
+    res = _tiny_run(selector, z_clamp=0.3)
+    traces = res.trace if isinstance(res.trace, list) else [res.trace]
+    assert [t.clamp_events for t in traces] == [counts[w] for w in res.windows]
+    assert all(t.clamp_events > 0 for t in traces)
+    # the martingale starts clamp too, and are left out
+    assert (counts["start"] > 0) == (selector != "shift-simple")
+
+
+def test_failure_record_counts_the_clamps(tmp_path, monkeypatch):
+    counts = _record_step_clamps(monkeypatch)
+    with pytest.raises(MaxIterations) as failed:
+        _tiny_run("local", z_clamp=0.3, max_outer=2, tol_fp=1e-12)
+    path = tmp_path / "run_failure.json"
+    write_failure_json(path, failed.value, manifest_for("x.cfg", "", CFG, "local"))
+    trace = json.loads(path.read_text())["trace"]
+    assert trace["clamp_events"] == counts[(0, 8)] > 0

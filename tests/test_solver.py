@@ -9,7 +9,7 @@ import pytest
 from mfbsde import dsl
 from mfbsde.core import Window, build_grid, simulate_brownian
 from mfbsde.errors import InvalidInput, RegressionError, StepDivergence
-from mfbsde.meanfield import gamma_map
+from mfbsde.meanfield import local_solve
 from mfbsde.oracle import LinearMeanFieldSpec, linear_closed_form
 from mfbsde.regression import NodeRegression, RegressionBasis, poly_features
 from mfbsde.scenario import ScenarioSpec, linear_scenario
@@ -258,9 +258,8 @@ def test_zero_driver_recovers_martingale(ensemble50):
 def test_tower_property_of_state_mean(ensemble50):
     # with f = 0 the state mean is constant in time (martingale property)
     sc = _scalar_scenario("0", terminal="w^2")
-    L = ensemble50.grid.n_steps + 1
-    y, _, _, _ = gamma_map(*_zero_means(sc, L), sc, ensemble50, CFG)
-    m = y.values.mean(axis=0)[:, 0]
+    info = _frozen_mean_sweep(sc, ensemble50, CFG)
+    m = info.y.mean(axis=1)[:, 0]
     # E[W_T^2] = T = 1; drift of the estimated mean stays within MC noise
     assert np.max(np.abs(m - m[-1])) < 0.02
 
@@ -277,8 +276,10 @@ def test_clamp_events_counted(ensemble50):
 def test_interior_window_needs_terminal(ensemble50):
     sc = _scalar_scenario("0")
     window = Window(10, 30)
-    with pytest.raises(InvalidInput, match="interior window needs explicit terminal"):
-        gamma_map(*_zero_means(sc, window.n_nodes), sc, ensemble50, CFG, window=window)
+    cfg = CFG.updated(override_epsilon=True)  # the window is wider than certified
+    with pytest.warns(RuntimeWarning, match="exceeds the certified width"), \
+            pytest.raises(InvalidInput, match="interior window needs explicit terminal"):
+        local_solve(sc, ensemble50, cfg, window=window)
 
 
 def _node_integrand(ensemble, sc):
@@ -366,10 +367,13 @@ def test_linear_oracle_against_solver():
     t = grid.nodes
     m_y = sol.m_y(t)[:, None]
     m_z = sol.m_z(t)[:, None, None]
-    y, z, _, _ = gamma_map(m_y, m_z, sc, ens, CFG.updated(n_paths=40_000))
+    window = grid.full_window()
+    terminal = sc.terminal_values(ens.state(window.hi))
+    drive = frozen_mean_driver(sc, m_y, m_z, window.lo)
+    res = BackwardSolver(ens, CFG.updated(n_paths=40_000)).solve(window, terminal, drive)
 
-    got_my = y.values.mean(axis=0)[:, 0]
-    got_mz = z.values.mean(axis=0)[:, 0, 0]
+    got_my = res.y.mean(axis=1)[:, 0]
+    got_mz = res.z.mean(axis=1)[:, 0, 0]
     assert np.max(np.abs(got_my - sol.m_y(t))) < 0.02
     # drop the copied final integrand node from the comparison
     assert np.max(np.abs(got_mz - sol.m_z(t))[:-1]) < 0.04
