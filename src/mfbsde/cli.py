@@ -11,7 +11,8 @@ Three commands:
     ``alpha_bound`` column, the certificate's envelope, when the solver
     has a certificate; the JSON is ``SolveResult.as_dict()`` plus the
     manifest, its traces counting each window's z-clamp activations
-    (``clamp_events``) and inner E[Z] sweeps (``inner_sweeps``).
+    (``clamp_events``).  The summary prints each window's outer iterations
+    and z-clamp activations.
 
 ``mfbsde validate [--criteria 1,2,...]``
     Run the acceptance criteria and print one PASS/FAIL line each.
@@ -175,10 +176,10 @@ def _cmd_solve(args) -> int:
     write_result_json(json_path, result, manifest)
 
     traces = result.trace if isinstance(result.trace, list) else [result.trace]
-    iters = ", ".join(str(t.iterations) for t in traces)
     print(f"solver={args.solver} scenario={scenario.name} paths={solver_cfg.n_paths} "
           f"steps={solver_cfg.n_steps} seed={solver_cfg.seed}")
-    print(f"iterations per window: {iters}")
+    print("iterations per window: " + ", ".join(str(t.iterations) for t in traces))
+    print("z-clamp events per window: " + ", ".join(str(t.clamp_events) for t in traces))
     print(f"state mean at t=0: "
           + ", ".join(f"{v:.6f}" for v in result.m_y.values[0]))
     for key in ("alpha_envelope_rate", "window_exceeds_certificate"):

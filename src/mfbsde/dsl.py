@@ -741,7 +741,6 @@ class Staged(_Program):
         super().__init__(expr, late, n)
         self._late = late
         self._d = d
-        self._layout = None  # offsets and shapes of the last saved binding
         self.reads_late: frozenset = self._plan.reads_late
 
     def bind(self, s=None, y=None, ybar=None, z=None, zbar=None) -> None:
@@ -757,30 +756,6 @@ class Staged(_Program):
         if not self._late.issuperset(env):
             raise InvalidInput(f"slot(s) {sorted(env.keys() - self._late)} are not late")
         return self._run(env)
-
-    @property
-    def bound_size(self) -> int:
-        """Number of floats the current binding holds."""
-        return sum(v.size for v in self._bound)
-
-    def save(self, row: np.ndarray) -> None:
-        """Copy the current binding into ``row``, a float64 vector of
-        :attr:`bound_size` entries (typically one row of a per-node table)."""
-        layout = []
-        offset = 0
-        for v in self._bound:
-            row[offset : offset + v.size].reshape(v.shape)[...] = v
-            layout.append((offset, v.shape))
-            offset += v.size
-        self._layout = (tuple(layout), self._rows)
-
-    def load(self, row: np.ndarray) -> None:
-        """Make the binding saved in ``row`` current, without copying it;
-        ``row`` must come from a :meth:`save` of a binding of the same
-        shapes as the last one saved."""
-        layout, self._rows = self._layout
-        for k, (offset, shape) in enumerate(layout):
-            self._bound[k] = row[offset : offset + shape[0] * shape[1]].reshape(shape)
 
 
 def evaluate(expr: GeneratorExpr, s, y, ybar, z, zbar, n: int = 1, d: int = 1) -> np.ndarray:

@@ -5,7 +5,8 @@ the state and of the martingale integrand.  All solvers share one backward
 regression engine and differ only in the map they iterate:
 
 * ``local_solve`` iterates the frozen-mean solve (the mean slots of the
-  driver frozen at given curves) to its fixed point on one window;
+  driver frozen at given curves) to its fixed point on one window, from
+  the terminal data's mean;
 * ``global_solve`` stitches those window fixed points backward across the
   horizon;
 * ``picard_global`` iterates the linearised scheme whose source term is the
@@ -14,8 +15,8 @@ regression engine and differ only in the map they iterate:
   leaves the integrand untouched.  ``shift_solve_simple`` needs no fixed
   point; ``shift_fixed_point`` and ``multidim_solve`` (vector-valued,
   z-Lipschitz ``f1``) iterate one frozen-state map,
-  :func:`_frozen_state_solve`, with one inner E[Z] sweep per step and the
-  sup state distance, or up to twelve and the S2 distance.
+  :func:`_frozen_state_solve`, of one sweep per step, and differ only in
+  the state distance (sup or S2).
 
 Every outer iteration runs in one engine, :func:`_iterate`: a solver hands
 it a step (one application of its map) and a distance between successive
@@ -23,11 +24,11 @@ iterates, and the engine times the steps, records the trace, and stops on
 ``tol_fp``, on divergence (:class:`NonContraction`) or on the
 ``max_outer`` budget (:class:`MaxIterations`).  A window solve returns
 ``(y, z, trace)``: node-major arrays and the window's
-:class:`FixedPointTrace`, which also counts the z-clamp activations and
-the inner E[Z] sweeps of its steps, so whatever a window did reaches the
-result JSON and, on failure, the failure record.  Each public solver then
-finalises once (diagnostics report, envelope rate, process grids, flags)
-on the whole span it solved.  Besides the horizon arrays, a stitched solve
+:class:`FixedPointTrace`, which also counts the z-clamp activations of its
+steps, so whatever a window did reaches the result JSON and, on failure,
+the failure record.  Each public solver then finalises once (diagnostics
+report, envelope rate, process grids, flags) on the whole span it solved.
+Besides the horizon arrays, a stitched solve
 holds one window at a time: it checks the window against the certified
 width, solves it, copies it into the horizon arrays and frees it, folds
 its nodes into the BMO estimate (a per-path tail integral carried right to
@@ -47,13 +48,12 @@ no full-size difference is ever allocated.
 Each solver evaluates its generators as :class:`dsl.Staged` programs that
 bind what its map holds fixed.  The frozen-mean driver binds ``s, ybar, z,
 zbar`` per node, so the implicit state solve re-runs only the ``y``
-terms.  The frozen-state map binds ``f1``'s ``s, y, ybar`` terms once per
-node per outer step, into one table per window, and every inner E[Z] sweep
-re-runs only the ``z, zbar`` terms.  Picard's lagged source binds ``s, z``
-per node and runs the rest at the iterate and at zeros, and its in-sweep
-core binds the zero slots once per solve.  The mean shift runs one
-buffered all-late program per window.  Results are bit for bit those of
-evaluating each expression whole.
+terms.  The frozen-state map binds ``f1``'s ``s, y, ybar`` terms per
+node, so its sweep runs only the ``z, zbar`` terms.  Picard's lagged
+source binds ``s, z`` per node and runs the rest at the iterate and at
+zeros, and its in-sweep core binds the zero slots once per solve.  The
+mean shift runs one buffered all-late program per window.  Results are
+bit for bit those of evaluating each expression whole.
 """
 
 from __future__ import annotations
@@ -117,9 +117,7 @@ class FixedPointTrace:
     """Per-iterate record of one fixed-point run.
 
     ``clamp_events`` counts the integrand rows clamped by the run's step
-    sweeps (a martingale start is not a step); ``inner_sweeps`` has, for
-    the frozen-state maps, the number of E[Z] sweeps each step took, and
-    stays empty where a step is one sweep."""
+    sweeps (a martingale start is not a step)."""
 
     y_distances: list[float] = field(default_factory=list)
     z_distances: list[float] = field(default_factory=list)
@@ -131,7 +129,6 @@ class FixedPointTrace:
     wall_times: list[float] = field(default_factory=list)
     alpha_rates: list[float] = field(default_factory=list)
     clamp_events: int = 0
-    inner_sweeps: list[int] = field(default_factory=list)
     converged: bool = False
 
     @property
@@ -472,10 +469,13 @@ def local_solve(
 ) -> SolveResult:
     """Fixed point of the frozen-mean map on one window.
 
-    Starts from the regression martingale of the terminal data (zero mean
-    integrand) unless ``init`` supplies explicit mean curves, then applies
-    the frozen-mean solve until two successive iterates agree to ``tol_fp``
-    in sup norm (state) plus empirical M2 distance (integrand).  Raises
+    Starts from the terminal data's path mean at every node and a zero
+    mean integrand, unless ``init`` supplies explicit mean curves: these
+    are the mean curves of the terminal data's regression martingale up to
+    the ridge, because every basis keeps a constant column and least
+    squares keeps the path mean.  It then applies the frozen-mean solve
+    until two successive iterates agree to ``tol_fp`` in sup norm (state)
+    plus empirical M2 distance (integrand).  Raises
     :class:`NonContraction` when the distances stop shrinking persistently,
     :class:`MaxIterations` on budget exhaustion.
     """
@@ -512,7 +512,7 @@ def _local_window(scenario, config, cert, solver, window, terminal, init):
         )
 
     if init is None:
-        m_y = path_mean(_martingale_start(solver, window, terminal).y)
+        m_y = np.repeat(path_mean(terminal[None]), L, axis=0)
         m_z = np.zeros((L, d, n))
     else:
         m_y = np.asarray(init[0], dtype=np.float64).reshape(L, n)
@@ -809,54 +809,36 @@ def shift_solve_simple(
 
 
 def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
-                        inner_budget: int, context: str) -> SolveResult:
+                        context: str) -> SolveResult:
     """Stitched fixed point of the frozen-state map of a split scenario.
 
-    A step sweeps with ``f1`` at the previous iterate's state and at a
-    mean-integrand curve, warm-started at the previous iterate's and
-    re-swept up to ``inner_budget`` times until it settles, then shifts the
-    state.  The state slots stay fixed for the whole step, so ``f1``'s
-    subtrees that read only them are bound once per node per step, into
-    one ``(nodes, paths, .)`` table per window that every inner sweep
-    reads.  Iterates are compared by ``state_dist`` and the M2 distance;
+    A step sweeps once with ``f1`` at the previous iterate's state and
+    mean-integrand curve, then shifts the state; the new iterate's
+    mean-integrand curve is the sweep's.  The outer distance includes the
+    integrand, so the fixed point also resolves that curve.  ``f1``'s
+    subtrees that read only the state slots are bound once per swept node.
+    Iterates are compared by ``state_dist`` and the M2 distance;
     ``context`` names the solver in fixed-point errors.
     """
     cert = certificate if certificate is not None else certify(scenario)
     solver = BackwardSolver(ensemble, config)
     n, d = scenario.n, scenario.d
-    nodes = ensemble.grid.nodes
-    tol_curve = max(config.tol_fp * 0.1, 1e-9)
 
     def solve_window(window: Window, terminal: np.ndarray):
         span = (window.lo, window.hi)
         trace = FixedPointTrace()
         f1 = dsl.Staged(scenario.f1, ("z", "zbar"), n=n, d=d)
         f2 = dsl.Staged(scenario.f2, dsl.GENERATOR_VARS, n=n, d=d)
-        bound = None  # f1's bound values, one row per swept node
 
         def step(it: _Iterate) -> _Iterate:
-            nonlocal bound
-            for j in range(window.n_nodes - 1):
-                f1.bind(s=float(nodes[window.lo + j]), y=it.y[j], ybar=it.m_y[j])
-                if bound is None:
-                    bound = np.empty((window.n_nodes - 1, f1.bound_size))
-                f1.save(bound[j])
-            mz_curve = it.m_z
-            for inner in range(1, inner_budget + 1):
-                def driver(i, s, z, _mz=mz_curve):
-                    j = i - window.lo
-                    f1.load(bound[j])
-                    return f1(z=z, zbar=_mz[j])
+            def driver(i, s, z):
+                j = i - window.lo
+                f1.bind(s=s, y=it.y[j], ybar=it.m_y[j])
+                return f1(z=z, zbar=it.m_z[j])
 
-                sweep = None  # only its mean curve is needed: free it before the next sweep
-                sweep = solver.solve(window, terminal, driver)
-                trace.clamp_events += sweep.clamp_events
-                mz_new = path_mean(sweep.z)
-                gap = float(np.max(np.abs(mz_new - mz_curve)))
-                mz_curve = mz_new
-                if gap <= tol_curve:
-                    break
-            trace.inner_sweeps.append(inner)
+            sweep = solver.solve(window, terminal, driver)
+            trace.clamp_events += sweep.clamp_events
+            mz_curve = path_mean(sweep.z)
             shift = _mean_shift(f2, ensemble, window, sweep.z, mz_curve, y=it.y, ybar=it.m_y)
             y_new = sweep.y + shift[:, None, :]
             new = _Iterate(y_new, sweep.z, path_mean(y_new), mz_curve)
@@ -889,7 +871,7 @@ def shift_fixed_point(
     """
     _require_split(scenario, FORM_SPLIT_QUADRATIC, "shift_fixed_point")
     return _frozen_state_solve(scenario, ensemble, config, certificate,
-                               _sup_dist, 1, "shift fixed point")
+                               _sup_dist, "shift fixed point")
 
 
 def multidim_solve(
@@ -900,12 +882,11 @@ def multidim_solve(
 ) -> SolveResult:
     """Vector-valued split solve with a z-Lipschitz first part.
 
-    The mean-integrand curve seen by ``f1`` is resolved by an inner Picard
-    loop of up to twelve sweeps (the curve is low-dimensional, so this is
-    cheap and warm-started across outer iterations); the outer loop freezes
-    the full state process as in :func:`shift_fixed_point`.  Distances use
-    the empirical S2 norm for the state and M2 for the integrand.
+    The map of :func:`shift_fixed_point`: each step freezes the full state
+    process and the mean-integrand curve seen by ``f1`` at the previous
+    iterate's, so the outer fixed point resolves that curve too.  Distances
+    use the empirical S2 norm for the state and M2 for the integrand.
     """
     _require_split(scenario, FORM_SPLIT_LIPSCHITZ, "multidim_solve")
     return _frozen_state_solve(scenario, ensemble, config, certificate,
-                               _s2_dist, 12, "multidim solve")
+                               _s2_dist, "multidim solve")

@@ -126,6 +126,24 @@ def test_solve_summary_reports_window_override(tiny_cfg, tmp_path, capsys):
     assert "window_exceeds_certificate: True" in capsys.readouterr().out
 
 
+def test_solve_summary_prints_the_clamp_counts_of_the_json(tmp_path, capsys):
+    # Z is about 1 on this scenario: a clamp level of 0.5 clamps in every
+    # window, and the summary's counts are the result JSON's
+    cfg = tmp_path / "clamped.cfg"
+    cfg.write_text(TINY.replace("n_windows = 1", "n_windows = 2\nz_clamp = 0.5"))
+    with pytest.warns(RuntimeWarning, match="exceeds the certified width"):
+        rc = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path),
+                   "--prefix", "clamped"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    trace = json.loads((tmp_path / "clamped_result.json").read_text())["trace"]
+    counts = [t["clamp_events"] for t in trace]
+    assert len(counts) == 2 and all(c > 0 for c in counts)
+    assert f"z-clamp events per window: {counts[0]}, {counts[1]}" in lines
+    iterations = [t["iterations"] for t in trace]
+    assert f"iterations per window: {iterations[0]}, {iterations[1]}" in lines
+
+
 def test_exhausted_outer_budget_exits_1(tmp_path, capsys):
     # a single outer iteration records no distance between iterates
     shipped = Path(__file__).resolve().parents[1] / "configs" / "ex22.cfg"

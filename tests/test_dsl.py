@@ -628,25 +628,6 @@ def test_staged_instances_share_no_buffer(rng):
     assert a(y=ins_b[0]) is out_a
 
 
-def test_saved_bindings_restore_bit_for_bit(rng):
-    # a per-node table of bindings: each node's saved row, loaded back,
-    # gives that node's value
-    e = dsl.builtin("ex4.1-f1")
-    program = dsl.Staged(e, ("z", "zbar"), n=2, d=2)
-    nodes = [_driver_inputs(rng, 40, 2, 2) for _ in range(3)]
-    table = None
-    for j, (y, yb, _, _) in enumerate(nodes):
-        program.bind(s=0.1 * j, y=y, ybar=yb)
-        if table is None:
-            table = np.empty((len(nodes), program.bound_size))
-        program.save(table[j])
-    for j in (2, 0, 1):
-        y, yb, z, zb = nodes[j]
-        program.load(table[j])
-        assert _same_bits(program(z=z, zbar=zb),
-                          reference_evaluate(e, 0.1 * j, y, yb, z, zb, n=2, d=2))
-
-
 def test_pickled_expression_still_stages(rng):
     e = dsl.parse("abs(y) + dot(z, zbar) / (1 + norm2(zbar))")
     y, yb, z, zb = _driver_inputs(rng, 9, 2, 2)

@@ -137,7 +137,8 @@ def test_local_solve_zero_driver_single_iteration():
     )
     ens = _ensemble(sc)
     res = local_solve(sc, ens, CFG)
-    # the martingale start already is the fixed point
+    # the driver reads no mean: the first step, from the terminal mean,
+    # already is the fixed point
     assert res.trace.converged
     assert res.trace.iterations == 1
     assert res.trace.total_distances()[-1] == 0.0
@@ -426,9 +427,8 @@ def test_first_integrand_distance_is_taken_from_zero(solve, scenario, monkeypatc
     cfg = CFG.updated(n_steps=10, n_paths=2_000, tol_fp=1e-3, n_windows=1)
     ens = _ensemble(scenario, cfg)
     res = solve(scenario, ens, cfg)
-    # sweep 0 is the martingale start; the first step ends on its last sweep
-    inner = res.trace[0].inner_sweeps[0]
-    z = sweeps[inner].z
+    # sweep 0 is the martingale start; sweep 1 is the first step's
+    z = sweeps[1].z
     first = res.trace[0].z_distances[0]
     assert first > 0.0
     assert first == _m2_dist(z, np.zeros_like(z), ens.grid.steps)
@@ -620,25 +620,15 @@ def test_node_by_node_distances_match_the_whole_array_forms(dims, rng):
 
 class _EvaluatingStage:
     """Stand-in for :class:`dsl.Staged` that binds nothing: every call
-    evaluates the whole expression with :func:`dsl.evaluate`.  A saved
-    binding is one cell holding the index of the slots it stored."""
-
-    bound_size = 1
+    evaluates the whole expression with :func:`dsl.evaluate`."""
 
     def __init__(self, expr, late, n=1, d=1):
         self.expr, self.n, self.d = expr, n, d
         self.reads_late = expr.free_variables() & frozenset(late)
-        self.slots, self.saved = {}, []
+        self.slots = {}
 
     def bind(self, s=None, y=None, ybar=None, z=None, zbar=None):
         self.slots = {"s": s, "y": y, "ybar": ybar, "z": z, "zbar": zbar}
-
-    def save(self, row):
-        row[0] = len(self.saved)
-        self.saved.append(self.slots)
-
-    def load(self, row):
-        self.slots = self.saved[int(row[0])]
 
     def __call__(self, s=None, y=None, ybar=None, z=None, zbar=None):
         given = {"s": s, "y": y, "ybar": ybar, "z": z, "zbar": zbar}
@@ -692,8 +682,8 @@ def test_staged_solves_equal_whole_expression_evaluation(case, monkeypatch):
 )
 def test_state_terms_are_bound_once_per_node_per_outer_step(config, changes, solve, monkeypatch):
     # f1's state slots are frozen for a whole outer step: its y and ybar
-    # subtrees are bound once per swept node per step, whatever the
-    # number of inner E[Z] sweeps
+    # subtrees are bound once per swept node per step, and each window
+    # runs its martingale start plus one sweep per step
     sc, cfg = _shipped(config, **changes)
     ens = _ensemble(sc, cfg)
     bound = []
@@ -703,13 +693,20 @@ def test_state_terms_are_bound_once_per_node_per_outer_step(config, changes, sol
         bound.append(self.reads_late)
         return bind(self, *args, **kwargs)
 
+    sweeps = {}
+    sweep = BackwardSolver.solve
+
+    def recording(self, window, terminal, driver):
+        span = (window.lo, window.hi)
+        sweeps[span] = sweeps.get(span, 0) + 1
+        return sweep(self, window, terminal, driver)
+
     monkeypatch.setattr(dsl.Staged, "bind", counted)
+    monkeypatch.setattr(BackwardSolver, "solve", recording)
     res = solve(sc, ens, cfg)
     steps = sum((hi - lo) * t.iterations for (lo, hi), t in zip(res.windows, res.trace))
     assert bound == [frozenset({"z", "zbar"})] * steps
-    sweeps = sum(sum(t.inner_sweeps) for t in res.trace)
-    if solve is multidim_solve:
-        assert sweeps > sum(t.iterations for t in res.trace)
+    assert [sweeps[w] for w in res.windows] == [1 + t.iterations for t in res.trace]
 
 
 def test_picard_source_is_full_minus_core_bit_for_bit(monkeypatch):
@@ -803,8 +800,9 @@ def test_trace_counts_the_clamps_of_its_step_sweeps(selector, monkeypatch):
     traces = res.trace if isinstance(res.trace, list) else [res.trace]
     assert [t.clamp_events for t in traces] == [counts[w] for w in res.windows]
     assert all(t.clamp_events > 0 for t in traces)
-    # the martingale starts clamp too, and are left out
-    assert (counts["start"] > 0) == (selector != "shift-simple")
+    # the martingale starts clamp too, and are left out; the frozen-mean
+    # windows start from the terminal mean and run none
+    assert (counts["start"] > 0) == (selector in ("picard", "shift", "multidim"))
 
 
 def test_failure_record_counts_the_clamps(tmp_path, monkeypatch):

@@ -1,13 +1,14 @@
 """Backward regression solver: martingale limits, implicit stepping,
 clamping, and the linear closed form."""
 
+import dataclasses
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from mfbsde import dsl
-from mfbsde.core import Window, build_grid, simulate_brownian
+from mfbsde.core import Window, build_grid, path_mean, simulate_brownian
 from mfbsde.errors import InvalidInput, RegressionError, StepDivergence
 from mfbsde.meanfield import local_solve
 from mfbsde.oracle import LinearMeanFieldSpec, linear_closed_form
@@ -262,6 +263,35 @@ def test_tower_property_of_state_mean(ensemble50):
     m = info.y.mean(axis=1)[:, 0]
     # E[W_T^2] = T = 1; drift of the estimated mean stays within MC noise
     assert np.max(np.abs(m - m[-1])) < 0.02
+
+
+@pytest.mark.parametrize(
+    "basis, d",
+    [(RegressionBasis(), 1), (RegressionBasis(n_bins=3), 1),
+     (RegressionBasis(degree=0), 1), (RegressionBasis(n_bins=4), 2)],
+    ids=["default", "3-bins", "degree-0", "d2-4-bins"],
+)
+def test_zero_driver_keeps_the_terminal_mean_at_every_node(basis, d):
+    # every basis keeps a constant column (the t=0 node keeps only that),
+    # so each fit keeps the path mean up to the ridge: a driver-free sweep's
+    # mean curve is the terminal's mean, which frozen-mean windows start from
+    grid = build_grid(1.0, 20)
+    ens = simulate_brownian(grid, d, 5_000, 7)
+    w = ens.state(grid.n_steps)
+    terminal = np.stack([3.0 + w[:, 0] + w[:, -1] ** 2, -1.0 + 0.5 * w[:, 0] ** 3], axis=1)
+    terminal = terminal[:, :d]
+    target = path_mean(terminal[None])[0]
+    for ridge in (basis.ridge, 0.0):
+        cfg = CFG.updated(basis=dataclasses.replace(basis, ridge=ridge))
+        sweep = BackwardSolver(ens, cfg).solve(
+            grid.full_window(), terminal, lambda i, s, z: np.zeros((z.shape[0], z.shape[2]))
+        )
+        gap = np.abs(path_mean(sweep.y) - target)
+        if ridge:
+            bound = 2.0 * grid.n_steps * ridge * np.abs(target)
+        else:
+            bound = 1e-12 * np.maximum(np.abs(target), 1.0)
+        assert np.all(gap <= bound), (ridge, gap, bound)
 
 
 def test_clamp_events_counted(ensemble50):
