@@ -69,7 +69,6 @@ from .meanfield import (
     multidim_solve,
     picard_global,
     shift_fixed_point,
-    shift_solve_simple,
 )
 from .config import load_config
 
@@ -89,7 +88,7 @@ __all__ = [
     # solvers
     "SolverConfig", "BackwardSolver",
     "FixedPointTrace", "SolveResult", "local_solve",
-    "global_solve", "picard_global", "shift_solve_simple",
+    "global_solve", "picard_global",
     "shift_fixed_point", "multidim_solve",
     # config
     "load_config",

@@ -21,7 +21,7 @@ from . import oracle
 from .certificates import build_chain, certify, ode_bound
 from .config import manifest_for, write_result_csv
 from .core import Window, build_grid, simulate_brownian
-from .meanfield import global_solve, local_solve, multidim_solve, picard_global, shift_solve_simple
+from .meanfield import global_solve, local_solve, multidim_solve, picard_global, shift_fixed_point
 from .scenario import (
     FORM_SPLIT_QUADRATIC,
     ScenarioSpec,
@@ -295,11 +295,11 @@ def criterion_4() -> CriterionResult:
     )
     config = SolverConfig(
         n_steps=60, n_paths=60_000, seed=31004, track_ball=False,
-        override_epsilon=True,
+        override_epsilon=True, n_windows=1,
     )
     grid = build_grid(scenario.T, config.n_steps)
     ensemble = simulate_brownian(grid, scenario.d, config.n_paths, config.seed)
-    result = shift_solve_simple(scenario, ensemble, config)
+    result = shift_fixed_point(scenario, ensemble, config)
     # the base BSDE of f1 alone, solved afresh: the shift must not have
     # moved a single bit of its integrand
     f1 = dsl.Staged(scenario.f1, ("s", "z"))

@@ -10,9 +10,13 @@ Three commands:
     Run one of the solvers and write CSV/JSON results.  The CSV has an
     ``alpha_bound`` column, the certificate's envelope, when the solver
     has a certificate; the JSON is ``SolveResult.as_dict()`` plus the
-    manifest, its traces counting each window's z-clamp activations
-    (``clamp_events``).  The summary prints each window's outer iterations
-    and z-clamp activations.
+    manifest.  Its traces hold one entry per sweep, the first measured
+    against the start (the terminal data's path mean with a zero
+    integrand), so ``max_outer`` is a budget of sweeps per window, and
+    count each window's z-clamp activations (``clamp_events``).  The
+    summary prints each window's outer iterations and z-clamp activations.
+    ``--solver shift`` also covers the deterministic-shift case (``f1`` of
+    ``s, z`` only, ``f2`` without the state): two sweeps, the first exact.
 
 ``mfbsde validate [--criteria 1,2,...]``
     Run the acceptance criteria and print one PASS/FAIL line each.
@@ -53,7 +57,6 @@ from .meanfield import (
     multidim_solve,
     picard_global,
     shift_fixed_point,
-    shift_solve_simple,
 )
 
 _SOLVERS = {
@@ -61,7 +64,6 @@ _SOLVERS = {
     "global": global_solve,
     "picard": picard_global,
     "shift": shift_fixed_point,
-    "shift-simple": shift_solve_simple,
     "multidim": multidim_solve,
 }
 

@@ -5,25 +5,29 @@ the state and of the martingale integrand.  All solvers share one backward
 regression engine and differ only in the map they iterate:
 
 * ``local_solve`` iterates the frozen-mean solve (the mean slots of the
-  driver frozen at given curves) to its fixed point on one window, from
-  the terminal data's mean;
+  driver frozen at given curves) to its fixed point on one window;
 * ``global_solve`` stitches those window fixed points backward across the
   horizon;
 * ``picard_global`` iterates the linearised scheme whose source term is the
   previous iterate's full driver increment;
 * split generators ``f1 + mean(f2)``: the mean shift moves the state but
-  leaves the integrand untouched.  ``shift_solve_simple`` needs no fixed
-  point; ``shift_fixed_point`` and ``multidim_solve`` (vector-valued,
-  z-Lipschitz ``f1``) iterate one frozen-state map,
-  :func:`_frozen_state_solve`, of one sweep per step, and differ only in
-  the state distance (sup or S2).
+  leaves the integrand untouched.  ``shift_fixed_point`` and
+  ``multidim_solve`` (vector-valued, z-Lipschitz ``f1``) iterate one
+  frozen-state map, :func:`_frozen_state_solve`, of one sweep per step,
+  and differ only in the state distance (sup or S2).  When ``f1`` reads
+  only ``s, z`` and ``f2`` reads neither ``y`` nor ``ybar``, the first step
+  is the deterministic shift itself and the second confirms it at
+  distance 0.
 
-Every outer iteration runs in one engine, :func:`_iterate`: a solver hands
-it a step (one application of its map) and a distance between successive
-iterates, and the engine times the steps, records the trace, and stops on
+Every map starts from one iterate, :func:`_terminal_start`: the terminal
+data's path mean at every node and a zero integrand.  Every outer
+iteration runs in one engine, :func:`_iterate`: a solver hands it a step
+(one application of its map, one sweep) and a distance between successive
+iterates, and the engine times the steps, compares each with its
+predecessor (the first with the start), records the trace, and stops on
 ``tol_fp``, on divergence (:class:`NonContraction`) or on the
-``max_outer`` budget (:class:`MaxIterations`).  A window solve returns
-``(y, z, trace)``: node-major arrays and the window's
+``max_outer`` budget of sweeps (:class:`MaxIterations`).  A window solve
+returns ``(y, z, trace)``: node-major arrays and the window's
 :class:`FixedPointTrace`, which also counts the z-clamp activations of its
 steps, so whatever a window did reaches the result JSON and, on failure,
 the failure record.  Each public solver then finalises once (diagnostics
@@ -104,20 +108,24 @@ __all__ = [
     "local_solve",
     "global_solve",
     "picard_global",
-    "shift_solve_simple",
     "shift_fixed_point",
     "multidim_solve",
 ]
 
 _ALPHA_RATE_TOLERANCE = 0.005  # flagged when the envelope violation rate exceeds this
+_BLOW_UP = 1e9  # an iterate distance above this is divergence
 
 
 @dataclass
 class FixedPointTrace:
     """Per-iterate record of one fixed-point run.
 
-    ``clamp_events`` counts the integrand rows clamped by the run's step
-    sweeps (a martingale start is not a step)."""
+    Every list but ``ratios`` has one entry per step, and a step is one
+    sweep: the first entry measures the first step against the start (the
+    terminal data's path mean with a zero integrand), each later one
+    against the step before.  ``ratios`` has one entry per step after the
+    first, and ``alpha_rates`` (Picard only) one per step.
+    ``clamp_events`` counts the integrand rows clamped by every sweep."""
 
     y_distances: list[float] = field(default_factory=list)
     z_distances: list[float] = field(default_factory=list)
@@ -192,19 +200,17 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def _m2_dist(z_a: np.ndarray, z_b: np.ndarray | None, steps: np.ndarray) -> float:
-    """Empirical M2 distance of two node-major integrands (L, P, ...), or
-    with ``z_b`` None the M2 norm of ``z_a``; right-point quadrature, so the
-    last node carries no step.  The path mean of the integral is the
-    step-weighted sum of each node's mean squared norm; each node's
-    difference goes into one reused buffer."""
+def _m2_dist(z_a: np.ndarray, z_b: np.ndarray, steps: np.ndarray) -> float:
+    """Empirical M2 distance of two node-major integrands (L, P, ...);
+    right-point quadrature, so the last node carries no step.  The path
+    mean of the integral is the step-weighted sum of each node's mean
+    squared norm; each node's difference goes into one reused buffer."""
     L, P = z_a.shape[:2]
     sq = np.empty(L - 1)
-    diff = None if z_b is None else np.empty(z_a[0].size)
+    diff = np.empty(z_a.shape[1:])
+    row = diff.reshape(-1)
     for j in range(L - 1):
-        row = z_a[j].reshape(-1)
-        if diff is not None:
-            row = np.subtract(row, z_b[j].reshape(-1), out=diff)
+        np.subtract(z_a[j], z_b[j], out=diff)
         sq[j] = np.einsum("k,k->", row, row)
     return float(np.sqrt(steps @ sq / P))
 
@@ -249,15 +255,6 @@ def _bmo2(solver: BackwardSolver, z_vals: np.ndarray, span, tail=None) -> float:
 
 def _window_steps(ensemble: PathEnsemble, window: Window) -> np.ndarray:
     return ensemble.grid.steps[window.lo : window.hi]
-
-
-def _zero_driver(i, s, z):
-    return np.zeros((z.shape[0], z.shape[2]))
-
-
-def _martingale_start(solver: BackwardSolver, window: Window, terminal: np.ndarray):
-    """Driver-free sweep: the regression martingale closed by ``terminal``."""
-    return solver.solve(window, terminal, _zero_driver)
 
 
 def _check_window_width(
@@ -330,12 +327,10 @@ def _track_ball(trace, config, solver, cert, new, span):
 
 class _Iterate(NamedTuple):
     """One iterate of a mean-field map on a window: the node-major state
-    (L, P, n) and integrand (L, P, d, n) values, and their mean curves.  A
-    start of mean curves only has ``y`` and ``z`` None; a start with a
-    state but a zero integrand has ``z`` None."""
+    (L, P, n) and integrand (L, P, d, n) values, and their mean curves."""
 
-    y: np.ndarray | None
-    z: np.ndarray | None
+    y: np.ndarray
+    z: np.ndarray
     m_y: np.ndarray
     m_z: np.ndarray
 
@@ -344,10 +339,26 @@ def _sweep_iterate(sweep) -> _Iterate:
     return _Iterate(sweep.y, sweep.z, path_mean(sweep.y), path_mean(sweep.z))
 
 
+def _terminal_start(terminal: np.ndarray, L: int, d: int) -> _Iterate:
+    """The start of every map on an ``L``-node window closed by the (P, n)
+    ``terminal``: its path mean at every node, on every path, with a zero
+    integrand.  The per-path arrays are read-only broadcast views, so
+    nothing P-sized is allocated.  Every basis keeps a constant column, so
+    least squares keeps the path mean: this is the mean curve of the
+    terminal data's regression martingale up to the ridge."""
+    P, n = terminal.shape
+    m_y = np.repeat(path_mean(terminal[None]), L, axis=0)
+    return _Iterate(
+        np.broadcast_to(m_y[:, None, :], (L, P, n)),
+        np.broadcast_to(0.0, (L, P, d, n)),
+        m_y,
+        np.zeros((L, d, n)),
+    )
+
+
 def _distance(y_dist, steps):
     """Distances ``(state, integrand, state mean)`` between two iterates:
-    ``y_dist`` for the state, empirical M2 for the integrand.  An old
-    iterate without an integrand stands for a zero one."""
+    ``y_dist`` for the state, empirical M2 for the integrand."""
 
     def distance(new: _Iterate, old: _Iterate):
         z_dist = _m2_dist(new.z, old.z, steps)
@@ -363,21 +374,18 @@ def _stalled(ratios) -> bool:
 def _iterate(step, distance, state, trace, config, context: str):
     """Apply ``state = step(state)`` until two successive iterates agree.
 
-    ``distance(new, old)`` returns the state, integrand and mean distances
-    of two iterates.  From a start of mean curves only (``y`` None) the
-    first step is taken but not compared, and counts against ``max_outer``
-    (its caller, :func:`_local_window`, rejects ``max_outer < 2`` before
-    any sweep).  Each compared step is timed and pushed on ``trace``; the
-    loop returns the last iterate once the state plus integrand distance is
-    within ``tol_fp``.  It raises :class:`NonContraction` when the last
-    three ratios stay at or above one, and :class:`MaxIterations` when the
-    distance blows up or ``max_outer`` steps do not converge.
+    ``state`` is the start, :func:`_terminal_start`, and ``distance(new,
+    old)`` returns the state, integrand and mean distances of two
+    iterates.  Every step is timed, compared with its predecessor (the
+    first with the start) and pushed on ``trace``, and ``max_outer`` bounds
+    the steps.  The loop returns the last iterate once the state plus
+    integrand distance is within ``tol_fp``.  It raises
+    :class:`NonContraction` when the distance blows up past ``_BLOW_UP`` or
+    when the last three ratios stay at or above one with the distance above
+    the first, and :class:`MaxIterations` when ``max_outer`` steps do not
+    converge.
     """
-    budget = config.max_outer
-    if state.y is None:
-        state = step(state)
-        budget -= 1
-    for _ in range(budget):
+    for k in range(1, config.max_outer + 1):
         t0 = time.perf_counter()
         new = step(state)
         wall = time.perf_counter() - t0
@@ -386,8 +394,11 @@ def _iterate(step, distance, state, trace, config, context: str):
         if total <= config.tol_fp:
             trace.converged = True
             return state
-        first = trace.total_distances()[0]
-        if total > (first if _stalled(trace.ratios) else 1e9):
+        if total > _BLOW_UP:
+            raise NonContraction(
+                f"{context}: distance blew up to {total:.3e} at step {k}", trace
+            )
+        if _stalled(trace.ratios) and total > trace.total_distances()[0]:
             break
     r = trace.ratios
     if _stalled(r):
@@ -465,17 +476,13 @@ def local_solve(
     window: Window | None = None,
     terminal: np.ndarray | None = None,
     certificate: Certificate | None = None,
-    init: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SolveResult:
     """Fixed point of the frozen-mean map on one window.
 
     Starts from the terminal data's path mean at every node and a zero
-    mean integrand, unless ``init`` supplies explicit mean curves: these
-    are the mean curves of the terminal data's regression martingale up to
-    the ridge, because every basis keeps a constant column and least
-    squares keeps the path mean.  It then applies the frozen-mean solve
-    until two successive iterates agree to ``tol_fp`` in sup norm (state)
-    plus empirical M2 distance (integrand).  Raises
+    integrand, and applies the frozen-mean solve until two successive
+    iterates agree to ``tol_fp`` in sup norm (state) plus empirical M2
+    distance (integrand).  Raises
     :class:`NonContraction` when the distances stop shrinking persistently,
     :class:`MaxIterations` on budget exhaustion.
     """
@@ -487,7 +494,7 @@ def local_solve(
     exceeded = _check_window_width(window, ensemble, cert, config)
     terminal = _terminal_for(scenario, ensemble, window, terminal)
     solver = BackwardSolver(ensemble, config)
-    y, z, trace = _local_window(scenario, config, cert, solver, window, terminal, init)
+    y, z, trace = _local_window(scenario, config, cert, solver, window, terminal)
     span = (window.lo, window.hi)
     return _finish_result(
         scenario, ensemble, cert,
@@ -496,27 +503,12 @@ def local_solve(
     )
 
 
-def _local_window(scenario, config, cert, solver, window, terminal, init):
+def _local_window(scenario, config, cert, solver, window, terminal):
     """Frozen-mean fixed point on ``window``, closed by the (P, n)
     ``terminal``: ``(y, z, trace)`` with node-major ``y`` and ``z``."""
     steps = _window_steps(solver.ensemble, window)
     span = (window.lo, window.hi)
-    n, d = scenario.n, scenario.d
-    L = window.n_nodes
     trace = FixedPointTrace()
-    context = f"local solve on window {span}"
-    if config.max_outer < 2:  # the first step starts from mean curves only
-        raise MaxIterations(
-            f"{context}: iteration budget exhausted before two iterates could be compared",
-            trace,
-        )
-
-    if init is None:
-        m_y = np.repeat(path_mean(terminal[None]), L, axis=0)
-        m_z = np.zeros((L, d, n))
-    else:
-        m_y = np.asarray(init[0], dtype=np.float64).reshape(L, n)
-        m_z = np.asarray(init[1], dtype=np.float64).reshape(L, d, n)
 
     def step(it: _Iterate) -> _Iterate:
         driver = frozen_mean_driver(scenario, it.m_y, it.m_z, window.lo)
@@ -532,7 +524,8 @@ def _local_window(scenario, config, cert, solver, window, terminal, init):
         y_dist, z_dist, my_dist = base(new, old)
         return y_dist, z_dist, max(my_dist, _sup_dist(new.m_z, old.m_z))
 
-    last = _iterate(step, distance, _Iterate(None, None, m_y, m_z), trace, config, context)
+    start = _terminal_start(terminal, window.n_nodes, scenario.d)
+    last = _iterate(step, distance, start, trace, config, f"local solve on window {span}")
     return last.y, last.z, trace
 
 
@@ -636,7 +629,7 @@ def global_solve(
     solver = BackwardSolver(ensemble, config)
 
     def solve_window(window: Window, terminal: np.ndarray):
-        return _local_window(scenario, config, cert, solver, window, terminal, None)
+        return _local_window(scenario, config, cert, solver, window, terminal)
 
     return _stitched_solve(scenario, ensemble, config, cert, solve_window, solver)
 
@@ -654,7 +647,7 @@ def picard_global(
 ) -> SolveResult:
     """Horizon-wide Picard iteration.
 
-    Iterate 0 is the regression martingale of the terminal data.  Each
+    Iterate 0 is the terminal data's path mean with a zero integrand.  Each
     subsequent iterate solves the BSDE with driver ``f(s, 0, 0, z, 0)``
     plus the per-path source ``f(s, Y^j, E Y^j, Z^j, E Z^j) - f(s, 0, 0,
     Z^j, 0)`` frozen at the previous iterate.  The quadratic-in-z part
@@ -681,11 +674,6 @@ def picard_global(
     core = dsl.Staged(gen, ("s", "z"), n=n, d=d)
     core.bind(**zeros)
 
-    def record_alpha(y_vals):
-        grid_y = _process(ensemble, y_vals, span)
-        rate = check_alpha_envelope(grid_y, cert.alpha_envelope)["violation_rate"]
-        trace.alpha_rates.append(rate)
-
     def step(it: _Iterate) -> _Iterate:
         # lagged source: full driver at the previous iterate minus its
         # z-quadratic core, node by node
@@ -702,17 +690,15 @@ def picard_global(
         sweep = solver.solve(window, terminal, driver)
         trace.clamp_events += sweep.clamp_events
         new = _sweep_iterate(sweep)
-        record_alpha(new.y)
+        grid_y = _process(ensemble, new.y, span)
+        trace.alpha_rates.append(
+            check_alpha_envelope(grid_y, cert.alpha_envelope)["violation_rate"]
+        )
         _track_ball(trace, config, solver, cert, new, span)
         return new
 
-    def start() -> _Iterate:
-        sweep = _martingale_start(solver, window, terminal)
-        record_alpha(sweep.y)
-        return _sweep_iterate(sweep)
-
-    last = _iterate(step, _distance(_sup_dist, steps), start(), trace, config,
-                    "global Picard")
+    last = _iterate(step, _distance(_sup_dist, steps), _terminal_start(terminal, L, d),
+                    trace, config, "global Picard")
     return _finish_result(
         scenario, ensemble, cert,
         last.y, last.z, span, _bmo2(solver, last.z, span), trace, [span], {},
@@ -731,15 +717,6 @@ def _require_split(scenario: ScenarioSpec, form: str, what: str):
         raise InvalidInput(
             f"{what} needs the scenario to assert the '{form}' structural form"
         )
-
-
-def _frozen_state_start(solver, window, terminal) -> _Iterate:
-    """Start of the frozen-state maps: the regression martingale of the
-    terminal data with a zero integrand, which is left implicit (None) and
-    only its zero mean curve is stored."""
-    y = _martingale_start(solver, window, terminal).y
-    shape = (window.n_nodes, solver.ensemble.d, terminal.shape[1])
-    return _Iterate(y, None, path_mean(y), np.zeros(shape))
 
 
 def _mean_shift(f2, ensemble, window, z_vals, m_z, **state):
@@ -761,53 +738,6 @@ def _mean_shift(f2, ensemble, window, z_vals, m_z, **state):
     return shift
 
 
-def shift_solve_simple(
-    scenario: ScenarioSpec,
-    ensemble: PathEnsemble,
-    config: SolverConfig,
-) -> SolveResult:
-    """Split solve without a fixed point: ``f1`` may depend only on ``(s, z)``
-    and ``f2`` only on ``(s, z, zbar)``.
-
-    The base BSDE is solved once, the deterministic shift (the tail
-    integral of the mean of ``f2`` along the solved integrand) is added to
-    the state, and the integrand is returned untouched, bit for bit.
-    """
-    _require_split(scenario, FORM_SPLIT_QUADRATIC, "shift_solve_simple")
-    allowed1 = {"s", "z"}
-    allowed2 = {"s", "z", "zbar"}
-    if not scenario.f1.free_variables() <= allowed1:
-        raise InvalidInput("shift_solve_simple needs f1 = f1(s, z)")
-    if not scenario.f2.free_variables() <= allowed2:
-        raise InvalidInput("shift_solve_simple needs f2 = f2(s, z, zbar)")
-
-    window = ensemble.grid.full_window()
-    solver = BackwardSolver(ensemble, config)
-    terminal = _terminal_for(scenario, ensemble, window, None)
-    n, d = scenario.n, scenario.d
-    f1 = dsl.Staged(scenario.f1, ("s", "z"), n=n, d=d)
-
-    def driver(i, s, z):
-        return f1(s=s, z=z)
-
-    t0 = time.perf_counter()
-    sweep = solver.solve(window, terminal, driver)
-    shift = _mean_shift(
-        dsl.Staged(scenario.f2, dsl.GENERATOR_VARS, n=n, d=d), ensemble, window,
-        sweep.z, path_mean(sweep.z),
-    )
-    y_shifted = sweep.y + shift[:, None, :]
-    wall = time.perf_counter() - t0
-
-    trace = FixedPointTrace(converged=True, clamp_events=sweep.clamp_events)
-    trace.push(0.0, 0.0, 0.0, wall)
-    span = (window.lo, window.hi)
-    return _finish_result(
-        scenario, ensemble, None,
-        y_shifted, sweep.z, span, _bmo2(solver, sweep.z, span), trace, [span], {},
-    )
-
-
 def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
                         context: str) -> SolveResult:
     """Stitched fixed point of the frozen-state map of a split scenario.
@@ -817,6 +747,9 @@ def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
     mean-integrand curve is the sweep's.  The outer distance includes the
     integrand, so the fixed point also resolves that curve.  ``f1``'s
     subtrees that read only the state slots are bound once per swept node.
+    When ``f1`` reads only ``s, z`` and ``f2`` neither ``y`` nor ``ybar``,
+    the first step from the start is exactly the deterministic shift of the
+    base BSDE, and the second confirms it at distance 0.
     Iterates are compared by ``state_dist`` and the M2 distance;
     ``context`` names the solver in fixed-point errors.
     """
@@ -847,7 +780,7 @@ def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
 
         last = _iterate(
             step, _distance(state_dist, _window_steps(ensemble, window)),
-            _frozen_state_start(solver, window, terminal), trace, config,
+            _terminal_start(terminal, window.n_nodes, d), trace, config,
             f"{context} on window {span}",
         )
         return last.y, last.z, trace

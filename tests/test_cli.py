@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from mfbsde.cli import main
+from mfbsde.solver import BackwardSolver
 
 TINY = """
 [scenario]
@@ -49,9 +50,12 @@ def test_unknown_flag_is_usage_error(capsys):
 
 
 def test_bench_is_usage_error(tiny_cfg, capsys):
-    # benchmark/run.py is the one timing harness
-    assert main(["bench", "--config", str(tiny_cfg)]) == 2
-    assert "invalid choice: 'bench'" in capsys.readouterr().err
+    # benchmark/run.py is the one timing harness, and --solver shift
+    # solves the deterministic-shift case in two sweeps
+    for argv, name in [(["bench"], "bench"),
+                       (["solve", "--solver", "shift-simple"], "shift-simple")]:
+        assert main([*argv, "--config", str(tiny_cfg)]) == 2
+        assert f"invalid choice: '{name}'" in capsys.readouterr().err
 
 
 def test_unknown_solver_is_usage_error(tiny_cfg, capsys):
@@ -144,8 +148,17 @@ def test_solve_summary_prints_the_clamp_counts_of_the_json(tmp_path, capsys):
     assert f"iterations per window: {iterations[0]}, {iterations[1]}" in lines
 
 
-def test_exhausted_outer_budget_exits_1(tmp_path, capsys):
-    # a single outer iteration records no distance between iterates
+def test_exhausted_outer_budget_exits_1(tmp_path, capsys, monkeypatch):
+    # max_outer counts sweeps: one sweep, compared with the start, cannot
+    # settle the first window
+    sweeps = []
+    sweep = BackwardSolver.solve
+
+    def counting(self, window, terminal, driver):
+        sweeps.append(window)
+        return sweep(self, window, terminal, driver)
+
+    monkeypatch.setattr(BackwardSolver, "solve", counting)
     shipped = Path(__file__).resolve().parents[1] / "configs" / "ex22.cfg"
     text = shipped.read_text()
     assert "max_outer = 30" in text
@@ -157,14 +170,15 @@ def test_exhausted_outer_budget_exits_1(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "MaxIterations" in err
-    assert "iteration budget exhausted before two iterates could be compared" in err
+    assert "iteration budget exhausted at distance" in err
+    assert len(sweeps) == 1
     # the failure record: the error, the failing window's partial trace, the manifest
     assert not (out / "ex22_result.csv").exists()
     record = json.loads((out / "ex22_failure.json").read_text())
     assert record["error"] == "MaxIterations"
     assert err.strip() == f"error: MaxIterations: {record['message']}"
     assert record["message"].startswith("local solve on window (6, 8): ")
-    assert record["trace"]["iterations"] == 0
+    assert record["trace"]["iterations"] == 1
     assert record["trace"]["converged"] is False
     man = record["manifest"]
     assert (man["selector"], man["n_paths"], man["n_steps"]) == ("global", 400, 8)

@@ -27,7 +27,6 @@ from mfbsde.meanfield import (
     multidim_solve,
     picard_global,
     shift_fixed_point,
-    shift_solve_simple,
 )
 from mfbsde.scenario import (
     FORM_SPLIT_LIPSCHITZ,
@@ -86,6 +85,20 @@ def _frozen_mean_solve(sc, ens, m_y, m_z):
     return BackwardSolver(ens, CFG).solve(window, terminal, drive)
 
 
+def _record_sweeps(monkeypatch) -> list:
+    """``((lo, hi), driver, result)`` of every backward sweep from now on."""
+    sweeps = []
+    sweep = BackwardSolver.solve
+
+    def recording(self, window, terminal, driver):
+        out = sweep(self, window, terminal, driver)
+        sweeps.append(((window.lo, window.hi), driver, out))
+        return out
+
+    monkeypatch.setattr(BackwardSolver, "solve", recording)
+    return sweeps
+
+
 # ---------------------------------------------------------------------------
 # frozen-mean map
 # ---------------------------------------------------------------------------
@@ -111,7 +124,8 @@ def test_frozen_mean_solve_ignores_inert_mean_slots():
 
 def test_local_solve_mean_free_equals_standard_solve():
     # with inert mean slots the fixed point is reached after one map
-    # application and equals the frozen-mean solve bit for bit
+    # application, which the second confirms, and equals the frozen-mean
+    # solve bit for bit
     sc = _mean_free_scenario()
     ens = _ensemble(sc)
     res = local_solve(sc, ens, CFG)
@@ -138,20 +152,36 @@ def test_local_solve_zero_driver_single_iteration():
     ens = _ensemble(sc)
     res = local_solve(sc, ens, CFG)
     # the driver reads no mean: the first step, from the terminal mean,
-    # already is the fixed point
+    # already is the fixed point, and the second confirms it exactly
     assert res.trace.converged
-    assert res.trace.iterations == 1
-    assert res.trace.total_distances()[-1] == 0.0
+    assert res.trace.iterations == 2
+    first, second = res.trace.total_distances()
+    assert first > 0.0 and second == 0.0
 
 
-def test_local_solve_uniqueness_across_starts():
+def _constant_start(y_value, z_value):
+    """Stand-in for ``meanfield._terminal_start``: constant state and
+    integrand, whatever the terminal data."""
+
+    def start(terminal, L, d):
+        P, n = terminal.shape
+        m_y, m_z = np.full((L, n), y_value), np.full((L, d, n), z_value)
+        return meanfield._Iterate(
+            np.broadcast_to(m_y[:, None], (L, P, n)),
+            np.broadcast_to(m_z[:, None], (L, P, d, n)),
+            m_y, m_z,
+        )
+
+    return start
+
+
+def test_local_solve_uniqueness_across_starts(monkeypatch):
     sc = linear_scenario(b=0.5, dbar=0.5, T=1.0, xi_bound=4.0)
     ens = _ensemble(sc)
-    L = CFG.n_steps + 1
-    res_a = local_solve(sc, ens, CFG,
-                        init=(np.zeros((L, 1)), np.zeros((L, 1, 1))))
-    res_b = local_solve(sc, ens, CFG,
-                        init=(2.0 * np.ones((L, 1)), np.ones((L, 1, 1))))
+    monkeypatch.setattr(meanfield, "_terminal_start", _constant_start(0.0, 0.0))
+    res_a = local_solve(sc, ens, CFG)
+    monkeypatch.setattr(meanfield, "_terminal_start", _constant_start(2.0, 1.0))
+    res_b = local_solve(sc, ens, CFG)
     gap = np.max(np.abs(res_a.m_y.values - res_b.m_y.values))
     assert res_a.trace.converged and res_b.trace.converged
     assert gap <= 2.0 * CFG.tol_fp
@@ -180,19 +210,17 @@ def test_local_solve_non_contraction_detected():
 
 
 @pytest.mark.parametrize(
-    "solve, scenario, context, iterations",
+    "solve, scenario, context",
     [
-        # the local solve compares from its second sweep on
         (local_solve, linear_scenario(b=0.5, dbar=0.5, xi_bound=4.0),
-         "local solve on window (0, 10)", 1),
-        (picard_global, linear_scenario(b=0.5, dbar=0.5, xi_bound=4.0),
-         "global Picard", 2),
-        (shift_fixed_point, example_31(T=0.5), "shift fixed point on window (0, 10)", 2),
-        (multidim_solve, example_41(), "multidim solve on window (0, 10)", 2),
+         "local solve on window (0, 10)"),
+        (picard_global, linear_scenario(b=0.5, dbar=0.5, xi_bound=4.0), "global Picard"),
+        (shift_fixed_point, example_31(T=0.5), "shift fixed point on window (0, 10)"),
+        (multidim_solve, example_41(), "multidim solve on window (0, 10)"),
     ],
     ids=["local", "picard", "shift", "multidim"],
 )
-def test_outer_budget_exhaustion_carries_the_trace(solve, scenario, context, iterations):
+def test_outer_budget_exhaustion_carries_the_trace(solve, scenario, context):
     cfg = CFG.updated(n_steps=10, n_paths=2_000, max_outer=2, tol_fp=1e-14, n_windows=1)
     ens = _ensemble(scenario, cfg)
     with pytest.raises(MaxIterations, match="iteration budget exhausted at distance") as err:
@@ -200,7 +228,8 @@ def test_outer_budget_exhaustion_carries_the_trace(solve, scenario, context, ite
     assert str(err.value).startswith(f"{context}: ")
     trace = err.value.trace
     assert isinstance(trace, FixedPointTrace)
-    assert trace.iterations == iterations and not trace.converged
+    # every sweep is a step, compared with its predecessor
+    assert trace.iterations == cfg.max_outer and not trace.converged
     assert all(dist > cfg.tol_fp for dist in trace.total_distances())
 
 
@@ -232,6 +261,20 @@ def test_split_solvers_check_every_window_width(solve, config):
     width_warnings = [w for w in record if "exceeds the certified width" in str(w.message)]
     assert [w.filename for w in width_warnings] == [__file__] * len(res.windows)
     assert res.flags["window_exceeds_certificate"] is True
+
+
+def test_blow_up_is_non_contraction_naming_the_step():
+    # a synthetic map whose distance passes 1e9 on step 3 of a budget of 30
+    distances = iter([1.0, 10.0, 1e10])
+    trace = FixedPointTrace()
+    with pytest.raises(NonContraction) as err:
+        meanfield._iterate(
+            lambda state: state, lambda new, old: (next(distances), 0.0, 0.0),
+            None, trace, CFG.updated(max_outer=30), "synthetic map",
+        )
+    assert str(err.value) == "synthetic map: distance blew up to 1.000e+10 at step 3"
+    assert err.value.trace is trace
+    assert trace.total_distances() == [1.0, 10.0, 1e10] and not trace.converged
 
 
 def test_window_too_wide_without_override():
@@ -330,8 +373,10 @@ def test_m2_distance_weights_each_node_by_its_own_step(rng):
     z = rng.standard_normal((L, P, 2, 2)) * np.arange(1.0, L + 1.0)[:, None, None, None]
     steps = ens.grid.steps
     expected = mp_norm(ProcessGrid(grid=ens.grid, values=np.swapaxes(z, 0, 1)))
-    assert _m2_dist(z, None, steps) == pytest.approx(expected, rel=1e-12)
-    assert _m2_dist(z, np.zeros_like(z), steps) == _m2_dist(z, None, steps)
+    assert _m2_dist(z, np.zeros_like(z), steps) == pytest.approx(expected, rel=1e-12)
+    # the start's read-only zero integrand gives the same bits
+    zero = np.broadcast_to(0.0, z.shape)
+    assert _m2_dist(z, zero, steps) == _m2_dist(z, np.zeros_like(z), steps)
 
 
 def test_global_solve_deterministic():
@@ -414,21 +459,14 @@ def _shift_identity_scenario():
     ids=["shift", "multidim"],
 )
 def test_first_integrand_distance_is_taken_from_zero(solve, scenario, monkeypatch):
-    # the frozen-state start has a zero integrand: the first recorded
-    # distance is the M2 distance of the first step's integrand to zero
-    sweeps = []
-    sweep = BackwardSolver.solve
-
-    def recording(self, window, terminal, driver):
-        sweeps.append(sweep(self, window, terminal, driver))
-        return sweeps[-1]
-
-    monkeypatch.setattr(BackwardSolver, "solve", recording)
+    # the start has a zero integrand: the first recorded distance is the
+    # M2 distance of the first step's integrand to zero
+    sweeps = _record_sweeps(monkeypatch)
     cfg = CFG.updated(n_steps=10, n_paths=2_000, tol_fp=1e-3, n_windows=1)
     ens = _ensemble(scenario, cfg)
     res = solve(scenario, ens, cfg)
-    # sweep 0 is the martingale start; sweep 1 is the first step's
-    z = sweeps[1].z
+    # every sweep is a step: sweep 0 is the first step's
+    z = sweeps[0][2].z
     first = res.trace[0].z_distances[0]
     assert first > 0.0
     assert first == _m2_dist(z, np.zeros_like(z), ens.grid.steps)
@@ -437,7 +475,7 @@ def test_first_integrand_distance_is_taken_from_zero(solve, scenario, monkeypatc
 def test_shift_leaves_integrand_bitwise_identical():
     sc = _shift_identity_scenario()
     ens = _ensemble(sc)
-    res = shift_solve_simple(sc, ens, CFG)
+    res = shift_fixed_point(sc, ens, CFG.updated(n_windows=1))
     # the base BSDE of f1 alone, solved afresh
     f1 = dsl.Staged(sc.f1, ("s", "z"))
     window = ens.grid.full_window()
@@ -451,7 +489,7 @@ def test_shift_identity_state():
     # E[f2] = E[Z^2] = 1 shifts the martingale to W_t + (T - t)
     sc = _shift_identity_scenario()
     ens = _ensemble(sc)
-    res = shift_solve_simple(sc, ens, CFG)
+    res = shift_fixed_point(sc, ens, CFG.updated(n_windows=1))
     t = res.m_y.times()
     target = ens.levels[:, :, 0] + (1.0 - t)[None, :]
     err = np.max(np.mean(np.abs(res.y.values[:, :, 0] - target), axis=0))
@@ -462,7 +500,20 @@ def test_shift_selector_requires_split_form():
     sc = _mean_free_scenario()  # single generator, no split parts
     ens = _ensemble(sc)
     with pytest.raises(InvalidInput):
-        shift_solve_simple(sc, ens, CFG)
+        shift_fixed_point(sc, ens, CFG)
+
+
+def test_deterministic_shift_is_the_first_step_confirmed_exactly(monkeypatch):
+    # f1 reads only (s, z) and f2 no state: the first step from the start
+    # is the base BSDE plus its deterministic shift, and the second, which
+    # reads the same slots, repeats it bit for bit
+    sweeps = _record_sweeps(monkeypatch)
+    sc = _shift_identity_scenario()
+    res = shift_fixed_point(sc, _ensemble(sc), CFG.updated(n_windows=1))
+    (trace,) = res.trace
+    assert len(sweeps) == 2 and trace.converged
+    first, second = trace.total_distances()
+    assert first > 0.0 and second == 0.0
 
 
 def test_shift_fixed_point_on_split_example():
@@ -514,21 +565,17 @@ def test_multidim_rejects_single_generator():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("solve", [local_solve, global_solve], ids=["local", "global"])
-def test_unconvergeable_budget_is_rejected_before_any_sweep(solve, monkeypatch):
-    # the first step starts from mean curves only, so one outer step can
-    # never be compared with anything
-    calls = []
-    monkeypatch.setattr(BackwardSolver, "solve", lambda *args: calls.append(args))
-    sc = linear_scenario(dbar=1.0, xi_bound=4.0)
-    cfg = CFG.updated(n_steps=10, n_paths=2_000, max_outer=1, n_windows=2)
-    with pytest.raises(MaxIterations) as err:
-        solve(sc, _ensemble(sc, cfg), cfg)
-    assert str(err.value).endswith(
-        ": iteration budget exhausted before two iterates could be compared"
-    )
-    assert err.value.trace.iterations == 0 and not err.value.trace.converged
-    assert calls == []
+@pytest.mark.parametrize("selector", sorted(_SOLVERS))
+def test_one_sweep_budget_runs_one_sweep_and_fails(selector, monkeypatch):
+    # max_outer counts sweeps: the one sweep is compared with the start,
+    # is recorded, and cannot settle anything
+    sweeps = _record_sweeps(monkeypatch)
+    with pytest.raises(MaxIterations, match="iteration budget exhausted at distance") as err:
+        _tiny_run(selector, max_outer=1, tol_fp=1e-12)
+    trace = err.value.trace
+    assert len(sweeps) == 1
+    assert trace.iterations == 1 and not trace.converged
+    assert trace.total_distances()[0] > 1e-12
 
 
 def _shipped(name: str, **changes):
@@ -603,7 +650,7 @@ def test_node_by_node_distances_match_the_whole_array_forms(dims, rng):
     assert _s2_dist(a, b) == _whole_s2(a, b)
     # the per-node sums of squares are added in another order
     assert _m2_dist(a, b, grid.steps) == pytest.approx(_whole_m2(a, b, grid.steps), rel=1e-13)
-    assert _m2_dist(a, None, grid.steps) == pytest.approx(
+    assert _m2_dist(a, np.broadcast_to(0.0, a.shape), grid.steps) == pytest.approx(
         _whole_m2(a, np.zeros_like(a), grid.steps), rel=1e-13
     )
     # a NaN anywhere gives NaN, as the whole-array forms do
@@ -651,9 +698,10 @@ def _staging_cases():
         "multidim": (lambda: _shipped("ex41.cfg", n_steps=12, n_paths=2_000), multidim_solve),
         "shift": (lambda: _shipped("ex31.cfg", n_steps=15, n_paths=2_000, n_windows=3),
                   shift_fixed_point),
-        "shift-simple": (
-            lambda: (_shift_identity_scenario(), CFG.updated(n_steps=12, n_paths=2_000)),
-            lambda sc, ens, cfg: shift_solve_simple(sc, ens, cfg),
+        "shift-identity": (
+            lambda: (_shift_identity_scenario(),
+                     CFG.updated(n_steps=12, n_paths=2_000, n_windows=1)),
+            shift_fixed_point,
         ),
     }
 
@@ -683,7 +731,7 @@ def test_staged_solves_equal_whole_expression_evaluation(case, monkeypatch):
 def test_state_terms_are_bound_once_per_node_per_outer_step(config, changes, solve, monkeypatch):
     # f1's state slots are frozen for a whole outer step: its y and ybar
     # subtrees are bound once per swept node per step, and each window
-    # runs its martingale start plus one sweep per step
+    # runs one sweep per step
     sc, cfg = _shipped(config, **changes)
     ens = _ensemble(sc, cfg)
     bound = []
@@ -693,37 +741,24 @@ def test_state_terms_are_bound_once_per_node_per_outer_step(config, changes, sol
         bound.append(self.reads_late)
         return bind(self, *args, **kwargs)
 
-    sweeps = {}
-    sweep = BackwardSolver.solve
-
-    def recording(self, window, terminal, driver):
-        span = (window.lo, window.hi)
-        sweeps[span] = sweeps.get(span, 0) + 1
-        return sweep(self, window, terminal, driver)
-
     monkeypatch.setattr(dsl.Staged, "bind", counted)
-    monkeypatch.setattr(BackwardSolver, "solve", recording)
+    sweeps = _record_sweeps(monkeypatch)
     res = solve(sc, ens, cfg)
     steps = sum((hi - lo) * t.iterations for (lo, hi), t in zip(res.windows, res.trace))
     assert bound == [frozenset({"z", "zbar"})] * steps
-    assert [sweeps[w] for w in res.windows] == [1 + t.iterations for t in res.trace]
+    spans = [span for span, _, _ in sweeps]
+    assert [spans.count(w) for w in res.windows] == [t.iterations for t in res.trace]
 
 
 def test_picard_source_is_full_minus_core_bit_for_bit(monkeypatch):
-    # the first Picard sweep's driver is core(z) + [full - core] at the
-    # martingale start, each term evaluated whole here
+    # the second Picard sweep's driver is core(z) + [full - core] at the
+    # first step's iterate, each term evaluated whole here
     sc, cfg = _shipped("ex22.cfg", n_steps=8, n_paths=1_000)
     ens = _ensemble(sc, cfg)
-    sweeps = []
-    sweep = BackwardSolver.solve
-
-    def recording(self, window, terminal, driver):
-        sweeps.append((sweep(self, window, terminal, driver), driver))
-        return sweeps[-1][0]
-
-    monkeypatch.setattr(BackwardSolver, "solve", recording)
-    picard_global(sc, ens, cfg)
-    start, driver = sweeps[0][0], sweeps[1][1]
+    sweeps = _record_sweeps(monkeypatch)
+    res = picard_global(sc, ens, cfg)
+    start, driver = sweeps[0][2], sweeps[1][1]
+    assert len(sweeps) == res.trace.iterations
     m_y, m_z = path_mean(start.y), path_mean(start.z)
     gen, n, d, P = sc.f, sc.n, sc.d, cfg.n_paths
     zeros = (np.zeros((P, n)), np.zeros(n))
@@ -740,21 +775,20 @@ def test_picard_source_is_full_minus_core_bit_for_bit(monkeypatch):
 # the result record
 # ---------------------------------------------------------------------------
 
-# a tiny run of each CLI selector: shipped config (None: the shift-identity
-# scenario) and settings over the shared small ones
+# a tiny run of each CLI selector: shipped config and settings over the
+# shared small ones
 _TINY_RUNS = {
     "local": ("linear.cfg", {}),
     "global": ("linear.cfg", {"n_windows": 2}),
     "picard": ("linear.cfg", {}),
     "shift": ("ex31.cfg", {"n_windows": 2}),
-    "shift-simple": (None, {}),
     "multidim": ("ex41.cfg", {"n_windows": 2}),
 }
 
 
 def _tiny_run(selector, **changes):
     name, settings = _TINY_RUNS[selector]
-    sc, cfg = (_shift_identity_scenario(), CFG) if name is None else _shipped(name)
+    sc, cfg = _shipped(name)
     cfg = cfg.updated(n_steps=8, n_paths=500, override_epsilon=True, track_ball=True,
                       **settings, **changes)
     with warnings.catch_warnings():
@@ -777,38 +811,31 @@ def test_every_result_field_is_written():
     assert missing == []
 
 
-def _record_step_clamps(monkeypatch):
-    """Clamp events of every sweep from now on, summed per window for the
-    step sweeps and in total for the martingale starts."""
-    counts = {"start": 0}
-    sweep = BackwardSolver.solve
-
-    def recording(self, window, terminal, driver):
-        out = sweep(self, window, terminal, driver)
-        key = "start" if driver is meanfield._zero_driver else (window.lo, window.hi)
-        counts[key] = counts.get(key, 0) + out.clamp_events
-        return out
-
-    monkeypatch.setattr(BackwardSolver, "solve", recording)
+def _clamps_per_window(sweeps) -> dict:
+    """Clamp events of the recorded sweeps, summed per window."""
+    counts = {}
+    for span, _, out in sweeps:
+        counts[span] = counts.get(span, 0) + out.clamp_events
     return counts
 
 
 @pytest.mark.parametrize("selector", sorted(_TINY_RUNS))
 def test_trace_counts_the_clamps_of_its_step_sweeps(selector, monkeypatch):
-    counts = _record_step_clamps(monkeypatch)
+    sweeps = _record_sweeps(monkeypatch)
     res = _tiny_run(selector, z_clamp=0.3)
+    counts = _clamps_per_window(sweeps)
     traces = res.trace if isinstance(res.trace, list) else [res.trace]
+    # every sweep is a step of some window's trace
+    assert sorted(counts) == sorted(res.windows)
     assert [t.clamp_events for t in traces] == [counts[w] for w in res.windows]
     assert all(t.clamp_events > 0 for t in traces)
-    # the martingale starts clamp too, and are left out; the frozen-mean
-    # windows start from the terminal mean and run none
-    assert (counts["start"] > 0) == (selector in ("picard", "shift", "multidim"))
 
 
 def test_failure_record_counts_the_clamps(tmp_path, monkeypatch):
-    counts = _record_step_clamps(monkeypatch)
+    sweeps = _record_sweeps(monkeypatch)
     with pytest.raises(MaxIterations) as failed:
         _tiny_run("local", z_clamp=0.3, max_outer=2, tol_fp=1e-12)
+    counts = _clamps_per_window(sweeps)
     path = tmp_path / "run_failure.json"
     write_failure_json(path, failed.value, manifest_for("x.cfg", "", CFG, "local"))
     trace = json.loads(path.read_text())["trace"]
