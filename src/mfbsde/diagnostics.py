@@ -8,11 +8,11 @@ stopping times, so the estimate is a lower bound of the continuous-time
 norm up to discretisation.  The estimator takes the node regressions as a
 callable ``node_regression(i)`` of the global node index; the solvers pass
 :meth:`BackwardSolver.node_regression`, so the diagnostics fit against the
-projectors the backward sweep already built and keep no cache of their own.
-Its tail can be carried from span to span, right to left, so a stitched
-solve folds each window into the estimate while that window's projectors are
-cached and then drops them; :func:`build_report` takes the finished
-estimate.
+factors the backward sweep already built and keep no cache of their own
+(each fit forms its node's design afresh).  Its tail can be carried from
+span to span, right to left, so a stitched solve folds each window into the
+estimate while that window's factors are cached and then drops them;
+:func:`build_report` takes the finished estimate.
 
 Every norm and check reads a process node by node, through the node-major
 view ``np.swapaxes(values, 0, 1)``: no transposed copy is made, whatever
@@ -215,7 +215,7 @@ def build_report(
 ) -> DiagnosticsReport:
     """Norms and envelope rate of one solved ``(y, z)``, with ``bmo``, its
     :func:`bmo2_estimate` (folded window by window in a stitched solve,
-    whose projectors are gone by the time it reports)."""
+    whose regressions are gone by the time it reports)."""
     rep = DiagnosticsReport(
         sup_y=sup_norm(y),
         sp_y=sp_norm(y, p),

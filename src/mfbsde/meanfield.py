@@ -574,8 +574,8 @@ def _stitched_solve(
     as soon as it is solved; its arrays are freed.  Its nodes are then
     folded into the horizon's BMO estimate, through one per-path tail
     carried from window to window, and their regressions are released:
-    only one window's projectors are ever cached, and finalisation fits
-    nothing."""
+    only one window's k x k factors (and, for a binned basis, member
+    indices) are ever cached, and finalisation fits nothing."""
     grid = ensemble.grid
     windows = _plan_windows(ensemble, config, cert)
     N = grid.n_steps
@@ -723,14 +723,16 @@ def _mean_shift(f2, ensemble, window, z_vals, m_z, **state):
     """Tail integral of the mean of f2 along the window (trapezoid rule);
     ``f2`` is the window's all-late :class:`dsl.Staged` program, ``z_vals``
     is node-major, and ``state`` has the ``y`` and ``ybar`` slots, node-major,
-    when ``f2`` reads them."""
-    L, n = window.n_nodes, z_vals.shape[-1]
+    when ``f2`` reads them.  Each node's mean is one product with a ones
+    vector, as in :func:`path_mean`."""
+    L, P, n = window.n_nodes, z_vals.shape[1], z_vals.shape[-1]
     nodes = ensemble.grid.nodes
+    ones = np.ones(P)
     fbar = np.empty((L, n))
     for j in range(L):
         s = float(nodes[window.lo + j])
         at_node = {k: v[j] for k, v in state.items()}
-        fbar[j] = f2(s=s, z=z_vals[j], zbar=m_z[j], **at_node).mean(axis=0)
+        np.divide(ones @ f2(s=s, z=z_vals[j], zbar=m_z[j], **at_node), P, out=fbar[j])
     steps = ensemble.grid.steps[window.lo : window.hi]
     shift = np.zeros((L, n))
     for j in range(L - 2, -1, -1):

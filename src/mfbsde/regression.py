@@ -4,17 +4,23 @@ The conditional expectation given the Brownian level at a node is
 approximated by projection onto polynomial features of that level,
 optionally fitted separately on quantile bins of the first coordinate
 (a cheap localisation).  The design depends only on the node's Brownian
-state, so each node is factorised once: with ``L`` the Cholesky factor of
-the ridged Gram matrix of the column-scaled design ``Xs``, the node keeps
-``Q^T = L^-1 Xs^T`` and every fit is the projection ``Q (Q^T v)``, two
-matrix products and no solve.  A design that stays rank-deficient after the
-ridge raises :class:`RegressionError` with a condition estimate.
+state, so each node is factorised once.  With ``X`` the node's monomial
+design, held as (features, paths) rows, ``s`` its root-mean-square row
+scales and ``L`` the Cholesky factor of the ridged Gram matrix of the
+scaled design ``diag(1/s) X``, a node keeps only the k x k map
+``A = L^-1 diag(1/s)`` per bin and a view of its levels.  A fit is the
+projection ``X^T (A^T (A (X v)))``, four matrix products and no solve.  The
+design is formed again for each fit, or once per backward step by the
+caller and passed in, so no (features, paths) array outlives a call.  A
+design that stays rank-deficient after the ridge raises
+:class:`RegressionError` with a condition estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import comb
 
 import numpy as np
 
@@ -49,8 +55,9 @@ def poly_features(state: np.ndarray, degree: int) -> np.ndarray:
     return _design_rows(state, degree).T
 
 
-def _design_rows(state: np.ndarray, degree: int) -> np.ndarray:
-    """The monomials of :func:`poly_features` as contiguous rows, (k, P).
+def _design_rows(state: np.ndarray, degree: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The monomials of :func:`poly_features` as contiguous rows, (k, P),
+    written into ``out`` when given.
 
     Each monomial is its lower-degree prefix times one coordinate (the
     degree-one monomials take the constant row as prefix), so the
@@ -66,7 +73,7 @@ def _design_rows(state: np.ndarray, degree: int) -> np.ndarray:
         for deg in range(1, degree + 1)
         for combo in combinations_with_replacement(range(d), deg)
     ]
-    rows = np.empty((1 + len(combos), P))
+    rows = np.empty((1 + len(combos), P)) if out is None else out
     rows[0] = 1.0
     index = {(): 0}
     for r, combo in enumerate(combos, start=1):
@@ -76,70 +83,94 @@ def _design_rows(state: np.ndarray, degree: int) -> np.ndarray:
 
 
 class NodeRegression:
-    """Projector onto basis functions of one node's state.
+    """Least-squares projection onto basis functions of one node's state.
 
-    Built once per node; each bin keeps ``Q^T = L^-1 Xs^T`` as a
-    C-contiguous ``(k, paths in bin)`` array.  A single bin fits the values
-    as given, without a member index.  Degenerate states (all non-constant
-    columns vanish, e.g. the t=0 node) keep the constant column only, so the
-    fit is the plain path average up to the ridge.
+    Built once per node; it keeps a view of the state (no copy) and, per
+    bin, the k x k map ``A = L^-1 diag(1/s)``.  Features that vanish on
+    every path of a bin (``s = 0``) are dropped from ``L``, and their
+    columns of ``A`` are zero: the keep mask, folded into the map.  A
+    single bin fits the values as given, without a member index; a binned
+    node keeps one index of its paths sorted by bin, and lays its design
+    out in that order.  Degenerate states (all non-constant columns vanish,
+    e.g. the t=0 node) keep the constant column only, so the fit is the
+    plain path average up to the ridge.
     """
 
     def __init__(self, state: np.ndarray, basis: RegressionBasis):
         state = np.asarray(state, dtype=np.float64)
         P = state.shape[0]
         self.basis = basis
-        # (members, Q^T) per bin; members is None for the single-bin case
-        self._bins: list[tuple[np.ndarray | None, np.ndarray | None]] = []
+        self._state = state
+        self._n_features = comb(state.shape[1] + basis.degree, basis.degree)
+        self._n_paths = P
+        # paths sorted by bin, with each bin's (start, stop) in that order;
+        # None for the single-bin case
+        self._order: np.ndarray | None = None
+        self._spans = [(0, P)]
         if basis.n_bins > 1:
             edges = np.quantile(state[:, 0], np.linspace(0, 1, basis.n_bins + 1))
             idx = np.clip(np.searchsorted(edges, state[:, 0], side="right") - 1, 0,
                           basis.n_bins - 1)
-            for b in range(basis.n_bins):
-                members = np.flatnonzero(idx == b)
-                qt = _projector(state[members], basis) if members.size else None
-                self._bins.append((members, qt))
-        else:
-            self._bins.append((None, _projector(state, basis)))
-        self._n_features = poly_features(state[:1], basis.degree).shape[1]
-        self._n_paths = P
+            self._order = np.argsort(idx, kind="stable")
+            stops = np.cumsum(np.bincount(idx, minlength=basis.n_bins))
+            self._spans = list(zip([0, *stops[:-1]], stops))
+        rows = self.design()
+        # one k x k factor per bin; None for an empty bin
+        self._factors = [
+            _factor(rows[:, lo:hi], basis.ridge) if hi > lo else None
+            for lo, hi in self._spans
+        ]
 
     @property
     def n_features(self) -> int:
         return self._n_features
 
-    def fit(self, values: np.ndarray) -> np.ndarray:
+    def design(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The node's unscaled monomial design as (features, paths) rows,
+        a binned node's paths in bin order; written into ``out`` (shape
+        ``(n_features, paths)``) when given."""
+        state = self._state if self._order is None else self._state[self._order]
+        return _design_rows(state, self.basis.degree, out)
+
+    def fit(self, values: np.ndarray, design: np.ndarray | None = None) -> np.ndarray:
         """Project ``values`` (shape (P,) or (P, m)) onto the basis; the
-        fitted values have the input's shape."""
+        fitted values have the input's shape.  ``design`` is this node's
+        :meth:`design`, formed here when not given."""
         vals = np.asarray(values, dtype=np.float64)
         if vals.shape[0] != self._n_paths:
             raise InvalidInput("value rows do not match the node's path count")
-        members, qt = self._bins[0]
-        if members is None:
-            return qt.T @ (qt @ vals)
+        rows = self.design() if design is None else design
+        if self._order is None:
+            a = self._factors[0]
+            return rows.T @ (a.T @ (a @ (rows @ vals)))
         fitted = np.empty_like(vals)
-        for members, qt in self._bins:
-            if qt is not None:
-                fitted[members] = qt.T @ (qt @ vals[members])
+        for (lo, hi), a in zip(self._spans, self._factors):
+            if a is not None:
+                members = self._order[lo:hi]
+                x = rows[:, lo:hi]
+                fitted[members] = x.T @ (a.T @ (a @ (x @ vals[members])))
         return fitted
 
 
-def _projector(state: np.ndarray, basis: RegressionBasis) -> np.ndarray:
-    """``Q^T = L^-1 Xs^T`` for the column-scaled design ``Xs`` of ``state``,
-    where ``L L^T = Xs^T Xs + ridge * P * I``."""
-    rows = _design_rows(state, basis.degree)
-    P = rows.shape[1]
+def _factor(rows: np.ndarray, ridge: float) -> np.ndarray:
+    """``A = L^-1 diag(1/s)`` for the design ``rows`` (features, paths) with
+    root-mean-square row scales ``s``, where ``L L^T = Xs^T Xs + ridge * P
+    * I`` for the column-scaled design ``Xs``; rows with ``s = 0`` get zero
+    columns."""
+    k, P = rows.shape
     scale = np.sqrt(np.mean(rows * rows, axis=1))
     keep = scale > 0.0
     xs_t = rows[keep] / scale[keep, None]
-    k = xs_t.shape[0]
-    if P <= k:
-        raise InvalidInput(f"{P} paths cannot support {k} features")
+    k_keep = xs_t.shape[0]
+    if P <= k_keep:
+        raise InvalidInput(f"{P} paths cannot support {k_keep} features")
     gram = xs_t @ xs_t.T
-    gram[np.diag_indices_from(gram)] += basis.ridge * P
+    gram[np.diag_indices_from(gram)] += ridge * P
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         cond = float(np.linalg.cond(gram))
         raise RegressionError("design rank-deficient after ridge", cond)
-    return np.linalg.inv(chol) @ xs_t
+    a = np.zeros((k_keep, k))
+    a[:, keep] = np.linalg.inv(chol) / scale[keep]
+    return a

@@ -84,13 +84,14 @@ class StandardSolve:
 class BackwardSolver:
     """Backward sweeps over one ensemble, with node regressions cached.
 
-    The basis depends only on the Brownian levels, so each node's projector
-    is built once and reused across fixed-point iterations, until
-    :meth:`release` drops a solved window's; a fit is two matrix products
-    against it.  Sweeps store their values node-major, so every node is
-    read and written as one contiguous block, and take each step's
-    Brownian increment as the difference of two node levels into one
-    reused buffer.
+    The basis depends only on the Brownian levels, so each node is
+    factorised once and its k x k factors are reused across fixed-point
+    iterations, until :meth:`release` drops a solved window's.  A sweep
+    forms each node's (features, paths) design once per step, into one
+    buffer reused across the sweep, and both fits of the step read it.
+    Sweeps store their values node-major, so every node is read and
+    written as one contiguous block, and take each step's Brownian
+    increment as the difference of two node levels into one reused buffer.
     """
 
     def __init__(self, ensemble: PathEnsemble, config: SolverConfig):
@@ -143,6 +144,7 @@ class BackwardSolver:
         Z = np.empty((L, P, d, n))
         Y[L - 1] = terminal
         raw = np.empty((P, d, n))
+        design = np.empty((self.node_regression(hi - 1).n_features, P))
         dw = np.empty((P, d))
         work = np.empty((3, P, n))  # two alternating iterates and a scratch row
         finite = np.empty((P, n), dtype=bool)
@@ -155,8 +157,9 @@ class BackwardSolver:
             t = float(nodes[i])
             y_next = Y[j + 1]
             reg = self.node_regression(i)
+            reg.design(out=design)
 
-            cond = reg.fit(y_next)
+            cond = reg.fit(y_next, design)
             resid = y_next - cond
             np.subtract(ens.state(i + 1), ens.state(i), out=dw)
             # one product per (increment, state) component pair: each is a
@@ -165,7 +168,7 @@ class BackwardSolver:
                 for b in range(n):
                     np.multiply(dw[:, a], resid[:, b], out=raw[:, a, b])
             raw /= h
-            z_fit = reg.fit(raw.reshape(P, d * n))
+            z_fit = reg.fit(raw.reshape(P, d * n), design)
             z_i = z_fit.reshape(P, d, n)
             Z[j] = z_i
 
@@ -185,7 +188,18 @@ class BackwardSolver:
 
 
 def _clamp_z(z: np.ndarray, level: float) -> tuple[np.ndarray, int]:
+    """``z`` (P, d, n) with every path's row scaled down to norm ``level``
+    where its norm exceeds it, and the number of rows scaled."""
     P = z.shape[0]
+    # A computed row norm is at most sqrt(d*n) * max|z| * (1 + u)^((d*n + 2)/2),
+    # u = 2^-53 (one rounding per square and per addition, halved by the
+    # root, and one for the root); the bound below is rounded down by at
+    # most (1 - u)^3.  The 1e-12 margin covers both while d*n < 10^4, so a
+    # bound at or under the level means the full-norm path scales no row.
+    # A NaN bound fails the test and takes that path.
+    bound = float(np.maximum(z.max(), -z.min())) * np.sqrt(z[0].size)
+    if bound * (1.0 + 1e-12) <= level:
+        return z, 0
     norms = dsl.row_norm(z.reshape(P, -1))[:, 0]
     over = norms > level
     n_over = int(np.count_nonzero(over))

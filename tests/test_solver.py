@@ -2,6 +2,7 @@
 clamping, and the linear closed form."""
 
 import dataclasses
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -17,6 +18,7 @@ from mfbsde.scenario import ScenarioSpec, linear_scenario
 from mfbsde.solver import (
     BackwardSolver,
     SolverConfig,
+    _clamp_z,
     frozen_mean_driver,
 )
 
@@ -162,6 +164,24 @@ def test_projector_matches_normal_equations_at_t0(grid50, m):
     np.testing.assert_allclose(fitted, mean, rtol=1e-7)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_node_regressions_retain_no_path_sized_arrays(grid50, d):
+    # a single-bin node keeps k x k factors and a view of its levels: the
+    # 50 fitted nodes of a 20k-path ensemble retain kilobytes, where one
+    # (features, paths) projector per node would retain 32 MB at d = 1
+    ens = simulate_brownian(grid50, d, 20_000, 5)
+    solver = BackwardSolver(ens, CFG)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        regs = [solver.node_regression(i) for i in range(grid50.n_steps)]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(regs) == grid50.n_steps
+    assert retained < 1_000_000
+
+
 def test_regression_rank_deficiency_raises(rng):
     col = rng.standard_normal(64)
     state = np.stack([col, col], axis=1)  # duplicated coordinate
@@ -233,6 +253,56 @@ def test_backward_step_index_validation(ensemble50):
         BackwardSolver(ensemble50, CFG).solve(
             Window(50, 51), np.zeros((ensemble50.n_paths, 1)), lambda i, s, z: lambda y: y
         )
+
+
+@pytest.mark.parametrize("n_bins", [1, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_backward_step_fits_match_normal_equations(grid50, n_bins, d):
+    # with a zero driver the step's state is the conditional mean, and its
+    # integrand the fit of the centred residual times the increment over h
+    P = 4_000
+    ens = simulate_brownian(grid50, d, P, 11)
+    basis = RegressionBasis(n_bins=n_bins)
+    x, w = ens.state(49), ens.state(50)
+    y_next = np.stack([np.sin(w[:, 0]) + np.cos(w[:, -1]), np.sin(w[:, 0] * w[:, -1])], axis=1)
+    res = BackwardSolver(ens, CFG.updated(n_paths=P, basis=basis)).solve(
+        Window(49, 50), y_next, lambda i, s, z: np.zeros((P, 2))
+    )
+    cond = _normal_equations_fit(x, basis, y_next)
+    raw = (w - x)[:, :, None] * (y_next - cond)[:, None, :] / grid50.steps[49]
+    z = _normal_equations_fit(x, basis, raw.reshape(P, 2 * d)).reshape(P, d, 2)
+    np.testing.assert_allclose(res.y[0], cond, rtol=0, atol=1e-12)
+    # the cubic fits of the outer bins reach |z| of about 30 at their far
+    # ends, so the tolerance is 1e-12 of the integrand's size
+    np.testing.assert_allclose(res.z[0], z, rtol=0, atol=1e-12 * max(1.0, np.abs(z).max()))
+
+
+def _clamp_by_row_norms(z, level):
+    """Every row's norm taken and compared with the level."""
+    P = z.shape[0]
+    norms = np.sqrt(np.sum(z.reshape(P, -1) ** 2, axis=1))
+    over = norms > level
+    return z * np.where(over, level / norms, 1.0)[:, None, None], int(over.sum())
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (2, 2)])
+@pytest.mark.parametrize("case", ["below", "at", "ulp-above"])
+def test_clamp_precheck_matches_the_full_norm_path(rng, d, n, case):
+    level = 0.7
+    z = rng.uniform(-1.0, 1.0, (50, d, n)) * (0.5 * level / np.sqrt(d * n))
+    if case == "below":
+        # equal entries whose sqrt(d*n) bound sits just under the level:
+        # the max-entry pre-check alone decides
+        z[3] = level / np.sqrt(d * n) * (1.0 - 1e-11)
+    else:
+        z[3] = 0.0
+        z[3, 0, 0] = level if case == "at" else np.nextafter(level, np.inf)
+    got, count = _clamp_z(z, level)
+    want, want_count = _clamp_by_row_norms(z, level)
+    assert count == want_count == int(case == "ulp-above")
+    assert np.array_equal(got, want)
+    if case != "ulp-above":
+        assert got is z
 
 
 # ---------------------------------------------------------------------------
