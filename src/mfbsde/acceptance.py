@@ -490,13 +490,14 @@ def criterion_8() -> CriterionResult:
         scenario, ensemble, config, window=window, certificate=cert
     )
     runtime = time.perf_counter() - t0
-    ratios = result.trace.ratios
+    (trace,) = result.trace
+    ratios = trace.ratios
     consecutive = 0
     best = 0
     for r in ratios:
         consecutive = consecutive + 1 if r < 1.0 else 0
         best = max(best, consecutive)
-    passed = result.trace.converged and best >= 3
+    passed = trace.converged and best >= 3
     return CriterionResult(
         8,
         "contraction ratios below one on the terminal window",
@@ -506,7 +507,7 @@ def criterion_8() -> CriterionResult:
         details={
             "ratios": [round(r, 5) for r in ratios],
             "max_consecutive_below_one": best,
-            "iterations": result.trace.iterations,
+            "iterations": trace.iterations,
             "window_width": window.width(grid),
             "certified_width_log": cert.chain.log_eps,
             "certified_width_underflows": cert.chain.eps_underflow,

@@ -22,7 +22,8 @@ Three commands:
     Run the acceptance criteria and print one PASS/FAIL line each.
 
 Exit codes: 0 on success, 1 when a solver or certificate computation fails,
-2 for invalid inputs (bad config, bad flags, solver/scenario mismatch).
+2 for invalid inputs (bad config, bad flags, solver/scenario mismatch) and
+for files that cannot be read or written, each with one ``error:`` line.
 A solve that fails with exit code 1 (an outer iteration that stops without
 converging, a diverging backward step, an unusable regression, ...) also
 writes ``<prefix>_failure.json``: the error, the partial trace of a failed
@@ -237,6 +238,9 @@ def main(argv=None) -> int:
     except MFBSDEError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

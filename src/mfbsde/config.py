@@ -161,7 +161,10 @@ def load_config(path) -> tuple[ScenarioSpec, SolverConfig, OutputOptions, str]:
     p = Path(path)
     if not p.exists():
         raise InvalidInput(f"config file {p} not found")
-    text = p.read_text()
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInput(f"cannot read config file {p}: {exc}") from exc
     cp = configparser.ConfigParser(inline_comment_prefixes=None)
     try:
         cp.read_string(text)

@@ -2,42 +2,45 @@
 
 The quadratic drivers couple each path to the ensemble through the means of
 the state and of the martingale integrand.  All solvers share one backward
-regression engine and differ only in the map they iterate:
+regression engine and one window engine, and differ only in the map they
+iterate and the windows they iterate it on:
 
 * ``local_solve`` iterates the frozen-mean solve (the mean slots of the
-  driver frozen at given curves) to its fixed point on one window;
+  driver frozen at given curves) to its fixed point on one window, which
+  ends at the horizon;
 * ``global_solve`` stitches those window fixed points backward across the
   horizon;
-* ``picard_global`` iterates the linearised scheme whose source term is the
-  previous iterate's full driver increment;
+* ``picard_global`` iterates, on the whole horizon as one window, the
+  linearised scheme whose source term is the previous iterate's full
+  driver increment;
 * split generators ``f1 + mean(f2)``: the mean shift moves the state but
   leaves the integrand untouched.  ``shift_fixed_point`` and
-  ``multidim_solve`` (vector-valued, z-Lipschitz ``f1``) iterate one
-  frozen-state map, :func:`_frozen_state_solve`, of one sweep per step,
-  and differ only in the state distance (sup or S2).  When ``f1`` reads
-  only ``s, z`` and ``f2`` reads neither ``y`` nor ``ybar``, the first step
-  is the deterministic shift itself and the second confirms it at
-  distance 0.
+  ``multidim_solve`` (vector-valued, z-Lipschitz ``f1``) stitch the fixed
+  points of one frozen-state map of one sweep per step, and differ only in
+  the state distance (sup or S2).  When ``f1`` reads only ``s, z`` and
+  ``f2`` reads neither ``y`` nor ``ybar``, the first step is the
+  deterministic shift itself and the second confirms it at distance 0.
 
-Every map starts from one iterate, :func:`_terminal_start`: the terminal
-data's path mean at every node and a zero integrand.  Every outer
-iteration runs in one engine, :func:`_iterate`: a solver hands it a step
-(one application of its map, one sweep) and a distance between successive
-iterates, and the engine times the steps, compares each with its
-predecessor (the first with the start), records the trace, and stops on
-``tol_fp``, on divergence (:class:`NonContraction`) or on the
-``max_outer`` budget of sweeps (:class:`MaxIterations`).  A window solve
-returns ``(y, z, trace)``: node-major arrays and the window's
-:class:`FixedPointTrace`, which also counts the z-clamp activations of its
-steps, so whatever a window did reaches the result JSON and, on failure,
-the failure record.  Each public solver then finalises once (diagnostics
-report, envelope rate, process grids, flags) on the whole span it solved.
-Besides the horizon arrays, a stitched solve
-holds one window at a time: it checks the window against the certified
-width, solves it, copies it into the horizon arrays and frees it, folds
-its nodes into the BMO estimate (a per-path tail integral carried right to
-left from window to window, as the estimator runs), and releases their
-regressions.  Finalisation takes the folded estimate and fits nothing.
+A solver hands the window engine, :func:`_solve`, its windows and its map,
+``make_map(window, trace) -> apply(iterate, sweep)``.  The engine walks the
+windows right to left.  It checks each against the certified width (all
+but Picard's horizon), hands the map a ``sweep(driver)`` that runs the
+window's backward sweep and counts its z-clamp activations on the window's
+:class:`FixedPointTrace`, and iterates the map in one loop,
+:func:`_iterate`, from one start, :func:`_terminal_start`: the terminal
+data's path mean at every node and a zero integrand.  The loop times the
+steps, compares each with its predecessor (the first with the start),
+records the trace, and stops on ``tol_fp``, on divergence
+(:class:`NonContraction`) or on the ``max_outer`` budget of sweeps
+(:class:`MaxIterations`); the failure carries the trace, so whatever a
+window did reaches the result JSON or the failure record.  The engine then
+copies the window into the horizon arrays and frees it, folds its nodes
+into the BMO estimate (a per-path tail integral carried right to left from
+window to window, as the estimator runs), and releases their regressions,
+so it holds one window at a time besides the horizon arrays.  A lone
+window is not copied: its arrays are the result.  After the last window
+the engine finalises once (diagnostics report, envelope rate, process
+grids, flags) on the span it solved, and fits nothing to do so.
 
 Iterates are node-major, ``(L, P, ...)``, as the backward sweep stores
 them: every per-node read (drivers, sources, mean shifts) and every mean
@@ -253,17 +256,11 @@ def _bmo2(solver: BackwardSolver, z_vals: np.ndarray, span, tail=None) -> float:
     return bmo2_estimate(_process(solver.ensemble, z_vals, span), solver.node_regression, tail)
 
 
-def _window_steps(ensemble: PathEnsemble, window: Window) -> np.ndarray:
-    return ensemble.grid.steps[window.lo : window.hi]
-
-
 def _check_window_width(
-    window: Window, ensemble: PathEnsemble, cert: Certificate | None, config: SolverConfig
+    window: Window, ensemble: PathEnsemble, cert: Certificate, config: SolverConfig
 ) -> bool:
     """Whether ``window`` is wider than the certified width: raises
     :class:`WindowTooWide` if so, or warns under ``override_epsilon``."""
-    if cert is None:
-        return False
     width = window.width(ensemble.grid)
     exceeded = width > cert.chain.eps
     if exceeded and not config.override_epsilon:
@@ -297,19 +294,6 @@ def _caller_stacklevel() -> int:
     return level
 
 
-def _terminal_for(
-    scenario: ScenarioSpec, ensemble: PathEnsemble, window: Window, terminal
-) -> np.ndarray:
-    if terminal is not None:
-        terminal = np.asarray(terminal, dtype=np.float64)
-        if terminal.ndim == 1:
-            terminal = terminal[:, None]
-        return terminal
-    if window.hi != ensemble.grid.n_steps:
-        raise InvalidInput("interior window needs explicit terminal values")
-    return scenario.terminal_values(ensemble.state(window.hi))
-
-
 def _track_ball(trace, config, solver, cert, new, span):
     """Record the iterate's sup norm and BMO estimate against the
     certified ball when ``config.track_ball`` is set."""
@@ -319,10 +303,7 @@ def _track_ball(trace, config, solver, cert, new, span):
     sup = sup_norm(_process(solver.ensemble, new.y, span))
     trace.ball_sup.append(sup)
     trace.ball_bmo.append(bmo)
-    ok = True
-    if cert is not None:
-        ok = bmo <= cert.chain.A and sup <= cert.ball_radius
-    trace.ball_ok.append(bool(ok))
+    trace.ball_ok.append(bool(bmo <= cert.chain.A and sup <= cert.ball_radius))
 
 
 class _Iterate(NamedTuple):
@@ -356,13 +337,17 @@ def _terminal_start(terminal: np.ndarray, L: int, d: int) -> _Iterate:
     )
 
 
-def _distance(y_dist, steps):
-    """Distances ``(state, integrand, state mean)`` between two iterates:
-    ``y_dist`` for the state, empirical M2 for the integrand."""
+def _distance(y_dist, mean_z: bool = False):
+    """``distance(new, old, steps)``: the state, integrand and mean
+    distances between two iterates on a window with steps ``steps``.
+    ``y_dist`` measures the state, empirical M2 the integrand, and the sup
+    distance the state's mean curve, or both mean curves with ``mean_z``."""
 
-    def distance(new: _Iterate, old: _Iterate):
-        z_dist = _m2_dist(new.z, old.z, steps)
-        return y_dist(new.y, old.y), z_dist, _sup_dist(new.m_y, old.m_y)
+    def distance(new: _Iterate, old: _Iterate, steps: np.ndarray):
+        mean = _sup_dist(new.m_y, old.m_y)
+        if mean_z:
+            mean = max(mean, _sup_dist(new.m_z, old.m_z))
+        return y_dist(new.y, old.y), _m2_dist(new.z, old.z, steps), mean
 
     return distance
 
@@ -414,59 +399,129 @@ def _iterate(step, distance, state, trace, config, context: str):
     )
 
 
-def _finish_result(
-    scenario,
-    ensemble,
-    cert,
-    y_vals,
-    z_vals,
-    span,
-    bmo2_z,
-    trace,
-    windows,
-    flags,
-):
-    """One diagnostics report and the public result over node-major
-    ``y_vals`` (L, P, n) and ``z_vals`` (L, P, d, n), which the result's
-    process grids view without copying; ``bmo2_z`` is the integrand's
-    finished BMO estimate, so nothing is fitted here.  ``flags`` gains the
-    envelope rate when there is a certificate."""
-    ygrid = _process(ensemble, y_vals, span)
-    zgrid = _process(ensemble, z_vals, span)
-    alpha_fn = cert.alpha_envelope if cert is not None else None
+# ---------------------------------------------------------------------------
+# the window engine
+# ---------------------------------------------------------------------------
+
+
+def _solve(scenario, ensemble, config, cert, windows, make_map, distance, context,
+           check_width: bool = True) -> SolveResult:
+    """Fixed points of one map on adjacent ``windows``, the last ending at
+    the horizon, solved right to left and finalised once.
+
+    ``make_map(window, trace)`` returns the window's map ``apply(it,
+    sweep) -> _Iterate``; ``sweep(driver)`` runs the window's backward sweep,
+    closed by the terminal data or by the state solved on the window to
+    the right, and adds its clamp events to ``trace``.  Successive iterates
+    are compared by ``distance(new, old, steps)`` and errors name
+    ``context`` and the window.  Each window is checked against the
+    certified width (unless ``check_width`` is false) before it is solved.
+    Several windows are copied, one contiguous block per array, into the
+    node-major horizon arrays as soon as each is solved, and freed; a lone
+    window's arrays are the result as they are.  Each window's nodes are
+    then folded into the BMO estimate, through one per-path tail carried
+    from window to window, and their regressions are released: only one
+    window's k x k factors (and, for a binned basis, member indices) are
+    ever cached, and finalisation fits nothing."""
+    solver = BackwardSolver(ensemble, config)
+    grid, P, n, d = ensemble.grid, ensemble.n_paths, scenario.n, scenario.d
+    N, lo0 = grid.n_steps, windows[0].lo
+    lone = len(windows) == 1
+    if not lone:
+        y_vals = np.empty((N + 1 - lo0, P, n))
+        z_vals = np.empty((N + 1 - lo0, P, d, n))
+    exceeded = False
+    traces: list[FixedPointTrace] = []
+    tail = np.zeros(P)
+    bmo2_z = 0.0
+
+    # one window's map, and the iterates its staged programs bind, are
+    # freed when this returns
+    def fixed_point(window: Window, terminal: np.ndarray, trace: FixedPointTrace):
+        span = (window.lo, window.hi)
+        steps = grid.steps[window.lo : window.hi]
+        apply = make_map(window, trace)
+
+        def sweep(driver):
+            out = solver.solve(window, terminal, driver)
+            trace.clamp_events += out.clamp_events
+            return out
+
+        def step(it: _Iterate) -> _Iterate:
+            new = apply(it, sweep)
+            _track_ball(trace, config, solver, cert, new, span)
+            return new
+
+        return _iterate(step, lambda new, old: distance(new, old, steps),
+                        _terminal_start(terminal, window.n_nodes, d), trace, config,
+                        f"{context} on window {span}")
+
+    terminal = scenario.terminal_values(ensemble.state(N))
+    for w in reversed(windows):
+        if check_width:
+            exceeded |= _check_window_width(w, ensemble, cert, config)
+        traces.append(FixedPointTrace())
+        last = fixed_point(w, terminal, traces[-1])
+        if lone:
+            y_vals, z_vals = last.y, last.z
+        else:
+            # the window to the right already wrote node w.hi: its integrand
+            # there is the solved one, not this window's copied last node
+            stop = w.hi + 1 if w.hi == N else w.hi
+            y_vals[w.lo - lo0 : stop - lo0] = last.y[: stop - w.lo]
+            z_vals[w.lo - lo0 : stop - lo0] = last.z[: stop - w.lo]
+            terminal = last.y[0].copy()
+        del last  # a copied window is freed before the fold allocates
+        # nodes w.hi - 1 .. w.lo are final: the windows to the left write
+        # only nodes below w.lo
+        z_w = z_vals[w.lo - lo0 : w.hi + 1 - lo0]
+        bmo2_z = max(bmo2_z, _bmo2(solver, z_w, (w.lo, w.hi), tail))
+        solver.release(w)
+    traces.reverse()
+
+    span = (lo0, N)
+    ygrid, zgrid = _process(ensemble, y_vals, span), _process(ensemble, z_vals, span)
     budget = None
-    if cert is not None and FORM_GLOBAL_ODE in scenario.forms:
+    if FORM_GLOBAL_ODE in scenario.forms:
         budget = bmo_budget_global(
             scenario.xi_bound, scenario.C, cert.lam, scenario.T, scenario.gamma
         )
-    report = build_report(
-        ygrid,
-        zgrid,
-        bmo2_z,
-        gamma=scenario.gamma,
-        bmo_budget=budget,
-        alpha_fn=alpha_fn,
-    )
-    if alpha_fn is not None:
-        rate = report.alpha_violation_rate
-        flags["alpha_envelope_rate"] = rate
-        flags["alpha_envelope_ok"] = rate <= _ALPHA_RATE_TOLERANCE
+    report = build_report(ygrid, zgrid, bmo2_z, gamma=scenario.gamma,
+                          bmo_budget=budget, alpha_fn=cert.alpha_envelope)
+    flags = {"window_exceeds_certificate": exceeded} if check_width else {}
+    flags["alpha_envelope_rate"] = rate = report.alpha_violation_rate
+    flags["alpha_envelope_ok"] = rate <= _ALPHA_RATE_TOLERANCE
     return SolveResult(
         y=ygrid,
         z=zgrid,
         m_y=ensemble_mean(ygrid),
         m_z=ensemble_mean(zgrid),
-        trace=trace,
+        trace=traces,
         certificate=cert,
         diagnostics=report,
-        windows=windows,
+        windows=[(w.lo, w.hi) for w in windows],
         flags=flags,
     )
 
 
 # ---------------------------------------------------------------------------
-# frozen-mean map and its local fixed point
+# frozen-mean map: local fixed point and stitching
 # ---------------------------------------------------------------------------
+
+
+def _frozen_mean_solve(scenario, ensemble, config, cert, windows) -> SolveResult:
+    """Fixed points of the frozen-mean map on ``windows``: each step sweeps
+    once with the driver's mean slots frozen at the previous iterate's mean
+    curves, and the mean distance covers both curves."""
+
+    def make_map(window: Window, trace: FixedPointTrace):
+        def apply(it: _Iterate, sweep) -> _Iterate:
+            return _sweep_iterate(sweep(frozen_mean_driver(scenario, it.m_y, it.m_z, window.lo)))
+
+        return apply
+
+    return _solve(scenario, ensemble, config, cert, windows, make_map,
+                  _distance(_sup_dist, mean_z=True), "local solve")
 
 
 def local_solve(
@@ -474,74 +529,41 @@ def local_solve(
     ensemble: PathEnsemble,
     config: SolverConfig,
     window: Window | None = None,
-    terminal: np.ndarray | None = None,
     certificate: Certificate | None = None,
 ) -> SolveResult:
-    """Fixed point of the frozen-mean map on one window.
+    """Fixed point of the frozen-mean map on one window, which ends at the
+    last node of the grid (the whole grid by default).
 
     Starts from the terminal data's path mean at every node and a zero
     integrand, and applies the frozen-mean solve until two successive
     iterates agree to ``tol_fp`` in sup norm (state) plus empirical M2
-    distance (integrand).  Raises
-    :class:`NonContraction` when the distances stop shrinking persistently,
-    :class:`MaxIterations` on budget exhaustion.
+    distance (integrand).  Raises :class:`InvalidInput` for a window that
+    does not end at the last node, :class:`NonContraction` when the
+    distances stop shrinking persistently, :class:`MaxIterations` on budget
+    exhaustion.  The trace is a one-element list, as for every stitched
+    solve.
     """
     if scenario.f is None:
         raise InvalidInput("local_solve needs a single-generator scenario")
     window = window or ensemble.grid.full_window()
+    N = ensemble.grid.n_steps
+    if window.hi != N:
+        raise InvalidInput(
+            f"local_solve window ({window.lo}, {window.hi}) must end at the "
+            f"last node {N} of the grid"
+        )
     cert = certificate if certificate is not None else certify(scenario)
-    ensemble.grid.check_window(window)
-    exceeded = _check_window_width(window, ensemble, cert, config)
-    terminal = _terminal_for(scenario, ensemble, window, terminal)
-    solver = BackwardSolver(ensemble, config)
-    y, z, trace = _local_window(scenario, config, cert, solver, window, terminal)
-    span = (window.lo, window.hi)
-    return _finish_result(
-        scenario, ensemble, cert,
-        y, z, span, _bmo2(solver, z, span), trace, [span],
-        {"window_exceeds_certificate": exceeded},
-    )
+    return _frozen_mean_solve(scenario, ensemble, config, cert, [window])
 
 
-def _local_window(scenario, config, cert, solver, window, terminal):
-    """Frozen-mean fixed point on ``window``, closed by the (P, n)
-    ``terminal``: ``(y, z, trace)`` with node-major ``y`` and ``z``."""
-    steps = _window_steps(solver.ensemble, window)
-    span = (window.lo, window.hi)
-    trace = FixedPointTrace()
-
-    def step(it: _Iterate) -> _Iterate:
-        driver = frozen_mean_driver(scenario, it.m_y, it.m_z, window.lo)
-        sweep = solver.solve(window, terminal, driver)
-        trace.clamp_events += sweep.clamp_events
-        new = _sweep_iterate(sweep)
-        _track_ball(trace, config, solver, cert, new, span)
-        return new
-
-    base = _distance(_sup_dist, steps)
-
-    def distance(new: _Iterate, old: _Iterate):
-        y_dist, z_dist, my_dist = base(new, old)
-        return y_dist, z_dist, max(my_dist, _sup_dist(new.m_z, old.m_z))
-
-    start = _terminal_start(terminal, window.n_nodes, scenario.d)
-    last = _iterate(step, distance, start, trace, config, f"local solve on window {span}")
-    return last.y, last.z, trace
-
-
-# ---------------------------------------------------------------------------
-# window planning and stitching
-# ---------------------------------------------------------------------------
-
-
-def _plan_windows(ensemble: PathEnsemble, config: SolverConfig, cert: Certificate | None):
+def _plan_windows(ensemble: PathEnsemble, config: SolverConfig, cert: Certificate):
     grid = ensemble.grid
     N = grid.n_steps
     if config.n_windows is not None:
         bounds = np.linspace(0, N, config.n_windows + 1).round().astype(int)
         bounds = np.unique(bounds)
         return [Window(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-    width = cert.eta if cert is not None and cert.eta > 0.0 else 0.0
+    width = cert.eta if cert.eta > 0.0 else 0.0
     if width < float(np.min(grid.steps)):
         raise WindowTooWide(
             "certified stitching width is below the grid resolution; "
@@ -559,60 +581,6 @@ def _plan_windows(ensemble: PathEnsemble, config: SolverConfig, cert: Certificat
     return windows
 
 
-def _stitched_solve(
-    scenario: ScenarioSpec,
-    ensemble: PathEnsemble,
-    config: SolverConfig,
-    cert: Certificate | None,
-    solve_window,
-    solver: BackwardSolver,
-) -> SolveResult:
-    """Backward window recursion; ``solve_window(window, terminal)`` returns
-    ``(y, z, trace)`` of one window, ``y`` and ``z`` node-major.  Each
-    window is checked against the certified width before it is solved, and
-    copied, as one contiguous block per array, into the node-major result
-    as soon as it is solved; its arrays are freed.  Its nodes are then
-    folded into the horizon's BMO estimate, through one per-path tail
-    carried from window to window, and their regressions are released:
-    only one window's k x k factors (and, for a binned basis, member
-    indices) are ever cached, and finalisation fits nothing."""
-    grid = ensemble.grid
-    windows = _plan_windows(ensemble, config, cert)
-    N = grid.n_steps
-    P = ensemble.n_paths
-    n, d = scenario.n, scenario.d
-    y_full = np.empty((N + 1, P, n))
-    z_full = np.empty((N + 1, P, d, n))
-    exceeded = False
-    traces: list[FixedPointTrace] = []
-    tail = np.zeros(P)
-    bmo2_z = 0.0
-
-    terminal = scenario.terminal_values(ensemble.state(N))
-    for w in reversed(windows):
-        exceeded |= _check_window_width(w, ensemble, cert, config)
-        y_w, z_w, trace_w = solve_window(w, terminal)
-        traces.append(trace_w)
-        # the window to the right already wrote node w.hi: its integrand
-        # there is the solved one, not this window's copied last node
-        stop = w.hi + 1 if w.hi == N else w.hi
-        y_full[w.lo : stop] = y_w[: stop - w.lo]
-        z_full[w.lo : stop] = z_w[: stop - w.lo]
-        terminal = y_w[0].copy()
-        del y_w, z_w  # freed before the fold allocates
-        # nodes w.hi - 1 .. w.lo of z_full are final: the windows to the
-        # left write only nodes below w.lo
-        bmo2_z = max(bmo2_z, _bmo2(solver, z_full[w.lo : w.hi + 1], (w.lo, w.hi), tail))
-        solver.release(w)
-
-    traces.reverse()
-    return _finish_result(
-        scenario, ensemble, cert,
-        y_full, z_full, (0, N), bmo2_z, traces, [(w.lo, w.hi) for w in windows],
-        {"window_exceeds_certificate": exceeded},
-    )
-
-
 def global_solve(
     scenario: ScenarioSpec,
     ensemble: PathEnsemble,
@@ -626,12 +594,8 @@ def global_solve(
     if scenario.f is None:
         raise InvalidInput("global_solve needs a single-generator scenario")
     cert = certificate if certificate is not None else certify(scenario)
-    solver = BackwardSolver(ensemble, config)
-
-    def solve_window(window: Window, terminal: np.ndarray):
-        return _local_window(scenario, config, cert, solver, window, terminal)
-
-    return _stitched_solve(scenario, ensemble, config, cert, solve_window, solver)
+    return _frozen_mean_solve(scenario, ensemble, config, cert,
+                              _plan_windows(ensemble, config, cert))
 
 
 # ---------------------------------------------------------------------------
@@ -651,58 +615,53 @@ def picard_global(
     subsequent iterate solves the BSDE with driver ``f(s, 0, 0, z, 0)``
     plus the per-path source ``f(s, Y^j, E Y^j, Z^j, E Z^j) - f(s, 0, 0,
     Z^j, 0)`` frozen at the previous iterate.  The quadratic-in-z part
-    stays live inside each sweep; everything else is lagged.
+    stays live inside each sweep; everything else is lagged.  The horizon
+    is one window, not checked against the certified width, and the trace
+    is a single :class:`FixedPointTrace` that also records each step's
+    envelope violation rate.
     """
     if scenario.f is None:
         raise InvalidInput("picard_global needs a single-generator scenario")
     gen = scenario.f
     cert = certificate if certificate is not None else certify(scenario)
-    window = ensemble.grid.full_window()
-    solver = BackwardSolver(ensemble, config)
-    terminal = _terminal_for(scenario, ensemble, window, None)
-    steps = _window_steps(ensemble, window)
-    span = (window.lo, window.hi)
-    n, d = scenario.n, scenario.d
-    L = window.n_nodes
+    n, d, P = scenario.n, scenario.d, ensemble.n_paths
     nodes = ensemble.grid.nodes
-
-    trace = FixedPointTrace()
     # the lagged source binds (s, z) once per node and runs the rest at the
     # iterate and at zeros; the sweep's core binds the zero slots once
-    zeros = {"y": np.zeros((ensemble.n_paths, n)), "ybar": np.zeros(n), "zbar": np.zeros((d, n))}
+    zeros = {"y": np.zeros((P, n)), "ybar": np.zeros(n), "zbar": np.zeros((d, n))}
     lagged = dsl.Staged(gen, ("y", "ybar", "zbar"), n=n, d=d)
     core = dsl.Staged(gen, ("s", "z"), n=n, d=d)
     core.bind(**zeros)
 
-    def step(it: _Iterate) -> _Iterate:
-        # lagged source: full driver at the previous iterate minus its
-        # z-quadratic core, node by node
-        source = np.empty((L, ensemble.n_paths, n))
-        for j in range(L):
-            lagged.bind(s=float(nodes[window.lo + j]), z=it.z[j])
-            np.copyto(source[j], lagged(y=it.y[j], ybar=it.m_y[j], zbar=it.m_z[j]))
-            np.subtract(source[j], lagged(**zeros), out=source[j])
+    def make_map(window: Window, trace: FixedPointTrace):
+        span = (window.lo, window.hi)
 
-        def driver(i, s, z):
-            f = core(s=s, z=z)
-            return np.add(f, source[i - window.lo], out=f)
+        def apply(it: _Iterate, sweep) -> _Iterate:
+            # lagged source: full driver at the previous iterate minus its
+            # z-quadratic core, node by node
+            source = np.empty((window.n_nodes, P, n))
+            for j in range(window.n_nodes):
+                lagged.bind(s=float(nodes[window.lo + j]), z=it.z[j])
+                np.copyto(source[j], lagged(y=it.y[j], ybar=it.m_y[j], zbar=it.m_z[j]))
+                np.subtract(source[j], lagged(**zeros), out=source[j])
 
-        sweep = solver.solve(window, terminal, driver)
-        trace.clamp_events += sweep.clamp_events
-        new = _sweep_iterate(sweep)
-        grid_y = _process(ensemble, new.y, span)
-        trace.alpha_rates.append(
-            check_alpha_envelope(grid_y, cert.alpha_envelope)["violation_rate"]
-        )
-        _track_ball(trace, config, solver, cert, new, span)
-        return new
+            def driver(i, s, z):
+                f = core(s=s, z=z)
+                return np.add(f, source[i - window.lo], out=f)
 
-    last = _iterate(step, _distance(_sup_dist, steps), _terminal_start(terminal, L, d),
-                    trace, config, "global Picard")
-    return _finish_result(
-        scenario, ensemble, cert,
-        last.y, last.z, span, _bmo2(solver, last.z, span), trace, [span], {},
-    )
+            new = _sweep_iterate(sweep(driver))
+            grid_y = _process(ensemble, new.y, span)
+            trace.alpha_rates.append(
+                check_alpha_envelope(grid_y, cert.alpha_envelope)["violation_rate"]
+            )
+            return new
+
+        return apply
+
+    result = _solve(scenario, ensemble, config, cert, [ensemble.grid.full_window()],
+                    make_map, _distance(_sup_dist), "global Picard", check_width=False)
+    result.trace = result.trace[0]
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -756,38 +715,28 @@ def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
     ``context`` names the solver in fixed-point errors.
     """
     cert = certificate if certificate is not None else certify(scenario)
-    solver = BackwardSolver(ensemble, config)
     n, d = scenario.n, scenario.d
 
-    def solve_window(window: Window, terminal: np.ndarray):
-        span = (window.lo, window.hi)
-        trace = FixedPointTrace()
+    def make_map(window: Window, trace: FixedPointTrace):
         f1 = dsl.Staged(scenario.f1, ("z", "zbar"), n=n, d=d)
         f2 = dsl.Staged(scenario.f2, dsl.GENERATOR_VARS, n=n, d=d)
 
-        def step(it: _Iterate) -> _Iterate:
+        def apply(it: _Iterate, sweep) -> _Iterate:
             def driver(i, s, z):
                 j = i - window.lo
                 f1.bind(s=s, y=it.y[j], ybar=it.m_y[j])
                 return f1(z=z, zbar=it.m_z[j])
 
-            sweep = solver.solve(window, terminal, driver)
-            trace.clamp_events += sweep.clamp_events
-            mz_curve = path_mean(sweep.z)
-            shift = _mean_shift(f2, ensemble, window, sweep.z, mz_curve, y=it.y, ybar=it.m_y)
-            y_new = sweep.y + shift[:, None, :]
-            new = _Iterate(y_new, sweep.z, path_mean(y_new), mz_curve)
-            _track_ball(trace, config, solver, cert, new, span)
-            return new
+            out = sweep(driver)
+            mz_curve = path_mean(out.z)
+            shift = _mean_shift(f2, ensemble, window, out.z, mz_curve, y=it.y, ybar=it.m_y)
+            y_new = out.y + shift[:, None, :]
+            return _Iterate(y_new, out.z, path_mean(y_new), mz_curve)
 
-        last = _iterate(
-            step, _distance(state_dist, _window_steps(ensemble, window)),
-            _terminal_start(terminal, window.n_nodes, d), trace, config,
-            f"{context} on window {span}",
-        )
-        return last.y, last.z, trace
+        return apply
 
-    return _stitched_solve(scenario, ensemble, config, cert, solve_window, solver)
+    return _solve(scenario, ensemble, config, cert, _plan_windows(ensemble, config, cert),
+                  make_map, _distance(state_dist), context)
 
 
 def shift_fixed_point(

@@ -68,6 +68,33 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error: ")
+    return err
+
+
+def test_config_naming_a_directory_exits_2(tmp_path, capsys):
+    assert main(["certify", "--config", str(tmp_path)]) == 2
+    assert "cannot read config file" in _one_error_line(capsys)
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    p = tmp_path / "latin1.cfg"
+    p.write_bytes(TINY.replace("name = tiny", "name = caf\u00e9").encode("latin-1"))
+    assert main(["solve", "--config", str(p), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "cannot read config file" in _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "solve"])
+def test_out_dir_naming_a_file_exits_2(command, tiny_cfg, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([command, "--config", str(tiny_cfg), "--out-dir", str(taken)]) == 2
+    assert "File exists" in _one_error_line(capsys)
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     p = tmp_path / "typo.cfg"
     p.write_text(TINY.replace("seed = 3", "sed = 3"))
@@ -248,6 +275,12 @@ def test_validate_json_report(tmp_path, capsys):
     rows = json.loads(report.read_text())
     assert len(rows) == 1
     assert rows[0]["criterion"] == 1 and rows[0]["passed"] is True
+
+
+def test_validate_json_into_a_missing_directory_exits_2(tmp_path, capsys):
+    report = tmp_path / "missing" / "v.json"
+    assert main(["validate", "--criteria", "1", "--json", str(report)]) == 2
+    assert "No such file or directory" in _one_error_line(capsys)
 
 
 def test_validate_rejects_bad_list(capsys):

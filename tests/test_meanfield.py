@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mfbsde import dsl, meanfield
+from mfbsde.certificates import certify
 from mfbsde import solver as solver_module
 from mfbsde.cli import _SOLVERS
 from mfbsde.config import load_config, manifest_for, write_failure_json
@@ -131,7 +132,8 @@ def test_local_solve_mean_free_equals_standard_solve():
     res = local_solve(sc, ens, CFG)
     L = CFG.n_steps + 1
     ref = _frozen_mean_solve(sc, ens, np.zeros((L, 1)), np.zeros((L, 1, 1)))
-    assert res.trace.converged
+    (trace,) = res.trace
+    assert trace.converged
     assert res.y.values.tobytes() == np.swapaxes(ref.y, 0, 1).tobytes()
     assert res.z.values.tobytes() == np.swapaxes(ref.z, 0, 1).tobytes()
 
@@ -153,9 +155,10 @@ def test_local_solve_zero_driver_single_iteration():
     res = local_solve(sc, ens, CFG)
     # the driver reads no mean: the first step, from the terminal mean,
     # already is the fixed point, and the second confirms it exactly
-    assert res.trace.converged
-    assert res.trace.iterations == 2
-    first, second = res.trace.total_distances()
+    (trace,) = res.trace
+    assert trace.converged
+    assert trace.iterations == 2
+    first, second = trace.total_distances()
     assert first > 0.0 and second == 0.0
 
 
@@ -183,7 +186,7 @@ def test_local_solve_uniqueness_across_starts(monkeypatch):
     monkeypatch.setattr(meanfield, "_terminal_start", _constant_start(2.0, 1.0))
     res_b = local_solve(sc, ens, CFG)
     gap = np.max(np.abs(res_a.m_y.values - res_b.m_y.values))
-    assert res_a.trace.converged and res_b.trace.converged
+    assert res_a.trace[0].converged and res_b.trace[0].converged
     assert gap <= 2.0 * CFG.tol_fp
 
 
@@ -214,7 +217,8 @@ def test_local_solve_non_contraction_detected():
     [
         (local_solve, linear_scenario(b=0.5, dbar=0.5, xi_bound=4.0),
          "local solve on window (0, 10)"),
-        (picard_global, linear_scenario(b=0.5, dbar=0.5, xi_bound=4.0), "global Picard"),
+        (picard_global, linear_scenario(b=0.5, dbar=0.5, xi_bound=4.0),
+         "global Picard on window (0, 10)"),
         (shift_fixed_point, example_31(T=0.5), "shift fixed point on window (0, 10)"),
         (multidim_solve, example_41(), "multidim solve on window (0, 10)"),
     ],
@@ -303,19 +307,23 @@ def test_local_solve_needs_single_generator():
 @pytest.mark.parametrize("entry", ["BackwardSolver.solve", "local_solve"])
 def test_windows_past_the_grid_are_rejected(entry):
     # a 10-step grid has nodes 0..10: each entry point refuses a window
-    # reaching past node 10 before it reads the grid there
+    # reaching past node 10 before it reads the grid there; a local window
+    # must end at node 10
     sc = _mean_free_scenario()
     cfg = CFG.updated(n_steps=10, n_paths=500)
     ens = _ensemble(sc, cfg)
     terminal = np.zeros((cfg.n_paths, 1))
-    window = Window(5, 12)
     calls = {
         "BackwardSolver.solve": lambda: BackwardSolver(ens, cfg).solve(
             Window(10, 11), terminal, lambda i, s, z: lambda y: y
         ),
-        "local_solve": lambda: local_solve(sc, ens, cfg, window=window, terminal=terminal),
+        "local_solve": lambda: local_solve(sc, ens, cfg, window=Window(5, 12)),
     }
-    with pytest.raises(InvalidInput, match="runs past the last node 10 of the grid"):
+    message = {
+        "BackwardSolver.solve": "runs past the last node 10 of the grid",
+        "local_solve": r"window \(5, 12\) must end at the last node 10 of the grid",
+    }
+    with pytest.raises(InvalidInput, match=message[entry]):
         calls[entry]()
 
 
@@ -429,6 +437,37 @@ def test_picard_matches_stitched_on_linear():
     picard = picard_global(sc, ens, cfg)
     gap = np.max(np.abs(stitched.m_y.values - picard.m_y.values))
     assert gap < 10.0 * cfg.tol_fp + 1e-3
+
+
+def test_picard_horizon_is_not_checked_against_the_certified_width():
+    # the horizon is Picard's one window, and the certified width is
+    # shorter: a local solve is refused, Picard solves without a warning
+    sc = linear_scenario(dbar=1.0, xi_bound=4.0)
+    cfg = CFG.updated(n_steps=10, n_paths=2_000, override_epsilon=False)
+    ens = _ensemble(sc, cfg)
+    assert certify(sc).chain.eps < sc.T
+    with pytest.raises(WindowTooWide):
+        local_solve(sc, ens, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = picard_global(sc, ens, cfg)
+    assert res.trace.converged and res.windows == [(0, cfg.n_steps)]
+    assert "window_exceeds_certificate" not in res.flags
+
+
+@pytest.mark.parametrize("solve", [local_solve, global_solve], ids=["local", "global"])
+def test_a_lone_window_is_the_result_without_a_copy(solve, monkeypatch):
+    # the result's process grids view the last sweep's own arrays
+    sweeps = _record_sweeps(monkeypatch)
+    sc = linear_scenario(b=0.5, dbar=0.5, xi_bound=4.0)
+    cfg = CFG.updated(n_steps=10, n_paths=2_000, n_windows=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # wider than certified
+        res = solve(sc, _ensemble(sc, cfg), cfg)
+    last = sweeps[-1][2]
+    assert res.windows == [(0, cfg.n_steps)]
+    assert np.shares_memory(res.y.values, last.y)
+    assert np.shares_memory(res.z.values, last.z)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ clamping, and the linear closed form."""
 
 import dataclasses
 import tracemalloc
+import warnings
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -374,12 +375,15 @@ def test_clamp_events_counted(ensemble50):
 
 
 def test_interior_window_needs_terminal(ensemble50):
+    # a local window ends at the last node: an interior one is refused
+    # before its width is checked, so the override does not warn
     sc = _scalar_scenario("0")
     window = Window(10, 30)
     cfg = CFG.updated(override_epsilon=True)  # the window is wider than certified
-    with pytest.warns(RuntimeWarning, match="exceeds the certified width"), \
-            pytest.raises(InvalidInput, match="interior window needs explicit terminal"):
-        local_solve(sc, ensemble50, cfg, window=window)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="must end at the last node 50 of the grid"):
+            local_solve(sc, ensemble50, cfg, window=window)
 
 
 def _node_integrand(ensemble, sc):
