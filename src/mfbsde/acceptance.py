@@ -212,7 +212,6 @@ def _c3_setup():
         seed=_C3_SEED,
         n_windows=4,
         override_epsilon=True,
-        track_ball=False,
         tol_fp=1e-4,
     )
     return scenario, config
@@ -294,7 +293,7 @@ def criterion_4() -> CriterionResult:
         forms=frozenset({FORM_SPLIT_QUADRATIC}),
     )
     config = SolverConfig(
-        n_steps=60, n_paths=60_000, seed=31004, track_ball=False,
+        n_steps=60, n_paths=60_000, seed=31004,
         override_epsilon=True, n_windows=1,
     )
     grid = build_grid(scenario.T, config.n_steps)
@@ -348,7 +347,6 @@ def _c5_runs():
         max_outer=40,
         n_windows=4,
         override_epsilon=True,
-        track_ball=False,
     )
     grid = build_grid(scenario.T, config.n_steps)
     ensemble = simulate_brownian(grid, scenario.d, config.n_paths, config.seed)
@@ -433,7 +431,6 @@ def criterion_7() -> CriterionResult:
         tol_fp=5e-4,
         n_windows=2,
         override_epsilon=True,
-        track_ball=False,
     )
     grid = build_grid(scenario.T, config.n_steps)
     ensemble = simulate_brownian(grid, scenario.d, config.n_paths, config.seed)
@@ -477,7 +474,6 @@ def criterion_8() -> CriterionResult:
         tol_fp=1e-7,
         max_outer=25,
         override_epsilon=True,
-        track_ball=True,
     )
     grid = build_grid(scenario.T, config.n_steps)
     ensemble = simulate_brownian(grid, scenario.d, config.n_paths, config.seed)
@@ -533,7 +529,6 @@ def criterion_9() -> CriterionResult:
         max_outer=20,
         n_windows=1,
         override_epsilon=True,
-        track_ball=False,
     )
     grid = build_grid(scenario.T, config.n_steps)
     ensemble = simulate_brownian(grid, scenario.d, config.n_paths, config.seed)
@@ -541,9 +536,9 @@ def criterion_9() -> CriterionResult:
     runtime = time.perf_counter() - t0
     trace = result.trace[0]
     ratios = trace.ratios
-    tail = ratios[-3:] if len(ratios) >= 3 else ratios
-    avg_tail = float(np.mean(tail)) if tail else math.inf
-    passed = trace.converged and trace.iterations <= 20 and avg_tail < t_ratio
+    last3 = ratios[-3:]
+    avg_last3 = float(np.mean(last3)) if last3 else math.inf
+    passed = trace.converged and trace.iterations <= 20 and avg_last3 < t_ratio
     return CriterionResult(
         9,
         "vector split solve: contraction of the state-freezing iteration",
@@ -553,7 +548,7 @@ def criterion_9() -> CriterionResult:
         details={
             "iterations": trace.iterations,
             "ratios": [round(r, 5) for r in ratios],
-            "avg_last3_ratio": avg_tail,
+            "avg_last3_ratio": avg_last3,
             "converged": trace.converged,
         },
         tolerances=tols,

@@ -14,7 +14,8 @@ Three commands:
     against the start (the terminal data's path mean with a zero
     integrand), so ``max_outer`` is a budget of sweeps per window, and
     count each window's z-clamp activations (``clamp_events``).  The
-    summary prints each window's outer iterations and z-clamp activations.
+    summary prints each window's outer iterations and z-clamp activations,
+    and whether the solved pair lies in the certified ball.
     ``--solver shift`` also covers the deterministic-shift case (``f1`` of
     ``s, z`` only, ``f2`` without the state): two sweeps, the first exact.
 
@@ -34,7 +35,9 @@ manifest.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -185,7 +188,7 @@ def _cmd_solve(args) -> int:
     print("z-clamp events per window: " + ", ".join(str(t.clamp_events) for t in traces))
     print(f"state mean at t=0: "
           + ", ".join(f"{v:.6f}" for v in result.m_y.values[0]))
-    for key in ("alpha_envelope_rate", "window_exceeds_certificate"):
+    for key in ("alpha_envelope_rate", "window_exceeds_certificate", "within_certified_ball"):
         if key in result.flags:
             print(f"{key}: {result.flags[key]}")
     print(f"elapsed: {elapsed:.2f}s")
@@ -205,6 +208,11 @@ def _cmd_validate(args) -> int:
         unknown = [i for i in ids if i not in acceptance.CRITERIA]
         if unknown:
             raise InvalidInput(f"unknown criteria: {unknown}")
+    if args.json:
+        # a report that cannot be written fails before any criterion runs
+        parent = Path(args.json).parent
+        if not parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(parent))
     results = []
     for cid in sorted(ids or acceptance.CRITERIA):
         res = acceptance.run_criterion(cid)

@@ -108,7 +108,6 @@ _SOLVER_KEYS = {
     "z_clamp": ("z_clamp", float),
     "n_windows": ("n_windows", int),
     "override_epsilon": ("override_epsilon", bool),
-    "track_ball": ("track_ball", bool),
 }
 _OUTPUT_KEYS = {
     "dir": ("directory", str),

@@ -9,10 +9,8 @@ norm up to discretisation.  The estimator takes the node regressions as a
 callable ``node_regression(i)`` of the global node index; the solvers pass
 :meth:`BackwardSolver.node_regression`, so the diagnostics fit against the
 factors the backward sweep already built and keep no cache of their own
-(each fit forms its node's design afresh).  Its tail can be carried from
-span to span, right to left, so a stitched solve folds each window into the
-estimate while that window's factors are cached and then drops them;
-:func:`build_report` takes the finished estimate.
+(each fit forms its node's design afresh).  A solve takes the estimate
+once, over the span it solved, and :func:`build_report` takes the result.
 
 Every norm and check reads a process node by node, through the node-major
 view ``np.swapaxes(values, 0, 1)``: no transposed copy is made, whatever
@@ -109,30 +107,23 @@ def mp_norm(z: ProcessGrid, p: float = 2.0) -> float:
     return float(np.mean(integral ** (p / 2.0)) ** (1.0 / p))
 
 
-def bmo2_estimate(z: ProcessGrid, node_regression, tail: np.ndarray | None = None) -> float:
+def bmo2_estimate(z: ProcessGrid, node_regression) -> float:
     """Squared BMO estimate ``max_i max_paths E_i[int_{t_i}^T |Z|^2 ds]``.
 
     ``node_regression(i)`` returns the :class:`NodeRegression` of global
     node ``i`` (a solver's :meth:`BackwardSolver.node_regression`); it is
-    asked once for every node of the span but the last.
-
-    The per-path tail integral starts at zero at the span's last node, or
-    at ``tail`` (shape (P,)), the tail carried in from the spans to the
-    right, which is then advanced in place to the span's first node.
-    Folding adjacent spans right to left through one ``tail`` and taking
-    the largest of their estimates gives the estimate over their union bit
-    for bit: the same additions and fits in the same order.
+    asked once for every node of the span but the last.  The per-path
+    integral starts at zero at the span's last node.
     """
     lo, hi = z.span
     steps = z.grid.steps[lo:hi]
-    # per-path tail integral, backward: tail_j = tail_{j+1} + |Z_j|^2 h_j
-    if tail is None:
-        tail = np.zeros(z.n_paths)
+    # per-path integral to the horizon, backward: I_j = I_{j+1} + |Z_j|^2 h_j
+    integral = np.zeros(z.n_paths)
     worst = 0.0
     backward = range(z.n_nodes - 2, -1, -1)
     for j, sq in zip(backward, node_square_norms(z, backward)):
-        tail += sq * steps[j]
-        worst = max(worst, float(node_regression(lo + j).fit(tail).max()))
+        integral += sq * steps[j]
+        worst = max(worst, float(node_regression(lo + j).fit(integral).max()))
     return worst
 
 
@@ -214,8 +205,7 @@ def build_report(
     alpha_fn=None,
 ) -> DiagnosticsReport:
     """Norms and envelope rate of one solved ``(y, z)``, with ``bmo``, its
-    :func:`bmo2_estimate` (folded window by window in a stitched solve,
-    whose regressions are gone by the time it reports)."""
+    :func:`bmo2_estimate`."""
     rep = DiagnosticsReport(
         sup_y=sup_norm(y),
         sp_y=sp_norm(y, p),

@@ -34,23 +34,24 @@ records the trace, and stops on ``tol_fp``, on divergence
 (:class:`NonContraction`) or on the ``max_outer`` budget of sweeps
 (:class:`MaxIterations`); the failure carries the trace, so whatever a
 window did reaches the result JSON or the failure record.  The engine then
-copies the window into the horizon arrays and frees it, folds its nodes
-into the BMO estimate (a per-path tail integral carried right to left from
-window to window, as the estimator runs), and releases their regressions,
-so it holds one window at a time besides the horizon arrays.  A lone
-window is not copied: its arrays are the result.  After the last window
-the engine finalises once (diagnostics report, envelope rate, process
-grids, flags) on the span it solved, and fits nothing to do so.
+copies the window into the horizon arrays and frees it, so it holds one
+window's iterates at a time besides the horizon arrays.  A lone window is
+not copied: its arrays are the result.  After the last window the engine
+finalises once on the span it solved: the BMO estimate, fitted with the
+regressions the sweeps cached (every node's k x k factors live for the
+whole solve, and nothing is factorised again), the diagnostics report,
+the envelope rate, the process grids, and the flags, among them whether
+the solved pair lies in the certified ball of S^inf x BMO.
 
 Iterates are node-major, ``(L, P, ...)``, as the backward sweep stores
 them: every per-node read (drivers, sources, mean shifts) and every mean
 over paths runs on contiguous blocks.  Nothing is transposed: the public
 path-major layout ``(P, L, ...)`` of :class:`ProcessGrid` is the view
 ``np.swapaxes(node_major, 0, 1)`` of the sweep's own storage, and the
-diagnostics (the final report, per-step ball tracking, Picard's per-step
-envelope rate) read it back node by node with O(P) working memory.  The
-distances between iterates work node by node too, into reused buffers, so
-no full-size difference is ever allocated.
+diagnostics (the final report and Picard's per-step envelope rate) read
+it back node by node with O(P) working memory.  The distances between
+iterates work node by node too, into reused buffers, so no full-size
+difference is ever allocated.
 
 Each solver evaluates its generators as :class:`dsl.Staged` programs that
 bind what its map holds fixed.  The frozen-mean driver binds ``s, ybar, z,
@@ -89,7 +90,6 @@ from .diagnostics import (
     bmo_budget_global,
     build_report,
     check_alpha_envelope,
-    sup_norm,
 )
 from .errors import (
     InvalidInput,
@@ -134,9 +134,6 @@ class FixedPointTrace:
     z_distances: list[float] = field(default_factory=list)
     mean_distances: list[float] = field(default_factory=list)
     ratios: list[float] = field(default_factory=list)
-    ball_sup: list[float] = field(default_factory=list)
-    ball_bmo: list[float] = field(default_factory=list)
-    ball_ok: list[bool] = field(default_factory=list)
     wall_times: list[float] = field(default_factory=list)
     alpha_rates: list[float] = field(default_factory=list)
     clamp_events: int = 0
@@ -250,12 +247,6 @@ def _process(ensemble: PathEnsemble, values: np.ndarray, span) -> ProcessGrid:
     return ProcessGrid(grid=ensemble.grid, values=np.swapaxes(values, 0, 1), span=span)
 
 
-def _bmo2(solver: BackwardSolver, z_vals: np.ndarray, span, tail=None) -> float:
-    """:func:`bmo2_estimate` of a node-major integrand over ``span``,
-    fitted with the solver's cached regressions; ``tail`` as there."""
-    return bmo2_estimate(_process(solver.ensemble, z_vals, span), solver.node_regression, tail)
-
-
 def _check_window_width(
     window: Window, ensemble: PathEnsemble, cert: Certificate, config: SolverConfig
 ) -> bool:
@@ -292,18 +283,6 @@ def _caller_stacklevel() -> int:
         frame = frame.f_back
         level += 1
     return level
-
-
-def _track_ball(trace, config, solver, cert, new, span):
-    """Record the iterate's sup norm and BMO estimate against the
-    certified ball when ``config.track_ball`` is set."""
-    if not config.track_ball:
-        return
-    bmo = _bmo2(solver, new.z, span)
-    sup = sup_norm(_process(solver.ensemble, new.y, span))
-    trace.ball_sup.append(sup)
-    trace.ball_bmo.append(bmo)
-    trace.ball_ok.append(bool(bmo <= cert.chain.A and sup <= cert.ball_radius))
 
 
 class _Iterate(NamedTuple):
@@ -418,11 +397,11 @@ def _solve(scenario, ensemble, config, cert, windows, make_map, distance, contex
     certified width (unless ``check_width`` is false) before it is solved.
     Several windows are copied, one contiguous block per array, into the
     node-major horizon arrays as soon as each is solved, and freed; a lone
-    window's arrays are the result as they are.  Each window's nodes are
-    then folded into the BMO estimate, through one per-path tail carried
-    from window to window, and their regressions are released: only one
-    window's k x k factors (and, for a binned basis, member indices) are
-    ever cached, and finalisation fits nothing."""
+    window's arrays are the result as they are.  Every diagnostic is taken
+    once, on the solved span, with the regressions the sweeps cached: no
+    node is factorised twice.  ``flags["within_certified_ball"]`` compares
+    the report's sup norm with the certified radius and its BMO estimate
+    with the certified bound ``A``."""
     solver = BackwardSolver(ensemble, config)
     grid, P, n, d = ensemble.grid, ensemble.n_paths, scenario.n, scenario.d
     N, lo0 = grid.n_steps, windows[0].lo
@@ -432,13 +411,10 @@ def _solve(scenario, ensemble, config, cert, windows, make_map, distance, contex
         z_vals = np.empty((N + 1 - lo0, P, d, n))
     exceeded = False
     traces: list[FixedPointTrace] = []
-    tail = np.zeros(P)
-    bmo2_z = 0.0
 
     # one window's map, and the iterates its staged programs bind, are
     # freed when this returns
     def fixed_point(window: Window, terminal: np.ndarray, trace: FixedPointTrace):
-        span = (window.lo, window.hi)
         steps = grid.steps[window.lo : window.hi]
         apply = make_map(window, trace)
 
@@ -447,14 +423,10 @@ def _solve(scenario, ensemble, config, cert, windows, make_map, distance, contex
             trace.clamp_events += out.clamp_events
             return out
 
-        def step(it: _Iterate) -> _Iterate:
-            new = apply(it, sweep)
-            _track_ball(trace, config, solver, cert, new, span)
-            return new
-
-        return _iterate(step, lambda new, old: distance(new, old, steps),
+        return _iterate(lambda it: apply(it, sweep),
+                        lambda new, old: distance(new, old, steps),
                         _terminal_start(terminal, window.n_nodes, d), trace, config,
-                        f"{context} on window {span}")
+                        f"{context} on window {(window.lo, window.hi)}")
 
     terminal = scenario.terminal_values(ensemble.state(N))
     for w in reversed(windows):
@@ -471,12 +443,7 @@ def _solve(scenario, ensemble, config, cert, windows, make_map, distance, contex
             y_vals[w.lo - lo0 : stop - lo0] = last.y[: stop - w.lo]
             z_vals[w.lo - lo0 : stop - lo0] = last.z[: stop - w.lo]
             terminal = last.y[0].copy()
-        del last  # a copied window is freed before the fold allocates
-        # nodes w.hi - 1 .. w.lo are final: the windows to the left write
-        # only nodes below w.lo
-        z_w = z_vals[w.lo - lo0 : w.hi + 1 - lo0]
-        bmo2_z = max(bmo2_z, _bmo2(solver, z_w, (w.lo, w.hi), tail))
-        solver.release(w)
+        del last  # a copied window is freed before the next one runs
     traces.reverse()
 
     span = (lo0, N)
@@ -486,11 +453,15 @@ def _solve(scenario, ensemble, config, cert, windows, make_map, distance, contex
         budget = bmo_budget_global(
             scenario.xi_bound, scenario.C, cert.lam, scenario.T, scenario.gamma
         )
-    report = build_report(ygrid, zgrid, bmo2_z, gamma=scenario.gamma,
-                          bmo_budget=budget, alpha_fn=cert.alpha_envelope)
+    report = build_report(ygrid, zgrid, bmo2_estimate(zgrid, solver.node_regression),
+                          gamma=scenario.gamma, bmo_budget=budget,
+                          alpha_fn=cert.alpha_envelope)
     flags = {"window_exceeds_certificate": exceeded} if check_width else {}
     flags["alpha_envelope_rate"] = rate = report.alpha_violation_rate
     flags["alpha_envelope_ok"] = rate <= _ALPHA_RATE_TOLERANCE
+    flags["within_certified_ball"] = bool(
+        report.sup_y <= cert.ball_radius and report.bmo2_z <= cert.chain.A
+    )
     return SolveResult(
         y=ygrid,
         z=zgrid,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidInput, RegressionError
 
-__all__ = ["RegressionBasis", "NodeRegression", "poly_features"]
+__all__ = ["RegressionBasis", "NodeRegression"]
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,9 @@ class RegressionBasis:
             raise InvalidInput("ridge must be >= 0")
 
 
-def poly_features(state: np.ndarray, degree: int) -> np.ndarray:
-    """Monomials of total degree <= ``degree``; constant column first.
-
-    ``state`` has shape (P, d); the result has shape (P, k) with
-    ``k = binom(d + degree, degree)``.
-    """
-    return _design_rows(state, degree).T
-
-
 def _design_rows(state: np.ndarray, degree: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The monomials of :func:`poly_features` as contiguous rows, (k, P),
+    """Monomials of total degree <= ``degree`` of ``state`` (P, d), constant
+    first, as contiguous rows: (k, P) with ``k = binom(d + degree, degree)``,
     written into ``out`` when given.
 
     Each monomial is its lower-degree prefix times one coordinate (the
@@ -90,10 +82,10 @@ class NodeRegression:
     every path of a bin (``s = 0``) are dropped from ``L``, and their
     columns of ``A`` are zero: the keep mask, folded into the map.  A
     single bin fits the values as given, without a member index; a binned
-    node keeps one index of its paths sorted by bin, and lays its design
-    out in that order.  Degenerate states (all non-constant columns vanish,
-    e.g. the t=0 node) keep the constant column only, so the fit is the
-    plain path average up to the ridge.
+    node keeps one int32 index of its paths sorted by bin, and lays its
+    design out in that order.  Degenerate states (all non-constant columns
+    vanish, e.g. the t=0 node) keep the constant column only, so the fit is
+    the plain path average up to the ridge.
     """
 
     def __init__(self, state: np.ndarray, basis: RegressionBasis):
@@ -111,7 +103,7 @@ class NodeRegression:
             edges = np.quantile(state[:, 0], np.linspace(0, 1, basis.n_bins + 1))
             idx = np.clip(np.searchsorted(edges, state[:, 0], side="right") - 1, 0,
                           basis.n_bins - 1)
-            self._order = np.argsort(idx, kind="stable")
+            self._order = np.argsort(idx, kind="stable").astype(np.int32)
             stops = np.cumsum(np.bincount(idx, minlength=basis.n_bins))
             self._spans = list(zip([0, *stops[:-1]], stops))
         rows = self.design()

@@ -53,7 +53,6 @@ class SolverConfig:
     z_clamp: float = 100.0
     n_windows: int | None = None
     override_epsilon: bool = False
-    track_ball: bool = True
 
     def __post_init__(self):
         if self.n_steps < 1 or self.n_paths < 2:
@@ -85,8 +84,9 @@ class BackwardSolver:
     """Backward sweeps over one ensemble, with node regressions cached.
 
     The basis depends only on the Brownian levels, so each node is
-    factorised once and its k x k factors are reused across fixed-point
-    iterations, until :meth:`release` drops a solved window's.  A sweep
+    factorised once and its k x k factors (and, for a binned basis, its
+    int32 member index) are reused by every fixed-point iteration and by
+    the diagnostics, for the solver's whole life.  A sweep
     forms each node's (features, paths) design once per step, into one
     buffer reused across the sweep, and both fits of the step read it.
     Sweeps store their values node-major, so every node is read and
@@ -105,12 +105,6 @@ class BackwardSolver:
             reg = NodeRegression(self.ensemble.state(i), self.config.basis)
             self._cache[i] = reg
         return reg
-
-    def release(self, window: Window) -> None:
-        """Drop the cached regressions of the nodes a sweep on ``window``
-        fits (``lo`` to ``hi - 1``); a later request factorises afresh."""
-        for i in range(window.lo, window.hi):
-            self._cache.pop(i, None)
 
     def solve(self, window: Window, terminal: np.ndarray, driver) -> StandardSolve:
         """Backward sweep on ``window``.

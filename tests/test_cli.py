@@ -25,7 +25,6 @@ paths = 300
 seed = 3
 n_windows = 1
 override_epsilon = true
-track_ball = false
 """
 
 
@@ -72,6 +71,13 @@ def _one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith("error: ")
     return err
+
+
+def test_config_setting_the_retired_track_ball_key_exits_2(tmp_path, capsys):
+    p = tmp_path / "old.cfg"
+    p.write_text(TINY + "track_ball = false\n")
+    assert main(["certify", "--config", str(p)]) == 2
+    assert "unknown config key 'track_ball' in [solver]" in _one_error_line(capsys)
 
 
 def test_config_naming_a_directory_exits_2(tmp_path, capsys):
@@ -146,6 +152,8 @@ def test_solve_writes_outputs(tiny_cfg, tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "solver=global scenario=tiny" in captured
     assert "state mean at t=0" in captured
+    in_ball = json.loads(json_path.read_text())["flags"]["within_certified_ball"]
+    assert f"within_certified_ball: {in_ball}" in captured
 
 
 def test_solve_summary_reports_window_override(tiny_cfg, tmp_path, capsys):
@@ -280,7 +288,11 @@ def test_validate_json_report(tmp_path, capsys):
 def test_validate_json_into_a_missing_directory_exits_2(tmp_path, capsys):
     report = tmp_path / "missing" / "v.json"
     assert main(["validate", "--criteria", "1", "--json", str(report)]) == 2
-    assert "No such file or directory" in _one_error_line(capsys)
+    out, err = capsys.readouterr()
+    # the unwritable report is found before any criterion runs
+    assert "PASS criterion" not in out
+    assert "Traceback" not in err and err.startswith("error: ")
+    assert "No such file or directory" in err
 
 
 def test_validate_rejects_bad_list(capsys):

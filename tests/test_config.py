@@ -89,7 +89,6 @@ def test_ex22_fields():
     assert solver.seed == 7
     assert solver.n_windows == 4
     assert solver.override_epsilon is True
-    assert solver.track_ball is False
     assert (options.directory, options.prefix) == ("out", "ex22")
 
 
@@ -113,7 +112,6 @@ def test_defaults_fill_in(tmp_path):
     assert solver.tol_fp == 1e-3
     assert solver.z_clamp == 100.0
     assert solver.override_epsilon is False
-    assert solver.track_ball is True
     assert solver.n_windows is None
     assert solver.basis.degree == 3 and solver.basis.ridge == 1e-8
     assert options == OutputOptions()
@@ -145,7 +143,6 @@ SOLVER_VALUES = {
     "z_clamp": ("7.5", 7.5),
     "n_windows": ("3", 3),
     "override_epsilon": ("true", True),
-    "track_ball": ("false", False),
 }
 
 
@@ -317,7 +314,6 @@ def small_run(tmp_path_factory):
         tol_fp=1e-3,
         n_windows=1,
         override_epsilon=True,
-        track_ball=False,
     )
     ensemble = simulate_brownian(build_grid(scenario.T, 10), 1, 400, 5)
     result = global_solve(scenario, ensemble, solver)

@@ -15,7 +15,7 @@ from mfbsde import solver as solver_module
 from mfbsde.cli import _SOLVERS
 from mfbsde.config import load_config, manifest_for, write_failure_json
 from mfbsde.core import ProcessGrid, TimeGrid, Window, build_grid, path_mean, simulate_brownian
-from mfbsde.diagnostics import bmo2_estimate, mp_norm
+from mfbsde.diagnostics import bmo2_estimate, mp_norm, sup_norm
 from mfbsde.errors import InvalidInput, MaxIterations, NonContraction, WindowTooWide
 from mfbsde.meanfield import (
     FixedPointTrace,
@@ -46,7 +46,6 @@ CFG = SolverConfig(
     seed=2468,
     tol_fp=1e-4,
     override_epsilon=True,
-    track_ball=False,
 )
 
 
@@ -600,7 +599,7 @@ def test_multidim_rejects_single_generator():
 
 
 # ---------------------------------------------------------------------------
-# iteration budgets, window-folded BMO, buffered distances
+# iteration budgets, the finalised BMO estimate, buffered distances
 # ---------------------------------------------------------------------------
 
 
@@ -631,7 +630,7 @@ def _horizon_bmo2(result, ensemble, basis) -> float:
     "case",
     ["graded", "two-bins", "multidim-d2", "shift-3-windows"],
 )
-def test_window_folded_bmo_equals_the_horizon_estimate(case, monkeypatch):
+def test_finalised_bmo_equals_the_horizon_estimate(case, monkeypatch):
     if case == "graded":
         sc = linear_scenario(dbar=1.0, xi_bound=4.0)
         cfg = CFG.updated(n_paths=4_000, n_windows=4)
@@ -656,8 +655,8 @@ def test_window_folded_bmo_equals_the_horizon_estimate(case, monkeypatch):
     monkeypatch.setattr(solver_module, "NodeRegression", counting)
     res = solve(sc, ens, cfg)
     assert len(res.windows) == cfg.n_windows
-    # every node but the last is factorised exactly once: nothing is
-    # refitted after its window is released
+    # every node but the last is factorised exactly once: the finalised
+    # BMO estimate fits with the factors the sweeps cached
     assert sorted(built) == list(range(ens.grid.n_steps))
     assert res.diagnostics.bmo2_z == _horizon_bmo2(res, ens, cfg.basis)
 
@@ -828,8 +827,7 @@ _TINY_RUNS = {
 def _tiny_run(selector, **changes):
     name, settings = _TINY_RUNS[selector]
     sc, cfg = _shipped(name)
-    cfg = cfg.updated(n_steps=8, n_paths=500, override_epsilon=True, track_ball=True,
-                      **settings, **changes)
+    cfg = cfg.updated(n_steps=8, n_paths=500, override_epsilon=True, **settings, **changes)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # windows wider than certified
         return _SOLVERS[selector](sc, _ensemble(sc, cfg), cfg)
@@ -839,6 +837,16 @@ def _tiny_run(selector, **changes):
 def test_result_record_is_plain_json(selector):
     # every value the record holds is a plain Python value
     json.dumps(_tiny_run(selector).as_dict())
+
+
+@pytest.mark.parametrize("selector", sorted(_SOLVERS))
+def test_within_certified_ball_compares_the_report_with_the_certificate(selector):
+    res = _tiny_run(selector)
+    flag = res.flags["within_certified_ball"]
+    assert type(flag) is bool
+    rep, cert = res.diagnostics, res.certificate
+    assert rep.sup_y == sup_norm(res.y)
+    assert flag == (rep.sup_y <= cert.ball_radius and rep.bmo2_z <= cert.chain.A)
 
 
 def test_every_result_field_is_written():

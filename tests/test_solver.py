@@ -14,7 +14,7 @@ from mfbsde.core import Window, build_grid, path_mean, simulate_brownian
 from mfbsde.errors import InvalidInput, RegressionError, StepDivergence
 from mfbsde.meanfield import local_solve
 from mfbsde.oracle import LinearMeanFieldSpec, linear_closed_form
-from mfbsde.regression import NodeRegression, RegressionBasis, poly_features
+from mfbsde.regression import NodeRegression, RegressionBasis, _design_rows
 from mfbsde.scenario import ScenarioSpec, linear_scenario
 from mfbsde.solver import (
     BackwardSolver,
@@ -60,7 +60,7 @@ def _frozen_mean_sweep(sc, ensemble, cfg):
 
 def test_poly_feature_count():
     x = np.random.default_rng(0).standard_normal((100, 2))
-    X = poly_features(x, 3)
+    X = _design_rows(x, 3).T
     assert X.shape == (100, 10)  # binom(2+3, 3)
     assert np.all(X[:, 0] == 1.0)
 
@@ -75,7 +75,7 @@ def test_poly_features_match_column_products(rng):
             for j in combo[1:]:
                 col *= x[:, j]
             cols.append(col)
-    assert np.array_equal(poly_features(x, 3), np.stack(cols, axis=1))
+    assert np.array_equal(_design_rows(x, 3).T, np.stack(cols, axis=1))
 
 
 def test_regression_reproduces_polynomials(rng):
@@ -99,7 +99,7 @@ def test_binned_regression_matches_per_bin_lstsq(rng):
     for b in range(3):
         members = bins == b
         assert members.sum() == 1000
-        X = poly_features(x[members], basis.degree)
+        X = _design_rows(x[members], basis.degree).T
         Xs = X / np.sqrt(np.mean(X * X, axis=0))
         coef, *_ = np.linalg.lstsq(Xs, vals[members], rcond=None)
         expected[members] = Xs @ coef
@@ -126,7 +126,7 @@ def _normal_equations_fit(state, basis, values):
         memberships = [np.arange(P)]
     fitted = np.empty_like(vals)
     for members in memberships:
-        X = poly_features(state[members], basis.degree)
+        X = _design_rows(state[members], basis.degree).T
         scale = np.sqrt(np.mean(X * X, axis=0))
         keep = scale > 0.0
         Xs = X[:, keep] / scale[keep]
@@ -165,13 +165,21 @@ def test_projector_matches_normal_equations_at_t0(grid50, m):
     np.testing.assert_allclose(fitted, mean, rtol=1e-7)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_node_regressions_retain_no_path_sized_arrays(grid50, d):
+@pytest.mark.parametrize(
+    "d, n_bins",
+    [pytest.param(1, 1, id="1"), pytest.param(2, 1, id="2"), pytest.param(1, 3, id="1-3bins")],
+)
+def test_node_regressions_retain_no_path_sized_arrays(grid50, d, n_bins):
     # a single-bin node keeps k x k factors and a view of its levels: the
     # 50 fitted nodes of a 20k-path ensemble retain kilobytes, where one
-    # (features, paths) projector per node would retain 32 MB at d = 1
-    ens = simulate_brownian(grid50, d, 20_000, 5)
-    solver = BackwardSolver(ens, CFG)
+    # (features, paths) projector per node would retain 32 MB at d = 1.
+    # A binned node adds its member index, 4 bytes per path as int32.
+    P = 20_000
+    ens = simulate_brownian(grid50, d, P, 5)
+    solver = BackwardSolver(ens, CFG.updated(basis=RegressionBasis(n_bins=n_bins)))
+    # a first build may import numpy's lazy submodules (np.quantile loads
+    # numpy.ma): build the last node, which no sweep fits, before measuring
+    solver.node_regression(grid50.n_steps)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -180,7 +188,8 @@ def test_node_regressions_retain_no_path_sized_arrays(grid50, d):
     finally:
         tracemalloc.stop()
     assert len(regs) == grid50.n_steps
-    assert retained < 1_000_000
+    index_bytes = 4 * P * grid50.n_steps if n_bins > 1 else 0
+    assert retained < index_bytes + 1_000_000
 
 
 def test_regression_rank_deficiency_raises(rng):
