@@ -16,7 +16,8 @@ The package is organised in layers:
   global Picard iteration, split and vector-valued solvers.
 * :mod:`mfbsde.oracle` — closed forms and a lattice reference solver used
   for validation.
-* :mod:`mfbsde.diagnostics` — norms, envelope checks, ball tracking.
+* :mod:`mfbsde.diagnostics` — path norms, the BMO estimate, envelope checks,
+  run reports.
 """
 
 __version__ = "0.1.0"

@@ -8,8 +8,7 @@ Three commands:
 
 ``mfbsde solve --config FILE [--solver NAME] [overrides...]``
     Run one of the solvers and write CSV/JSON results.  The CSV has an
-    ``alpha_bound`` column, the certificate's envelope, when the solver
-    has a certificate; the JSON is ``SolveResult.as_dict()`` plus the
+    ``alpha_bound`` column, the certificate's envelope; the JSON is ``SolveResult.as_dict()`` plus the
     manifest.  Its traces hold one entry per sweep, the first measured
     against the start (the terminal data's path mean with a zero
     integrand), so ``max_outer`` is a budget of sweeps per window, and
@@ -176,9 +175,8 @@ def _cmd_solve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{options.prefix}_result.csv"
     json_path = out_dir / f"{options.prefix}_result.json"
-    cert = result.certificate
     write_result_csv(csv_path, result, manifest,
-                     alpha_fn=cert.alpha_envelope if cert is not None else None)
+                     alpha_fn=result.certificate.alpha_envelope)
     write_result_json(json_path, result, manifest)
 
     traces = result.trace if isinstance(result.trace, list) else [result.trace]

@@ -12,14 +12,19 @@ factors the backward sweep already built and keep no cache of their own
 (each fit forms its node's design afresh).  A solve takes the estimate
 once, over the span it solved, and :func:`build_report` takes the result.
 
-Every norm and check reads a process node by node, through the node-major
-view ``np.swapaxes(values, 0, 1)``: no transposed copy is made, whatever
-the layout behind ``values``.  At each node the squared Euclidean norms of
-the paths go into one reused ``(P,)`` buffer (:func:`node_square_norms`,
-column products in numpy's own summation order), and each check folds them
-into O(P) state: a running per-path maximum (S^p), a running per-path
-integral (M^p), a backward running tail with one regression fit per node
-(BMO), or per-node violation counts and margins (the envelope).
+The path norms (:func:`sup_norm`, :func:`s2_norm`, :func:`m2_norm`) take
+node-major ``(L, P, ...)`` arrays, as the backward sweep stores them, and
+measure ``a - b`` when given a second array ``b``: the fixed-point loop
+measures its iterate distances with them, and :func:`build_report` its
+process grids, through the view ``np.swapaxes(values, 0, 1)``.  Each works
+node by node, the node's difference in one reused ``(P, ...)`` buffer,
+and a NaN anywhere gives NaN.  The BMO estimate and the envelope check
+read a process grid through the same node-major view: no transposed copy
+is made, whatever the layout behind ``values``.  At each node the squared
+Euclidean norms of the paths go into one reused ``(P,)`` buffer
+(:func:`node_square_norms`, column products in numpy's own summation
+order), folded into a backward running tail with one regression fit per
+node (BMO) or into per-node violation counts (the envelope).
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from .errors import InvalidInput
 
 __all__ = [
     "sup_norm",
-    "sp_norm",
-    "mp_norm",
+    "s2_norm",
+    "m2_norm",
     "bmo2_estimate",
     "node_square_norms",
     "phi",
@@ -70,41 +75,47 @@ def node_square_norms(p: ProcessGrid, nodes=None):
         yield row_dot(row, row, out=buf)
 
 
-def sup_norm(y: ProcessGrid) -> float:
-    """Largest absolute entry over paths, nodes, and components."""
-    if y.values.size == 0:
+def _node_diffs(a: np.ndarray, b, count: int):
+    """``a[j] - b[j]`` (``a[j]`` when ``b`` is None) for the first
+    ``count`` nodes of node-major arrays, each into one reused buffer."""
+    diff = np.empty(a.shape[1:])
+    for j in range(count):
+        yield np.subtract(a[j], 0.0 if b is None else b[j], out=diff)
+
+
+def sup_norm(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """Largest absolute entry of ``a`` (of ``a - b``) over nodes, paths and
+    components; a NaN anywhere gives NaN, as the whole-array maximum does."""
+    if a.size == 0:
         raise InvalidInput("empty process")
-    buf = None
-    sup = 0.0
-    for row in _node_rows(y):
-        buf = np.abs(row, out=buf)
-        sup = max(sup, float(buf.max()))
-    return sup
+    peaks = np.empty(len(a))
+    for j, diff in enumerate(_node_diffs(a, b, len(a))):
+        peaks[j] = np.abs(diff, out=diff).max()
+    return float(peaks.max())
 
 
-def sp_norm(y: ProcessGrid, p: float = 2.0) -> float:
-    """Empirical S^p norm ``(E[sup_t |Y_t|^p])^(1/p)``."""
-    if p <= 0:
-        raise InvalidInput("p must be positive")
-    # the square root is monotone, so the largest square gives the sup norm
-    sup_sq = np.zeros(y.n_paths)
-    for sq in node_square_norms(y):
-        np.maximum(sup_sq, sq, out=sup_sq)
-    sups = np.sqrt(sup_sq)
-    return float(np.mean(sups**p) ** (1.0 / p))
+def s2_norm(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """Empirical S2 norm ``sqrt(E[max_t |a_t|^2])`` of ``a`` (of ``a - b``)."""
+    L, P = a.shape[:2]
+    sq = np.empty(P)
+    sup_sq = np.zeros(P)  # squares are non-negative
+    for diff in _node_diffs(a, b, L):
+        flat = diff.reshape(P, -1)
+        np.maximum(sup_sq, np.einsum("pk,pk->p", flat, flat, out=sq), out=sup_sq)
+    return float(np.sqrt(np.mean(sup_sq)))
 
 
-def mp_norm(z: ProcessGrid, p: float = 2.0) -> float:
-    """Empirical M^p norm ``(E[(integral |Z|^2 ds)^(p/2)])^(1/p)``,
-    right-point quadrature on the grid."""
-    if p <= 0:
-        raise InvalidInput("p must be positive")
-    lo, hi = z.span
-    steps = z.grid.steps[lo:hi]
-    integral = np.zeros(z.n_paths)
-    for h, sq in zip(steps, node_square_norms(z, range(z.n_nodes - 1))):
-        integral += sq * h
-    return float(np.mean(integral ** (p / 2.0)) ** (1.0 / p))
+def m2_norm(a: np.ndarray, steps: np.ndarray, b: np.ndarray | None = None) -> float:
+    """Empirical M2 norm ``sqrt(E[integral |a|^2 ds])`` of ``a`` (of ``a -
+    b``) on ``L - 1`` steps ``steps``; right-point quadrature, so the last
+    node carries no step.  The path mean of the integral is the
+    step-weighted sum of each node's mean squared norm."""
+    L, P = a.shape[:2]
+    sq = np.empty(L - 1)
+    for j, diff in enumerate(_node_diffs(a, b, L - 1)):
+        row = diff.reshape(-1)
+        sq[j] = np.einsum("k,k->", row, row)
+    return float(np.sqrt(steps @ sq / P))
 
 
 def bmo2_estimate(z: ProcessGrid, node_regression) -> float:
@@ -160,18 +171,14 @@ def bmo_budget_global(xi_bound: float, C: float, lam: float, T: float, gamma: fl
 # ---------------------------------------------------------------------------
 
 
-def check_alpha_envelope(y: ProcessGrid, alpha_fn) -> dict:
+def check_alpha_envelope(y: ProcessGrid, alpha_fn) -> float:
     """Fraction of (path, node) samples with ``|Y_t|^2 > alpha(t)``."""
     P, L = y.n_paths, y.n_nodes
     env = np.broadcast_to(np.asarray(alpha_fn(y.times()), dtype=np.float64), (L,))
     violations = 0
-    margin = math.inf
     for e, sq in zip(env, node_square_norms(y)):
         violations += int(np.count_nonzero(sq > e))
-        # subtraction is monotone: the largest square gives the node's margin
-        margin = min(margin, float(e - sq.max()))
-    return {"violation_rate": violations / (P * L), "min_margin": margin,
-            "nodes": L, "paths": P}
+    return violations / (P * L)
 
 
 # ---------------------------------------------------------------------------
@@ -200,23 +207,24 @@ def build_report(
     z: ProcessGrid,
     bmo: float,
     gamma: float,
-    p: float = 2.0,
     bmo_budget: float | None = None,
-    alpha_fn=None,
+    alpha_rate: float | None = None,
 ) -> DiagnosticsReport:
-    """Norms and envelope rate of one solved ``(y, z)``, with ``bmo``, its
-    :func:`bmo2_estimate`."""
+    """Norms of one solved ``(y, z)``, with ``bmo``, its
+    :func:`bmo2_estimate`, and ``alpha_rate``, its
+    :func:`check_alpha_envelope`."""
+    lo, hi = z.span
+    y_nodes = np.swapaxes(y.values, 0, 1)
     rep = DiagnosticsReport(
-        sup_y=sup_norm(y),
-        sp_y=sp_norm(y, p),
-        mp_z=mp_norm(z, p),
+        sup_y=sup_norm(y_nodes),
+        sp_y=s2_norm(y_nodes),
+        mp_z=m2_norm(np.swapaxes(z.values, 0, 1), z.grid.steps[lo:hi]),
         bmo2_z=bmo,
-        p=p,
+        p=2.0,
         gamma=gamma,
+        alpha_violation_rate=alpha_rate,
     )
     if bmo_budget is not None:
         rep.bmo_budget = bmo_budget
         rep.bmo_within_budget = bmo <= bmo_budget * (1.0 + 1e-9)
-    if alpha_fn is not None:
-        rep.alpha_violation_rate = check_alpha_envelope(y, alpha_fn)["violation_rate"]
     return rep

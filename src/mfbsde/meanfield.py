@@ -22,7 +22,7 @@ iterate and the windows they iterate it on:
   deterministic shift itself and the second confirms it at distance 0.
 
 A solver hands the window engine, :func:`_solve`, its windows and its map,
-``make_map(window, trace) -> apply(iterate, sweep)``.  The engine walks the
+``make_map(window) -> apply(iterate, sweep)``.  The engine walks the
 windows right to left.  It checks each against the certified width (all
 but Picard's horizon), hands the map a ``sweep(driver)`` that runs the
 window's backward sweep and counts its z-clamp activations on the window's
@@ -48,10 +48,10 @@ them: every per-node read (drivers, sources, mean shifts) and every mean
 over paths runs on contiguous blocks.  Nothing is transposed: the public
 path-major layout ``(P, L, ...)`` of :class:`ProcessGrid` is the view
 ``np.swapaxes(node_major, 0, 1)`` of the sweep's own storage, and the
-diagnostics (the final report and Picard's per-step envelope rate) read
-it back node by node with O(P) working memory.  The distances between
-iterates work node by node too, into reused buffers, so no full-size
-difference is ever allocated.
+final diagnostics read it back node by node with O(P) working memory.
+The distances between iterates are the diagnostics' own path norms of
+their difference, taken node by node into reused buffers, so no
+full-size difference is ever allocated.
 
 Each solver evaluates its generators as :class:`dsl.Staged` programs that
 bind what its map holds fixed.  The frozen-mean driver binds ``s, ybar, z,
@@ -86,10 +86,14 @@ from .core import (
     path_mean,
 )
 from .diagnostics import (
+    DiagnosticsReport,
     bmo2_estimate,
     bmo_budget_global,
     build_report,
     check_alpha_envelope,
+    m2_norm,
+    s2_norm,
+    sup_norm,
 )
 from .errors import (
     InvalidInput,
@@ -126,16 +130,15 @@ class FixedPointTrace:
     Every list but ``ratios`` has one entry per step, and a step is one
     sweep: the first entry measures the first step against the start (the
     terminal data's path mean with a zero integrand), each later one
-    against the step before.  ``ratios`` has one entry per step after the
-    first, and ``alpha_rates`` (Picard only) one per step.
-    ``clamp_events`` counts the integrand rows clamped by every sweep."""
+    against the step before, and ``ratios`` has one entry per step after
+    the first.  ``clamp_events`` counts the integrand rows clamped by every
+    sweep."""
 
     y_distances: list[float] = field(default_factory=list)
     z_distances: list[float] = field(default_factory=list)
     mean_distances: list[float] = field(default_factory=list)
     ratios: list[float] = field(default_factory=list)
     wall_times: list[float] = field(default_factory=list)
-    alpha_rates: list[float] = field(default_factory=list)
     clamp_events: int = 0
     converged: bool = False
 
@@ -172,8 +175,8 @@ class SolveResult:
     m_y: MeanCurve
     m_z: MeanCurve
     trace: FixedPointTrace | list
-    certificate: Certificate | None = None
-    diagnostics: object = None
+    certificate: Certificate
+    diagnostics: DiagnosticsReport
     windows: list[tuple[int, int]] = field(default_factory=list)
     flags: dict = field(default_factory=dict)
 
@@ -190,55 +193,14 @@ class SolveResult:
             "trace": trace_out,
             "windows": [list(w) for w in self.windows],
             "flags": self.flags,
-            "diagnostics": self.diagnostics.as_dict() if self.diagnostics else None,
-            "certificate": self.certificate.as_dict() if self.certificate else None,
+            "diagnostics": self.diagnostics.as_dict(),
+            "certificate": self.certificate.as_dict(),
         }
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
-
-
-def _m2_dist(z_a: np.ndarray, z_b: np.ndarray, steps: np.ndarray) -> float:
-    """Empirical M2 distance of two node-major integrands (L, P, ...);
-    right-point quadrature, so the last node carries no step.  The path
-    mean of the integral is the step-weighted sum of each node's mean
-    squared norm; each node's difference goes into one reused buffer."""
-    L, P = z_a.shape[:2]
-    sq = np.empty(L - 1)
-    diff = np.empty(z_a.shape[1:])
-    row = diff.reshape(-1)
-    for j in range(L - 1):
-        np.subtract(z_a[j], z_b[j], out=diff)
-        sq[j] = np.einsum("k,k->", row, row)
-    return float(np.sqrt(steps @ sq / P))
-
-
-def _sup_dist(y_a: np.ndarray, y_b: np.ndarray) -> float:
-    """Largest absolute entry of ``y_a - y_b`` over node-major arrays,
-    taken node by node into one reused buffer; a NaN anywhere gives NaN,
-    as the whole-array maximum does."""
-    diff = np.empty(y_a.shape[1:])
-    peaks = np.empty(y_a.shape[0])
-    for j in range(y_a.shape[0]):
-        np.subtract(y_a[j], y_b[j], out=diff)
-        peaks[j] = np.abs(diff, out=diff).max()
-    return float(peaks.max())
-
-
-def _s2_dist(y_a: np.ndarray, y_b: np.ndarray) -> float:
-    """Empirical S2 distance ``sqrt(E[max_t |y_a - y_b|^2])`` of node-major
-    states (L, P, ...), node by node into reused (P, ...) buffers."""
-    L, P = y_a.shape[:2]
-    diff = np.empty(y_a.shape[1:])
-    flat = diff.reshape(P, -1)
-    sq = np.empty(P)
-    sup_sq = np.zeros(P)  # squares are non-negative
-    for j in range(L):
-        np.subtract(y_a[j], y_b[j], out=diff)
-        np.maximum(sup_sq, np.einsum("pk,pk->p", flat, flat, out=sq), out=sup_sq)
-    return float(np.sqrt(np.mean(sup_sq)))
 
 
 def _process(ensemble: PathEnsemble, values: np.ndarray, span) -> ProcessGrid:
@@ -323,10 +285,10 @@ def _distance(y_dist, mean_z: bool = False):
     distance the state's mean curve, or both mean curves with ``mean_z``."""
 
     def distance(new: _Iterate, old: _Iterate, steps: np.ndarray):
-        mean = _sup_dist(new.m_y, old.m_y)
+        mean = sup_norm(new.m_y, old.m_y)
         if mean_z:
-            mean = max(mean, _sup_dist(new.m_z, old.m_z))
-        return y_dist(new.y, old.y), _m2_dist(new.z, old.z, steps), mean
+            mean = max(mean, sup_norm(new.m_z, old.m_z))
+        return y_dist(new.y, old.y), m2_norm(new.z, steps, old.z), mean
 
     return distance
 
@@ -388,7 +350,7 @@ def _solve(scenario, ensemble, config, cert, windows, make_map, distance, contex
     """Fixed points of one map on adjacent ``windows``, the last ending at
     the horizon, solved right to left and finalised once.
 
-    ``make_map(window, trace)`` returns the window's map ``apply(it,
+    ``make_map(window)`` returns the window's map ``apply(it,
     sweep) -> _Iterate``; ``sweep(driver)`` runs the window's backward sweep,
     closed by the terminal data or by the state solved on the window to
     the right, and adds its clamp events to ``trace``.  Successive iterates
@@ -416,7 +378,7 @@ def _solve(scenario, ensemble, config, cert, windows, make_map, distance, contex
     # freed when this returns
     def fixed_point(window: Window, terminal: np.ndarray, trace: FixedPointTrace):
         steps = grid.steps[window.lo : window.hi]
-        apply = make_map(window, trace)
+        apply = make_map(window)
 
         def sweep(driver):
             out = solver.solve(window, terminal, driver)
@@ -453,11 +415,11 @@ def _solve(scenario, ensemble, config, cert, windows, make_map, distance, contex
         budget = bmo_budget_global(
             scenario.xi_bound, scenario.C, cert.lam, scenario.T, scenario.gamma
         )
+    rate = check_alpha_envelope(ygrid, cert.alpha_envelope)
     report = build_report(ygrid, zgrid, bmo2_estimate(zgrid, solver.node_regression),
-                          gamma=scenario.gamma, bmo_budget=budget,
-                          alpha_fn=cert.alpha_envelope)
+                          gamma=scenario.gamma, bmo_budget=budget, alpha_rate=rate)
     flags = {"window_exceeds_certificate": exceeded} if check_width else {}
-    flags["alpha_envelope_rate"] = rate = report.alpha_violation_rate
+    flags["alpha_envelope_rate"] = rate
     flags["alpha_envelope_ok"] = rate <= _ALPHA_RATE_TOLERANCE
     flags["within_certified_ball"] = bool(
         report.sup_y <= cert.ball_radius and report.bmo2_z <= cert.chain.A
@@ -485,14 +447,14 @@ def _frozen_mean_solve(scenario, ensemble, config, cert, windows) -> SolveResult
     once with the driver's mean slots frozen at the previous iterate's mean
     curves, and the mean distance covers both curves."""
 
-    def make_map(window: Window, trace: FixedPointTrace):
+    def make_map(window: Window):
         def apply(it: _Iterate, sweep) -> _Iterate:
             return _sweep_iterate(sweep(frozen_mean_driver(scenario, it.m_y, it.m_z, window.lo)))
 
         return apply
 
     return _solve(scenario, ensemble, config, cert, windows, make_map,
-                  _distance(_sup_dist, mean_z=True), "local solve")
+                  _distance(sup_norm, mean_z=True), "local solve")
 
 
 def local_solve(
@@ -531,6 +493,10 @@ def _plan_windows(ensemble: PathEnsemble, config: SolverConfig, cert: Certificat
     grid = ensemble.grid
     N = grid.n_steps
     if config.n_windows is not None:
+        if config.n_windows > N:
+            raise InvalidInput(
+                f"n_windows = {config.n_windows} exceeds the grid's {N} steps"
+            )
         bounds = np.linspace(0, N, config.n_windows + 1).round().astype(int)
         bounds = np.unique(bounds)
         return [Window(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
@@ -588,8 +554,7 @@ def picard_global(
     Z^j, 0)`` frozen at the previous iterate.  The quadratic-in-z part
     stays live inside each sweep; everything else is lagged.  The horizon
     is one window, not checked against the certified width, and the trace
-    is a single :class:`FixedPointTrace` that also records each step's
-    envelope violation rate.
+    is a single :class:`FixedPointTrace`.
     """
     if scenario.f is None:
         raise InvalidInput("picard_global needs a single-generator scenario")
@@ -604,9 +569,7 @@ def picard_global(
     core = dsl.Staged(gen, ("s", "z"), n=n, d=d)
     core.bind(**zeros)
 
-    def make_map(window: Window, trace: FixedPointTrace):
-        span = (window.lo, window.hi)
-
+    def make_map(window: Window):
         def apply(it: _Iterate, sweep) -> _Iterate:
             # lagged source: full driver at the previous iterate minus its
             # z-quadratic core, node by node
@@ -620,17 +583,12 @@ def picard_global(
                 f = core(s=s, z=z)
                 return np.add(f, source[i - window.lo], out=f)
 
-            new = _sweep_iterate(sweep(driver))
-            grid_y = _process(ensemble, new.y, span)
-            trace.alpha_rates.append(
-                check_alpha_envelope(grid_y, cert.alpha_envelope)["violation_rate"]
-            )
-            return new
+            return _sweep_iterate(sweep(driver))
 
         return apply
 
     result = _solve(scenario, ensemble, config, cert, [ensemble.grid.full_window()],
-                    make_map, _distance(_sup_dist), "global Picard", check_width=False)
+                    make_map, _distance(sup_norm), "global Picard", check_width=False)
     result.trace = result.trace[0]
     return result
 
@@ -688,7 +646,7 @@ def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
     cert = certificate if certificate is not None else certify(scenario)
     n, d = scenario.n, scenario.d
 
-    def make_map(window: Window, trace: FixedPointTrace):
+    def make_map(window: Window):
         f1 = dsl.Staged(scenario.f1, ("z", "zbar"), n=n, d=d)
         f2 = dsl.Staged(scenario.f2, dsl.GENERATOR_VARS, n=n, d=d)
 
@@ -726,7 +684,7 @@ def shift_fixed_point(
     """
     _require_split(scenario, FORM_SPLIT_QUADRATIC, "shift_fixed_point")
     return _frozen_state_solve(scenario, ensemble, config, certificate,
-                               _sup_dist, "shift fixed point")
+                               sup_norm, "shift fixed point")
 
 
 def multidim_solve(
@@ -744,4 +702,4 @@ def multidim_solve(
     """
     _require_split(scenario, FORM_SPLIT_LIPSCHITZ, "multidim_solve")
     return _frozen_state_solve(scenario, ensemble, config, certificate,
-                               _s2_dist, "multidim solve")
+                               s2_norm, "multidim solve")

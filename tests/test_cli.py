@@ -128,6 +128,14 @@ def test_solver_scenario_mismatch_exits_2(tiny_cfg, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_more_windows_than_steps_exits_2(tiny_cfg, tmp_path, capsys):
+    rc = main(["solve", "--config", str(tiny_cfg), "--steps", "4", "--windows", "5",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = _one_error_line(capsys)
+    assert err.splitlines() == ["error: n_windows = 5 exceeds the grid's 4 steps"]
+
+
 def test_certify_writes_reports(tiny_cfg, tmp_path, capsys):
     out = tmp_path / "certs"
     rc = main(["certify", "--config", str(tiny_cfg), "--out-dir", str(out),

@@ -14,14 +14,11 @@ from mfbsde.certificates import certify
 from mfbsde import solver as solver_module
 from mfbsde.cli import _SOLVERS
 from mfbsde.config import load_config, manifest_for, write_failure_json
-from mfbsde.core import ProcessGrid, TimeGrid, Window, build_grid, path_mean, simulate_brownian
-from mfbsde.diagnostics import bmo2_estimate, mp_norm, sup_norm
+from mfbsde.core import TimeGrid, Window, build_grid, path_mean, simulate_brownian
+from mfbsde.diagnostics import bmo2_estimate, check_alpha_envelope, m2_norm, s2_norm, sup_norm
 from mfbsde.errors import InvalidInput, MaxIterations, NonContraction, WindowTooWide
 from mfbsde.meanfield import (
     FixedPointTrace,
-    _m2_dist,
-    _s2_dist,
-    _sup_dist,
     SolveResult,
     global_solve,
     local_solve,
@@ -326,6 +323,21 @@ def test_windows_past_the_grid_are_rejected(entry):
         calls[entry]()
 
 
+@pytest.mark.parametrize("n_steps, n_windows", [(2, 3), (10, 25)])
+def test_more_windows_than_steps_are_rejected(n_steps, n_windows):
+    # the planner used to clamp the count silently to one window per step
+    sc = linear_scenario(dbar=1.0, xi_bound=4.0)
+    cfg = CFG.updated(n_steps=n_steps, n_paths=500)
+    ens = _ensemble(sc, cfg)
+    message = f"n_windows = {n_windows} exceeds the grid's {n_steps} steps"
+    with pytest.raises(InvalidInput, match=message):
+        global_solve(sc, ens, cfg.updated(n_windows=n_windows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # windows wider than certified
+        res = global_solve(sc, ens, cfg.updated(n_windows=n_steps))
+    assert res.windows == [(i, i + 1) for i in range(n_steps)]
+
+
 # ---------------------------------------------------------------------------
 # stitched global solve
 # ---------------------------------------------------------------------------
@@ -372,18 +384,19 @@ def test_global_solve_linear_closed_form_on_a_graded_grid():
 
 
 def test_m2_distance_weights_each_node_by_its_own_step(rng):
-    # node-major distance against the path-major diagnostics norm; the
-    # node-dependent magnitudes make a shifted step vector visible
+    # node-by-node distance against a whole-array reference on a graded
+    # grid; the node-dependent magnitudes make a shifted step vector visible
     sc = example_41()
     ens = _graded_ensemble(sc, CFG.updated(n_steps=12, n_paths=500))
     L, P = ens.grid.n_steps + 1, ens.n_paths
     z = rng.standard_normal((L, P, 2, 2)) * np.arange(1.0, L + 1.0)[:, None, None, None]
     steps = ens.grid.steps
-    expected = mp_norm(ProcessGrid(grid=ens.grid, values=np.swapaxes(z, 0, 1)))
-    assert _m2_dist(z, np.zeros_like(z), steps) == pytest.approx(expected, rel=1e-12)
-    # the start's read-only zero integrand gives the same bits
+    expected = float(np.sqrt(np.mean(np.sum(z[:-1] ** 2, axis=(2, 3)).T @ steps)))
+    assert m2_norm(z, steps, np.zeros_like(z)) == pytest.approx(expected, rel=1e-12)
+    # the start's read-only zero integrand, and no second array at all,
+    # give the same bits
     zero = np.broadcast_to(0.0, z.shape)
-    assert _m2_dist(z, zero, steps) == _m2_dist(z, np.zeros_like(z), steps)
+    assert m2_norm(z, steps, zero) == m2_norm(z, steps, np.zeros_like(z)) == m2_norm(z, steps)
 
 
 def test_global_solve_deterministic():
@@ -507,7 +520,7 @@ def test_first_integrand_distance_is_taken_from_zero(solve, scenario, monkeypatc
     z = sweeps[0][2].z
     first = res.trace[0].z_distances[0]
     assert first > 0.0
-    assert first == _m2_dist(z, np.zeros_like(z), ens.grid.steps)
+    assert first == m2_norm(z, ens.grid.steps, np.zeros_like(z))
 
 
 def test_shift_leaves_integrand_bitwise_identical():
@@ -684,18 +697,18 @@ def test_node_by_node_distances_match_the_whole_array_forms(dims, rng):
     scale = np.arange(1.0, L + 1.0).reshape(L, 1, *([1] * len(dims)))
     a = rng.standard_normal((L, P, *dims)) * scale
     b = rng.standard_normal((L, P, *dims))
-    assert _sup_dist(a, b) == _whole_sup(a, b)
-    assert _s2_dist(a, b) == _whole_s2(a, b)
+    assert sup_norm(a, b) == _whole_sup(a, b)
+    assert s2_norm(a, b) == _whole_s2(a, b)
     # the per-node sums of squares are added in another order
-    assert _m2_dist(a, b, grid.steps) == pytest.approx(_whole_m2(a, b, grid.steps), rel=1e-13)
-    assert _m2_dist(a, np.broadcast_to(0.0, a.shape), grid.steps) == pytest.approx(
+    assert m2_norm(a, grid.steps, b) == pytest.approx(_whole_m2(a, b, grid.steps), rel=1e-13)
+    assert m2_norm(a, grid.steps, np.broadcast_to(0.0, a.shape)) == pytest.approx(
         _whole_m2(a, np.zeros_like(a), grid.steps), rel=1e-13
     )
     # a NaN anywhere gives NaN, as the whole-array forms do
     a[L // 2, P - 1] = np.nan
-    assert np.isnan(_sup_dist(a, b)) and np.isnan(_whole_sup(a, b))
-    assert np.isnan(_s2_dist(a, b)) and np.isnan(_whole_s2(a, b))
-    assert np.isnan(_m2_dist(a, b, grid.steps))
+    assert np.isnan(sup_norm(a, b)) and np.isnan(_whole_sup(a, b))
+    assert np.isnan(s2_norm(a, b)) and np.isnan(_whole_s2(a, b))
+    assert np.isnan(m2_norm(a, grid.steps, b))
 
 
 # ---------------------------------------------------------------------------
@@ -845,8 +858,20 @@ def test_within_certified_ball_compares_the_report_with_the_certificate(selector
     flag = res.flags["within_certified_ball"]
     assert type(flag) is bool
     rep, cert = res.diagnostics, res.certificate
-    assert rep.sup_y == sup_norm(res.y)
+    assert rep.sup_y == sup_norm(np.swapaxes(res.y.values, 0, 1))
     assert flag == (rep.sup_y <= cert.ball_radius and rep.bmo2_z <= cert.chain.A)
+
+
+@pytest.mark.parametrize("selector", sorted(_SOLVERS))
+def test_envelope_rate_is_taken_once_from_the_solved_state(selector):
+    res = _tiny_run(selector)
+    rate = check_alpha_envelope(res.y, res.certificate.alpha_envelope)
+    assert res.flags["alpha_envelope_rate"] == rate
+    assert res.diagnostics.alpha_violation_rate == rate
+
+
+def test_picard_record_has_no_per_step_envelope_rates():
+    assert "alpha_rates" not in _tiny_run("picard").as_dict()["trace"]
 
 
 def test_every_result_field_is_written():
