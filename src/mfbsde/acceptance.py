@@ -10,6 +10,7 @@ them.  Heavy runs shared between criteria are cached module-wide.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field as dc_field
@@ -36,7 +37,6 @@ from . import dsl
 __all__ = ["CriterionResult", "run_criterion", "CRITERIA"]
 
 _FIXTURE_DIR = Path(__file__).resolve().parents[2] / "tests" / "fixtures"
-_cache: dict = {}
 
 
 @dataclass
@@ -64,6 +64,13 @@ class CriterionResult:
             "details": _plain(self.details),
             "tolerances": self.tolerances,
         }
+
+
+def _ensemble(scenario: ScenarioSpec, config: SolverConfig):
+    """The Brownian ensemble of ``config`` on a uniform grid over the
+    scenario's horizon."""
+    grid = build_grid(scenario.T, config.n_steps)
+    return simulate_brownian(grid, scenario.d, config.n_paths, config.seed)
 
 
 def _plain(obj):
@@ -219,16 +226,11 @@ def _c3_setup():
 
 def _c3_run():
     scenario, config = _c3_setup()
-    grid = build_grid(scenario.T, config.n_steps)
-    ensemble = simulate_brownian(grid, scenario.d, config.n_paths, config.seed)
-    return scenario, config, global_solve(scenario, ensemble, config)
+    return scenario, config, global_solve(scenario, _ensemble(scenario, config), config)
 
 
-def _c3_cached():
-    """Criterion 3's solve, run once and shared with criterion 10."""
-    if "c3" not in _cache:
-        _cache["c3"] = _c3_run()
-    return _cache["c3"]
+# criterion 3's solve, run once and shared with criterion 10
+_c3_cached = functools.cache(_c3_run)
 
 
 def _c3_csv_bytes(run) -> bytes:
@@ -296,23 +298,22 @@ def criterion_4() -> CriterionResult:
         n_steps=60, n_paths=60_000, seed=31004,
         override_epsilon=True, n_windows=1,
     )
-    grid = build_grid(scenario.T, config.n_steps)
-    ensemble = simulate_brownian(grid, scenario.d, config.n_paths, config.seed)
+    ensemble = _ensemble(scenario, config)
     result = shift_fixed_point(scenario, ensemble, config)
     # the base BSDE of f1 alone, solved afresh: the shift must not have
     # moved a single bit of its integrand
     f1 = dsl.Staged(scenario.f1, ("s", "z"))
-    window = grid.full_window()
+    window = ensemble.grid.full_window()
     base = BackwardSolver(ensemble, config).solve(
         window, scenario.terminal_values(ensemble.state(window.hi)),
         lambda i, s, z: f1(s=s, z=z),
     )
     runtime = time.perf_counter() - t0
 
-    z_same = result.z.values.tobytes() == np.swapaxes(base.z, 0, 1).tobytes()
+    z_same = result.z.values.tobytes() == base.z.tobytes()
     times = result.m_y.times()
-    target = ensemble.levels[:, :, 0] + (scenario.T - times)[None, :]
-    err = float(np.max(np.mean(np.abs(result.y.values[:, :, 0] - target), axis=0)))
+    target = ensemble.node_levels[:, :, 0] + (scenario.T - times)[:, None]
+    err = float(np.max(np.mean(np.abs(result.y.values[:, :, 0] - target), axis=1)))
     passed = z_same and err <= t_y and runtime < 60.0
     return CriterionResult(
         4,
@@ -335,9 +336,8 @@ def criterion_4() -> CriterionResult:
 _C5_SEED = 31005
 
 
+@functools.cache
 def _c5_runs():
-    if "c5" in _cache:
-        return _cache["c5"]
     scenario = example_22()
     config = SolverConfig(
         n_steps=80,
@@ -348,12 +348,9 @@ def _c5_runs():
         n_windows=4,
         override_epsilon=True,
     )
-    grid = build_grid(scenario.T, config.n_steps)
-    ensemble = simulate_brownian(grid, scenario.d, config.n_paths, config.seed)
+    ensemble = _ensemble(scenario, config)
     stitched = global_solve(scenario, ensemble, config)
-    picard = picard_global(scenario, ensemble, config)
-    _cache["c5"] = (scenario, config, stitched, picard)
-    return _cache["c5"]
+    return scenario, config, stitched, picard_global(scenario, ensemble, config)
 
 
 def criterion_5() -> CriterionResult:
@@ -432,9 +429,7 @@ def criterion_7() -> CriterionResult:
         n_windows=2,
         override_epsilon=True,
     )
-    grid = build_grid(scenario.T, config.n_steps)
-    ensemble = simulate_brownian(grid, scenario.d, config.n_paths, config.seed)
-    result = global_solve(scenario, ensemble, config)
+    result = global_solve(scenario, _ensemble(scenario, config), config)
     runtime = time.perf_counter() - t0
 
     # compare at the fixture's (coarser) nodes; both grids are uniform on
@@ -475,8 +470,7 @@ def criterion_8() -> CriterionResult:
         max_outer=25,
         override_epsilon=True,
     )
-    grid = build_grid(scenario.T, config.n_steps)
-    ensemble = simulate_brownian(grid, scenario.d, config.n_paths, config.seed)
+    ensemble = _ensemble(scenario, config)
     cert = certify(scenario)
     # the analytic window width underflows doubles for these constants (its
     # logarithm is reported below); the contraction evidence is collected on
@@ -504,7 +498,7 @@ def criterion_8() -> CriterionResult:
             "ratios": [round(r, 5) for r in ratios],
             "max_consecutive_below_one": best,
             "iterations": trace.iterations,
-            "window_width": window.width(grid),
+            "window_width": window.width(ensemble.grid),
             "certified_width_log": cert.chain.log_eps,
             "certified_width_underflows": cert.chain.eps_underflow,
         },
@@ -530,9 +524,7 @@ def criterion_9() -> CriterionResult:
         n_windows=1,
         override_epsilon=True,
     )
-    grid = build_grid(scenario.T, config.n_steps)
-    ensemble = simulate_brownian(grid, scenario.d, config.n_paths, config.seed)
-    result = multidim_solve(scenario, ensemble, config)
+    result = multidim_solve(scenario, _ensemble(scenario, config), config)
     runtime = time.perf_counter() - t0
     trace = result.trace[0]
     ratios = trace.ratios

@@ -208,9 +208,11 @@ def _cmd_validate(args) -> int:
             raise InvalidInput(f"unknown criteria: {unknown}")
     if args.json:
         # a report that cannot be written fails before any criterion runs
-        parent = Path(args.json).parent
-        if not parent.is_dir():
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(parent))
+        report = Path(args.json)
+        if report.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(report))
+        if not report.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(report.parent))
     results = []
     for cid in sorted(ids or acceptance.CRITERIA):
         res = acceptance.run_criterion(cid)

@@ -276,10 +276,10 @@ def write_result_csv(path, result, manifest: RunManifest, alpha_fn=None) -> None
     my = result.m_y.values.reshape(len(times), -1)
     mz = result.m_z.values.reshape(len(times), -1)
     P = result.y.n_paths
-    # node by node on the node-major views, one state component at a time:
-    # numpy reduces short rows one path at a time
+    # node by node, one state component at a time: numpy reduces short
+    # rows one path at a time
     sd = np.array([[column.std() for column in node.reshape(P, -1).T]
-                   for node in np.swapaxes(result.y.values, 0, 1)])
+                   for node in result.y.values])
     zsq = np.array([sq.mean() for sq in node_square_norms(result.z)])
     env = alpha_fn(times) if alpha_fn is not None else None
 

@@ -1,6 +1,9 @@
 """Time grids, Brownian ensembles, and grid-indexed process containers.
 
-All containers are plain immutable data.  Path reductions use numpy's
+All containers are plain immutable data, and every array indexed by grid
+nodes keeps the nodes on axis 0: Brownian levels ``(nodes, paths, d)``,
+process values ``(nodes, paths, ...)`` and mean curves ``(nodes, ...)``,
+the layout the backward sweep writes.  Path reductions use numpy's
 pairwise summation with a fixed operand order, so repeated runs with the
 same seed produce bit-identical results on the same platform.
 """
@@ -115,8 +118,7 @@ class PathEnsemble:
 
     The paths are held once, as one node-major array of their levels,
     ``node_levels`` of shape (N+1, n_paths, d), zero at t=0: node i's state
-    :meth:`state` is one contiguous block, and ``levels`` is the path-major
-    view (n_paths, N+1, d) of the same memory.  No increment array is kept:
+    :meth:`state` is one contiguous block.  No increment array is kept:
     the increment over step i is the difference of levels ``state(i+1) -
     state(i)``, which lies within an ulp of the larger of the two levels
     from the drawn increment they were summed from.
@@ -142,11 +144,6 @@ class PathEnsemble:
     @property
     def n_paths(self) -> int:
         return self.node_levels.shape[1]
-
-    @property
-    def levels(self) -> np.ndarray:
-        """Path levels W_{t_i}, shape (n_paths, N+1, d): a read-only view."""
-        return np.swapaxes(self.node_levels, 0, 1)
 
     def state(self, i: int) -> np.ndarray:
         """Brownian level W_{t_i}, shape (n_paths, d), C-contiguous."""
@@ -180,99 +177,85 @@ def simulate_brownian(grid: TimeGrid, d: int, n_paths: int, seed: int) -> PathEn
     return PathEnsemble(grid=grid, d=d, node_levels=levels, seed=seed)
 
 
-def _check_span(grid: TimeGrid, span: tuple[int, int], length: int) -> tuple[int, int]:
-    lo, hi = int(span[0]), int(span[1])
-    if not (0 <= lo < hi <= grid.n_steps):
-        raise InvalidInput(f"span {span} outside grid")
-    if hi - lo + 1 != length:
-        raise InvalidInput("value length does not match span")
-    return lo, hi
-
-
 @dataclass(frozen=True)
-class ProcessGrid:
-    """Per-path process sampled on (a window of) a grid.
-
-    ``values`` has shape (n_paths, L, *dims) where L is the number of nodes
-    in ``span`` (defaults to the whole grid).  All entries must be finite.
-    A float64 array is kept as a read-only view, not copied: the solvers
-    pass ``np.swapaxes`` of their node-major ``(L, n_paths, ...)`` storage,
-    so ``values`` has the shape above but need not be C-contiguous.  The
-    caller's own array stays writable.
-    """
+class _NodeSeries:
+    """Values on the nodes of ``span`` of a grid (the whole grid by default),
+    the nodes on axis 0."""
 
     grid: TimeGrid
     values: np.ndarray
     span: tuple[int, int] = field(default=(-1, -1))
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim < 2:
-            raise InvalidInput("process values need shape (paths, nodes, ...)")
-        span = self.span
-        if span == (-1, -1):
-            span = (0, self.grid.n_steps)
-        lo, hi = _check_span(self.grid, span, vals.shape[1])
-        if vals.shape[0] < 1:
-            raise InvalidInput("empty path axis")
-        if not _all_finite(vals):
-            raise InvalidInput("process values must be finite")
-        vals = vals.view()
-        vals.setflags(write=False)
+    def _check_span(self, vals: np.ndarray) -> None:
+        """Check ``span`` against the grid and the node axis of ``vals``, and
+        store both."""
+        span = (0, self.grid.n_steps) if self.span == (-1, -1) else self.span
+        lo, hi = int(span[0]), int(span[1])
+        if not (0 <= lo < hi <= self.grid.n_steps):
+            raise InvalidInput(f"span {span} outside grid")
+        if hi - lo + 1 != vals.shape[0]:
+            raise InvalidInput("value length does not match span")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "span", (lo, hi))
 
+    def times(self) -> np.ndarray:
+        lo, hi = self.span
+        return self.grid.nodes[lo : hi + 1]
+
+
+@dataclass(frozen=True)
+class ProcessGrid(_NodeSeries):
+    """Per-path process sampled on (a window of) a grid.
+
+    ``values`` has shape (L, n_paths, *dims), node-major, where L is the
+    number of nodes in ``span``.  All entries must be finite.  A float64
+    array is kept as a read-only view, not copied: a solver's result views
+    the arrays it solved into.  The caller's own array stays writable.
+    """
+
+    def __post_init__(self):
+        vals = np.asarray(self.values, dtype=np.float64)
+        if vals.ndim < 2:
+            raise InvalidInput("process values need shape (nodes, paths, ...)")
+        vals = vals.view()
+        vals.setflags(write=False)
+        self._check_span(vals)
+        if vals.shape[1] < 1:
+            raise InvalidInput("empty path axis")
+        if not _all_finite(vals):
+            raise InvalidInput("process values must be finite")
+
     @property
     def n_paths(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[1]
 
     @property
     def n_nodes(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[0]
 
     @property
     def dims(self) -> tuple[int, ...]:
         return self.values.shape[2:]
 
-    def times(self) -> np.ndarray:
-        lo, hi = self.span
-        return self.grid.nodes[lo : hi + 1]
-
 
 def _all_finite(vals: np.ndarray) -> bool:
-    """Whether every entry of a (paths, nodes, ...) array is finite, checked
+    """Whether every entry of a (nodes, paths, ...) array is finite, checked
     node by node into one reused (paths, ...) mask."""
-    mask = np.empty(vals.shape[:1] + vals.shape[2:], dtype=bool)
-    for node in np.swapaxes(vals, 0, 1):
-        if not np.isfinite(node, out=mask).all():
-            return False
-    return True
+    mask = np.empty(vals.shape[1:], dtype=bool)
+    return all(np.isfinite(node, out=mask).all() for node in vals)
 
 
 @dataclass(frozen=True)
-class MeanCurve:
+class MeanCurve(_NodeSeries):
     """Deterministic node-indexed curve, shape (L, *dims)."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    span: tuple[int, int] = field(default=(-1, -1))
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim < 1:
             raise InvalidInput("curve values need a node axis")
-        span = self.span
-        if span == (-1, -1):
-            span = (0, self.grid.n_steps)
-        lo, hi = _check_span(self.grid, span, vals.shape[0])
-        if not np.all(np.isfinite(vals)):
+        self._check_span(_readonly(vals))
+        if not np.all(np.isfinite(self.values)):
             raise InvalidInput("curve values must be finite")
-        object.__setattr__(self, "values", _readonly(vals))
-        object.__setattr__(self, "span", (lo, hi))
-
-    def times(self) -> np.ndarray:
-        lo, hi = self.span
-        return self.grid.nodes[lo : hi + 1]
 
 
 def path_mean(a: np.ndarray) -> np.ndarray:
@@ -287,7 +270,5 @@ def path_mean(a: np.ndarray) -> np.ndarray:
 
 
 def ensemble_mean(p: ProcessGrid) -> MeanCurve:
-    """Node-wise path average of a process, by :func:`path_mean` on its
-    node-major view."""
-    values = path_mean(np.swapaxes(p.values, 0, 1))
-    return MeanCurve(grid=p.grid, values=values, span=p.span)
+    """Node-wise path average of a process, by :func:`path_mean`."""
+    return MeanCurve(grid=p.grid, values=path_mean(p.values), span=p.span)

@@ -13,18 +13,17 @@ factors the backward sweep already built and keep no cache of their own
 once, over the span it solved, and :func:`build_report` takes the result.
 
 The path norms (:func:`sup_norm`, :func:`s2_norm`, :func:`m2_norm`) take
-node-major ``(L, P, ...)`` arrays, as the backward sweep stores them, and
-measure ``a - b`` when given a second array ``b``: the fixed-point loop
-measures its iterate distances with them, and :func:`build_report` its
-process grids, through the view ``np.swapaxes(values, 0, 1)``.  Each works
-node by node, the node's difference in one reused ``(P, ...)`` buffer,
-and a NaN anywhere gives NaN.  The BMO estimate and the envelope check
-read a process grid through the same node-major view: no transposed copy
-is made, whatever the layout behind ``values``.  At each node the squared
-Euclidean norms of the paths go into one reused ``(P,)`` buffer
-(:func:`node_square_norms`, column products in numpy's own summation
-order), folded into a backward running tail with one regression fit per
-node (BMO) or into per-node violation counts (the envelope).
+node-major ``(L, P, ...)`` arrays, the layout of the backward sweep and of
+every :class:`ProcessGrid`, and measure ``a - b`` when given a second array
+``b``: the fixed-point loop measures its iterate distances with them, and
+:func:`build_report` the values of its process grids.  Each works node by
+node, the node's difference in one reused ``(P, ...)`` buffer, and a NaN
+anywhere gives NaN.  The BMO estimate and the envelope check read a process
+grid node by node too, whatever the strides behind ``values``: at each
+node the squared Euclidean norms of the paths go into one reused ``(P,)``
+buffer (:func:`node_square_norms`, column products in numpy's own
+summation order), folded into a backward running tail with one regression
+fit per node (BMO) or into per-node violation counts (the envelope).
 """
 
 from __future__ import annotations
@@ -53,15 +52,6 @@ __all__ = [
 ]
 
 
-def _node_rows(p: ProcessGrid, nodes=None):
-    """The process at each node of ``nodes`` (local indices, all nodes in
-    order by default) as a (P, m) view, its components flattened."""
-    values = np.swapaxes(p.values, 0, 1)
-    P = p.n_paths
-    for j in range(p.n_nodes) if nodes is None else nodes:
-        yield values[j].reshape(P, -1)
-
-
 def node_square_norms(p: ProcessGrid, nodes=None):
     """Squared Euclidean norm of every path's value, node by node.
 
@@ -70,8 +60,10 @@ def node_square_norms(p: ProcessGrid, nodes=None):
     over the flattened components.  The buffer is reused: read each node
     before taking the next.
     """
-    buf = np.empty(p.n_paths)
-    for row in _node_rows(p, nodes):
+    P = p.n_paths
+    buf = np.empty(P)
+    for j in range(p.n_nodes) if nodes is None else nodes:
+        row = p.values[j].reshape(P, -1)
         yield row_dot(row, row, out=buf)
 
 
@@ -214,11 +206,10 @@ def build_report(
     :func:`bmo2_estimate`, and ``alpha_rate``, its
     :func:`check_alpha_envelope`."""
     lo, hi = z.span
-    y_nodes = np.swapaxes(y.values, 0, 1)
     rep = DiagnosticsReport(
-        sup_y=sup_norm(y_nodes),
-        sp_y=s2_norm(y_nodes),
-        mp_z=m2_norm(np.swapaxes(z.values, 0, 1), z.grid.steps[lo:hi]),
+        sup_y=sup_norm(y.values),
+        sp_y=s2_norm(y.values),
+        mp_z=m2_norm(z.values, z.grid.steps[lo:hi]),
         bmo2_z=bmo,
         p=2.0,
         gamma=gamma,

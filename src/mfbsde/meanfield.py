@@ -44,14 +44,13 @@ the envelope rate, the process grids, and the flags, among them whether
 the solved pair lies in the certified ball of S^inf x BMO.
 
 Iterates are node-major, ``(L, P, ...)``, as the backward sweep stores
-them: every per-node read (drivers, sources, mean shifts) and every mean
-over paths runs on contiguous blocks.  Nothing is transposed: the public
-path-major layout ``(P, L, ...)`` of :class:`ProcessGrid` is the view
-``np.swapaxes(node_major, 0, 1)`` of the sweep's own storage, and the
-final diagnostics read it back node by node with O(P) working memory.
-The distances between iterates are the diagnostics' own path norms of
-their difference, taken node by node into reused buffers, so no
-full-size difference is ever allocated.
+them and as :class:`ProcessGrid` holds them: every per-node read
+(drivers, sources, mean shifts) and every mean over paths runs on
+contiguous blocks, the result's process grids are read-only views of the
+horizon arrays, and the final diagnostics read them node by node with
+O(P) working memory.  The distances between iterates are the
+diagnostics' own path norms of their difference, taken node by node into
+reused buffers, so no full-size difference is ever allocated.
 
 Each solver evaluates its generators as :class:`dsl.Staged` programs that
 bind what its map holds fixed.  The frozen-mean driver binds ``s, ybar, z,
@@ -201,12 +200,6 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
-
-
-def _process(ensemble: PathEnsemble, values: np.ndarray, span) -> ProcessGrid:
-    """Process grid over a node-major array (L, P, ...): the public
-    path-major layout (P, L, ...) as a view, without a copy."""
-    return ProcessGrid(grid=ensemble.grid, values=np.swapaxes(values, 0, 1), span=span)
 
 
 def _check_window_width(
@@ -408,8 +401,8 @@ def _solve(scenario, ensemble, config, cert, windows, make_map, distance, contex
         del last  # a copied window is freed before the next one runs
     traces.reverse()
 
-    span = (lo0, N)
-    ygrid, zgrid = _process(ensemble, y_vals, span), _process(ensemble, z_vals, span)
+    ygrid = ProcessGrid(grid=grid, values=y_vals, span=(lo0, N))
+    zgrid = ProcessGrid(grid=grid, values=z_vals, span=(lo0, N))
     budget = None
     if FORM_GLOBAL_ODE in scenario.forms:
         budget = bmo_budget_global(

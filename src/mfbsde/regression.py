@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -42,6 +42,8 @@ class RegressionBasis:
             raise InvalidInput("degree must be >= 0")
         if self.n_bins < 1:
             raise InvalidInput("n_bins must be >= 1")
+        if not isfinite(self.ridge):
+            raise InvalidInput(f"ridge must be finite, not {self.ridge}")
         if self.ridge < 0.0:
             raise InvalidInput("ridge must be >= 0")
 

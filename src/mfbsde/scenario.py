@@ -70,6 +70,10 @@ class ScenarioSpec:
     forms: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        for name in ("T", "C", "gamma", "xi_bound", "ctilde", "terminal_clamp"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidInput(f"{name} must be finite, not {value}")
         if self.n < 1 or self.d < 1:
             raise InvalidInput("dimensions n, d must be >= 1")
         if not (self.T > 0.0):

@@ -24,6 +24,7 @@ to show zero activations at the final resolution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,6 +58,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_steps < 1 or self.n_paths < 2:
             raise InvalidInput("need n_steps >= 1 and n_paths >= 2")
+        for name in ("tol_fp", "z_clamp"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidInput(f"{name} must be finite, not {value}")
         if self.tol_fp <= 0:
             raise InvalidInput("tol_fp must be positive")
         if self.max_inner < 1 or self.max_outer < 1:

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, outputs, and overrides."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,22 @@ def test_alpha_out_of_range_exits_2(tmp_path, capsys):
     rc = main(["certify", "--config", str(p), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["T", "terminal_clamp", "C", "gamma", "xi_bound", "ctilde",
+                                 "tol_fp", "z_clamp", "ridge"])
+def test_non_finite_number_exits_2(key, value, tmp_path, capsys):
+    # the key's line in TINY is replaced, or the key added to its section
+    section = {"T": "scenario", "terminal_clamp": "scenario", "tol_fp": "solver",
+               "z_clamp": "solver", "ridge": "solver"}.get(key, "constants")
+    text = re.sub(rf"^{key} = .*\n", "", TINY, flags=re.M)
+    p = tmp_path / "bad.cfg"
+    p.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+    rc = main(["solve", "--config", str(p), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert _one_error_line(capsys).splitlines() == [f"error: {key} must be finite, not {value}"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_solver_scenario_mismatch_exits_2(tiny_cfg, tmp_path, capsys):
@@ -301,6 +318,15 @@ def test_validate_json_into_a_missing_directory_exits_2(tmp_path, capsys):
     assert "PASS criterion" not in out
     assert "Traceback" not in err and err.startswith("error: ")
     assert "No such file or directory" in err
+
+
+def test_validate_json_naming_a_directory_exits_2(tmp_path, capsys):
+    assert main(["validate", "--criteria", "1", "--json", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    # found before any criterion runs
+    assert "PASS criterion" not in out
+    assert "Traceback" not in err and err.startswith("error: ")
+    assert "Is a directory" in err
 
 
 def test_validate_rejects_bad_list(capsys):

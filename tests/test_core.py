@@ -55,13 +55,13 @@ def test_window_validation():
 
 def test_brownian_shapes_and_t0(grid50):
     ens = simulate_brownian(grid50, 2, 100, 7)
-    increments = np.diff(ens.levels, axis=1)
-    assert increments.shape == (100, 50, 2)
-    assert ens.levels.shape == (100, 51, 2)
-    assert np.all(ens.levels[:, 0, :] == 0.0)
+    increments = np.diff(ens.node_levels, axis=0)
+    assert increments.shape == (50, 100, 2)
+    assert ens.node_levels.shape == (51, 100, 2)
+    assert np.all(ens.node_levels[0] == 0.0)
     # levels really are the running sums of the increments
     np.testing.assert_allclose(
-        ens.levels[:, -1, :], increments.sum(axis=1), rtol=0, atol=1e-12
+        ens.node_levels[-1], increments.sum(axis=0), rtol=0, atol=1e-12
     )
 
 
@@ -69,8 +69,8 @@ def test_brownian_seed_reproducibility(grid50):
     a = simulate_brownian(grid50, 1, 500, 42)
     b = simulate_brownian(grid50, 1, 500, 42)
     c = simulate_brownian(grid50, 1, 500, 43)
-    assert np.diff(a.levels, axis=1).tobytes() == np.diff(b.levels, axis=1).tobytes()
-    assert np.diff(a.levels, axis=1).tobytes() != np.diff(c.levels, axis=1).tobytes()
+    inc_a, inc_b, inc_c = (np.diff(e.node_levels, axis=0).tobytes() for e in (a, b, c))
+    assert inc_a == inc_b != inc_c
 
 
 def _seed_draws(grid, d, n_paths, seed):
@@ -85,14 +85,14 @@ def test_brownian_levels_are_the_path_major_running_sums_of_the_draws(d):
     # block of draws, and a partial last block
     grid = TimeGrid(np.linspace(0.0, 1.0, 31) ** 1.5)
     ens = simulate_brownian(grid, d, 2_500, 5)
-    draws = _seed_draws(grid, d, 2_500, 5)
-    assert ens.node_levels.shape == (31, 2_500, d)
-    assert ens.levels[:, 1:].tobytes() == np.cumsum(draws, axis=1).tobytes()
+    draws = np.swapaxes(_seed_draws(grid, d, 2_500, 5), 0, 1)  # node-major
+    levels = ens.node_levels
+    assert levels.shape == (31, 2_500, d)
+    assert levels[1:].tobytes() == np.cumsum(draws, axis=0).tobytes()
     # an increment, a difference of levels, lies within an ulp of the
     # larger of its two levels from the draw
-    levels = ens.levels
-    ulp = np.spacing(np.maximum(np.abs(levels[:, 1:]), np.abs(levels[:, :-1])))
-    assert np.all(np.abs(np.diff(levels, axis=1) - draws) <= ulp)
+    ulp = np.spacing(np.maximum(np.abs(levels[1:]), np.abs(levels[:-1])))
+    assert np.all(np.abs(np.diff(levels, axis=0) - draws) <= ulp)
 
 
 def test_path_ensemble_validates_its_levels(grid50):
@@ -113,8 +113,8 @@ def test_brownian_state_is_one_contiguous_node_block(grid50):
         state = ens.state(i)
         assert state.shape == (300, 2)
         assert state.flags.c_contiguous
-        assert np.shares_memory(state, ens.levels)
-        assert state.tobytes() == np.ascontiguousarray(ens.levels[:, i, :]).tobytes()
+        assert np.shares_memory(state, ens.node_levels)
+        assert state.tobytes() == ens.node_levels[i].tobytes()
 
 
 def test_brownian_terminal_statistics(grid50):
@@ -122,22 +122,22 @@ def test_brownian_terminal_statistics(grid50):
     # sample variance concentrates like sqrt(2/P); allow generous bands
     P, T = 100_000, grid50.horizon
     ens = simulate_brownian(grid50, 1, P, 2024)
-    wT = ens.levels[:, -1, 0]
+    wT = ens.node_levels[-1, :, 0]
     assert abs(wT.mean()) < 4.0 * np.sqrt(T / P)
     assert abs(wT.var() - T) / T < 0.05
 
 
 def test_brownian_increment_independence(grid50):
     ens = simulate_brownian(grid50, 1, 50_000, 99)
-    inc = np.diff(ens.levels, axis=1)[:, :, 0]
-    corr = np.corrcoef(inc[:, 3], inc[:, 17])[0, 1]
+    inc = np.diff(ens.node_levels, axis=0)[:, :, 0]
+    corr = np.corrcoef(inc[3], inc[17])[0, 1]
     assert abs(corr) < 0.02
 
 
 def test_process_grid_span_and_times(grid50):
-    vals = np.zeros((10, 21, 1))
+    vals = np.zeros((21, 10, 1))
     p = ProcessGrid(grid=grid50, values=vals, span=(30, 50))
-    assert p.n_nodes == 21
+    assert (p.n_nodes, p.n_paths) == (21, 10)
     assert p.times()[0] == pytest.approx(0.6)
     assert p.times()[-1] == pytest.approx(1.0)
     with pytest.raises(InvalidInput):
@@ -145,8 +145,8 @@ def test_process_grid_span_and_times(grid50):
 
 
 def test_process_grid_rejects_nonfinite(grid50):
-    vals = np.zeros((4, 51, 1))
-    vals[2, 7, 0] = np.nan
+    vals = np.zeros((51, 4, 1))
+    vals[7, 2, 0] = np.nan
     with pytest.raises(InvalidInput):
         ProcessGrid(grid=grid50, values=vals)
 
@@ -155,13 +155,14 @@ def test_process_grid_rejects_nonfinite(grid50):
 @pytest.mark.parametrize("node", [0, 25, 50], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("layout", ["path-major", "node-major"])
 def test_process_grid_rejects_nonfinite_at_any_node(grid50, bad, node, layout):
-    if layout == "path-major":
-        vals = np.zeros((4, 51, 2, 2))
-        entry = vals[3, node]
+    # values are node-major; ``layout`` is that of the storage behind them
+    if layout == "node-major":
+        vals = np.zeros((51, 4, 2, 2))
+        entry = vals[node, 3]
     else:
-        storage = np.zeros((51, 4, 2, 2))
+        storage = np.zeros((4, 51, 2, 2))
         vals = np.swapaxes(storage, 0, 1)
-        entry = storage[node, 3]
+        entry = storage[3, node]
     ProcessGrid(grid=grid50, values=vals)
     entry[1, 0] = bad
     with pytest.raises(InvalidInput, match="finite"):
@@ -169,8 +170,8 @@ def test_process_grid_rejects_nonfinite_at_any_node(grid50, bad, node, layout):
 
 
 def test_ensemble_mean_is_exactly_linear(grid50, rng):
-    a = rng.standard_normal((300, 51, 1))
-    b = rng.standard_normal((300, 51, 1))
+    a = rng.standard_normal((51, 300, 1))
+    b = rng.standard_normal((51, 300, 1))
     pa = ProcessGrid(grid=grid50, values=a)
     pb = ProcessGrid(grid=grid50, values=b)
     pab = ProcessGrid(grid=grid50, values=a + 2.0 * b)
@@ -182,11 +183,11 @@ def test_ensemble_mean_is_exactly_linear(grid50, rng):
 
 def test_process_grid_views_node_major_storage(grid50):
     node_major = np.arange(51 * 4 * 2, dtype=np.float64).reshape(51, 4, 2)
-    p = ProcessGrid(grid=grid50, values=np.swapaxes(node_major, 0, 1))
-    assert p.values.shape == (4, 51, 2)
+    p = ProcessGrid(grid=grid50, values=node_major)
+    assert p.values.shape == (51, 4, 2)
     assert (p.n_paths, p.n_nodes, p.dims) == (4, 51, (2,))
     assert np.shares_memory(p.values, node_major)
-    assert not p.values.flags.c_contiguous
+    assert p.values.flags.c_contiguous
     with pytest.raises(ValueError):
         p.values[0, 0, 0] = 1.0
     # the caller's array stays writable
@@ -197,12 +198,14 @@ def test_process_grid_views_node_major_storage(grid50):
 
 def test_ensemble_mean_is_the_node_major_path_mean(grid50, rng):
     node_major = rng.standard_normal((51, 300, 2, 2))
-    view = ProcessGrid(grid=grid50, values=np.swapaxes(node_major, 0, 1))
+    p = ProcessGrid(grid=grid50, values=node_major)
     want = path_mean(node_major)
     assert want.shape == (51, 2, 2)
+    assert ensemble_mean(p).values.tobytes() == want.tobytes()
+    # a non-contiguous node-major view of the same values
+    strided = np.swapaxes(np.ascontiguousarray(np.swapaxes(node_major, 0, 1)), 0, 1)
+    view = ProcessGrid(grid=grid50, values=strided)
     assert ensemble_mean(view).values.tobytes() == want.tobytes()
-    copy = ProcessGrid(grid=grid50, values=np.ascontiguousarray(view.values))
-    np.testing.assert_allclose(ensemble_mean(copy).values, want, rtol=0, atol=1e-15)
     np.testing.assert_allclose(want, node_major.mean(axis=1), rtol=0, atol=1e-15)
 
 
@@ -215,4 +218,4 @@ def test_mean_curve_span(grid50):
 def test_values_are_write_protected(grid50):
     ens = simulate_brownian(grid50, 1, 10, 1)
     with pytest.raises(ValueError):
-        ens.levels[0, 0, 0] = 1.0
+        ens.node_levels[0, 0, 0] = 1.0

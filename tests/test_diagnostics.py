@@ -23,13 +23,8 @@ from mfbsde.solver import BackwardSolver, SolverConfig
 
 
 def _const_process(grid, value, P=500, dims=(1,)):
-    vals = np.full((P, grid.n_steps + 1, *dims), float(value))
+    vals = np.full((grid.n_steps + 1, P, *dims), float(value))
     return ProcessGrid(grid=grid, values=vals)
-
-
-def _nodes(p):
-    """The node-major view (L, P, ...) of a process grid."""
-    return np.swapaxes(p.values, 0, 1)
 
 
 def _regressions(ensemble):
@@ -49,14 +44,14 @@ def phi_double_prime(y, gamma: float):
 
 
 def test_sup_and_s2_norm_constant_process(grid50):
-    p = _nodes(_const_process(grid50, -3.0))
+    p = _const_process(grid50, -3.0).values
     assert sup_norm(p) == 3.0
     assert s2_norm(p) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_m2_norm_constant_integrand(grid50):
     # |Z| = c: the integrated square over [0, 1] is c^2, so the M2 norm is c
-    z = _nodes(_const_process(grid50, 2.0, dims=(1, 1)))
+    z = _const_process(grid50, 2.0, dims=(1, 1)).values
     assert m2_norm(z, grid50.steps) == pytest.approx(2.0, rel=1e-12)
 
 
@@ -79,9 +74,9 @@ def test_bmo2_sees_conditional_tails(grid50):
     # integrand |W_t|: the conditional tail integral depends on the state,
     # so the BMO estimate must exceed the plain expectation
     ens = simulate_brownian(grid50, 1, 20_000, 6)
-    z = ProcessGrid(grid=grid50, values=np.abs(ens.levels)[:, :, :, None])
+    z = ProcessGrid(grid=grid50, values=np.abs(ens.node_levels)[:, :, :, None])
     est = bmo2_estimate(z, _regressions(ens))
-    mean_sq = m2_norm(_nodes(z), grid50.steps) ** 2
+    mean_sq = m2_norm(z.values, grid50.steps) ** 2
     assert est > mean_sq
 
 
@@ -90,13 +85,12 @@ def test_bmo2_sees_conditional_tails(grid50):
 # ---------------------------------------------------------------------------
 
 # Whole-array implementations of the norms and the envelope check, reading
-# path-major (P, L, m) squares with trailing-axis reductions: the node-by-node
-# kernels must reproduce them on the node-major view of any layout of the
-# same values.
+# (L, P, m) squares with trailing-axis reductions: the node-by-node kernels
+# must reproduce them whatever the strides behind the same values.
 
 
 def _ref_square_norms(p):
-    return np.sum(p.values.reshape(p.n_paths, p.n_nodes, -1) ** 2, axis=2)
+    return np.sum(p.values.reshape(p.n_nodes, p.n_paths, -1) ** 2, axis=2)
 
 
 def _ref_sup(y):
@@ -104,34 +98,34 @@ def _ref_sup(y):
 
 
 def _ref_s2(y):
-    flat = y.values.reshape(y.n_paths, y.n_nodes, -1)
-    sq = np.einsum("plk,plk->pl", flat, flat)
-    return float(np.sqrt(np.mean(sq.max(axis=1))))
+    flat = y.values.reshape(y.n_nodes, y.n_paths, -1)
+    sq = np.einsum("lpk,lpk->lp", flat, flat)
+    return float(np.sqrt(np.mean(sq.max(axis=0))))
 
 
 def _ref_m2(z):
     lo, hi = z.span
-    integral = _ref_square_norms(z)[:, :-1] @ z.grid.steps[lo:hi]
+    integral = z.grid.steps[lo:hi] @ _ref_square_norms(z)[:-1]
     return float(np.sqrt(np.mean(integral)))
 
 
 def _ref_bmo2(z, ensemble):
     lo, hi = z.span
     sq = _ref_square_norms(z)
-    P, L = sq.shape
-    contrib = sq[:, :-1] * z.grid.steps[lo:hi][None, :]
-    tails = np.zeros((P, L))
-    tails[:, :-1] = contrib[:, ::-1].cumsum(axis=1)[:, ::-1]
+    L, P = sq.shape
+    contrib = sq[:-1] * z.grid.steps[lo:hi][:, None]
+    tails = np.zeros((L, P))
+    tails[:-1] = contrib[::-1].cumsum(axis=0)[::-1]
     worst = 0.0
     for j in range(L - 1):
         reg = NodeRegression(ensemble.state(lo + j), RegressionBasis())
-        worst = max(worst, float(reg.fit(tails[:, j]).max()))
+        worst = max(worst, float(reg.fit(tails[j]).max()))
     return worst
 
 
 def _ref_envelope(y, alpha_fn):
     sq = _ref_square_norms(y)
-    env = np.asarray(alpha_fn(y.times()), dtype=np.float64)[None, :]
+    env = np.asarray(alpha_fn(y.times()), dtype=np.float64)[:, None]
     return float(np.mean(sq > env))
 
 
@@ -145,12 +139,13 @@ def grid12():
 
 
 def _process(grid12, dims, span, layout, seed=0):
+    """A random process grid; ``layout`` is that of the storage behind its
+    node-major values, so "path-major" gives a non-contiguous view."""
     rng = np.random.default_rng([seed, len(dims), sum(dims), *span])
     L = span[1] - span[0] + 1
-    node_major = 1.5 * rng.standard_normal((L, 300, *dims))
-    values = np.swapaxes(node_major, 0, 1)
+    values = 1.5 * rng.standard_normal((L, 300, *dims))
     if layout == "path-major":
-        values = np.ascontiguousarray(values)
+        values = np.swapaxes(np.ascontiguousarray(np.swapaxes(values, 0, 1)), 0, 1)
     return ProcessGrid(grid=grid12, values=values, span=span)
 
 
@@ -159,8 +154,8 @@ def _process(grid12, dims, span, layout, seed=0):
 @pytest.mark.parametrize("dims", _DIMS, ids=str)
 def test_norms_match_whole_array_reference(grid12, dims, span, layout):
     proc = _process(grid12, dims, span, layout)
-    assert proc.values.flags.c_contiguous == (layout == "path-major")
-    nodes, steps = _nodes(proc), grid12.steps[span[0] : span[1]]
+    assert proc.values.flags.c_contiguous == (layout == "node-major")
+    nodes, steps = proc.values, grid12.steps[span[0] : span[1]]
     assert sup_norm(nodes) == _ref_sup(proc)
     assert s2_norm(nodes) == _ref_s2(proc)
     assert m2_norm(nodes, steps) == pytest.approx(_ref_m2(proc), rel=1e-12, abs=0)
@@ -204,9 +199,9 @@ def test_node_square_norms_match_trailing_sum(grid12, width):
     y = _process(grid12, (width,), (0, 12), "node-major")
     want = _ref_square_norms(y)
     got = [sq.copy() for sq in node_square_norms(y)]
-    assert np.array_equal(np.stack(got, axis=1), want)
+    assert np.array_equal(np.stack(got), want)
     backward = [sq.copy() for sq in node_square_norms(y, range(11, -1, -2))]
-    assert np.array_equal(np.stack(backward, axis=1), want[:, 11::-2])
+    assert np.array_equal(np.stack(backward), want[11::-2])
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +263,7 @@ def test_alpha_envelope_synthetic(grid50):
 
 def test_build_report_fields(grid50):
     ens = simulate_brownian(grid50, 1, 3000, 11)
-    y = ProcessGrid(grid=grid50, values=ens.levels)
+    y = ProcessGrid(grid=grid50, values=ens.node_levels)
     z = _const_process(grid50, 1.0, P=3000, dims=(1, 1))
     rate = check_alpha_envelope(y, lambda t: 100.0 * np.ones_like(np.asarray(t)))
     rep = build_report(y, z, bmo2_estimate(z, _regressions(ens)), gamma=0.4, bmo_budget=5.0,

@@ -130,8 +130,8 @@ def test_local_solve_mean_free_equals_standard_solve():
     ref = _frozen_mean_solve(sc, ens, np.zeros((L, 1)), np.zeros((L, 1, 1)))
     (trace,) = res.trace
     assert trace.converged
-    assert res.y.values.tobytes() == np.swapaxes(ref.y, 0, 1).tobytes()
-    assert res.z.values.tobytes() == np.swapaxes(ref.z, 0, 1).tobytes()
+    assert res.y.values.tobytes() == ref.y.tobytes()
+    assert res.z.values.tobytes() == ref.z.tobytes()
 
 
 def test_local_solve_zero_driver_single_iteration():
@@ -353,7 +353,7 @@ def test_global_solve_window_coverage():
     assert res.windows[-1][1] == CFG.n_steps
     for (a, b), (c, d) in zip(res.windows, res.windows[1:]):
         assert b == c
-    assert res.y.values.shape == (CFG.n_paths, CFG.n_steps + 1, 1)
+    assert res.y.values.shape == (CFG.n_steps + 1, CFG.n_paths, 1)
 
 
 @pytest.mark.parametrize("n_bins", [1, 2])
@@ -428,8 +428,8 @@ def test_vector_noise_scalar_state_closed_form(solve):
     cfg = CFG.updated(n_steps=20, n_paths=20_000, seed=5, n_windows=2)
     ens = _ensemble(sc, cfg)
     res = solve(sc, ens, cfg)
-    assert res.y.values.shape == (cfg.n_paths, cfg.n_steps + 1, 1)
-    assert res.z.values.shape == (cfg.n_paths, cfg.n_steps + 1, 2, 1)
+    assert res.y.values.shape == (cfg.n_steps + 1, cfg.n_paths, 1)
+    assert res.z.values.shape == (cfg.n_steps + 1, cfg.n_paths, 2, 1)
     # Monte Carlo error at 20k paths: each node's E[Z] component averages
     # (dW_a (dW_1 + dW_2)) / h, of variance 3, so its standard error is
     # sqrt(3 / 20000) = 0.012 and 0.08 is over 6 of them for the largest of
@@ -533,7 +533,7 @@ def test_shift_leaves_integrand_bitwise_identical():
     base = BackwardSolver(ens, CFG).solve(
         window, sc.terminal_values(ens.state(window.hi)), lambda i, s, z: f1(s=s, z=z)
     )
-    assert res.z.values.tobytes() == np.swapaxes(base.z, 0, 1).tobytes()
+    assert res.z.values.tobytes() == base.z.tobytes()
 
 
 def test_shift_identity_state():
@@ -542,8 +542,8 @@ def test_shift_identity_state():
     ens = _ensemble(sc)
     res = shift_fixed_point(sc, ens, CFG.updated(n_windows=1))
     t = res.m_y.times()
-    target = ens.levels[:, :, 0] + (1.0 - t)[None, :]
-    err = np.max(np.mean(np.abs(res.y.values[:, :, 0] - target), axis=0))
+    target = ens.node_levels[:, :, 0] + (1.0 - t)[:, None]
+    err = np.max(np.mean(np.abs(res.y.values[:, :, 0] - target), axis=1))
     assert err < 0.03
 
 
@@ -577,7 +577,7 @@ def test_shift_fixed_point_on_split_example():
     assert np.all(np.isfinite(res.m_y.values))
     # terminal slice reproduces the data
     xi = sc.terminal_values(ens.state(cfg.n_steps))
-    np.testing.assert_array_equal(res.y.values[:, -1, :], xi)
+    np.testing.assert_array_equal(res.y.values[-1], xi)
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +593,8 @@ def test_multidim_solve_shapes_and_convergence():
     res = multidim_solve(sc, ens, cfg)
     trace = res.trace[0] if isinstance(res.trace, list) else res.trace
     assert trace.converged
-    assert res.y.values.shape == (cfg.n_paths, cfg.n_steps + 1, 2)
-    assert res.z.values.shape == (cfg.n_paths, cfg.n_steps + 1, 2, 2)
+    assert res.y.values.shape == (cfg.n_steps + 1, cfg.n_paths, 2)
+    assert res.z.values.shape == (cfg.n_steps + 1, cfg.n_paths, 2, 2)
 
 
 def test_multidim_requires_lipschitz_split():
@@ -840,7 +840,8 @@ _TINY_RUNS = {
 def _tiny_run(selector, **changes):
     name, settings = _TINY_RUNS[selector]
     sc, cfg = _shipped(name)
-    cfg = cfg.updated(n_steps=8, n_paths=500, override_epsilon=True, **settings, **changes)
+    cfg = cfg.updated(**{"n_steps": 8, "n_paths": 500, "override_epsilon": True,
+                         **settings, **changes})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # windows wider than certified
         return _SOLVERS[selector](sc, _ensemble(sc, cfg), cfg)
@@ -858,7 +859,7 @@ def test_within_certified_ball_compares_the_report_with_the_certificate(selector
     flag = res.flags["within_certified_ball"]
     assert type(flag) is bool
     rep, cert = res.diagnostics, res.certificate
-    assert rep.sup_y == sup_norm(np.swapaxes(res.y.values, 0, 1))
+    assert rep.sup_y == sup_norm(res.y.values)
     assert flag == (rep.sup_y <= cert.ball_radius and rep.bmo2_z <= cert.chain.A)
 
 
@@ -868,6 +869,25 @@ def test_envelope_rate_is_taken_once_from_the_solved_state(selector):
     rate = check_alpha_envelope(res.y, res.certificate.alpha_envelope)
     assert res.flags["alpha_envelope_rate"] == rate
     assert res.diagnostics.alpha_violation_rate == rate
+
+
+@pytest.mark.parametrize("n_windows", [1, 2])
+@pytest.mark.parametrize("selector", sorted(_SOLVERS))
+def test_process_grids_are_node_major_and_contiguous(selector, n_windows, monkeypatch):
+    # (nodes, paths, ...) and C-contiguous for every selector; a lone
+    # window's integrand is the last sweep's own array, and so is its state
+    # unless a mean shift moved it
+    sweeps = _record_sweeps(monkeypatch)
+    res = _tiny_run(selector, n_windows=n_windows)
+    L, P = 9, 500
+    assert res.y.values.shape == (L, P, *res.m_y.values.shape[1:])
+    assert res.z.values.shape == (L, P, *res.m_z.values.shape[1:])
+    assert res.y.values.flags.c_contiguous and res.z.values.flags.c_contiguous
+    if len(res.windows) == 1:
+        last = sweeps[-1][2]
+        assert np.shares_memory(res.z.values, last.z)
+        shifted = selector in ("shift", "multidim")
+        assert np.shares_memory(res.y.values, last.y) != shifted
 
 
 def test_picard_record_has_no_per_step_envelope_rates():

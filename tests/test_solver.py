@@ -327,7 +327,7 @@ def test_zero_driver_recovers_martingale(ensemble50):
     info = _frozen_mean_sweep(sc, ensemble50, CFG)
     assert info.y.shape == (51, ensemble50.n_paths, 1)
     assert info.z.shape == (51, ensemble50.n_paths, 1, 1)
-    w = ensemble50.levels[:, :, 0].T
+    w = ensemble50.node_levels[:, :, 0]
     err = np.max(np.mean(np.abs(info.y[:, :, 0] - w), axis=1))
     assert err < 0.02
     m_z = info.z.mean(axis=1)
