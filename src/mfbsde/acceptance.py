@@ -1,17 +1,23 @@
 """Acceptance criteria: one callable per criterion, shared by the test
 suite and the ``validate`` CLI command.
 
-Each criterion returns a :class:`CriterionResult` with a machine-readable
-pass/fail, its runtime, its tolerances as ``{key: value}``, and enough
-detail to see *why* it passed or failed.  The tolerances are constants of
-this module: nothing outside it, no flag or environment variable, can move
-them.  Heavy runs shared between criteria are cached module-wide.
+Each criterion is a check registered with ``_criterion``, which declares
+its runtime budget and its tolerances once, at the registration.  One
+runner times the whole check, judges it against its budget, and returns a
+:class:`CriterionResult` with a machine-readable pass/fail, its runtime,
+its tolerances as ``{key: value}``, and enough detail to see *why* it
+passed or failed.  A check that raises a library error is a recorded
+failure, with the error under ``details["error"]``, not an aborted run.
+The tolerances are constants of this module: nothing outside it, no flag
+or environment variable, can move them.  Heavy runs shared between
+criteria are cached module-wide.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import tempfile
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -22,6 +28,7 @@ from . import oracle
 from .certificates import build_chain, certify, ode_bound
 from .config import manifest_for, write_result_csv
 from .core import Window, build_grid, simulate_brownian
+from .errors import MFBSDEError
 from .meanfield import global_solve, local_solve, multidim_solve, picard_global, shift_fixed_point
 from .scenario import (
     FORM_SPLIT_QUADRATIC,
@@ -86,17 +93,58 @@ def _plain(obj):
 
 
 # ---------------------------------------------------------------------------
+# the criterion frame
+# ---------------------------------------------------------------------------
+
+CRITERIA: dict = {}
+
+
+def _criterion(cid: int, name: str, limit: float | None = None, **tolerances):
+    """Register a check as criterion ``cid``, with its runtime budget
+    ``limit`` (seconds, or None) and its tolerances, declared here once.
+
+    The check receives the tolerances as keyword arguments and returns
+    ``(passed, details)``.  The registered runner times the whole check,
+    fails it when the runtime reaches ``limit``, records a raised library
+    error as a failure with ``details["error"]``, and reports the
+    tolerances as given."""
+
+    def register(check):
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            try:
+                passed, details = check(**tolerances)
+            except MFBSDEError as exc:
+                passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
+            runtime = time.perf_counter() - t0
+            passed = bool(passed) and (limit is None or runtime < limit)
+            return CriterionResult(cid, name, passed, runtime, limit, details, dict(tolerances))
+
+        run.__name__ = run.__qualname__ = check.__name__
+        CRITERIA[cid] = run
+        return run
+
+    return register
+
+
+def run_criterion(cid: int) -> CriterionResult:
+    if cid not in CRITERIA:
+        raise KeyError(f"no criterion {cid}")
+    return CRITERIA[cid]()
+
+
+# ---------------------------------------------------------------------------
 # criterion 1: certificate algebra on random parameter tuples
 # ---------------------------------------------------------------------------
 
 
-def criterion_1() -> CriterionResult:
-    tols = {"c1_linear_identity": 1e-12, "c1_root_identity": 1e-10}
-    t_linear = tols["c1_linear_identity"]
-    t_root = tols["c1_root_identity"]
+@_criterion(
+    1, "certificate algebra on 1000 random parameter tuples", limit=1.0,
+    c1_linear_identity=1e-12, c1_root_identity=1e-10,
+)
+def criterion_1(c1_linear_identity, c1_root_identity):
     rng = np.random.default_rng(20240819)
     n_tuples = 1000
-    t0 = time.perf_counter()
     worst_lin = 0.0
     worst_root = 0.0
     min_delta = math.inf
@@ -115,29 +163,19 @@ def criterion_1() -> CriterionResult:
         worst_root = max(worst_root, ch.root_residual)
         if ch.A > ch.A_ceiling * (1.0 + 1e-12):
             ceiling_ok = False
-    runtime = time.perf_counter() - t0
     passed = (
         min_delta >= 0.0
-        and worst_lin <= t_linear
-        and worst_root <= t_root
+        and worst_lin <= c1_linear_identity
+        and worst_root <= c1_root_identity
         and ceiling_ok
-        and runtime < 1.0
     )
-    return CriterionResult(
-        1,
-        "certificate algebra on 1000 random parameter tuples",
-        passed,
-        runtime,
-        1.0,
-        details={
-            "tuples": n_tuples,
-            "min_discriminant": min_delta,
-            "max_linear_identity_error": worst_lin,
-            "max_root_identity_residual": worst_root,
-            "root_ceiling_respected": ceiling_ok,
-        },
-        tolerances=tols,
-    )
+    return passed, {
+        "tuples": n_tuples,
+        "min_discriminant": min_delta,
+        "max_linear_identity_error": worst_lin,
+        "max_root_identity_residual": worst_root,
+        "root_ceiling_respected": ceiling_ok,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +211,11 @@ def _rk4_envelope(ctilde: np.ndarray, T: np.ndarray, n_steps: int, n_out: int):
     return out
 
 
-def criterion_2() -> CriterionResult:
-    tols = {"c2_sup_error": 1e-8}
-    t_sup = tols["c2_sup_error"]
-    t0 = time.perf_counter()
+@_criterion(
+    2, "ODE envelope closed form vs fourth-order integration", limit=1.0,
+    c2_sup_error=1e-8,
+)
+def criterion_2(c2_sup_error):
     combos = [(c, T) for c in (0.5, 1.0, 2.0) for T in (0.5, 1.0, 2.0)]
     cs = np.array([c for c, _ in combos])
     Ts = np.array([T for _, T in combos])
@@ -189,17 +228,7 @@ def criterion_2() -> CriterionResult:
         t_nodes = T * (1.0 - np.linspace(0.0, 1.0, n_out + 1))
         closed = fn(t_nodes)
         worst = max(worst, float(np.max(np.abs(closed - numeric[:, j].astype(np.float64)))))
-    runtime = time.perf_counter() - t0
-    passed = worst <= t_sup and runtime < 1.0
-    return CriterionResult(
-        2,
-        "ODE envelope closed form vs fourth-order integration",
-        passed,
-        runtime,
-        1.0,
-        details={"combos": combos, "sup_error": worst},
-        tolerances=tols,
-    )
+    return worst <= c2_sup_error, {"combos": combos, "sup_error": worst}
 
 
 # ---------------------------------------------------------------------------
@@ -209,23 +238,14 @@ def criterion_2() -> CriterionResult:
 _C3_SEED = 31003
 
 
-def _c3_setup():
+def _c3_run():
     scenario = linear_scenario(
         a=0.0, b=0.0, c=0.0, dbar=1.0, g=0.0, terminal="w", T=1.0, name="linear-meanz"
     )
     config = SolverConfig(
-        n_steps=100,
-        n_paths=100_000,
-        seed=_C3_SEED,
-        n_windows=4,
-        override_epsilon=True,
-        tol_fp=1e-4,
+        n_steps=100, n_paths=100_000, seed=_C3_SEED, n_windows=4,
+        override_epsilon=True, tol_fp=1e-4,
     )
-    return scenario, config
-
-
-def _c3_run():
-    scenario, config = _c3_setup()
     return scenario, config, global_solve(scenario, _ensemble(scenario, config), config)
 
 
@@ -235,40 +255,27 @@ _c3_cached = functools.cache(_c3_run)
 
 def _c3_csv_bytes(run) -> bytes:
     _, config, result = run
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "c3.csv"
         write_result_csv(out, result, manifest_for("<criterion-3>", "", config, "global"))
-        data = out.read_bytes()
-    return data
+        return out.read_bytes()
 
 
-def criterion_3() -> CriterionResult:
-    tols = {"c3_mean_y": 0.02, "c3_mean_z": 0.03}
-    t_my = tols["c3_mean_y"]
-    t_mz = tols["c3_mean_z"]
-    t0 = time.perf_counter()
+@_criterion(
+    3, "linear mean-integrand problem vs closed form (N=100, 1e5 paths)", limit=60.0,
+    c3_mean_y=0.02, c3_mean_z=0.03,
+)
+def criterion_3(c3_mean_y, c3_mean_z):
     scenario, config, result = _c3_cached()
-    runtime = time.perf_counter() - t0
     times = result.m_y.times()
     my_err = float(np.max(np.abs(result.m_y.values[:, 0] - (scenario.T - times))))
     mz_err = float(np.max(np.abs(result.m_z.values[:, 0, 0] - 1.0)))
-    passed = my_err <= t_my and mz_err <= t_mz and runtime < 60.0
-    return CriterionResult(
-        3,
-        "linear mean-integrand problem vs closed form (N=100, 1e5 paths)",
-        passed,
-        runtime,
-        60.0,
-        details={
-            "sup_error_mean_y": my_err,
-            "sup_error_mean_z": mz_err,
-            "windows": result.windows,
-            "iterations_per_window": [t.iterations for t in result.trace],
-        },
-        tolerances=tols,
-    )
+    return my_err <= c3_mean_y and mz_err <= c3_mean_z, {
+        "sup_error_mean_y": my_err,
+        "sup_error_mean_z": mz_err,
+        "windows": result.windows,
+        "iterations_per_window": [t.iterations for t in result.trace],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +283,11 @@ def criterion_3() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_4() -> CriterionResult:
-    tols = {"c4_mean_abs_y": 0.02}
-    t_y = tols["c4_mean_abs_y"]
-    t0 = time.perf_counter()
+@_criterion(
+    4, "mean shift: integrand bit-identical, state matches closed form", limit=60.0,
+    c4_mean_abs_y=0.02,
+)
+def criterion_4(c4_mean_abs_y):
     scenario = ScenarioSpec(
         name="shift-identity",
         n=1,
@@ -295,8 +303,7 @@ def criterion_4() -> CriterionResult:
         forms=frozenset({FORM_SPLIT_QUADRATIC}),
     )
     config = SolverConfig(
-        n_steps=60, n_paths=60_000, seed=31004,
-        override_epsilon=True, n_windows=1,
+        n_steps=60, n_paths=60_000, seed=31004, override_epsilon=True, n_windows=1,
     )
     ensemble = _ensemble(scenario, config)
     result = shift_fixed_point(scenario, ensemble, config)
@@ -308,25 +315,14 @@ def criterion_4() -> CriterionResult:
         window, scenario.terminal_values(ensemble.state(window.hi)),
         lambda i, s, z: f1(s=s, z=z),
     )
-    runtime = time.perf_counter() - t0
-
     z_same = result.z.values.tobytes() == base.z.tobytes()
     times = result.m_y.times()
     target = ensemble.node_levels[:, :, 0] + (scenario.T - times)[:, None]
     err = float(np.max(np.mean(np.abs(result.y.values[:, :, 0] - target), axis=1)))
-    passed = z_same and err <= t_y and runtime < 60.0
-    return CriterionResult(
-        4,
-        "mean shift: integrand bit-identical, state matches closed form",
-        passed,
-        runtime,
-        60.0,
-        details={
-            "z_bitwise_identical": z_same,
-            "sup_mean_abs_error_y": err,
-        },
-        tolerances=tols,
-    )
+    return z_same and err <= c4_mean_abs_y, {
+        "z_bitwise_identical": z_same,
+        "sup_mean_abs_error_y": err,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -340,68 +336,45 @@ _C5_SEED = 31005
 def _c5_runs():
     scenario = example_22()
     config = SolverConfig(
-        n_steps=80,
-        n_paths=40_000,
-        seed=_C5_SEED,
-        tol_fp=1e-3,
-        max_outer=40,
-        n_windows=4,
-        override_epsilon=True,
+        n_steps=80, n_paths=40_000, seed=_C5_SEED, tol_fp=1e-3, max_outer=40,
+        n_windows=4, override_epsilon=True,
     )
     ensemble = _ensemble(scenario, config)
     stitched = global_solve(scenario, ensemble, config)
     return scenario, config, stitched, picard_global(scenario, ensemble, config)
 
 
-def criterion_5() -> CriterionResult:
-    tols = {"c5_extra_relative": 0.01}
-    t_extra = tols["c5_extra_relative"]
-    t0 = time.perf_counter()
+@_criterion(
+    5, "Picard scheme matches the stitched fixed point (time-dependent driver)",
+    c5_extra_relative=0.01,
+)
+def criterion_5(c5_extra_relative):
     scenario, config, stitched, picard = _c5_runs()
-    runtime = time.perf_counter() - t0
     ref = stitched.m_y.values[:, 0]
     other = picard.m_y.values[:, 0]
-    bound = 2.0 * config.tol_fp + t_extra * np.maximum(1.0, np.abs(ref))
+    bound = 2.0 * config.tol_fp + c5_extra_relative * np.maximum(1.0, np.abs(ref))
     gaps = np.abs(ref - other)
     worst = float(np.max(gaps - bound))
-    passed = worst <= 0.0
-    return CriterionResult(
-        5,
-        "Picard scheme matches the stitched fixed point (time-dependent driver)",
-        passed,
-        runtime,
-        None,
-        details={
-            "max_gap": float(np.max(gaps)),
-            "max_gap_minus_bound": worst,
-            "picard_iterations": picard.trace.iterations,
-            "stitched_iterations": [t.iterations for t in stitched.trace],
-        },
-        tolerances=tols,
-    )
+    return worst <= 0.0, {
+        "max_gap": float(np.max(gaps)),
+        "max_gap_minus_bound": worst,
+        "picard_iterations": picard.trace.iterations,
+        "stitched_iterations": [t.iterations for t in stitched.trace],
+    }
 
 
-def criterion_6() -> CriterionResult:
-    tols = {"c6_violation_rate": 0.005}
-    t_rate = tols["c6_violation_rate"]
-    t0 = time.perf_counter()
+@_criterion(
+    6, "ODE envelope violation rate below Monte Carlo tolerance",
+    c6_violation_rate=0.005,
+)
+def criterion_6(c6_violation_rate):
     scenario, config, stitched, picard = _c5_runs()
-    runtime = time.perf_counter() - t0
     rate = float(stitched.flags["alpha_envelope_rate"])
-    passed = rate < t_rate
-    return CriterionResult(
-        6,
-        "ODE envelope violation rate below Monte Carlo tolerance",
-        passed,
-        runtime,
-        None,
-        details={
-            "violation_rate": rate,
-            "ctilde": stitched.certificate.ctilde,
-            "lambda": stitched.certificate.lam,
-        },
-        tolerances=tols,
-    )
+    return rate < c6_violation_rate, {
+        "violation_rate": rate,
+        "ctilde": stitched.certificate.ctilde,
+        "lambda": stitched.certificate.lam,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -415,22 +388,18 @@ def _c7_scenario() -> ScenarioSpec:
     return example_21(alpha=0.5, T=0.5, C=0.25, gamma=1.0)
 
 
-def criterion_7() -> CriterionResult:
-    tols = {"c7_mean_y": 0.02}
-    t_my = tols["c7_mean_y"]
+@_criterion(
+    7, "power-growth driver vs pinned lattice reference", limit=120.0,
+    c7_mean_y=0.02,
+)
+def criterion_7(c7_mean_y):
     fixture = oracle.load_fixture(_FIXTURE_DIR / "ex21_lattice.json")
-    t0 = time.perf_counter()
     scenario = _c7_scenario()
     config = SolverConfig(
-        n_steps=100,
-        n_paths=60_000,
-        seed=_C7_SEED,
-        tol_fp=5e-4,
-        n_windows=2,
+        n_steps=100, n_paths=60_000, seed=_C7_SEED, tol_fp=5e-4, n_windows=2,
         override_epsilon=True,
     )
     result = global_solve(scenario, _ensemble(scenario, config), config)
-    runtime = time.perf_counter() - t0
 
     # compare at the fixture's (coarser) nodes; both grids are uniform on
     # [0, T], so matching times sit at integer index ratios
@@ -438,36 +407,23 @@ def criterion_7() -> CriterionResult:
     fix_t = fixture["times"]
     fix_my = fixture["m_y"]
     idx = np.round(fix_t / scenario.T * (len(times) - 1)).astype(int)
-    aligned = np.abs(times[idx] - fix_t) < 1e-12
+    aligned = bool(np.all(np.abs(times[idx] - fix_t) < 1e-12))
     my_main = result.m_y.values[idx, 0]
     scale = max(1.0, float(np.max(np.abs(fix_my))))
     err = float(np.max(np.abs(my_main - fix_my))) / scale
-    passed = bool(np.all(aligned)) and err <= t_my and runtime < 120.0
-    return CriterionResult(
-        7,
-        "power-growth driver vs pinned lattice reference",
-        passed,
-        runtime,
-        120.0,
-        details={
-            "relative_sup_error_mean_y": err,
-            "fixture_nodes": int(len(fix_t)),
-            "fixture_lattice_steps": fixture["n_steps"],
-            "nodes_aligned": bool(np.all(aligned)),
-        },
-        tolerances=tols,
-    )
+    return aligned and err <= c7_mean_y, {
+        "relative_sup_error_mean_y": err,
+        "fixture_nodes": int(len(fix_t)),
+        "fixture_lattice_steps": fixture["n_steps"],
+        "nodes_aligned": aligned,
+    }
 
 
-def criterion_8() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(8, "contraction ratios below one on the terminal window")
+def criterion_8():
     scenario = _c7_scenario()
     config = SolverConfig(
-        n_steps=100,
-        n_paths=40_000,
-        seed=31008,
-        tol_fp=1e-7,
-        max_outer=25,
+        n_steps=100, n_paths=40_000, seed=31008, tol_fp=1e-7, max_outer=25,
         override_epsilon=True,
     )
     ensemble = _ensemble(scenario, config)
@@ -479,7 +435,6 @@ def criterion_8() -> CriterionResult:
     result = local_solve(
         scenario, ensemble, config, window=window, certificate=cert
     )
-    runtime = time.perf_counter() - t0
     (trace,) = result.trace
     ratios = trace.ratios
     consecutive = 0
@@ -487,22 +442,14 @@ def criterion_8() -> CriterionResult:
     for r in ratios:
         consecutive = consecutive + 1 if r < 1.0 else 0
         best = max(best, consecutive)
-    passed = trace.converged and best >= 3
-    return CriterionResult(
-        8,
-        "contraction ratios below one on the terminal window",
-        passed,
-        runtime,
-        None,
-        details={
-            "ratios": [round(r, 5) for r in ratios],
-            "max_consecutive_below_one": best,
-            "iterations": trace.iterations,
-            "window_width": window.width(ensemble.grid),
-            "certified_width_log": cert.chain.log_eps,
-            "certified_width_underflows": cert.chain.eps_underflow,
-        },
-    )
+    return trace.converged and best >= 3, {
+        "ratios": [round(r, 5) for r in ratios],
+        "max_consecutive_below_one": best,
+        "iterations": trace.iterations,
+        "window_width": window.width(ensemble.grid),
+        "certified_width_log": cert.chain.log_eps,
+        "certified_width_underflows": cert.chain.eps_underflow,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -510,41 +457,28 @@ def criterion_8() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_9() -> CriterionResult:
-    tols = {"c9_mean_ratio": 0.9}
-    t_ratio = tols["c9_mean_ratio"]
-    t0 = time.perf_counter()
+@_criterion(
+    9, "vector split solve: contraction of the state-freezing iteration",
+    c9_mean_ratio=0.9,
+)
+def criterion_9(c9_mean_ratio):
     scenario = example_41()
     config = SolverConfig(
-        n_steps=50,
-        n_paths=30_000,
-        seed=31009,
-        tol_fp=1e-3,
-        max_outer=20,
-        n_windows=1,
+        n_steps=50, n_paths=30_000, seed=31009, tol_fp=1e-3, max_outer=20, n_windows=1,
         override_epsilon=True,
     )
     result = multidim_solve(scenario, _ensemble(scenario, config), config)
-    runtime = time.perf_counter() - t0
     trace = result.trace[0]
     ratios = trace.ratios
     last3 = ratios[-3:]
     avg_last3 = float(np.mean(last3)) if last3 else math.inf
-    passed = trace.converged and trace.iterations <= 20 and avg_last3 < t_ratio
-    return CriterionResult(
-        9,
-        "vector split solve: contraction of the state-freezing iteration",
-        passed,
-        runtime,
-        None,
-        details={
-            "iterations": trace.iterations,
-            "ratios": [round(r, 5) for r in ratios],
-            "avg_last3_ratio": avg_last3,
-            "converged": trace.converged,
-        },
-        tolerances=tols,
-    )
+    passed = trace.converged and trace.iterations <= 20 and avg_last3 < c9_mean_ratio
+    return passed, {
+        "iterations": trace.iterations,
+        "ratios": [round(r, 5) for r in ratios],
+        "avg_last3_ratio": avg_last3,
+        "converged": trace.converged,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -552,40 +486,11 @@ def criterion_9() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_10() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(10, "identical config and seed give byte-identical CSV output")
+def criterion_10():
     # criterion 3's solve (run here if it is not cached) against one fresh
     # solve: two independent runs of the same config and seed
     first = _c3_csv_bytes(_c3_cached())
     second = _c3_csv_bytes(_c3_run())
-    runtime = time.perf_counter() - t0
-    passed = first == second
-    return CriterionResult(
-        10,
-        "identical config and seed give byte-identical CSV output",
-        passed,
-        runtime,
-        None,
-        details={"bytes": len(first), "identical": passed},
-    )
-
-
-CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-}
-
-
-def run_criterion(cid: int) -> CriterionResult:
-    if cid not in CRITERIA:
-        raise KeyError(f"no criterion {cid}")
-    return CRITERIA[cid]()
-
+    identical = first == second
+    return identical, {"bytes": len(first), "identical": identical}

@@ -21,7 +21,7 @@ The chain (for declared constants ``C, gamma, alpha, xi_bound, T``):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,7 +69,14 @@ def beta_const(C: float, alpha: float) -> float:
     if C == 0.0:
         return 0.0
     q = (1.0 + alpha) / (1.0 - alpha)
-    return 0.5 * (1.0 - alpha) * C ** (2.0 / (1.0 - alpha)) * (2.0 * (1.0 + alpha)) ** q
+    try:
+        return 0.5 * (1.0 - alpha) * C ** (2.0 / (1.0 - alpha)) * (2.0 * (1.0 + alpha)) ** q
+    except OverflowError:  # a power beyond doubles: the product in log space
+        return _safe_exp(
+            math.log(0.5 * (1.0 - alpha))
+            + (2.0 / (1.0 - alpha)) * math.log(C)
+            + q * math.log(2.0 * (1.0 + alpha))
+        )
 
 
 def mu_consts(gamma: float, alpha: float) -> tuple[float, float]:
@@ -84,7 +91,13 @@ def mu_const(
 ) -> float:
     """Aggregate constant ``(beta + C*mu1) * gamma^(2/(alpha-1)) + 2*C*mu2``."""
     _check_params(C, gamma, alpha)
-    return (beta + C * mu1) * gamma ** (2.0 / (alpha - 1.0)) + 2.0 * C * mu2
+    lead = beta + C * mu1
+    try:
+        lead *= gamma ** (2.0 / (alpha - 1.0))
+    except OverflowError:  # gamma so small that its power leaves doubles
+        log_lead = math.log(lead) if lead else -math.inf
+        lead = _safe_exp(log_lead + (2.0 / (alpha - 1.0)) * math.log(gamma))
+    return lead + 2.0 * C * mu2
 
 
 def _log_c_delta(
@@ -100,13 +113,18 @@ def _log_c_delta(
         raise InvalidInput("T must be positive")
     if C == 0.0:
         return 0.0
-    e_ct = math.exp(C * T)
-    first = (6.0 / (1.0 - alpha)) * gamma * C * T * e_ct
-    base = (3.0 / (1.0 - alpha)) * gamma * C * e_ct
+    try:
+        e_ct = math.exp(C * T)
+    except OverflowError:  # exp(C*T) beyond doubles: both terms in log space
+        first = _safe_exp(math.log((6.0 / (1.0 - alpha)) * gamma * C * T) + C * T)
+        log_base = math.log((3.0 / (1.0 - alpha)) * gamma * C) + C * T
+    else:
+        first = (6.0 / (1.0 - alpha)) * gamma * C * T * e_ct
+        log_base = math.log((3.0 / (1.0 - alpha)) * gamma * C * e_ct)
     q = (1.0 + alpha) / (1.0 - alpha)
     log_second = (
         math.log(0.5 * (1.0 - alpha))
-        + (2.0 / (1.0 - alpha)) * math.log(base)
+        + (2.0 / (1.0 - alpha)) * log_base
         + q * (math.log(0.5 * (1.0 + alpha)) - log_delta)
         + math.log(T)
     )
@@ -158,11 +176,7 @@ class ConstantChain:
     root_residual: float              # relative residual of k + m*eps/(1-delta*A) = A/4
 
     def as_dict(self) -> dict:
-        out = {}
-        for name in self.__dataclass_fields__:
-            v = getattr(self, name)
-            out[name] = float(v) if isinstance(v, (int, float, np.floating)) else v
-        return out
+        return asdict(self)
 
 
 def build_chain(
@@ -203,9 +217,12 @@ def build_chain(
     cd_large = cd_over or cd > _LARGE_VALUE
 
     if mu > 0.0:
-        log_m = math.log(mu) + log_cd + 3.0 * math.exp(C * T) * gamma * xi_bound / (
-            1.0 - alpha
-        )
+        try:
+            spread = 3.0 * math.exp(C * T) * gamma * xi_bound / (1.0 - alpha)
+        except OverflowError:  # exp(C*T) beyond doubles
+            log_coef = math.log(3.0 * gamma * xi_bound / (1.0 - alpha)) if xi_bound else -math.inf
+            spread = _safe_exp(log_coef + C * T)
+        log_m = math.log(mu) + log_cd + spread
     else:
         log_m = -math.inf
 

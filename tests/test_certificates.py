@@ -201,6 +201,34 @@ def test_moment_constant_overflow_flagged():
     assert ch.eps_underflow and ch.eps == 0.0
 
 
+@pytest.mark.parametrize(
+    "C, gamma, T",
+    [(0.2, 0.4, 1e5), (1e300, 0.4, 1.0), (1.0, 1e-200, 1.0)],
+    ids=["exp(C*T)", "C^2", "gamma^-2"],
+)
+def test_chain_takes_out_of_range_powers_in_log_space(C, gamma, T):
+    # each case puts one power of the chain beyond doubles: the chain is
+    # still built, and reports an underflowed window instead of raising
+    ch = build_chain(C, gamma, 0.0, 1.0, T)
+    assert ch.eps_underflow and ch.eps == 0.0
+    assert ch.log_m == math.inf and ch.eps_branch == "mass-term"
+
+
+def test_out_of_range_powers_saturate():
+    assert beta_const(1e300, 0.0) == math.inf
+    assert mu_const(1.0, 1e-200, 0.0, 1.0, 1.0, 1.0) == math.inf
+    # a vanishing lead factor stays zero however large its scale
+    assert mu_const(0.0, 1e-200, 0.0, 0.0, 1.0, 1.0) == 0.0
+
+
+def test_chain_dict_keeps_its_flags_boolean():
+    d = certify(example_22()).chain.as_dict()
+    assert d["c_delta_overflow"] is False
+    assert d["c_delta_large"] is False
+    assert d["eps_underflow"] is False
+    assert build_chain(0.2, 0.4, 0.0, 1.0, 1e5).as_dict()["c_delta_overflow"] is True
+
+
 # ---------------------------------------------------------------------------
 # scenario-level certificates
 # ---------------------------------------------------------------------------

@@ -165,6 +165,26 @@ def test_certify_writes_reports(tiny_cfg, tmp_path, capsys):
     assert "wrote" in captured
 
 
+@pytest.mark.parametrize("edit", [("T = 1.0", "T = 1e5"), ("C = 0.2", "C = 1e300")],
+                         ids=["T=1e5", "C=1e300"])
+def test_certify_reports_large_constants_as_overflow(edit, tmp_path, capsys):
+    # exp(C*T) and C^2 leave the double range: the chain takes them in log
+    # space and reports an overflowed moment constant and an underflowed width
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "ex22.cfg"
+    text = shipped.read_text()
+    assert f"\n{edit[0]}\n" in text
+    cfg = tmp_path / "ex22.cfg"
+    cfg.write_text(text.replace(f"\n{edit[0]}\n", f"\n{edit[1]}\n"))
+    out = tmp_path / "out"
+    rc = main(["certify", "--config", str(cfg), "--out-dir", str(out)])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    chain = json.loads((out / "ex22_certificate.json").read_text())["chain"]
+    assert chain["c_delta_overflow"] is True
+    assert chain["eps_underflow"] is True
+    assert chain["c_delta_large"] is True
+
+
 def test_solve_writes_outputs(tiny_cfg, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["solve", "--config", str(tiny_cfg), "--out-dir", str(out),
@@ -308,6 +328,28 @@ def test_validate_json_report(tmp_path, capsys):
     rows = json.loads(report.read_text())
     assert len(rows) == 1
     assert rows[0]["criterion"] == 1 and rows[0]["passed"] is True
+
+
+def test_validate_records_a_raising_criterion_as_fail_and_carries_on(
+        tmp_path, capsys, monkeypatch):
+    from mfbsde import acceptance
+    from mfbsde.errors import InfeasibleCertificate
+
+    def refuse(*args):
+        raise InfeasibleCertificate("refused for the test")
+
+    monkeypatch.setattr(acceptance, "build_chain", refuse)
+    report = tmp_path / "v.json"
+    rc = main(["validate", "--criteria", "1,2", "--json", str(report)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL criterion 1:")
+    assert lines[1].startswith("PASS criterion 2:")
+    assert "Traceback" not in err
+    rows = json.loads(report.read_text())
+    assert [(r["criterion"], r["passed"]) for r in rows] == [(1, False), (2, True)]
+    assert rows[0]["details"] == {"error": "InfeasibleCertificate: refused for the test"}
 
 
 def test_validate_json_into_a_missing_directory_exits_2(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import re
 from pathlib import Path
 
+from mfbsde.acceptance import CRITERIA
 from mfbsde.cli import _SOLVERS
 from mfbsde.config import _SOLVER_KEYS
 
@@ -27,3 +28,7 @@ def test_selector_table_lists_the_cli_solvers():
 
 def test_solver_key_table_lists_the_config_keys():
     assert sorted(_first_column("| `[solver]` key |")) == sorted(_SOLVER_KEYS)
+
+
+def test_criteria_table_lists_the_acceptance_criteria():
+    assert sorted(int(c) for c in _first_column("| criterion |")) == sorted(CRITERIA)
