@@ -120,7 +120,11 @@ def _log_c_delta(
         log_base = math.log((3.0 / (1.0 - alpha)) * gamma * C) + C * T
     else:
         first = (6.0 / (1.0 - alpha)) * gamma * C * T * e_ct
-        log_base = math.log((3.0 / (1.0 - alpha)) * gamma * C * e_ct)
+        base = (3.0 / (1.0 - alpha)) * gamma * C * e_ct
+        if base > 0.0:
+            log_base = math.log(base)
+        else:  # gamma * C below doubles: the product in log space
+            log_base = math.log(3.0 / (1.0 - alpha)) + math.log(gamma) + math.log(C) + C * T
     q = (1.0 + alpha) / (1.0 - alpha)
     log_second = (
         math.log(0.5 * (1.0 - alpha))
@@ -356,7 +360,8 @@ def ode_bound(ctilde: float, T: float):
 
     def alpha_fn(t):
         t = np.asarray(t, dtype=np.float64)
-        return -1.0 / 3.0 + coef * np.exp(3.0 * ctilde * (T - t))
+        with np.errstate(over="ignore"):  # beyond doubles the envelope is inf
+            return -1.0 / 3.0 + coef * np.exp(3.0 * ctilde * (T - t))
 
     lam = float(alpha_fn(0.0))
     return alpha_fn, lam

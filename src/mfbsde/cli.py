@@ -12,9 +12,13 @@ Three commands:
     manifest.  Its traces hold one entry per sweep, the first measured
     against the start (the terminal data's path mean with a zero
     integrand), so ``max_outer`` is a budget of sweeps per window, and
-    count each window's z-clamp activations (``clamp_events``).  The
-    summary prints each window's outer iterations and z-clamp activations,
-    and whether the solved pair lies in the certified ball.
+    count each window's z-clamp activations (``clamp_events``), its width
+    in time (``width``) and, for windows sized from measured contraction,
+    the first contraction ratio of the window to its right that chose that
+    width (``ratio``, null otherwise).  The summary prints each window's
+    span, width, choosing ratio (``-`` for none), outer iterations and
+    z-clamp activations, and whether the solved pair lies in the certified
+    ball.
     ``--solver shift`` also covers the deterministic-shift case (``f1`` of
     ``s, z`` only, ``f2`` without the state): two sweeps, the first exact.
 
@@ -182,6 +186,10 @@ def _cmd_solve(args) -> int:
     traces = result.trace if isinstance(result.trace, list) else [result.trace]
     print(f"solver={args.solver} scenario={scenario.name} paths={solver_cfg.n_paths} "
           f"steps={solver_cfg.n_steps} seed={solver_cfg.seed}")
+    print("window spans: " + ", ".join(f"[{lo}, {hi}]" for lo, hi in result.windows))
+    print("window widths: " + ", ".join(f"{t.width:.6g}" for t in traces))
+    print("choosing ratios: " + ", ".join("-" if t.ratio is None else f"{t.ratio:.4g}"
+                                          for t in traces))
     print("iterations per window: " + ", ".join(str(t.iterations) for t in traces))
     print("z-clamp events per window: " + ", ".join(str(t.clamp_events) for t in traces))
     print(f"state mean at t=0: "

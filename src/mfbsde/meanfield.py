@@ -9,7 +9,10 @@ iterate and the windows they iterate it on:
   driver frozen at given curves) to its fixed point on one window, which
   ends at the horizon;
 * ``global_solve`` stitches those window fixed points backward across the
-  horizon;
+  horizon, on ``n_windows`` equal windows, on windows of the certified
+  stitching width, or, when that width is below the grid step, under
+  ``override_epsilon``, on windows sized from the contraction each solved
+  window measured (:func:`_measured_plan`);
 * ``picard_global`` iterates, on the whole horizon as one window, the
   linearised scheme whose source term is the previous iterate's full
   driver increment;
@@ -17,18 +20,24 @@ iterate and the windows they iterate it on:
   leaves the integrand untouched.  ``shift_fixed_point`` and
   ``multidim_solve`` (vector-valued, z-Lipschitz ``f1``) stitch the fixed
   points of one frozen-state map of one sweep per step, and differ only in
-  the state distance (sup or S2).  When ``f1`` reads only ``s, z`` and
-  ``f2`` reads neither ``y`` nor ``ybar``, the first step is the
-  deterministic shift itself and the second confirms it at distance 0.
+  the state distance (sup or S2), on the windows ``global_solve`` would
+  plan.  When ``f1`` reads only ``s, z`` and ``f2`` reads neither ``y``
+  nor ``ybar``, the first step is the deterministic shift itself and the
+  second confirms it at distance 0.
 
-A solver hands the window engine, :func:`_solve`, its windows and its map,
-``make_map(window) -> apply(iterate, sweep)``.  The engine walks the
-windows right to left.  It checks each against the certified width (all
-but Picard's horizon), hands the map a ``sweep(driver)`` that runs the
-window's backward sweep and counts its z-clamp activations on the window's
-:class:`FixedPointTrace`, and iterates the map in one loop,
-:func:`_iterate`, from one start, :func:`_terminal_start`: the terminal
-data's path mean at every node and a zero integrand.  The loop times the
+A solver hands the window engine, :func:`_solve`, its window plan and its
+map, ``make_map(window) -> apply(iterate, sweep)``.  The plan,
+``next_window(hi, last_trace)``, gives the engine the window ending at
+node ``hi`` once the window to its right is solved, so a plan can size
+each window from what the last one measured; a fixed list is a plan that
+ignores the trace.  The engine walks the windows right to left.  It
+checks each against the certified width (all but Picard's horizon), hands
+the map a ``sweep(driver)`` that runs the window's backward sweep and
+counts its z-clamp activations on the window's :class:`FixedPointTrace`
+(which also records the window's width and choosing ratio), and iterates
+the map in one loop, :func:`_iterate`, from one start,
+:func:`_terminal_start`: the terminal data's path mean at every node and a
+zero integrand.  The loop times the
 steps, compares each with its predecessor (the first with the start),
 records the trace, and stops on ``tol_fp``, on divergence
 (:class:`NonContraction`) or on the ``max_outer`` budget of sweeps
@@ -120,6 +129,7 @@ __all__ = [
 
 _ALPHA_RATE_TOLERANCE = 0.005  # flagged when the envelope violation rate exceeds this
 _BLOW_UP = 1e9  # an iterate distance above this is divergence
+_Q_TARGET = 0.05  # first contraction ratio a measured window plan aims at
 
 
 @dataclass
@@ -131,7 +141,10 @@ class FixedPointTrace:
     terminal data's path mean with a zero integrand), each later one
     against the step before, and ``ratios`` has one entry per step after
     the first.  ``clamp_events`` counts the integrand rows clamped by every
-    sweep."""
+    sweep.  ``width`` is the window's width in time, and ``ratio`` is the
+    first contraction ratio of the window to the right that chose it when
+    the windows are planned from measured contraction (None for fixed
+    plans, for the first window, and after a window without a ratio)."""
 
     y_distances: list[float] = field(default_factory=list)
     z_distances: list[float] = field(default_factory=list)
@@ -140,6 +153,8 @@ class FixedPointTrace:
     wall_times: list[float] = field(default_factory=list)
     clamp_events: int = 0
     converged: bool = False
+    width: float = 0.0
+    ratio: float | None = None
 
     @property
     def iterations(self) -> int:
@@ -338,11 +353,19 @@ def _iterate(step, distance, state, trace, config, context: str):
 # ---------------------------------------------------------------------------
 
 
-def _solve(scenario, ensemble, config, cert, windows, make_map, distance, context,
+def _solve(scenario, ensemble, config, cert, plan, make_map, distance, context,
            check_width: bool = True) -> SolveResult:
-    """Fixed points of one map on adjacent ``windows``, the last ending at
-    the horizon, solved right to left and finalised once.
+    """Fixed points of one map on adjacent windows, the first ending at the
+    horizon, chosen right to left by ``plan`` and finalised once.
 
+    ``plan(hi, last)`` returns the next window, the one ending at node
+    ``hi``, with the ratio that chose it, or None when the solve is done;
+    ``last`` is the trace of the window just solved (None for the first).
+    A fixed plan (:func:`_fixed_plan`) returns its list, and a measured one
+    (:func:`_measured_plan`) sizes each window from ``last``.  Whether a
+    plan goes on past a node does not depend on ``last``, so the engine
+    knows before it solves the first window whether it is the only one,
+    and a plan of several windows ends at node 0.
     ``make_map(window)`` returns the window's map ``apply(it,
     sweep) -> _Iterate``; ``sweep(driver)`` runs the window's backward sweep,
     closed by the terminal data or by the state solved on the window to
@@ -359,12 +382,9 @@ def _solve(scenario, ensemble, config, cert, windows, make_map, distance, contex
     with the certified bound ``A``."""
     solver = BackwardSolver(ensemble, config)
     grid, P, n, d = ensemble.grid, ensemble.n_paths, scenario.n, scenario.d
-    N, lo0 = grid.n_steps, windows[0].lo
-    lone = len(windows) == 1
-    if not lone:
-        y_vals = np.empty((N + 1 - lo0, P, n))
-        z_vals = np.empty((N + 1 - lo0, P, d, n))
+    N = grid.n_steps
     exceeded = False
+    windows: list[Window] = []
     traces: list[FixedPointTrace] = []
 
     # one window's map, and the iterates its staged programs bind, are
@@ -383,23 +403,33 @@ def _solve(scenario, ensemble, config, cert, windows, make_map, distance, contex
                         _terminal_start(terminal, window.n_nodes, d), trace, config,
                         f"{context} on window {(window.lo, window.hi)}")
 
+    planned = plan(N, None)
+    lone = plan(planned[0].lo, None) is None
+    if not lone:
+        y_vals = np.empty((N + 1, P, n))
+        z_vals = np.empty((N + 1, P, d, n))
     terminal = scenario.terminal_values(ensemble.state(N))
-    for w in reversed(windows):
+    while planned is not None:
+        w, ratio = planned
         if check_width:
             exceeded |= _check_window_width(w, ensemble, cert, config)
-        traces.append(FixedPointTrace())
+        windows.append(w)
+        traces.append(FixedPointTrace(width=w.width(grid), ratio=ratio))
         last = fixed_point(w, terminal, traces[-1])
+        planned = plan(w.lo, traces[-1])
         if lone:
             y_vals, z_vals = last.y, last.z
         else:
             # the window to the right already wrote node w.hi: its integrand
             # there is the solved one, not this window's copied last node
             stop = w.hi + 1 if w.hi == N else w.hi
-            y_vals[w.lo - lo0 : stop - lo0] = last.y[: stop - w.lo]
-            z_vals[w.lo - lo0 : stop - lo0] = last.z[: stop - w.lo]
+            y_vals[w.lo : stop] = last.y[: stop - w.lo]
+            z_vals[w.lo : stop] = last.z[: stop - w.lo]
             terminal = last.y[0].copy()
         del last  # a copied window is freed before the next one runs
+    windows.reverse()
     traces.reverse()
+    lo0 = windows[0].lo
 
     ygrid = ProcessGrid(grid=grid, values=y_vals, span=(lo0, N))
     zgrid = ProcessGrid(grid=grid, values=z_vals, span=(lo0, N))
@@ -430,15 +460,48 @@ def _solve(scenario, ensemble, config, cert, windows, make_map, distance, contex
     )
 
 
+def _fixed_plan(windows: list[Window]):
+    """The plan of a fixed list of adjacent windows: the one ending at
+    ``hi``, chosen by no ratio, until the list is done."""
+    by_hi = {w.hi: (w, None) for w in windows}
+    return lambda hi, last: by_hi.get(hi)
+
+
+def _measured_plan(grid):
+    """The plan of windows sized from measured contraction, right to left
+    from the horizon to node 0.
+
+    The first window is one grid step wide.  Each later one is the last
+    window's width times ``clamp(_Q_TARGET / q, 1/2, 2)``, ``q`` the last
+    window's first contraction ratio; a window that converged without a
+    ratio (or at ratio 0) doubles the width.  Widths are in time, and the
+    window starts at the node nearest to its planned start, so it is at
+    least one step wide on any grid and the last one ends at node 0.  The
+    rule reads only the traces, so reruns plan the same windows."""
+    nodes = grid.nodes
+
+    def next_window(hi: int, last: FixedPointTrace | None):
+        if hi == 0:
+            return None
+        if last is None:
+            return Window(hi - 1, hi), None
+        ratio = last.ratios[0] if last.ratios else None
+        factor = min(2.0, max(0.5, _Q_TARGET / ratio)) if ratio else 2.0
+        lo = int(np.argmin(np.abs(nodes[:hi] - (nodes[hi] - factor * last.width))))
+        return Window(lo, hi), ratio
+
+    return next_window
+
+
 # ---------------------------------------------------------------------------
 # frozen-mean map: local fixed point and stitching
 # ---------------------------------------------------------------------------
 
 
-def _frozen_mean_solve(scenario, ensemble, config, cert, windows) -> SolveResult:
-    """Fixed points of the frozen-mean map on ``windows``: each step sweeps
-    once with the driver's mean slots frozen at the previous iterate's mean
-    curves, and the mean distance covers both curves."""
+def _frozen_mean_solve(scenario, ensemble, config, cert, plan) -> SolveResult:
+    """Fixed points of the frozen-mean map on the windows of ``plan``: each
+    step sweeps once with the driver's mean slots frozen at the previous
+    iterate's mean curves, and the mean distance covers both curves."""
 
     def make_map(window: Window):
         def apply(it: _Iterate, sweep) -> _Iterate:
@@ -446,7 +509,7 @@ def _frozen_mean_solve(scenario, ensemble, config, cert, windows) -> SolveResult
 
         return apply
 
-    return _solve(scenario, ensemble, config, cert, windows, make_map,
+    return _solve(scenario, ensemble, config, cert, plan, make_map,
                   _distance(sup_norm, mean_z=True), "local solve")
 
 
@@ -479,10 +542,14 @@ def local_solve(
             f"last node {N} of the grid"
         )
     cert = certificate if certificate is not None else certify(scenario)
-    return _frozen_mean_solve(scenario, ensemble, config, cert, [window])
+    return _frozen_mean_solve(scenario, ensemble, config, cert, _fixed_plan([window]))
 
 
 def _plan_windows(ensemble: PathEnsemble, config: SolverConfig, cert: Certificate):
+    """The plan of a stitched solve: ``n_windows`` equal windows when it is
+    set, else windows of the certified stitching width when that is at
+    least one grid step, else, under ``override_epsilon``, windows sized
+    from measured contraction (:func:`_measured_plan`)."""
     grid = ensemble.grid
     N = grid.n_steps
     if config.n_windows is not None:
@@ -492,12 +559,14 @@ def _plan_windows(ensemble: PathEnsemble, config: SolverConfig, cert: Certificat
             )
         bounds = np.linspace(0, N, config.n_windows + 1).round().astype(int)
         bounds = np.unique(bounds)
-        return [Window(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        return _fixed_plan([Window(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])])
     width = cert.eta if cert.eta > 0.0 else 0.0
     if width < float(np.min(grid.steps)):
+        if config.override_epsilon:
+            return _measured_plan(grid)
         raise WindowTooWide(
             "certified stitching width is below the grid resolution; "
-            "set n_windows together with override_epsilon"
+            "set override_epsilon to size windows from measured contraction"
         )
     windows = []
     hi = N
@@ -507,8 +576,7 @@ def _plan_windows(ensemble: PathEnsemble, config: SolverConfig, cert: Certificat
         lo = min(lo, hi - 1)
         windows.append(Window(lo, hi))
         hi = lo
-    windows.reverse()
-    return windows
+    return _fixed_plan(windows)
 
 
 def global_solve(
@@ -518,9 +586,11 @@ def global_solve(
     certificate: Certificate | None = None,
 ) -> SolveResult:
     """Horizon-wide solve by stitching frozen-mean fixed points window by
-    window, right to left.  Window sizes come from the configuration (or
-    from the certificate's stitching width when it is resolvable on the
-    grid).  Envelope violations are reported in ``flags``, not raised."""
+    window, right to left.  Window sizes come from the configuration, from
+    the certificate's stitching width when it is resolvable on the grid,
+    or else, under ``override_epsilon``, from the contraction each solved
+    window measured (:func:`_plan_windows`).  Envelope violations are
+    reported in ``flags``, not raised."""
     if scenario.f is None:
         raise InvalidInput("global_solve needs a single-generator scenario")
     cert = certificate if certificate is not None else certify(scenario)
@@ -580,8 +650,9 @@ def picard_global(
 
         return apply
 
-    result = _solve(scenario, ensemble, config, cert, [ensemble.grid.full_window()],
-                    make_map, _distance(sup_norm), "global Picard", check_width=False)
+    result = _solve(scenario, ensemble, config, cert,
+                    _fixed_plan([ensemble.grid.full_window()]), make_map,
+                    _distance(sup_norm), "global Picard", check_width=False)
     result.trace = result.trace[0]
     return result
 
@@ -673,7 +744,8 @@ def shift_fixed_point(
     frozen per-path state (so the state slot carries no implicitness), then
     shifts by the tail integral of the mean of ``f2`` evaluated along the
     frozen state and the fresh integrand.  The integrand is never moved by
-    the shift.  Windows follow the configuration, stitched right to left.
+    the shift.  Windows are planned as for :func:`global_solve` and
+    stitched right to left.
     """
     _require_split(scenario, FORM_SPLIT_QUADRATIC, "shift_fixed_point")
     return _frozen_state_solve(scenario, ensemble, config, certificate,

@@ -7,6 +7,7 @@ cannot hide behind shared bugs.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,24 @@ def test_chain_takes_out_of_range_powers_in_log_space(C, gamma, T):
     ch = build_chain(C, gamma, 0.0, 1.0, T)
     assert ch.eps_underflow and ch.eps == 0.0
     assert ch.log_m == math.inf and ch.eps_branch == "mass-term"
+
+
+def test_chain_takes_an_underflowed_moment_base_in_log_space():
+    # (3/(1-alpha)) gamma C exp(C T) underflows to 0: its logarithm is taken
+    # term by term, and the chain reports an underflowed window
+    ch = build_chain(1e-300, 1e-300, 0.0, 1.0, 1.0)
+    assert ch.log_c_delta == 0.0 and ch.c_delta == 1.0 and not ch.c_delta_overflow
+    assert ch.eps_underflow and ch.eps == 0.0
+
+
+def test_ode_envelope_overflows_to_inf_without_a_warning():
+    # exp(3 ctilde T) beyond doubles: the envelope is inf, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha_fn, lam = ode_bound(5.0, 1e5)
+        assert lam == math.inf
+        assert np.isinf(alpha_fn(np.array([0.0, 1.0]))).all()
+        assert float(alpha_fn(1e5)) == 5.0
 
 
 def test_out_of_range_powers_saturate():

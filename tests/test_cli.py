@@ -1,7 +1,9 @@
 """Command line interface: exit codes, outputs, and overrides."""
 
 import json
+import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -185,6 +187,37 @@ def test_certify_reports_large_constants_as_overflow(edit, tmp_path, capsys):
     assert chain["c_delta_large"] is True
 
 
+def test_certify_reports_an_underflowed_moment_base(tmp_path, capsys):
+    # gamma * C underflows doubles: the chain is built in log space and
+    # reports an underflowed width, with no traceback
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "ex22.cfg"
+    text = shipped.read_text()
+    cfg = tmp_path / "ex22.cfg"
+    cfg.write_text(text.replace("\nC = 0.2\n", "\nC = 1e-300\n")
+                   .replace("\ngamma = 0.4\n", "\ngamma = 1e-300\n"))
+    out = tmp_path / "out"
+    rc = main(["certify", "--config", str(cfg), "--out-dir", str(out)])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    chain = json.loads((out / "ex22_certificate.json").read_text())["chain"]
+    assert chain["C"] == chain["gamma"] == 1e-300
+    assert chain["eps_underflow"] is True
+
+
+def test_certify_on_a_huge_horizon_warns_nothing(tmp_path, capsys):
+    # exp overflows in the ODE envelope on purpose: lambda = inf, no warning
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "ex22.cfg"
+    cfg = tmp_path / "ex22.cfg"
+    cfg.write_text(shipped.read_text().replace("\nT = 1.0\n", "\nT = 1e5\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["certify", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    payload = json.loads((tmp_path / "out" / "ex22_certificate.json").read_text())
+    assert payload["lambda"] == math.inf
+
+
 def test_solve_writes_outputs(tiny_cfg, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["solve", "--config", str(tiny_cfg), "--out-dir", str(out),
@@ -226,6 +259,29 @@ def test_solve_summary_prints_the_clamp_counts_of_the_json(tmp_path, capsys):
     assert f"z-clamp events per window: {counts[0]}, {counts[1]}" in lines
     iterations = [t["iterations"] for t in trace]
     assert f"iterations per window: {iterations[0]}, {iterations[1]}" in lines
+
+
+def test_solve_summary_prints_the_planned_windows_of_the_json(tmp_path, capsys):
+    # ex41.cfg sets no n_windows: the windows are planned from measured
+    # contraction, and the summary prints each one's span, width and
+    # choosing ratio as the result JSON records them
+    config = Path(__file__).resolve().parents[1] / "configs" / "ex41.cfg"
+    with pytest.warns(RuntimeWarning, match="exceeds the certified width"):
+        rc = main(["solve", "--config", str(config), "--solver", "multidim",
+                   "--paths", "500", "--steps", "10", "--out-dir", str(tmp_path),
+                   "--prefix", "planned"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    record = json.loads((tmp_path / "planned_result.json").read_text())
+    windows, trace = record["windows"], record["trace"]
+    assert len(windows) > 1 and trace[-1]["ratio"] is None
+    assert all(t["ratio"] is not None for t in trace[:-1])
+    assert "window spans: " + ", ".join(f"[{lo}, {hi}]" for lo, hi in windows) in lines
+    assert "window widths: " + ", ".join(f"{t['width']:.6g}" for t in trace) in lines
+    assert "choosing ratios: " + ", ".join(
+        "-" if t["ratio"] is None else f"{t['ratio']:.4g}" for t in trace) in lines
+    assert "iterations per window: " + ", ".join(
+        str(t["iterations"]) for t in trace) in lines
 
 
 def test_exhausted_outer_budget_exits_1(tmp_path, capsys, monkeypatch):

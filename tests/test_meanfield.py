@@ -255,9 +255,12 @@ def test_split_solvers_check_every_window_width(solve, config):
     cfg = cfg.updated(n_paths=500, n_steps=10)
     ens = _ensemble(scenario, cfg)
     with pytest.raises(WindowTooWide, match="exceeds the certified width"):
-        solve(scenario, ens, cfg.updated(override_epsilon=False))
+        solve(scenario, ens, cfg.updated(override_epsilon=False, n_windows=2))
+    # under the override, ex41.cfg plans its windows from measured
+    # contraction, and every planned window is checked too
     with pytest.warns(RuntimeWarning, match="exceeds the certified width") as record:
         res = solve(scenario, ens, cfg)
+    assert len(res.windows) > 1
     width_warnings = [w for w in record if "exceeds the certified width" in str(w.message)]
     assert [w.filename for w in width_warnings] == [__file__] * len(res.windows)
     assert res.flags["window_exceeds_certificate"] is True
@@ -284,13 +287,97 @@ def test_window_too_wide_without_override():
         local_solve(sc, ens, CFG.updated(override_epsilon=False))
 
 
-def test_stitching_needs_explicit_windows_when_width_degenerates():
-    # the certified stitching width underflows for these constants, so the
-    # planner cannot lay out windows on its own even under the override
+def test_stitching_plans_windows_from_contraction_when_width_degenerates():
+    # the certified stitching width underflows for these constants: under
+    # the override the windows are sized from measured contraction and
+    # tile [0, N]; without it the solve still refuses
     sc = linear_scenario(dbar=1.0, xi_bound=4.0)
-    ens = _ensemble(sc)
-    with pytest.raises(WindowTooWide):
-        global_solve(sc, ens, CFG)
+    cfg = CFG.updated(n_steps=20, n_paths=2_000)
+    ens = _ensemble(sc, cfg)
+    with pytest.raises(WindowTooWide, match="below the grid resolution"):
+        global_solve(sc, ens, cfg.updated(override_epsilon=False))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # wider than certified
+        a = global_solve(sc, ens, cfg)
+        b = global_solve(sc, _ensemble(sc, cfg), cfg)
+    assert len(a.windows) > 1 and a.windows[0][0] == 0 and a.windows[-1][1] == 20
+    assert all(left[1] == right[0] for left, right in zip(a.windows, a.windows[1:]))
+    assert a.windows == b.windows
+    assert a.y.values.tobytes() == b.y.values.tobytes()
+    assert a.z.values.tobytes() == b.z.values.tobytes()
+
+
+def _trace(width: float, ratios=()) -> FixedPointTrace:
+    return FixedPointTrace(ratios=list(ratios), width=width)
+
+
+def test_measured_plan_width_rule():
+    # synthetic traces on a 20-step grid of step 0.05: the next width is the
+    # last one times clamp(Q / q, 1/2, 2), in time, rounded to a node
+    grid = build_grid(1.0, 20)
+    plan = meanfield._measured_plan(grid)
+    q = meanfield._Q_TARGET
+    # the first window is one grid step, chosen by no ratio
+    assert plan(20, None) == (Window(19, 20), None)
+    # unclamped: four steps at q = Q / 1.5 become six
+    assert plan(20, _trace(0.2, [q / 1.5, 0.9])) == (Window(14, 20), q / 1.5)
+    # clamped at 2 for a ratio far below the target, and at 1/2 far above
+    assert plan(20, _trace(0.2, [q / 100])) == (Window(12, 20), q / 100)
+    assert plan(20, _trace(0.2, [q * 100])) == (Window(18, 20), q * 100)
+    # a window that converged without a ratio (or at ratio 0) doubles it
+    assert plan(20, _trace(0.1)) == (Window(16, 20), None)
+    assert plan(20, _trace(0.1, [0.0])) == (Window(16, 20), 0.0)
+    # at least one step, however small the planned width
+    assert plan(7, _trace(0.05, [q * 100])) == (Window(6, 7), q * 100)
+    # the last window ends at node 0, and the plan is done there
+    assert plan(3, _trace(0.2, [q / 100])) == (Window(0, 3), q / 100)
+    assert plan(0, _trace(0.2, [q])) is None
+
+
+def test_measured_plan_widths_are_in_time_on_a_graded_grid():
+    # steps grow to the right: the same width covers more nodes near t = 0
+    grid = TimeGrid(np.linspace(0.0, 1.0, 21) ** 2)
+    plan = meanfield._measured_plan(grid)
+    w, _ = plan(20, None)
+    assert w == Window(19, 20)
+    width = 0.3
+    for hi in (20, 10):
+        w, _ = plan(hi, _trace(width / 2))  # no ratio: doubles to 0.3
+        target = grid.nodes[hi] - width
+        assert w.hi == hi and w.lo == int(np.argmin(np.abs(grid.nodes[:hi] - target)))
+    assert plan(20, _trace(0.15))[0].n_nodes < plan(10, _trace(0.15))[0].n_nodes
+
+
+def test_planned_ex41_matches_the_one_window_solve():
+    # criterion 5's bound, 2 tol_fp + 1% of |E Y|, against one window; the
+    # traces replay the width rule, and every window records a ratio, so
+    # the leftmost window's last ratios are defined
+    sc, cfg = _shipped("ex41.cfg", n_steps=20, n_paths=2_000)
+    assert cfg.n_windows is None and cfg.override_epsilon
+    ens = _ensemble(sc, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # wider than certified
+        planned = multidim_solve(sc, ens, cfg)
+        rerun = multidim_solve(sc, ens, cfg)
+        one = multidim_solve(sc, ens, cfg.updated(n_windows=1))
+    assert len(planned.windows) > 1 and planned.windows[0][0] == 0
+    ref = one.m_y.values
+    bound = 2 * cfg.tol_fp + 0.01 * np.maximum(1.0, np.abs(ref))
+    assert np.all(np.abs(planned.m_y.values - ref) <= bound)
+    assert planned.y.values.tobytes() == rerun.y.values.tobytes()
+    assert planned.z.values.tobytes() == rerun.z.values.tobytes()
+    plan = meanfield._measured_plan(ens.grid)
+    last = None
+    for (lo, hi), trace in zip(reversed(planned.windows), reversed(planned.trace)):
+        assert plan(hi, last) == (Window(lo, hi), trace.ratio)
+        assert trace.width == Window(lo, hi).width(ens.grid)
+        assert trace.converged and trace.ratios
+        last = trace
+    assert planned.trace[-1].ratio is None
+    record = planned.as_dict()["trace"]
+    assert [(t["width"], t["ratio"]) for t in record] == [
+        (t.width, t.ratio) for t in planned.trace]
+    assert one.trace[0].ratio is None and one.trace[0].width == 1.0
 
 
 def test_local_solve_needs_single_generator():
