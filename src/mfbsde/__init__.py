@@ -9,13 +9,13 @@ The package is organised in layers:
 * :mod:`mfbsde.scenario` — validated problem descriptions plus the built-in
   example families.
 * :mod:`mfbsde.certificates` — the constant chain (window width, fixed-point
-  ball radius, growth envelope) computed in log space.
+  ball radius, growth envelope) computed in one pass over logarithms.
 * :mod:`mfbsde.regression`/:mod:`mfbsde.solver` — the least-squares backward
   solver for a single BSDE sweep.
 * :mod:`mfbsde.meanfield` — frozen-mean fixed points, window stitching,
   global Picard iteration, split and vector-valued solvers.
-* :mod:`mfbsde.oracle` — closed forms and a lattice reference solver used
-  for validation.
+* :mod:`mfbsde.oracle` — the binomial-lattice reference solver and its
+  pinned fixtures, used for validation.
 * :mod:`mfbsde.diagnostics` — path norms, the BMO estimate, envelope checks,
   run reports.
 """

@@ -1,17 +1,19 @@
 """Solvability certificates: explicit constant chains and the ODE envelope.
 
 Quantities such as the exponential moment constant grow doubly
-exponentially in the structure constants, so the chain is evaluated in log
-space wherever overflow is possible.  Overflow and underflow are *reported
-certificate states*, never silent infinities: linear-scale fields carry the
-clipped value together with a flag, and the exact logarithm is always
-available.
+exponentially in the structure constants, so the chain is evaluated in one
+pass over logarithms: every constant is computed from its logarithm, and
+each linear-scale field is the exponential of that logarithm, saturated to
+0 or inf beyond doubles.  Overflow and underflow are *reported certificate
+states*, never silent infinities: linear-scale fields carry the saturated
+value together with a flag, and the logarithm is always available.
 
 The chain (for declared constants ``C, gamma, alpha, xi_bound, T``):
 
 * ``beta``: envelope rate from the power-growth Young estimate,
 * ``mu1, mu2, mu``: coefficients of the quadratic-variation estimate,
-* ``c_delta``: exponential moment constant for a chosen margin ``delta``,
+* ``c_delta``: exponential moment constant for the canonical margin
+  ``delta``,
 * ``delta, eps``: canonical margin and certified window width,
 * ``A``: the smaller root of ``delta*A^2 - (1 + 4*k*delta)*A + 4*k +
   4*m*eps = 0`` with ``k = gamma^-2 * exp(gamma*xi_bound)``; the fixed-point
@@ -29,9 +31,6 @@ from .errors import InfeasibleCertificate, InvalidInput
 from .scenario import FORM_QUAD_GROWTH, FORM_SPLIT_LIPSCHITZ, ScenarioSpec
 
 __all__ = [
-    "beta_const",
-    "mu_consts",
-    "mu_const",
     "ode_bound",
     "ConstantChain",
     "build_chain",
@@ -45,13 +44,9 @@ _SPOT_SAMPLES = 256  # random driver evaluations per spot check
 _SPOT_SEED = 0
 
 
-def _safe_exp(log_value: float) -> float:
-    """exp with saturation: inf above the double range, 0.0 below it."""
-    if log_value > _LOG_MAX:
-        return math.inf
-    if log_value < -745.0:
-        return 0.0
-    return math.exp(log_value)
+def _exp(log_value: float) -> float:
+    """exp saturated to inf above the double range (and 0.0 below it)."""
+    return math.inf if log_value > _LOG_MAX else math.exp(log_value)
 
 
 def _check_params(C: float, gamma: float, alpha: float) -> None:
@@ -63,76 +58,13 @@ def _check_params(C: float, gamma: float, alpha: float) -> None:
         raise InvalidInput("alpha must lie in [0, 1)")
 
 
-def beta_const(C: float, alpha: float) -> float:
-    """Envelope rate ``(1-alpha)/2 * C^(2/(1-alpha)) * (2(1+alpha))^((1+alpha)/(1-alpha))``."""
-    _check_params(C, 1.0, alpha)
-    if C == 0.0:
+def _spread(C: float, gamma: float, alpha: float, xi_bound: float, T: float) -> float:
+    """The terminal spread ``3*exp(C*T)*gamma*xi_bound/(1-alpha)`` in the
+    exponent of the mass constant ``m``: 0 for ``xi_bound = 0``, even where
+    ``exp(C*T)`` leaves doubles."""
+    if xi_bound == 0.0:
         return 0.0
-    q = (1.0 + alpha) / (1.0 - alpha)
-    try:
-        return 0.5 * (1.0 - alpha) * C ** (2.0 / (1.0 - alpha)) * (2.0 * (1.0 + alpha)) ** q
-    except OverflowError:  # a power beyond doubles: the product in log space
-        return _safe_exp(
-            math.log(0.5 * (1.0 - alpha))
-            + (2.0 / (1.0 - alpha)) * math.log(C)
-            + q * math.log(2.0 * (1.0 + alpha))
-        )
-
-
-def mu_consts(gamma: float, alpha: float) -> tuple[float, float]:
-    """Pair ``(mu1, mu2)`` of quadratic-variation coefficients."""
-    _check_params(0.0, gamma, alpha)
-    common = 1.0 + (1.0 - alpha) / ((1.0 + alpha) * gamma)
-    return (1.0 - alpha) * common, 0.5 * (1.0 + alpha) * common
-
-
-def mu_const(
-    C: float, gamma: float, alpha: float, beta: float, mu1: float, mu2: float
-) -> float:
-    """Aggregate constant ``(beta + C*mu1) * gamma^(2/(alpha-1)) + 2*C*mu2``."""
-    _check_params(C, gamma, alpha)
-    lead = beta + C * mu1
-    try:
-        lead *= gamma ** (2.0 / (alpha - 1.0))
-    except OverflowError:  # gamma so small that its power leaves doubles
-        log_lead = math.log(lead) if lead else -math.inf
-        lead = _safe_exp(log_lead + (2.0 / (alpha - 1.0)) * math.log(gamma))
-    return lead + 2.0 * C * mu2
-
-
-def _log_c_delta(
-    C: float, gamma: float, alpha: float, T: float, log_delta: float
-) -> float:
-    """Logarithm of the exponential-moment constant, with the margin passed
-    in log scale so that margins below the double range stay computable.
-    The second term is itself an exponential in ``-log_delta`` and is
-    saturated to inf when it leaves the double range (the chain then
-    reports an underflowed window)."""
-    _check_params(C, gamma, alpha)
-    if not (T > 0.0):
-        raise InvalidInput("T must be positive")
-    if C == 0.0:
-        return 0.0
-    try:
-        e_ct = math.exp(C * T)
-    except OverflowError:  # exp(C*T) beyond doubles: both terms in log space
-        first = _safe_exp(math.log((6.0 / (1.0 - alpha)) * gamma * C * T) + C * T)
-        log_base = math.log((3.0 / (1.0 - alpha)) * gamma * C) + C * T
-    else:
-        first = (6.0 / (1.0 - alpha)) * gamma * C * T * e_ct
-        base = (3.0 / (1.0 - alpha)) * gamma * C * e_ct
-        if base > 0.0:
-            log_base = math.log(base)
-        else:  # gamma * C below doubles: the product in log space
-            log_base = math.log(3.0 / (1.0 - alpha)) + math.log(gamma) + math.log(C) + C * T
-    q = (1.0 + alpha) / (1.0 - alpha)
-    log_second = (
-        math.log(0.5 * (1.0 - alpha))
-        + (2.0 / (1.0 - alpha)) * log_base
-        + q * (math.log(0.5 * (1.0 + alpha)) - log_delta)
-        + math.log(T)
-    )
-    return first + _safe_exp(log_second)
+    return _exp(math.log(3.0 / (1.0 - alpha)) + C * T + math.log(gamma) + math.log(xi_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +102,7 @@ class ConstantChain:
     log_eps: float
     eps_branch: str
     eps_underflow: bool
-    m_eps: float              # m * eps, computed branch-aware
+    m_eps: float              # m * eps, as r * k with r = m*eps/k
     Delta: float
     sqrt_Delta: float
     A: float
@@ -191,10 +123,11 @@ def build_chain(
     The window width is the minimum of the Lipschitz term
     ``exp(-C*T)/(3C)``, the mass term ``k / (8*m)`` with
     ``m = mu * c_delta * exp(3*exp(C*T)*gamma*xi/(1-alpha))``, and the
-    horizon ``T`` itself.  The product ``m*eps`` is reconstructed from the
-    binding branch rather than from the (possibly underflowed) linear
-    ``eps``, which keeps the discriminant identities exact even when the
-    constants overflow doubles.
+    horizon ``T`` itself.  Every constant is taken as a logarithm, so the
+    chain holds at any scale, and the root is solved through the ratio
+    ``r = m*eps/k`` (:func:`_solve_root`), which is ``1/8`` exactly where
+    the mass term binds.  Without a growth constant (``C = 0``) there is
+    no moment exponent and no mass term.
     """
     _check_params(C, gamma, alpha)
     if xi_bound < 0.0:
@@ -202,82 +135,58 @@ def build_chain(
     if not (T > 0.0):
         raise InvalidInput("T must be positive")
 
-    beta = beta_const(C, alpha)
-    mu1, mu2 = mu_consts(gamma, alpha)
-    mu = mu_const(C, gamma, alpha, beta, mu1, mu2)
+    p, q = 2.0 / (1.0 - alpha), (1.0 + alpha) / (1.0 - alpha)
+    log_C = math.log(C) if C > 0.0 else -math.inf
+    log_gamma, log_T = math.log(gamma), math.log(T)
 
-    log_delta = math.log(0.125) + 2.0 * math.log(gamma) - gamma * xi_bound
-    log_k = gamma * xi_bound - 2.0 * math.log(gamma)
-    if -700.0 < log_delta < 700.0:
-        delta = 0.125 * gamma**2 * math.exp(-gamma * xi_bound)
-        k = math.exp(gamma * xi_bound) / gamma**2
-    else:
-        delta = _safe_exp(log_delta)
-        k = _safe_exp(log_k)
+    # beta = (1-alpha)/2 * C^p * (2(1+alpha))^q; mu1 = (1-alpha)*c and
+    # mu2 = (1+alpha)/2 * c with c = 1 + (1-alpha)/((1+alpha)*gamma);
+    # mu = (beta + C*mu1) * gamma^-p + 2*C*mu2
+    log_beta = math.log(0.5 * (1.0 - alpha)) + p * log_C + q * math.log(2.0 * (1.0 + alpha))
+    log_c = float(np.logaddexp(0.0, math.log((1.0 - alpha) / (1.0 + alpha)) - log_gamma))
+    log_mu = float(np.logaddexp(
+        np.logaddexp(log_beta, log_C + math.log(1.0 - alpha) + log_c) - p * log_gamma,
+        log_C + math.log(1.0 + alpha) + log_c,
+    ))
 
-    log_cd = _log_c_delta(C, gamma, alpha, T, log_delta)
-    cd_over = log_cd > _LOG_MAX
-    cd = math.inf if cd_over else math.exp(log_cd)
-    cd_large = cd_over or cd > _LARGE_VALUE
+    # delta = gamma^2 exp(-gamma*xi) / 8 and k = exp(gamma*xi) / gamma^2, so
+    # delta*k = 1/8; the margin is squared from its root, which keeps it
+    # exact where it is a power of two
+    log_k = gamma * xi_bound - 2.0 * log_gamma
+    log_delta = math.log(0.125) - log_k
+    root_delta = gamma * math.exp(-0.5 * gamma * xi_bound)
+    delta, k = root_delta * root_delta / 8.0, _exp(log_k)
 
-    if mu > 0.0:
-        try:
-            spread = 3.0 * math.exp(C * T) * gamma * xi_bound / (1.0 - alpha)
-        except OverflowError:  # exp(C*T) beyond doubles
-            log_coef = math.log(3.0 * gamma * xi_bound / (1.0 - alpha)) if xi_bound else -math.inf
-            spread = _safe_exp(log_coef + C * T)
-        log_m = math.log(mu) + log_cd + spread
-    else:
-        log_m = -math.inf
-
-    log_term1 = (-C * T) - math.log(3.0 * C) if C > 0.0 else math.inf
-    if log_m == math.inf:
-        # moment constant beyond any floating scale: the mass term binds
-        log_term2 = -math.inf
-    elif math.isfinite(log_m):
-        log_term2 = log_k - math.log(8.0) - log_m
-    else:  # mu == 0, i.e. C == 0: no mass term at all
-        log_term2 = math.inf
-    log_T = math.log(T)
-
-    candidates = [
-        (log_term1, BRANCH_LIPSCHITZ),
-        (log_term2, BRANCH_MASS),
-        (log_T, BRANCH_HORIZON),
-    ]
-    log_eps, branch = min(candidates, key=lambda p: p[0])
-    # exp(log(T)) can land one ulp above T; the horizon branch is T itself
-    eps = T if branch == BRANCH_HORIZON else _safe_exp(log_eps)
-    underflow = eps == 0.0
-
-    if branch == BRANCH_MASS:
-        # binding mass term: m*eps collapses to k/8 identically
-        m_eps = k / 8.0
-    elif not math.isfinite(log_m):
-        m_eps = 0.0
-    else:
-        m_eps = _safe_exp(log_m + log_eps)
-
-    if math.isfinite(k) and log_delta > -600.0:
-        Delta, sqrtD, A, one_direct, one_closed, resid = _solve_root_canonical(
-            delta, k, m_eps
+    if C > 0.0:
+        # log c_delta = 2T*b + (1-alpha)/2 * b^p * ((1+alpha)/(2 delta))^q * T
+        # with b = 3/(1-alpha) * gamma * C * exp(C*T), whose log is summed
+        # exactly: p amplifies its rounding
+        log_b = math.fsum((math.log(3.0 / (1.0 - alpha)), log_gamma, log_C, C * T))
+        log_c_delta = _exp(math.log(2.0) + log_b + log_T) + _exp(
+            math.log(0.5 * (1.0 - alpha))
+            + p * log_b
+            + q * (math.log(0.5 * (1.0 + alpha)) - log_delta)
+            + log_T
         )
-    elif branch == BRANCH_MASS:
-        # extreme scale, saturated root: delta*k = 1/8 identically, so the
-        # discriminant vanishes and the smaller root sits at the ceiling
-        # A = 6k; the residual of k + m*eps/(1 - delta*A) = A/4 is zero by
-        # the same identity
-        Delta, sqrtD = 0.0, 0.0
-        A = _safe_exp(math.log(6.0) + log_k)
-        one_direct = one_closed = 0.25
-        resid = 0.0
+        log_m = log_mu + log_c_delta + _spread(C, gamma, alpha, xi_bound, T)
     else:
-        # extreme scale with a vanished mass term: the quadratic reduces to
-        # delta*A^2 - (3/2)*A + 4k = 0 with root A = 4k and 1 - delta*A = 1/2
-        Delta, sqrtD = 0.25, 0.5
-        A = _safe_exp(math.log(4.0) + log_k)
-        one_direct = one_closed = 0.5
-        resid = 0.0
+        log_c_delta, log_m = 0.0, -math.inf
+    c_delta = _exp(log_c_delta)
+
+    # a moment constant beyond any floating scale makes the mass term bind;
+    # it wins ties, so an underflow of both terms leaves r = 1/8 below
+    log_mass = -math.inf if log_m == math.inf else log_k - math.log(8.0) - log_m
+    log_eps, branch = min(
+        (log_mass, BRANCH_MASS),
+        (-C * T - math.log(3.0) - log_C, BRANCH_LIPSCHITZ),
+        (log_T, BRANCH_HORIZON),
+        key=lambda candidate: candidate[0],
+    )
+    # exp(log(T)) can land one ulp above T; the horizon branch is T itself
+    eps = T if branch == BRANCH_HORIZON else _exp(log_eps)
+    # r = m*eps/k = eps/(8 * mass term): exactly 1/8 where the mass term binds
+    r = 0.125 if branch == BRANCH_MASS else 0.125 * _exp(log_eps - log_mass)
+    Delta, sqrt_Delta, A, one_direct, one_closed, residual = _solve_root(r, delta, k)
 
     return ConstantChain(
         C=C,
@@ -285,57 +194,61 @@ def build_chain(
         alpha=alpha,
         xi_bound=xi_bound,
         T=T,
-        beta=beta,
-        mu1=mu1,
-        mu2=mu2,
-        mu=mu,
+        beta=_exp(log_beta),
+        mu1=_exp(math.log(1.0 - alpha) + log_c),
+        mu2=_exp(math.log(0.5 * (1.0 + alpha)) + log_c),
+        mu=_exp(log_mu),
         delta=delta,
         log_delta=log_delta,
         k=k,
         log_k=log_k,
-        log_c_delta=log_cd,
-        c_delta=cd,
-        c_delta_overflow=cd_over,
-        c_delta_large=cd_large,
+        log_c_delta=log_c_delta,
+        c_delta=c_delta,
+        c_delta_overflow=c_delta == math.inf,
+        c_delta_large=c_delta > _LARGE_VALUE,
         log_m=log_m,
         eps=eps,
         log_eps=log_eps,
         eps_branch=branch,
-        eps_underflow=underflow,
-        m_eps=m_eps,
+        eps_underflow=eps == 0.0,
+        m_eps=r * k if r else 0.0,  # no mass term: 0, even where k is inf
         Delta=Delta,
-        sqrt_Delta=sqrtD,
+        sqrt_Delta=sqrt_Delta,
         A=A,
         one_minus_delta_A=one_direct,
         one_minus_delta_A_closed=one_closed,
         A_ceiling=6.0 * k,
-        root_residual=resid,
+        root_residual=residual,
     )
 
 
-def _solve_root_canonical(delta: float, k: float, m_eps: float):
-    """Smaller root of the margin quadratic for the canonical ``delta``.
+def _solve_root(r: float, delta: float, k: float):
+    """Smaller root ``A`` of the margin quadratic, through the ratio
+    ``r = m*eps/k``.
 
-    The canonical margin satisfies ``4*k*delta = 1/2`` exactly in real
-    arithmetic, so ``Delta = 1/4 - 16*delta*m_eps`` and
-    ``A = (3/2 - sqrt(Delta)) / (2*delta)``.  When the mass term binds,
-    ``16*delta*m_eps`` equals ``2*delta*k = 1/4`` up to a couple of ulps;
-    the tiny negative residue is clipped to the exact boundary value 0.
+    The canonical margin has ``delta*k = 1/8``, so the quadratic is
+    ``delta*A^2 - (3/2)*A + 4*k*(1 + r) = 0``, its discriminant is
+    ``Delta = 1/4 - 2*r`` and ``A = 4*k*(3/2 - sqrt(Delta))``; the slack
+    ``1 - delta*A`` is ``(1 + 2*sqrt(Delta))/4`` in closed form.  A window
+    no wider than the certified one has ``r <= 1/8``; a wider one has a
+    negative discriminant and is refused.  Where ``delta*A`` leaves the
+    double range (0 times inf), the direct slack is the closed one.  The
+    residual of ``k + m*eps/(1 - delta*A) = A/4`` is taken relative to
+    ``A/4``, divided through by ``k``.
     """
-    Delta = 0.25 - 16.0 * delta * m_eps
+    Delta = 0.25 - 2.0 * r
     if Delta < 0.0:
-        if Delta > -1e-13:
-            Delta = 0.0
-        else:
-            raise InfeasibleCertificate(
-                f"negative discriminant {Delta:.6g}; window exceeds the certified width"
-            )
-    sqrtD = math.sqrt(Delta)
-    A = (1.5 - sqrtD) / (2.0 * delta)
+        raise InfeasibleCertificate(
+            f"negative discriminant {Delta:.6g}; window exceeds the certified width"
+        )
+    sqrt_Delta = math.sqrt(Delta)
+    A = 4.0 * k * (1.5 - sqrt_Delta)
+    one_closed = 0.25 * (1.0 + 2.0 * sqrt_Delta)
     one_direct = 1.0 - delta * A
-    one_closed = 0.25 * (1.0 + 2.0 * sqrtD)
-    resid = abs(k + m_eps / one_direct - 0.25 * A) / (0.25 * A)
-    return Delta, sqrtD, A, one_direct, one_closed, resid
+    if not math.isfinite(one_direct):
+        one_direct = one_closed
+    residual = abs(1.0 + r / one_direct - (1.5 - sqrt_Delta)) / (1.5 - sqrt_Delta)
+    return Delta, sqrt_Delta, A, one_direct, one_closed, residual
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +378,12 @@ def _ball_radius(chain: ConstantChain) -> tuple[float, float]:
     """Radius ``min(sqrt(A), ceiling)`` where the ceiling solves the
     exponential-transform budget ``phi(r) <= c_delta / (1 - delta*A)`` i.e.
     ``r <= (1-alpha)/(2 gamma) * (log c_delta + 3 e^{CT} gamma xi/(1-alpha)
-    - log(1 - delta A))`` on the log scale."""
+    - log(1 - delta A))`` on the log scale; the spread term enters with a
+    growth constant ``C > 0``, as the mass term does."""
     base = math.sqrt(chain.A)
     budget = chain.log_c_delta
-    if math.isfinite(chain.log_m) and chain.mu > 0.0:
-        budget = chain.log_m - math.log(chain.mu)
+    if chain.C > 0.0:
+        budget += _spread(chain.C, chain.gamma, chain.alpha, chain.xi_bound, chain.T)
     ceiling = (1.0 - chain.alpha) / (2.0 * chain.gamma) * max(
         budget - math.log(chain.one_minus_delta_A), 0.0
     )
@@ -563,9 +477,10 @@ def _spot_check(scenario: ScenarioSpec, samples: int, seed: int) -> dict:
     if not scenario.is_split:
         gen = scenario.generators()[0]
         mag_vals = ev(gen, s, y, ybar, z, zbar)
-        mag_bounds = C * (2.0 + ny + nyb + nzb ** (1.0 + scenario.alpha)) + (
-            0.5 * scenario.gamma * nz**2
-        )
+        with np.errstate(over="ignore"):  # beyond doubles the bound is inf
+            mag_bounds = C * (2.0 + ny + nyb + nzb ** (1.0 + scenario.alpha)) + (
+                0.5 * scenario.gamma * nz**2
+            )
         lip_vals = np.abs(
             ev(gen, s, y, ybar, z, zbar) - ev(gen, s, y2, ybar2, z2, zbar2)
         )

@@ -15,10 +15,11 @@ Three commands:
     count each window's z-clamp activations (``clamp_events``), its width
     in time (``width``) and, for windows sized from measured contraction,
     the first contraction ratio of the window to its right that chose that
-    width (``ratio``, null otherwise).  The summary prints each window's
-    span, width, choosing ratio (``-`` for none), outer iterations and
-    z-clamp activations, and whether the solved pair lies in the certified
-    ball.
+    width (``ratio``, null otherwise), and whether it is wider than the
+    certified width (``exceeds_certificate``, null for Picard's horizon).
+    The summary prints each window's span, width, choosing ratio (``-``
+    for none), outer iterations and z-clamp activations, and whether the
+    solved pair lies in the certified ball.
     ``--solver shift`` also covers the deterministic-shift case (``f1`` of
     ``s, z`` only, ``f2`` without the state): two sweeps, the first exact.
 
@@ -107,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--override-epsilon",
         action="store_true",
-        help="allow windows wider than the certified width (warns instead of failing)",
+        help="allow windows wider than the certified width (recorded on each "
+        "window's trace instead of failing)",
     )
 
     p_val = sub.add_parser("validate", help="run the acceptance criteria")

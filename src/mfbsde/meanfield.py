@@ -34,10 +34,10 @@ ignores the trace.  The engine walks the windows right to left.  It
 checks each against the certified width (all but Picard's horizon), hands
 the map a ``sweep(driver)`` that runs the window's backward sweep and
 counts its z-clamp activations on the window's :class:`FixedPointTrace`
-(which also records the window's width and choosing ratio), and iterates
-the map in one loop, :func:`_iterate`, from one start,
-:func:`_terminal_start`: the terminal data's path mean at every node and a
-zero integrand.  The loop times the
+(which also records the window's width, its choosing ratio, and whether
+it exceeds the certified width), and iterates the map in one loop,
+:func:`_iterate`, from one start, :func:`_terminal_start`: the terminal
+data's path mean at every node and a zero integrand.  The loop times the
 steps, compares each with its predecessor (the first with the start),
 records the trace, and stops on ``tol_fp``, on divergence
 (:class:`NonContraction`) or on the ``max_outer`` budget of sweeps
@@ -74,10 +74,7 @@ bit for bit those of evaluating each expression whole.
 
 from __future__ import annotations
 
-import os
-import sys
 import time
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -144,7 +141,10 @@ class FixedPointTrace:
     sweep.  ``width`` is the window's width in time, and ``ratio`` is the
     first contraction ratio of the window to the right that chose it when
     the windows are planned from measured contraction (None for fixed
-    plans, for the first window, and after a window without a ratio)."""
+    plans, for the first window, and after a window without a ratio).
+    ``exceeds_certificate`` records whether the window is wider than the
+    certified width, which only ``override_epsilon`` lets a solve run (None
+    where the width is not checked: Picard's horizon)."""
 
     y_distances: list[float] = field(default_factory=list)
     z_distances: list[float] = field(default_factory=list)
@@ -155,6 +155,7 @@ class FixedPointTrace:
     converged: bool = False
     width: float = 0.0
     ratio: float | None = None
+    exceeds_certificate: bool | None = None
 
     @property
     def iterations(self) -> int:
@@ -220,8 +221,9 @@ class SolveResult:
 def _check_window_width(
     window: Window, ensemble: PathEnsemble, cert: Certificate, config: SolverConfig
 ) -> bool:
-    """Whether ``window`` is wider than the certified width: raises
-    :class:`WindowTooWide` if so, or warns under ``override_epsilon``."""
+    """Whether ``window`` is wider than the certified width.  A wider
+    window raises :class:`WindowTooWide` unless ``override_epsilon`` is
+    set; under the override the answer is recorded on the window's trace."""
     width = window.width(ensemble.grid)
     exceeded = width > cert.chain.eps
     if exceeded and not config.override_epsilon:
@@ -230,29 +232,7 @@ def _check_window_width(
             f"{cert.chain.eps:.6g} (log {cert.chain.log_eps:.4g}); "
             "set override_epsilon to proceed anyway"
         )
-    if exceeded:
-        warnings.warn(
-            f"window width {width:.6g} exceeds the certified width "
-            f"{cert.chain.eps:.6g}; proceeding on the override flag",
-            RuntimeWarning,
-            stacklevel=_caller_stacklevel(),
-        )
     return exceeded
-
-
-def _caller_stacklevel() -> int:
-    """``stacklevel`` that makes a warning issued by the calling function
-    point at the first frame outside this package: the caller of whichever
-    public solver was entered, however deep the warning is raised."""
-    package = os.path.dirname(os.path.abspath(__file__))
-    frame = sys._getframe(1)
-    level = 1
-    while frame is not None and os.path.dirname(
-        os.path.abspath(frame.f_code.co_filename)
-    ) == package:
-        frame = frame.f_back
-        level += 1
-    return level
 
 
 class _Iterate(NamedTuple):
@@ -383,7 +363,6 @@ def _solve(scenario, ensemble, config, cert, plan, make_map, distance, context,
     solver = BackwardSolver(ensemble, config)
     grid, P, n, d = ensemble.grid, ensemble.n_paths, scenario.n, scenario.d
     N = grid.n_steps
-    exceeded = False
     windows: list[Window] = []
     traces: list[FixedPointTrace] = []
 
@@ -411,10 +390,10 @@ def _solve(scenario, ensemble, config, cert, plan, make_map, distance, context,
     terminal = scenario.terminal_values(ensemble.state(N))
     while planned is not None:
         w, ratio = planned
-        if check_width:
-            exceeded |= _check_window_width(w, ensemble, cert, config)
+        exceeds = _check_window_width(w, ensemble, cert, config) if check_width else None
         windows.append(w)
-        traces.append(FixedPointTrace(width=w.width(grid), ratio=ratio))
+        traces.append(FixedPointTrace(width=w.width(grid), ratio=ratio,
+                                      exceeds_certificate=exceeds))
         last = fixed_point(w, terminal, traces[-1])
         planned = plan(w.lo, traces[-1])
         if lone:
@@ -441,7 +420,9 @@ def _solve(scenario, ensemble, config, cert, plan, make_map, distance, context,
     rate = check_alpha_envelope(ygrid, cert.alpha_envelope)
     report = build_report(ygrid, zgrid, bmo2_estimate(zgrid, solver.node_regression),
                           gamma=scenario.gamma, bmo_budget=budget, alpha_rate=rate)
-    flags = {"window_exceeds_certificate": exceeded} if check_width else {}
+    flags = {}
+    if check_width:
+        flags["window_exceeds_certificate"] = any(t.exceeds_certificate for t in traces)
     flags["alpha_envelope_rate"] = rate
     flags["alpha_envelope_ok"] = rate <= _ALPHA_RATE_TOLERANCE
     flags["within_certified_ball"] = bool(

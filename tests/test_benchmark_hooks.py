@@ -7,7 +7,6 @@ the harness patching nothing or reading a field that is gone."""
 import importlib.util
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -73,10 +72,8 @@ def test_a_traced_solve_takes_each_diagnostic_once_per_solver_call(bench, name):
     run, workloads = bench
     workload = workloads.WORKLOADS[name]
     scenario, cfg, ensemble, cert = _tiny_attempt(workload)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # windows wider than certified
-        with run.install_tracer() as tr:
-            results = workload.solve(scenario, ensemble, cfg, cert)
+    with run.install_tracer() as tr:
+        results = workload.solve(scenario, ensemble, cfg, cert)
     calls = len(workload.solvers)
     summary = tr.summary()
     assert summary["diagnostics.envelope"]["n"] == calls

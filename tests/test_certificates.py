@@ -7,6 +7,7 @@ cannot hide behind shared bugs.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -16,13 +17,10 @@ from hypothesis import strategies as st
 
 from mfbsde.certificates import (
     BRANCH_HORIZON,
-    _log_c_delta,
-    _solve_root_canonical,
-    beta_const,
+    BRANCH_MASS,
+    _solve_root,
     build_chain,
     certify,
-    mu_const,
-    mu_consts,
     ode_bound,
 )
 from mfbsde.errors import InfeasibleCertificate, InvalidInput
@@ -36,27 +34,32 @@ E = math.e
 # ---------------------------------------------------------------------------
 
 
+def _beta(C, alpha):
+    return build_chain(C, 1.0, alpha, 0.0, 1.0).beta
+
+
 def test_beta_frozen_values():
-    assert beta_const(1.0, 0.0) == pytest.approx(1.0, rel=1e-15)
+    assert _beta(1.0, 0.0) == pytest.approx(1.0, rel=1e-15)
     # 0.5*0.5*1*(2*1.5)^3 = 27/4 at alpha = 1/2
-    assert beta_const(1.0, 0.5) == pytest.approx(6.75, rel=1e-12)
-    assert beta_const(0.0, 0.7) == 0.0
+    assert _beta(1.0, 0.5) == pytest.approx(6.75, rel=1e-12)
+    assert _beta(0.0, 0.7) == 0.0
 
 
 def test_beta_rejects_alpha_one():
     with pytest.raises(InvalidInput):
-        beta_const(1.0, 1.0)
+        _beta(1.0, 1.0)
     with pytest.raises(InvalidInput):
-        beta_const(1.0, -0.1)
+        _beta(1.0, -0.1)
 
 
 def test_mu_pair_frozen_values():
-    assert mu_consts(1.0, 0.0) == pytest.approx((2.0, 1.0), rel=1e-15)
-    assert mu_consts(2.0, 0.0) == pytest.approx((1.5, 0.75), rel=1e-15)
+    for gamma, pair in [(1.0, (2.0, 1.0)), (2.0, (1.5, 0.75))]:
+        ch = build_chain(1.0, gamma, 0.0, 0.0, 1.0)
+        assert (ch.mu1, ch.mu2) == pytest.approx(pair, rel=1e-15)
 
 
 def _mu(C, gamma, alpha):
-    return mu_const(C, gamma, alpha, beta_const(C, alpha), *mu_consts(gamma, alpha))
+    return build_chain(C, gamma, alpha, 0.0, 1.0).mu
 
 
 def test_mu_aggregate_frozen_values():
@@ -67,16 +70,17 @@ def test_mu_aggregate_frozen_values():
 
 
 def test_moment_exponent_frozen_value():
-    # C=gamma=T=1, alpha=0, delta=1/2: 6e + (1/2)(3e)^2
-    got = _log_c_delta(1.0, 1.0, 0.0, 1.0, math.log(0.5))
-    assert got == pytest.approx(6 * E + 4.5 * E * E, rel=1e-14)
-    assert got == pytest.approx(49.5604434159422, rel=1e-12)
+    # C=gamma=T=1, alpha=0, xi=0, so delta=1/8: 6e + (1/2)(3e)^2 (1/2)/(1/8)
+    got = build_chain(1.0, 1.0, 0.0, 0.0, 1.0).log_c_delta
+    assert got == pytest.approx(6 * E + 18 * E * E, rel=1e-14)
+    assert got == pytest.approx(149.312700751506, rel=1e-12)
 
 
 def test_moment_constant_degenerate_generator():
     # C = 0 kills both exponent terms; the constant itself is exp(0) = 1
-    assert _log_c_delta(0.0, 1.0, 0.3, 2.0, math.log(0.1)) == 0.0
-    assert build_chain(0.0, 1.0, 0.3, 0.0, 2.0).c_delta == 1.0
+    ch = build_chain(0.0, 1.0, 0.3, 0.0, 2.0)
+    assert ch.log_c_delta == 0.0
+    assert ch.c_delta == 1.0
 
 
 def test_canonical_margin_and_mass():
@@ -98,9 +102,9 @@ def test_quadratic_root_frozen_value():
 
 def test_solve_A_refuses_oversized_window():
     # m*eps far above k/8 (a window wider than the certified one): the
-    # discriminant 1/4 - 16*delta*m*eps is negative
+    # discriminant 1/4 - 2*m*eps/k is negative
     with pytest.raises(InfeasibleCertificate):
-        _solve_root_canonical(0.5, 0.25, 50.0)
+        _solve_root(50.0 / 0.25, 0.5, 0.25)
 
 
 def test_ode_envelope_frozen_value():
@@ -203,24 +207,37 @@ def test_moment_constant_overflow_flagged():
 
 
 @pytest.mark.parametrize(
-    "C, gamma, T",
-    [(0.2, 0.4, 1e5), (1e300, 0.4, 1.0), (1.0, 1e-200, 1.0)],
+    "C, gamma, T, log_m, log_eps",
+    [
+        (0.2, 0.4, 1e5, math.inf, -math.inf),
+        (1e300, 0.4, 1.0, math.inf, -math.inf),
+        # mu is about exp(1381.55) and k about exp(921.03): the window is a
+        # normal double (values checked with mpmath at 50 digits)
+        (1.0, 1e-200, 1.0, 1514.5540655771791, -595.59946992124068),
+    ],
     ids=["exp(C*T)", "C^2", "gamma^-2"],
 )
-def test_chain_takes_out_of_range_powers_in_log_space(C, gamma, T):
+def test_chain_takes_out_of_range_powers_in_log_space(C, gamma, T, log_m, log_eps):
     # each case puts one power of the chain beyond doubles: the chain is
-    # still built, and reports an underflowed window instead of raising
+    # still built, and reports the window its logarithms give, an
+    # underflowed one where the spread exp(C*T) leaves doubles
     ch = build_chain(C, gamma, 0.0, 1.0, T)
-    assert ch.eps_underflow and ch.eps == 0.0
-    assert ch.log_m == math.inf and ch.eps_branch == "mass-term"
+    assert ch.log_m == pytest.approx(log_m, rel=1e-12)
+    assert ch.log_eps == pytest.approx(log_eps, rel=1e-12)
+    assert ch.eps_underflow == (log_eps == -math.inf) == (ch.eps == 0.0)
+    assert ch.eps_branch == BRANCH_MASS
 
 
 def test_chain_takes_an_underflowed_moment_base_in_log_space():
     # (3/(1-alpha)) gamma C exp(C T) underflows to 0: its logarithm is taken
-    # term by term, and the chain reports an underflowed window
+    # term by term, and mu * c_delta, about exp(1381.55), sets a window of
+    # 1/8 (values checked with mpmath at 50 digits)
     ch = build_chain(1e-300, 1e-300, 0.0, 1.0, 1.0)
     assert ch.log_c_delta == 0.0 and ch.c_delta == 1.0 and not ch.c_delta_overflow
-    assert ch.eps_underflow and ch.eps == 0.0
+    assert ch.log_m == pytest.approx(1381.5510557964274, rel=1e-12)
+    assert ch.log_eps == pytest.approx(-2.0794415416798359, rel=1e-12)
+    assert ch.eps == pytest.approx(0.125, rel=1e-12)
+    assert ch.eps_branch == BRANCH_MASS and not ch.eps_underflow
 
 
 def test_ode_envelope_overflows_to_inf_without_a_warning():
@@ -234,10 +251,36 @@ def test_ode_envelope_overflows_to_inf_without_a_warning():
 
 
 def test_out_of_range_powers_saturate():
-    assert beta_const(1e300, 0.0) == math.inf
-    assert mu_const(1.0, 1e-200, 0.0, 1.0, 1.0, 1.0) == math.inf
+    assert _beta(1e300, 0.0) == math.inf
+    assert _mu(1.0, 1e-200, 0.0) == math.inf
     # a vanishing lead factor stays zero however large its scale
-    assert mu_const(0.0, 1e-200, 0.0, 0.0, 1.0, 1.0) == 0.0
+    assert _mu(0.0, 1e-200, 0.0) == 0.0
+
+
+log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    C=st.one_of(st.just(0.0), log_uniform),
+    gamma=log_uniform,
+    alpha=st.floats(min_value=0.0, max_value=0.9),
+    xi=st.floats(min_value=0.0, max_value=1e11),
+    T=st.floats(min_value=1e-3, max_value=1e5),
+)
+# mu saturates to inf here, while the window is a normal double
+@example(C=1.0, gamma=1e-200, alpha=0.0, xi=1.0, T=1.0)
+# C*T beyond doubles: both the Lipschitz and the mass term underflow
+@example(C=1e300, gamma=1.0, alpha=0.0, xi=0.0, T=1e10)
+def test_chain_holds_at_any_scale(C, gamma, alpha, xi, T):
+    ch = build_chain(C, gamma, alpha, xi, T)
+    assert not [k for k, v in ch.as_dict().items() if isinstance(v, float) and math.isnan(v)]
+    assert ch.eps_underflow == (ch.eps == 0.0)
+    assert ch.eps <= T
+    if ch.eps >= sys.float_info.min:
+        assert ch.log_eps == pytest.approx(math.log(ch.eps), rel=1e-12, abs=1e-12)
+    if C > 0.0 and math.isfinite(ch.log_c_delta) and C * T <= 690.0 and gamma * xi <= 700.0:
+        assert math.isfinite(ch.log_m) and math.isfinite(ch.log_eps)
 
 
 def test_chain_dict_keeps_its_flags_boolean():

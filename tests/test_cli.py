@@ -189,7 +189,8 @@ def test_certify_reports_large_constants_as_overflow(edit, tmp_path, capsys):
 
 def test_certify_reports_an_underflowed_moment_base(tmp_path, capsys):
     # gamma * C underflows doubles: the chain is built in log space and
-    # reports an underflowed width, with no traceback
+    # reports the window of 1/8 that its logarithms give (mpmath at 50
+    # digits), with no traceback
     shipped = Path(__file__).resolve().parents[1] / "configs" / "ex22.cfg"
     text = shipped.read_text()
     cfg = tmp_path / "ex22.cfg"
@@ -201,21 +202,29 @@ def test_certify_reports_an_underflowed_moment_base(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     chain = json.loads((out / "ex22_certificate.json").read_text())["chain"]
     assert chain["C"] == chain["gamma"] == 1e-300
-    assert chain["eps_underflow"] is True
+    assert chain["log_m"] == pytest.approx(1381.5510557964274, rel=1e-12)
+    assert chain["log_eps"] == pytest.approx(-2.0794415416798359, rel=1e-12)
+    assert chain["eps_branch"] == "mass-term"
+    assert chain["eps_underflow"] is False
 
 
 def test_certify_on_a_huge_horizon_warns_nothing(tmp_path, capsys):
-    # exp overflows in the ODE envelope on purpose: lambda = inf, no warning
+    # exp overflows in the ODE envelope on purpose (lambda = inf), and so
+    # does the spot check's growth bound 0.5*gamma*|z|^2 at gamma = 1e308:
+    # no warning either way
     shipped = Path(__file__).resolve().parents[1] / "configs" / "ex22.cfg"
+    text = shipped.read_text()
     cfg = tmp_path / "ex22.cfg"
-    cfg.write_text(shipped.read_text().replace("\nT = 1.0\n", "\nT = 1e5\n"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = main(["certify", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
-    assert rc == 0
-    assert capsys.readouterr().err == ""
-    payload = json.loads((tmp_path / "out" / "ex22_certificate.json").read_text())
-    assert payload["lambda"] == math.inf
+    for edit, lam in [(("T = 1.0", "T = 1e5"), math.inf),
+                      (("gamma = 0.4", "gamma = 1e308"), -1 / 3 + 16 / 3 * math.exp(15.0))]:
+        cfg.write_text(text.replace(f"\n{edit[0]}\n", f"\n{edit[1]}\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["certify", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads((tmp_path / "out" / "ex22_certificate.json").read_text())
+        assert payload["lambda"] == pytest.approx(lam)
 
 
 def test_solve_writes_outputs(tiny_cfg, tmp_path, capsys):
@@ -236,11 +245,18 @@ def test_solve_writes_outputs(tiny_cfg, tmp_path, capsys):
 
 def test_solve_summary_reports_window_override(tiny_cfg, tmp_path, capsys):
     # one window spans the whole horizon, wider than the certified width;
-    # the config's override flag lets the solve proceed
-    with pytest.warns(RuntimeWarning, match="exceeds the certified width"):
-        rc = main(["solve", "--config", str(tiny_cfg), "--out-dir", str(tmp_path)])
+    # the config's override flag lets the solve proceed, and the result
+    # records the excess on the window's trace and in the flags, with no
+    # warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["solve", "--config", str(tiny_cfg), "--out-dir", str(tmp_path),
+                   "--prefix", "tiny"])
     assert rc == 0
     assert "window_exceeds_certificate: True" in capsys.readouterr().out
+    record = json.loads((tmp_path / "tiny_result.json").read_text())
+    assert [t["exceeds_certificate"] for t in record["trace"]] == [True]
+    assert record["flags"]["window_exceeds_certificate"] is True
 
 
 def test_solve_summary_prints_the_clamp_counts_of_the_json(tmp_path, capsys):
@@ -248,12 +264,14 @@ def test_solve_summary_prints_the_clamp_counts_of_the_json(tmp_path, capsys):
     # window, and the summary's counts are the result JSON's
     cfg = tmp_path / "clamped.cfg"
     cfg.write_text(TINY.replace("n_windows = 1", "n_windows = 2\nz_clamp = 0.5"))
-    with pytest.warns(RuntimeWarning, match="exceeds the certified width"):
-        rc = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path),
-                   "--prefix", "clamped"])
+    rc = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path),
+               "--prefix", "clamped"])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    trace = json.loads((tmp_path / "clamped_result.json").read_text())["trace"]
+    record = json.loads((tmp_path / "clamped_result.json").read_text())
+    trace = record["trace"]
+    assert [t["exceeds_certificate"] for t in trace] == [True, True]
+    assert record["flags"]["window_exceeds_certificate"] is True
     counts = [t["clamp_events"] for t in trace]
     assert len(counts) == 2 and all(c > 0 for c in counts)
     assert f"z-clamp events per window: {counts[0]}, {counts[1]}" in lines
@@ -266,15 +284,17 @@ def test_solve_summary_prints_the_planned_windows_of_the_json(tmp_path, capsys):
     # contraction, and the summary prints each one's span, width and
     # choosing ratio as the result JSON records them
     config = Path(__file__).resolve().parents[1] / "configs" / "ex41.cfg"
-    with pytest.warns(RuntimeWarning, match="exceeds the certified width"):
-        rc = main(["solve", "--config", str(config), "--solver", "multidim",
-                   "--paths", "500", "--steps", "10", "--out-dir", str(tmp_path),
-                   "--prefix", "planned"])
+    rc = main(["solve", "--config", str(config), "--solver", "multidim",
+               "--paths", "500", "--steps", "10", "--out-dir", str(tmp_path),
+               "--prefix", "planned"])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     record = json.loads((tmp_path / "planned_result.json").read_text())
     windows, trace = record["windows"], record["trace"]
     assert len(windows) > 1 and trace[-1]["ratio"] is None
+    # the config certifies a zero width: every planned window exceeds it
+    assert all(t["exceeds_certificate"] is True for t in trace)
+    assert record["flags"]["window_exceeds_certificate"] is True
     assert all(t["ratio"] is not None for t in trace[:-1])
     assert "window spans: " + ", ".join(f"[{lo}, {hi}]" for lo, hi in windows) in lines
     assert "window widths: " + ", ".join(f"{t['width']:.6g}" for t in trace) in lines

@@ -234,13 +234,21 @@ def test_outer_budget_exhaustion_carries_the_trace(solve, scenario, context):
 
 
 @pytest.mark.parametrize("solve", [local_solve, global_solve], ids=["local", "global"])
-def test_window_warning_points_at_the_caller(solve):
+def test_window_override_is_recorded_on_each_trace(solve):
+    # the certified width is below every window: under the override each
+    # window's trace records the excess, the flag sums it up, and nothing
+    # warns
     sc = linear_scenario(dbar=1.0, xi_bound=4.0)
     cfg = CFG.updated(n_steps=10, n_paths=2_000, n_windows=2)
     ens = _ensemble(sc, cfg)
-    with pytest.warns(RuntimeWarning, match="exceeds the certified width") as record:
-        solve(sc, ens, cfg)
-    assert [w.filename for w in record] == [__file__] * len(record)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve(sc, ens, cfg)
+    assert [t.exceeds_certificate for t in res.trace] == [True] * len(res.windows)
+    assert res.flags["window_exceeds_certificate"] is True
+    # without the override the first window is refused
+    with pytest.raises(WindowTooWide, match="exceeds the certified width"):
+        solve(sc, ens, cfg.updated(override_epsilon=False))
 
 
 @pytest.mark.parametrize(
@@ -258,11 +266,9 @@ def test_split_solvers_check_every_window_width(solve, config):
         solve(scenario, ens, cfg.updated(override_epsilon=False, n_windows=2))
     # under the override, ex41.cfg plans its windows from measured
     # contraction, and every planned window is checked too
-    with pytest.warns(RuntimeWarning, match="exceeds the certified width") as record:
-        res = solve(scenario, ens, cfg)
+    res = solve(scenario, ens, cfg)
     assert len(res.windows) > 1
-    width_warnings = [w for w in record if "exceeds the certified width" in str(w.message)]
-    assert [w.filename for w in width_warnings] == [__file__] * len(res.windows)
+    assert [t.exceeds_certificate for t in res.trace] == [True] * len(res.windows)
     assert res.flags["window_exceeds_certificate"] is True
 
 
@@ -296,10 +302,8 @@ def test_stitching_plans_windows_from_contraction_when_width_degenerates():
     ens = _ensemble(sc, cfg)
     with pytest.raises(WindowTooWide, match="below the grid resolution"):
         global_solve(sc, ens, cfg.updated(override_epsilon=False))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # wider than certified
-        a = global_solve(sc, ens, cfg)
-        b = global_solve(sc, _ensemble(sc, cfg), cfg)
+    a = global_solve(sc, ens, cfg)
+    b = global_solve(sc, _ensemble(sc, cfg), cfg)
     assert len(a.windows) > 1 and a.windows[0][0] == 0 and a.windows[-1][1] == 20
     assert all(left[1] == right[0] for left, right in zip(a.windows, a.windows[1:]))
     assert a.windows == b.windows
@@ -355,11 +359,9 @@ def test_planned_ex41_matches_the_one_window_solve():
     sc, cfg = _shipped("ex41.cfg", n_steps=20, n_paths=2_000)
     assert cfg.n_windows is None and cfg.override_epsilon
     ens = _ensemble(sc, cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # wider than certified
-        planned = multidim_solve(sc, ens, cfg)
-        rerun = multidim_solve(sc, ens, cfg)
-        one = multidim_solve(sc, ens, cfg.updated(n_windows=1))
+    planned = multidim_solve(sc, ens, cfg)
+    rerun = multidim_solve(sc, ens, cfg)
+    one = multidim_solve(sc, ens, cfg.updated(n_windows=1))
     assert len(planned.windows) > 1 and planned.windows[0][0] == 0
     ref = one.m_y.values
     bound = 2 * cfg.tol_fp + 0.01 * np.maximum(1.0, np.abs(ref))
@@ -419,9 +421,7 @@ def test_more_windows_than_steps_are_rejected(n_steps, n_windows):
     message = f"n_windows = {n_windows} exceeds the grid's {n_steps} steps"
     with pytest.raises(InvalidInput, match=message):
         global_solve(sc, ens, cfg.updated(n_windows=n_windows))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # windows wider than certified
-        res = global_solve(sc, ens, cfg.updated(n_windows=n_steps))
+    res = global_solve(sc, ens, cfg.updated(n_windows=n_steps))
     assert res.windows == [(i, i + 1) for i in range(n_steps)]
 
 
@@ -551,6 +551,7 @@ def test_picard_horizon_is_not_checked_against_the_certified_width():
         warnings.simplefilter("error")
         res = picard_global(sc, ens, cfg)
     assert res.trace.converged and res.windows == [(0, cfg.n_steps)]
+    assert res.trace.exceeds_certificate is None
     assert "window_exceeds_certificate" not in res.flags
 
 
@@ -560,9 +561,7 @@ def test_a_lone_window_is_the_result_without_a_copy(solve, monkeypatch):
     sweeps = _record_sweeps(monkeypatch)
     sc = linear_scenario(b=0.5, dbar=0.5, xi_bound=4.0)
     cfg = CFG.updated(n_steps=10, n_paths=2_000, n_windows=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # wider than certified
-        res = solve(sc, _ensemble(sc, cfg), cfg)
+    res = solve(sc, _ensemble(sc, cfg), cfg)
     last = sweeps[-1][2]
     assert res.windows == [(0, cfg.n_steps)]
     assert np.shares_memory(res.y.values, last.y)
@@ -929,9 +928,7 @@ def _tiny_run(selector, **changes):
     sc, cfg = _shipped(name)
     cfg = cfg.updated(**{"n_steps": 8, "n_paths": 500, "override_epsilon": True,
                          **settings, **changes})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # windows wider than certified
-        return _SOLVERS[selector](sc, _ensemble(sc, cfg), cfg)
+    return _SOLVERS[selector](sc, _ensemble(sc, cfg), cfg)
 
 
 @pytest.mark.parametrize("selector", sorted(_SOLVERS))

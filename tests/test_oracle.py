@@ -7,14 +7,10 @@ import pytest
 
 from mfbsde import dsl
 from mfbsde.errors import FixtureMissing, InvalidInput
-from mfbsde.oracle import (
-    LinearMeanFieldSpec,
-    brute_force_1d,
-    linear_closed_form,
-    load_fixture,
-    save_fixture,
-)
+from mfbsde.oracle import brute_force_1d, load_fixture, save_fixture
 from mfbsde.scenario import ScenarioSpec, example_21, example_41, linear_scenario
+
+from closed_form import LinearMeanFieldSpec, linear_closed_form
 
 
 def _null_scenario(terminal="w", T=1.0):

@@ -13,7 +13,6 @@ from mfbsde import dsl
 from mfbsde.core import Window, build_grid, path_mean, simulate_brownian
 from mfbsde.errors import InvalidInput, RegressionError, StepDivergence
 from mfbsde.meanfield import local_solve
-from mfbsde.oracle import LinearMeanFieldSpec, linear_closed_form
 from mfbsde.regression import NodeRegression, RegressionBasis, _design_rows
 from mfbsde.scenario import ScenarioSpec, linear_scenario
 from mfbsde.solver import (
@@ -22,6 +21,8 @@ from mfbsde.solver import (
     _clamp_z,
     frozen_mean_driver,
 )
+
+from closed_form import LinearMeanFieldSpec, linear_closed_form
 
 CFG = SolverConfig(n_steps=50, n_paths=20_000, seed=12345)
 
