@@ -413,6 +413,79 @@ def test_dimension_mismatch_rejected(rng):
         dsl.evaluate(e, 0.0, y, y, z, z, n=1, d=1)
 
 
+# (slot, n, d, given shape, path count it reads as; None: DimensionError)
+SLOT_SHAPES = [
+    # a scalar, for a width-1 slot
+    ("s", 1, 1, (), 1),
+    ("y", 1, 1, (), 1),
+    ("z", 1, 1, (), 1),
+    # (m,): one path
+    ("y", 2, 1, (2,), 1),
+    ("y", 1, 1, (1,), 1),
+    # (P,), for a width-1 slot
+    ("s", 1, 1, (5,), 5),
+    ("y", 1, 1, (5,), 5),
+    ("z", 1, 1, (5,), 5),
+    # (P, m)
+    ("y", 2, 1, (5, 2), 5),
+    ("y", 1, 1, (5, 1), 5),
+    ("s", 1, 1, (5, 1), 5),
+    # (d, n), and flattened (d*n,): one path
+    ("z", 2, 3, (3, 2), 1),
+    ("z", 2, 3, (6,), 1),
+    ("z", 1, 3, (3, 1), 1),
+    # (P, d) when n = 1
+    ("z", 1, 3, (5, 3), 5),
+    ("z", 1, 1, (5, 1), 5),
+    # (P, d, n)
+    ("z", 2, 3, (5, 3, 2), 5),
+    ("z", 1, 1, (5, 1, 1), 5),
+    # the wrong width
+    ("s", 1, 1, (5, 2), None),
+    ("y", 2, 1, (), None),
+    ("y", 2, 1, (3,), None),
+    ("y", 2, 1, (5, 3), None),
+    ("z", 2, 3, (5,), None),
+    ("z", 2, 3, (5, 3, 3), None),
+    ("z", 1, 3, (5, 2), None),
+    # too many axes
+    ("y", 2, 1, (5, 2, 1), None),
+    ("z", 2, 3, (5, 3, 2, 1), None),
+    # (P, d*n) when n > 1
+    ("z", 2, 3, (5, 6), None),
+]
+
+
+@pytest.mark.parametrize("slot,n,d,shape,rows", SLOT_SHAPES, ids=str)
+def test_slot_shapes_accepted_and_rejected(slot, n, d, shape, rows):
+    # every accepted shape reads as the (rows, d, n) values in row-major
+    # order, in evaluate and in a staged program (the slot bound or late)
+    e = dsl.parse("s + dot(y, ybar) + dot(z, zbar)")
+    slots = {"s": 0.5, "y": np.arange(1.0, n + 1.0), "ybar": 10.0 ** np.arange(n),
+             "z": np.arange(1.0, d * n + 1.0).reshape(d, n),
+             "zbar": 10.0 ** np.arange(d * n).reshape(d, n)}
+    slots[slot] = np.arange(1.0, math.prod(shape) + 1.0).reshape(shape)
+    runs = [lambda: dsl.evaluate(e, *slots.values(), n=n, d=d)]
+    for late in ({slot}, set(slots) - {slot}):
+        program = dsl.Staged(e, late, n=n, d=d)
+        bind = {k: v for k, v in slots.items() if k not in late}
+        call = {k: v for k, v in slots.items() if k in late}
+        runs.append(lambda p=program, b=bind, c=call: (p.bind(**b), p(**c))[1])
+    if rows is None:
+        for run in runs:
+            with pytest.raises(DimensionError):
+                run()
+        return
+    P = rows
+    canon = dict(slots)
+    canon["s"] = np.broadcast_to(np.reshape(slots["s"], (-1,)), (P,))
+    canon["y"] = np.broadcast_to(np.reshape(slots["y"], (-1, n)), (P, n))
+    canon["z"] = np.broadcast_to(np.reshape(slots["z"], (-1, d, n)), (P, d, n))
+    want = reference_evaluate(e, *canon.values(), n=n, d=d)
+    for run in runs:
+        assert _same_bits(run(), want)
+
+
 def test_builtin_unknown_name():
     with pytest.raises(InvalidInput):
         dsl.builtin("nope")
