@@ -378,12 +378,9 @@ def _ball_radius(chain: ConstantChain) -> tuple[float, float]:
     """Radius ``min(sqrt(A), ceiling)`` where the ceiling solves the
     exponential-transform budget ``phi(r) <= c_delta / (1 - delta*A)`` i.e.
     ``r <= (1-alpha)/(2 gamma) * (log c_delta + 3 e^{CT} gamma xi/(1-alpha)
-    - log(1 - delta A))`` on the log scale; the spread term enters with a
-    growth constant ``C > 0``, as the mass term does."""
+    - log(1 - delta A))`` on the log scale."""
     base = math.sqrt(chain.A)
-    budget = chain.log_c_delta
-    if chain.C > 0.0:
-        budget += _spread(chain.C, chain.gamma, chain.alpha, chain.xi_bound, chain.T)
+    budget = chain.log_c_delta + _spread(chain.C, chain.gamma, chain.alpha, chain.xi_bound, chain.T)
     ceiling = (1.0 - chain.alpha) / (2.0 * chain.gamma) * max(
         budget - math.log(chain.one_minus_delta_A), 0.0
     )

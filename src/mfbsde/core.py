@@ -233,10 +233,6 @@ class ProcessGrid(_NodeSeries):
     def n_nodes(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.values.shape[2:]
-
 
 def _all_finite(vals: np.ndarray) -> bool:
     """Whether every entry of a (nodes, paths, ...) array is finite, checked

@@ -12,6 +12,12 @@ to a vector quantity act on its Euclidean norm, so every well-formed
 expression is scalar-valued.  Multi-component generators are written as
 ``;``-separated expression lists.
 
+Slot shapes.  A slot whose value on one path has shape ``(1,)``, ``(n,)``,
+``(d,)`` or ``(d, n)`` takes that shape or its flattening for one path,
+and the same after a leading path axis ``P``, where trailing unit axes may
+be left out: a scalar or ``(P,)`` for a width-1 slot, ``(P, d)`` for
+``z`` when ``n = 1``.  Every slot is held as a (P, width) array.
+
 Evaluation is staged.  An expression is compiled once per set of *late*
 slots, the ones that still change between calls: constant subtrees are
 folded, and the maximal subtrees that read no late slot are evaluated once
@@ -20,11 +26,14 @@ the late remainder, in the tree's own operation order (so the result is
 bit for bit that of the whole tree), writing into buffers the program
 owns.  The returned array is one of those buffers and stays valid until
 the program's next call.  :func:`evaluate` is the every-slot-late case and
-returns a fresh array.
+returns a fresh array.  Every operation is an entry of one of two tables,
+``_UNARY`` and ``_BINARY``: a ufunc, plus the operand check of ``/`` and
+``^``.  The row reductions ``norm2`` and ``dot`` are the only others.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -132,6 +141,10 @@ def _tokenize(text: str, offset: int) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# the left-associative binary operators, loosest level first
+_LEVELS = (("+", "-"), ("*", "/"))
+
+
 class _Parser:
     def __init__(self, tokens, variables):
         self.tokens = tokens
@@ -152,22 +165,15 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {val or 'end of input'!r}", pos)
         return self.advance()
 
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.peek()[1] in ("+", "-"):
+    def parse_expr(self, level: int = 0):
+        # one left-associative loop per level of _LEVELS, then unary
+        if level == len(_LEVELS):
+            return self.parse_unary()
+        node = self.parse_expr(level + 1)
+        while self.peek()[1] in _LEVELS[level]:
             _, op, pos = self.advance()
-            node = Bin(op, node, self.parse_term(), pos=pos)
+            node = Bin(op, node, self.parse_expr(level + 1), pos=pos)
         return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while self.peek()[1] in ("*", "/"):
-            _, op, pos = self.advance()
-            node = Bin(op, node, self.parse_factor(), pos=pos)
-        return node
-
-    def parse_factor(self):
-        return self.parse_unary()
 
     def parse_unary(self):
         kind, val, pos = self.peek()
@@ -341,61 +347,23 @@ def to_text(expr: GeneratorExpr) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _as_paths_vec(x, m: int, what: str) -> np.ndarray:
-    """Normalise ``x`` to shape (P, m) (P may be 1 for deterministic input)."""
+def _as_rows(x, shape: tuple, what: str) -> np.ndarray:
+    """Normalise slot ``what``, whose value on one path has shape ``shape``,
+    to a (P, width) array.  ``shape`` or its flattening ``(width,)`` is one
+    path (P = 1); a leading path axis before ``shape``, from which trailing
+    unit axes may be left out, gives P paths."""
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim == 0:
-        if m != 1:
-            raise DimensionError(f"{what}: scalar given, expected {m} components")
-        return a.reshape(1, 1)
-    if a.ndim == 1:
-        if a.shape[0] == m and m > 1:
-            return a.reshape(1, m)
-        if m == 1:
-            return a.reshape(-1, 1)
-        raise DimensionError(f"{what}: shape {a.shape} incompatible with {m} components")
-    if a.ndim == 2:
-        if a.shape[1] != m:
-            raise DimensionError(f"{what}: shape {a.shape}, expected (*, {m})")
-        return a
-    raise DimensionError(f"{what}: too many axes {a.shape}")
-
-
-def _as_paths_mat(x, d: int, n: int, what: str) -> np.ndarray:
-    """Normalise a (d, n)-matrix-per-path quantity to shape (P, d*n)."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim == 0:
-        if d * n != 1:
-            raise DimensionError(f"{what}: scalar given, expected ({d}, {n})")
-        return a.reshape(1, 1)
-    if a.ndim == 1:
-        if d * n == 1:
-            return a.reshape(-1, 1)
-        if a.shape[0] == d * n:
-            return a.reshape(1, d * n)
-        raise DimensionError(f"{what}: shape {a.shape} incompatible with ({d}, {n})")
-    if a.ndim == 2:
-        if a.shape == (d, n):
-            return a.reshape(1, d * n)
-        if n == 1 and a.shape[1] == d:
-            return a.reshape(a.shape[0], d)
-        raise DimensionError(f"{what}: shape {a.shape} incompatible with ({d}, {n})")
-    if a.ndim == 3:
-        if a.shape[1:] != (d, n):
-            raise DimensionError(f"{what}: shape {a.shape}, expected (*, {d}, {n})")
-        return a.reshape(a.shape[0], d * n)
-    raise DimensionError(f"{what}: too many axes {a.shape}")
+    width = math.prod(shape)
+    if a.shape in (shape, (width,)):
+        return a.reshape(1, width)
+    rest = a.shape[1:]
+    if rest == shape[: len(rest)] and math.prod(shape[len(rest):]) == 1:
+        return a.reshape(-1, width)
+    raise DimensionError(f"{what}: shape {a.shape} given, expected {shape} per path")
 
 
 def _node_text(node: Expr) -> str:
     return _print_node(node, 0)
-
-
-def _combine(node, a, b):
-    if a.shape[1] != b.shape[1] and a.shape[1] != 1 and b.shape[1] != 1:
-        raise DimensionError(
-            f"component mismatch {a.shape[1]} vs {b.shape[1]} in '{_node_text(node)}'"
-        )
 
 
 # numpy reduces a row narrower than this one element at a time, from zero
@@ -425,16 +393,6 @@ def row_norm(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a (P, m) array, as a (P, 1) array."""
     out = row_dot(a, a)
     return np.sqrt(out, out=out)[:, None]
-
-
-_ELEMENTWISE = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "min": np.minimum,
-    "max": np.maximum,
-}
-_TRANSCENDENTAL = {"abs": np.abs, "sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 
 class _Plan:
@@ -511,23 +469,88 @@ def _compile(node: Expr, plan: _Plan):
     return reads, _operation(node, runs, owned, plan), True
 
 
+def _nonzero_divisor(node: Bin, a, b):
+    if np.any(b == 0.0):
+        raise EvalDomainError("division by zero", _node_text(node), node.pos)
+    return b
+
+
+def _scalar_exponent(node: Bin, a, b) -> float:
+    if b.shape != (1, 1):
+        raise DimensionError(f"exponent must be a constant scalar in '{_node_text(node)}'")
+    e = float(b[0, 0])
+    if e != round(e) and np.any(a < 0.0):
+        raise EvalDomainError("fractional power of a negative base", _node_text(node), node.pos)
+    if e < 0 and np.any(a == 0.0):
+        raise EvalDomainError("negative power of zero", _node_text(node), node.pos)
+    # the power ufunc takes the same scalar-exponent fast paths as a**e
+    return e
+
+
+# operation -> (ufunc, whether a vector operand acts by its Euclidean norm,
+# the scalar convention of abs, sin, cos and exp)
+_UNARY = {
+    "neg": (np.negative, False),
+    "abs": (np.abs, True),
+    "sin": (np.sin, True),
+    "cos": (np.cos, True),
+    "exp": (np.exp, True),
+}
+
+# operation -> (ufunc, operand check or None); a check raises on operands
+# the operation does not take and returns the ufunc's second operand
+_BINARY = {
+    "+": (np.add, None),
+    "-": (np.subtract, None),
+    "*": (np.multiply, None),
+    "/": (np.divide, _nonzero_divisor),
+    "^": (np.power, _scalar_exponent),
+    "min": (np.minimum, None),
+    "max": (np.maximum, None),
+}
+
+
 def _operation(node: Expr, runs, owned, plan: _Plan):
-    if isinstance(node, Neg):
-        return _compile_negative(*runs, *owned, plan.buffer())
-    if isinstance(node, Bin):
-        if node.op == "/":
-            return _compile_divide(node, *runs, *owned, plan.buffer())
-        if node.op == "^":
-            return _compile_power(node, *runs, *owned, plan.buffer())
-        return _compile_elementwise(node, _ELEMENTWISE[node.op], *runs, *owned, plan.buffer())
-    if node.func == "norm2":
+    """The closure of one operation node, specialised on its table entry.
+    It writes into an operand it owns or into a buffer of its own; the row
+    reductions ``norm2`` and ``dot`` always return a fresh or own array."""
+    op = "neg" if isinstance(node, Neg) else node.op if isinstance(node, Bin) else node.func
+    if op == "norm2":
         (arg,) = runs
         return lambda st: row_norm(arg(st))
-    if node.func == "dot":
-        return _compile_dot(*runs, plan.buffer())
-    if node.func in _TRANSCENDENTAL:
-        return _compile_transcendental(_TRANSCENDENTAL[node.func], *runs, *owned, plan.buffer())
-    return _compile_elementwise(node, _ELEMENTWISE[node.func], *runs, *owned, plan.buffer())
+    k = plan.buffer()
+    if op == "dot":
+        left, right = runs
+
+        def dot(st):
+            a, b = left(st), right(st)
+            if a.shape[1] != b.shape[1]:
+                raise DimensionError(f"dot of {a.shape[1]}- and {b.shape[1]}-component vectors")
+            out = _buffer(st, k, (max(a.shape[0], b.shape[0]), 1))
+            row_dot(a, b, out=out[:, 0])
+            return out
+
+        return dot
+    if op in _UNARY:
+        (ufunc, on_norm), (arg,), (own,) = _UNARY[op], runs, owned
+
+        def unary(st):
+            a = arg(st)
+            if on_norm and a.shape[1] > 1:
+                # row_norm returns a fresh array, which this node owns
+                return ufunc(a := row_norm(a), out=a)
+            return ufunc(a, out=_destination(st, k, a.shape, a, own))
+
+        return unary
+    (ufunc, check), (left, right), (own_a, own_b) = _BINARY[op], runs, owned
+
+    def binary(st):
+        a, b = left(st), right(st)
+        shape = _pair_shape(node, a, b)
+        operand = b if check is None else check(node, a, b)
+        return ufunc(a, operand, out=_destination(st, k, shape, a, own_a, b, own_b))
+
+    return binary
 
 
 def _buffer(st, k: int, shape: tuple) -> np.ndarray:
@@ -549,86 +572,15 @@ def _destination(st, k: int, shape: tuple, a, own_a: bool, b=None, own_b: bool =
     return _buffer(st, k, shape)
 
 
-def _pair_shape(a: np.ndarray, b: np.ndarray) -> tuple:
-    # (P, width) operands broadcast row- and column-wise; a mismatch the
-    # ufunc cannot broadcast still raises there
+def _pair_shape(node: Expr, a: np.ndarray, b: np.ndarray) -> tuple:
+    """The result shape of a binary operation.  (P, width) operands
+    broadcast row- and column-wise, so their widths agree or one is 1; a
+    row mismatch the ufunc cannot broadcast still raises there."""
+    if a.shape[1] != b.shape[1] and a.shape[1] != 1 and b.shape[1] != 1:
+        raise DimensionError(
+            f"component mismatch {a.shape[1]} vs {b.shape[1]} in '{_node_text(node)}'"
+        )
     return (max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1]))
-
-
-def _compile_negative(arg, own, k):
-    def run(st):
-        a = arg(st)
-        return np.negative(a, out=_destination(st, k, a.shape, a, own))
-
-    return run
-
-
-def _compile_elementwise(node, ufunc, left, right, own_a, own_b, k):
-    def run(st):
-        a, b = left(st), right(st)
-        _combine(node, a, b)
-        return ufunc(a, b, out=_destination(st, k, _pair_shape(a, b), a, own_a, b, own_b))
-
-    return run
-
-
-def _compile_transcendental(ufunc, arg, own, k):
-    def run(st):
-        a = arg(st)
-        if a.shape[1] > 1:
-            # scalar convention: unary transcendental of a vector acts on
-            # its Euclidean norm (a fresh array, so this node owns it)
-            return ufunc(a := row_norm(a), out=a)
-        return ufunc(a, out=_destination(st, k, a.shape, a, own))
-
-    return run
-
-
-def _compile_dot(left, right, k):
-    def run(st):
-        a, b = left(st), right(st)
-        if a.shape[1] != b.shape[1]:
-            raise DimensionError(
-                f"dot of {a.shape[1]}- and {b.shape[1]}-component vectors"
-            )
-        out = _buffer(st, k, (max(a.shape[0], b.shape[0]), 1))
-        row_dot(a, b, out=out[:, 0])
-        return out
-
-    return run
-
-
-def _compile_divide(node, left, right, own_a, own_b, k):
-    def run(st):
-        a, b = left(st), right(st)
-        _combine(node, a, b)
-        if np.any(b == 0.0):
-            raise EvalDomainError("division by zero", _node_text(node), node.pos)
-        return np.divide(a, b, out=_destination(st, k, _pair_shape(a, b), a, own_a, b, own_b))
-
-    return run
-
-
-def _compile_power(node, left, right, own_a, _own_b, k):
-    def run(st):
-        a, b = left(st), right(st)
-        _combine(node, a, b)
-        if b.shape != (1, 1):
-            raise DimensionError(
-                f"exponent must be a constant scalar in '{_node_text(node)}'"
-            )
-        e = float(b[0, 0])
-        if e != round(e):
-            if np.any(a < 0.0):
-                raise EvalDomainError(
-                    "fractional power of a negative base", _node_text(node), node.pos
-                )
-        if e < 0 and np.any(a == 0.0):
-            raise EvalDomainError("negative power of zero", _node_text(node), node.pos)
-        # the power ufunc takes the same scalar-exponent fast paths as a**e
-        return np.power(a, e, out=_destination(st, k, a.shape, a, own_a))
-
-    return run
 
 
 class _Program:
@@ -695,18 +647,9 @@ _ALL_SLOTS = frozenset(GENERATOR_VARS)
 
 def _driver_env(s, y, ybar, z, zbar, n: int, d: int) -> dict:
     """The given driver slots as (P, width) arrays; ``None`` is left out."""
-    env = {}
-    if s is not None:
-        env["s"] = _as_paths_vec(s, 1, "s")
-    if y is not None:
-        env["y"] = _as_paths_vec(y, n, "y")
-    if ybar is not None:
-        env["ybar"] = _as_paths_vec(ybar, n, "ybar")
-    if z is not None:
-        env["z"] = _as_paths_mat(z, d, n, "z")
-    if zbar is not None:
-        env["zbar"] = _as_paths_mat(zbar, d, n, "zbar")
-    return env
+    given = (("s", s, (1,)), ("y", y, (n,)), ("ybar", ybar, (n,)),
+             ("z", z, (d, n)), ("zbar", zbar, (d, n)))
+    return {k: _as_rows(v, shape, k) for k, v, shape in given if v is not None}
 
 
 def _check_driver(expr: GeneratorExpr) -> None:
@@ -761,19 +704,11 @@ class Staged(_Program):
 def evaluate(expr: GeneratorExpr, s, y, ybar, z, zbar, n: int = 1, d: int = 1) -> np.ndarray:
     """Evaluate a driver expression, vectorised over paths.
 
-    Parameters
-    ----------
-    s : float or array_like
-        Current time, scalar or per-path ``(P,)``.
-    y, ybar : array_like
-        State and mean state; scalars, ``(n,)`` vectors, or ``(P, n)`` arrays.
-    z, zbar : array_like
-        Integrand and mean integrand; scalars, ``(d, n)`` matrices, or
-        ``(P, d, n)`` arrays.
-
-    Returns a fresh ``(P, n)`` array (``P = 1`` for fully deterministic
-    input): the every-slot-late case of :class:`Staged`.  Vectorised
-    evaluation agrees with pointwise scalar evaluation to within
+    The slots take the shapes of the module's slot-shape rule: per path,
+    ``s`` is ``(1,)``, ``y`` and ``ybar`` are ``(n,)``, ``z`` and ``zbar``
+    are ``(d, n)``.  Returns a fresh ``(P, n)`` array (``P = 1`` for fully
+    deterministic input): the every-slot-late case of :class:`Staged`.
+    Vectorised evaluation agrees with pointwise scalar evaluation to within
     floating-point roundoff.
     """
     env = _driver_env(s, y, ybar, z, zbar, n, d)
@@ -787,13 +722,9 @@ def evaluate_terminal(expr: GeneratorExpr, w, n: int = 1, d: int = 1) -> np.ndar
     ``w`` is a scalar, a ``(d,)`` vector, or a ``(P, d)`` array; the result
     has shape ``(P, n)``.
     """
-    wv = _as_paths_vec(w, d, "w")
-    env = {"w": wv}
-    for i in range(1, 10):
-        if i <= d:
-            env[f"w{i}"] = wv[:, i - 1 : i]
-    used = expr.free_variables()
-    unknown = used - set(env)
+    wv = _as_rows(w, (d,), "w")
+    env = {"w": wv, **{f"w{i}": wv[:, i - 1 : i] for i in range(1, min(d, 9) + 1)}}
+    unknown = expr.free_variables() - env.keys()
     if unknown:
         raise InvalidInput(f"not a terminal expression, uses {sorted(unknown)}")
     return _Program(expr, frozenset(env), n)._run(env)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from mfbsde.certificates import (
     BRANCH_HORIZON,
     BRANCH_MASS,
+    _ball_radius,
     _solve_root,
     build_chain,
     certify,
@@ -307,6 +308,17 @@ def test_certify_time_dependent_example():
     text = cert.report_text()
     assert "window width eps" in text
     assert "spot check" in text
+
+
+def test_ball_radius_budget_keeps_the_terminal_spread_without_growth():
+    # C = 0 still spreads the terminal bound: 3 e^{CT} gamma xi / (1 - alpha)
+    # is 12 here, and the ceiling is half the budget, below sqrt(A)
+    chain = build_chain(0.0, 1.0, 0.0, 4.0, 1.0)
+    radius, ceiling = _ball_radius(chain)
+    budget = chain.log_c_delta + 12.0 - math.log(chain.one_minus_delta_A)
+    assert ceiling == pytest.approx(0.5 * budget, rel=1e-14)
+    assert radius == ceiling == pytest.approx(6.346573590279973, rel=1e-12)
+    assert math.sqrt(chain.A) == pytest.approx(14.778, abs=1e-3)
 
 
 def test_certify_power_growth_reports_underflow():

@@ -12,7 +12,11 @@ from mfbsde import (
     InvalidInput,
     build_grid,
     certify,
+    dsl,
+    example_21,
     example_22,
+    example_31,
+    example_41,
     linear_scenario,
     load_config,
     simulate_brownian,
@@ -98,6 +102,33 @@ def test_linear_fields():
     assert scenario.xi_bound == 4.0
     assert solver.tol_fp == 1e-4
     assert solver.n_windows == 2
+
+
+# The acceptance criteria build their problems from the scenario factories,
+# while the command line and the benchmark load the shipped configs.
+@pytest.mark.parametrize(
+    "fname,factory",
+    [
+        ("ex21.cfg", lambda: example_21(alpha=0.5, T=0.5, C=0.25, gamma=1.0)),
+        ("ex22.cfg", example_22),
+        ("ex31.cfg", example_31),
+        ("ex41.cfg", example_41),
+    ],
+)
+def test_shipped_config_is_its_scenario_factory(fname, factory):
+    assert load_config(CONFIG_DIR / fname)[0] == factory()
+
+
+def test_shipped_linear_config_is_the_linear_factory():
+    loaded = load_config(CONFIG_DIR / "linear.cfg")[0]
+    built = linear_scenario(dbar=1.0, terminal="w", name="linear-meanz")
+    assert dataclasses.replace(loaded, f=built.f) == built
+    # "1.0*zbar" is the factory's sum with every other coefficient zero
+    rng = np.random.default_rng(5)
+    P = 200
+    slots = (rng.uniform(0.0, 1.0, P), *rng.normal(0.0, 3.0, (2, P, 1)),
+             *rng.normal(0.0, 3.0, (2, P, 1, 1)))
+    assert np.all(dsl.evaluate(loaded.f, *slots) == dsl.evaluate(built.f, *slots))
 
 
 def test_defaults_fill_in(tmp_path):

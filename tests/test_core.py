@@ -185,7 +185,7 @@ def test_process_grid_views_node_major_storage(grid50):
     node_major = np.arange(51 * 4 * 2, dtype=np.float64).reshape(51, 4, 2)
     p = ProcessGrid(grid=grid50, values=node_major)
     assert p.values.shape == (51, 4, 2)
-    assert (p.n_paths, p.n_nodes, p.dims) == (4, 51, (2,))
+    assert (p.n_paths, p.n_nodes, p.values.shape[2:]) == (4, 51, (2,))
     assert np.shares_memory(p.values, node_major)
     assert p.values.flags.c_contiguous
     with pytest.raises(ValueError):
