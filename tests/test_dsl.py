@@ -476,11 +476,10 @@ def test_slot_shapes_accepted_and_rejected(slot, n, d, shape, rows):
             with pytest.raises(DimensionError):
                 run()
         return
-    P = rows
     canon = dict(slots)
-    canon["s"] = np.broadcast_to(np.reshape(slots["s"], (-1,)), (P,))
-    canon["y"] = np.broadcast_to(np.reshape(slots["y"], (-1, n)), (P, n))
-    canon["z"] = np.broadcast_to(np.reshape(slots["z"], (-1, d, n)), (P, d, n))
+    canon["s"] = np.broadcast_to(np.reshape(slots["s"], (-1,)), (rows,))
+    canon["y"] = np.broadcast_to(np.reshape(slots["y"], (-1, n)), (rows, n))
+    canon["z"] = np.broadcast_to(np.reshape(slots["z"], (-1, d, n)), (rows, d, n))
     want = reference_evaluate(e, *canon.values(), n=n, d=d)
     for run in runs:
         assert _same_bits(run(), want)
