@@ -46,6 +46,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .certificates import certify
 from .config import (
@@ -242,14 +244,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on bad flags and 0 on --help/--version
         return int(exc.code or 0)
+    command = {"certify": _cmd_certify, "solve": _cmd_solve, "validate": _cmd_validate}
     try:
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        raise InvalidInput(f"unknown command {args.command!r}")
+        # no numpy warning before the error: line; the language's, the
+        # sweep's and the grids' checks catch every non-finite value
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return command[args.command](args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -165,6 +165,8 @@ def simulate_brownian(grid: TimeGrid, d: int, n_paths: int, seed: int) -> PathEn
         raise InvalidInput("dimension d must be >= 1")
     if n_paths < 2:
         raise InvalidInput("need at least two paths")
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, not {seed}")
     rng = np.random.default_rng(seed)
     scale = np.sqrt(grid.steps)[None, :, None]
     levels = np.empty((grid.n_steps + 1, n_paths, d))

@@ -195,7 +195,9 @@ class _Parser:
     def parse_primary(self):
         kind, val, pos = self.advance()
         if kind == "num":
-            return Num(float(val), pos=pos)
+            if not math.isfinite(value := float(val)):
+                raise ParseError(f"number {val} is not finite", pos)
+            return Num(value, pos=pos)
         if kind == "ident":
             if self.peek()[1] == "(":
                 if val not in FUNCTIONS:
@@ -260,17 +262,22 @@ class GeneratorExpr:
         return to_text(self)
 
 
-def _collect_vars(node: Expr, out: set) -> None:
+def _children(node: Expr) -> tuple:
+    """The operands of ``node``, left to right."""
+    if isinstance(node, Neg):
+        return (node.operand,)
+    return (node.left, node.right) if isinstance(node, Bin) else getattr(node, "args", ())
+
+
+def _reads(node: Expr) -> frozenset:
+    """The slots ``node`` reads."""
     if isinstance(node, Var):
-        out.add(node.name)
-    elif isinstance(node, Neg):
-        _collect_vars(node.operand, out)
-    elif isinstance(node, Bin):
-        _collect_vars(node.left, out)
-        _collect_vars(node.right, out)
-    elif isinstance(node, Call):
-        for a in node.args:
-            _collect_vars(a, out)
+        return frozenset((node.name,))
+    return frozenset().union(*map(_reads, _children(node)))
+
+
+def _collect_vars(node: Expr, out: set) -> None:
+    out |= _reads(node)
 
 
 def parse(text: str, variables: tuple[str, ...] = GENERATOR_VARS) -> GeneratorExpr:
@@ -453,15 +460,13 @@ def _compile(node: Expr, plan: _Plan):
     if isinstance(node, Var):
         name = node.name
         return frozenset((name,)), lambda st: st._env[name], False
-    children = (node.operand,) if isinstance(node, Neg) else (
-        (node.left, node.right) if isinstance(node, Bin) else node.args
-    )
-    parts = [_compile(c, plan) for c in children]
-    reads = frozenset().union(*(r for r, _, _ in parts))
+    reads = _reads(node)
     late = bool(reads & plan.late)
     runs, owned = [], []
-    for child, (r, run, own) in zip(children, parts):
-        # a literal already is a constant: only computed operands are staged
+    for child in _children(node):
+        # staged as soon as it is compiled, so constants fold and binders
+        # bind in tree order; a literal is not staged, being a constant
+        r, run, own = _compile(child, plan)
         if (late or not r) and not isinstance(child, Num):
             run, own = plan.stage(r, run), own and bool(r & plan.late)
         runs.append(run)
@@ -479,6 +484,8 @@ def _scalar_exponent(node: Bin, a, b) -> float:
     if b.shape != (1, 1):
         raise DimensionError(f"exponent must be a constant scalar in '{_node_text(node)}'")
     e = float(b[0, 0])
+    if not math.isfinite(e):
+        raise EvalDomainError("non-finite exponent", _node_text(node), node.pos)
     if e != round(e) and np.any(a < 0.0):
         raise EvalDomainError("fractional power of a negative base", _node_text(node), node.pos)
     if e < 0 and np.any(a == 0.0):
@@ -667,9 +674,10 @@ class Staged(_Program):
     the remainder, from the late slots and those bound values, into
     buffers the instance owns.  Operations run in the tree's own order, so
     ``bind`` + call is bit for bit :func:`evaluate` of the whole
-    expression, with the same checks: a domain check inside a bound
-    subtree raises at bind time, the rest and the non-finite check at call
-    time.  Slots take the shapes :func:`evaluate` accepts.
+    expression, with the same checks: a domain check inside a constant
+    subtree raises when the program is built, one inside a bound subtree at
+    bind time, the rest and the non-finite check at call time, the first in
+    tree order at each stage.  Slots take the shapes :func:`evaluate` accepts.
 
     The returned (P, n) array is the instance's own buffer: it stays valid
     until the next call on the same instance.  ``reads_late`` is the set of

@@ -61,15 +61,17 @@ O(P) working memory.  The distances between iterates are the
 diagnostics' own path norms of their difference, taken node by node into
 reused buffers, so no full-size difference is ever allocated.
 
-Each solver evaluates its generators as :class:`dsl.Staged` programs that
-bind what its map holds fixed.  The frozen-mean driver binds ``s, ybar, z,
-zbar`` per node, so the implicit state solve re-runs only the ``y``
-terms.  The frozen-state map binds ``f1``'s ``s, y, ybar`` terms per
-node, so its sweep runs only the ``z, zbar`` terms.  Picard's lagged
-source binds ``s, z`` per node and runs the rest at the iterate and at
-zeros, and its in-sweep core binds the zero slots once per solve.  The
-mean shift runs one buffered all-late program per window.  Results are
-bit for bit those of evaluating each expression whole.
+Each solver evaluates its generators as :class:`dsl.Staged` programs,
+built once per window, that bind what its map holds fixed.  The two frozen
+maps differ only in the slots they hand :func:`~mfbsde.solver.staged_driver`:
+the frozen-mean map freezes ``ybar, zbar``, so the implicit state solve
+re-runs only the ``y`` terms, and the frozen-state map freezes ``y, ybar,
+zbar``, so ``f1`` has no late slot and each node binds it whole.  Picard's
+driver builds the lagged source at each node: it binds ``s`` and the
+iterate's integrand, runs the rest at the iterate and at zeros, and adds
+the in-sweep core, whose zero slots are bound once per solve.  The mean
+shift runs one buffered all-late program per window.  Results are bit for
+bit those of evaluating each expression whole.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ from .scenario import (
     FORM_SPLIT_QUADRATIC,
     ScenarioSpec,
 )
-from .solver import BackwardSolver, SolverConfig, frozen_mean_driver
+from .solver import BackwardSolver, SolverConfig, staged_driver
 
 __all__ = [
     "FixedPointTrace",
@@ -485,8 +487,10 @@ def _frozen_mean_solve(scenario, ensemble, config, cert, plan) -> SolveResult:
     iterate's mean curves, and the mean distance covers both curves."""
 
     def make_map(window: Window):
+        f = dsl.Staged(scenario.f, ("y",), n=scenario.n, d=scenario.d)
+
         def apply(it: _Iterate, sweep) -> _Iterate:
-            return _sweep_iterate(sweep(frozen_mean_driver(scenario, it.m_y, it.m_z, window.lo)))
+            return _sweep_iterate(sweep(staged_driver(f, window.lo, ybar=it.m_y, zbar=it.m_z)))
 
         return apply
 
@@ -605,8 +609,8 @@ def picard_global(
     gen = scenario.f
     cert = certificate if certificate is not None else certify(scenario)
     n, d, P = scenario.n, scenario.d, ensemble.n_paths
-    nodes = ensemble.grid.nodes
-    # the lagged source binds (s, z) once per node and runs the rest at the
+    # each node's lagged source, the full driver at the previous iterate
+    # minus its z-quadratic core, binds (s, z) once and runs the rest at the
     # iterate and at zeros; the sweep's core binds the zero slots once
     zeros = {"y": np.zeros((P, n)), "ybar": np.zeros(n), "zbar": np.zeros((d, n))}
     lagged = dsl.Staged(gen, ("y", "ybar", "zbar"), n=n, d=d)
@@ -614,18 +618,16 @@ def picard_global(
     core.bind(**zeros)
 
     def make_map(window: Window):
-        def apply(it: _Iterate, sweep) -> _Iterate:
-            # lagged source: full driver at the previous iterate minus its
-            # z-quadratic core, node by node
-            source = np.empty((window.n_nodes, P, n))
-            for j in range(window.n_nodes):
-                lagged.bind(s=float(nodes[window.lo + j]), z=it.z[j])
-                np.copyto(source[j], lagged(y=it.y[j], ybar=it.m_y[j], zbar=it.m_z[j]))
-                np.subtract(source[j], lagged(**zeros), out=source[j])
+        source = np.empty((P, n))
 
+        def apply(it: _Iterate, sweep) -> _Iterate:
             def driver(i, s, z):
+                j = i - window.lo
+                lagged.bind(s=s, z=it.z[j])
+                np.copyto(source, lagged(y=it.y[j], ybar=it.m_y[j], zbar=it.m_z[j]))
+                np.subtract(source, lagged(**zeros), out=source)
                 f = core(s=s, z=z)
-                return np.add(f, source[i - window.lo], out=f)
+                return np.add(f, source, out=f)
 
             return _sweep_iterate(sweep(driver))
 
@@ -680,8 +682,8 @@ def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
     A step sweeps once with ``f1`` at the previous iterate's state and
     mean-integrand curve, then shifts the state; the new iterate's
     mean-integrand curve is the sweep's.  The outer distance includes the
-    integrand, so the fixed point also resolves that curve.  ``f1``'s
-    subtrees that read only the state slots are bound once per swept node.
+    integrand, so the fixed point also resolves that curve.  ``f1`` is
+    bound whole once per swept node, so each backward step is explicit.
     When ``f1`` reads only ``s, z`` and ``f2`` neither ``y`` nor ``ybar``,
     the first step from the start is exactly the deterministic shift of the
     base BSDE, and the second confirms it at distance 0.
@@ -692,16 +694,11 @@ def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
     n, d = scenario.n, scenario.d
 
     def make_map(window: Window):
-        f1 = dsl.Staged(scenario.f1, ("z", "zbar"), n=n, d=d)
+        f1 = dsl.Staged(scenario.f1, (), n=n, d=d)
         f2 = dsl.Staged(scenario.f2, dsl.GENERATOR_VARS, n=n, d=d)
 
         def apply(it: _Iterate, sweep) -> _Iterate:
-            def driver(i, s, z):
-                j = i - window.lo
-                f1.bind(s=s, y=it.y[j], ybar=it.m_y[j])
-                return f1(z=z, zbar=it.m_z[j])
-
-            out = sweep(driver)
+            out = sweep(staged_driver(f1, window.lo, y=it.y, ybar=it.m_y, zbar=it.m_z))
             mz_curve = path_mean(out.z)
             shift = _mean_shift(f2, ensemble, window, out.z, mz_curve, y=it.y, ybar=it.m_y)
             y_new = out.y + shift[:, None, :]

@@ -13,9 +13,11 @@ One backward step at node i:
 The driver is bound once per node: ``driver(i, s, z)`` returns the node's
 driver values when they do not read the state, and the equation is explicit
 (one step), or a callable of ``y`` that re-runs only the state-reading
-remainder on each pass, such as a :class:`~mfbsde.dsl.Staged` program with
-``y`` late.  The step's ``c + h*f``, damping step, residual and scale are
-written into buffers reused across the sweep.
+remainder on each pass.  :func:`staged_driver` builds that driver from a
+:class:`~mfbsde.dsl.Staged` program with its other slots frozen at
+node-major curves; a program with ``y`` late is the callable.  The step's
+``c + h*f``, damping step, residual and scale are written into buffers
+reused across the sweep.
 
 Driver evaluations clamp the z argument at a configurable norm level;
 clamp activations are counted and reported, and a converged run is expected
@@ -32,7 +34,6 @@ import numpy as np
 from .core import PathEnsemble, Window
 from .errors import InvalidInput, StepDivergence
 from .regression import NodeRegression, RegressionBasis
-from .scenario import ScenarioSpec
 from . import dsl
 
 __all__ = ["SolverConfig", "StandardSolve", "BackwardSolver"]
@@ -58,6 +59,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_steps < 1 or self.n_paths < 2:
             raise InvalidInput("need n_steps >= 1 and n_paths >= 2")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, not {self.seed}")
         for name in ("tol_fp", "z_clamp"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -186,6 +189,21 @@ class BackwardSolver:
                              clamp_events=clamp_events)
 
 
+def staged_driver(stage, lo: int, **frozen):
+    """``driver(i, s, z)`` of :meth:`BackwardSolver.solve` for ``stage``
+    with its other slots frozen at node-major curves aligned with the window
+    whose first node is ``lo``: node ``i`` binds ``s``, ``z`` and row
+    ``i - lo`` of each, and returns ``stage`` when it reads a late slot (the
+    implicit state solve re-runs it), else its values."""
+
+    def driver(i: int, s: float, z: np.ndarray):
+        j = i - lo
+        stage.bind(s=s, z=z, **{k: v[j] for k, v in frozen.items()})
+        return stage if stage.reads_late else stage()
+
+    return driver
+
+
 def _clamp_z(z: np.ndarray, level: float) -> tuple[np.ndarray, int]:
     """``z`` (P, d, n) with every path's row scaled down to norm ``level``
     where its norm exceeds it, and the number of rows scaled."""
@@ -238,30 +256,3 @@ def _implicit_state(cond, h, i, f, work, cfg) -> tuple[np.ndarray, int]:
     raise StepDivergence(
         f"state iteration stalled at residual {prev_res:.3e}", i
     )
-
-
-def frozen_mean_driver(
-    scenario: ScenarioSpec,
-    m_y: np.ndarray,
-    m_z: np.ndarray,
-    lo: int,
-):
-    """Driver with the mean slots frozen at given curves.
-
-    ``m_y`` has shape (L, n) and ``m_z`` shape (L, d, n), aligned with the
-    window whose first global node index is ``lo``.  Each node binds the
-    time, mean state, integrand and mean integrand of one staged program
-    once; a generator that reads ``y`` returns that program, whose calls
-    re-run only the ``y``-reading remainder, and any other its values.
-    """
-    gen = scenario.f
-    if gen is None:
-        raise InvalidInput("frozen-mean driver needs a single-generator scenario")
-    stage = dsl.Staged(gen, ("y",), n=scenario.n, d=scenario.d)
-
-    def drive(i: int, s: float, z: np.ndarray):
-        j = i - lo
-        stage.bind(s=s, ybar=m_y[j], z=z, zbar=m_z[j])
-        return stage if stage.reads_late else stage()
-
-    return drive

@@ -137,6 +137,44 @@ def test_non_finite_number_exits_2(key, value, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,config_seed,flags", [
+    ("solve", "-1", []), ("certify", "-1", []), ("solve", "3", ["--seed", "-1"]),
+], ids=["config-solve", "config-certify", "flag-solve"])
+def test_negative_seed_exits_2(command, config_seed, flags, tmp_path, capsys):
+    p = tmp_path / "bad.cfg"
+    p.write_text(TINY.replace("seed = 3", f"seed = {config_seed}"))
+    rc = main([command, "--config", str(p), "--out-dir", str(tmp_path / "out"), *flags])
+    assert rc == 2
+    assert _one_error_line(capsys).splitlines() == ["error: seed must be >= 0, not -1"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,config,rc,error", [
+    ("solve", ("tiny", "f = 1.0*zbar", "f = 1.0*zbar + 1e400*0"), 2,
+     "error: number 1e400 is not finite (column 12)"),
+    ("solve", ("tiny", "f = 1.0*zbar", "f = y^1e400"), 2,
+     "error: number 1e400 is not finite (column 3)"),
+    ("certify", ("ex22.cfg",
+                 "\nf = 1 + s + abs(y) + abs(ybar) + 0.5*norm2(z)^2 + abs(sin(norm2(zbar)))\n",
+                 "\nf = 1 + 0.5*norm2(z)^2 + abs(y)^exp(1000)\n"), 1,
+     "error: EvalDomainError: non-finite exponent in 'abs(y)^exp(1000)' (column 28)"),
+    ("solve", ("tiny", "f = 1.0*zbar", "f = 1.0*zbar + exp(1000)"), 1,
+     "error: EvalDomainError: non-finite value in '1 * zbar + exp(1000)' (column 1)"),
+], ids=["literal-sum", "literal-exponent", "constant-exponent", "constant-overflow"])
+def test_non_finite_generator_ends_in_one_error_line(command, config, rc, error, tmp_path, capsys):
+    # no traceback and no numpy warning: stderr is the error line alone
+    name, old, new = config
+    shipped = Path(__file__).resolve().parents[1] / "configs" / name
+    text = TINY if name == "tiny" else shipped.read_text()
+    assert old in text
+    p = tmp_path / "bad.cfg"
+    p.write_text(text.replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(p), "--out-dir", str(tmp_path / "out")]) == rc
+    assert capsys.readouterr().err == error + "\n"
+
+
 def test_solver_scenario_mismatch_exits_2(tiny_cfg, tmp_path, capsys):
     # the shift solvers need a split (f1, f2) generator pair
     rc = main(

@@ -236,6 +236,20 @@ def test_readme_config_example_loads(tmp_path):
     assert options.prefix == "ex22"
 
 
+def test_terminal_clamp_reaches_the_scenario_and_clips(tmp_path):
+    text = MINIMAL.replace("terminal = w", "terminal = w\nterminal_clamp = 0.5")
+    scenario = load_config(_write(tmp_path, text))[0]
+    assert scenario.terminal_clamp == 0.5
+    w = np.array([[-2.0], [-0.5], [0.1], [0.7]])
+    assert scenario.terminal_values(w).tolist() == [[-0.5], [-0.5], [0.1], [0.5]]
+
+
+def test_terminal_clamp_above_the_terminal_bound_rejected(tmp_path):
+    text = MINIMAL.replace("terminal = w", "terminal = w\nterminal_clamp = 1.5")
+    with pytest.raises(InvalidInput, match="terminal_clamp exceeds the declared terminal bound"):
+        load_config(_write(tmp_path, text))
+
+
 def test_split_pair_config(tmp_path):
     text = MINIMAL.replace("f = 0.0", "f1 = abs(y)\nf2 = abs(ybar)")
     scenario, _, _, _ = load_config(_write(tmp_path, text))

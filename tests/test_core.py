@@ -73,6 +73,11 @@ def test_brownian_seed_reproducibility(grid50):
     assert inc_a == inc_b != inc_c
 
 
+def test_brownian_rejects_a_negative_seed(grid50):
+    with pytest.raises(InvalidInput, match="seed must be >= 0, not -1"):
+        simulate_brownian(grid50, 1, 100, -1)
+
+
 def _seed_draws(grid, d, n_paths, seed):
     """The increments ``simulate_brownian`` draws for ``seed``, path-major."""
     draws = np.random.default_rng(seed).standard_normal((n_paths, grid.n_steps, d))

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfbsde import dsl
@@ -81,6 +81,8 @@ def _interpret(node, env):
             return a / b
         if node.op == "^":
             e = float(b[0, 0])
+            if not math.isfinite(e):
+                raise EvalDomainError("non-finite exponent", dsl._node_text(node), node.pos)
             if e != round(e) and np.any(a < 0.0):
                 raise EvalDomainError(
                     "fractional power of a negative base", dsl._node_text(node), node.pos
@@ -102,9 +104,10 @@ def _interpret(node, env):
     return {"min": np.minimum, "max": np.maximum}[node.func](*args)
 
 
-def reference_evaluate(expr, s, y, ybar, z, zbar, n, d):
+def reference_evaluate(expr, s, y, ybar, z, zbar, n, d, first=()):
     """Interpreter reading of :func:`dsl.evaluate` for (P, n) / (P, d, n) input:
-    every component evaluated separately, then the non-finite check."""
+    the subtrees ``first``, in order, then every component evaluated
+    separately, then the non-finite check."""
     P = y.shape[0]
     env = {
         "s": np.asarray(s, dtype=np.float64).reshape(-1, 1),
@@ -113,6 +116,8 @@ def reference_evaluate(expr, s, y, ybar, z, zbar, n, d):
         "z": z.reshape(z.shape[0], d * n),
         "zbar": zbar.reshape(-1, d * n),
     }
+    for node in first:
+        _interpret(node, env)
     out = np.empty((P, n))
     comps = expr.components
     for j in range(n):
@@ -153,6 +158,15 @@ def test_syntax_error_carries_column():
 def test_parse_rejects_malformed(bad):
     with pytest.raises((ParseError, InvalidInput)):
         dsl.parse(bad)
+
+
+@pytest.mark.parametrize("text,column", [("1.0*zbar + 1e400*0", 12), ("y^1e400", 3),
+                                         ("1 ; 2.5E+309", 5)])
+def test_number_beyond_doubles_is_a_parse_error(text, column):
+    with pytest.raises(ParseError) as exc:
+        dsl.parse(text)
+    assert exc.value.column == column
+    assert "is not finite" in str(exc.value)
 
 
 def test_unknown_identifier():
@@ -394,6 +408,20 @@ def test_domain_error_negative_base_fractional_power():
             e, 0.0, -np.ones((1, 1)), np.zeros((1, 1)), np.zeros((1, 1, 1)),
             np.zeros((1, 1, 1)), n=1, d=1,
         )
+
+
+@pytest.mark.parametrize("text,node_text,column", [
+    ("1 + 0.5*norm2(z)^2 + abs(y)^exp(1000)", "abs(y)^exp(1000)", 28),
+    ("y^(0*exp(1000))", "y^(0 * exp(1000))", 2),
+])
+def test_non_finite_exponent_is_domain_error(text, node_text, column):
+    e = dsl.parse(text)
+    slots = (0.0, np.ones((3, 1)), np.ones(1), np.ones((3, 1, 1)), np.zeros((1, 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in (lambda: dsl.evaluate(e, *slots), lambda: reference_evaluate(e, *slots, 1, 1)):
+            with pytest.raises(EvalDomainError) as exc:
+                run()
+            assert str(exc.value) == f"non-finite exponent in '{node_text}' (column {column})"
 
 
 def test_division_by_zero_is_domain_error():
@@ -642,6 +670,31 @@ def _staged(e, late, s, y, yb, z, zb, n, d):
     return again
 
 
+def _staged_first(expr, late):
+    """The subtrees a program staged for ``late`` runs before its call, in
+    the order it runs them: the maximal ones that read no slot, folded when
+    it is built, then the maximal ones that read slots but no late one,
+    evaluated by ``bind``, each group in tree order."""
+    constant, bound = [], []
+
+    def walk(node, in_bound):
+        if isinstance(node, (Num, Var)):
+            return
+        reads = dsl._reads(node)
+        if not reads:
+            constant.append(node)
+            return
+        if not in_bound and not reads & late:
+            bound.append(node)
+            in_bound = True
+        for child in dsl._children(node):
+            walk(child, in_bound)
+
+    for c in expr.components:
+        walk(c, False)
+    return constant + bound
+
+
 def _outcome(fn):
     """The value of ``fn()``, or the type and text of the error it raises."""
     try:
@@ -670,15 +723,20 @@ def test_staged_matches_reference_for_every_late_set(rng, text, n, d, P):
 
 @settings(max_examples=60, deadline=None)
 @given(GENERATED_TEXTS, st.sampled_from([1, 3, 257]), st.integers(0, 2**32 - 1))
+@example("abs(((y / y) + (ybar / 0.0)))", 1, 0)
+@example("dot((y / y), (ybar / norm2(z)))", 1, 0)
+@example("((ybar / 0.0) + (y * (s / 0.0)))", 1, 0)
 def test_staged_generated_matches_reference(text, P, seed):
     # every operation, every set of late slots: the staged value is the
-    # reference's bit for bit, or both raise the same error
+    # reference's bit for bit, or both raise the same error, the first in
+    # staged order (constant subtrees, then bound ones, then the rest)
     e = dsl.parse(text)
     rng = np.random.default_rng(seed)
     y, yb, z, zb = _driver_inputs(rng, P, 1, 1)
     s = rng.uniform(0, 1, P)
-    want = _outcome(lambda: reference_evaluate(e, s, y, yb, z, zb, n=1, d=1))
     for late in LATE_SETS:
+        first = _staged_first(e, late)
+        want = _outcome(lambda: reference_evaluate(e, s, y, yb, z, zb, n=1, d=1, first=first))
         got = _outcome(lambda: _staged(e, late, s, y, yb, z, zb, 1, 1))
         assert _same_outcome(got, want), late
 

@@ -35,7 +35,7 @@ from mfbsde.scenario import (
     linear_scenario,
 )
 from mfbsde.regression import NodeRegression, RegressionBasis
-from mfbsde.solver import BackwardSolver, SolverConfig, frozen_mean_driver
+from mfbsde.solver import BackwardSolver, SolverConfig, staged_driver
 
 CFG = SolverConfig(
     n_steps=40,
@@ -78,7 +78,8 @@ def _frozen_mean_solve(sc, ens, m_y, m_z):
     the curves ``m_y`` (L, n) and ``m_z`` (L, d, n)."""
     window = ens.grid.full_window()
     terminal = sc.terminal_values(ens.state(window.hi))
-    drive = frozen_mean_driver(sc, m_y, m_z, window.lo)
+    drive = staged_driver(dsl.Staged(sc.f, ("y",), n=sc.n, d=sc.d), window.lo,
+                          ybar=m_y, zbar=m_z)
     return BackwardSolver(ens, CFG).solve(window, terminal, drive)
 
 
@@ -309,6 +310,29 @@ def test_stitching_plans_windows_from_contraction_when_width_degenerates():
     assert a.windows == b.windows
     assert a.y.values.tobytes() == b.y.values.tobytes()
     assert a.z.values.tobytes() == b.z.values.tobytes()
+
+
+def test_stitching_on_the_certified_width():
+    # constants small enough for a stitching width eta of about three of
+    # the 50 grid steps: without the override every planned window fits
+    # within eta, and no trace or flag records an excess
+    sc = ScenarioSpec(
+        name="certified", n=1, d=1, T=1.0,
+        terminal=dsl.parse("0.5*sin(w)", dsl.TERMINAL_VARS),
+        f=dsl.parse("0.1*abs(y) + 0.05*norm2(z)^2"),
+        C=0.1, gamma=0.1, alpha=0.0, xi_bound=0.5,
+    )
+    cert = certify(sc)
+    assert cert.eta == pytest.approx(0.0632, abs=1e-4)
+    assert cert.chain.eps == pytest.approx(0.0738, abs=1e-4)
+    cfg = CFG.updated(n_steps=50, n_paths=2_000, override_epsilon=False)
+    res = global_solve(sc, _ensemble(sc, cfg), cfg)
+    assert len(res.windows) == 17 and res.windows[:2] == [(0, 2), (2, 5)]
+    assert all(left[1] == right[0] for left, right in zip(res.windows, res.windows[1:]))
+    assert res.windows[-1][1] == 50
+    assert all(t.width <= cert.eta for t in res.trace)
+    assert all(t.exceeds_certificate is False for t in res.trace)
+    assert res.flags["window_exceeds_certificate"] is False
 
 
 def _trace(width: float, ratios=()) -> FixedPointTrace:
@@ -866,9 +890,9 @@ def test_staged_solves_equal_whole_expression_evaluation(case, monkeypatch):
     ids=["multidim", "shift"],
 )
 def test_state_terms_are_bound_once_per_node_per_outer_step(config, changes, solve, monkeypatch):
-    # f1's state slots are frozen for a whole outer step: its y and ybar
-    # subtrees are bound once per swept node per step, and each window
-    # runs one sweep per step
+    # f1's slots are frozen for a whole outer step: it is bound whole, with
+    # no late slot, once per swept node per step, and each window runs one
+    # sweep per step
     sc, cfg = _shipped(config, **changes)
     ens = _ensemble(sc, cfg)
     bound = []
@@ -882,7 +906,7 @@ def test_state_terms_are_bound_once_per_node_per_outer_step(config, changes, sol
     sweeps = _record_sweeps(monkeypatch)
     res = solve(sc, ens, cfg)
     steps = sum((hi - lo) * t.iterations for (lo, hi), t in zip(res.windows, res.trace))
-    assert bound == [frozenset({"z", "zbar"})] * steps
+    assert bound == [frozenset()] * steps
     spans = [span for span, _, _ in sweeps]
     assert [spans.count(w) for w in res.windows] == [t.iterations for t in res.trace]
 

@@ -19,7 +19,7 @@ from mfbsde.solver import (
     BackwardSolver,
     SolverConfig,
     _clamp_z,
-    frozen_mean_driver,
+    staged_driver,
 )
 
 from closed_form import LinearMeanFieldSpec, linear_closed_form
@@ -42,6 +42,11 @@ def _scalar_scenario(f_text, terminal="w", T=1.0):
     )
 
 
+def _frozen_mean_driver(sc, m_y, m_z, lo):
+    """``sc.f`` with its mean slots frozen at ``m_y`` and ``m_z``."""
+    return staged_driver(dsl.Staged(sc.f, ("y",), n=sc.n, d=sc.d), lo, ybar=m_y, zbar=m_z)
+
+
 def _zero_means(sc, n_nodes):
     return np.zeros((n_nodes, sc.n)), np.zeros((n_nodes, sc.d, sc.n))
 
@@ -50,7 +55,7 @@ def _frozen_mean_sweep(sc, ensemble, cfg):
     """One sweep on the full window with the mean slots frozen at zero."""
     window = ensemble.grid.full_window()
     terminal = sc.terminal_values(ensemble.state(window.hi))
-    drive = frozen_mean_driver(sc, *_zero_means(sc, window.n_nodes), window.lo)
+    drive = _frozen_mean_driver(sc, *_zero_means(sc, window.n_nodes), window.lo)
     return BackwardSolver(ensemble, cfg).solve(window, terminal, drive)
 
 
@@ -409,7 +414,7 @@ def test_y_free_driver_takes_one_explicit_step(ensemble50):
     L = window.n_nodes
     m_y = np.full((L, 1), 0.3)
     m_z = np.full((L, 1, 1), -0.2)
-    drive = frozen_mean_driver(sc, m_y, m_z, window.lo)
+    drive = _frozen_mean_driver(sc, m_y, m_z, window.lo)
     # a y-free generator binds to its values, not to a function of y
     assert isinstance(drive(0, 0.0, _node_integrand(ensemble50, sc)), np.ndarray)
     terminal = sc.terminal_values(ensemble50.state(window.hi))
@@ -428,7 +433,7 @@ def test_y_reading_driver_keeps_the_implicit_loop(ensemble50):
     sc = _scalar_scenario("1 + 0.5*abs(y)")
     window = ensemble50.grid.full_window()
     L = window.n_nodes
-    drive = frozen_mean_driver(sc, np.zeros((L, 1)), np.zeros((L, 1, 1)), window.lo)
+    drive = _frozen_mean_driver(sc, np.zeros((L, 1)), np.zeros((L, 1, 1)), window.lo)
     bound = drive(0, 0.0, _node_integrand(ensemble50, sc))
     assert callable(bound) and bound.reads_late == {"y"}
     info = _frozen_mean_sweep(sc, ensemble50, CFG)
@@ -483,7 +488,7 @@ def test_linear_oracle_against_solver():
     m_z = sol.m_z(t)[:, None, None]
     window = grid.full_window()
     terminal = sc.terminal_values(ens.state(window.hi))
-    drive = frozen_mean_driver(sc, m_y, m_z, window.lo)
+    drive = _frozen_mean_driver(sc, m_y, m_z, window.lo)
     res = BackwardSolver(ens, CFG.updated(n_paths=40_000)).solve(window, terminal, drive)
 
     got_my = res.y.mean(axis=1)[:, 0]
