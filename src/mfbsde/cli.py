@@ -12,14 +12,16 @@ Three commands:
     manifest.  Its traces hold one entry per sweep, the first measured
     against the start (the terminal data's path mean with a zero
     integrand), so ``max_outer`` is a budget of sweeps per window, and
-    count each window's z-clamp activations (``clamp_events``), its width
-    in time (``width``) and, for windows sized from measured contraction,
-    the first contraction ratio of the window to its right that chose that
-    width (``ratio``, null otherwise), and whether it is wider than the
-    certified width (``exceeds_certificate``, null for Picard's horizon).
+    count each window's z-clamp activations (``clamp_events``), the passes
+    of its state solves (``inner_iterations``) and those that halved their
+    step (``damped_passes``), its width in time (``width``) and, for
+    windows sized from measured contraction, the first contraction ratio of
+    the window to its right that chose that width (``ratio``, null
+    otherwise), and whether it is wider than the certified width
+    (``exceeds_certificate``, null for Picard's horizon).
     The summary prints each window's span, width, choosing ratio (``-``
-    for none), outer iterations and z-clamp activations, and whether the
-    solved pair lies in the certified ball.
+    for none), outer iterations, z-clamp activations, inner iterations and
+    damped passes, and whether the solved pair lies in the certified ball.
     ``--solver shift`` also covers the deterministic-shift case (``f1`` of
     ``s, z`` only, ``f2`` without the state): two sweeps, the first exact.
 
@@ -196,6 +198,9 @@ def _cmd_solve(args) -> int:
                                           for t in traces))
     print("iterations per window: " + ", ".join(str(t.iterations) for t in traces))
     print("z-clamp events per window: " + ", ".join(str(t.clamp_events) for t in traces))
+    print("inner iterations per window: "
+          + ", ".join(str(t.inner_iterations) for t in traces))
+    print("damped passes per window: " + ", ".join(str(t.damped_passes) for t in traces))
     print(f"state mean at t=0: "
           + ", ".join(f"{v:.6f}" for v in result.m_y.values[0]))
     for key in ("alpha_envelope_rate", "window_exceeds_certificate", "within_certified_ball"):

@@ -68,7 +68,7 @@ import numpy as np
 
 from . import dsl
 from .diagnostics import node_square_norms
-from .errors import InvalidInput, MFBSDEError
+from .errors import InvalidInput, MFBSDEError, ParseError
 from .regression import RegressionBasis
 from .scenario import ScenarioSpec
 from .solver import SolverConfig
@@ -136,6 +136,18 @@ def _get(section, key, conv, default=None, required=False):
         raise InvalidInput(f"bad value for '{key}': {raw!r}") from exc
 
 
+def _expression(section, key: str, variables=dsl.GENERATOR_VARS):
+    """The parsed expression under ``key`` (required for the terminal
+    condition, else None when absent); a parse error names the key."""
+    text = _get(section, key, str, required=key == "terminal")
+    if text is None:
+        return None
+    try:
+        return dsl.parse(text, variables)
+    except ParseError as exc:
+        raise ParseError(f"{key}: {exc.message}", exc.column) from None
+
+
 def _check_keys(section, name: str, keys) -> None:
     known = {key.lower() for key in keys}  # the parser lower-cases keys
     for key in section:
@@ -181,9 +193,6 @@ def load_config(path) -> tuple[ScenarioSpec, SolverConfig, OutputOptions, str]:
     _check_keys(sc, "scenario", _SCENARIO_KEYS)
     _check_keys(cs, "constants", _CONSTANTS_KEYS)
 
-    f_text = _get(sc, "f", str)
-    f1_text = _get(sc, "f1", str)
-    f2_text = _get(sc, "f2", str)
     forms = tuple(_get(sc, "forms", str, default="").split())
 
     scenario = ScenarioSpec(
@@ -191,11 +200,11 @@ def load_config(path) -> tuple[ScenarioSpec, SolverConfig, OutputOptions, str]:
         n=_get(sc, "n", int, default=1),
         d=_get(sc, "d", int, default=1),
         T=_get(sc, "T", float, required=True),
-        terminal=dsl.parse(_get(sc, "terminal", str, required=True), dsl.TERMINAL_VARS),
+        terminal=_expression(sc, "terminal", dsl.TERMINAL_VARS),
         terminal_clamp=_get(sc, "terminal_clamp", float),
-        f=dsl.parse(f_text) if f_text else None,
-        f1=dsl.parse(f1_text) if f1_text else None,
-        f2=dsl.parse(f2_text) if f2_text else None,
+        f=_expression(sc, "f"),
+        f1=_expression(sc, "f1"),
+        f2=_expression(sc, "f2"),
         C=_get(cs, "C", float, required=True),
         gamma=_get(cs, "gamma", float, required=True),
         alpha=_get(cs, "alpha", float, default=0.0),

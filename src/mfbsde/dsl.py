@@ -29,10 +29,18 @@ the program's next call.  :func:`evaluate` is the every-slot-late case and
 returns a fresh array.  Every operation is an entry of one of two tables,
 ``_UNARY`` and ``_BINARY``: a ufunc, plus the operand check of ``/`` and
 ``^``.  The row reductions ``norm2`` and ``dot`` are the only others.
+
+A program whose one late slot is ``y`` is compiled as a *tangent* plan:
+each operation that reads ``y`` also carries its forward-mode
+y-derivative, so one call gives the values and ``df_j/dy_j``, the slope
+of an implicit state solve's Newton step.  :meth:`GeneratorExpr.split`
+splits each component's top-level sum by the slots its terms read, which
+is how the Picard scheme lags only the terms that read lagged slots.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from dataclasses import dataclass, field
@@ -235,10 +243,10 @@ class GeneratorExpr:
         """Compiled plans by late-slot set, each built on first use."""
         return {}
 
-    def _plan(self, late: frozenset) -> "_Plan":
-        plan = self._programs.get(late)
+    def _plan(self, late: frozenset, tangent: bool = False) -> "_Plan":
+        plan = self._programs.get((late, tangent))
         if plan is None:
-            plan = self._programs[late] = _Plan(self.components, late)
+            plan = self._programs[late, tangent] = _Plan(self.components, late, tangent)
         return plan
 
     def __getstate__(self):
@@ -257,6 +265,29 @@ class GeneratorExpr:
 
     def free_variables(self) -> frozenset[str]:
         return self._free_variables
+
+    def split(self, slots) -> tuple["GeneratorExpr", "GeneratorExpr"]:
+        """``(reading, regrouped)``: each component's top-level sum split
+        into the terms that read one of ``slots`` and the rest, where ``a -
+        b`` counts as ``a + (-b)``.  ``reading`` sums the first terms, in
+        their order, and ``regrouped`` is the component as the sum of the
+        rest plus that sum, which equals it up to rounding.  A component
+        that is not a sum, or has no term on one side, is both parts whole.
+        """
+        slots = frozenset(slots)
+        reading, regrouped = [], []
+        for c in self.components:
+            terms = _terms(c)
+            hit = [t for t in terms if _reads(t[1]) & slots]
+            rest = [t for t in terms if not _reads(t[1]) & slots]
+            if hit and rest:
+                reading.append(_sum(hit))
+                regrouped.append(Bin("+", _sum(rest), reading[-1]))
+            else:
+                reading.append(c)
+                regrouped.append(c)
+        return (GeneratorExpr(tuple(reading), self.variables),
+                GeneratorExpr(tuple(regrouped), self.variables))
 
     def __str__(self) -> str:
         return to_text(self)
@@ -278,6 +309,26 @@ def _reads(node: Expr) -> frozenset:
 
 def _collect_vars(node: Expr, out: set) -> None:
     out |= _reads(node)
+
+
+def _terms(node: Expr, sign: int = 1) -> list:
+    """The signed terms ``(sign, term)`` of ``node``'s top-level sum, left
+    to right; a minus, binary or unary, flips the sign of what it takes."""
+    if isinstance(node, Bin) and node.op in "+-":
+        return _terms(node.left, sign) + _terms(node.right, sign if node.op == "+" else -sign)
+    if isinstance(node, Neg):
+        return _terms(node.operand, -sign)
+    return [(sign, node)]
+
+
+def _sum(terms: list) -> Expr:
+    """The left-to-right sum of signed terms, the first negated by a unary
+    minus when its sign is negative."""
+    (sign, acc), *rest = terms
+    acc = acc if sign > 0 else Neg(acc)
+    for sign, t in rest:
+        acc = Bin("+" if sign > 0 else "-", acc, t)
+    return acc
 
 
 def parse(text: str, variables: tuple[str, ...] = GENERATOR_VARS) -> GeneratorExpr:
@@ -413,10 +464,15 @@ class _Plan:
     the value of the whole tree.  The closures take the running program,
     read its environment and bound values, and write into its buffers by
     index, so one plan serves any number of programs.
+
+    A *tangent* plan (late slot ``y`` alone) also carries the y-derivative:
+    every node that reads ``y`` returns ``(value, derivative)``, and so
+    does every root, with derivative None where it does not read ``y``.
     """
 
-    def __init__(self, components, late: frozenset):
+    def __init__(self, components, late: frozenset, tangent: bool = False):
         self.late = late
+        self.tangent = tangent
         self.n_buffers = 0
         self.binders: list = []
         reads = frozenset()
@@ -424,7 +480,10 @@ class _Plan:
         for c in components:
             r, run, _ = _compile(c, self)
             reads |= r
-            roots.append(self.stage(r, run))
+            run = self.stage(r, run)
+            if tangent and "y" not in r:
+                run = (lambda value: lambda st: (value(st), None))(run)
+            roots.append(run)
         self.roots = tuple(roots)
         self.reads_late = reads & late
         self.reads_early = reads - late
@@ -459,6 +518,8 @@ def _compile(node: Expr, plan: _Plan):
         return frozenset(), lambda st: const, False
     if isinstance(node, Var):
         name = node.name
+        if plan.tangent and name == "y":
+            return frozenset(("y",)), lambda st: (st._env["y"], _ONE), False
         return frozenset((name,)), lambda st: st._env[name], False
     reads = _reads(node)
     late = bool(reads & plan.late)
@@ -471,7 +532,14 @@ def _compile(node: Expr, plan: _Plan):
             run, own = plan.stage(r, run), own and bool(r & plan.late)
         runs.append(run)
         owned.append(own)
-    return reads, _operation(node, runs, owned, plan), True
+    value = _operation(node, owned, plan)
+    if plan.tangent and late:
+        return reads, _tangent(node, runs, value, plan), True
+    if len(runs) == 1:
+        (arg,) = runs
+        return reads, lambda st: value(st, arg(st)), True
+    left, right = runs
+    return reads, lambda st: value(st, left(st), right(st)), True
 
 
 def _nonzero_divisor(node: Bin, a, b):
@@ -517,20 +585,23 @@ _BINARY = {
 }
 
 
-def _operation(node: Expr, runs, owned, plan: _Plan):
-    """The closure of one operation node, specialised on its table entry.
-    It writes into an operand it owns or into a buffer of its own; the row
-    reductions ``norm2`` and ``dot`` always return a fresh or own array."""
-    op = "neg" if isinstance(node, Neg) else node.op if isinstance(node, Bin) else node.func
+def _op(node: Expr) -> str:
+    """The table key of an operation node."""
+    return "neg" if isinstance(node, Neg) else node.op if isinstance(node, Bin) else node.func
+
+
+def _operation(node: Expr, owned, plan: _Plan):
+    """``value(st, *operands)``: one operation node's value from its
+    operands' values, specialised on its table entry.  It writes into an
+    operand it owns or into a buffer of its own; the row reductions
+    ``norm2`` and ``dot`` always return a fresh or own array."""
+    op = _op(node)
     if op == "norm2":
-        (arg,) = runs
-        return lambda st: row_norm(arg(st))
+        return lambda st, a: row_norm(a)
     k = plan.buffer()
     if op == "dot":
-        left, right = runs
 
-        def dot(st):
-            a, b = left(st), right(st)
+        def dot(st, a, b):
             if a.shape[1] != b.shape[1]:
                 raise DimensionError(f"dot of {a.shape[1]}- and {b.shape[1]}-component vectors")
             out = _buffer(st, k, (max(a.shape[0], b.shape[0]), 1))
@@ -539,20 +610,18 @@ def _operation(node: Expr, runs, owned, plan: _Plan):
 
         return dot
     if op in _UNARY:
-        (ufunc, on_norm), (arg,), (own,) = _UNARY[op], runs, owned
+        (ufunc, on_norm), (own,) = _UNARY[op], owned
 
-        def unary(st):
-            a = arg(st)
+        def unary(st, a):
             if on_norm and a.shape[1] > 1:
                 # row_norm returns a fresh array, which this node owns
                 return ufunc(a := row_norm(a), out=a)
             return ufunc(a, out=_destination(st, k, a.shape, a, own))
 
         return unary
-    (ufunc, check), (left, right), (own_a, own_b) = _BINARY[op], runs, owned
+    (ufunc, check), (own_a, own_b) = _BINARY[op], owned
 
-    def binary(st):
-        a, b = left(st), right(st)
+    def binary(st, a, b):
         shape = _pair_shape(node, a, b)
         operand = b if check is None else check(node, a, b)
         return ufunc(a, operand, out=_destination(st, k, shape, a, own_a, b, own_b))
@@ -590,25 +659,169 @@ def _pair_shape(node: Expr, a: np.ndarray, b: np.ndarray) -> tuple:
     return (max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1]))
 
 
+# the y-derivative of ``y``
+_ONE = np.ones((1, 1))
+_ONE.flags.writeable = False
+
+
+def _width(node: Expr, widths: dict) -> int:
+    """The component count of ``node``'s value, the slots having ``widths``."""
+    if isinstance(node, Num):
+        return 1
+    if isinstance(node, Var):
+        return widths[node.name]
+    if _reduces(_op(node)):
+        return 1
+    return max(_width(c, widths) for c in _children(node))
+
+
+def _reduces(op: str) -> bool:
+    """Whether ``op`` maps a vector to a scalar: ``norm2``, ``dot``, and
+    ``abs``, ``sin``, ``cos``, ``exp`` acting on its norm."""
+    return op in ("norm2", "dot") or _UNARY.get(op, (None, False))[1]
+
+
+def _differentiable(node: Expr, widths: dict) -> bool:
+    """Whether every operation of ``node`` that reads ``y`` has a
+    y-derivative rule at ``widths``: none has for an exponent that reads
+    ``y``, nor for a reduction (``norm2``, ``dot``, or ``abs``, ``sin``,
+    ``cos``, ``exp`` of a norm) of a ``y``-reading operand wider than one
+    component, which mixes the components of ``y``."""
+    if "y" not in _reads(node) or isinstance(node, Var):
+        return True
+    kids = _children(node)
+    if not all(_differentiable(c, widths) for c in kids):
+        return False
+    op = _op(node)
+    if op == "^":
+        return "y" not in _reads(node.right)
+    if _reduces(op):
+        return all(_width(c, widths) == 1 for c in kids if "y" in _reads(c))
+    return True
+
+
+def _tangent(node: Expr, runs, value, plan: _Plan):
+    """The closure of an operation node that reads ``y`` in a tangent plan:
+    ``(value, derivative)``, the value bit for bit that of ``value``.  The
+    derivative is taken first, from the operands and their derivatives,
+    since the value may overwrite an operand it owns; it goes into a buffer
+    of the node's own, or is an operand's derivative passed through."""
+    op, k = _op(node), plan.buffer()
+    if len(runs) == 1:
+        (arg,) = runs
+
+        def unary(st):
+            a, da = arg(st)
+            d = _unary_slope(op, st, k, a, da)
+            return value(st, a), d
+
+        return unary
+    (left, right), (reads_a, reads_b) = runs, ["y" in _reads(c) for c in _children(node)]
+    checked = op in _BINARY
+
+    def binary(st):
+        a, da = left(st) if reads_a else (left(st), None)
+        b, db = right(st) if reads_b else (right(st), None)
+        if checked:
+            _pair_shape(node, a, b)  # a width mismatch raises here, as in value
+        d = _binary_slope(op, st, k, a, b, da, db)
+        return value(st, a, b), d
+
+    return binary
+
+
+def _shape(*arrays) -> tuple:
+    """The broadcast shape of (rows, width) arrays."""
+    return (max(a.shape[0] for a in arrays), max(a.shape[1] for a in arrays))
+
+
+def _unary_slope(op: str, st, k: int, a, da):
+    """The y-derivative of ``op(a)``, ``a`` one component wide, into the
+    program's buffer ``k``; ``abs`` (and ``norm2``) at 0 gives 0."""
+    if op == "neg":
+        return np.negative(da, out=_buffer(st, k, da.shape))
+    out = _buffer(st, k, _shape(a, da))
+    if op in ("abs", "norm2"):
+        np.sign(a, out=out)
+    elif op == "sin":
+        np.cos(a, out=out)
+    elif op == "cos":
+        np.negative(np.sin(a, out=out), out=out)
+    else:
+        np.exp(a, out=out)
+    if da is not _ONE:
+        out *= da
+    return out
+
+
+def _binary_slope(op: str, st, k: int, a, b, da, db):
+    """The y-derivative of ``op(a, b)``, None standing for the zero
+    derivative of an operand that does not read ``y``: into the program's
+    buffer ``k``, or an operand's derivative passed through a sum.  ``min``
+    and ``max`` take the chosen operand's."""
+    if op in ("+", "-"):
+        if db is None:
+            return da
+        if da is None:
+            return db if op == "+" else np.negative(db, out=_buffer(st, k, db.shape))
+        return (np.add if op == "+" else np.subtract)(da, db, out=_buffer(st, k, _shape(da, db)))
+    out = _buffer(st, k, _shape(a, b))
+    if op in ("min", "max"):
+        np.copyto(out, 0.0 if db is None else db)
+        np.copyto(out, 0.0 if da is None else da,
+                  where=np.less_equal(a, b) if op == "min" else np.greater_equal(a, b))
+        return out
+    if op == "^":  # the exponent is a constant scalar, or the value raises
+        e = float(b[0, 0])
+        np.power(a, e - 1.0, out=out)
+        out *= e
+        out *= da
+        return out
+    if op in ("*", "dot"):  # dot of one-component operands is their product
+        if da is None:
+            return np.multiply(a, db, out=out)
+        np.multiply(da, b, out=out)
+        if db is not None:
+            out += a * db
+        return out
+    # a / b
+    if db is None:
+        return np.divide(da, b, out=out)
+    np.divide(a, b, out=out)
+    out *= db
+    if da is None:
+        np.negative(out, out=out)
+    else:
+        np.subtract(da, out, out=out)
+    return np.divide(out, b, out=out)
+
+
 class _Program:
     """A running instance of a plan: the environment, the bound values and
     the buffers every operation writes into.  Two programs never share a
     buffer, and a program's output stays valid until its next run."""
 
-    def __init__(self, expr: GeneratorExpr, late: frozenset, n_out: int):
+    def __init__(self, expr: GeneratorExpr, late: frozenset, n_out: int,
+                 tangent: bool = False):
         comps = expr.components
         if len(comps) not in (1, n_out):
             raise DimensionError(
                 f"generator has {len(comps)} component(s), scenario needs {n_out}"
             )
         self._expr = expr
-        self._plan = expr._plan(late)
+        self._plan = expr._plan(late, tangent)
         self._n_out = n_out
+        self.release()
+
+    def release(self) -> None:
+        """Drop every slot, bound value and buffer the program holds; the
+        next call (after a bind, where the program binds) allocates again."""
         self._bufs = [None] * self._plan.n_buffers
         self._bound = [None] * len(self._plan.binders)
         self._env: dict = {}
         self._rows = 1  # path count of the slots given at bind time
         self._out = self._finite = None
+        self.dy = None
 
     def _bind(self, env: dict) -> None:
         missing = self._plan.reads_early - env.keys()
@@ -630,25 +843,35 @@ class _Program:
                 P = v.shape[0]
         n = self._n_out
         out = self._out
+        tangent = self._plan.tangent
         if out is None or out.shape[0] != P:
             out = self._out = np.empty((P, n))
             self._finite = np.empty((P, n), dtype=bool)
+            self.dy = np.empty((P, n)) if tangent else None
         roots = self._plan.roots
-        for j in range(n):
-            # a single expression is evaluated once and serves every column
-            if j < len(roots):
-                val = roots[j](self)
-                if val.shape[1] != 1:
-                    raise DimensionError(
-                        f"component {j + 1} is {val.shape[1]}-dimensional, expected"
-                        f" scalar: '{_node_text(self._expr.components[j])}'"
-                    )
-            out[:, j] = val[:, 0]
+        # a derivative may be infinite or NaN where the value is finite,
+        # and a value that is not raises below
+        with np.errstate(all="ignore") if tangent else _DEFAULT_ERRSTATE:
+            for j in range(n):
+                # a single expression is evaluated once and serves every column
+                if j < len(roots):
+                    val = roots[j](self)
+                    if tangent:
+                        val, slope = val
+                    if val.shape[1] != 1:
+                        raise DimensionError(
+                            f"component {j + 1} is {val.shape[1]}-dimensional, expected"
+                            f" scalar: '{_node_text(self._expr.components[j])}'"
+                        )
+                out[:, j] = val[:, 0]
+                if tangent:
+                    self.dy[:, j] = 0.0 if slope is None else slope[:, 0]
         if not np.isfinite(out, out=self._finite).all():
             raise EvalDomainError("non-finite value", to_text(self._expr), 1)
         return out
 
 
+_DEFAULT_ERRSTATE = contextlib.nullcontext()
 _ALL_SLOTS = frozenset(GENERATOR_VARS)
 
 
@@ -682,6 +905,16 @@ class Staged(_Program):
     The returned (P, n) array is the instance's own buffer: it stays valid
     until the next call on the same instance.  ``reads_late`` is the set of
     late slots the expression reads; a call may leave out the others.
+
+    A program whose one late slot is ``y``, the map of an implicit state
+    solve, also gives from each call the derivative ``df_j/dy_j`` of each
+    component in ``dy``, a (P, n) buffer it owns, valid as the output is.
+    Operands that do not read ``y`` carry no derivative.  ``dy`` is None
+    when an operation on ``y`` has no derivative rule: an exponent that
+    reads ``y``, or, for ``n > 1``, any reduction of ``y`` (``norm2``,
+    ``dot``, or ``abs``, ``sin``, ``cos``, ``exp`` of its norm), which mixes
+    its components.  :meth:`release` drops what the program holds between
+    uses.
     """
 
     def __init__(self, expr: GeneratorExpr, late, n: int = 1, d: int = 1):
@@ -689,7 +922,10 @@ class Staged(_Program):
         late = frozenset(late)
         if not late <= _ALL_SLOTS:
             raise InvalidInput(f"unknown slot(s) {sorted(late - _ALL_SLOTS)}")
-        super().__init__(expr, late, n)
+        widths = {"s": 1, "y": n, "ybar": n, "z": d * n, "zbar": d * n}
+        tangent = (late == {"y"} and "y" in expr.free_variables()
+                   and all(_differentiable(c, widths) for c in expr.components))
+        super().__init__(expr, late, n, tangent)
         self._late = late
         self._d = d
         self.reads_late: frozenset = self._plan.reads_late

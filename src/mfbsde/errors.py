@@ -21,6 +21,7 @@ class ParseError(InvalidInput):
 
     def __init__(self, message: str, column: int):
         super().__init__(f"{message} (column {column})")
+        self.message = message
         self.column = column
 
 

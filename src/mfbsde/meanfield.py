@@ -65,13 +65,18 @@ Each solver evaluates its generators as :class:`dsl.Staged` programs,
 built once per window, that bind what its map holds fixed.  The two frozen
 maps differ only in the slots they hand :func:`~mfbsde.solver.staged_driver`:
 the frozen-mean map freezes ``ybar, zbar``, so the implicit state solve
-re-runs only the ``y`` terms, and the frozen-state map freezes ``y, ybar,
-zbar``, so ``f1`` has no late slot and each node binds it whole.  Picard's
-driver builds the lagged source at each node: it binds ``s`` and the
-iterate's integrand, runs the rest at the iterate and at zeros, and adds
-the in-sweep core, whose zero slots are bound once per solve.  The mean
-shift runs one buffered all-late program per window.  Results are bit for
-bit those of evaluating each expression whole.
+re-runs only the ``y`` terms and takes Newton steps from their
+derivative, and the frozen-state map freezes ``y, ybar, zbar``, so ``f1``
+has no late slot and each node binds it whole.  Picard lags only the
+terms of the generator's sum that read ``y``, ``ybar`` or ``zbar``
+(:meth:`~mfbsde.dsl.GeneratorExpr.split`): its driver builds their source
+at each node, binding ``s`` and the iterate's integrand and running them
+at the iterate and at zeros (once per solve when they read neither ``s``
+nor ``z``), and adds the in-sweep core, the other terms plus the lagged
+ones at zero as one bound operand, bound once per sweep.  The mean shift
+runs one buffered all-late program per window.  Every map releases its
+programs after each sweep.  Results are bit for bit those of evaluating
+each expression whole.
 """
 
 from __future__ import annotations
@@ -140,9 +145,11 @@ class FixedPointTrace:
     terminal data's path mean with a zero integrand), each later one
     against the step before, and ``ratios`` has one entry per step after
     the first.  ``clamp_events`` counts the integrand rows clamped by every
-    sweep.  ``width`` is the window's width in time, and ``ratio`` is the
-    first contraction ratio of the window to the right that chose it when
-    the windows are planned from measured contraction (None for fixed
+    sweep, ``inner_iterations`` the passes of every node's state solve (one
+    for an explicit step), and ``damped_passes`` those of them that halved
+    their step.  ``width`` is the window's width in time, and ``ratio`` is
+    the first contraction ratio of the window to the right that chose it
+    when the windows are planned from measured contraction (None for fixed
     plans, for the first window, and after a window without a ratio).
     ``exceeds_certificate`` records whether the window is wider than the
     certified width, which only ``override_epsilon`` lets a solve run (None
@@ -154,6 +161,8 @@ class FixedPointTrace:
     ratios: list[float] = field(default_factory=list)
     wall_times: list[float] = field(default_factory=list)
     clamp_events: int = 0
+    inner_iterations: int = 0
+    damped_passes: int = 0
     converged: bool = False
     width: float = 0.0
     ratio: float | None = None
@@ -377,6 +386,8 @@ def _solve(scenario, ensemble, config, cert, plan, make_map, distance, context,
         def sweep(driver):
             out = solver.solve(window, terminal, driver)
             trace.clamp_events += out.clamp_events
+            trace.inner_iterations += sum(out.inner_iterations)
+            trace.damped_passes += out.damped_passes
             return out
 
         return _iterate(lambda it: apply(it, sweep),
@@ -490,7 +501,9 @@ def _frozen_mean_solve(scenario, ensemble, config, cert, plan) -> SolveResult:
         f = dsl.Staged(scenario.f, ("y",), n=scenario.n, d=scenario.d)
 
         def apply(it: _Iterate, sweep) -> _Iterate:
-            return _sweep_iterate(sweep(staged_driver(f, window.lo, ybar=it.m_y, zbar=it.m_z)))
+            out = sweep(staged_driver(f, window.lo, ybar=it.m_y, zbar=it.m_z))
+            f.release()
+            return _sweep_iterate(out)
 
         return apply
 
@@ -598,24 +611,29 @@ def picard_global(
 
     Iterate 0 is the terminal data's path mean with a zero integrand.  Each
     subsequent iterate solves the BSDE with driver ``f(s, 0, 0, z, 0)``
-    plus the per-path source ``f(s, Y^j, E Y^j, Z^j, E Z^j) - f(s, 0, 0,
-    Z^j, 0)`` frozen at the previous iterate.  The quadratic-in-z part
-    stays live inside each sweep; everything else is lagged.  The horizon
-    is one window, not checked against the certified width, and the trace
-    is a single :class:`FixedPointTrace`.
+    plus the per-path source ``L(s, Y^j, E Y^j, Z^j, E Z^j) - L(s, 0, 0,
+    Z^j, 0)`` frozen at the previous iterate, where ``L`` is the sum of the
+    terms of the generator's top-level sum that read ``y``, ``ybar`` or
+    ``zbar`` (the whole generator when it is not such a sum).  The other
+    terms, the quadratic-in-z part among them, stay live inside each sweep,
+    with ``L`` at zero; only ``L`` is lagged.  The horizon is one window,
+    not checked against the certified width, and the trace is a single
+    :class:`FixedPointTrace`.
     """
     if scenario.f is None:
         raise InvalidInput("picard_global needs a single-generator scenario")
-    gen = scenario.f
     cert = certificate if certificate is not None else certify(scenario)
     n, d, P = scenario.n, scenario.d, ensemble.n_paths
-    # each node's lagged source, the full driver at the previous iterate
-    # minus its z-quadratic core, binds (s, z) once and runs the rest at the
-    # iterate and at zeros; the sweep's core binds the zero slots once
-    zeros = {"y": np.zeros((P, n)), "ybar": np.zeros(n), "zbar": np.zeros((d, n))}
-    lagged = dsl.Staged(gen, ("y", "ybar", "zbar"), n=n, d=d)
-    core = dsl.Staged(gen, ("s", "z"), n=n, d=d)
-    core.bind(**zeros)
+    # each node's source binds (s, Z^j) and runs L at the iterate and at
+    # zeros; the sweep's core is the other terms plus L with its lagged
+    # slots bound at zero, one bound operand, so a call runs only the rest
+    lag = ("y", "ybar", "zbar")
+    reading, regrouped = scenario.f.split(lag)
+    zeros = {"y": np.zeros(n), "ybar": np.zeros(n), "zbar": np.zeros((d, n))}
+    lagged = dsl.Staged(reading, lag, n=n, d=d)
+    core = dsl.Staged(regrouped, ("s", "z"), n=n, d=d)
+    # L at zeros is one (1, n) row when it reads neither s nor z
+    at_zero = None if reading.free_variables() & {"s", "z"} else lagged(**zeros).copy()
 
     def make_map(window: Window):
         source = np.empty((P, n))
@@ -625,11 +643,15 @@ def picard_global(
                 j = i - window.lo
                 lagged.bind(s=s, z=it.z[j])
                 np.copyto(source, lagged(y=it.y[j], ybar=it.m_y[j], zbar=it.m_z[j]))
-                np.subtract(source, lagged(**zeros), out=source)
+                np.subtract(source, lagged(**zeros) if at_zero is None else at_zero, out=source)
                 f = core(s=s, z=z)
                 return np.add(f, source, out=f)
 
-            return _sweep_iterate(sweep(driver))
+            core.bind(**zeros)
+            out = sweep(driver)
+            lagged.release()
+            core.release()
+            return _sweep_iterate(out)
 
         return apply
 
@@ -699,8 +721,10 @@ def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
 
         def apply(it: _Iterate, sweep) -> _Iterate:
             out = sweep(staged_driver(f1, window.lo, y=it.y, ybar=it.m_y, zbar=it.m_z))
+            f1.release()
             mz_curve = path_mean(out.z)
             shift = _mean_shift(f2, ensemble, window, out.z, mz_curve, y=it.y, ybar=it.m_y)
+            f2.release()
             y_new = out.y + shift[:, None, :]
             return _Iterate(y_new, out.z, path_mean(y_new), mz_curve)
 

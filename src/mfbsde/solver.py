@@ -7,17 +7,21 @@ One backward step at node i:
   ``(Y_{i+1} - c) * dW_i / h_i`` (the centred estimator has far smaller
   variance than the raw product and the same conditional expectation),
 * state ``Y_i`` from the implicit equation ``y = c + h_i * f(t_i, y, Z_i)``
-  solved by damped fixed-point iteration (the driver may be quadratic in z
-  but z enters explicitly).
+  (the driver may be quadratic in z but z enters explicitly), solved by
+  Newton steps where the driver gives its y-derivative and by plain
+  fixed-point passes elsewhere, with a damped step where the residual
+  grows (the implicit scheme of Gobet, Lemor & Warin, Ann. Appl. Probab.
+  15(3), 2005).
 
 The driver is bound once per node: ``driver(i, s, z)`` returns the node's
 driver values when they do not read the state, and the equation is explicit
 (one step), or a callable of ``y`` that re-runs only the state-reading
 remainder on each pass.  :func:`staged_driver` builds that driver from a
 :class:`~mfbsde.dsl.Staged` program with its other slots frozen at
-node-major curves; a program with ``y`` late is the callable.  The step's
-``c + h*f``, damping step, residual and scale are written into buffers
-reused across the sweep.
+node-major curves; a program with ``y`` late is the callable, and gives
+the Newton slope ``df/dy`` from the same call.  The step's ``c + h*f``,
+Newton step and denominator are written into buffers reused across the
+sweep.
 
 Driver evaluations clamp the z argument at a configurable norm level;
 clamp activations are counted and reported, and a converged run is expected
@@ -86,6 +90,7 @@ class StandardSolve:
     z: np.ndarray            # (L, P, d, n), node-major
     inner_iterations: list[int]
     clamp_events: int
+    damped_passes: int
 
 
 class BackwardSolver:
@@ -121,10 +126,13 @@ class BackwardSolver:
         per node with the node index, time and clamped integrand (P, d, n).
         It returns either the driver's (P, n) values, when they do not
         depend on the state, which gives one explicit step, or a callable
-        ``f(y=...)`` mapping a state (P, n) to (P, n), which the damped
-        fixed-point loop calls on each pass.  A returned array, and the
-        array ``f`` returns, need only stay valid until the driver or ``f``
-        is called again: the sweep uses each at once.
+        ``f(y=...)`` mapping a state (P, n) to (P, n), which the implicit
+        state solve calls on each pass; when ``f`` has a (P, n) attribute
+        ``dy`` after a call (a :class:`~mfbsde.dsl.Staged` program with
+        ``y`` late), that is ``df_j/dy_j`` there, and the solve takes Newton
+        steps.  A returned array, and the arrays ``f`` returns and holds,
+        need only stay valid until the driver or ``f`` is called again: the
+        sweep uses each at once.
         The returned ``y`` and ``z`` are node-major, (L, P, ...).
         Raises :class:`InvalidInput` when ``window`` runs past the grid.
         """
@@ -148,10 +156,10 @@ class BackwardSolver:
         raw = np.empty((P, d, n))
         design = np.empty((self.node_regression(hi - 1).n_features, P))
         dw = np.empty((P, d))
-        work = np.empty((3, P, n))  # two alternating iterates and a scratch row
+        work = np.empty((4, P, n))  # two alternating iterates and two scratch rows
         finite = np.empty((P, n), dtype=bool)
         inner_counts: list[int] = []
-        clamp_events = 0
+        clamp_events = damped = 0
 
         for i in range(hi - 1, lo - 1, -1):
             j = i - lo
@@ -177,16 +185,17 @@ class BackwardSolver:
             z_drv, n_clamped = _clamp_z(z_i, cfg.z_clamp)
             clamp_events += n_clamped
 
-            y, iters = _implicit_state(cond, h, i, driver(i, t, z_drv), work, cfg)
+            y, iters, halved = _implicit_state(cond, h, i, driver(i, t, z_drv), work, cfg)
             if not np.isfinite(y, out=finite).all():
                 raise StepDivergence("non-finite state in backward step", i)
             Y[j] = y
             inner_counts.append(iters)
+            damped += halved
 
         Z[L - 1] = Z[L - 2] if L >= 2 else 0.0
         inner_counts.reverse()
         return StandardSolve(y=Y, z=Z, inner_iterations=inner_counts,
-                             clamp_events=clamp_events)
+                             clamp_events=clamp_events, damped_passes=damped)
 
 
 def staged_driver(stage, lo: int, **frozen):
@@ -227,32 +236,58 @@ def _clamp_z(z: np.ndarray, level: float) -> tuple[np.ndarray, int]:
     return z * scale[:, None, None], n_over
 
 
-def _implicit_state(cond, h, i, f, work, cfg) -> tuple[np.ndarray, int]:
-    """Damped fixed-point solve of ``y = cond + h * f(y)`` for the node's
-    bound driver ``f``; an array ``f`` gives the explicit step.  Every pass
-    writes into ``work`` (two alternating iterates and a scratch row), so
-    the returned state is one of its rows."""
-    y_a, y_b, tmp = work
-    # cond + h*f is formed in the iterate's own buffer (addition commutes
+def _implicit_state(cond, h, i, f, work, cfg) -> tuple[np.ndarray, int, int]:
+    """Solve ``y = g(y) = cond + h * f(y)`` for the node's bound driver
+    ``f``; an array ``f`` gives the explicit step.  Each pass evaluates
+    ``g`` at the current point, and the loop returns ``g(y)`` once the
+    residual ``|g(y) - y|`` is at most ``_TOL_INNER * max(1, |g(y)|)``.
+    Otherwise the next point is the Newton point ``y + (g(y) - y) / (1 - h
+    f'(y))`` where ``f`` gives its derivative ``dy`` and, path by path,
+    that denominator is finite and at least 1/2, else the plain step
+    ``g(y)``; a pass whose residual grew halves its step.  Every pass
+    writes into ``work`` (two alternating points and two scratch rows), so
+    the returned state is one of its rows.  Returns the state, the passes
+    and the halved passes."""
+    y_a, y_b, step, den = work
+    # cond + h*f is formed in the point's own buffer (addition commutes
     # bit for bit): one buffer fewer in the working set than a scratch row
     if not callable(f):
-        return np.add(cond, np.multiply(h, f, out=y_a), out=y_a), 1
+        return np.add(cond, np.multiply(h, f, out=y_a), out=y_a), 1, 0
     y = cond
     prev_res = np.inf
+    damped = 0
     for m in range(1, cfg.max_inner + 1):
-        y_new = y_b if y is y_a else y_a
-        np.add(cond, np.multiply(h, f(y=y), out=y_new), out=y_new)
-        res = float(np.abs(np.subtract(y_new, y, out=tmp), out=tmp).max())
+        g = y_b if y is y_a else y_a
+        np.add(cond, np.multiply(h, f(y=y), out=g), out=g)
+        res = _sup(np.subtract(g, y, out=step))
+        if res <= _TOL_INNER * max(1.0, _sup(g)):
+            return g, m, damped
+        dy = getattr(f, "dy", None)
+        if dy is not None:
+            _newton_point(g, y, step, np.subtract(1.0, np.multiply(h, dy, out=den), out=den))
         if res > prev_res:
-            # non-monotone residual: damp the update by half
-            np.add(y_new, y, out=y_new)
-            np.multiply(0.5, y_new, out=y_new)
-            res = float(np.abs(np.subtract(y_new, y, out=tmp), out=tmp).max())
-        scale = max(1.0, float(np.abs(y_new, out=tmp).max()))
-        y = y_new
+            # non-monotone residual: damp the step by half
+            np.add(g, y, out=g)
+            np.multiply(0.5, g, out=g)
+            damped += 1
+        y = g
         prev_res = res
-        if res <= _TOL_INNER * scale:
-            return y, m
     raise StepDivergence(
         f"state iteration stalled at residual {prev_res:.3e}", i
     )
+
+
+def _sup(a: np.ndarray) -> float:
+    """``max |a|``, NaN if ``a`` holds one, without a pass that writes."""
+    return float(max(a.max(), -a.min()))
+
+
+def _newton_point(g, y, step, den) -> None:
+    """Overwrite ``g`` with ``y + step / den`` on the paths where ``den``
+    is finite and at least 1/2; ``step`` is scratch."""
+    if den.min() >= 0.5 and den.max() < np.inf:
+        np.add(y, np.divide(step, den, out=step), out=g)
+        return
+    ok = (den >= 0.5) & (den < np.inf)
+    np.divide(step, den, out=step, where=ok)
+    np.add(y, step, out=g, where=ok)

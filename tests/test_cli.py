@@ -151,9 +151,9 @@ def test_negative_seed_exits_2(command, config_seed, flags, tmp_path, capsys):
 
 @pytest.mark.parametrize("command,config,rc,error", [
     ("solve", ("tiny", "f = 1.0*zbar", "f = 1.0*zbar + 1e400*0"), 2,
-     "error: number 1e400 is not finite (column 12)"),
+     "error: f: number 1e400 is not finite (column 12)"),
     ("solve", ("tiny", "f = 1.0*zbar", "f = y^1e400"), 2,
-     "error: number 1e400 is not finite (column 3)"),
+     "error: f: number 1e400 is not finite (column 3)"),
     ("certify", ("ex22.cfg",
                  "\nf = 1 + s + abs(y) + abs(ybar) + 0.5*norm2(z)^2 + abs(sin(norm2(zbar)))\n",
                  "\nf = 1 + 0.5*norm2(z)^2 + abs(y)^exp(1000)\n"), 1,
@@ -315,6 +315,24 @@ def test_solve_summary_prints_the_clamp_counts_of_the_json(tmp_path, capsys):
     assert f"z-clamp events per window: {counts[0]}, {counts[1]}" in lines
     iterations = [t["iterations"] for t in trace]
     assert f"iterations per window: {iterations[0]}, {iterations[1]}" in lines
+
+
+def test_solve_summary_prints_the_inner_counts_of_the_json(tmp_path, capsys):
+    # a driver that reads y takes the implicit solve: the summary prints
+    # each window's passes and damped passes, as the result JSON holds them
+    cfg = tmp_path / "implicit.cfg"
+    cfg.write_text(TINY.replace("n_windows = 1", "n_windows = 2")
+                   .replace("f = 1.0*zbar", "f = 1 + abs(y) + 0.5*norm2(z)^2"))
+    rc = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path),
+               "--prefix", "implicit"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    trace = json.loads((tmp_path / "implicit_result.json").read_text())["trace"]
+    inner = [t["inner_iterations"] for t in trace]
+    damped = [t["damped_passes"] for t in trace]
+    assert len(inner) == 2 and all(k > 0 for k in inner)
+    assert f"inner iterations per window: {inner[0]}, {inner[1]}" in lines
+    assert f"damped passes per window: {damped[0]}, {damped[1]}" in lines
 
 
 def test_solve_summary_prints_the_planned_windows_of_the_json(tmp_path, capsys):

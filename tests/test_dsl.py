@@ -808,3 +808,179 @@ def test_domain_errors_are_the_same_bound_or_late(text, message, node_text, colu
             bind() if at_bind else call()
     assert str(got.value) == f"{message} in '{node_text}' (column {column})"
     assert (got.value.node_text, got.value.column) == (node_text, column)
+
+
+# ---------------------------------------------------------------------------
+# the y-derivative of a program with y late
+# ---------------------------------------------------------------------------
+
+
+def _values_and_slopes(program, y, dy_step):
+    """Copies of the program's values at ``y`` and ``y +- dy_step``, and of
+    its derivatives there."""
+    got = {}
+    for k, at in (("mid", y), ("up", y + dy_step), ("down", y - dy_step)):
+        got[k] = program(y=at).copy(), program.dy.copy()
+    return got
+
+
+@settings(max_examples=100, deadline=None)
+@given(GENERATED_TEXTS.map(lambda text: text.replace("ybar", "y")), st.integers(0, 2**32 - 1))
+@example("(0.0)^-1", 0)
+def test_y_derivative_matches_central_difference(text, seed):
+    # at each path away from kinks and poles, where the derivative barely
+    # moves over the difference's stencil, it is the central difference;
+    # the ybar leaves read y, so that most expressions read it
+    e = dsl.parse(text)
+    rng = np.random.default_rng(seed)
+    y, yb, z, zb = _driver_inputs(rng, 257, 1, 1)
+    h = 1e-6
+    try:
+        program = dsl.Staged(e, ("y",))  # a constant subtree may raise here
+        program.bind(s=rng.uniform(0, 1, 257), ybar=yb, z=z, zbar=zb)
+        with np.errstate(all="ignore"):
+            if "y" not in e.free_variables():
+                program(y=y)
+                assert program.dy is None
+                return
+            got = _values_and_slopes(program, y, h)
+    except (EvalDomainError, DimensionError):
+        return
+    (f, slope), (f_up, slope_up), (f_down, slope_down) = got["mid"], got["up"], got["down"]
+    with np.errstate(all="ignore"):
+        central = (f_up - f_down) / (2 * h)
+        scale = np.maximum(1.0, np.abs(slope))
+        smooth = np.isfinite(slope) & (np.abs(slope_up - slope_down) <= 1e-3 * scale)
+        smooth &= np.abs(f) < 1e6
+    assert np.all(np.abs(central - slope)[smooth] <= 1e-4 * scale[smooth])
+
+
+@pytest.mark.parametrize("text,n,d,tangent", [
+    ("1 + s + abs(y) + abs(ybar) + 0.5*norm2(z)^2 + abs(sin(norm2(zbar)))", 1, 1, True),
+    ("norm2(y) + dot(y, ybar) * abs(y)", 1, 3, True),
+    ("y * z", 1, 1, True),
+    ("norm2(y * z)", 1, 2, False),  # the norm of a y-reading vector
+    ("abs(y)", 2, 1, False),        # n = 2: the norm of y mixes its components
+    ("dot(y, ybar) ; s", 2, 1, False),
+    ("2^y", 1, 1, False),           # an exponent that reads y
+    ("s + norm2(z)", 1, 2, False),  # reads no y
+])
+def test_programs_with_y_late_give_a_derivative_where_there_is_a_rule(text, n, d, tangent):
+    program = dsl.Staged(dsl.parse(text), ("y",), n=n, d=d)
+    # one path, so that an exponent that reads y is a scalar
+    slots = {"s": 0.4, "ybar": np.full(n, 0.3), "z": np.full((d, n), 0.2),
+             "zbar": np.full((d, n), -0.1)}
+    program.bind(**{k: v for k, v in slots.items() if k in program._plan.reads_early})
+    program(y=np.linspace(0.5, 1, n))
+    assert (program.dy is not None) == tangent
+    # other late sets never carry one
+    other = dsl.Staged(dsl.parse(text), ("y", "ybar"), n=n, d=d)
+    assert other.dy is None
+
+
+@pytest.mark.parametrize("text", ["min(y, z) ; s", "y * z - max(z, y) ; s"])
+def test_width_mismatch_raises_the_same_error_with_a_derivative(text):
+    e = dsl.parse(text)
+    y, z = np.ones((3, 2)), np.ones((3, 2, 2))
+    program = dsl.Staged(e, ("y",), n=2, d=2)
+    assert program._plan.tangent
+    program.bind(s=0.0, ybar=y, z=z, zbar=z[0])
+    with pytest.raises(DimensionError) as got:
+        program(y=y)
+    with pytest.raises(DimensionError) as want:
+        dsl.evaluate(e, 0.0, y, y, z, z[0], n=2, d=2)
+    assert str(got.value) == str(want.value)
+
+
+def test_abs_min_and_max_slopes_at_their_kinks():
+    # abs at 0 gives 0; min and max take the chosen operand's derivative
+    program = dsl.Staged(dsl.parse("abs(y) + min(y, 2*y) + max(3*y, -y)"), ("y",))
+    program(y=np.array([[-1.0], [0.0], [-0.0], [2.0]]))
+    assert program.dy[:, 0].tolist() == [-1.0 + 2.0 - 1.0, 0.0 + 1.0 + 3.0,
+                                         0.0 + 1.0 + 3.0, 1.0 + 1.0 + 3.0]
+
+
+def test_release_drops_what_a_program_holds(rng):
+    e = dsl.parse("1 + s + abs(y) + abs(ybar) + 0.5*norm2(z)^2 + abs(sin(norm2(zbar)))")
+    y, yb, z, zb = _driver_inputs(rng, 50, 1, 1)
+    program = dsl.Staged(e, ("y",))
+    program.bind(s=0.1, ybar=yb, z=z, zbar=zb)
+    first = program(y=y).copy()
+    program.release()
+    assert program.dy is None and program._out is None and not program._env
+    assert all(b is None for b in program._bufs + program._bound)
+    program.bind(s=0.1, ybar=yb, z=z, zbar=zb)
+    assert _same_bits(program(y=y), first)
+
+
+# ---------------------------------------------------------------------------
+# the split of a sum into the terms that read given slots and the rest
+# ---------------------------------------------------------------------------
+
+
+def _shipped_generators():
+    from pathlib import Path
+
+    names = ["ex2.2", "ex3.1-f1", "ex3.1-f2", "ex4.1-f1", "ex4.1-f2"]
+    exprs = [dsl.builtin(name) for name in names] + [dsl.builtin("ex2.1", 0.5)]
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for path in sorted(configs.glob("*.cfg")):
+        for line in path.read_text().splitlines():
+            key, _, text = line.partition("=")
+            if key.strip() in ("f", "f1", "f2"):
+                exprs.append(dsl.parse(text))
+    return exprs
+
+
+SPLIT_SLOTS = [("y", "ybar", "zbar"), ("y",), ("z",), ("s", "z"), ("ybar", "zbar")]
+
+
+def _check_split(e, slots, rng):
+    """The parts hold the whole's terms, and sum to it within rounding."""
+    reading, regrouped = e.split(slots)
+    ins = _driver_inputs(rng, 33, 1, 1)
+    for c, part, whole in zip(e.components, reading.components, regrouped.components):
+        terms = dsl._terms(c)
+        hit = [t for t in terms if dsl._reads(t[1]) & set(slots)]
+        if not hit or len(hit) == len(terms):
+            assert part is c and whole is c
+            continue
+        assert dsl._terms(part) == hit
+        assert sorted(map(repr, dsl._terms(whole))) == sorted(map(repr, terms))
+        rest = whole.left
+        assert dsl._terms(rest) == [t for t in terms if t not in hit]
+        value = lambda node: dsl.evaluate(dsl.GeneratorExpr((node,)), 0.3, *ins)
+        want = value(c)
+        scale = np.maximum(1.0, sum(np.abs(value(t)) for _, t in terms))
+        assert np.all(np.abs(value(whole) - want) <= 1e-14 * scale)
+        assert np.all(np.abs(value(rest) + value(part) - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("slots", SPLIT_SLOTS, ids="+".join)
+def test_split_of_every_shipped_generator(rng, slots):
+    for e in _shipped_generators():
+        _check_split(e, slots, rng)
+    reading, _ = dsl.builtin("ex2.2").split(("y", "ybar", "zbar"))
+    assert dsl.to_text(reading) == "abs(y) + abs(ybar) + abs(sin(norm2(zbar)))"
+
+
+def test_split_counts_a_difference_as_a_sum_of_a_negated_term():
+    reading, regrouped = dsl.parse("1 - abs(y) + s - (ybar - 2)").split(("y", "ybar"))
+    assert dsl.to_text(reading) == "-abs(y) - ybar"
+    assert dsl.to_text(regrouped) == "1 + s + 2 + (-abs(y) - ybar)"
+    # not a sum, or no term on one side: the component is both parts
+    e = dsl.parse("abs(y) * s ; 1 + s ; abs(y) - ybar")
+    reading, regrouped = e.split(("y", "ybar"))
+    assert reading.components == regrouped.components == e.components
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("+-"), GENERATED_TEXTS), min_size=1, max_size=5),
+       st.sampled_from(SPLIT_SLOTS), st.integers(0, 2**32 - 1))
+def test_split_of_generated_sums(terms, slots, seed):
+    text = " ".join(f"{sign} ({t})" for sign, t in terms).removeprefix("+ ")
+    try:
+        with np.errstate(all="ignore"):
+            _check_split(dsl.parse(text), slots, np.random.default_rng(seed))
+    except (EvalDomainError, DimensionError):
+        pass

@@ -826,19 +826,34 @@ def test_node_by_node_distances_match_the_whole_array_forms(dims, rng):
 # ---------------------------------------------------------------------------
 
 
+_STAGED = dsl.Staged
+
+
 class _EvaluatingStage:
     """Stand-in for :class:`dsl.Staged` that binds nothing: every call
-    evaluates the whole expression with :func:`dsl.evaluate`."""
+    evaluates the whole expression with :func:`dsl.evaluate`.  A program
+    with ``y`` late takes its derivative ``dy`` from a real one at the same
+    slots, so that both take the same Newton steps."""
 
     def __init__(self, expr, late, n=1, d=1):
         self.expr, self.n, self.d = expr, n, d
         self.reads_late = expr.free_variables() & frozenset(late)
         self.slots = {}
+        self.tangent = _STAGED(expr, late, n=n, d=d) if set(late) == {"y"} else None
+        self.dy = None
 
     def bind(self, s=None, y=None, ybar=None, z=None, zbar=None):
         self.slots = {"s": s, "y": y, "ybar": ybar, "z": z, "zbar": zbar}
+        if self.tangent is not None:
+            self.tangent.bind(s=s, ybar=ybar, z=z, zbar=zbar)
+
+    def release(self):
+        self.slots, self.dy = {}, None
 
     def __call__(self, s=None, y=None, ybar=None, z=None, zbar=None):
+        if self.tangent is not None:
+            self.tangent(y=y)
+            self.dy = self.tangent.dy
         given = {"s": s, "y": y, "ybar": ybar, "z": z, "zbar": zbar}
         slots = {k: v if v is not None else self.slots.get(k) for k, v in given.items()}
         # a slot the expression does not read may be absent: a one-row
@@ -912,24 +927,47 @@ def test_state_terms_are_bound_once_per_node_per_outer_step(config, changes, sol
 
 
 def test_picard_source_is_full_minus_core_bit_for_bit(monkeypatch):
-    # the second Picard sweep's driver is core(z) + [full - core] at the
-    # first step's iterate, each term evaluated whole here
+    # the second Picard sweep's driver is core(z) + [L(iterate) - L(0)] at
+    # the first step's iterate, L the generator's terms that read a lagged
+    # slot and core the other terms plus L at zero, each evaluated whole
+    # here; it is the whole generator's core + [full - lagged core] up to
+    # rounding
     sc, cfg = _shipped("ex22.cfg", n_steps=8, n_paths=1_000)
     ens = _ensemble(sc, cfg)
-    sweeps = _record_sweeps(monkeypatch)
+    L = cfg.n_steps + 1
+    sweeps, probed = [], []
+    sweep = BackwardSolver.solve
+
+    def probing(self, window, terminal, driver):
+        if len(sweeps) == 1:  # the second sweep's driver, before it runs
+            for j in range(L):
+                z = sweeps[0].z[(j + 3) % L]  # any integrand
+                probed.append(driver(j, float(ens.grid.nodes[j]), z).copy())
+        sweeps.append(sweep(self, window, terminal, driver))
+        return sweeps[-1]
+
+    monkeypatch.setattr(BackwardSolver, "solve", probing)
     res = picard_global(sc, ens, cfg)
-    start, driver = sweeps[0][2], sweeps[1][1]
     assert len(sweeps) == res.trace.iterations
+    start = sweeps[0]
     m_y, m_z = path_mean(start.y), path_mean(start.z)
     gen, n, d, P = sc.f, sc.n, sc.d, cfg.n_paths
+    reading, regrouped = gen.split(("y", "ybar", "zbar"))
+    assert dsl.to_text(reading) == "abs(y) + abs(ybar) + abs(sin(norm2(zbar)))"
     zeros = (np.zeros((P, n)), np.zeros(n))
-    for j in range(cfg.n_steps + 1):
+    for j in range(L):
         s = float(ens.grid.nodes[j])
-        z = start.z[(j + 3) % (cfg.n_steps + 1)]  # any integrand
-        full = dsl.evaluate(gen, s, start.y[j], m_y[j], start.z[j], m_z[j], n=n, d=d)
-        lagged_core = dsl.evaluate(gen, s, *zeros, start.z[j], np.zeros((d, n)), n=n, d=d)
-        core = dsl.evaluate(gen, s, *zeros, z, np.zeros((d, n)), n=n, d=d)
-        assert driver(j, s, z).tobytes() == (core + (full - lagged_core)).tobytes()
+        z = start.z[(j + 3) % L]
+        at = (s, start.y[j], m_y[j], start.z[j], m_z[j])
+        at_zero = (s, *zeros, start.z[j], np.zeros((d, n)))
+        core = dsl.evaluate(regrouped, s, *zeros, z, np.zeros((d, n)), n=n, d=d)
+        lagged = dsl.evaluate(reading, *at, n=n, d=d)
+        lagged_zero = dsl.evaluate(reading, *at_zero, n=n, d=d)
+        assert probed[j].tobytes() == (core + (lagged - lagged_zero)).tobytes()
+        full = dsl.evaluate(gen, *at, n=n, d=d)
+        full_core = dsl.evaluate(gen, s, *zeros, z, np.zeros((d, n)), n=n, d=d)
+        old = full_core + (full - dsl.evaluate(gen, *at_zero, n=n, d=d))
+        assert np.all(np.abs(probed[j] - old) <= 1e-13 * np.maximum(1.0, np.abs(old)))
 
 
 # ---------------------------------------------------------------------------
@@ -959,6 +997,30 @@ def _tiny_run(selector, **changes):
 def test_result_record_is_plain_json(selector):
     # every value the record holds is a plain Python value
     json.dumps(_tiny_run(selector).as_dict())
+
+
+@pytest.mark.parametrize("solve", [global_solve, picard_global], ids=["global", "picard"])
+def test_trace_totals_are_the_sums_of_the_sweeps_counts(solve, monkeypatch):
+    # every window's inner-iteration and damped-pass totals are its sweeps'
+    sc, cfg = _shipped("ex22.cfg", n_steps=16, n_paths=2_000)
+    ens = _ensemble(sc, cfg)
+    sweeps = _record_sweeps(monkeypatch)
+    res = solve(sc, ens, cfg)
+    traces = res.trace if isinstance(res.trace, list) else [res.trace]
+    spans = res.windows if solve is global_solve else [(0, cfg.n_steps)]
+    assert len(traces) == len(spans) > (solve is global_solve)
+    for span, trace in zip(spans, traces):
+        outs = [out for where, _, out in sweeps if where == span]
+        assert len(outs) == trace.iterations
+        assert trace.inner_iterations == sum(sum(out.inner_iterations) for out in outs)
+        assert trace.damped_passes == sum(out.damped_passes for out in outs)
+        record = trace.as_dict()
+        assert (record["inner_iterations"], record["damped_passes"]) == (
+            trace.inner_iterations, trace.damped_passes)
+    # the y-reading driver takes Newton passes in the frozen-mean map, and
+    # Picard's explicit driver one step per node
+    per_node = traces[0].inner_iterations / (traces[0].iterations * (spans[0][1] - spans[0][0]))
+    assert per_node == 1.0 if solve is picard_global else 2.0 <= per_node <= 3.0
 
 
 @pytest.mark.parametrize("selector", sorted(_SOLVERS))

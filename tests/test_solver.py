@@ -437,7 +437,9 @@ def test_y_reading_driver_keeps_the_implicit_loop(ensemble50):
     bound = drive(0, 0.0, _node_integrand(ensemble50, sc))
     assert callable(bound) and bound.reads_late == {"y"}
     info = _frozen_mean_sweep(sc, ensemble50, CFG)
-    assert min(info.inner_iterations) > 2
+    # Newton passes: a point, then its check, and one more where a path's
+    # abs(y) changed sign
+    assert min(info.inner_iterations) == 2 and max(info.inner_iterations) <= 3
 
 
 def test_y_reading_driver_binds_once_per_node_per_sweep(ensemble50, monkeypatch):
@@ -461,7 +463,57 @@ def test_y_reading_driver_binds_once_per_node_per_sweep(ensemble50, monkeypatch)
     L = ensemble50.grid.n_steps + 1
     assert calls["bind"] == L - 1
     assert calls["call"] == sum(info.inner_iterations)
-    assert min(info.inner_iterations) > 2
+    assert min(info.inner_iterations) == 2 and max(info.inner_iterations) <= 3
+
+
+def _plain(drive):
+    """``drive`` with each node's program behind a function of y that
+    gives no derivative, so the implicit solve takes plain passes."""
+    return lambda i, s, z: (lambda f: lambda y: f(y=y))(drive(i, s, z))
+
+
+@pytest.mark.parametrize("text,n", [("sin(y)", 1), ("abs(y)", 1), ("norm2(y)", 2)])
+def test_newton_passes_reach_the_plain_loop_answer(ensemble50, text, n):
+    # the n = 2 norm mixes the components of y: no derivative, plain passes
+    sc = ScenarioSpec(name="t", n=n, d=1, T=1.0, f=dsl.parse(text),
+                      terminal=dsl.parse("sin(w) ; cos(w)" if n > 1 else "sin(w)",
+                                         dsl.TERMINAL_VARS),
+                      C=1.0, gamma=1.0, alpha=0.0, xi_bound=4.0)
+    window = ensemble50.grid.full_window()
+    drive = _frozen_mean_driver(sc, *_zero_means(sc, window.n_nodes), window.lo)
+    terminal = sc.terminal_values(ensemble50.state(window.hi))
+    solver = BackwardSolver(ensemble50, CFG)
+    newton = solver.solve(window, terminal, drive)
+    plain = solver.solve(window, terminal, _plain(drive))
+    assert (drive(0, 0.0, np.zeros((ensemble50.n_paths, 1, n))).dy is None) == (n > 1)
+    assert newton.damped_passes == plain.damped_passes == 0
+    if n > 1:
+        assert newton.y.tobytes() == plain.y.tobytes()
+        assert newton.inner_iterations == plain.inner_iterations
+        return
+    assert np.all(np.abs(newton.y - plain.y) <= 1e-9 * np.maximum(1.0, np.abs(plain.y)))
+    assert sum(newton.inner_iterations) < sum(plain.inner_iterations)
+
+
+@pytest.mark.parametrize("term", ["y", "abs(y)"])
+def test_newton_takes_the_plain_step_where_its_denominator_is_small(ensemble50, term):
+    # h f'(y) = 0.6 sign(y), so 1 - h f'(y) is below 1/2 where y > 0: those
+    # paths take plain steps.  With f'(y) = 0.6 / h everywhere every pass is
+    # the plain step, bit for bit; with abs(y) the others take Newton steps.
+    # The state grows by 1 / (1 - 0.6) a step: three steps keep it small
+    h = float(ensemble50.grid.steps[0])
+    sc = _scalar_scenario(f"{0.6 / h!r} * {term}")
+    window = Window(47, 50)
+    drive = _frozen_mean_driver(sc, *_zero_means(sc, window.n_nodes), window.lo)
+    terminal = sc.terminal_values(ensemble50.state(window.hi))
+    solver = BackwardSolver(ensemble50, CFG)
+    newton = solver.solve(window, terminal, drive)
+    plain = solver.solve(window, terminal, _plain(drive))
+    if term == "y":
+        assert newton.y.tobytes() == plain.y.tobytes()
+        assert newton.inner_iterations == plain.inner_iterations
+    else:
+        assert np.all(np.abs(newton.y - plain.y) <= 1e-9 * np.maximum(1.0, np.abs(plain.y)))
 
 
 def test_solver_cache_reused(ensemble50):
