@@ -43,7 +43,7 @@ from . import dsl
 
 __all__ = ["CriterionResult", "run_criterion", "CRITERIA"]
 
-_FIXTURE_DIR = Path(__file__).resolve().parents[2] / "tests" / "fixtures"
+_FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
 
 
 @dataclass

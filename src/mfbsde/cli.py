@@ -31,8 +31,9 @@ Three commands:
 Exit codes: 0 on success, 1 when a solver or certificate computation fails,
 2 for invalid inputs (bad config, bad flags, solver/scenario mismatch) and
 for files that cannot be read or written, each with one ``error:`` line.
-A solve that fails with exit code 1 (an outer iteration that stops without
-converging, a diverging backward step, an unusable regression, ...) also
+A solve whose solver call fails (an outer iteration that stops without
+converging, a diverging backward step, an unusable regression, a
+solver/scenario mismatch or another invalid input found there, ...) also
 writes ``<prefix>_failure.json``: the error, the partial trace of a failed
 outer iteration (null for other failures), with the same counts, and the
 manifest.
@@ -172,8 +173,6 @@ def _cmd_solve(args) -> int:
     t0 = time.perf_counter()
     try:
         result = run(scenario, ensemble, solver_cfg)
-    except InvalidInput:
-        raise
     except MFBSDEError as exc:
         out_dir.mkdir(parents=True, exist_ok=True)
         failure_path = out_dir / f"{options.prefix}_failure.json"

@@ -26,9 +26,9 @@ the late remainder, in the tree's own operation order (so the result is
 bit for bit that of the whole tree), writing into buffers the program
 owns.  The returned array is one of those buffers and stays valid until
 the program's next call.  :func:`evaluate` is the every-slot-late case and
-returns a fresh array.  Every operation is an entry of one of two tables,
-``_UNARY`` and ``_BINARY``: a ufunc, plus the operand check of ``/`` and
-``^``.  The row reductions ``norm2`` and ``dot`` are the only others.
+returns a fresh array.  Every operation is one entry of one table,
+``_OPS``: its ufunc, its operand check, whether it maps a vector to a
+scalar, and its y-slope rule.  A plan picks each node's entry once.
 
 A program whose one late slot is ``y`` is compiled as a *tangent* plan:
 each operation that reads ``y`` also carries its forward-mode
@@ -240,13 +240,14 @@ class GeneratorExpr:
 
     @cached_property
     def _programs(self) -> dict:
-        """Compiled plans by late-slot set, each built on first use."""
+        """Compiled plans by late-slot set and dimensions, each built on
+        first use."""
         return {}
 
-    def _plan(self, late: frozenset, tangent: bool = False) -> "_Plan":
-        plan = self._programs.get((late, tangent))
+    def _plan(self, late: frozenset, n: int, d: int) -> "_Plan":
+        plan = self._programs.get((late, n, d))
         if plan is None:
-            plan = self._programs[late, tangent] = _Plan(self.components, late, tangent)
+            plan = self._programs[late, n, d] = _Plan(self, late, n, d)
         return plan
 
     def __getstate__(self):
@@ -256,15 +257,9 @@ class GeneratorExpr:
         return state
 
     @cached_property
-    def _free_variables(self) -> frozenset[str]:
-        """Variable names the components read, collected on first use."""
-        seen: set[str] = set()
-        for c in self.components:
-            _collect_vars(c, seen)
-        return frozenset(seen)
-
     def free_variables(self) -> frozenset[str]:
-        return self._free_variables
+        """Variable names the components read, collected on first use."""
+        return frozenset().union(*map(_reads, self.components))
 
     def split(self, slots) -> tuple["GeneratorExpr", "GeneratorExpr"]:
         """``(reading, regrouped)``: each component's top-level sum split
@@ -305,10 +300,6 @@ def _reads(node: Expr) -> frozenset:
     if isinstance(node, Var):
         return frozenset((node.name,))
     return frozenset().union(*map(_reads, _children(node)))
-
-
-def _collect_vars(node: Expr, out: set) -> None:
-    out |= _reads(node)
 
 
 def _terms(node: Expr, sign: int = 1) -> list:
@@ -465,23 +456,28 @@ class _Plan:
     read its environment and bound values, and write into its buffers by
     index, so one plan serves any number of programs.
 
-    A *tangent* plan (late slot ``y`` alone) also carries the y-derivative:
-    every node that reads ``y`` returns ``(value, derivative)``, and so
-    does every root, with derivative None where it does not read ``y``.
+    A *tangent* plan also carries the y-derivative: every node that reads
+    ``y`` returns ``(value, derivative)``, and so does every root, with
+    derivative None where it does not read ``y``.  A plan is a tangent one
+    when ``y`` is its one late slot, the components read it, and every
+    operation on it has a y-slope rule at ``n`` state and ``d`` Brownian
+    components (:func:`_tangent_width`).
     """
 
-    def __init__(self, components, late: frozenset, tangent: bool = False):
+    def __init__(self, expr: GeneratorExpr, late: frozenset, n: int, d: int):
+        widths = {"s": 1, "y": n, "ybar": n, "z": d * n, "zbar": d * n}
         self.late = late
-        self.tangent = tangent
+        self.tangent = (late == {"y"} and "y" in expr.free_variables
+                        and all(_tangent_width(c, widths) is not None for c in expr.components))
         self.n_buffers = 0
         self.binders: list = []
         reads = frozenset()
         roots = []
-        for c in components:
+        for c in expr.components:
             r, run, _ = _compile(c, self)
             reads |= r
             run = self.stage(r, run)
-            if tangent and "y" not in r:
+            if self.tangent and "y" not in r:
                 run = (lambda value: lambda st: (value(st), None))(run)
             roots.append(run)
         self.roots = tuple(roots)
@@ -562,32 +558,115 @@ def _scalar_exponent(node: Bin, a, b) -> float:
     return e
 
 
-# operation -> (ufunc, whether a vector operand acts by its Euclidean norm,
-# the scalar convention of abs, sin, cos and exp)
-_UNARY = {
-    "neg": (np.negative, False),
-    "abs": (np.abs, True),
-    "sin": (np.sin, True),
-    "cos": (np.cos, True),
-    "exp": (np.exp, True),
+def _equal_widths(node: Call, a, b):
+    if a.shape[1] != b.shape[1]:
+        raise DimensionError(f"dot of {a.shape[1]}- and {b.shape[1]}-component vectors")
+    return b
+
+
+# y-slope rules.  ``slope(out, a, da)`` of a unary and ``slope(out, a, b,
+# da, db)`` of a binary give the y-derivative of the operation's value at
+# operands ``a, b`` whose derivatives are ``da, db``, None standing for the
+# zero derivative of an operand that does not read ``y``: written into
+# ``out``, a buffer of the value's shape, or an operand's derivative passed
+# through a sum.  An operand of a reduction that reads ``y`` is one
+# component wide, where ``norm2`` is ``abs`` and ``dot`` a product.
+
+
+def _chain(derivative):
+    """The slope rule of a unary ``g``, ``derivative(a, out=out)`` writing
+    ``g'(a)``; ``abs`` (and ``norm2``) at 0 gives 0."""
+
+    def slope(out, a, da):
+        derivative(a, out=out)
+        if da is not _ONE:
+            out *= da
+        return out
+
+    return slope
+
+
+def _sum_slope(out, a, b, da, db):
+    if db is None:
+        return da
+    return db if da is None else np.add(da, db, out=out)
+
+
+def _difference_slope(out, a, b, da, db):
+    if db is None:
+        return da
+    return np.negative(db, out=out) if da is None else np.subtract(da, db, out=out)
+
+
+def _product_slope(out, a, b, da, db):
+    if da is None:
+        return np.multiply(a, db, out=out)
+    np.multiply(da, b, out=out)
+    if db is not None:
+        out += a * db
+    return out
+
+
+def _quotient_slope(out, a, b, da, db):
+    if db is None:
+        return np.divide(da, b, out=out)
+    np.divide(a, b, out=out)
+    out *= db
+    if da is None:
+        np.negative(out, out=out)
+    else:
+        np.subtract(da, out, out=out)
+    return np.divide(out, b, out=out)
+
+
+def _power_slope(out, a, b, da, db):
+    # the exponent is a constant scalar, or the value raises
+    e = float(b[0, 0])
+    np.power(a, e - 1.0, out=out)
+    out *= e
+    out *= da
+    return out
+
+
+def _select_slope(chosen):
+    """The slope rule of ``min`` or ``max``: the derivative of the operand
+    ``chosen(a, b)`` picks, ``a`` on a tie."""
+
+    def slope(out, a, b, da, db):
+        np.copyto(out, 0.0 if db is None else db)
+        np.copyto(out, 0.0 if da is None else da, where=chosen(a, b))
+        return out
+
+    return slope
+
+
+# operation -> (ufunc, operand check or None, whether it maps a vector to a
+# scalar, y-slope rule).  The row reductions ``norm2`` and ``dot`` have no
+# ufunc, and ``abs``, ``sin``, ``cos`` and ``exp`` act on a vector's
+# Euclidean norm.  A check raises on operands the operation does not take
+# and returns the ufunc's second operand.
+_OPS = {
+    "neg": (np.negative, None, False, lambda out, a, da: np.negative(da, out=out)),
+    "abs": (np.abs, None, True, _chain(np.sign)),
+    "sin": (np.sin, None, True, _chain(np.cos)),
+    "cos": (np.cos, None, True, _chain(lambda a, out: np.negative(np.sin(a, out=out), out=out))),
+    "exp": (np.exp, None, True, _chain(np.exp)),
+    "norm2": (None, None, True, _chain(np.sign)),
+    "+": (np.add, None, False, _sum_slope),
+    "-": (np.subtract, None, False, _difference_slope),
+    "*": (np.multiply, None, False, _product_slope),
+    "/": (np.divide, _nonzero_divisor, False, _quotient_slope),
+    "^": (np.power, _scalar_exponent, False, _power_slope),
+    "min": (np.minimum, None, False, _select_slope(np.less_equal)),
+    "max": (np.maximum, None, False, _select_slope(np.greater_equal)),
+    "dot": (None, _equal_widths, True, _product_slope),
 }
 
-# operation -> (ufunc, operand check or None); a check raises on operands
-# the operation does not take and returns the ufunc's second operand
-_BINARY = {
-    "+": (np.add, None),
-    "-": (np.subtract, None),
-    "*": (np.multiply, None),
-    "/": (np.divide, _nonzero_divisor),
-    "^": (np.power, _scalar_exponent),
-    "min": (np.minimum, None),
-    "max": (np.maximum, None),
-}
 
-
-def _op(node: Expr) -> str:
-    """The table key of an operation node."""
-    return "neg" if isinstance(node, Neg) else node.op if isinstance(node, Bin) else node.func
+def _op(node: Expr) -> tuple:
+    """The table entry of an operation node."""
+    name = "neg" if isinstance(node, Neg) else node.op if isinstance(node, Bin) else node.func
+    return _OPS[name]
 
 
 def _operation(node: Expr, owned, plan: _Plan):
@@ -595,22 +674,12 @@ def _operation(node: Expr, owned, plan: _Plan):
     operands' values, specialised on its table entry.  It writes into an
     operand it owns or into a buffer of its own; the row reductions
     ``norm2`` and ``dot`` always return a fresh or own array."""
-    op = _op(node)
-    if op == "norm2":
-        return lambda st, a: row_norm(a)
+    ufunc, check, on_norm, _ = _op(node)
     k = plan.buffer()
-    if op == "dot":
-
-        def dot(st, a, b):
-            if a.shape[1] != b.shape[1]:
-                raise DimensionError(f"dot of {a.shape[1]}- and {b.shape[1]}-component vectors")
-            out = _buffer(st, k, (max(a.shape[0], b.shape[0]), 1))
-            row_dot(a, b, out=out[:, 0])
-            return out
-
-        return dot
-    if op in _UNARY:
-        (ufunc, on_norm), (own,) = _UNARY[op], owned
+    if len(owned) == 1:
+        (own,) = owned
+        if ufunc is None:
+            return lambda st, a: row_norm(a)
 
         def unary(st, a):
             if on_norm and a.shape[1] > 1:
@@ -619,7 +688,16 @@ def _operation(node: Expr, owned, plan: _Plan):
             return ufunc(a, out=_destination(st, k, a.shape, a, own))
 
         return unary
-    (ufunc, check), (own_a, own_b) = _BINARY[op], owned
+    own_a, own_b = owned
+    if ufunc is None:
+
+        def dot(st, a, b):
+            check(node, a, b)
+            out = _buffer(st, k, (max(a.shape[0], b.shape[0]), 1))
+            row_dot(a, b, out=out[:, 0])
+            return out
+
+        return dot
 
     def binary(st, a, b):
         shape = _pair_shape(node, a, b)
@@ -664,136 +742,56 @@ _ONE = np.ones((1, 1))
 _ONE.flags.writeable = False
 
 
-def _width(node: Expr, widths: dict) -> int:
-    """The component count of ``node``'s value, the slots having ``widths``."""
+def _tangent_width(node: Expr, widths: dict) -> int | None:
+    """The component count of ``node``'s value, the slots having
+    ``widths``, or None when an operation of ``node`` that reads ``y`` has
+    no y-slope rule there: none has for an exponent that reads ``y``, nor
+    for an operation that maps a ``y``-reading operand wider than one
+    component to a scalar, which mixes the components of ``y``."""
     if isinstance(node, Num):
         return 1
     if isinstance(node, Var):
         return widths[node.name]
-    if _reduces(_op(node)):
-        return 1
-    return max(_width(c, widths) for c in _children(node))
-
-
-def _reduces(op: str) -> bool:
-    """Whether ``op`` maps a vector to a scalar: ``norm2``, ``dot``, and
-    ``abs``, ``sin``, ``cos``, ``exp`` acting on its norm."""
-    return op in ("norm2", "dot") or _UNARY.get(op, (None, False))[1]
-
-
-def _differentiable(node: Expr, widths: dict) -> bool:
-    """Whether every operation of ``node`` that reads ``y`` has a
-    y-derivative rule at ``widths``: none has for an exponent that reads
-    ``y``, nor for a reduction (``norm2``, ``dot``, or ``abs``, ``sin``,
-    ``cos``, ``exp`` of a norm) of a ``y``-reading operand wider than one
-    component, which mixes the components of ``y``."""
-    if "y" not in _reads(node) or isinstance(node, Var):
-        return True
     kids = _children(node)
-    if not all(_differentiable(c, widths) for c in kids):
-        return False
-    op = _op(node)
-    if op == "^":
-        return "y" not in _reads(node.right)
-    if _reduces(op):
-        return all(_width(c, widths) == 1 for c in kids if "y" in _reads(c))
-    return True
+    kid_widths = [_tangent_width(c, widths) for c in kids]
+    if None in kid_widths:
+        return None
+    _, check, on_norm, _ = _op(node)
+    reads_y = ["y" in _reads(c) for c in kids]
+    if on_norm:
+        return None if any(r and w > 1 for r, w in zip(reads_y, kid_widths)) else 1
+    if check is _scalar_exponent and reads_y[1]:
+        return None
+    return max(kid_widths)
 
 
 def _tangent(node: Expr, runs, value, plan: _Plan):
     """The closure of an operation node that reads ``y`` in a tangent plan:
     ``(value, derivative)``, the value bit for bit that of ``value``.  The
-    derivative is taken first, from the operands and their derivatives,
-    since the value may overwrite an operand it owns; it goes into a buffer
-    of the node's own, or is an operand's derivative passed through."""
-    op, k = _op(node), plan.buffer()
+    derivative is taken first, by the entry's slope rule into a buffer of
+    the node's own (or passed through from an operand), since the value
+    may overwrite an operand it owns."""
+    *_, slope = _op(node)
+    k = plan.buffer()
     if len(runs) == 1:
         (arg,) = runs
 
         def unary(st):
             a, da = arg(st)
-            d = _unary_slope(op, st, k, a, da)
+            d = slope(_buffer(st, k, a.shape), a, da)
             return value(st, a), d
 
         return unary
     (left, right), (reads_a, reads_b) = runs, ["y" in _reads(c) for c in _children(node)]
-    checked = op in _BINARY
 
     def binary(st):
         a, da = left(st) if reads_a else (left(st), None)
         b, db = right(st) if reads_b else (right(st), None)
-        if checked:
-            _pair_shape(node, a, b)  # a width mismatch raises here, as in value
-        d = _binary_slope(op, st, k, a, b, da, db)
+        # a width mismatch raises here, as in value
+        d = slope(_buffer(st, k, _pair_shape(node, a, b)), a, b, da, db)
         return value(st, a, b), d
 
     return binary
-
-
-def _shape(*arrays) -> tuple:
-    """The broadcast shape of (rows, width) arrays."""
-    return (max(a.shape[0] for a in arrays), max(a.shape[1] for a in arrays))
-
-
-def _unary_slope(op: str, st, k: int, a, da):
-    """The y-derivative of ``op(a)``, ``a`` one component wide, into the
-    program's buffer ``k``; ``abs`` (and ``norm2``) at 0 gives 0."""
-    if op == "neg":
-        return np.negative(da, out=_buffer(st, k, da.shape))
-    out = _buffer(st, k, _shape(a, da))
-    if op in ("abs", "norm2"):
-        np.sign(a, out=out)
-    elif op == "sin":
-        np.cos(a, out=out)
-    elif op == "cos":
-        np.negative(np.sin(a, out=out), out=out)
-    else:
-        np.exp(a, out=out)
-    if da is not _ONE:
-        out *= da
-    return out
-
-
-def _binary_slope(op: str, st, k: int, a, b, da, db):
-    """The y-derivative of ``op(a, b)``, None standing for the zero
-    derivative of an operand that does not read ``y``: into the program's
-    buffer ``k``, or an operand's derivative passed through a sum.  ``min``
-    and ``max`` take the chosen operand's."""
-    if op in ("+", "-"):
-        if db is None:
-            return da
-        if da is None:
-            return db if op == "+" else np.negative(db, out=_buffer(st, k, db.shape))
-        return (np.add if op == "+" else np.subtract)(da, db, out=_buffer(st, k, _shape(da, db)))
-    out = _buffer(st, k, _shape(a, b))
-    if op in ("min", "max"):
-        np.copyto(out, 0.0 if db is None else db)
-        np.copyto(out, 0.0 if da is None else da,
-                  where=np.less_equal(a, b) if op == "min" else np.greater_equal(a, b))
-        return out
-    if op == "^":  # the exponent is a constant scalar, or the value raises
-        e = float(b[0, 0])
-        np.power(a, e - 1.0, out=out)
-        out *= e
-        out *= da
-        return out
-    if op in ("*", "dot"):  # dot of one-component operands is their product
-        if da is None:
-            return np.multiply(a, db, out=out)
-        np.multiply(da, b, out=out)
-        if db is not None:
-            out += a * db
-        return out
-    # a / b
-    if db is None:
-        return np.divide(da, b, out=out)
-    np.divide(a, b, out=out)
-    out *= db
-    if da is None:
-        np.negative(out, out=out)
-    else:
-        np.subtract(da, out, out=out)
-    return np.divide(out, b, out=out)
 
 
 class _Program:
@@ -801,21 +799,15 @@ class _Program:
     the buffers every operation writes into.  Two programs never share a
     buffer, and a program's output stays valid until its next run."""
 
-    def __init__(self, expr: GeneratorExpr, late: frozenset, n_out: int,
-                 tangent: bool = False):
+    def __init__(self, expr: GeneratorExpr, late: frozenset, n_out: int, d: int = 1):
         comps = expr.components
         if len(comps) not in (1, n_out):
             raise DimensionError(
                 f"generator has {len(comps)} component(s), scenario needs {n_out}"
             )
         self._expr = expr
-        self._plan = expr._plan(late, tangent)
+        self._plan = expr._plan(late, n_out, d)
         self._n_out = n_out
-        self.release()
-
-    def release(self) -> None:
-        """Drop every slot, bound value and buffer the program holds; the
-        next call (after a bind, where the program binds) allocates again."""
         self._bufs = [None] * self._plan.n_buffers
         self._bound = [None] * len(self._plan.binders)
         self._env: dict = {}
@@ -883,7 +875,7 @@ def _driver_env(s, y, ybar, z, zbar, n: int, d: int) -> dict:
 
 
 def _check_driver(expr: GeneratorExpr) -> None:
-    unknown = expr.free_variables() - _ALL_SLOTS
+    unknown = expr.free_variables - _ALL_SLOTS
     if unknown:
         raise InvalidInput(f"not a driver expression, uses {sorted(unknown)}")
 
@@ -904,7 +896,11 @@ class Staged(_Program):
 
     The returned (P, n) array is the instance's own buffer: it stays valid
     until the next call on the same instance.  ``reads_late`` is the set of
-    late slots the expression reads; a call may leave out the others.
+    late slots the expression reads; a call may leave out the others.  An
+    instance holds its bound values and buffers for as long as it lives,
+    and building one is cheap (the compiled plan is cached on the
+    expression), so a caller builds one where its slots are known and
+    drops it with them.
 
     A program whose one late slot is ``y``, the map of an implicit state
     solve, also gives from each call the derivative ``df_j/dy_j`` of each
@@ -913,8 +909,7 @@ class Staged(_Program):
     when an operation on ``y`` has no derivative rule: an exponent that
     reads ``y``, or, for ``n > 1``, any reduction of ``y`` (``norm2``,
     ``dot``, or ``abs``, ``sin``, ``cos``, ``exp`` of its norm), which mixes
-    its components.  :meth:`release` drops what the program holds between
-    uses.
+    its components.
     """
 
     def __init__(self, expr: GeneratorExpr, late, n: int = 1, d: int = 1):
@@ -922,10 +917,7 @@ class Staged(_Program):
         late = frozenset(late)
         if not late <= _ALL_SLOTS:
             raise InvalidInput(f"unknown slot(s) {sorted(late - _ALL_SLOTS)}")
-        widths = {"s": 1, "y": n, "ybar": n, "z": d * n, "zbar": d * n}
-        tangent = (late == {"y"} and "y" in expr.free_variables()
-                   and all(_differentiable(c, widths) for c in expr.components))
-        super().__init__(expr, late, n, tangent)
+        super().__init__(expr, late, n, d)
         self._late = late
         self._d = d
         self.reads_late: frozenset = self._plan.reads_late
@@ -957,7 +949,7 @@ def evaluate(expr: GeneratorExpr, s, y, ybar, z, zbar, n: int = 1, d: int = 1) -
     """
     env = _driver_env(s, y, ybar, z, zbar, n, d)
     _check_driver(expr)
-    return _Program(expr, _ALL_SLOTS, n)._run(env)
+    return _Program(expr, _ALL_SLOTS, n, d)._run(env)
 
 
 def evaluate_terminal(expr: GeneratorExpr, w, n: int = 1, d: int = 1) -> np.ndarray:
@@ -968,10 +960,10 @@ def evaluate_terminal(expr: GeneratorExpr, w, n: int = 1, d: int = 1) -> np.ndar
     """
     wv = _as_rows(w, (d,), "w")
     env = {"w": wv, **{f"w{i}": wv[:, i - 1 : i] for i in range(1, min(d, 9) + 1)}}
-    unknown = expr.free_variables() - env.keys()
+    unknown = expr.free_variables - env.keys()
     if unknown:
         raise InvalidInput(f"not a terminal expression, uses {sorted(unknown)}")
-    return _Program(expr, frozenset(env), n)._run(env)
+    return _Program(expr, frozenset(env), n, d)._run(env)
 
 
 # ---------------------------------------------------------------------------

@@ -61,22 +61,24 @@ O(P) working memory.  The distances between iterates are the
 diagnostics' own path norms of their difference, taken node by node into
 reused buffers, so no full-size difference is ever allocated.
 
-Each solver evaluates its generators as :class:`dsl.Staged` programs,
-built once per window, that bind what its map holds fixed.  The two frozen
-maps differ only in the slots they hand :func:`~mfbsde.solver.staged_driver`:
-the frozen-mean map freezes ``ybar, zbar``, so the implicit state solve
-re-runs only the ``y`` terms and takes Newton steps from their
-derivative, and the frozen-state map freezes ``y, ybar, zbar``, so ``f1``
-has no late slot and each node binds it whole.  Picard lags only the
-terms of the generator's sum that read ``y``, ``ybar`` or ``zbar``
-(:meth:`~mfbsde.dsl.GeneratorExpr.split`): its driver builds their source
-at each node, binding ``s`` and the iterate's integrand and running them
-at the iterate and at zeros (once per solve when they read neither ``s``
-nor ``z``), and adds the in-sweep core, the other terms plus the lagged
-ones at zero as one bound operand, bound once per sweep.  The mean shift
-runs one buffered all-late program per window.  Every map releases its
-programs after each sweep.  Results are bit for bit those of evaluating
-each expression whole.
+Each solver evaluates its generators as :class:`dsl.Staged` programs that
+bind what its map holds fixed, built inside each step for its one sweep (in
+the :func:`~mfbsde.solver.staged_driver` or :func:`_mean_shift` call), so
+nothing holds a program, its bound slots or its buffers once the sweep is
+done.  The two frozen maps differ only in the slots they hand
+:func:`~mfbsde.solver.staged_driver`: the frozen-mean map freezes ``ybar,
+zbar``, so the implicit state solve re-runs only the ``y`` terms and takes
+Newton steps from their derivative, and the frozen-state map freezes ``y,
+ybar, zbar``, so ``f1`` has no late slot and each node binds it whole.
+Picard lags only the terms of the generator's sum that read ``y``, ``ybar``
+or ``zbar`` (:meth:`~mfbsde.dsl.GeneratorExpr.split`): its driver builds
+their source at each node, binding ``s`` and the iterate's integrand and
+running them at the iterate and at zeros (once per solve, by a throwaway
+program, when they read neither ``s`` nor ``z``), and adds the in-sweep
+core, the other terms plus the lagged ones at zero as one bound operand,
+bound once per sweep.  The mean shift runs one buffered all-late program
+per step.  Results are bit for bit those of evaluating each expression
+whole.
 """
 
 from __future__ import annotations
@@ -498,12 +500,9 @@ def _frozen_mean_solve(scenario, ensemble, config, cert, plan) -> SolveResult:
     iterate's mean curves, and the mean distance covers both curves."""
 
     def make_map(window: Window):
-        f = dsl.Staged(scenario.f, ("y",), n=scenario.n, d=scenario.d)
-
         def apply(it: _Iterate, sweep) -> _Iterate:
-            out = sweep(staged_driver(f, window.lo, ybar=it.m_y, zbar=it.m_z))
-            f.release()
-            return _sweep_iterate(out)
+            f = dsl.Staged(scenario.f, ("y",), n=scenario.n, d=scenario.d)
+            return _sweep_iterate(sweep(staged_driver(f, window.lo, ybar=it.m_y, zbar=it.m_z)))
 
         return apply
 
@@ -630,15 +629,18 @@ def picard_global(
     lag = ("y", "ybar", "zbar")
     reading, regrouped = scenario.f.split(lag)
     zeros = {"y": np.zeros(n), "ybar": np.zeros(n), "zbar": np.zeros((d, n))}
-    lagged = dsl.Staged(reading, lag, n=n, d=d)
-    core = dsl.Staged(regrouped, ("s", "z"), n=n, d=d)
     # L at zeros is one (1, n) row when it reads neither s nor z
-    at_zero = None if reading.free_variables() & {"s", "z"} else lagged(**zeros).copy()
+    at_zero = None
+    if not reading.free_variables & {"s", "z"}:
+        at_zero = dsl.Staged(reading, lag, n=n, d=d)(**zeros)
 
     def make_map(window: Window):
         source = np.empty((P, n))
 
         def apply(it: _Iterate, sweep) -> _Iterate:
+            lagged = dsl.Staged(reading, lag, n=n, d=d)
+            core = dsl.Staged(regrouped, ("s", "z"), n=n, d=d)
+
             def driver(i, s, z):
                 j = i - window.lo
                 lagged.bind(s=s, z=it.z[j])
@@ -648,10 +650,7 @@ def picard_global(
                 return np.add(f, source, out=f)
 
             core.bind(**zeros)
-            out = sweep(driver)
-            lagged.release()
-            core.release()
-            return _sweep_iterate(out)
+            return _sweep_iterate(sweep(driver))
 
         return apply
 
@@ -716,15 +715,12 @@ def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
     n, d = scenario.n, scenario.d
 
     def make_map(window: Window):
-        f1 = dsl.Staged(scenario.f1, (), n=n, d=d)
-        f2 = dsl.Staged(scenario.f2, dsl.GENERATOR_VARS, n=n, d=d)
-
         def apply(it: _Iterate, sweep) -> _Iterate:
-            out = sweep(staged_driver(f1, window.lo, y=it.y, ybar=it.m_y, zbar=it.m_z))
-            f1.release()
+            out = sweep(staged_driver(dsl.Staged(scenario.f1, (), n=n, d=d), window.lo,
+                                      y=it.y, ybar=it.m_y, zbar=it.m_z))
             mz_curve = path_mean(out.z)
-            shift = _mean_shift(f2, ensemble, window, out.z, mz_curve, y=it.y, ybar=it.m_y)
-            f2.release()
+            shift = _mean_shift(dsl.Staged(scenario.f2, dsl.GENERATOR_VARS, n=n, d=d),
+                                ensemble, window, out.z, mz_curve, y=it.y, ybar=it.m_y)
             y_new = out.y + shift[:, None, :]
             return _Iterate(y_new, out.z, path_mean(y_new), mz_curve)
 

@@ -128,10 +128,17 @@ class ScenarioSpec:
 
     def ctilde_effective(self) -> float:
         """Envelope constant for the ODE bound: declared value, or the
-        default ``max(3C, xi_bound^2)`` when none was declared."""
+        default ``max(3C, xi_bound^2)`` when none was declared; a square
+        beyond doubles is an invalid input, which declaring ``ctilde``
+        avoids."""
         if self.ctilde is not None:
             return self.ctilde
-        return max(3.0 * self.C, self.xi_bound**2)
+        try:
+            return max(3.0 * self.C, self.xi_bound**2)
+        except OverflowError:
+            raise InvalidInput(
+                "the default ctilde max(3C, xi_bound^2) overflows doubles; declare ctilde"
+            ) from None
 
     def terminal_values(self, w_T: np.ndarray) -> np.ndarray:
         """Terminal condition per path, shape (P, n), clamp applied."""

@@ -424,6 +424,43 @@ def test_diverging_backward_step_writes_failure_record(tmp_path, capsys):
     assert len(man["manifest_sha256"]) == 64
 
 
+def test_invalid_input_in_the_solver_writes_failure_record(tmp_path, capsys):
+    # an invalid input the solver call finds still exits 2, and leaves a
+    # failure record as every other failure of that call does
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "ex41.cfg"
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", str(shipped), "--solver", "multidim", "--out-dir", str(out),
+               "--paths", "3", "--steps", "4"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: 3 paths cannot support 10 features\n"
+    failure = out / "ex41_failure.json"
+    assert f"wrote {failure}" in captured.out
+    assert not (out / "ex41_result.csv").exists()
+    record = json.loads(failure.read_text())
+    assert record["error"] == "InvalidInput"
+    assert record["message"] == "3 paths cannot support 10 features"
+    assert record["trace"] is None
+    assert record["manifest"]["selector"] == "multidim"
+
+
+@pytest.mark.parametrize("command", ["certify", "solve"])
+def test_default_ctilde_beyond_doubles_ends_in_one_error_line(command, tmp_path, capsys):
+    # ex21 declares no ctilde: its default max(3C, xi_bound^2) leaves the
+    # double range at xi_bound = 1e300
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "ex21.cfg"
+    text = shipped.read_text()
+    assert "\nxi_bound = 0.5\n" in text and "ctilde" not in text
+    cfg = tmp_path / "ex21.cfg"
+    cfg.write_text(text.replace("\nxi_bound = 0.5\n", "\nxi_bound = 1e300\n"))
+    rc = main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+               *(["--paths", "200", "--steps", "4"] if command == "solve" else [])])
+    assert rc == 2
+    assert _one_error_line(capsys).splitlines() == [
+        "error: the default ctilde max(3C, xi_bound^2) overflows doubles; declare ctilde"
+    ]
+
+
 def test_solve_overrides_reach_manifest(tiny_cfg, tmp_path):
     out = tmp_path / "out"
     rc = main(["solve", "--config", str(tiny_cfg), "--out-dir", str(out),

@@ -602,26 +602,26 @@ def test_compiled_program_is_cached_on_the_expression(rng):
 
 def test_free_variables_are_collected_once(rng, monkeypatch):
     e = dsl.parse("1 + abs(y) + norm2(z)^2 + ybar")
-    walked = []
-    real = dsl._collect_vars
-
-    def counted(node, out):
-        walked.append(node)
-        real(node, out)
-
-    monkeypatch.setattr(dsl, "_collect_vars", counted)
     y, yb, z, zb = _driver_inputs(rng, 5, 1, 2)
     first = dsl.evaluate(e, 0.0, y, yb, z, zb, n=1, d=2)
-    assert walked and e.free_variables() == {"y", "z", "ybar"}
-    n_walked = len(walked)
+    assert e.free_variables == {"y", "z", "ybar"}
+    walked = []
+    real = dsl._reads
+
+    def counted(node):
+        walked.append(node)
+        return real(node)
+
+    monkeypatch.setattr(dsl, "_reads", counted)
     second = dsl.evaluate(e, 0.0, y, yb, z, zb, n=1, d=2)
-    assert len(walked) == n_walked
+    assert e.free_variables == {"y", "z", "ybar"}
+    assert not walked
     assert _same_bits(second, first)
     # the cached set survives pickling, and the copy still evaluates
     copy = pickle.loads(pickle.dumps(e))
-    assert copy.free_variables() == e.free_variables()
+    assert copy.free_variables == e.free_variables
+    assert not walked
     assert _same_bits(dsl.evaluate(copy, 0.0, y, yb, z, zb, n=1, d=2), first)
-    assert len(walked) == n_walked
 
 
 def test_row_dot_into_a_buffer_matches_numpy_at_every_width(rng):
@@ -800,7 +800,7 @@ def test_domain_errors_are_the_same_bound_or_late(text, message, node_text, colu
     program = dsl.Staged(e, late, n=2, d=2)
     bind = lambda: program.bind(**{k: v for k, v in slots.items() if k not in late})
     call = lambda: program(**{k: v for k, v in slots.items() if k in late})
-    at_bind = message != "non-finite value" and not dsl.parse(node_text).free_variables() & late
+    at_bind = message != "non-finite value" and not dsl.parse(node_text).free_variables & late
     with np.errstate(over="ignore"):
         if not at_bind:
             bind()
@@ -816,21 +816,34 @@ def test_domain_errors_are_the_same_bound_or_late(text, message, node_text, colu
 
 
 def _values_and_slopes(program, y, dy_step):
-    """Copies of the program's values at ``y`` and ``y +- dy_step``, and of
-    its derivatives there."""
+    """Copies of the program's values at ``y``, ``y +- dy_step`` and ``y
+    +- dy_step / 2``, and of its derivatives there."""
     got = {}
-    for k, at in (("mid", y), ("up", y + dy_step), ("down", y - dy_step)):
+    for k, at in (("mid", y), ("up", y + dy_step), ("down", y - dy_step),
+                  ("half up", y + dy_step / 2), ("half down", y - dy_step / 2)):
         got[k] = program(y=at).copy(), program.dy.copy()
     return got
 
 
-@settings(max_examples=100, deadline=None)
+# examples whose stencil spans many periods, with their slopes as the chain
+# rule forms them: d(y / c) = 1 / c, times cos(y / c), negated
+_C = 4.7373770489785073e-272
+_ANALYTIC_SLOPES = {
+    f"-(sin((y / {_C!r})))": lambda y: -(np.cos(y / _C) * (1 / _C)),
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(GENERATED_TEXTS.map(lambda text: text.replace("ybar", "y")), st.integers(0, 2**32 - 1))
 @example("(0.0)^-1", 0)
+@example(f"-(sin((y / {_C!r})))", 0)
 def test_y_derivative_matches_central_difference(text, seed):
     # at each path away from kinks and poles, where the derivative barely
-    # moves over the difference's stencil, it is the central difference;
-    # the ybar leaves read y, so that most expressions read it
+    # moves over the difference's stencil and the central differences at
+    # steps h and h/2 agree (the difference is in its asymptotic range, not
+    # aliasing an oscillation far finer than its stencil), it is the
+    # central difference; the ybar leaves read y, so that most expressions
+    # read it
     e = dsl.parse(text)
     rng = np.random.default_rng(seed)
     y, yb, z, zb = _driver_inputs(rng, 257, 1, 1)
@@ -839,7 +852,7 @@ def test_y_derivative_matches_central_difference(text, seed):
         program = dsl.Staged(e, ("y",))  # a constant subtree may raise here
         program.bind(s=rng.uniform(0, 1, 257), ybar=yb, z=z, zbar=zb)
         with np.errstate(all="ignore"):
-            if "y" not in e.free_variables():
+            if "y" not in e.free_variables:
                 program(y=y)
                 assert program.dy is None
                 return
@@ -847,11 +860,15 @@ def test_y_derivative_matches_central_difference(text, seed):
     except (EvalDomainError, DimensionError):
         return
     (f, slope), (f_up, slope_up), (f_down, slope_down) = got["mid"], got["up"], got["down"]
+    if text in _ANALYTIC_SLOPES:
+        assert _same_bits(slope, _ANALYTIC_SLOPES[text](y))
     with np.errstate(all="ignore"):
         central = (f_up - f_down) / (2 * h)
+        central_half = (got["half up"][0] - got["half down"][0]) / h
         scale = np.maximum(1.0, np.abs(slope))
         smooth = np.isfinite(slope) & (np.abs(slope_up - slope_down) <= 1e-3 * scale)
         smooth &= np.abs(f) < 1e6
+        smooth &= np.abs(central - central_half) <= 1e-5 * np.maximum(1.0, np.abs(central))
     assert np.all(np.abs(central - slope)[smooth] <= 1e-4 * scale[smooth])
 
 
@@ -898,19 +915,6 @@ def test_abs_min_and_max_slopes_at_their_kinks():
     program(y=np.array([[-1.0], [0.0], [-0.0], [2.0]]))
     assert program.dy[:, 0].tolist() == [-1.0 + 2.0 - 1.0, 0.0 + 1.0 + 3.0,
                                          0.0 + 1.0 + 3.0, 1.0 + 1.0 + 3.0]
-
-
-def test_release_drops_what_a_program_holds(rng):
-    e = dsl.parse("1 + s + abs(y) + abs(ybar) + 0.5*norm2(z)^2 + abs(sin(norm2(zbar)))")
-    y, yb, z, zb = _driver_inputs(rng, 50, 1, 1)
-    program = dsl.Staged(e, ("y",))
-    program.bind(s=0.1, ybar=yb, z=z, zbar=zb)
-    first = program(y=y).copy()
-    program.release()
-    assert program.dy is None and program._out is None and not program._env
-    assert all(b is None for b in program._bufs + program._bound)
-    program.bind(s=0.1, ybar=yb, z=z, zbar=zb)
-    assert _same_bits(program(y=y), first)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ stitching, the Picard scheme, shift solvers, and the vector scheme."""
 import dataclasses
 import json
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -837,7 +838,7 @@ class _EvaluatingStage:
 
     def __init__(self, expr, late, n=1, d=1):
         self.expr, self.n, self.d = expr, n, d
-        self.reads_late = expr.free_variables() & frozenset(late)
+        self.reads_late = expr.free_variables & frozenset(late)
         self.slots = {}
         self.tangent = _STAGED(expr, late, n=n, d=d) if set(late) == {"y"} else None
         self.dy = None
@@ -846,9 +847,6 @@ class _EvaluatingStage:
         self.slots = {"s": s, "y": y, "ybar": ybar, "z": z, "zbar": zbar}
         if self.tangent is not None:
             self.tangent.bind(s=s, ybar=ybar, z=z, zbar=zbar)
-
-    def release(self):
-        self.slots, self.dy = {}, None
 
     def __call__(self, s=None, y=None, ybar=None, z=None, zbar=None):
         if self.tangent is not None:
@@ -896,6 +894,38 @@ def test_staged_solves_equal_whole_expression_evaluation(case, monkeypatch):
     assert staged.y.values.tobytes() == evaluated.y.values.tobytes()
     assert staged.z.values.tobytes() == evaluated.z.values.tobytes()
     assert staged.m_y.values.tobytes() == evaluated.m_y.values.tobytes()
+
+
+@pytest.mark.parametrize("case, programs", [("global", 1), ("picard", 2), ("shift", 1),
+                                             ("multidim", 1)])
+def test_no_program_outlives_its_sweep(case, programs, monkeypatch):
+    # every map builds its programs for one sweep, and nothing holds them
+    # after it: when a sweep starts, each program built before the last
+    # sweep started is dead (Picard's L(0) program before the first), and
+    # the live ones are this sweep's
+    make, solve = _staging_cases()[case]
+    sc, cfg = make()
+    built, starts = [], []
+    init = dsl.Staged.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    sweep = BackwardSolver.solve
+
+    def checked(self, *args):
+        live = [k for k, ref in enumerate(built) if ref() is not None]
+        assert len(live) == programs
+        assert not starts or min(live) >= starts[-1]
+        starts.append(len(built))
+        return sweep(self, *args)
+
+    monkeypatch.setattr(dsl.Staged, "__init__", recorded)
+    monkeypatch.setattr(BackwardSolver, "solve", checked)
+    res = solve(sc, _ensemble(sc, cfg), cfg)
+    traces = res.trace if isinstance(res.trace, list) else [res.trace]
+    assert len(starts) == sum(t.iterations for t in traces) > len(traces)
 
 
 @pytest.mark.parametrize(

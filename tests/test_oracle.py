@@ -1,6 +1,11 @@
 """Reference solutions: closed forms, the binomial lattice, fixtures."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,8 @@ from mfbsde.oracle import brute_force_1d, load_fixture, save_fixture
 from mfbsde.scenario import ScenarioSpec, example_21, example_41, linear_scenario
 
 from closed_form import LinearMeanFieldSpec, linear_closed_form
+
+_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mfbsde"
 
 
 def _null_scenario(terminal="w", T=1.0):
@@ -153,10 +160,12 @@ def test_missing_fixture_advises_regeneration(tmp_path):
 
 
 def test_pinned_lattice_fixture_is_coherent():
-    # the checked-in reference for the power-growth desk instance
+    # the checked-in reference for the power-growth desk instance, package
+    # data that criterion 7 reads
     from mfbsde.acceptance import _FIXTURE_DIR
 
-    data = load_fixture(_FIXTURE_DIR / "ex21_lattice.json")
+    assert _FIXTURE_DIR == _PACKAGE / "fixtures"
+    data = load_fixture(_PACKAGE / "fixtures" / "ex21_lattice.json")
     assert data["n_steps"] == 2000
     assert data["times"].shape == data["m_y"].shape
     assert data["times"][0] == 0.0 and data["times"][-1] == 0.5
@@ -164,3 +173,17 @@ def test_pinned_lattice_fixture_is_coherent():
     assert data["m_y"][0] > 1.9
     assert abs(data["m_y"][-1] - 0.5 * np.exp(-0.25)) < 5e-3
     assert data["final_gap"] <= 1e-8
+
+
+def test_a_copied_package_carries_its_fixture(tmp_path):
+    # criterion 7 finds the fixture wherever the package lives, as an
+    # installed one would
+    shutil.copytree(_PACKAGE, tmp_path / "mfbsde", ignore=shutil.ignore_patterns("__pycache__"))
+    code = ("import mfbsde.acceptance as a, mfbsde.oracle as o; print(a.__file__); "
+            "print(o.load_fixture(a._FIXTURE_DIR / 'ex21_lattice.json')['n_steps'])")
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(tmp_path)})
+    assert run.returncode == 0, run.stderr
+    where, n_steps = run.stdout.splitlines()
+    assert Path(where).resolve().parent == (tmp_path / "mfbsde").resolve()
+    assert n_steps == "2000"

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the pinned lattice reference fixtures under tests/fixtures/.
+"""Regenerate the pinned lattice reference fixtures under src/mfbsde/fixtures/,
+the package data the acceptance criteria read.
 
 The stored curves come from the binomial-lattice oracle at a resolution
 far finer than anything the Monte Carlo solver uses, then subsampled onto
@@ -25,7 +26,7 @@ import numpy as np
 from mfbsde.oracle import brute_force_1d, save_fixture
 from mfbsde.scenario import example_21
 
-FIXTURE_DIR = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
+FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "mfbsde" / "fixtures"
 
 # power-growth desk instance pinned by the acceptance suite
 ALPHA = 0.5
