@@ -184,8 +184,7 @@ def _cmd_solve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{options.prefix}_result.csv"
     json_path = out_dir / f"{options.prefix}_result.json"
-    write_result_csv(csv_path, result, manifest,
-                     alpha_fn=result.certificate.alpha_envelope)
+    write_result_csv(csv_path, result, manifest)
     write_result_json(json_path, result, manifest)
 
     traces = result.trace if isinstance(result.trace, list) else [result.trace]

@@ -48,8 +48,9 @@ that field's default.
 Every output file embeds the SHA-256 manifest hash of (config text, the
 whole effective solver configuration after command-line overrides, seed,
 selector, package and numpy versions, platform), so results can be traced
-back to their inputs.  Reruns are byte-identical only on one platform and
-numpy version, so those are part of the hash.
+back to their inputs; the config's path is recorded but not hashed.
+Reruns are byte-identical only on one platform and numpy version, so
+those are part of the hash.
 """
 
 from __future__ import annotations
@@ -241,7 +242,11 @@ class RunManifest:
 
     @property
     def digest(self) -> str:
-        body = json.dumps(dataclasses.asdict(self), sort_keys=True)
+        # the config's content is config_sha256: how its path was spelled
+        # changes no output, so it stays out of the hash
+        fields = dataclasses.asdict(self)
+        del fields["config_path"]
+        body = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(body.encode()).hexdigest()
 
     def as_dict(self) -> dict:
@@ -277,9 +282,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_result_csv(path, result, manifest: RunManifest, alpha_fn=None) -> None:
+def write_result_csv(path, result, manifest: RunManifest) -> None:
     """Node-indexed summary: time, mean/sd of the state, mean integrand,
-    mean squared integrand magnitude, and the envelope bound when known.
+    mean squared integrand magnitude, and the certificate's envelope bound.
     One data row per grid node."""
     times = result.m_y.times()
     my = result.m_y.values.reshape(len(times), -1)
@@ -290,7 +295,7 @@ def write_result_csv(path, result, manifest: RunManifest, alpha_fn=None) -> None
     sd = np.array([[column.std() for column in node.reshape(P, -1).T]
                    for node in result.y.values])
     zsq = np.array([sq.mean() for sq in node_square_norms(result.z)])
-    env = alpha_fn(times) if alpha_fn is not None else None
+    env = result.certificate.alpha_envelope(times)
 
     buf = io.StringIO()
     buf.write(f"# manifest_sha256={manifest.digest}\n")
@@ -300,8 +305,7 @@ def write_result_csv(path, result, manifest: RunManifest, alpha_fn=None) -> None
         + [f"m_y{k + 1}" for k in range(my.shape[1])]
         + [f"sd_y{k + 1}" for k in range(sd.shape[1])]
         + [f"m_z{k + 1}" for k in range(mz.shape[1])]
-        + ["mean_z_sq"]
-        + (["alpha_bound"] if env is not None else [])
+        + ["mean_z_sq", "alpha_bound"]
     )
     writer.writerow(header)
     for i, t in enumerate(times):
@@ -310,8 +314,7 @@ def write_result_csv(path, result, manifest: RunManifest, alpha_fn=None) -> None
             + [_fmt(v) for v in my[i]]
             + [_fmt(v) for v in sd[i]]
             + [_fmt(v) for v in mz[i]]
-            + [_fmt(zsq[i])]
-            + ([_fmt(env[i])] if env is not None else [])
+            + [_fmt(zsq[i]), _fmt(env[i])]
         )
         writer.writerow(row)
     Path(path).write_text(buf.getvalue())

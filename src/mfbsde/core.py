@@ -61,10 +61,6 @@ class TimeGrid:
         object.__setattr__(self, "_steps", _readonly(steps))
 
     @property
-    def horizon(self) -> float:
-        return float(self.nodes[-1])
-
-    @property
     def n_steps(self) -> int:
         return self.nodes.size - 1
 

@@ -138,6 +138,8 @@ def bmo2_estimate(z: ProcessGrid, node_regression) -> float:
 def phi(y, gamma: float):
     """Transform ``(exp(gamma*|y|) - gamma*|y| - 1) / gamma^2``."""
     a = gamma * np.abs(np.asarray(y, dtype=np.float64))
+    if math.isinf(gamma * gamma):  # gamma^2 leaves the doubles: divide twice
+        return (np.expm1(a) - a) / gamma / gamma
     return (np.expm1(a) - a) / gamma**2
 
 

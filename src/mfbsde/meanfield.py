@@ -9,10 +9,7 @@ iterate and the windows they iterate it on:
   driver frozen at given curves) to its fixed point on one window, which
   ends at the horizon;
 * ``global_solve`` stitches those window fixed points backward across the
-  horizon, on ``n_windows`` equal windows, on windows of the certified
-  stitching width, or, when that width is below the grid step, under
-  ``override_epsilon``, on windows sized from the contraction each solved
-  window measured (:func:`_measured_plan`);
+  horizon, on the windows of :func:`_plan_windows`;
 * ``picard_global`` iterates, on the whole horizon as one window, the
   linearised scheme whose source term is the previous iterate's full
   driver increment;
@@ -21,36 +18,26 @@ iterate and the windows they iterate it on:
   ``multidim_solve`` (vector-valued, z-Lipschitz ``f1``) stitch the fixed
   points of one frozen-state map of one sweep per step, and differ only in
   the state distance (sup or S2), on the windows ``global_solve`` would
-  plan.  When ``f1`` reads only ``s, z`` and ``f2`` reads neither ``y``
-  nor ``ybar``, the first step is the deterministic shift itself and the
-  second confirms it at distance 0.
+  plan (:func:`_frozen_state_step`).
 
-A solver hands the window engine, :func:`_solve`, its window plan and its
-map, ``make_map(window) -> apply(iterate, sweep)``.  The plan,
-``next_window(hi, last_trace)``, gives the engine the window ending at
-node ``hi`` once the window to its right is solved, so a plan can size
-each window from what the last one measured; a fixed list is a plan that
-ignores the trace.  The engine walks the windows right to left.  It
-checks each against the certified width (all but Picard's horizon), hands
-the map a ``sweep(driver)`` that runs the window's backward sweep and
-counts its z-clamp activations on the window's :class:`FixedPointTrace`
-(which also records the window's width, its choosing ratio, and whether
-it exceeds the certified width), and iterates the map in one loop,
-:func:`_iterate`, from one start, :func:`_terminal_start`: the terminal
-data's path mean at every node and a zero integrand.  The loop times the
-steps, compares each with its predecessor (the first with the start),
-records the trace, and stops on ``tol_fp``, on divergence
-(:class:`NonContraction`) or on the ``max_outer`` budget of sweeps
-(:class:`MaxIterations`); the failure carries the trace, so whatever a
-window did reaches the result JSON or the failure record.  The engine then
-copies the window into the horizon arrays and frees it, so it holds one
-window's iterates at a time besides the horizon arrays.  A lone window is
-not copied: its arrays are the result.  After the last window the engine
-finalises once on the span it solved: the BMO estimate, fitted with the
-regressions the sweeps cached (every node's k x k factors live for the
-whole solve, and nothing is factorised again), the diagnostics report,
-the envelope rate, the process grids, and the flags, among them whether
-the solved pair lies in the certified ball of S^inf x BMO.
+Each public solver refuses a scenario of the wrong shape
+(:func:`_check_shape`) and hands the window engine, :func:`_solve`, one
+step ``step(window, iterate, sweep) -> _Iterate``, its state norm, and its
+windows: a fixed list, or None for the stitched plan of
+:func:`_plan_windows`.  The engine certifies the scenario when it is given
+no certificate, walks the windows right to left, checks each against the
+certified width (all but Picard's horizon), and iterates the step in one
+loop, :func:`_iterate`, from one start, :func:`_terminal_start`: the
+terminal data's path mean at every node and a zero integrand.  Each
+window's :class:`FixedPointTrace` records its width, its choosing ratio,
+whether it exceeds the certified width, its sweeps' z-clamp activations and
+its steps' distances; a failure carries the trace, so whatever a window did
+reaches the result JSON or the failure record.  After the last window the
+engine finalises once on the span it solved: the BMO estimate, fitted with
+the regressions the sweeps cached (every node's k x k factors live for the
+whole solve, and nothing is factorised again), the diagnostics report, the
+envelope rate, the process grids, and the flags, among them whether the
+solved pair lies in the certified ball of S^inf x BMO.
 
 Iterates are node-major, ``(L, P, ...)``, as the backward sweep stores
 them and as :class:`ProcessGrid` holds them: every per-node read
@@ -279,21 +266,6 @@ def _terminal_start(terminal: np.ndarray, L: int, d: int) -> _Iterate:
     )
 
 
-def _distance(y_dist, mean_z: bool = False):
-    """``distance(new, old, steps)``: the state, integrand and mean
-    distances between two iterates on a window with steps ``steps``.
-    ``y_dist`` measures the state, empirical M2 the integrand, and the sup
-    distance the state's mean curve, or both mean curves with ``mean_z``."""
-
-    def distance(new: _Iterate, old: _Iterate, steps: np.ndarray):
-        mean = sup_norm(new.m_y, old.m_y)
-        if mean_z:
-            mean = max(mean, sup_norm(new.m_z, old.m_z))
-        return y_dist(new.y, old.y), m2_norm(new.z, steps, old.z), mean
-
-    return distance
-
-
 def _stalled(ratios) -> bool:
     return len(ratios) >= 3 and all(x >= 1.0 - 1e-12 for x in ratios[-3:])
 
@@ -346,44 +318,53 @@ def _iterate(step, distance, state, trace, config, context: str):
 # ---------------------------------------------------------------------------
 
 
-def _solve(scenario, ensemble, config, cert, plan, make_map, distance, context,
-           check_width: bool = True) -> SolveResult:
-    """Fixed points of one map on adjacent windows, the first ending at the
-    horizon, chosen right to left by ``plan`` and finalised once.
+def _check_shape(scenario: ScenarioSpec, what: str, form: str | None = None) -> None:
+    """Refuse a scenario of the wrong shape for solver ``what``: a single
+    generator when ``form`` is None, else a split pair asserting ``form``."""
+    if form is None and scenario.f is None:
+        raise InvalidInput(f"{what} needs a single-generator scenario")
+    if form is not None and not scenario.is_split:
+        raise InvalidInput(f"{what} needs a split (f1, f2) scenario")
+    if form is not None and form not in scenario.forms:
+        raise InvalidInput(
+            f"{what} needs the scenario to assert the '{form}' structural form"
+        )
 
-    ``plan(hi, last)`` returns the next window, the one ending at node
-    ``hi``, with the ratio that chose it, or None when the solve is done;
-    ``last`` is the trace of the window just solved (None for the first).
-    A fixed plan (:func:`_fixed_plan`) returns its list, and a measured one
-    (:func:`_measured_plan`) sizes each window from ``last``.  Whether a
-    plan goes on past a node does not depend on ``last``, so the engine
-    knows before it solves the first window whether it is the only one,
-    and a plan of several windows ends at node 0.
-    ``make_map(window)`` returns the window's map ``apply(it,
-    sweep) -> _Iterate``; ``sweep(driver)`` runs the window's backward sweep,
-    closed by the terminal data or by the state solved on the window to
-    the right, and adds its clamp events to ``trace``.  Successive iterates
-    are compared by ``distance(new, old, steps)`` and errors name
-    ``context`` and the window.  Each window is checked against the
-    certified width (unless ``check_width`` is false) before it is solved.
-    Several windows are copied, one contiguous block per array, into the
-    node-major horizon arrays as soon as each is solved, and freed; a lone
-    window's arrays are the result as they are.  Every diagnostic is taken
-    once, on the solved span, with the regressions the sweeps cached: no
-    node is factorised twice.  ``flags["within_certified_ball"]`` compares
-    the report's sup norm with the certified radius and its BMO estimate
-    with the certified bound ``A``."""
+
+def _solve(scenario, ensemble, config, certificate, step, state_norm, context,
+           windows=None, check_width: bool = True, mean_z: bool = False) -> SolveResult:
+    """Fixed points of ``step`` on adjacent windows, the first ending at the
+    horizon, chosen right to left and finalised once.
+
+    ``certificate`` is certified from ``scenario`` when None.  ``windows``
+    is a list of windows, a plan (:func:`_measured_plan`), or None for
+    those of :func:`_plan_windows`; a plan of several windows ends at node
+    0.  ``step(window, it, sweep)`` applies the solver's map once;
+    ``sweep(driver)`` runs the window's backward sweep, closed by the
+    terminal data or by the state solved on the window to the right, and
+    adds its counts to the window's trace.  Successive iterates are compared
+    by ``state_norm`` on the state, empirical M2 on the integrand and the
+    sup distance of the state's mean curve, or of both mean curves with
+    ``mean_z``; errors name ``context`` and the window.  Each window is
+    checked against the certified width (unless ``check_width`` is false)
+    before it is solved.  Once a second window is planned, each window is
+    copied into the horizon arrays, one contiguous block per array, as soon
+    as it is solved, and freed, so one window's iterates are held at a
+    time; a lone window's arrays are the result."""
+    cert = certificate if certificate is not None else certify(scenario)
+    if windows is None:
+        windows = _plan_windows(ensemble, config, cert)
+    plan = windows if callable(windows) else _fixed_plan(windows)
     solver = BackwardSolver(ensemble, config)
     grid, P, n, d = ensemble.grid, ensemble.n_paths, scenario.n, scenario.d
     N = grid.n_steps
-    windows: list[Window] = []
+    solved: list[Window] = []
     traces: list[FixedPointTrace] = []
 
-    # one window's map, and the iterates its staged programs bind, are
-    # freed when this returns
+    # one window's step closures, and the iterates its staged programs
+    # bind, are freed when this returns
     def fixed_point(window: Window, terminal: np.ndarray, trace: FixedPointTrace):
         steps = grid.steps[window.lo : window.hi]
-        apply = make_map(window)
 
         def sweep(driver):
             out = solver.solve(window, terminal, driver)
@@ -392,38 +373,48 @@ def _solve(scenario, ensemble, config, cert, plan, make_map, distance, context,
             trace.damped_passes += out.damped_passes
             return out
 
-        return _iterate(lambda it: apply(it, sweep),
-                        lambda new, old: distance(new, old, steps),
+        def distance(new: _Iterate, old: _Iterate):
+            mean = sup_norm(new.m_y, old.m_y)
+            if mean_z:
+                mean = max(mean, sup_norm(new.m_z, old.m_z))
+            return state_norm(new.y, old.y), m2_norm(new.z, steps, old.z), mean
+
+        return _iterate(lambda it: step(window, it, sweep), distance,
                         _terminal_start(terminal, window.n_nodes, d), trace, config,
                         f"{context} on window {(window.lo, window.hi)}")
 
+    def horizon():
+        return np.empty((N + 1, P, n)), np.empty((N + 1, P, d, n))
+
+    # a list of several windows plans the second before the first is solved:
+    # allocated after the first window's iterates, the horizon arrays sit
+    # above their freed memory and keep it resident (8 MB for 4 x 40k paths)
+    y_vals, z_vals = (None, None) if callable(windows) or len(windows) == 1 else horizon()
     planned = plan(N, None)
-    lone = plan(planned[0].lo, None) is None
-    if not lone:
-        y_vals = np.empty((N + 1, P, n))
-        z_vals = np.empty((N + 1, P, d, n))
     terminal = scenario.terminal_values(ensemble.state(N))
     while planned is not None:
         w, ratio = planned
         exceeds = _check_window_width(w, ensemble, cert, config) if check_width else None
-        windows.append(w)
+        solved.append(w)
         traces.append(FixedPointTrace(width=w.width(grid), ratio=ratio,
                                       exceeds_certificate=exceeds))
         last = fixed_point(w, terminal, traces[-1])
         planned = plan(w.lo, traces[-1])
-        if lone:
-            y_vals, z_vals = last.y, last.z
-        else:
-            # the window to the right already wrote node w.hi: its integrand
-            # there is the solved one, not this window's copied last node
-            stop = w.hi + 1 if w.hi == N else w.hi
-            y_vals[w.lo : stop] = last.y[: stop - w.lo]
-            z_vals[w.lo : stop] = last.z[: stop - w.lo]
-            terminal = last.y[0].copy()
+        if y_vals is None and planned is None:
+            y_vals, z_vals = last.y, last.z  # a lone window is the result
+            break
+        if y_vals is None:
+            y_vals, z_vals = horizon()
+        # the window to the right already wrote node w.hi: its integrand
+        # there is the solved one, not this window's copied last node
+        stop = w.hi + 1 if w.hi == N else w.hi
+        y_vals[w.lo : stop] = last.y[: stop - w.lo]
+        z_vals[w.lo : stop] = last.z[: stop - w.lo]
+        terminal = last.y[0].copy()
         del last  # a copied window is freed before the next one runs
-    windows.reverse()
+    solved.reverse()
     traces.reverse()
-    lo0 = windows[0].lo
+    lo0 = solved[0].lo
 
     ygrid = ProcessGrid(grid=grid, values=y_vals, span=(lo0, N))
     zgrid = ProcessGrid(grid=grid, values=z_vals, span=(lo0, N))
@@ -451,7 +442,7 @@ def _solve(scenario, ensemble, config, cert, plan, make_map, distance, context,
         trace=traces,
         certificate=cert,
         diagnostics=report,
-        windows=[(w.lo, w.hi) for w in windows],
+        windows=[(w.lo, w.hi) for w in solved],
         flags=flags,
     )
 
@@ -494,20 +485,15 @@ def _measured_plan(grid):
 # ---------------------------------------------------------------------------
 
 
-def _frozen_mean_solve(scenario, ensemble, config, cert, plan) -> SolveResult:
-    """Fixed points of the frozen-mean map on the windows of ``plan``: each
-    step sweeps once with the driver's mean slots frozen at the previous
-    iterate's mean curves, and the mean distance covers both curves."""
+def _frozen_mean_step(scenario):
+    """The step of the frozen-mean map: one sweep with the driver's mean
+    slots frozen at the previous iterate's mean curves."""
 
-    def make_map(window: Window):
-        def apply(it: _Iterate, sweep) -> _Iterate:
-            f = dsl.Staged(scenario.f, ("y",), n=scenario.n, d=scenario.d)
-            return _sweep_iterate(sweep(staged_driver(f, window.lo, ybar=it.m_y, zbar=it.m_z)))
+    def step(window: Window, it: _Iterate, sweep) -> _Iterate:
+        f = dsl.Staged(scenario.f, ("y",), n=scenario.n, d=scenario.d)
+        return _sweep_iterate(sweep(staged_driver(f, window.lo, ybar=it.m_y, zbar=it.m_z)))
 
-        return apply
-
-    return _solve(scenario, ensemble, config, cert, plan, make_map,
-                  _distance(sup_norm, mean_z=True), "local solve")
+    return step
 
 
 def local_solve(
@@ -529,8 +515,7 @@ def local_solve(
     exhaustion.  The trace is a one-element list, as for every stitched
     solve.
     """
-    if scenario.f is None:
-        raise InvalidInput("local_solve needs a single-generator scenario")
+    _check_shape(scenario, "local_solve")
     window = window or ensemble.grid.full_window()
     N = ensemble.grid.n_steps
     if window.hi != N:
@@ -538,15 +523,15 @@ def local_solve(
             f"local_solve window ({window.lo}, {window.hi}) must end at the "
             f"last node {N} of the grid"
         )
-    cert = certificate if certificate is not None else certify(scenario)
-    return _frozen_mean_solve(scenario, ensemble, config, cert, _fixed_plan([window]))
+    return _solve(scenario, ensemble, config, certificate, _frozen_mean_step(scenario),
+                  sup_norm, "local solve", [window], mean_z=True)
 
 
 def _plan_windows(ensemble: PathEnsemble, config: SolverConfig, cert: Certificate):
-    """The plan of a stitched solve: ``n_windows`` equal windows when it is
-    set, else windows of the certified stitching width when that is at
-    least one grid step, else, under ``override_epsilon``, windows sized
-    from measured contraction (:func:`_measured_plan`)."""
+    """The windows of a stitched solve: ``n_windows`` equal windows when it
+    is set, else windows of the certified stitching width when that is at
+    least one grid step, else, under ``override_epsilon``, the plan of
+    windows sized from measured contraction (:func:`_measured_plan`)."""
     grid = ensemble.grid
     N = grid.n_steps
     if config.n_windows is not None:
@@ -556,7 +541,7 @@ def _plan_windows(ensemble: PathEnsemble, config: SolverConfig, cert: Certificat
             )
         bounds = np.linspace(0, N, config.n_windows + 1).round().astype(int)
         bounds = np.unique(bounds)
-        return _fixed_plan([Window(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])])
+        return [Window(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
     width = cert.eta if cert.eta > 0.0 else 0.0
     if width < float(np.min(grid.steps)):
         if config.override_epsilon:
@@ -573,7 +558,7 @@ def _plan_windows(ensemble: PathEnsemble, config: SolverConfig, cert: Certificat
         lo = min(lo, hi - 1)
         windows.append(Window(lo, hi))
         hi = lo
-    return _fixed_plan(windows)
+    return windows
 
 
 def global_solve(
@@ -588,11 +573,9 @@ def global_solve(
     or else, under ``override_epsilon``, from the contraction each solved
     window measured (:func:`_plan_windows`).  Envelope violations are
     reported in ``flags``, not raised."""
-    if scenario.f is None:
-        raise InvalidInput("global_solve needs a single-generator scenario")
-    cert = certificate if certificate is not None else certify(scenario)
-    return _frozen_mean_solve(scenario, ensemble, config, cert,
-                              _plan_windows(ensemble, config, cert))
+    _check_shape(scenario, "global_solve")
+    return _solve(scenario, ensemble, config, certificate, _frozen_mean_step(scenario),
+                  sup_norm, "local solve", mean_z=True)
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +602,7 @@ def picard_global(
     not checked against the certified width, and the trace is a single
     :class:`FixedPointTrace`.
     """
-    if scenario.f is None:
-        raise InvalidInput("picard_global needs a single-generator scenario")
-    cert = certificate if certificate is not None else certify(scenario)
+    _check_shape(scenario, "picard_global")
     n, d, P = scenario.n, scenario.d, ensemble.n_paths
     # each node's source binds (s, Z^j) and runs L at the iterate and at
     # zeros; the sweep's core is the other terms plus L with its lagged
@@ -629,34 +610,31 @@ def picard_global(
     lag = ("y", "ybar", "zbar")
     reading, regrouped = scenario.f.split(lag)
     zeros = {"y": np.zeros(n), "ybar": np.zeros(n), "zbar": np.zeros((d, n))}
-    # L at zeros is one (1, n) row when it reads neither s nor z
+    source = np.empty((P, n))
     at_zero = None
-    if not reading.free_variables & {"s", "z"}:
-        at_zero = dsl.Staged(reading, lag, n=n, d=d)(**zeros)
 
-    def make_map(window: Window):
-        source = np.empty((P, n))
+    def step(window: Window, it: _Iterate, sweep) -> _Iterate:
+        nonlocal at_zero
+        # L at zeros is one (1, n) row when it reads neither s nor z, run
+        # once per solve, at the first step, by a throwaway program
+        if at_zero is None and not reading.free_variables & {"s", "z"}:
+            at_zero = dsl.Staged(reading, lag, n=n, d=d)(**zeros)
+        lagged = dsl.Staged(reading, lag, n=n, d=d)
+        core = dsl.Staged(regrouped, ("s", "z"), n=n, d=d)
 
-        def apply(it: _Iterate, sweep) -> _Iterate:
-            lagged = dsl.Staged(reading, lag, n=n, d=d)
-            core = dsl.Staged(regrouped, ("s", "z"), n=n, d=d)
+        def driver(i, s, z):
+            j = i - window.lo
+            lagged.bind(s=s, z=it.z[j])
+            np.copyto(source, lagged(y=it.y[j], ybar=it.m_y[j], zbar=it.m_z[j]))
+            np.subtract(source, lagged(**zeros) if at_zero is None else at_zero, out=source)
+            f = core(s=s, z=z)
+            return np.add(f, source, out=f)
 
-            def driver(i, s, z):
-                j = i - window.lo
-                lagged.bind(s=s, z=it.z[j])
-                np.copyto(source, lagged(y=it.y[j], ybar=it.m_y[j], zbar=it.m_z[j]))
-                np.subtract(source, lagged(**zeros) if at_zero is None else at_zero, out=source)
-                f = core(s=s, z=z)
-                return np.add(f, source, out=f)
+        core.bind(**zeros)
+        return _sweep_iterate(sweep(driver))
 
-            core.bind(**zeros)
-            return _sweep_iterate(sweep(driver))
-
-        return apply
-
-    result = _solve(scenario, ensemble, config, cert,
-                    _fixed_plan([ensemble.grid.full_window()]), make_map,
-                    _distance(sup_norm), "global Picard", check_width=False)
+    result = _solve(scenario, ensemble, config, certificate, step, sup_norm,
+                    "global Picard", [ensemble.grid.full_window()], check_width=False)
     result.trace = result.trace[0]
     return result
 
@@ -664,15 +642,6 @@ def picard_global(
 # ---------------------------------------------------------------------------
 # split generators: mean shift solvers
 # ---------------------------------------------------------------------------
-
-
-def _require_split(scenario: ScenarioSpec, form: str, what: str):
-    if not scenario.is_split:
-        raise InvalidInput(f"{what} needs a split (f1, f2) scenario")
-    if form not in scenario.forms:
-        raise InvalidInput(
-            f"{what} needs the scenario to assert the '{form}' structural form"
-        )
 
 
 def _mean_shift(f2, ensemble, window, z_vals, m_z, **state):
@@ -696,9 +665,8 @@ def _mean_shift(f2, ensemble, window, z_vals, m_z, **state):
     return shift
 
 
-def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
-                        context: str) -> SolveResult:
-    """Stitched fixed point of the frozen-state map of a split scenario.
+def _frozen_state_step(scenario, ensemble):
+    """The step of the frozen-state map of a split scenario.
 
     A step sweeps once with ``f1`` at the previous iterate's state and
     mean-integrand curve, then shifts the state; the new iterate's
@@ -708,26 +676,19 @@ def _frozen_state_solve(scenario, ensemble, config, certificate, state_dist,
     When ``f1`` reads only ``s, z`` and ``f2`` neither ``y`` nor ``ybar``,
     the first step from the start is exactly the deterministic shift of the
     base BSDE, and the second confirms it at distance 0.
-    Iterates are compared by ``state_dist`` and the M2 distance;
-    ``context`` names the solver in fixed-point errors.
     """
-    cert = certificate if certificate is not None else certify(scenario)
     n, d = scenario.n, scenario.d
 
-    def make_map(window: Window):
-        def apply(it: _Iterate, sweep) -> _Iterate:
-            out = sweep(staged_driver(dsl.Staged(scenario.f1, (), n=n, d=d), window.lo,
-                                      y=it.y, ybar=it.m_y, zbar=it.m_z))
-            mz_curve = path_mean(out.z)
-            shift = _mean_shift(dsl.Staged(scenario.f2, dsl.GENERATOR_VARS, n=n, d=d),
-                                ensemble, window, out.z, mz_curve, y=it.y, ybar=it.m_y)
-            y_new = out.y + shift[:, None, :]
-            return _Iterate(y_new, out.z, path_mean(y_new), mz_curve)
+    def step(window: Window, it: _Iterate, sweep) -> _Iterate:
+        out = sweep(staged_driver(dsl.Staged(scenario.f1, (), n=n, d=d), window.lo,
+                                  y=it.y, ybar=it.m_y, zbar=it.m_z))
+        mz_curve = path_mean(out.z)
+        shift = _mean_shift(dsl.Staged(scenario.f2, dsl.GENERATOR_VARS, n=n, d=d),
+                            ensemble, window, out.z, mz_curve, y=it.y, ybar=it.m_y)
+        y_new = out.y + shift[:, None, :]
+        return _Iterate(y_new, out.z, path_mean(y_new), mz_curve)
 
-        return apply
-
-    return _solve(scenario, ensemble, config, cert, _plan_windows(ensemble, config, cert),
-                  make_map, _distance(state_dist), context)
+    return step
 
 
 def shift_fixed_point(
@@ -745,9 +706,9 @@ def shift_fixed_point(
     the shift.  Windows are planned as for :func:`global_solve` and
     stitched right to left.
     """
-    _require_split(scenario, FORM_SPLIT_QUADRATIC, "shift_fixed_point")
-    return _frozen_state_solve(scenario, ensemble, config, certificate,
-                               sup_norm, "shift fixed point")
+    _check_shape(scenario, "shift_fixed_point", FORM_SPLIT_QUADRATIC)
+    return _solve(scenario, ensemble, config, certificate,
+                  _frozen_state_step(scenario, ensemble), sup_norm, "shift fixed point")
 
 
 def multidim_solve(
@@ -763,6 +724,6 @@ def multidim_solve(
     iterate's, so the outer fixed point resolves that curve too.  Distances
     use the empirical S2 norm for the state and M2 for the integrand.
     """
-    _require_split(scenario, FORM_SPLIT_LIPSCHITZ, "multidim_solve")
-    return _frozen_state_solve(scenario, ensemble, config, certificate,
-                               s2_norm, "multidim solve")
+    _check_shape(scenario, "multidim_solve", FORM_SPLIT_LIPSCHITZ)
+    return _solve(scenario, ensemble, config, certificate,
+                  _frozen_state_step(scenario, ensemble), s2_norm, "multidim solve")

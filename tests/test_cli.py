@@ -1,15 +1,23 @@
 """Command line interface: exit codes, outputs, and overrides."""
 
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mfbsde.cli import main
+from mfbsde.cli import _SOLVERS, main
+from mfbsde.config import load_config
+from mfbsde.errors import MFBSDEError
 from mfbsde.solver import BackwardSolver
+from strategies import texts_of_depth
 
 TINY = """
 [scenario]
@@ -548,3 +556,87 @@ def test_validate_rejects_bad_list(capsys):
 def test_validate_rejects_unknown_ids(capsys):
     assert main(["validate", "--criteria", "99"]) == 2
     assert "unknown criteria" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ failure contract
+
+_FINITE = st.floats(min_value=1e-300, max_value=1e300)
+_SPLIT_FORMS = {"shift": "split-quad", "multidim": "split-lip"}
+
+
+@st.composite
+def _contract_runs(draw):
+    """A command (``certify`` or a solver selector) and a config of 1-4
+    steps and 2-60 paths, whose generators are generated texts of depth 3
+    or less and whose constants span the doubles, one of them at most NaN
+    or inf.  Three configs in four have the shape the command needs."""
+    command = draw(st.sampled_from(["certify", *sorted(_SOLVERS)]))
+    n, d = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+
+    def vector(strategy):
+        return " ; ".join(draw(strategy) for _ in range(n))
+
+    forms = ["", "quad-growth", "global-ode", "split-quad", "split-lip"]
+    if command in _SPLIT_FORMS and draw(st.integers(0, 3)):
+        forms = [_SPLIT_FORMS[command]]
+    elif command != "certify" and draw(st.integers(0, 3)):
+        forms = forms[:3]
+    form = draw(st.sampled_from(forms))
+    texts = texts_of_depth(3)
+    if form.startswith("split"):
+        generators = f"f1 = {vector(texts)}\nf2 = {vector(texts)}"
+    else:
+        generators = f"f = {vector(texts)}"
+    terminal = vector(st.sampled_from(["w1", "sin(w)", "0.5*cos(w1)", "1.0"]))
+    keys = ["T", "C", "gamma", "xi_bound", "alpha"] + (["ctilde"] if draw(st.booleans()) else [])
+    bad = draw(st.none() | st.sampled_from(keys))
+
+    def constant(key):
+        if key == bad:
+            return draw(st.sampled_from([math.nan, math.inf]))
+        return draw(st.floats(0.0, 0.99) if key == "alpha" else _FINITE)
+
+    values = {key: constant(key) for key in keys}
+    constants = "\n".join(f"{key} = {values[key]!r}" for key in keys[1:])
+    return command, (
+        f"[scenario]\nname = drawn\nn = {n}\nd = {d}\nT = {values['T']!r}\n"
+        f"terminal = {terminal}\n{generators}\nforms = {form}\n"
+        f"[constants]\n{constants}\n"
+        f"[solver]\nsteps = {draw(st.integers(1, 4))}\npaths = {draw(st.integers(2, 60))}\n"
+        "seed = 5\nmax_outer = 5\noverride_epsilon = true\n")
+
+
+_PINNED = TINY.replace("xi_bound = 4.0", "xi_bound = 1e300").replace("steps = 8", "steps = 2")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_contract_runs())
+@example(("certify", _PINNED))
+@example(("global", _PINNED))
+def test_every_run_ends_in_its_documented_exit(run):
+    # whatever the config, a run exits 0, 1 or 2 with no warning and no
+    # traceback: one error line on a failure, the result pair on success,
+    # and a failure record for every failed solve past config loading
+    command, text = run
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "drawn.cfg"
+        cfg.write_text(text)
+        out = Path(tmp) / "out"
+        argv = ["certify"] if command == "certify" else ["solve", "--solver", command]
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            rc = main([*argv, "--config", str(cfg), "--out-dir", str(out), "--prefix", "p"])
+        assert rc in (0, 1, 2)
+        errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+        assert len(errors) == (rc != 0)
+        pair = ("certificate.txt", "certificate.json") if command == "certify" else (
+            "result.csv", "result.json")
+        assert all((out / f"p_{name}").exists() == (rc == 0) for name in pair)
+        if command != "certify" and rc != 0:
+            try:
+                load_config(cfg)
+            except MFBSDEError:
+                return
+            assert (out / "p_failure.json").exists()

@@ -346,6 +346,19 @@ def test_manifest_digest_sensitivity(tmp_path):
         assert dataclasses.replace(man, **{field: value}).digest != man.digest
 
 
+def test_manifest_digest_ignores_how_the_config_path_is_spelled(tmp_path, monkeypatch):
+    # one config read by a relative and by an absolute path: the content is
+    # hashed, the path is only recorded
+    path = _write(tmp_path, MINIMAL)
+    _, solver, _, text = load_config(path)
+    monkeypatch.chdir(tmp_path)
+    relative = manifest_for(path.name, text, solver, "global")
+    absolute = manifest_for(path.resolve(), text, solver, "global")
+    assert relative.config_path != absolute.config_path
+    assert relative.digest == absolute.digest
+    assert relative.as_dict()["config_path"] == path.name
+
+
 
 # ----------------------------------------------------------- output writers
 
@@ -383,7 +396,7 @@ def test_write_result_csv(small_run, tmp_path):
     write_result_csv(out, result, manifest)
     lines = out.read_text().splitlines()
     assert lines[0] == f"# manifest_sha256={manifest.digest}"
-    assert lines[1] == "t,m_y1,sd_y1,m_z1,mean_z_sq"
+    assert lines[1] == "t,m_y1,sd_y1,m_z1,mean_z_sq,alpha_bound"
     times = result.m_y.times()
     assert len(lines) == 2 + len(times)
     # repr() formatting keeps the grid exactly recoverable
@@ -394,12 +407,14 @@ def test_write_result_csv(small_run, tmp_path):
 
 
 def test_write_result_csv_with_envelope(small_run, tmp_path):
+    # the last column is the certificate's envelope at every node
     result, manifest = small_run
     out = tmp_path / "run_env.csv"
-    write_result_csv(out, result, manifest, alpha_fn=lambda t: 2.0 * np.ones_like(t))
+    write_result_csv(out, result, manifest)
     lines = out.read_text().splitlines()
     assert lines[1].endswith(",alpha_bound")
-    assert all(float(row.split(",")[-1]) == 2.0 for row in lines[2:])
+    env = result.certificate.alpha_envelope(result.m_y.times())
+    assert [float(row.split(",")[-1]) for row in lines[2:]] == env.tolist()
 
 
 def test_write_result_json(small_run, tmp_path):

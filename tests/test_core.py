@@ -19,7 +19,7 @@ from mfbsde.errors import InvalidInput
 
 def test_build_grid_basic():
     g = build_grid(2.0, 8)
-    assert g.horizon == 2.0
+    assert g.nodes[-1] == 2.0
     assert g.n_steps == 8
     assert g.nodes[0] == 0.0
     np.testing.assert_allclose(g.steps, 0.25)
@@ -125,7 +125,7 @@ def test_brownian_state_is_one_contiguous_node_block(grid50):
 def test_brownian_terminal_statistics(grid50):
     # W_T ~ N(0, T): the sample mean of P paths has sd sqrt(T/P), the
     # sample variance concentrates like sqrt(2/P); allow generous bands
-    P, T = 100_000, grid50.horizon
+    P, T = 100_000, float(grid50.nodes[-1])
     ens = simulate_brownian(grid50, 1, P, 2024)
     wT = ens.node_levels[-1, :, 0]
     assert abs(wT.mean()) < 4.0 * np.sqrt(T / P)

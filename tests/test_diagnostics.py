@@ -232,6 +232,19 @@ def test_phi_even_and_increasing(rng):
     assert np.all(np.diff(phi(np.sort(y), 1.0)) >= 0.0)
 
 
+def test_phi_with_gamma_squared_beyond_doubles():
+    # gamma^2 overflows for gamma above 1.34e154: phi divides by gamma
+    # twice there, so a tiny argument gives a finite value and a large one
+    # saturates, with no OverflowError; below, it divides by gamma^2 once
+    gamma = 1.34e154
+    a = gamma * 1.5e-171
+    assert phi(1.5e-171, gamma) == (np.expm1(a) - a) / gamma / gamma
+    with np.errstate(over="ignore"):
+        assert phi(1e-150, 1e155) == math.inf
+    assert phi(2.0, 0.4) == (np.expm1(0.8) - 0.8) / 0.4**2
+    assert bmo_budget_global(1.5e-171, 1e-300, 1.0, 0.5, gamma) >= 0.0
+
+
 def test_bmo_budget_finite_and_monotone():
     b1 = bmo_budget_global(1.0, 0.2, 10.0, 1.0, 0.4)
     b2 = bmo_budget_global(1.0, 0.2, 100.0, 1.0, 0.4)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from mfbsde import dsl
 from mfbsde.dsl import Bin, Call, Neg, Num, Var
 from mfbsde.errors import DimensionError, EvalDomainError, InvalidInput, ParseError
+from strategies import GENERATED_TEXTS
 
 # ---------------------------------------------------------------------------
 # reference evaluators
@@ -234,26 +235,6 @@ def test_print_parse_fixed_point(text):
     ast2 = dsl.parse(printed)
     assert ast1 == ast2
     assert dsl.to_text(ast2) == printed
-
-
-# scalar-valued driver texts over every slot and every operation
-GENERATED_TEXTS = st.recursive(
-    st.sampled_from(["y", "ybar", "s", "norm2(z)", "norm2(zbar)"])
-    | st.floats(min_value=0.0, max_value=9.0).map(lambda v: f"{v!r}"),
-    lambda inner: st.tuples(inner, st.sampled_from("+-*/"), inner).map(
-        lambda t: f"({t[0]} {t[1]} {t[2]})"
-    )
-    | inner.map(lambda s: f"sin({s})")
-    | inner.map(lambda s: f"abs({s})")
-    | inner.map(lambda s: f"-({s})")
-    | st.tuples(inner, st.sampled_from(["2", "3", "0.5", "-1"])).map(
-        lambda t: f"({t[0]})^{t[1]}"
-    )
-    | st.tuples(st.sampled_from(["dot", "min", "max"]), inner, inner).map(
-        lambda t: f"{t[0]}({t[1]}, {t[2]})"
-    ),
-    max_leaves=12,
-)
 
 
 @settings(max_examples=60, deadline=None)
@@ -837,6 +818,8 @@ _ANALYTIC_SLOPES = {
 @given(GENERATED_TEXTS.map(lambda text: text.replace("ybar", "y")), st.integers(0, 2**32 - 1))
 @example("(0.0)^-1", 0)
 @example(f"-(sin((y / {_C!r})))", 0)
+@example("(1.0 / (2.0 + abs(y)))", 0)  # quotients whose divisor reads y
+@example("((y * y) / (3.0 + abs(y)))", 0)
 def test_y_derivative_matches_central_difference(text, seed):
     # at each path away from kinks and poles, where the derivative barely
     # moves over the difference's stencil and the central differences at

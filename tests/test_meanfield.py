@@ -288,6 +288,27 @@ def test_blow_up_is_non_contraction_naming_the_step():
     assert trace.total_distances() == [1.0, 10.0, 1e10] and not trace.converged
 
 
+@pytest.mark.parametrize("solve, covers_z", [(local_solve, True), (picard_global, False)],
+                         ids=["frozen-mean", "picard"])
+def test_mean_distance_covers_the_mean_curves_of_the_map(solve, covers_z, monkeypatch):
+    # the frozen-mean map's mean distance is the larger sup distance of the
+    # two mean curves it freezes, Picard's that of the state's mean curve;
+    # on this mean-integrand driver the integrand's curve moves further
+    sc, cfg = _shipped("linear.cfg", n_steps=8, n_paths=1_000)
+    ens = _ensemble(sc, cfg)
+    sweeps = _record_sweeps(monkeypatch)
+    res = solve(sc, ens, cfg)
+    trace = res.trace[0] if covers_z else res.trace
+    start = meanfield._terminal_start(sc.terminal_values(ens.state(8)), 9, sc.d)
+    curves = [(start.m_y, start.m_z)] + [(path_mean(out.y), path_mean(out.z))
+                                         for _, _, out in sweeps]
+    y_moves = [sup_norm(new[0], old[0]) for old, new in zip(curves, curves[1:])]
+    z_moves = [sup_norm(new[1], old[1]) for old, new in zip(curves, curves[1:])]
+    assert any(z > y for y, z in zip(y_moves, z_moves))
+    expected = [max(y, z) for y, z in zip(y_moves, z_moves)] if covers_z else y_moves
+    assert trace.mean_distances == expected
+
+
 def test_window_too_wide_without_override():
     sc = linear_scenario(dbar=1.0, xi_bound=4.0)
     ens = _ensemble(sc)
