@@ -478,9 +478,7 @@ def _spot_check(scenario: ScenarioSpec, samples: int, seed: int) -> dict:
             mag_bounds = C * (2.0 + ny + nyb + nzb ** (1.0 + scenario.alpha)) + (
                 0.5 * scenario.gamma * nz**2
             )
-        lip_vals = np.abs(
-            ev(gen, s, y, ybar, z, zbar) - ev(gen, s, y2, ybar2, z2, zbar2)
-        )
+        lip_vals = np.abs(mag_vals - ev(gen, s, y2, ybar2, z2, zbar2))
         lip_bounds = C * (
             dy
             + dyb

@@ -28,7 +28,8 @@ owns.  The returned array is one of those buffers and stays valid until
 the program's next call.  :func:`evaluate` is the every-slot-late case and
 returns a fresh array.  Every operation is one entry of one table,
 ``_OPS``: its ufunc, its operand check, whether it maps a vector to a
-scalar, and its y-slope rule.  A plan picks each node's entry once.
+scalar, and its y-slope rule.  A plan picks each node's entry once and
+compiles the node to one closure, whatever its operand count.
 
 A program whose one late slot is ``y`` is compiled as a *tangent* plan:
 each operation that reads ``y`` also carries its forward-mode
@@ -471,18 +472,16 @@ class _Plan:
                         and all(_tangent_width(c, widths) is not None for c in expr.components))
         self.n_buffers = 0
         self.binders: list = []
-        reads = frozenset()
         roots = []
         for c in expr.components:
             r, run, _ = _compile(c, self)
-            reads |= r
             run = self.stage(r, run)
             if self.tangent and "y" not in r:
                 run = (lambda value: lambda st: (value(st), None))(run)
             roots.append(run)
         self.roots = tuple(roots)
-        self.reads_late = reads & late
-        self.reads_early = reads - late
+        self.reads_late = expr.free_variables & late
+        self.reads_early = expr.free_variables - late
 
     def buffer(self) -> int:
         self.n_buffers += 1
@@ -531,11 +530,7 @@ def _compile(node: Expr, plan: _Plan):
     value = _operation(node, owned, plan)
     if plan.tangent and late:
         return reads, _tangent(node, runs, value, plan), True
-    if len(runs) == 1:
-        (arg,) = runs
-        return reads, lambda st: value(st, arg(st)), True
-    left, right = runs
-    return reads, lambda st: value(st, left(st), right(st)), True
+    return reads, lambda st: value(st, *[run(st) for run in runs]), True
 
 
 def _nonzero_divisor(node: Bin, a, b):
@@ -670,41 +665,28 @@ def _op(node: Expr) -> tuple:
 
 
 def _operation(node: Expr, owned, plan: _Plan):
-    """``value(st, *operands)``: one operation node's value from its
-    operands' values, specialised on its table entry.  It writes into an
-    operand it owns or into a buffer of its own; the row reductions
-    ``norm2`` and ``dot`` always return a fresh or own array."""
+    """``value(st, a, *b)``: one operation node's value from the values of
+    its one or two operands, specialised on its table entry.  It writes
+    into an operand it owns or into a buffer of its own; the row
+    reductions ``norm2`` and ``dot`` always return a fresh or own array."""
     ufunc, check, on_norm, _ = _op(node)
     k = plan.buffer()
-    if len(owned) == 1:
-        (own,) = owned
-        if ufunc is None:
-            return lambda st, a: row_norm(a)
 
-        def unary(st, a):
-            if on_norm and a.shape[1] > 1:
-                # row_norm returns a fresh array, which this node owns
-                return ufunc(a := row_norm(a), out=a)
-            return ufunc(a, out=_destination(st, k, a.shape, a, own))
-
-        return unary
-    own_a, own_b = owned
-    if ufunc is None:
-
-        def dot(st, a, b):
-            check(node, a, b)
-            out = _buffer(st, k, (max(a.shape[0], b.shape[0]), 1))
-            row_dot(a, b, out=out[:, 0])
+    def value(st, a, *b):
+        if ufunc is None and b:
+            check(node, a, *b)
+            out = _buffer(st, k, (max(a.shape[0], b[0].shape[0]), 1))
+            row_dot(a, *b, out=out[:, 0])
             return out
+        if on_norm and (ufunc is None or a.shape[1] > 1):
+            # row_norm returns a fresh array, which this node owns
+            a = row_norm(a)
+            return a if ufunc is None else ufunc(a, out=a)
+        shape = _shape(node, a, *b)
+        operands = (a, *b) if check is None else (a, check(node, a, *b))
+        return ufunc(*operands, out=_destination(st, k, shape, (a, *b), owned))
 
-        return dot
-
-    def binary(st, a, b):
-        shape = _pair_shape(node, a, b)
-        operand = b if check is None else check(node, a, b)
-        return ufunc(a, operand, out=_destination(st, k, shape, a, own_a, b, own_b))
-
-    return binary
+    return value
 
 
 def _buffer(st, k: int, shape: tuple) -> np.ndarray:
@@ -715,21 +697,22 @@ def _buffer(st, k: int, shape: tuple) -> np.ndarray:
     return buf
 
 
-def _destination(st, k: int, shape: tuple, a, own_a: bool, b=None, own_b: bool = False):
+def _destination(st, k: int, shape: tuple, operands, owned):
     """Where an operation writes its ``shape`` result: into an operand it
     owns (elementwise ufuncs may write over their input), which keeps the
     working set to a few arrays, else into its buffer ``k``."""
-    if own_a and a.shape == shape:
-        return a
-    if own_b and b.shape == shape:
-        return b
+    for x, own in zip(operands, owned):
+        if own and x.shape == shape:
+            return x
     return _buffer(st, k, shape)
 
 
-def _pair_shape(node: Expr, a: np.ndarray, b: np.ndarray) -> tuple:
-    """The result shape of a binary operation.  (P, width) operands
+def _shape(node: Expr, a: np.ndarray, b: np.ndarray | None = None) -> tuple:
+    """The result shape of an elementwise operation.  (P, width) operands
     broadcast row- and column-wise, so their widths agree or one is 1; a
     row mismatch the ufunc cannot broadcast still raises there."""
+    if b is None:
+        return a.shape
     if a.shape[1] != b.shape[1] and a.shape[1] != 1 and b.shape[1] != 1:
         raise DimensionError(
             f"component mismatch {a.shape[1]} vs {b.shape[1]} in '{_node_text(node)}'"
@@ -768,30 +751,21 @@ def _tangent_width(node: Expr, widths: dict) -> int | None:
 def _tangent(node: Expr, runs, value, plan: _Plan):
     """The closure of an operation node that reads ``y`` in a tangent plan:
     ``(value, derivative)``, the value bit for bit that of ``value``.  The
-    derivative is taken first, by the entry's slope rule into a buffer of
-    the node's own (or passed through from an operand), since the value
-    may overwrite an operand it owns."""
+    derivative is taken first, by the slope rule ``slope(out, *values,
+    *slopes)`` into a buffer of the node's own (or passed through from an
+    operand), since the value may overwrite an operand it owns."""
     *_, slope = _op(node)
     k = plan.buffer()
-    if len(runs) == 1:
-        (arg,) = runs
+    reads_y = ["y" in _reads(c) for c in _children(node)]
 
-        def unary(st):
-            a, da = arg(st)
-            d = slope(_buffer(st, k, a.shape), a, da)
-            return value(st, a), d
-
-        return unary
-    (left, right), (reads_a, reads_b) = runs, ["y" in _reads(c) for c in _children(node)]
-
-    def binary(st):
-        a, da = left(st) if reads_a else (left(st), None)
-        b, db = right(st) if reads_b else (right(st), None)
+    def tangent(st):
+        operands = [run(st) if reads else (run(st), None) for run, reads in zip(runs, reads_y)]
+        values, slopes = zip(*operands)
         # a width mismatch raises here, as in value
-        d = slope(_buffer(st, k, _pair_shape(node, a, b)), a, b, da, db)
-        return value(st, a, b), d
+        d = slope(_buffer(st, k, _shape(node, *values)), *values, *slopes)
+        return value(st, *values), d
 
-    return binary
+    return tangent
 
 
 class _Program:
@@ -816,6 +790,9 @@ class _Program:
         self.dy = None
 
     def _bind(self, env: dict) -> None:
+        late = self._plan.late & env.keys()
+        if late:
+            raise InvalidInput(f"late slot(s) {sorted(late)} given to bind")
         missing = self._plan.reads_early - env.keys()
         if missing:
             raise InvalidInput(f"bind needs the slot(s) {sorted(missing)}")
@@ -825,6 +802,9 @@ class _Program:
             self._bound[k] = binder(self)
 
     def _run(self, env: dict) -> np.ndarray:
+        early = env.keys() - self._plan.late
+        if early:
+            raise InvalidInput(f"slot(s) {sorted(early)} are not late")
         missing = self._plan.reads_late - env.keys()
         if missing:
             raise InvalidInput(f"call needs the slot(s) {sorted(missing)}")
@@ -892,7 +872,9 @@ class Staged(_Program):
     expression, with the same checks: a domain check inside a constant
     subtree raises when the program is built, one inside a bound subtree at
     bind time, the rest and the non-finite check at call time, the first in
-    tree order at each stage.  Slots take the shapes :func:`evaluate` accepts.
+    tree order at each stage.  Slots take the shapes :func:`evaluate`
+    accepts; :meth:`bind` and a call only normalise them, and the program
+    refuses a slot of the wrong stage or a missing one.
 
     The returned (P, n) array is the instance's own buffer: it stays valid
     until the next call on the same instance.  ``reads_late`` is the set of
@@ -918,23 +900,16 @@ class Staged(_Program):
         if not late <= _ALL_SLOTS:
             raise InvalidInput(f"unknown slot(s) {sorted(late - _ALL_SLOTS)}")
         super().__init__(expr, late, n, d)
-        self._late = late
         self._d = d
         self.reads_late: frozenset = self._plan.reads_late
 
     def bind(self, s=None, y=None, ybar=None, z=None, zbar=None) -> None:
         """Evaluate the subtrees that read only the given (non-late) slots."""
-        env = _driver_env(s, y, ybar, z, zbar, self._n_out, self._d)
-        if not self._late.isdisjoint(env):
-            raise InvalidInput(f"late slot(s) {sorted(self._late & env.keys())} given to bind")
-        self._bind(env)
+        self._bind(_driver_env(s, y, ybar, z, zbar, self._n_out, self._d))
 
     def __call__(self, s=None, y=None, ybar=None, z=None, zbar=None) -> np.ndarray:
         """The expression's (P, n) value at the given late slots."""
-        env = _driver_env(s, y, ybar, z, zbar, self._n_out, self._d)
-        if not self._late.issuperset(env):
-            raise InvalidInput(f"slot(s) {sorted(env.keys() - self._late)} are not late")
-        return self._run(env)
+        return self._run(_driver_env(s, y, ybar, z, zbar, self._n_out, self._d))
 
 
 def evaluate(expr: GeneratorExpr, s, y, ybar, z, zbar, n: int = 1, d: int = 1) -> np.ndarray:

@@ -648,16 +648,15 @@ def _mean_shift(f2, ensemble, window, z_vals, m_z, **state):
     """Tail integral of the mean of f2 along the window (trapezoid rule);
     ``f2`` is the window's all-late :class:`dsl.Staged` program, ``z_vals``
     is node-major, and ``state`` has the ``y`` and ``ybar`` slots, node-major,
-    when ``f2`` reads them.  Each node's mean is one product with a ones
-    vector, as in :func:`path_mean`."""
-    L, P, n = window.n_nodes, z_vals.shape[1], z_vals.shape[-1]
+    when ``f2`` reads them.  Each node's mean is :func:`path_mean` of its
+    values."""
+    L, n = window.n_nodes, z_vals.shape[-1]
     nodes = ensemble.grid.nodes
-    ones = np.ones(P)
     fbar = np.empty((L, n))
     for j in range(L):
         s = float(nodes[window.lo + j])
         at_node = {k: v[j] for k, v in state.items()}
-        np.divide(ones @ f2(s=s, z=z_vals[j], zbar=m_z[j], **at_node), P, out=fbar[j])
+        fbar[j] = path_mean(f2(s=s, z=z_vals[j], zbar=m_z[j], **at_node)[None])[0]
     steps = ensemble.grid.steps[window.lo : window.hi]
     shift = np.zeros((L, n))
     for j in range(L - 2, -1, -1):

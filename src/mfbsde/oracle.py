@@ -71,9 +71,9 @@ def brute_force_1d(
     level i the states are ``(2j - i) * sqrt(h)``.  Backward induction with
     the mean curves frozen gives exact conditional expectations (half-sums)
     and central-difference integrand values; the mean curves then iterate
-    to their fixed point.  The state equation at each node is solved by the
-    same damped fixed-point rule as the Monte Carlo engine, but none of the
-    regression machinery is shared.
+    to their fixed point.  The state equation at each node is solved by
+    plain damped fixed-point passes, where the Monte Carlo engine takes
+    Newton steps, and none of the regression machinery is shared.
     """
     if scenario.n != 1 or scenario.d != 1:
         raise InvalidInput("the lattice oracle is scalar-only")

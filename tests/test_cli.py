@@ -305,6 +305,22 @@ def test_solve_summary_reports_window_override(tiny_cfg, tmp_path, capsys):
     assert record["flags"]["window_exceeds_certificate"] is True
 
 
+def test_override_epsilon_flag_lets_a_too_wide_window_proceed(tmp_path, capsys):
+    # ex21 without its config override: two windows of width 0.25 against
+    # a certified width that underflows to 0
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "ex21.cfg"
+    config = tmp_path / "ex21.cfg"
+    config.write_text("".join(line for line in shipped.read_text().splitlines(True)
+                              if not line.startswith("override_epsilon")))
+    argv = ["solve", "--config", str(config), "--paths", "2000", "--steps", "20"]
+    assert main([*argv, "--out-dir", str(tmp_path / "refused")]) == 2
+    assert _one_error_line(capsys).splitlines() == [
+        "error: window width 0.25 exceeds the certified width 0 (log -1016); "
+        "set override_epsilon to proceed anyway"]
+    assert main([*argv, "--out-dir", str(tmp_path / "run"), "--override-epsilon"]) == 0
+    assert "window_exceeds_certificate: True" in capsys.readouterr().out.splitlines()
+
+
 def test_solve_summary_prints_the_clamp_counts_of_the_json(tmp_path, capsys):
     # Z is about 1 on this scenario: a clamp level of 0.5 clamps in every
     # window, and the summary's counts are the result JSON's

@@ -892,6 +892,48 @@ def test_width_mismatch_raises_the_same_error_with_a_derivative(text):
     assert str(got.value) == str(want.value)
 
 
+def _staged_y(text):
+    return dsl.Staged(dsl.parse(text), ("y",))
+
+
+def _bound_y(text):
+    program = _staged_y(text)
+    program.bind(s=0.0)
+    return program
+
+
+# refusals with the call that raises each: operand checks of the value
+# plans, and the slot protocol of a staged program at each of its stages
+REFUSALS = [
+    (lambda: dsl.evaluate(dsl.parse("abs(y)^z"), 0.0, 1.0, 0.0, np.ones(3), 0.0),
+     DimensionError, "exponent must be a constant scalar in 'abs(y)^z'"),
+    (lambda: dsl.evaluate(dsl.parse("dot(y, z)"), 0.0, 1.0, 0.0, np.ones(2), np.zeros(2),
+                          n=1, d=2),
+     DimensionError, "dot of 1- and 2-component vectors"),
+    (lambda: dsl.Staged(dsl.parse("y"), ("q",)), InvalidInput, "unknown slot(s) ['q']"),
+    (lambda: _staged_y("y + s").bind(s=0.0, y=1.0),
+     InvalidInput, "late slot(s) ['y'] given to bind"),
+    (lambda: _staged_y("y + ybar + s").bind(s=0.0),
+     InvalidInput, "bind needs the slot(s) ['ybar']"),
+    (lambda: _bound_y("y + s")(y=1.0, s=0.0), InvalidInput, "slot(s) ['s'] are not late"),
+    (lambda: _bound_y("y + s")(), InvalidInput, "call needs the slot(s) ['y']"),
+    (lambda: dsl.Staged(dsl.parse("w", dsl.TERMINAL_VARS), ()),
+     InvalidInput, "not a driver expression, uses ['w']"),
+    (lambda: dsl.evaluate_terminal(dsl.parse("y"), 0.0),
+     InvalidInput, "not a terminal expression, uses ['y']"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", REFUSALS, ids=[
+    "exponent", "dot-widths", "unknown-slot", "late-at-bind", "bind-missing",
+    "not-late-at-call", "call-missing", "not-a-driver", "not-a-terminal"])
+def test_refusals_keep_their_type_and_message(call, error, message):
+    with pytest.raises(error) as got:
+        call()
+    assert type(got.value) is error
+    assert str(got.value) == message
+
+
 def test_abs_min_and_max_slopes_at_their_kinks():
     # abs at 0 gives 0; min and max take the chosen operand's derivative
     program = dsl.Staged(dsl.parse("abs(y) + min(y, 2*y) + max(3*y, -y)"), ("y",))

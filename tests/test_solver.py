@@ -263,6 +263,17 @@ def test_backward_step_divergence(ensemble50):
         _last_step(ensemble50, lambda i, s, z: lambda y: 100.0 * y)
 
 
+def test_non_finite_state_is_a_step_divergence():
+    # one step of width 1 from a 1e306 terminal: the explicit step adds
+    # 1.79e308 and leaves the doubles
+    ensemble = simulate_brownian(build_grid(1.0, 1), 1, 40, 7)
+    terminal = np.full((40, 1), 1e306)
+    drive = lambda i, s, z: np.full((40, 1), 1.79e308)  # noqa: E731
+    with np.errstate(over="ignore"), pytest.raises(StepDivergence) as got:
+        BackwardSolver(ensemble, CFG).solve(Window(0, 1), terminal, drive)
+    assert str(got.value) == "non-finite state in backward step (grid node 0)"
+
+
 def test_backward_step_index_validation(ensemble50):
     # node 50 is the last one: it has no forward step
     with pytest.raises(InvalidInput):

@@ -15,20 +15,23 @@ def _compare_outputs():
 
 
 def test_compare_outputs_finds_no_difference_between_a_tree_and_itself(capsys):
-    # one config at a tiny size, under a selector that solves and one that
-    # refuses the scenario (an error line and a failure record)
+    # one config at a tiny size: its certificate, and a selector that
+    # solves and one that refuses the scenario (an error line and a failure
+    # record)
     tool = _compare_outputs()
     src = str(ROOT / "src")
     argv = [src, src, "--configs", str(ROOT / "configs" / "ex22.cfg"),
             "--solvers", "global,shift", "--paths", "40", "--steps", "4"]
     assert tool.main(argv) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "same ex22.cfg global (exit 0)", "same ex22.cfg shift (exit 2)", "2 runs, 0 differences"]
-    # a changed row, error line or JSON field is a difference
+        "same ex22.cfg certify (exit 0)", "same ex22.cfg global (exit 0)",
+        "same ex22.cfg shift (exit 2)", "3 runs, 0 differences"]
+    # a changed row, error line or JSON field is a difference; the manifest
+    # line is blanked
     old = {"exit": 0, "errors": [],
-           "files": {"run_result.csv": "t\n0.0\n", "run_result.json": {"m_y": [1.0], "t": [0]}}}
+           "files": {"run_result.csv": "\nt\n0.0\n", "run_result.json": {"m_y": [1.0], "t": [0]}}}
     new = {"exit": 1, "errors": ["error: x"],
-           "files": {"run_result.csv": "t\n0.5\n", "run_result.json": {"m_y": [2.0], "t": [0]}}}
+           "files": {"run_result.csv": "\nt\n0.5\n", "run_result.json": {"m_y": [2.0], "t": [0]}}}
     assert tool.differences(old, new) == [
         "exit code 0 -> 1", "error lines [] -> ['error: x']",
         "run_result.csv differs first at line 3", "run_result.json differs in m_y"]

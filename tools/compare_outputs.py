@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
 """Compare what two source trees write for the same solves.
 
-Runs ``mfbsde solve`` on every shipped config (``configs/*.cfg``) under
-every solver selector, once with each tree's package on ``PYTHONPATH``,
-and reports every difference in:
+Runs ``mfbsde certify`` and ``mfbsde solve`` under every solver selector
+on every shipped config (``configs/*.cfg``), once with each tree's package
+on ``PYTHONPATH``, and reports every difference in:
 
 * the exit code and the ``error:`` lines on stderr;
 * which output files were written;
-* the result CSV's rows after its ``# manifest_sha256=`` line;
+* the result CSV and the certificate report, less their manifest line;
 * the result JSON, less its ``manifest`` and every trace's ``wall_times``;
-* the failure record, less the same.
+* the failure record and the certificate JSON, less the same.
 
 The manifest is left out because its digest moves with anything it
-hashes, and wall times because they are the host's.  Exits 1 when any
-difference is found, else 0.  Run from the repository root, e.g. against a
-checkout of another commit:
+hashes, and wall times because they are the host's.  ``--paths`` and
+``--steps`` apply to the solves; a certificate reads neither.  Exits 1
+when any difference is found, else 0.  Run from the repository root, e.g.
+against a checkout of another commit:
 
     python3 tools/compare_outputs.py ../other/src src
     python3 tools/compare_outputs.py ../other/src src --paths 3000 --steps 12
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -33,6 +35,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from mfbsde.cli import _SOLVERS  # noqa: E402
+
+# the result CSV's first line and the certificate report's last
+_MANIFEST_LINE = re.compile(r"^.*manifest[_ ]sha256.*$", re.M)
 
 
 def _strip(payload):
@@ -45,20 +50,22 @@ def _strip(payload):
 
 
 def run(src, config, selector: str, out_dir: Path, overrides=()) -> dict:
-    """One ``mfbsde solve`` with the package under ``src``: its exit code,
-    its ``error:`` lines, and each file it wrote, normalised for
-    comparison."""
+    """One ``mfbsde solve`` with the package under ``src``, or ``mfbsde
+    certify`` for the selector ``certify``: its exit code, its ``error:``
+    lines, and each file it wrote, normalised for comparison."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-    cmd = [sys.executable, "-m", "mfbsde.cli", "solve", "--config", str(config),
-           "--solver", selector, "--out-dir", str(out_dir), "--prefix", "run", *overrides]
+    command = ["certify"] if selector == "certify" else ["solve", "--solver", selector, *overrides]
+    cmd = [sys.executable, "-m", "mfbsde.cli", *command, "--config", str(config),
+           "--out-dir", str(out_dir), "--prefix", "run"]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     files = {}
     for path in sorted(out_dir.glob("run_*")):
         text = path.read_text()
-        if path.suffix == ".csv":
-            files[path.name] = text.split("\n", 1)[1]
-        else:
+        if path.suffix == ".json":
             files[path.name] = _strip(json.loads(text))
+        else:
+            # blanked in place, so that line numbers hold
+            files[path.name] = _MANIFEST_LINE.sub("", text)
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     return {"exit": proc.returncode, "errors": errors, "files": files}
 
@@ -77,8 +84,7 @@ def differences(old: dict, new: dict) -> list[str]:
         if a == b:
             continue
         if isinstance(a, str):
-            # line 1 of the file is the manifest line, left out
-            rows = [i for i, (x, y) in enumerate(zip(a.splitlines(), b.splitlines()), 2) if x != y]
+            rows = [i for i, (x, y) in enumerate(zip(a.splitlines(), b.splitlines()), 1) if x != y]
             where = f"first at line {rows[0]}" if rows else "in its row count"
             out.append(f"{name} differs {where}")
         else:
@@ -110,7 +116,7 @@ def main(argv=None) -> int:
     runs = 0
     with tempfile.TemporaryDirectory() as tmp:
         for config in configs:
-            for selector in args.solvers.split(","):
+            for selector in ["certify", *args.solvers.split(",")]:
                 outcomes = []
                 for side, src in (("old", args.old_src), ("new", args.new_src)):
                     out_dir = Path(tmp) / f"{config.stem}-{selector}-{side}"
