@@ -135,15 +135,26 @@ class NodeRegression:
             raise InvalidInput("value rows do not match the node's path count")
         rows = self.design() if design is None else design
         if self._order is None:
-            a = self._factors[0]
-            return rows.T @ (a.T @ (a @ (rows @ vals)))
+            return _project(rows, self._factors[0], vals)
         fitted = np.empty_like(vals)
         for (lo, hi), a in zip(self._spans, self._factors):
             if a is not None:
                 members = self._order[lo:hi]
-                x = rows[:, lo:hi]
-                fitted[members] = x.T @ (a.T @ (a @ (x @ vals[members])))
+                fitted[members] = _project(rows[:, lo:hi], a, vals[members])
         return fitted
+
+
+def _project(x: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The fit ``x^T (A^T (A (x v)))`` of ``v`` on the design rows ``x``.
+    Where the path sums ``x v`` leave doubles though ``v`` is finite, it
+    fits ``v / max|v|`` and scales back, so a representable state fits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        xv = x @ v
+    if not np.isfinite(xv).all():
+        top = np.max(np.abs(v))
+        if np.isfinite(top):
+            return x.T @ (a.T @ (a @ (x @ (v / top)))) * top
+    return x.T @ (a.T @ (a @ xv))
 
 
 def _factor(rows: np.ndarray, ridge: float) -> np.ndarray:

@@ -9,12 +9,14 @@ cannot hide behind shared bugs.
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mfbsde import dsl
 from mfbsde.certificates import (
     BRANCH_HORIZON,
     BRANCH_MASS,
@@ -24,10 +26,19 @@ from mfbsde.certificates import (
     certify,
     ode_bound,
 )
+from mfbsde.config import load_config
 from mfbsde.errors import InfeasibleCertificate, InvalidInput
-from mfbsde.scenario import example_21, example_22, example_41, linear_scenario
+from mfbsde.scenario import (
+    FORM_SPLIT_LIPSCHITZ,
+    ScenarioSpec,
+    example_21,
+    example_22,
+    example_41,
+    linear_scenario,
+)
 
 E = math.e
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -359,3 +370,128 @@ def test_certificate_as_dict_round_trip():
     assert d["scenario"] == "ex2.2"
     assert d["chain"]["delta"] == cert.chain.delta
     assert isinstance(d["forms_asserted"], list)
+
+
+# ---------------------------------------------------------------------------
+# spot check: each form's displays from their definitions
+# ---------------------------------------------------------------------------
+
+
+def _scalar_scenario(forms, C, **generators):
+    return ScenarioSpec(
+        name="spot", n=1, d=1, T=1.0, terminal=dsl.parse("0", dsl.TERMINAL_VARS),
+        C=C, gamma=1.0, alpha=0.0, xi_bound=1.0, forms=frozenset(forms),
+        **{key: dsl.parse(text) for key, text in generators.items()},
+    )
+
+
+def _reference_spot_check(scenario):
+    """The four spot-check numbers, from the displays as written: the
+    growth display ``C(2 + |y| + |ybar| + |zbar|^(1+alpha)) + gamma/2
+    |z|^2`` and the Lipschitz display of a single generator, and for a
+    split pair each part's value against ``C`` and each part's Lipschitz
+    bound, sample by sample, on the spot check's seed and draw order (two
+    points, sharing the first point's time)."""
+    P, n, d, T = 256, scenario.n, scenario.d, scenario.T
+    C, gamma, alpha = scenario.C, scenario.gamma, scenario.alpha
+    rng = np.random.default_rng(0)
+    times, points = [], []
+    for _ in range(2):
+        times.append(rng.uniform(0.0, T, P))
+        points.append([rng.uniform(-3.0, 3.0, shape)
+                       for shape in ((P, n), (P, n), (P, d, n), (P, d, n))])
+    # the Lipschitz displays have no time term: both points take the first time
+    s = times[0]
+    (y, yb, z, zb), (y2, yb2, z2, zb2) = points
+
+    def size(a):
+        return math.sqrt(float(np.sum(np.square(a))))
+
+    def f(gen, i, y, yb, z, zb):
+        return dsl.evaluate(gen, s[i], y, yb, z, zb, n=n, d=d)[0]
+
+    growth, lipschitz = [], []
+    for i in range(P):
+        p, q = (y[i], yb[i], z[i], zb[i]), (y2[i], yb2[i], z2[i], zb2[i])
+        dy, dyb, dz, dzb = (size(a - b) for a, b in zip(p, q))
+        ny, nyb, nz, nzb = (size(a) for a in p)
+        nz2, nzb2 = size(z2[i]), size(zb2[i])
+        zero = (0.0 * y[i], 0.0 * yb[i], 0.0 * z[i], 0.0 * zb[i])
+        if not scenario.is_split:
+            g = scenario.f
+            pairs_growth = [(size(f(g, i, *p)),
+                             C * (2 + ny + nyb + nzb ** (1 + alpha)) + gamma / 2 * nz**2)]
+            pairs_lip = [(size(f(g, i, *p) - f(g, i, *q)),
+                          C * (dy + dyb + (1 + nzb**alpha + nzb2**alpha) * dzb
+                               + (1 + nz + nz2) * dz))]
+        else:
+            f1, f2 = scenario.f1, scenario.f2
+            if FORM_SPLIT_LIPSCHITZ in scenario.forms:
+                f1_value = size(f(f1, i, *zero))
+                lip1 = C * (dy + dyb + dz + dzb)
+            else:
+                f1_value = size(f(f1, i, y[i], yb[i], zero[2], zb[i]))
+                lip1 = C * (dy + dyb + dzb + (1 + nz + nz2) * dz)
+            pairs_growth = [(f1_value, C), (size(f(f2, i, *zero)), C)]
+            pairs_lip = [(size(f(f1, i, *p) - f(f1, i, *q)), lip1),
+                         (size(f(f2, i, *p) - f(f2, i, *q)),
+                          C * (dy + dyb + (1 + nz + nz2 + nzb + nzb2) * (dz + dzb)))]
+        growth.append(max(v / max(b, 1e-300) for v, b in pairs_growth))
+        lipschitz.append(max(v / max(b, 1e-300) for v, b in pairs_lip))
+    return {
+        "growth_violations": sum(r > 1 + 1e-9 for r in growth),
+        "growth_max_ratio": max(growth),
+        "lipschitz_violations": sum(r > 1 + 1e-9 for r in lipschitz),
+        "lipschitz_max_ratio": max(lipschitz),
+    }
+
+
+_SPOT_CASES = {
+    **{name: lambda name=name: load_config(CONFIG_DIR / name)[0]
+       for name in ("ex21.cfg", "ex22.cfg", "ex31.cfg", "ex41.cfg", "linear.cfg")},
+    # both bounds are zero: the second part's Lipschitz value refutes C = 0
+    "split-lip-C0": lambda: _scalar_scenario({"split-lip"}, 0.0, f1="0", f2="y"),
+    # a driver that changes sign: |f(p) - f(q)| is not ||f(p)| - |f(q)||
+    "sign-change": lambda: _scalar_scenario({"quad-growth"}, 1.0, f="3*y - 0.5*z"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPOT_CASES))
+def test_spot_check_matches_the_displays_as_written(case):
+    scenario = _SPOT_CASES[case]()
+    got = certify(scenario).spot_check
+    want = _reference_spot_check(scenario)
+    for key in ("growth_violations", "lipschitz_violations"):
+        assert got[key] == want[key], key
+    for key in ("growth_max_ratio", "lipschitz_max_ratio"):
+        assert got[key] == pytest.approx(want[key], rel=1e-12), key
+
+
+def test_spot_check_shipped_config_figures():
+    # the refutations ROADMAP item 4 quotes, and the linear driver's
+    # Lipschitz ratio taken on |f(p) - f(q)|
+    spot = {name: certify(load_config(CONFIG_DIR / name)[0]).spot_check
+            for name in ("ex21.cfg", "ex22.cfg", "linear.cfg")}
+    assert [spot[name]["lipschitz_violations"] for name in ("ex21.cfg", "ex22.cfg")] == [65, 68]
+    assert [spot[name]["growth_violations"] for name in ("ex21.cfg", "ex22.cfg")] == [256, 256]
+    assert spot["linear.cfg"]["lipschitz_max_ratio"] == pytest.approx(0.30438758488782214, rel=1e-12)
+
+
+def test_spot_check_lipschitz_value_is_the_norm_of_the_difference():
+    # a constant shift leaves f(p) - f(q) as it is; 3*y changes sign on the
+    # sampled box, 3*y + 100 does not
+    signed, shifted = (
+        certify(_scalar_scenario({"quad-growth"}, 0.5, f=text)).spot_check
+        for text in ("3*y", "3*y + 100")
+    )
+    assert signed["lipschitz_violations"] == shifted["lipschitz_violations"] > 0
+    assert signed["lipschitz_max_ratio"] == pytest.approx(shifted["lipschitz_max_ratio"], rel=1e-12)
+
+
+def test_spot_check_zero_bound_refutes_the_other_generator():
+    # C = 0 with f1 = 0: the first part meets its zero bounds, and the
+    # second part's nonzero Lipschitz value refutes C on every sample
+    sc = certify(_scalar_scenario({"split-lip"}, 0.0, f1="0", f2="y")).spot_check
+    assert (sc["growth_violations"], sc["growth_max_ratio"]) == (0, 0.0)
+    assert sc["lipschitz_violations"] == 256
+    assert sc["lipschitz_max_ratio"] > 1e300

@@ -274,6 +274,22 @@ def test_non_finite_state_is_a_step_divergence():
     assert str(got.value) == "non-finite state in backward step (grid node 0)"
 
 
+@pytest.mark.parametrize("n_bins", [1, 3])
+def test_representable_state_fits_where_its_path_sums_overflow(n_bins):
+    # a constant 1e306 terminal at 200 paths: the fit's path sums leave the
+    # doubles, the fit of the scaled values does not, and with a zero
+    # driver the state is the terminal's conditional mean, up to the ridge
+    ensemble = simulate_brownian(build_grid(1.0, 1), 1, 200, 3)
+    terminal = np.full((200, 1), 1e306)
+    drive = lambda i, s, z: np.zeros((200, 1))  # noqa: E731
+    cfg = CFG.updated(basis=RegressionBasis(n_bins=n_bins))
+    # the integrand clamp squares the fit's rounding residual, about 1e296
+    with np.errstate(over="ignore"):
+        res = BackwardSolver(ensemble, cfg).solve(Window(0, 1), terminal, drive)
+    assert np.all(res.y[1] == terminal)
+    np.testing.assert_allclose(res.y[0], 1e306, rtol=1e-6)
+
+
 def test_backward_step_index_validation(ensemble50):
     # node 50 is the last one: it has no forward step
     with pytest.raises(InvalidInput):

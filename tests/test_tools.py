@@ -17,15 +17,20 @@ def _compare_outputs():
 def test_compare_outputs_finds_no_difference_between_a_tree_and_itself(capsys):
     # one config at a tiny size: its certificate, and a selector that
     # solves and one that refuses the scenario (an error line and a failure
-    # record)
+    # record); certify is a selector like the solvers, run once when named
     tool = _compare_outputs()
     src = str(ROOT / "src")
     argv = [src, src, "--configs", str(ROOT / "configs" / "ex22.cfg"),
-            "--solvers", "global,shift", "--paths", "40", "--steps", "4"]
+            "--solvers", "certify,global,shift", "--paths", "40", "--steps", "4"]
     assert tool.main(argv) == 0
     assert capsys.readouterr().out.splitlines() == [
         "same ex22.cfg certify (exit 0)", "same ex22.cfg global (exit 0)",
         "same ex22.cfg shift (exit 2)", "3 runs, 0 differences"]
+    # certificates alone
+    argv = [src, src, "--configs", str(ROOT / "configs" / "ex22.cfg"), "--solvers", "certify"]
+    assert tool.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "same ex22.cfg certify (exit 0)", "1 runs, 0 differences"]
     # a changed row, error line or JSON field is a difference; the manifest
     # line is blanked
     old = {"exit": 0, "errors": [],

@@ -12,13 +12,16 @@ on ``PYTHONPATH``, and reports every difference in:
 * the failure record and the certificate JSON, less the same.
 
 The manifest is left out because its digest moves with anything it
-hashes, and wall times because they are the host's.  ``--paths`` and
+hashes, and wall times because they are the host's.  ``--solvers`` picks
+among ``certify`` and the solver selectors, all of them by default, so
+``--solvers certify`` compares the certificates alone.  ``--paths`` and
 ``--steps`` apply to the solves; a certificate reads neither.  Exits 1
 when any difference is found, else 0.  Run from the repository root, e.g.
 against a checkout of another commit:
 
     python3 tools/compare_outputs.py ../other/src src
     python3 tools/compare_outputs.py ../other/src src --paths 3000 --steps 12
+    python3 tools/compare_outputs.py ../other/src src --solvers certify --configs my.cfg
 """
 from __future__ import annotations
 
@@ -99,8 +102,8 @@ def main(argv=None) -> int:
     parser.add_argument("new_src", help="the new tree's package directory")
     parser.add_argument("--configs", nargs="+", default=None,
                         help="configs to run (default: configs/*.cfg)")
-    parser.add_argument("--solvers", default=",".join(_SOLVERS),
-                        help="comma-separated selectors (default: all)")
+    parser.add_argument("--solvers", default=",".join(["certify", *_SOLVERS]),
+                        help="comma-separated selectors: certify or a solver (default: all)")
     parser.add_argument("--paths", type=int, default=None, help="override every config's paths")
     parser.add_argument("--steps", type=int, default=None, help="override every config's steps")
     args = parser.parse_args(argv)
@@ -116,7 +119,7 @@ def main(argv=None) -> int:
     runs = 0
     with tempfile.TemporaryDirectory() as tmp:
         for config in configs:
-            for selector in ["certify", *args.solvers.split(",")]:
+            for selector in args.solvers.split(","):
                 outcomes = []
                 for side, src in (("old", args.old_src), ("new", args.new_src)):
                     out_dir = Path(tmp) / f"{config.stem}-{selector}-{side}"
