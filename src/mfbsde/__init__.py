@@ -32,7 +32,7 @@ from .core import (
     ensemble_mean,
     simulate_brownian,
 )
-from .dsl import GeneratorExpr, builtin, evaluate, evaluate_terminal, parse, to_text
+from .dsl import GeneratorExpr, evaluate, evaluate_terminal, parse, to_text
 from .errors import (
     DimensionError,
     EvalDomainError,
@@ -79,7 +79,7 @@ __all__ = [
     "TimeGrid", "Window", "PathEnsemble", "ProcessGrid", "MeanCurve",
     "build_grid", "simulate_brownian", "ensemble_mean",
     # dsl
-    "GeneratorExpr", "parse", "to_text", "evaluate", "evaluate_terminal", "builtin",
+    "GeneratorExpr", "parse", "to_text", "evaluate", "evaluate_terminal",
     # scenarios
     "ScenarioSpec", "example_21", "example_22", "example_31", "example_41",
     "linear_scenario", "FORM_QUAD_GROWTH", "FORM_GLOBAL_ODE",

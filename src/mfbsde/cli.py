@@ -213,11 +213,13 @@ def _cmd_validate(args) -> int:
     from . import acceptance
 
     ids = None
-    if args.criteria:
+    if args.criteria is not None:
         try:
             ids = [int(part) for part in args.criteria.split(",") if part.strip()]
         except ValueError as exc:
             raise InvalidInput(f"bad --criteria list: {args.criteria!r}") from exc
+        if not ids:
+            raise InvalidInput(f"bad --criteria list: {args.criteria!r}")
         unknown = [i for i in ids if i not in acceptance.CRITERIA]
         if unknown:
             raise InvalidInput(f"unknown criteria: {unknown}")

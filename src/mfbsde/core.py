@@ -1,4 +1,4 @@
-"""Time grids, Brownian ensembles, and grid-indexed process containers.
+"""Time grids, Brownian ensembles, grid-indexed process containers, and row reductions.
 
 All containers are plain immutable data, and every array indexed by grid
 nodes keeps the nodes on axis 0: Brownian levels ``(nodes, paths, d)``,
@@ -261,6 +261,35 @@ def path_mean(a: np.ndarray) -> np.ndarray:
     """
     L, P = a.shape[:2]
     return (np.ones(P) @ a.reshape(L, P, -1)).reshape(L, *a.shape[2:]) / P
+
+
+# numpy reduces a row narrower than this one element at a time, from zero
+_SEQUENTIAL_ROW_WIDTH = 8
+
+
+def row_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.sum(a * b, axis=1)`` of two (P, m) arrays, bit for bit, as a
+    (P,) array (written into ``out`` when given).
+
+    Narrow rows are summed column by column in numpy's own order
+    ``((0 + p0) + p1) + ...``.  Whole-column products and adds avoid one
+    short reduction per row, and stay fast on the strided node slices the
+    solvers pass in.
+    """
+    width = a.shape[1]
+    if width >= _SEQUENTIAL_ROW_WIDTH:
+        return np.sum(a * b, axis=1, out=out)
+    out = np.multiply(a[:, 0], b[:, 0], out=out)
+    out += 0.0
+    for k in range(1, width):
+        out += a[:, k] * b[:, k]
+    return out
+
+
+def row_norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (P, m) array, as a (P, 1) array."""
+    out = row_dot(a, a)
+    return np.sqrt(out, out=out)[:, None]
 
 
 def ensemble_mean(p: ProcessGrid) -> MeanCurve:

@@ -33,8 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ProcessGrid
-from .dsl import row_dot
+from .core import ProcessGrid, row_dot
 from .errors import InvalidInput
 
 __all__ = [

@@ -50,6 +50,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .core import row_dot, row_norm
 from .errors import DimensionError, EvalDomainError, InvalidInput, ParseError
 
 __all__ = [
@@ -59,7 +60,6 @@ __all__ = [
     "evaluate",
     "evaluate_terminal",
     "Staged",
-    "builtin",
     "GENERATOR_VARS",
     "TERMINAL_VARS",
     "FUNCTIONS",
@@ -352,15 +352,11 @@ def parse(text: str, variables: tuple[str, ...] = GENERATOR_VARS) -> GeneratorEx
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
-def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
 def _print_node(node: Expr, parent_prec: int, right_side: bool = False) -> str:
     if isinstance(node, Num):
-        s = _fmt_num(node.value)
+        s = repr(node.value)
+        if node.value == int(node.value) and abs(node.value) < 1e16:
+            s = str(int(node.value))
         prec = 5
     elif isinstance(node, Var):
         s = node.name
@@ -414,35 +410,6 @@ def _as_rows(x, shape: tuple, what: str) -> np.ndarray:
 
 def _node_text(node: Expr) -> str:
     return _print_node(node, 0)
-
-
-# numpy reduces a row narrower than this one element at a time, from zero
-_SEQUENTIAL_ROW_WIDTH = 8
-
-
-def row_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.sum(a * b, axis=1)`` of two (P, m) arrays, bit for bit, as a
-    (P,) array (written into ``out`` when given).
-
-    Narrow rows are summed column by column in numpy's own order
-    ``((0 + p0) + p1) + ...``.  Whole-column products and adds avoid one
-    short reduction per row, and stay fast on the strided node slices the
-    solvers pass in.
-    """
-    width = a.shape[1]
-    if width >= _SEQUENTIAL_ROW_WIDTH:
-        return np.sum(a * b, axis=1, out=out)
-    out = np.multiply(a[:, 0], b[:, 0], out=out)
-    out += 0.0
-    for k in range(1, width):
-        out += a[:, k] * b[:, k]
-    return out
-
-
-def row_norm(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a (P, m) array, as a (P, 1) array."""
-    out = row_dot(a, a)
-    return np.sqrt(out, out=out)[:, None]
 
 
 class _Plan:
@@ -935,45 +902,9 @@ def evaluate_terminal(expr: GeneratorExpr, w, n: int = 1, d: int = 1) -> np.ndar
     """
     wv = _as_rows(w, (d,), "w")
     env = {"w": wv, **{f"w{i}": wv[:, i - 1 : i] for i in range(1, min(d, 9) + 1)}}
-    unknown = expr.free_variables - env.keys()
+    unknown = sorted(expr.free_variables - env.keys())
+    if unknown and set(unknown) <= set(TERMINAL_VARS):
+        raise InvalidInput(f"terminal reads {unknown}, beyond the d = {d} coordinates w1 .. w{d}")
     if unknown:
-        raise InvalidInput(f"not a terminal expression, uses {sorted(unknown)}")
+        raise InvalidInput(f"not a terminal expression, uses {unknown}")
     return _Program(expr, frozenset(env), n, d)._run(env)
-
-
-# ---------------------------------------------------------------------------
-# Built-in generators
-# ---------------------------------------------------------------------------
-
-_BUILTIN_TEXT = {
-    "ex2.2": "1 + s + abs(y) + abs(ybar) + 0.5*norm2(z)^2 + abs(sin(norm2(zbar)))",
-    "ex3.1-f1": "1 + abs(sin(y)) + abs(sin(ybar)) + 0.5*norm2(z)^2 + abs(sin(norm2(zbar)))",
-    "ex3.1-f2": "1 + abs(y) + abs(ybar) + 0.5*(norm2(z) + norm2(zbar))^2",
-    "ex4.1-f1": "1 + abs(sin(y)) + abs(sin(ybar)) + norm2(z) + norm2(zbar)",
-    "ex4.1-f2": "1 + abs(y) + abs(ybar) + 0.5*(norm2(z) + norm2(zbar))^2",
-}
-
-
-def builtin(name: str, alpha: float | None = None) -> GeneratorExpr:
-    """Return a named built-in generator.
-
-    ``ex2.1`` takes the mean-integrand growth exponent ``alpha`` in [0, 1);
-    the remaining names (``ex2.2``, ``ex3.1-f1``, ``ex3.1-f2``, ``ex4.1-f1``,
-    ``ex4.1-f2``) are fixed formulas.
-    """
-    if name == "ex2.1":
-        if alpha is None:
-            raise InvalidInput("ex2.1 needs the exponent alpha")
-        if not (0.0 <= alpha < 1.0):
-            raise InvalidInput("alpha must lie in [0, 1)")
-        p = 1.0 + alpha
-        text = (
-            "1 + abs(y) + abs(ybar) + 0.5*norm2(z)^2 + "
-            f"norm2(zbar)^{_fmt_num(p)}"
-        )
-        return parse(text)
-    if name in _BUILTIN_TEXT:
-        if alpha is not None:
-            raise InvalidInput(f"{name} takes no alpha parameter")
-        return parse(_BUILTIN_TEXT[name])
-    raise InvalidInput(f"unknown builtin generator {name!r}")

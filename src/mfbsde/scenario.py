@@ -168,7 +168,8 @@ def example_21(
         d=1,
         T=T,
         terminal=dsl.parse(terminal, dsl.TERMINAL_VARS),
-        f=dsl.builtin("ex2.1", alpha=alpha),
+        f=dsl.parse("1 + abs(y) + abs(ybar) + 0.5*norm2(z)^2 + "
+                    f"norm2(zbar)^{float(1.0 + alpha)!r}"),
         C=C,
         gamma=gamma,
         alpha=alpha,
@@ -197,7 +198,7 @@ def example_22(
         d=1,
         T=T,
         terminal=dsl.parse(terminal, dsl.TERMINAL_VARS),
-        f=dsl.builtin("ex2.2"),
+        f=dsl.parse("1 + s + abs(y) + abs(ybar) + 0.5*norm2(z)^2 + abs(sin(norm2(zbar)))"),
         C=C,
         gamma=gamma,
         alpha=0.0,
@@ -217,7 +218,7 @@ def example_31(
     """Split generator: bounded quadratic part plus a mean shift.
 
     The default structure constant is the smallest one that envelopes the
-    built-in generator pair in its own form display (the first part is
+    generator pair in its own form display (the first part is
     bounded by 4 at z = 0)."""
     return ScenarioSpec(
         name="ex3.1",
@@ -225,8 +226,9 @@ def example_31(
         d=1,
         T=T,
         terminal=dsl.parse(terminal, dsl.TERMINAL_VARS),
-        f1=dsl.builtin("ex3.1-f1"),
-        f2=dsl.builtin("ex3.1-f2"),
+        f1=dsl.parse("1 + abs(sin(y)) + abs(sin(ybar)) + 0.5*norm2(z)^2 + "
+                     "abs(sin(norm2(zbar)))"),
+        f2=dsl.parse("1 + abs(y) + abs(ybar) + 0.5*(norm2(z) + norm2(zbar))^2"),
         C=C,
         gamma=gamma,
         alpha=0.0,
@@ -255,8 +257,8 @@ def example_41(
         d=d,
         T=T,
         terminal=dsl.parse(terminal, dsl.TERMINAL_VARS),
-        f1=dsl.builtin("ex4.1-f1"),
-        f2=dsl.builtin("ex4.1-f2"),
+        f1=dsl.parse("1 + abs(sin(y)) + abs(sin(ybar)) + norm2(z) + norm2(zbar)"),
+        f2=dsl.parse("1 + abs(y) + abs(ybar) + 0.5*(norm2(z) + norm2(zbar))^2"),
         C=C,
         gamma=gamma,
         alpha=0.0,

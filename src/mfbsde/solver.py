@@ -35,10 +35,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import PathEnsemble, Window
+from .core import PathEnsemble, Window, row_norm
 from .errors import InvalidInput, StepDivergence
 from .regression import NodeRegression, RegressionBasis
-from . import dsl
 
 __all__ = ["SolverConfig", "StandardSolve", "BackwardSolver"]
 
@@ -223,16 +222,22 @@ def _clamp_z(z: np.ndarray, level: float) -> tuple[np.ndarray, int]:
     # most (1 - u)^3.  The 1e-12 margin covers both while d*n < 10^4, so a
     # bound at or under the level means the full-norm path scales no row.
     # A NaN bound fails the test and takes that path.
-    bound = float(np.maximum(z.max(), -z.min())) * np.sqrt(z[0].size)
+    bound = float(np.maximum(z.max(), -z.min())) * math.sqrt(z[0].size)
     if bound * (1.0 + 1e-12) <= level:
         return z, 0
-    norms = dsl.row_norm(z.reshape(P, -1))[:, 0]
+    rows = z.reshape(P, -1)
+    with np.errstate(over="ignore"):  # an overflowed norm is retaken below
+        norms = row_norm(rows)[:, 0]
     over = norms > level
     n_over = int(np.count_nonzero(over))
     if n_over == 0:
         return z, 0
     scale = np.ones(P)
     scale[over] = level / norms[over]
+    # a finite row whose norm overflows is measured over its largest |entry|
+    huge = np.isinf(norms) & np.isfinite(rows).all(axis=1)
+    top = np.abs(rows[huge]).max(axis=1, keepdims=True)
+    scale[huge] = level / row_norm(rows[huge] / top)[:, 0] / top[:, 0]
     return z * scale[:, None, None], n_over
 
 

@@ -112,6 +112,16 @@ def test_out_dir_naming_a_file_exits_2(command, tiny_cfg, tmp_path, capsys):
     assert "File exists" in _one_error_line(capsys)
 
 
+def test_terminal_beyond_the_dimension_exits_2(tmp_path, capsys):
+    p = tmp_path / "bad.cfg"
+    p.write_text(TINY.replace("terminal = w\n", "d = 2\nterminal = w3\n")
+                 .replace("f = 1.0*zbar", "f = norm2(zbar)"))
+    assert main(["certify", "--config", str(p), "--out-dir", str(tmp_path / "out")]) == 2
+    assert _one_error_line(capsys).splitlines() == [
+        "error: terminal reads ['w3'], beyond the d = 2 coordinates w1 .. w2"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     p = tmp_path / "typo.cfg"
     p.write_text(TINY.replace("seed = 3", "sed = 3"))
@@ -567,6 +577,17 @@ def test_validate_json_naming_a_directory_exits_2(tmp_path, capsys):
 def test_validate_rejects_bad_list(capsys):
     assert main(["validate", "--criteria", "1,zebra"]) == 2
     assert "bad --criteria" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("criteria", [",", ""])
+def test_validate_rejects_an_empty_list(criteria, capsys, monkeypatch):
+    from mfbsde import acceptance
+
+    ran = []
+    monkeypatch.setattr(acceptance, "run_criterion", ran.append)
+    assert main(["validate", "--criteria", criteria]) == 2
+    assert _one_error_line(capsys).splitlines() == [f"error: bad --criteria list: {criteria!r}"]
+    assert ran == []
 
 
 def test_validate_rejects_unknown_ids(capsys):

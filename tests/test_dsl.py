@@ -1,10 +1,10 @@
 """Generator expression parsing and evaluation.
 
-The two builtin families double as parser fixtures: their printed text is
-pinned, and their values are cross-checked against hand-coded closed
-forms at random points.  The compiled evaluator, staged for every set of
-late slots, is held bit for bit to the tree-walking reference interpreter
-kept below.
+The worked examples' generators, taken from their scenario factories,
+double as parser fixtures: their text is pinned, and their values are
+cross-checked against hand-coded closed forms at random points.  The
+compiled evaluator, staged for every set of late slots, is held bit for
+bit to the tree-walking reference interpreter kept below.
 """
 
 import math
@@ -16,10 +16,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mfbsde import dsl
+from mfbsde import core, dsl
 from mfbsde.dsl import Bin, Call, Neg, Num, Var
 from mfbsde.errors import DimensionError, EvalDomainError, InvalidInput, ParseError
+from mfbsde.scenario import example_21, example_22, example_31, example_41
 from strategies import GENERATED_TEXTS
+
+
+def _examples():
+    """The worked examples' generators, from their scenario factories:
+    ex2.1 at alpha 0 and 0.5, ex2.2, and the pairs of ex3.1 and ex4.1."""
+    ex31, ex41 = example_31(), example_41()
+    return [example_21(alpha=0.0).f, example_21(alpha=0.5).f, example_22().f,
+            ex31.f1, ex31.f2, ex41.f1, ex41.f2]
+
 
 # ---------------------------------------------------------------------------
 # reference evaluators
@@ -136,14 +146,14 @@ def reference_evaluate(expr, s, y, ybar, z, zbar, n, d, first=()):
 
 def test_parse_power_growth_text():
     e = dsl.parse("1 + abs(y) + abs(ybar) + 0.5*norm2(z)^2 + norm2(zbar)^1.5")
-    assert e == dsl.builtin("ex2.1", alpha=0.5)
+    assert e == example_21(alpha=0.5).f
 
 
 def test_parse_time_dependent_text():
     e = dsl.parse(
         "1 + s + abs(y) + abs(ybar) + 0.5*norm2(z)^2 + abs(sin(norm2(zbar)))"
     )
-    assert e == dsl.builtin("ex2.2")
+    assert e == example_22().f
 
 
 def test_syntax_error_carries_column():
@@ -250,7 +260,7 @@ def test_round_trip_generated(text):
 
 
 def test_power_growth_at_origin():
-    e = dsl.builtin("ex2.1", alpha=0.5)
+    e = example_21(alpha=0.5).f
     v = dsl.evaluate(
         e, 0.0, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1, 1)),
         np.zeros((1, 1, 1)), n=1, d=1,
@@ -260,7 +270,7 @@ def test_power_growth_at_origin():
 
 def test_split_second_part_reference_value():
     # f2 = 1 + |y| + |ybar| + 0.5*(|z| + |zbar|)^2 at y=1, |z|=1, rest 0
-    e = dsl.builtin("ex3.1-f2")
+    e = example_31().f2
     assert math_eval_scalar(e, 0.0, 1.0, 0.0, 1.0, 0.0) == 2.5
 
 
@@ -274,17 +284,9 @@ def test_constant_expression_ignores_inputs(rng):
 
 
 def test_vectorised_matches_scalar(rng):
-    # every builtin, scalar case: path-batched evaluation against the pure
-    # python evaluator, 1e-14 relative
-    exprs = [
-        dsl.builtin("ex2.1", alpha=0.0),
-        dsl.builtin("ex2.1", alpha=0.5),
-        dsl.builtin("ex2.2"),
-        dsl.builtin("ex3.1-f1"),
-        dsl.builtin("ex3.1-f2"),
-        dsl.builtin("ex4.1-f1"),
-        dsl.builtin("ex4.1-f2"),
-    ]
+    # every worked example, scalar case: path-batched evaluation against
+    # the pure python evaluator, 1e-14 relative
+    exprs = _examples()
     P = 64
     s = 0.37
     y = rng.uniform(-3, 3, (P, 1))
@@ -319,15 +321,10 @@ def test_builtins_against_hand_coded(rng):
     def f41a(s, y, yb, z, zb):
         return 1 + abs(math.sin(y)) + abs(math.sin(yb)) + abs(z) + abs(zb)
 
-    cases = [
-        (dsl.builtin("ex2.1", alpha=0.5), lambda *a: ex21(0.5, *a)),
-        (dsl.builtin("ex2.1", alpha=0.0), lambda *a: ex21(0.0, *a)),
-        (dsl.builtin("ex2.2"), ex22),
-        (dsl.builtin("ex3.1-f1"), f31a),
-        (dsl.builtin("ex3.1-f2"), f31b),
-        (dsl.builtin("ex4.1-f1"), f41a),
-        (dsl.builtin("ex4.1-f2"), f31b),
-    ]
+    # in the order of _examples()
+    refs = [lambda *a: ex21(0.0, *a), lambda *a: ex21(0.5, *a),
+            ex22, f31a, f31b, f41a, f31b]
+    cases = zip(_examples(), refs)
     pts = rng.uniform(-4, 4, (1000, 5))
     pts[:, 0] = np.abs(pts[:, 0])  # time stays nonnegative
     for expr, ref in cases:
@@ -353,7 +350,7 @@ def test_vector_generator_components(rng):
 
 def test_single_component_broadcasts_to_vector(rng):
     # a one-component generator serves every output dimension
-    e = dsl.builtin("ex4.1-f1")
+    e = example_41().f1
     P = 4
     y = rng.standard_normal((P, 2))
     z = rng.standard_normal((P, 2, 2))
@@ -494,15 +491,6 @@ def test_slot_shapes_accepted_and_rejected(slot, n, d, shape, rows):
         assert _same_bits(run(), want)
 
 
-def test_builtin_unknown_name():
-    with pytest.raises(InvalidInput):
-        dsl.builtin("nope")
-    with pytest.raises(InvalidInput):
-        dsl.builtin("ex2.1")  # missing alpha
-    with pytest.raises(InvalidInput):
-        dsl.builtin("ex2.1", alpha=1.0)
-
-
 # ---------------------------------------------------------------------------
 # compiled evaluation against the reference interpreter
 # ---------------------------------------------------------------------------
@@ -565,7 +553,7 @@ def test_row_norm_matches_numpy_at_every_width(rng):
         a = rng.standard_normal((101, width))
         for arr in (a, np.asfortranarray(a), a[::-1]):
             want = np.sqrt(np.sum(arr * arr, axis=1, keepdims=True))
-            assert _same_bits(dsl.row_norm(arr), want)
+            assert _same_bits(core.row_norm(arr), want)
 
 
 def test_compiled_program_is_cached_on_the_expression(rng):
@@ -611,7 +599,7 @@ def test_row_dot_into_a_buffer_matches_numpy_at_every_width(rng):
         b = rng.standard_normal((101, width))
         out = np.empty(101)
         for x, y in ((a, b), (a[::-1], np.asfortranarray(b))):
-            got = dsl.row_dot(x, y, out=out)
+            got = core.row_dot(x, y, out=out)
             assert got is out
             assert _same_bits(got, np.sum(x * y, axis=1))
 
@@ -921,12 +909,15 @@ REFUSALS = [
      InvalidInput, "not a driver expression, uses ['w']"),
     (lambda: dsl.evaluate_terminal(dsl.parse("y"), 0.0),
      InvalidInput, "not a terminal expression, uses ['y']"),
+    (lambda: dsl.evaluate_terminal(dsl.parse("w1 + w3", dsl.TERMINAL_VARS), np.zeros(2), d=2),
+     InvalidInput, "terminal reads ['w3'], beyond the d = 2 coordinates w1 .. w2"),
 ]
 
 
 @pytest.mark.parametrize("call,error,message", REFUSALS, ids=[
     "exponent", "dot-widths", "unknown-slot", "late-at-bind", "bind-missing",
-    "not-late-at-call", "call-missing", "not-a-driver", "not-a-terminal"])
+    "not-late-at-call", "call-missing", "not-a-driver", "not-a-terminal",
+    "terminal-beyond-d"])
 def test_refusals_keep_their_type_and_message(call, error, message):
     with pytest.raises(error) as got:
         call()
@@ -950,8 +941,7 @@ def test_abs_min_and_max_slopes_at_their_kinks():
 def _shipped_generators():
     from pathlib import Path
 
-    names = ["ex2.2", "ex3.1-f1", "ex3.1-f2", "ex4.1-f1", "ex4.1-f2"]
-    exprs = [dsl.builtin(name) for name in names] + [dsl.builtin("ex2.1", 0.5)]
+    exprs = _examples()
     configs = Path(__file__).resolve().parents[1] / "configs"
     for path in sorted(configs.glob("*.cfg")):
         for line in path.read_text().splitlines():
@@ -989,7 +979,7 @@ def _check_split(e, slots, rng):
 def test_split_of_every_shipped_generator(rng, slots):
     for e in _shipped_generators():
         _check_split(e, slots, rng)
-    reading, _ = dsl.builtin("ex2.2").split(("y", "ybar", "zbar"))
+    reading, _ = example_22().f.split(("y", "ybar", "zbar"))
     assert dsl.to_text(reading) == "abs(y) + abs(ybar) + abs(sin(norm2(zbar)))"
 
 

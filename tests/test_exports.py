@@ -1,12 +1,17 @@
 """Every name a module exports resolves, so ``from mfbsde import *`` and
-``from mfbsde.<module> import *`` never meet a stale ``__all__`` entry."""
+``from mfbsde.<module> import *`` never meet a stale ``__all__`` entry; and
+the backward sweep and the diagnostics stand apart from the expression
+language, whose module holds no table of example generators."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import mfbsde
+from mfbsde import dsl
 
 MODULES = ["mfbsde"] + [f"mfbsde.{m.name}" for m in pkgutil.iter_modules(mfbsde.__path__)]
 
@@ -16,3 +21,31 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def _package_imports(module: str) -> set[str]:
+    """The package modules (and names in them) that ``module`` imports, as
+    dotted paths relative to the package, read from its source."""
+    tree = ast.parse(Path(mfbsde.__file__).with_name(f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name.removeprefix("mfbsde.") for a in node.names
+                      if a.name.startswith("mfbsde.")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "mfbsde"
+                                                   or node.module.startswith("mfbsde.")):
+            base = "" if node.module in (None, "mfbsde") else node.module.removeprefix("mfbsde.")
+            found |= {f"{base}.{a.name}" if base else a.name for a in node.names}
+    return found
+
+
+@pytest.mark.parametrize("module", ["solver", "diagnostics"])
+def test_sweep_and_diagnostics_do_not_import_the_expression_language(module):
+    imports = _package_imports(module)
+    assert "core.PathEnsemble" in imports or "core.ProcessGrid" in imports
+    assert [name for name in imports if name.split(".")[0] == "dsl"] == []
+
+
+def test_the_expression_language_holds_no_example_table():
+    assert not hasattr(dsl, "builtin")
+    assert "builtin" not in dsl.__all__ and "builtin" not in mfbsde.__all__

@@ -348,6 +348,26 @@ def test_clamp_precheck_matches_the_full_norm_path(rng, d, n, case):
         assert got is z
 
 
+def test_clamp_scales_a_row_whose_norm_overflows_down_to_the_level():
+    # the squares of 1e200 leave the doubles, so such a row's norm is taken
+    # over its largest entry: the row lands at the level, not at zero, and
+    # no overflow warning escapes
+    z = np.full((3, 1, 1), 1e200)
+    z[1] = 0.5
+    wide = np.full((3, 2, 2), 1e200)
+    wide[1] = 0.5
+    wide[2, 0, 0] = -1.7e308
+    for arr in (z, wide):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, count = _clamp_z(arr, 100.0)
+        assert count == 2
+        assert np.array_equal(got[1], arr[1])
+        norms = np.linalg.norm(got.reshape(3, -1), axis=1)
+        np.testing.assert_allclose(norms[[0, 2]], 100.0, rtol=1e-14)
+        assert np.array_equal(np.sign(got), np.sign(arr))
+
+
 # ---------------------------------------------------------------------------
 # full sweeps
 # ---------------------------------------------------------------------------
