@@ -14,8 +14,6 @@ The package is organised in layers:
   solver for a single BSDE sweep.
 * :mod:`mfbsde.meanfield` — frozen-mean fixed points, window stitching,
   global Picard iteration, split and vector-valued solvers.
-* :mod:`mfbsde.oracle` — the binomial-lattice reference solver and its
-  pinned fixtures, used for validation.
 * :mod:`mfbsde.diagnostics` — path norms, the BMO estimate, envelope checks,
   run reports.
 """

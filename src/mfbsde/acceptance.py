@@ -16,6 +16,7 @@ criteria are cached module-wide.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import tempfile
 import time
@@ -24,11 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracle
 from .certificates import build_chain, certify, ode_bound
 from .config import manifest_for, write_result_csv
 from .core import Window, build_grid, simulate_brownian
-from .errors import MFBSDEError
+from .errors import FixtureMissing, MFBSDEError
 from .meanfield import global_solve, local_solve, multidim_solve, picard_global, shift_fixed_point
 from .scenario import (
     FORM_SPLIT_QUADRATIC,
@@ -44,6 +44,21 @@ from . import dsl
 __all__ = ["CriterionResult", "run_criterion", "CRITERIA"]
 
 _FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
+
+
+def load_fixture(path) -> dict:
+    """Read a pinned lattice fixture, its curves as float arrays."""
+    p = Path(path)
+    if not p.exists():
+        raise FixtureMissing(
+            f"reference fixture {p} is missing; regenerate it with "
+            "'python tools/regen_fixtures.py'"
+        )
+    data = json.loads(p.read_text())
+    data["times"] = np.asarray(data["times"], dtype=np.float64)
+    data["m_y"] = np.asarray(data["m_y"], dtype=np.float64)
+    data["m_z"] = np.asarray(data["m_z"], dtype=np.float64)
+    return data
 
 
 @dataclass
@@ -393,7 +408,7 @@ def _c7_scenario() -> ScenarioSpec:
     c7_mean_y=0.02,
 )
 def criterion_7(c7_mean_y):
-    fixture = oracle.load_fixture(_FIXTURE_DIR / "ex21_lattice.json")
+    fixture = load_fixture(_FIXTURE_DIR / "ex21_lattice.json")
     scenario = _c7_scenario()
     config = SolverConfig(
         n_steps=100, n_paths=60_000, seed=_C7_SEED, tol_fp=5e-4, n_windows=2,

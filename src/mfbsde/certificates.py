@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import dsl
 from .core import row_norm
 from .errors import InfeasibleCertificate, InvalidInput
 from .scenario import FORM_SPLIT_LIPSCHITZ, ScenarioSpec
@@ -435,8 +436,6 @@ def _spot_check(scenario: ScenarioSpec, samples: int, seed: int) -> dict:
     is one ``(value, bound)`` pair per generator, and a sample's ratio is
     the largest ``value / max(bound, 1e-300)`` over its pairs, so a zero
     bound refutes any nonzero value."""
-    from . import dsl  # local import to keep module load light
-
     rng = np.random.default_rng(seed)
     n, d = scenario.n, scenario.d
     C, gamma, alpha = scenario.C, scenario.gamma, scenario.alpha

@@ -42,6 +42,11 @@ _ALL_FORMS = frozenset(
 )
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 <= alpha < 1.0):
+        raise InvalidInput("mean-integrand exponent alpha must lie in [0, 1)")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One solvable problem instance.
@@ -82,8 +87,7 @@ class ScenarioSpec:
             raise InvalidInput("growth constant C must be >= 0")
         if not (self.gamma > 0.0):
             raise InvalidInput("quadratic coefficient gamma must be positive")
-        if not (0.0 <= self.alpha < 1.0):
-            raise InvalidInput("mean-integrand exponent alpha must lie in [0, 1)")
+        _check_alpha(self.alpha)
         if self.xi_bound < 0.0:
             raise InvalidInput("xi_bound must be >= 0")
         if self.terminal_clamp is not None:
@@ -162,6 +166,7 @@ def example_21(
     xi_bound: float = 0.5,
 ) -> ScenarioSpec:
     """Scalar quadratic driver with power-growth mean integrand."""
+    _check_alpha(alpha)  # before its exponent is printed into the formula
     return ScenarioSpec(
         name=f"ex2.1(alpha={alpha:g})",
         n=1,

@@ -250,6 +250,13 @@ def test_terminal_clamp_above_the_terminal_bound_rejected(tmp_path):
         load_config(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_example_21_refuses_a_non_finite_alpha_with_the_alpha_message(alpha):
+    # the factory prints 1 + alpha into its formula, so alpha is checked first
+    with pytest.raises(InvalidInput, match=r"^mean-integrand exponent alpha must lie in \[0, 1\)$"):
+        example_21(alpha=float(alpha))
+
+
 def test_split_pair_config(tmp_path):
     text = MINIMAL.replace("f = 0.0", "f1 = abs(y)\nf2 = abs(ybar)")
     scenario, _, _, _ = load_config(_write(tmp_path, text))

@@ -1,4 +1,5 @@
-"""Reference solutions: closed forms, the binomial lattice, fixtures."""
+"""Reference solutions: closed forms, the binomial lattice (loaded from
+``tools/regen_fixtures.py``), fixtures."""
 
 import json
 import os
@@ -12,12 +13,17 @@ import pytest
 
 from mfbsde import dsl
 from mfbsde.errors import FixtureMissing, InvalidInput
-from mfbsde.oracle import brute_force_1d, load_fixture, save_fixture
+from mfbsde.acceptance import _FIXTURE_DIR, load_fixture
 from mfbsde.scenario import ScenarioSpec, example_21, example_41, linear_scenario
 
 from closed_form import LinearMeanFieldSpec, linear_closed_form
 
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mfbsde"
+
+
+@pytest.fixture(scope="module")
+def lattice(tool):
+    return tool("regen_fixtures")
 
 
 def _null_scenario(terminal="w", T=1.0):
@@ -101,38 +107,37 @@ def test_linear_removable_singularity():
 # ---------------------------------------------------------------------------
 
 
-def test_lattice_zero_driver_is_exact_martingale():
-    res = brute_force_1d(_null_scenario(terminal="w^2"), 64)
+def test_lattice_zero_driver_is_exact_martingale(lattice):
+    res = lattice.brute_force_1d(_null_scenario(terminal="w^2"), 64)
     # E[W_t^2] = t on the lattice *exactly* (binomial variance is exact)
     np.testing.assert_allclose(res.m_y, res.times[-1] * np.ones_like(res.times),
                                rtol=0, atol=1e-12)
-    assert res.converged
     assert res.iterations <= 2
 
 
-def test_lattice_matches_linear_closed_form():
+def test_lattice_matches_linear_closed_form(lattice):
     sc = linear_scenario(a=0.2, b=0.3, dbar=0.5, g=0.1, terminal="w", T=1.0)
     spec = LinearMeanFieldSpec(a=0.2, b=0.3, dbar=0.5, g=0.1, q=1.0, T=1.0)
     sol = linear_closed_form(spec)
-    res = brute_force_1d(sc, 400)
+    res = lattice.brute_force_1d(sc, 400)
     err = np.max(np.abs(res.m_y - sol.m_y(res.times)))
     assert err < 5e-3
 
 
-def test_lattice_grid_convergence_factor():
+def test_lattice_grid_convergence_factor(lattice):
     # halving the step must change the answer by a factor <= 0.6
     sc = example_21(alpha=0.5, T=0.5, C=0.25, gamma=1.0)
-    y = [brute_force_1d(sc, n).y0 for n in (125, 250, 500)]
+    y = [lattice.brute_force_1d(sc, n).y0 for n in (125, 250, 500)]
     change1 = abs(y[1] - y[0])
     change2 = abs(y[2] - y[1])
     assert change2 <= 0.6 * change1
 
 
-def test_lattice_rejects_bad_inputs():
+def test_lattice_rejects_bad_inputs(lattice):
     with pytest.raises(InvalidInput):
-        brute_force_1d(_null_scenario(), 1)
+        lattice.brute_force_1d(_null_scenario(), 1)
     with pytest.raises(InvalidInput):
-        brute_force_1d(example_41(), 16)  # not scalar
+        lattice.brute_force_1d(example_41(), 16)  # not scalar
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +145,10 @@ def test_lattice_rejects_bad_inputs():
 # ---------------------------------------------------------------------------
 
 
-def test_fixture_round_trip(tmp_path):
-    res = brute_force_1d(_null_scenario(terminal="w^2"), 16)
+def test_fixture_round_trip(tmp_path, lattice):
+    res = lattice.brute_force_1d(_null_scenario(terminal="w^2"), 16)
     path = tmp_path / "probe.json"
-    save_fixture(path, res, {"why": "round trip"})
+    lattice.save_fixture(path, res, {"why": "round trip"})
     data = load_fixture(path)
     np.testing.assert_array_equal(data["m_y"], res.m_y)
     np.testing.assert_array_equal(data["times"], res.times)
@@ -162,8 +167,6 @@ def test_missing_fixture_advises_regeneration(tmp_path):
 def test_pinned_lattice_fixture_is_coherent():
     # the checked-in reference for the power-growth desk instance, package
     # data that criterion 7 reads
-    from mfbsde.acceptance import _FIXTURE_DIR
-
     assert _FIXTURE_DIR == _PACKAGE / "fixtures"
     data = load_fixture(_PACKAGE / "fixtures" / "ex21_lattice.json")
     assert data["n_steps"] == 2000
@@ -179,8 +182,8 @@ def test_a_copied_package_carries_its_fixture(tmp_path):
     # criterion 7 finds the fixture wherever the package lives, as an
     # installed one would
     shutil.copytree(_PACKAGE, tmp_path / "mfbsde", ignore=shutil.ignore_patterns("__pycache__"))
-    code = ("import mfbsde.acceptance as a, mfbsde.oracle as o; print(a.__file__); "
-            "print(o.load_fixture(a._FIXTURE_DIR / 'ex21_lattice.json')['n_steps'])")
+    code = ("import mfbsde.acceptance as a; print(a.__file__); "
+            "print(a.load_fixture(a._FIXTURE_DIR / 'ex21_lattice.json')['n_steps'])")
     run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(tmp_path)})
     assert run.returncode == 0, run.stderr
