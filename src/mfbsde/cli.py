@@ -24,6 +24,8 @@ Three commands:
     damped passes, and whether the solved pair lies in the certified ball.
     ``--solver shift`` also covers the deterministic-shift case (``f1`` of
     ``s, z`` only, ``f2`` without the state): two sweeps, the first exact.
+    ``local`` and ``picard`` solve one window: they ignore ``n_windows``
+    and ``--windows``, which the manifest still records.
 
 ``mfbsde validate [--criteria 1,2,...]``
     Run the acceptance criteria and print one PASS/FAIL line each.

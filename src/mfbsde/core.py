@@ -123,7 +123,6 @@ class PathEnsemble:
     grid: TimeGrid
     d: int
     node_levels: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         levels = np.asarray(self.node_levels, dtype=np.float64)
@@ -172,7 +171,7 @@ def simulate_brownian(grid: TimeGrid, d: int, n_paths: int, seed: int) -> PathEn
         draws = rng.standard_normal((hi - lo, grid.n_steps, d))
         draws *= scale
         np.cumsum(np.swapaxes(draws, 0, 1), axis=0, out=levels[1:, lo:hi])
-    return PathEnsemble(grid=grid, d=d, node_levels=levels, seed=seed)
+    return PathEnsemble(grid=grid, d=d, node_levels=levels)
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,19 @@ to ``s`` (time), ``y``/``ybar`` (state and its mean) and ``z``/``zbar``
 Brownian level ``w`` or its coordinates ``w1 .. w9``.
 
 Scalar convention for vectors: ``abs``, ``sin``, ``cos`` and ``exp`` applied
-to a vector quantity act on its Euclidean norm, so every well-formed
-expression is scalar-valued.  Multi-component generators are written as
-``;``-separated expression lists.
+to a vector quantity act on its Euclidean norm.  Multi-component generators
+are written as ``;``-separated lists of scalar expressions.
 
-Slot shapes.  A slot whose value on one path has shape ``(1,)``, ``(n,)``,
+Shapes.  A slot whose value on one path has shape ``(1,)``, ``(n,)``,
 ``(d,)`` or ``(d, n)`` takes that shape or its flattening for one path,
 and the same after a leading path axis ``P``, where trailing unit axes may
 be left out: a scalar or ``(P,)`` for a width-1 slot, ``(P, d)`` for
-``z`` when ``n = 1``.  Every slot is held as a (P, width) array.
+``z`` when ``n = 1``.  Every slot is held as a (P, width) array, and the
+slots of one program have 1 row or one common ``P``, checked once per bind
+and per call.  Every node's width follows from the expression and ``(n,
+d)``: a plan computes them when it is built and refuses there operands of
+widths an operation does not take, an exponent that reads a slot, and a
+component that is not a scalar.
 
 Evaluation is staged.  An expression is compiled once per set of *late*
 slots, the ones that still change between calls: constant subtrees are
@@ -27,9 +31,7 @@ bit for bit that of the whole tree), writing into buffers the program
 owns.  The returned array is one of those buffers and stays valid until
 the program's next call.  :func:`evaluate` is the every-slot-late case and
 returns a fresh array.  Every operation is one entry of one table,
-``_OPS``: its ufunc, its operand check, whether it maps a vector to a
-scalar, and its y-slope rule.  A plan picks each node's entry once and
-compiles the node to one closure, whatever its operand count.
+``_OPS``, from which a plan compiles each node to one closure.
 
 A program whose one late slot is ``y`` is compiled as a *tangent* plan:
 each operation that reads ``y`` also carries its forward-mode
@@ -237,7 +239,6 @@ class GeneratorExpr:
     """Parsed expression list: one AST per output component."""
 
     components: tuple
-    variables: tuple[str, ...] = GENERATOR_VARS
 
     @cached_property
     def _programs(self) -> dict:
@@ -282,8 +283,7 @@ class GeneratorExpr:
             else:
                 reading.append(c)
                 regrouped.append(c)
-        return (GeneratorExpr(tuple(reading), self.variables),
-                GeneratorExpr(tuple(regrouped), self.variables))
+        return GeneratorExpr(tuple(reading)), GeneratorExpr(tuple(regrouped))
 
     def __str__(self) -> str:
         return to_text(self)
@@ -342,7 +342,7 @@ def parse(text: str, variables: tuple[str, ...] = GENERATOR_VARS) -> GeneratorEx
             raise ParseError(f"unexpected {val!r}", pos)
         components.append(node)
         offset += len(chunk) + 1
-    return GeneratorExpr(components=tuple(components), variables=tuple(variables))
+    return GeneratorExpr(components=tuple(components))
 
 
 # ---------------------------------------------------------------------------
@@ -415,28 +415,39 @@ def _node_text(node: Expr) -> str:
 class _Plan:
     """A component list compiled once for one set of late slots.
 
-    Every node is classified by the slots it reads.  A subtree that reads
-    no slot is folded into a constant here; a maximal subtree that reads
-    slots but no late one becomes a *binder*, evaluated by
-    :meth:`_Program._bind`; the rest (``roots``) runs on every call.
-    Operations keep the tree's own order, so a staged value is bit for bit
-    the value of the whole tree.  The closures take the running program,
-    read its environment and bound values, and write into its buffers by
-    index, so one plan serves any number of programs.
+    One walk first gives every node its width (:func:`_width`), raising
+    every :class:`DimensionError` of the expression before anything is
+    computed; each operation compiles for its operands' widths.  Every node
+    is classified by the slots it reads.  A subtree that reads no slot is
+    folded into a constant here; a maximal subtree that reads slots but no
+    late one becomes a *binder*, evaluated by :meth:`_Program._bind`; the
+    rest (``roots``) runs on every call.  Operations keep the tree's own
+    order, so a staged value is bit for bit the value of the whole tree.
+    The closures take the running program, read its environment and bound
+    values, and write into its buffers by index, so one plan serves any
+    number of programs.
 
     A *tangent* plan also carries the y-derivative: every node that reads
     ``y`` returns ``(value, derivative)``, and so does every root, with
     derivative None where it does not read ``y``.  A plan is a tangent one
-    when ``y`` is its one late slot, the components read it, and every
-    operation on it has a y-slope rule at ``n`` state and ``d`` Brownian
-    components (:func:`_tangent_width`).
+    when ``y`` is its one late slot, the components read it, and the width
+    walk found no reduction of a ``y``-reading operand wider than one
+    component, which has no y-slope rule.
     """
 
     def __init__(self, expr: GeneratorExpr, late: frozenset, n: int, d: int):
-        widths = {"s": 1, "y": n, "ybar": n, "z": d * n, "zbar": d * n}
+        slots = {"s": 1, "y": n, "ybar": n, "z": d * n, "zbar": d * n, "w": d,
+                 **dict.fromkeys(TERMINAL_VARS[1:], 1)}
+        self.widths: dict = {}  # id(node) -> component count of its value
+        self.mixes_y = False
+        if (count := len(expr.components)) not in (1, n):
+            raise DimensionError(f"generator has {count} component(s), scenario needs {n}")
+        for j, c in enumerate(expr.components):
+            if (width := _width(c, slots, self)) != 1:
+                raise DimensionError(f"component {j + 1} is {width}-dimensional, expected"
+                                     f" scalar: '{_node_text(c)}'")
         self.late = late
-        self.tangent = (late == {"y"} and "y" in expr.free_variables
-                        and all(_tangent_width(c, widths) is not None for c in expr.components))
+        self.tangent = late == {"y"} and "y" in expr.free_variables and not self.mixes_y
         self.n_buffers = 0
         self.binders: list = []
         roots = []
@@ -465,6 +476,33 @@ class _Plan:
         const = run(SimpleNamespace(_bufs=[None] * self.n_buffers, _env={}, _bound=[]))
         const.flags.writeable = False
         return lambda st: const
+
+
+def _width(node: Expr, slots: dict, plan: _Plan) -> int:
+    """The component count of ``node``'s value, the slots being ``slots``
+    wide, recorded in ``plan.widths`` for ``node`` and each node below it;
+    a reduction of a ``y``-reading operand wider than one component sets
+    ``plan.mixes_y``."""
+    if isinstance(node, Num):
+        width = 1
+    elif isinstance(node, Var):
+        width = slots[node.name]
+    else:
+        kids = _children(node)
+        a, *b = [_width(c, slots, plan) for c in kids]
+        if _op(node)[2]:  # maps a vector to a scalar
+            if b and a != b[0]:
+                raise DimensionError(f"dot of {a}- and {b[0]}-component vectors")
+            plan.mixes_y |= a > 1 and any("y" in _reads(c) for c in kids)
+            width = 1
+        elif isinstance(node, Bin) and node.op == "^" and _reads(node.right):
+            raise DimensionError(f"exponent must be a constant scalar in '{_node_text(node)}'")
+        elif b and a != b[0] and 1 not in (a, b[0]):
+            raise DimensionError(f"component mismatch {a} vs {b[0]} in '{_node_text(node)}'")
+        else:
+            width = max([a, *b])
+    plan.widths[id(node)] = width
+    return width
 
 
 def _compile(node: Expr, plan: _Plan):
@@ -507,8 +545,7 @@ def _nonzero_divisor(node: Bin, a, b):
 
 
 def _scalar_exponent(node: Bin, a, b) -> float:
-    if b.shape != (1, 1):
-        raise DimensionError(f"exponent must be a constant scalar in '{_node_text(node)}'")
+    # the exponent is a constant, (1, 1): the plan refuses any other
     e = float(b[0, 0])
     if not math.isfinite(e):
         raise EvalDomainError("non-finite exponent", _node_text(node), node.pos)
@@ -518,12 +555,6 @@ def _scalar_exponent(node: Bin, a, b) -> float:
         raise EvalDomainError("negative power of zero", _node_text(node), node.pos)
     # the power ufunc takes the same scalar-exponent fast paths as a**e
     return e
-
-
-def _equal_widths(node: Call, a, b):
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(f"dot of {a.shape[1]}- and {b.shape[1]}-component vectors")
-    return b
 
 
 # y-slope rules.  ``slope(out, a, da)`` of a unary and ``slope(out, a, b,
@@ -582,7 +613,7 @@ def _quotient_slope(out, a, b, da, db):
 
 
 def _power_slope(out, a, b, da, db):
-    # the exponent is a constant scalar, or the value raises
+    # the exponent is a constant scalar, which does not read y
     e = float(b[0, 0])
     np.power(a, e - 1.0, out=out)
     out *= e
@@ -621,7 +652,7 @@ _OPS = {
     "^": (np.power, _scalar_exponent, False, _power_slope),
     "min": (np.minimum, None, False, _select_slope(np.less_equal)),
     "max": (np.maximum, None, False, _select_slope(np.greater_equal)),
-    "dot": (None, _equal_widths, True, _product_slope),
+    "dot": (None, None, True, _product_slope),
 }
 
 
@@ -633,26 +664,28 @@ def _op(node: Expr) -> tuple:
 
 def _operation(node: Expr, owned, plan: _Plan):
     """``value(st, a, *b)``: one operation node's value from the values of
-    its one or two operands, specialised on its table entry.  It writes
-    into an operand it owns or into a buffer of its own; the row
-    reductions ``norm2`` and ``dot`` always return a fresh or own array."""
+    its one or two operands, chosen when the plan compiles by its table
+    entry and its operands' widths.  It writes into an operand it owns or
+    into a buffer of its own; the row reductions ``norm2`` and ``dot``
+    always return a fresh or own array."""
     ufunc, check, on_norm, _ = _op(node)
     k = plan.buffer()
-
-    def value(st, a, *b):
-        if ufunc is None and b:
-            check(node, a, *b)
-            out = _buffer(st, k, (max(a.shape[0], b[0].shape[0]), 1))
-            row_dot(a, *b, out=out[:, 0])
+    width = plan.widths[id(node)]
+    a_width, *b_width = [plan.widths[id(c)] for c in _children(node)]
+    if ufunc is None and b_width:
+        def value(st, a, b):
+            out = _buffer(st, k, (_rows(a, b), 1))
+            row_dot(a, b, out=out[:, 0])
             return out
-        if on_norm and (ufunc is None or a.shape[1] > 1):
+    elif on_norm and (ufunc is None or a_width > 1):
+        def value(st, a):
             # row_norm returns a fresh array, which this node owns
             a = row_norm(a)
             return a if ufunc is None else ufunc(a, out=a)
-        shape = _shape(node, a, *b)
-        operands = (a, *b) if check is None else (a, check(node, a, *b))
-        return ufunc(*operands, out=_destination(st, k, shape, (a, *b), owned))
-
+    else:
+        def value(st, a, *b):
+            operands = (a, *b) if check is None else (a, check(node, a, *b))
+            return ufunc(*operands, out=_destination(st, k, (_rows(a, *b), width), (a, *b), owned))
     return value
 
 
@@ -674,45 +707,14 @@ def _destination(st, k: int, shape: tuple, operands, owned):
     return _buffer(st, k, shape)
 
 
-def _shape(node: Expr, a: np.ndarray, b: np.ndarray | None = None) -> tuple:
-    """The result shape of an elementwise operation.  (P, width) operands
-    broadcast row- and column-wise, so their widths agree or one is 1; a
-    row mismatch the ufunc cannot broadcast still raises there."""
-    if b is None:
-        return a.shape
-    if a.shape[1] != b.shape[1] and a.shape[1] != 1 and b.shape[1] != 1:
-        raise DimensionError(
-            f"component mismatch {a.shape[1]} vs {b.shape[1]} in '{_node_text(node)}'"
-        )
-    return (max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1]))
+def _rows(a: np.ndarray, b: np.ndarray | None = None) -> int:
+    """The row count of an operation's value: 1 row broadcasts."""
+    return a.shape[0] if b is None else max(a.shape[0], b.shape[0])
 
 
 # the y-derivative of ``y``
 _ONE = np.ones((1, 1))
 _ONE.flags.writeable = False
-
-
-def _tangent_width(node: Expr, widths: dict) -> int | None:
-    """The component count of ``node``'s value, the slots having
-    ``widths``, or None when an operation of ``node`` that reads ``y`` has
-    no y-slope rule there: none has for an exponent that reads ``y``, nor
-    for an operation that maps a ``y``-reading operand wider than one
-    component to a scalar, which mixes the components of ``y``."""
-    if isinstance(node, Num):
-        return 1
-    if isinstance(node, Var):
-        return widths[node.name]
-    kids = _children(node)
-    kid_widths = [_tangent_width(c, widths) for c in kids]
-    if None in kid_widths:
-        return None
-    _, check, on_norm, _ = _op(node)
-    reads_y = ["y" in _reads(c) for c in kids]
-    if on_norm:
-        return None if any(r and w > 1 for r, w in zip(reads_y, kid_widths)) else 1
-    if check is _scalar_exponent and reads_y[1]:
-        return None
-    return max(kid_widths)
 
 
 def _tangent(node: Expr, runs, value, plan: _Plan):
@@ -723,13 +725,13 @@ def _tangent(node: Expr, runs, value, plan: _Plan):
     operand), since the value may overwrite an operand it owns."""
     *_, slope = _op(node)
     k = plan.buffer()
+    width = plan.widths[id(node)]
     reads_y = ["y" in _reads(c) for c in _children(node)]
 
     def tangent(st):
         operands = [run(st) if reads else (run(st), None) for run, reads in zip(runs, reads_y)]
         values, slopes = zip(*operands)
-        # a width mismatch raises here, as in value
-        d = slope(_buffer(st, k, _shape(node, *values)), *values, *slopes)
+        d = slope(_buffer(st, k, (_rows(*values), width)), *values, *slopes)
         return value(st, *values), d
 
     return tangent
@@ -741,11 +743,6 @@ class _Program:
     buffer, and a program's output stays valid until its next run."""
 
     def __init__(self, expr: GeneratorExpr, late: frozenset, n_out: int, d: int = 1):
-        comps = expr.components
-        if len(comps) not in (1, n_out):
-            raise DimensionError(
-                f"generator has {len(comps)} component(s), scenario needs {n_out}"
-            )
         self._expr = expr
         self._plan = expr._plan(late, n_out, d)
         self._n_out = n_out
@@ -763,8 +760,8 @@ class _Program:
         missing = self._plan.reads_early - env.keys()
         if missing:
             raise InvalidInput(f"bind needs the slot(s) {sorted(missing)}")
+        self._rows = _paths(env)
         self._env.update(env)
-        self._rows = max((v.shape[0] for v in env.values()), default=1)
         for k, binder in enumerate(self._plan.binders):
             self._bound[k] = binder(self)
 
@@ -775,11 +772,8 @@ class _Program:
         missing = self._plan.reads_late - env.keys()
         if missing:
             raise InvalidInput(f"call needs the slot(s) {sorted(missing)}")
+        P = _paths(env, self._rows)
         self._env.update(env)
-        P = self._rows
-        for v in env.values():
-            if v.shape[0] > P:
-                P = v.shape[0]
         n = self._n_out
         out = self._out
         tangent = self._plan.tangent
@@ -790,18 +784,13 @@ class _Program:
         roots = self._plan.roots
         # a derivative may be infinite or NaN where the value is finite,
         # and a value that is not raises below
-        with np.errstate(all="ignore") if tangent else _DEFAULT_ERRSTATE:
+        with np.errstate(all="ignore") if tangent else contextlib.nullcontext():
             for j in range(n):
                 # a single expression is evaluated once and serves every column
                 if j < len(roots):
                     val = roots[j](self)
                     if tangent:
                         val, slope = val
-                    if val.shape[1] != 1:
-                        raise DimensionError(
-                            f"component {j + 1} is {val.shape[1]}-dimensional, expected"
-                            f" scalar: '{_node_text(self._expr.components[j])}'"
-                        )
                 out[:, j] = val[:, 0]
                 if tangent:
                     self.dy[:, j] = 0.0 if slope is None else slope[:, 0]
@@ -810,7 +799,17 @@ class _Program:
         return out
 
 
-_DEFAULT_ERRSTATE = contextlib.nullcontext()
+def _paths(env: dict, P: int = 1) -> int:
+    """The path count of slots of 1 row or ``P`` rows (at a call, the bound
+    slots' count); a slot of any other count raises, named."""
+    for name, v in env.items():
+        if v.shape[0] not in (1, P):
+            if P != 1:
+                raise DimensionError(f"{name}: {v.shape[0]} paths given, expected 1 or {P}")
+            P = v.shape[0]
+    return P
+
+
 _ALL_SLOTS = frozenset(GENERATOR_VARS)
 
 
@@ -836,12 +835,14 @@ class Staged(_Program):
     the remainder, from the late slots and those bound values, into
     buffers the instance owns.  Operations run in the tree's own order, so
     ``bind`` + call is bit for bit :func:`evaluate` of the whole
-    expression, with the same checks: a domain check inside a constant
-    subtree raises when the program is built, one inside a bound subtree at
-    bind time, the rest and the non-finite check at call time, the first in
-    tree order at each stage.  Slots take the shapes :func:`evaluate`
-    accepts; :meth:`bind` and a call only normalise them, and the program
-    refuses a slot of the wrong stage or a missing one.
+    expression, with the same checks.  Every shape error of the expression
+    raises when the program is built, before any value is computed;
+    :meth:`bind` and a call normalise the slots (the shapes
+    :func:`evaluate` accepts), check that each has 1 row or the common path
+    count, and refuse a slot of the wrong stage or a missing one.  A domain
+    check inside a constant subtree raises when the program is built, one
+    inside a bound subtree at bind time, the rest and the non-finite check
+    at call time, the first in tree order at each stage.
 
     The returned (P, n) array is the instance's own buffer: it stays valid
     until the next call on the same instance.  ``reads_late`` is the set of
@@ -855,10 +856,9 @@ class Staged(_Program):
     solve, also gives from each call the derivative ``df_j/dy_j`` of each
     component in ``dy``, a (P, n) buffer it owns, valid as the output is.
     Operands that do not read ``y`` carry no derivative.  ``dy`` is None
-    when an operation on ``y`` has no derivative rule: an exponent that
-    reads ``y``, or, for ``n > 1``, any reduction of ``y`` (``norm2``,
-    ``dot``, or ``abs``, ``sin``, ``cos``, ``exp`` of its norm), which mixes
-    its components.
+    when an operation on ``y`` has no derivative rule: for ``n > 1``, any
+    reduction of ``y`` (``norm2``, ``dot``, or ``abs``, ``sin``, ``cos``,
+    ``exp`` of its norm), which mixes its components.
     """
 
     def __init__(self, expr: GeneratorExpr, late, n: int = 1, d: int = 1):

@@ -29,6 +29,17 @@ def extend(inner):
 GENERATED_TEXTS = st.recursive(LEAVES, extend, max_leaves=12)
 
 
+# texts over the vector slots read raw, at their own widths, whose
+# exponents may read slots: at n or d above 1 many are refused by the
+# shape rules
+RAW_TEXTS = st.recursive(
+    st.sampled_from(["y", "ybar", "z", "zbar", "s", "2", "0.5"]),
+    lambda inner: extend(inner)
+    | st.tuples(inner, inner).map(lambda t: f"({t[0]})^({t[1]})"),
+    max_leaves=6,
+)
+
+
 def texts_of_depth(depth: int):
     """Generated texts nesting at most ``depth`` operations."""
     texts = LEAVES

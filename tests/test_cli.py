@@ -122,6 +122,17 @@ def test_terminal_beyond_the_dimension_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_exponent_that_reads_a_slot_exits_2_when_the_config_loads(tmp_path, capsys):
+    # refused by the shape rules before any path is simulated, so no
+    # failure record is written
+    p = tmp_path / "bad.cfg"
+    p.write_text(TINY.replace("f = 1.0*zbar", "f = 1 + 0.1*(1 + abs(y))^abs(sin(norm2(z)))"))
+    assert main(["solve", "--config", str(p), "--out-dir", str(tmp_path / "out")]) == 2
+    assert _one_error_line(capsys).splitlines() == [
+        "error: exponent must be a constant scalar in '(1 + abs(y))^abs(sin(norm2(z)))'"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     p = tmp_path / "typo.cfg"
     p.write_text(TINY.replace("seed = 3", "sed = 3"))

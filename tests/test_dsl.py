@@ -20,7 +20,7 @@ from mfbsde import core, dsl
 from mfbsde.dsl import Bin, Call, Neg, Num, Var
 from mfbsde.errors import DimensionError, EvalDomainError, InvalidInput, ParseError
 from mfbsde.scenario import example_21, example_22, example_31, example_41
-from strategies import GENERATED_TEXTS
+from strategies import GENERATED_TEXTS, RAW_TEXTS
 
 
 def _examples():
@@ -736,6 +736,8 @@ def test_pickled_expression_still_stages(rng):
     assert _same_bits(_staged(copy, {"y"}, 0.2, y, yb, z, zb, 2, 2), first)
 
 
+# each text runs at n equal to its component count, so every component is
+# a scalar: y / (ybar - ybar) is one component wide at n = 1
 DOMAIN_CASES = [
     ("1 + y / (ybar - ybar)", "division by zero", "y / (ybar - ybar)", 7),
     ("2 + (y - 3)^0.5", "fractional power of a negative base", "(y - 3)^0.5", 12),
@@ -746,12 +748,13 @@ DOMAIN_CASES = [
 @pytest.mark.parametrize("text,message,node_text,column", DOMAIN_CASES)
 def test_domain_errors_keep_message_and_position(text, message, node_text, column):
     e = dsl.parse(text)
-    y = np.ones((4, 2))
-    z = np.zeros((4, 2, 2))
+    n = len(e.components)
+    y = np.ones((4, n))
+    z = np.zeros((4, 2, n))
     with np.errstate(over="ignore"), pytest.raises(EvalDomainError) as got:
-        dsl.evaluate(e, 1.0, y, np.ones(2), z, z, n=2, d=2)
+        dsl.evaluate(e, 1.0, y, np.ones(n), z, z, n=n, d=2)
     with np.errstate(over="ignore"), pytest.raises(EvalDomainError) as want:
-        reference_evaluate(e, 1.0, y, np.ones(2), z, z, n=2, d=2)
+        reference_evaluate(e, 1.0, y, np.ones(n), z, z, n=n, d=2)
     assert str(got.value) == str(want.value)
     assert str(got.value) == f"{message} in '{node_text}' (column {column})"
     assert (got.value.node_text, got.value.column) == (node_text, column)
@@ -763,10 +766,11 @@ def test_domain_errors_are_the_same_bound_or_late(text, message, node_text, colu
     # a check inside a bound subtree raises at bind time, any other at
     # call time, with the same message, node text and column
     e = dsl.parse(text)
-    y = np.ones((4, 2))
-    z = np.zeros((4, 2, 2))
-    slots = {"s": 1.0, "y": y, "ybar": np.ones(2), "z": z, "zbar": z}
-    program = dsl.Staged(e, late, n=2, d=2)
+    n = len(e.components)
+    y = np.ones((4, n))
+    z = np.zeros((4, 2, n))
+    slots = {"s": 1.0, "y": y, "ybar": np.ones(n), "z": z, "zbar": z}
+    program = dsl.Staged(e, late, n=n, d=2)
     bind = lambda: program.bind(**{k: v for k, v in slots.items() if k not in late})
     call = lambda: program(**{k: v for k, v in slots.items() if k in late})
     at_bind = message != "non-finite value" and not dsl.parse(node_text).free_variables & late
@@ -777,6 +781,55 @@ def test_domain_errors_are_the_same_bound_or_late(text, message, node_text, colu
             bind() if at_bind else call()
     assert str(got.value) == f"{message} in '{node_text}' (column {column})"
     assert (got.value.node_text, got.value.column) == (node_text, column)
+
+
+@pytest.mark.parametrize("text,message,node_text,column", [
+    ("norm2(y / (ybar - ybar))", "division by zero", "y / (ybar - ybar)", 9),
+    ("2 + norm2((y - 3)^0.5)", "fractional power of a negative base", "(y - 3)^0.5", 18),
+])
+def test_domain_errors_in_vector_operands_keep_message_and_position(
+    text, message, node_text, column
+):
+    # two-component operands inside a scalar component, at n = 2: the same
+    # error from the reference and from every staging
+    e = dsl.parse(text)
+    y, z = np.ones((4, 2)), np.zeros((4, 2, 2))
+    slots = {"s": 1.0, "y": y, "ybar": np.ones(2), "z": z, "zbar": z}
+    with pytest.raises(EvalDomainError) as want:
+        reference_evaluate(e, *slots.values(), n=2, d=2)
+    assert str(want.value) == f"{message} in '{node_text}' (column {column})"
+    for late in LATE_SETS:
+        with pytest.raises(EvalDomainError) as got:
+            _staged(e, late, *slots.values(), 2, 2)
+        assert str(got.value) == str(want.value), late
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(RAW_TEXTS, st.sampled_from([1, 2]), st.sampled_from([1, 2]))
+@example("y^y", 1, 1)
+@example("(1 + abs(y))^abs(sin(norm2(z)))", 1, 1)
+def test_acceptance_does_not_depend_on_the_path_count(text, n, d):
+    # the vector slots read raw, and exponents that read slots: a text is
+    # refused when its plan is built, or evaluates at 1 and at 3 paths
+    # without a shape error
+    e = dsl.parse(text)
+    try:
+        dsl.Staged(e, ("y",), n=n, d=d)
+    except DimensionError:
+        refused = True
+    else:
+        refused = False
+    for P in (1, 3):
+        ins = _driver_inputs(np.random.default_rng(P), P, n, d)
+        try:
+            with np.errstate(all="ignore"):
+                dsl.evaluate(e, 0.3, *ins, n=n, d=d)
+        except DimensionError:
+            assert refused, P
+        except EvalDomainError:
+            assert not refused, P
+        else:
+            assert not refused, P
 
 
 # ---------------------------------------------------------------------------
@@ -850,12 +903,10 @@ def test_y_derivative_matches_central_difference(text, seed):
     ("norm2(y * z)", 1, 2, False),  # the norm of a y-reading vector
     ("abs(y)", 2, 1, False),        # n = 2: the norm of y mixes its components
     ("dot(y, ybar) ; s", 2, 1, False),
-    ("2^y", 1, 1, False),           # an exponent that reads y
     ("s + norm2(z)", 1, 2, False),  # reads no y
 ])
 def test_programs_with_y_late_give_a_derivative_where_there_is_a_rule(text, n, d, tangent):
     program = dsl.Staged(dsl.parse(text), ("y",), n=n, d=d)
-    # one path, so that an exponent that reads y is a scalar
     slots = {"s": 0.4, "ybar": np.full(n, 0.3), "z": np.full((d, n), 0.2),
              "zbar": np.full((d, n), -0.1)}
     program.bind(**{k: v for k, v in slots.items() if k in program._plan.reads_early})
@@ -868,16 +919,16 @@ def test_programs_with_y_late_give_a_derivative_where_there_is_a_rule(text, n, d
 
 @pytest.mark.parametrize("text", ["min(y, z) ; s", "y * z - max(z, y) ; s"])
 def test_width_mismatch_raises_the_same_error_with_a_derivative(text):
+    # the width walk refuses the program when it is built, before any
+    # value, for y late as for every slot late
     e = dsl.parse(text)
     y, z = np.ones((3, 2)), np.ones((3, 2, 2))
-    program = dsl.Staged(e, ("y",), n=2, d=2)
-    assert program._plan.tangent
-    program.bind(s=0.0, ybar=y, z=z, zbar=z[0])
     with pytest.raises(DimensionError) as got:
-        program(y=y)
+        dsl.Staged(e, ("y",), n=2, d=2)
     with pytest.raises(DimensionError) as want:
         dsl.evaluate(e, 0.0, y, y, z, z[0], n=2, d=2)
     assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("component mismatch 2 vs 4 in ")
 
 
 def _staged_y(text):
@@ -890,11 +941,31 @@ def _bound_y(text):
     return program
 
 
-# refusals with the call that raises each: operand checks of the value
-# plans, and the slot protocol of a staged program at each of its stages
+def _bound_z(text, paths):
+    program = _staged_y(text)
+    program.bind(s=0.0, z=np.ones(paths))
+    return program
+
+
+# refusals with the call that raises each: the shape rules, and the slot
+# protocol of a staged program at each of its stages
 REFUSALS = [
     (lambda: dsl.evaluate(dsl.parse("abs(y)^z"), 0.0, 1.0, 0.0, np.ones(3), 0.0),
      DimensionError, "exponent must be a constant scalar in 'abs(y)^z'"),
+    # an exponent that reads a slot is refused at one path too, and by a
+    # program before it binds
+    (lambda: dsl.evaluate(dsl.parse("y^y"), 0.0, 2.0, 0.0, 0.0, 0.0),
+     DimensionError, "exponent must be a constant scalar in 'y^y'"),
+    (lambda: _staged_y("2^y"), DimensionError, "exponent must be a constant scalar in '2^y'"),
+    (lambda: dsl.Staged(dsl.parse("y"), ("y",), n=2),
+     DimensionError, "component 1 is 2-dimensional, expected scalar: 'y'"),
+    # slots of different path counts, neither of them 1
+    (lambda: dsl.evaluate(dsl.parse("y + norm2(z)"), 0.0, np.ones(3), 0.0, np.ones(2), 0.0),
+     DimensionError, "z: 2 paths given, expected 1 or 3"),
+    (lambda: _bound_z("y + norm2(z)", 4)(y=np.ones(3)),
+     DimensionError, "y: 3 paths given, expected 1 or 4"),
+    (lambda: _staged_y("y").bind(s=np.ones(2), z=np.ones(3)),
+     DimensionError, "z: 3 paths given, expected 1 or 2"),
     (lambda: dsl.evaluate(dsl.parse("dot(y, z)"), 0.0, 1.0, 0.0, np.ones(2), np.zeros(2),
                           n=1, d=2),
      DimensionError, "dot of 1- and 2-component vectors"),
@@ -915,8 +986,9 @@ REFUSALS = [
 
 
 @pytest.mark.parametrize("call,error,message", REFUSALS, ids=[
-    "exponent", "dot-widths", "unknown-slot", "late-at-bind", "bind-missing",
-    "not-late-at-call", "call-missing", "not-a-driver", "not-a-terminal",
+    "exponent", "exponent-one-path", "exponent-at-build", "component-width", "paths-at-call",
+    "paths-bound-and-late", "paths-at-bind", "dot-widths", "unknown-slot", "late-at-bind",
+    "bind-missing", "not-late-at-call", "call-missing", "not-a-driver", "not-a-terminal",
     "terminal-beyond-d"])
 def test_refusals_keep_their_type_and_message(call, error, message):
     with pytest.raises(error) as got:
