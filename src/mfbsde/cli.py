@@ -6,7 +6,7 @@ Three commands:
     Compute the constant chain for the configured scenario and write a
     human-readable report plus a JSON version next to it.
 
-``mfbsde solve --config FILE [--solver NAME] [overrides...]``
+``mfbsde solve --config FILE [--solver NAME] [flags...]``
     Run one of the solvers and write CSV/JSON results.  The CSV has an
     ``alpha_bound`` column, the certificate's envelope; the JSON is ``SolveResult.as_dict()`` plus the
     manifest.  Its traces hold one entry per sweep, the first measured
@@ -21,14 +21,19 @@ Three commands:
     (``exceeds_certificate``, null for Picard's horizon).
     The summary prints each window's span, width, choosing ratio (``-``
     for none), outer iterations, z-clamp activations, inner iterations and
-    damped passes, and whether the solved pair lies in the certified ball.
+    damped passes, and every entry of the result's ``flags``.
     ``--solver shift`` also covers the deterministic-shift case (``f1`` of
     ``s, z`` only, ``f2`` without the state): two sweeps, the first exact.
     ``local`` and ``picard`` solve one window: they ignore ``n_windows``
-    and ``--windows``, which the manifest still records.
+    and ``--windows``, and the manifest records ``n_windows`` as null.
 
 ``mfbsde validate [--criteria 1,2,...]``
-    Run the acceptance criteria and print one PASS/FAIL line each.
+    Run the acceptance criteria and print one PASS/FAIL line each; a
+    criterion listed twice runs once.
+
+Every other flag of ``certify`` and ``solve`` sets one config key over the
+file's value (``_FLAGS``) and is read as that key is: a malformed value is
+one ``error:`` line naming the key, an empty one sets nothing.
 
 Exit codes: 0 on success, 1 when a solver or certificate computation fails,
 2 for invalid inputs (bad config, bad flags, solver/scenario mismatch) and
@@ -56,7 +61,6 @@ import numpy as np
 from . import __version__
 from .certificates import certify
 from .config import (
-    OutputOptions,
     load_config,
     manifest_for,
     write_certificate_files,
@@ -82,6 +86,27 @@ _SOLVERS = {
     "multidim": multidim_solve,
 }
 
+# flag -> the (section, key) of the config it sets
+_FLAGS = {
+    "--out-dir": ("output", "dir"),
+    "--prefix": ("output", "prefix"),
+    "--seed": ("solver", "seed"),
+    "--paths": ("solver", "paths"),
+    "--steps": ("solver", "steps"),
+    "--windows": ("solver", "n_windows"),
+    "--override-epsilon": ("solver", "override_epsilon"),
+}
+
+# the summary's per-window lines: label, and one trace's cell
+_WINDOW_LINES = (
+    ("window widths", lambda t: f"{t.width:.6g}"),
+    ("choosing ratios", lambda t: "-" if t.ratio is None else f"{t.ratio:.4g}"),
+    ("iterations per window", lambda t: str(t.iterations)),
+    ("z-clamp events per window", lambda t: str(t.clamp_events)),
+    ("inner iterations per window", lambda t: str(t.inner_iterations)),
+    ("damped passes per window", lambda t: str(t.damped_passes)),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -92,29 +117,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, *flags):
         p.add_argument("--config", required=True, help="config file (INI)")
-        p.add_argument("--out-dir", default=None, help="output directory override")
-        p.add_argument("--prefix", default=None, help="output file prefix override")
+        for flag in ("--out-dir", "--prefix", *flags):
+            section, key = _FLAGS[flag]
+            p.add_argument(flag, help=f"sets [{section}] {key}")
 
     p_cert = sub.add_parser("certify", help="compute the constant chain")
     add_common(p_cert)
 
     p_solve = sub.add_parser("solve", help="run a solver")
-    add_common(p_solve)
+    add_common(p_solve, "--seed", "--paths", "--steps", "--windows")
     p_solve.add_argument(
         "--solver",
         default="global",
         choices=sorted(_SOLVERS),
         help="which solver to run (default: global)",
     )
-    p_solve.add_argument("--seed", type=int, default=None)
-    p_solve.add_argument("--paths", type=int, default=None)
-    p_solve.add_argument("--steps", type=int, default=None)
-    p_solve.add_argument("--windows", type=int, default=None)
     p_solve.add_argument(
         "--override-epsilon",
-        action="store_true",
+        action="store_const",
+        const="true",
         help="allow windows wider than the certified width (recorded on each "
         "window's trace instead of failing)",
     )
@@ -129,30 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(solver_cfg, args):
-    changes = {}
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if args.paths is not None:
-        changes["n_paths"] = args.paths
-    if args.steps is not None:
-        changes["n_steps"] = args.steps
-    if args.windows is not None:
-        changes["n_windows"] = args.windows
-    if args.override_epsilon:
-        changes["override_epsilon"] = True
-    return solver_cfg.updated(**changes) if changes else solver_cfg
-
-
-def _output_options(options: OutputOptions, args) -> OutputOptions:
-    directory = args.out_dir if args.out_dir else options.directory
-    prefix = args.prefix if args.prefix else options.prefix
-    return OutputOptions(directory=directory, prefix=prefix)
+def _keys(args) -> dict:
+    """The config keys the flags set, ``{(section, key): text or None}``."""
+    return {sk: getattr(args, flag[2:].replace("-", "_"), None) for flag, sk in _FLAGS.items()}
 
 
 def _cmd_certify(args) -> int:
-    scenario, solver_cfg, options, text = load_config(args.config)
-    options = _output_options(options, args)
+    scenario, solver_cfg, options, text = load_config(args.config, _keys(args))
     cert = certify(scenario)
     manifest = manifest_for(args.config, text, solver_cfg, "certify")
     out_dir = Path(options.directory)
@@ -163,27 +169,26 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    scenario, solver_cfg, options, text = load_config(args.config)
-    solver_cfg = _apply_overrides(solver_cfg, args)
-    options = _output_options(options, args)
+    scenario, solver_cfg, options, text = load_config(args.config, _keys(args))
+    if args.solver in ("local", "picard"):  # one window, whatever n_windows plans
+        solver_cfg = solver_cfg.updated(n_windows=None)
     run = _SOLVERS[args.solver]
+    out_dir = Path(options.directory)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     grid = build_grid(scenario.T, solver_cfg.n_steps)
     ensemble = simulate_brownian(grid, scenario.d, solver_cfg.n_paths, solver_cfg.seed)
     manifest = manifest_for(args.config, text, solver_cfg, args.solver)
-    out_dir = Path(options.directory)
     t0 = time.perf_counter()
     try:
         result = run(scenario, ensemble, solver_cfg)
     except MFBSDEError as exc:
-        out_dir.mkdir(parents=True, exist_ok=True)
         failure_path = out_dir / f"{options.prefix}_failure.json"
         write_failure_json(failure_path, exc, manifest)
         print(f"wrote {failure_path}")
         raise
     elapsed = time.perf_counter() - t0
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{options.prefix}_result.csv"
     json_path = out_dir / f"{options.prefix}_result.json"
     write_result_csv(csv_path, result, manifest)
@@ -193,19 +198,12 @@ def _cmd_solve(args) -> int:
     print(f"solver={args.solver} scenario={scenario.name} paths={solver_cfg.n_paths} "
           f"steps={solver_cfg.n_steps} seed={solver_cfg.seed}")
     print("window spans: " + ", ".join(f"[{lo}, {hi}]" for lo, hi in result.windows))
-    print("window widths: " + ", ".join(f"{t.width:.6g}" for t in traces))
-    print("choosing ratios: " + ", ".join("-" if t.ratio is None else f"{t.ratio:.4g}"
-                                          for t in traces))
-    print("iterations per window: " + ", ".join(str(t.iterations) for t in traces))
-    print("z-clamp events per window: " + ", ".join(str(t.clamp_events) for t in traces))
-    print("inner iterations per window: "
-          + ", ".join(str(t.inner_iterations) for t in traces))
-    print("damped passes per window: " + ", ".join(str(t.damped_passes) for t in traces))
+    for label, cell in _WINDOW_LINES:
+        print(f"{label}: " + ", ".join(cell(t) for t in traces))
     print(f"state mean at t=0: "
           + ", ".join(f"{v:.6f}" for v in result.m_y.values[0]))
-    for key in ("alpha_envelope_rate", "window_exceeds_certificate", "within_certified_ball"):
-        if key in result.flags:
-            print(f"{key}: {result.flags[key]}")
+    for key in sorted(result.flags):
+        print(f"{key}: {result.flags[key]}")
     print(f"elapsed: {elapsed:.2f}s")
     print(f"wrote {csv_path} and {json_path}")
     return 0
@@ -233,7 +231,7 @@ def _cmd_validate(args) -> int:
         if not report.parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(report.parent))
     results = []
-    for cid in sorted(ids or acceptance.CRITERIA):
+    for cid in sorted(set(ids or acceptance.CRITERIA)):
         res = acceptance.run_criterion(cid)
         print(res.line())
         results.append(res)

@@ -41,14 +41,14 @@ Comments take whole lines: ``;`` inside a value separates vector
 components, so a trailing ``; note`` would become part of the value.  Each
 section accepts only the keys it reads; any other key, or any other
 section, raises :class:`InvalidInput`.  ``[solver]`` and ``[output]`` map
-their keys onto the fields of :class:`SolverConfig`,
-:class:`RegressionBasis` and :class:`OutputOptions`; a key left out keeps
-that field's default.
+their keys, from the file or from command-line flags, onto the fields of
+:class:`SolverConfig`, :class:`RegressionBasis` and :class:`OutputOptions`;
+a key left out keeps that field's default.
 
 Every output file embeds the SHA-256 manifest hash of (config text, the
-whole effective solver configuration after command-line overrides, seed,
-selector, package and numpy versions, platform), so results can be traced
-back to their inputs; the config's path is recorded but not hashed.
+whole effective solver configuration after command-line flags, selector,
+package and numpy versions, platform), so results can be traced back to
+their inputs; the config's path is recorded but not hashed.
 Reruns are byte-identical only on one platform and numpy version, so
 those are part of the hash.
 """
@@ -167,9 +167,12 @@ def _fields(section, name: str, table: dict) -> dict:
     return values
 
 
-def load_config(path) -> tuple[ScenarioSpec, SolverConfig, OutputOptions, str]:
+def load_config(path, keys=None) -> tuple[ScenarioSpec, SolverConfig, OutputOptions, str]:
     """Parse a config file into a scenario, solver settings, and output
-    options.  Returns the raw text as well (it feeds the manifest hash)."""
+    options.  ``keys`` maps ``(section, key)`` to text set over the file's
+    value before anything is converted; an empty or None value sets
+    nothing.  Returns the file's raw text as well (it feeds the manifest
+    hash)."""
     p = Path(path)
     if not p.exists():
         raise InvalidInput(f"config file {p} not found")
@@ -177,7 +180,8 @@ def load_config(path) -> tuple[ScenarioSpec, SolverConfig, OutputOptions, str]:
         text = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read config file {p}: {exc}") from exc
-    cp = configparser.ConfigParser(inline_comment_prefixes=None)
+    # values are literal text: no '%' interpolation, in the file or a flag
+    cp = configparser.ConfigParser(inline_comment_prefixes=None, interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -188,6 +192,9 @@ def load_config(path) -> tuple[ScenarioSpec, SolverConfig, OutputOptions, str]:
     for sect in cp.sections():
         if sect not in ("scenario", "constants", "solver", "output"):
             raise InvalidInput(f"unknown config section [{sect}]")
+    for (sect, key), value in (keys or {}).items():
+        if value:
+            cp.read_dict({sect: {key: value}})
 
     sc = cp["scenario"]
     cs = cp["constants"]
@@ -232,9 +239,6 @@ class RunManifest:
     config_path: str
     config_sha256: str
     selector: str
-    seed: int
-    n_steps: int
-    n_paths: int
     package_version: str
     solver: dict
     numpy_version: str
@@ -262,9 +266,6 @@ def manifest_for(path, text: str, solver: SolverConfig, selector: str) -> RunMan
         config_path=str(path),
         config_sha256=hashlib.sha256(text.encode()).hexdigest(),
         selector=selector,
-        seed=solver.seed,
-        n_steps=solver.n_steps,
-        n_paths=solver.n_paths,
         package_version=__version__,
         solver=dataclasses.asdict(solver),
         numpy_version=np.__version__,

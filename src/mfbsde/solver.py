@@ -191,7 +191,7 @@ class BackwardSolver:
             inner_counts.append(iters)
             damped += halved
 
-        Z[L - 1] = Z[L - 2] if L >= 2 else 0.0
+        Z[L - 1] = Z[L - 2]
         inner_counts.reverse()
         return StandardSolve(y=Y, z=Z, inner_iterations=inner_counts,
                              clamp_events=clamp_events, damped_passes=damped)

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mfbsde import cli
 from mfbsde.cli import _SOLVERS, main
-from mfbsde.config import load_config
+from mfbsde.config import _OUTPUT_KEYS, _SOLVER_KEYS, load_config
 from mfbsde.errors import MFBSDEError
 from mfbsde.solver import BackwardSolver
 from strategies import texts_of_depth
@@ -105,11 +106,31 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["certify", "solve"])
-def test_out_dir_naming_a_file_exits_2(command, tiny_cfg, tmp_path, capsys):
+def test_out_dir_naming_a_file_exits_2(command, tiny_cfg, tmp_path, capsys, monkeypatch):
+    # found before the ensemble is simulated
+    monkeypatch.setattr(cli, "simulate_brownian",
+                        lambda *args: pytest.fail("simulated before the output directory"))
     taken = tmp_path / "taken"
     taken.write_text("")
     assert main([command, "--config", str(tiny_cfg), "--out-dir", str(taken)]) == 2
     assert "File exists" in _one_error_line(capsys)
+
+
+def test_every_flag_sets_a_config_key():
+    tables = {"solver": _SOLVER_KEYS, "output": _OUTPUT_KEYS}
+    assert all(key in tables[section] for section, key in cli._FLAGS.values())
+
+
+@pytest.mark.parametrize("flag,key,value", [
+    ("--paths", "paths", "abc"), ("--steps", "steps", "1.5"), ("--seed", "seed", "x"),
+    ("--windows", "n_windows", "two"),
+])
+def test_malformed_flag_value_is_one_error_line_naming_the_key(
+        flag, key, value, tiny_cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(tiny_cfg), "--out-dir", str(out), flag, value]) == 2
+    assert capsys.readouterr().err == f"error: bad value for '{key}': '{value}'\n"
+    assert not out.exists()
 
 
 def test_terminal_beyond_the_dimension_exits_2(tmp_path, capsys):
@@ -306,8 +327,11 @@ def test_solve_writes_outputs(tiny_cfg, tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "solver=global scenario=tiny" in captured
     assert "state mean at t=0" in captured
-    in_ball = json.loads(json_path.read_text())["flags"]["within_certified_ball"]
-    assert f"within_certified_ball: {in_ball}" in captured
+    # every flag of the record, in the order of their names
+    flags = json.loads(json_path.read_text())["flags"]
+    assert "alpha_envelope_ok" in flags and "within_certified_ball" in flags
+    lines = [line for line in captured.splitlines() if line.split(":")[0] in flags]
+    assert lines == [f"{key}: {flags[key]}" for key in sorted(flags)]
 
 
 def test_solve_summary_reports_window_override(tiny_cfg, tmp_path, capsys):
@@ -438,7 +462,8 @@ def test_exhausted_outer_budget_exits_1(tmp_path, capsys, monkeypatch):
     assert record["trace"]["iterations"] == 1
     assert record["trace"]["converged"] is False
     man = record["manifest"]
-    assert (man["selector"], man["n_paths"], man["n_steps"]) == ("global", 400, 8)
+    assert man["selector"] == "global"
+    assert (man["solver"]["n_paths"], man["solver"]["n_steps"]) == (400, 8)
     assert man["solver"]["max_outer"] == 1
     assert len(man["manifest_sha256"]) == 64
 
@@ -464,7 +489,8 @@ def test_diverging_backward_step_writes_failure_record(tmp_path, capsys):
     assert captured.err.strip() == f"error: StepDivergence: {record['message']}"
     assert record["trace"] is None
     man = record["manifest"]
-    assert (man["selector"], man["n_paths"], man["n_steps"]) == ("global", 400, 8)
+    assert man["selector"] == "global"
+    assert (man["solver"]["n_paths"], man["solver"]["n_steps"]) == (400, 8)
     assert man["solver"]["max_inner"] == 1
     assert len(man["manifest_sha256"]) == 64
 
@@ -512,9 +538,30 @@ def test_solve_overrides_reach_manifest(tiny_cfg, tmp_path):
                "--seed", "9", "--paths", "250", "--steps", "6"])
     assert rc == 0
     payload = json.loads((out / "run_result.json").read_text())
-    man = payload["manifest"]
-    assert (man["seed"], man["n_steps"], man["n_paths"]) == (9, 6, 250)
+    solver = payload["manifest"]["solver"]
+    assert (solver["seed"], solver["n_steps"], solver["n_paths"]) == (9, 6, 250)
     assert len(payload["times"]) == 7
+    # a flag given as an empty string keeps the file's value
+    assert main(["solve", "--config", str(tiny_cfg), "--out-dir", str(out),
+                 "--seed", "", "--paths", "", "--steps", "6"]) == 0
+    solver = json.loads((out / "run_result.json").read_text())["manifest"]["solver"]
+    assert (solver["seed"], solver["n_steps"], solver["n_paths"]) == (3, 6, 300)
+
+
+@pytest.mark.parametrize("selector", ["local", "picard"])
+def test_one_window_solvers_record_no_window_count(selector, tmp_path):
+    # n_windows shapes nothing these solvers write: the manifest records it
+    # as null, so both runs write the same bytes, manifest line included
+    config = Path(__file__).resolve().parents[1] / "configs" / "ex21.cfg"
+    texts = []
+    for extra in ([], ["--windows", "3"]):
+        out = tmp_path / f"out{len(extra)}"
+        assert main(["solve", "--config", str(config), "--solver", selector,
+                     "--out-dir", str(out), "--paths", "300", "--steps", "6", *extra]) == 0
+        texts.append((out / "ex21_result.csv").read_text())
+        manifest = json.loads((out / "ex21_result.json").read_text())["manifest"]
+        assert manifest["solver"]["n_windows"] is None
+    assert texts[0] == texts[1]
 
 
 def test_solve_solver_choice_named_in_manifest(tiny_cfg, tmp_path):
@@ -542,6 +589,14 @@ def test_validate_json_report(tmp_path, capsys):
     rows = json.loads(report.read_text())
     assert len(rows) == 1
     assert rows[0]["criterion"] == 1 and rows[0]["passed"] is True
+
+
+def test_validate_runs_each_listed_criterion_once_in_ascending_order(tmp_path, capsys):
+    report = tmp_path / "v.json"
+    assert main(["validate", "--criteria", "2,1,2,1", "--json", str(report)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == ["PASS criterion 1", "PASS criterion 2"]
+    assert [row["criterion"] for row in json.loads(report.read_text())] == [1, 2]
 
 
 def test_validate_records_a_raising_criterion_as_fail_and_carries_on(

@@ -293,6 +293,25 @@ def test_bad_int_value(tmp_path):
     text = MINIMAL + "steps = soon\n"
     with pytest.raises(InvalidInput, match="bad value for 'steps'"):
         load_config(_write(tmp_path, text))
+    # a key given over the file's value is read as the file's would be
+    with pytest.raises(InvalidInput, match="bad value for 'steps': 'soon'"):
+        load_config(_write(tmp_path, MINIMAL), {("solver", "steps"): "soon"})
+
+
+def test_given_keys_set_over_the_file(tmp_path):
+    path = _write(tmp_path, MINIMAL + "steps = 7\nseed = 2\n[output]\nprefix = a%b\n")
+    keys = {("solver", "steps"): "9", ("solver", "seed"): "", ("solver", "paths"): None,
+            ("solver", "override_epsilon"): "true", ("output", "dir"): "c%d"}
+    _, solver, options, text = load_config(path, keys)
+    # an empty or None value sets nothing; '%' is literal, in the file and in a key
+    assert (solver.n_steps, solver.seed, solver.n_paths) == (9, 2, 50_000)
+    assert solver.override_epsilon is True
+    assert options == OutputOptions(directory="c%d", prefix="a%b")
+    # the text is the file's: keys reach the manifest through the settings
+    assert text == path.read_text()
+    # a key of a section the file leaves out
+    _, _, options, _ = load_config(_write(tmp_path, MINIMAL), {("output", "prefix"): "p"})
+    assert options == OutputOptions(prefix="p")
 
 
 def test_bad_bool_value(tmp_path):
@@ -325,7 +344,8 @@ def test_manifest_digest_round_trip(tmp_path):
     _, solver, _, text = load_config(path)
     man = manifest_for(path, text, solver, "global")
     assert man.config_sha256 == hashlib.sha256(text.encode()).hexdigest()
-    assert man.seed == solver.seed and man.n_steps == solver.n_steps
+    # each setting once: seed and sizes are in the solver settings alone
+    assert {"seed", "n_steps", "n_paths"}.isdisjoint(man.as_dict())
     # the whole effective solver configuration, basis included
     assert man.solver == dataclasses.asdict(solver)
     assert man.solver["basis"] == {"degree": 3, "n_bins": 1, "ridge": 1e-8}
@@ -343,7 +363,7 @@ def test_manifest_digest_sensitivity(tmp_path):
     _, solver, _, text = load_config(path)
     man = manifest_for(path, text, solver, "global")
     assert manifest_for(path, text, solver, "picard").digest != man.digest
-    bumped = dataclasses.replace(man, seed=man.seed + 1)
+    bumped = dataclasses.replace(man, solver={**man.solver, "seed": man.solver["seed"] + 1})
     assert bumped.digest != man.digest
     # window plans change the solution without touching the config text
     one = manifest_for(path, text, solver.updated(n_windows=1), "global")
@@ -386,9 +406,6 @@ def small_run(tmp_path_factory):
         config_path="configs/linear.cfg",
         config_sha256=hashlib.sha256(b"stub").hexdigest(),
         selector="global",
-        seed=5,
-        n_steps=10,
-        n_paths=400,
         package_version="0.0-test",
         solver=dataclasses.asdict(solver),
         numpy_version="0.0-test",

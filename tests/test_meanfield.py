@@ -601,15 +601,21 @@ def test_picard_horizon_is_not_checked_against_the_certified_width():
     assert "window_exceeds_certificate" not in res.flags
 
 
-@pytest.mark.parametrize("solve", [local_solve, global_solve], ids=["local", "global"])
-def test_a_lone_window_is_the_result_without_a_copy(solve, monkeypatch):
-    # the result's process grids view the last sweep's own arrays
+@pytest.mark.parametrize("solve, window", [
+    (local_solve, None), (global_solve, None), (local_solve, Window(5, 10)),
+], ids=["local", "global", "local-after-node-0"])
+def test_a_lone_window_is_the_result_without_a_copy(solve, window, monkeypatch):
+    # the result's process grids view the last sweep's own arrays, also when
+    # the lone window starts after node 0
     sweeps = _record_sweeps(monkeypatch)
     sc = linear_scenario(b=0.5, dbar=0.5, xi_bound=4.0)
     cfg = CFG.updated(n_steps=10, n_paths=2_000, n_windows=1)
-    res = solve(sc, _ensemble(sc, cfg), cfg)
+    ens = _ensemble(sc, cfg)
+    res = solve(sc, ens, cfg) if window is None else solve(sc, ens, cfg, window=window)
     last = sweeps[-1][2]
-    assert res.windows == [(0, cfg.n_steps)]
+    span = (0, cfg.n_steps) if window is None else (window.lo, window.hi)
+    assert res.windows == [span]
+    assert res.y.span == span and res.z.span == span
     assert np.shares_memory(res.y.values, last.y)
     assert np.shares_memory(res.z.values, last.z)
 

@@ -6,13 +6,14 @@ on every shipped config (``configs/*.cfg``), once with each tree's package
 on ``PYTHONPATH``, and reports every difference in:
 
 * the exit code and the ``error:`` lines on stderr;
+* standard output, less its ``elapsed:`` and ``wrote ...`` lines;
 * which output files were written;
 * the result CSV and the certificate report, less their manifest line;
 * the result JSON, less its ``manifest`` and every trace's ``wall_times``;
 * the failure record and the certificate JSON, less the same.
 
 The manifest is left out because its digest moves with anything it
-hashes, and wall times because they are the host's.  ``--solvers`` picks
+hashes, and wall times and output paths because they are the host's.  ``--solvers`` picks
 among ``certify`` and the solver selectors, all of them by default, so
 ``--solvers certify`` compares the certificates alone.  ``--paths`` and
 ``--steps`` apply to the solves; a certificate reads neither.  Exits 1
@@ -26,6 +27,7 @@ against a checkout of another commit:
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import os
 import re
@@ -41,6 +43,8 @@ from mfbsde.cli import _SOLVERS  # noqa: E402
 
 # the result CSV's first line and the certificate report's last
 _MANIFEST_LINE = re.compile(r"^.*manifest[_ ]sha256.*$", re.M)
+# standard output's wall time and output paths
+_HOST_LINE = re.compile(r"^(elapsed: |wrote )")
 
 
 def _strip(payload):
@@ -55,7 +59,8 @@ def _strip(payload):
 def run(src, config, selector: str, out_dir: Path, overrides=()) -> dict:
     """One ``mfbsde solve`` with the package under ``src``, or ``mfbsde
     certify`` for the selector ``certify``: its exit code, its ``error:``
-    lines, and each file it wrote, normalised for comparison."""
+    lines, its standard output, and each file it wrote, normalised for
+    comparison."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     command = ["certify"] if selector == "certify" else ["solve", "--solver", selector, *overrides]
     cmd = [sys.executable, "-m", "mfbsde.cli", *command, "--config", str(config),
@@ -70,7 +75,8 @@ def run(src, config, selector: str, out_dir: Path, overrides=()) -> dict:
             # blanked in place, so that line numbers hold
             files[path.name] = _MANIFEST_LINE.sub("", text)
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-    return {"exit": proc.returncode, "errors": errors, "files": files}
+    stdout = [line for line in proc.stdout.splitlines() if not _HOST_LINE.match(line)]
+    return {"exit": proc.returncode, "errors": errors, "stdout": stdout, "files": files}
 
 
 def differences(old: dict, new: dict) -> list[str]:
@@ -80,6 +86,8 @@ def differences(old: dict, new: dict) -> list[str]:
         out.append(f"exit code {old['exit']} -> {new['exit']}")
     if old["errors"] != new["errors"]:
         out.append(f"error lines {old['errors']} -> {new['errors']}")
+    out += [f"stdout {line}" for line in difflib.ndiff(old["stdout"], new["stdout"])
+            if line[0] in "+-"]
     if sorted(old["files"]) != sorted(new["files"]):
         out.append(f"files {sorted(old['files'])} -> {sorted(new['files'])}")
     for name in sorted(set(old["files"]) & set(new["files"])):
