@@ -47,10 +47,12 @@ a key left out keeps that field's default.
 
 Every output file embeds the SHA-256 manifest hash of (config text, the
 whole effective solver configuration after command-line flags, selector,
-package and numpy versions, platform), so results can be traced back to
-their inputs; the config's path is recorded but not hashed.
-Reruns are byte-identical only on one platform and numpy version, so
-those are part of the hash.
+package version, the digest of the package's source, numpy version, BLAS
+library, platform), so results can be traced back to their inputs; the
+config's path is recorded but not hashed.  Reruns are byte-identical only
+on one platform, numpy build and BLAS library, so those are part of the
+hash, and so is the source: a change of code that moves a number under an
+unchanged version number still changes the manifest.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from __future__ import annotations
 import configparser
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -240,8 +243,10 @@ class RunManifest:
     config_sha256: str
     selector: str
     package_version: str
+    source_sha256: str
     solver: dict
     numpy_version: str
+    blas: str
     platform: str
 
     @property
@@ -267,10 +272,34 @@ def manifest_for(path, text: str, solver: SolverConfig, selector: str) -> RunMan
         config_sha256=hashlib.sha256(text.encode()).hexdigest(),
         selector=selector,
         package_version=__version__,
+        source_sha256=_source_sha256(),
         solver=dataclasses.asdict(solver),
         numpy_version=np.__version__,
+        blas=_blas_library(),
         platform=host_platform(),
     )
+
+
+@functools.cache
+def _source_sha256() -> str:
+    """SHA-256 of the package's ``.py`` files, each by its path within the
+    package, its length and its bytes, in path order; taken once per
+    process."""
+    root = Path(__file__).resolve().parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.cache
+def _blas_library() -> str:
+    """Name and version of the BLAS numpy was built against, e.g.
+    ``scipy-openblas 0.3.31.188.0``; read once, when first asked for."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
 
 
 def host_platform() -> str:

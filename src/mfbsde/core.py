@@ -25,6 +25,7 @@ __all__ = [
     "build_grid",
     "simulate_brownian",
     "ensemble_mean",
+    "node_mean",
     "path_mean",
 ]
 
@@ -251,15 +252,26 @@ class MeanCurve(_NodeSeries):
             raise InvalidInput("curve values must be finite")
 
 
-def path_mean(a: np.ndarray) -> np.ndarray:
-    """Mean over paths of a node-major array (L, P, ...), shape (L, ...).
+def node_mean(row: np.ndarray, ones: np.ndarray | None = None) -> np.ndarray:
+    """Mean over paths of one node's block (P, ...), shape (...).
 
-    One product with a ones vector per node block, so repeated runs give
-    bit-identical means; numpy's own reduction over the middle axis loops
-    per path when the trailing axes are short.
+    One product with a ones vector (``ones``, shape (P,), when given), so
+    repeated runs give bit-identical means; numpy's own reduction over the
+    path axis loops per path when the trailing axes are short.
     """
-    L, P = a.shape[:2]
-    return (np.ones(P) @ a.reshape(L, P, -1)).reshape(L, *a.shape[2:]) / P
+    P = row.shape[0]
+    ones = np.ones(P) if ones is None else ones
+    return (ones @ row.reshape(P, -1)).reshape(row.shape[1:]) / P
+
+
+def path_mean(a: np.ndarray) -> np.ndarray:
+    """Mean over paths of a node-major array (L, P, ...), shape (L, ...):
+    :func:`node_mean` of each node's block."""
+    ones = np.ones(a.shape[1])
+    out = np.empty((a.shape[0], *a.shape[2:]))
+    for j, row in enumerate(a):
+        out[j] = node_mean(row, ones)
+    return out
 
 
 # numpy reduces a row narrower than this one element at a time, from zero

@@ -15,10 +15,14 @@ once, over the span it solved, and :func:`build_report` takes the result.
 The path norms (:func:`sup_norm`, :func:`s2_norm`, :func:`m2_norm`) take
 node-major ``(L, P, ...)`` arrays, the layout of the backward sweep and of
 every :class:`ProcessGrid`, and measure ``a - b`` when given a second array
-``b``: the fixed-point loop measures its iterate distances with them, and
-:func:`build_report` the values of its process grids.  Each works node by
-node, the node's difference in one reused ``(P, ...)`` buffer, and a NaN
-anywhere gives NaN.  The BMO estimate and the envelope check read a process
+``b``.  Each is one node-wise class (:class:`SupNorm`, :class:`S2Norm`,
+:class:`M2Norm`) that takes the nodes' difference blocks one at a time, in
+any order; a NaN anywhere gives NaN.  The functions take each node's
+difference into one reused ``(P, ...)`` buffer, and :func:`build_report`
+measures the values of its process grids with them.  The backward sweep
+takes its iterate distances with the classes, node by node as it stores
+over the iterate it replaces, each difference in the slot its new values
+then go to.  The BMO estimate and the envelope check read a process
 grid node by node too, whatever the strides behind ``values``: at each
 node the squared Euclidean norms of the paths go into one reused ``(P,)``
 buffer (:func:`node_square_norms`, column products in numpy's own
@@ -37,6 +41,9 @@ from .core import ProcessGrid, row_dot
 from .errors import InvalidInput
 
 __all__ = [
+    "SupNorm",
+    "S2Norm",
+    "M2Norm",
     "sup_norm",
     "s2_norm",
     "m2_norm",
@@ -66,47 +73,91 @@ def node_square_norms(p: ProcessGrid, nodes=None):
         yield row_dot(row, row, out=buf)
 
 
-def _node_diffs(a: np.ndarray, b, count: int):
-    """``a[j] - b[j]`` (``a[j]`` when ``b`` is None) for the first
-    ``count`` nodes of node-major arrays, each into one reused buffer."""
+class SupNorm:
+    """Largest absolute entry of a node-major difference over nodes, paths
+    and components, taken node by node: ``add(j, diff)`` takes node ``j``'s
+    difference block (which it may overwrite), the nodes in any order, and
+    :meth:`value` is the norm once each of the ``nodes`` nodes of ``shape``
+    (the (L, P, ...) shape of the difference) has been added.  A NaN
+    anywhere gives NaN, as the whole-array maximum does."""
+
+    def __init__(self, shape):
+        self.nodes = shape[0]
+        self._peaks = np.empty(self.nodes)
+
+    def add(self, j: int, diff: np.ndarray) -> None:
+        self._peaks[j] = np.abs(diff, out=diff).max()
+
+    def value(self) -> float:
+        return float(self._peaks.max())
+
+
+class S2Norm:
+    """Empirical S2 norm ``sqrt(E[max_t |a_t|^2])``, taken node by node as
+    :class:`SupNorm` is: each path's running maximum of its squared norms
+    is exact in any node order."""
+
+    def __init__(self, shape):
+        self.nodes = shape[0]
+        self._sq = np.empty(shape[1])
+        self._sup_sq = np.zeros(shape[1])  # squares are non-negative
+
+    def add(self, j, diff):
+        flat = diff.reshape(len(self._sq), -1)
+        np.maximum(self._sup_sq, np.einsum("pk,pk->p", flat, flat, out=self._sq),
+                   out=self._sup_sq)
+
+    def value(self):
+        return float(np.sqrt(np.mean(self._sup_sq)))
+
+
+class M2Norm:
+    """Empirical M2 norm ``sqrt(E[integral |a|^2 ds])`` on the ``L - 1``
+    steps ``steps``, taken node by node as :class:`SupNorm` is.
+    Right-point quadrature: the last node carries no step, and adding it
+    does nothing.  The path mean of the integral is the step-weighted sum
+    of each node's mean squared norm."""
+
+    def __init__(self, shape, steps: np.ndarray):
+        self.nodes = len(steps)
+        self._steps = steps
+        self._paths = shape[1]
+        self._sq = np.empty(self.nodes)
+
+    def add(self, j, diff):
+        if j < self.nodes:
+            row = diff.reshape(-1)
+            self._sq[j] = np.einsum("k,k->", row, row)
+
+    def value(self):
+        return float(np.sqrt(self._steps @ self._sq / self._paths))
+
+
+def _measure(norm, a: np.ndarray, b: np.ndarray | None) -> float:
+    """``norm`` of the node-major ``a`` (``a - b``), each node's difference
+    in one reused buffer."""
     diff = np.empty(a.shape[1:])
-    for j in range(count):
-        yield np.subtract(a[j], 0.0 if b is None else b[j], out=diff)
+    for j in range(norm.nodes):
+        norm.add(j, np.subtract(a[j], 0.0 if b is None else b[j], out=diff))
+    return norm.value()
 
 
 def sup_norm(a: np.ndarray, b: np.ndarray | None = None) -> float:
-    """Largest absolute entry of ``a`` (of ``a - b``) over nodes, paths and
-    components; a NaN anywhere gives NaN, as the whole-array maximum does."""
+    """Largest absolute entry of ``a`` (of ``a - b``), by :class:`SupNorm`."""
     if a.size == 0:
         raise InvalidInput("empty process")
-    peaks = np.empty(len(a))
-    for j, diff in enumerate(_node_diffs(a, b, len(a))):
-        peaks[j] = np.abs(diff, out=diff).max()
-    return float(peaks.max())
+    return _measure(SupNorm(a.shape), a, b)
 
 
 def s2_norm(a: np.ndarray, b: np.ndarray | None = None) -> float:
-    """Empirical S2 norm ``sqrt(E[max_t |a_t|^2])`` of ``a`` (of ``a - b``)."""
-    L, P = a.shape[:2]
-    sq = np.empty(P)
-    sup_sq = np.zeros(P)  # squares are non-negative
-    for diff in _node_diffs(a, b, L):
-        flat = diff.reshape(P, -1)
-        np.maximum(sup_sq, np.einsum("pk,pk->p", flat, flat, out=sq), out=sup_sq)
-    return float(np.sqrt(np.mean(sup_sq)))
+    """Empirical S2 norm of ``a`` (of ``a - b``), by :class:`S2Norm`."""
+    return _measure(S2Norm(a.shape), a, b)
 
 
 def m2_norm(a: np.ndarray, steps: np.ndarray, b: np.ndarray | None = None) -> float:
-    """Empirical M2 norm ``sqrt(E[integral |a|^2 ds])`` of ``a`` (of ``a -
-    b``) on ``L - 1`` steps ``steps``; right-point quadrature, so the last
-    node carries no step.  The path mean of the integral is the
-    step-weighted sum of each node's mean squared norm."""
-    L, P = a.shape[:2]
-    sq = np.empty(L - 1)
-    for j, diff in enumerate(_node_diffs(a, b, L - 1)):
-        row = diff.reshape(-1)
-        sq[j] = np.einsum("k,k->", row, row)
-    return float(np.sqrt(steps @ sq / P))
+    """Empirical M2 norm of ``a`` (of ``a - b``) on ``L - 1`` steps
+    ``steps``, by :class:`M2Norm`."""
+    return _measure(M2Norm(a.shape, steps), a, b)
 
 
 def bmo2_estimate(z: ProcessGrid, node_regression) -> float:

@@ -22,37 +22,46 @@ iterate and the windows they iterate it on:
 
 Each public solver refuses a scenario of the wrong shape
 (:func:`_check_shape`) and hands the window engine, :func:`_solve`, one
-step ``step(window, iterate, sweep) -> _Iterate``, its state norm, and its
-windows: a fixed list, or None for the stitched plan of
-:func:`_plan_windows`.  The engine certifies the scenario when it is given
-no certificate, walks the windows right to left, checks each against the
-certified width (all but Picard's horizon), and iterates the step in one
-loop, :func:`_iterate`, from one start, :func:`_terminal_start`: the
-terminal data's path mean at every node and a zero integrand.  Each
-window's :class:`FixedPointTrace` records its width, its choosing ratio,
-whether it exceeds the certified width, its sweeps' z-clamp activations and
-its steps' distances; a failure carries the trace, so whatever a window did
-reaches the result JSON or the failure record.  After the last window the
-engine finalises once on the span it solved: the BMO estimate, fitted with
-the regressions the sweeps cached (every node's k x k factors live for the
-whole solve, and nothing is factorised again), the diagnostics report, the
-envelope rate, the process grids, and the flags, among them whether the
-solved pair lies in the certified ball of S^inf x BMO.
+step ``step(window, iterate, sweep)``, its state norm, and its windows: a
+fixed list, or None for the stitched plan of :func:`_plan_windows`.  The
+engine certifies the scenario when it is given no certificate, walks the
+windows right to left, checks each against the certified width (all but
+Picard's horizon), and iterates the step in one loop, :func:`_iterate`,
+from one start, :func:`_terminal_start`: the terminal data's path mean at
+every node and a zero integrand.  Each window's :class:`FixedPointTrace`
+records its width, its choosing ratio, whether it exceeds the certified
+width, its sweeps' z-clamp activations and its steps' distances; a failure
+carries the trace, so whatever a window did reaches the result JSON or the
+failure record.  After the last window the engine finalises once on the
+span it solved: the BMO estimate, fitted with the regressions the sweeps
+cached (every node's k x k factors live for the whole solve, and nothing is
+factorised again), the diagnostics report, the envelope rate, the process
+grids, and the flags, among them whether the solved pair lies in the
+certified ball of S^inf x BMO.
 
 Iterates are node-major, ``(L, P, ...)``, as the backward sweep stores
 them and as :class:`ProcessGrid` holds them: every per-node read
 (drivers, sources, mean shifts) and every mean over paths runs on
 contiguous blocks, the result's process grids are read-only views of the
 horizon arrays, and the final diagnostics read them node by node with
-O(P) working memory.  The distances between iterates are the
-diagnostics' own path norms of their difference, taken node by node into
-reused buffers, so no full-size difference is ever allocated.
+O(P) working memory.  A window holds one iterate's storage: the first
+sweep, from the start's read-only views, allocates it, and every later
+sweep stores over the iterate it replaces, node by node, backward.  Each
+node's old values are read before they are replaced: by the driver (the
+frozen-state map's ``f1`` slots, Picard's source), by the frozen-state
+map's mean shift (``f2`` at the old state), and by the node's share of
+the distances between the two iterates, the diagnostics' own path norms
+(:class:`~mfbsde.diagnostics.SupNorm`, ``S2Norm``, ``M2Norm``) taken node
+by node, each difference in the slot the new values then go to; the new
+iterate's mean curves are taken node by node too
+(:func:`~mfbsde.core.node_mean`).  So no second iterate and no full-size
+difference is ever allocated.
 
 Each solver evaluates its generators as :class:`dsl.Staged` programs that
-bind what its map holds fixed, built inside each step for its one sweep (in
-the :func:`~mfbsde.solver.staged_driver` or :func:`_mean_shift` call), so
-nothing holds a program, its bound slots or its buffers once the sweep is
-done.  The two frozen maps differ only in the slots they hand
+bind what its map holds fixed, built inside each step for its one sweep (the
+:func:`~mfbsde.solver.staged_driver` program, and the frozen-state map's
+``f2`` at the sweep's first store), so nothing holds a program, its bound slots or its buffers once
+the sweep is done.  The two frozen maps differ only in the slots they hand
 :func:`~mfbsde.solver.staged_driver`: the frozen-mean map freezes ``ybar,
 zbar``, so the implicit state solve re-runs only the ``y`` terms and takes
 Newton steps from their derivative, and the frozen-state map freezes ``y,
@@ -64,14 +73,15 @@ running them at the iterate and at zeros (once per solve, by a throwaway
 program, when they read neither ``s`` nor ``z``), and adds the in-sweep
 core, the other terms plus the lagged ones at zero as one bound operand,
 bound once per sweep.  The mean shift runs one buffered all-late program
-per step.  Results are bit for bit those of evaluating each expression
-whole.
+per step, once per node as the sweep stores it.  Results are bit for bit
+those of evaluating each expression whole.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -84,16 +94,18 @@ from .core import (
     ProcessGrid,
     Window,
     ensemble_mean,
+    node_mean,
     path_mean,
 )
 from .diagnostics import (
     DiagnosticsReport,
+    M2Norm,
+    S2Norm,
+    SupNorm,
     bmo2_estimate,
     bmo_budget_global,
     build_report,
     check_alpha_envelope,
-    m2_norm,
-    s2_norm,
     sup_norm,
 )
 from .errors import (
@@ -133,7 +145,9 @@ class FixedPointTrace:
     sweep: the first entry measures the first step against the start (the
     terminal data's path mean with a zero integrand), each later one
     against the step before, and ``ratios`` has one entry per step after
-    the first.  ``clamp_events`` counts the integrand rows clamped by every
+    the first.  ``wall_times`` are the steps' wall-clock seconds, each
+    step's distances included: the sweep takes them node by node as it
+    stores.  ``clamp_events`` counts the integrand rows clamped by every
     sweep, ``inner_iterations`` the passes of every node's state solve (one
     for an explicit step), and ``damped_passes`` those of them that halved
     their step.  ``width`` is the window's width in time, and ``ratio`` is
@@ -245,10 +259,6 @@ class _Iterate(NamedTuple):
     m_z: np.ndarray
 
 
-def _sweep_iterate(sweep) -> _Iterate:
-    return _Iterate(sweep.y, sweep.z, path_mean(sweep.y), path_mean(sweep.z))
-
-
 def _terminal_start(terminal: np.ndarray, L: int, d: int) -> _Iterate:
     """The start of every map on an ``L``-node window closed by the (P, n)
     ``terminal``: its path mean at every node, on every path, with a zero
@@ -270,15 +280,16 @@ def _stalled(ratios) -> bool:
     return len(ratios) >= 3 and all(x >= 1.0 - 1e-12 for x in ratios[-3:])
 
 
-def _iterate(step, distance, state, trace, config, context: str):
-    """Apply ``state = step(state)`` until two successive iterates agree.
+def _iterate(step, state, trace, config, context: str):
+    """Apply ``state, distances = step(state)`` until two successive
+    iterates agree.
 
-    ``state`` is the start, :func:`_terminal_start`, and ``distance(new,
-    old)`` returns the state, integrand and mean distances of two
-    iterates.  Every step is timed, compared with its predecessor (the
-    first with the start) and pushed on ``trace``, and ``max_outer`` bounds
-    the steps.  The loop returns the last iterate once the state plus
-    integrand distance is within ``tol_fp``.  It raises
+    ``state`` is the start, :func:`_terminal_start`, and ``step`` returns
+    the next iterate with its state, integrand and mean distances to the
+    one it replaces.  Every step is timed, distances included, and pushed
+    on ``trace`` (the first is measured against the start), and
+    ``max_outer`` bounds the steps.  The loop returns the last iterate once
+    the state plus integrand distance is within ``tol_fp``.  It raises
     :class:`NonContraction` when the distance blows up past ``_BLOW_UP`` or
     when the last three ratios stay at or above one with the distance above
     the first, and :class:`MaxIterations` when ``max_outer`` steps do not
@@ -286,10 +297,8 @@ def _iterate(step, distance, state, trace, config, context: str):
     """
     for k in range(1, config.max_outer + 1):
         t0 = time.perf_counter()
-        new = step(state)
-        wall = time.perf_counter() - t0
-        total = trace.push(*distance(new, state), wall)
-        state = new
+        state, distances = step(state)
+        total = trace.push(*distances, time.perf_counter() - t0)
         if total <= config.tol_fp:
             trace.converged = True
             return state
@@ -339,18 +348,23 @@ def _solve(scenario, ensemble, config, certificate, step, state_norm, context,
     ``certificate`` is certified from ``scenario`` when None.  ``windows``
     is a list of windows, a plan (:func:`_measured_plan`), or None for
     those of :func:`_plan_windows`; a plan of several windows ends at node
-    0.  ``step(window, it, sweep)`` applies the solver's map once;
-    ``sweep(driver)`` runs the window's backward sweep, closed by the
-    terminal data or by the state solved on the window to the right, and
-    adds its counts to the window's trace.  Successive iterates are compared
-    by ``state_norm`` on the state, empirical M2 on the integrand and the
-    sup distance of the state's mean curve, or of both mean curves with
-    ``mean_z``; errors name ``context`` and the window.  Each window is
+    0.  ``step(window, it, sweep)`` applies the solver's map once to the
+    iterate ``it`` and returns the next with its distances to ``it``;
+    ``sweep(driver, shift=None)`` runs the window's backward sweep, closed
+    by the terminal data or by the state solved on the window to the right,
+    stores it over ``it`` (``shift(j, z, m_z)``, when given, is the (n,) row
+    added to node ``j``'s swept state, with that node's integrand and its
+    mean), adds its counts to the window's trace, and returns the new
+    iterate and its distances.  Successive iterates are compared by
+    ``state_norm`` (a node-wise norm class of :mod:`~mfbsde.diagnostics`)
+    on the state, empirical M2 on the integrand and the sup distance of the
+    state's mean curve, or of both mean curves with ``mean_z``; errors name
+    ``context`` and the window.  Each window is
     checked against the certified width (unless ``check_width`` is false)
     before it is solved.  Once a second window is planned, each window is
     copied into the horizon arrays, one contiguous block per array, as soon
-    as it is solved, and freed, so one window's iterates are held at a
-    time; a lone window's arrays are the result."""
+    as it is solved, and freed, so one window's iterate is held at a time;
+    a lone window's arrays are the result."""
     cert = certificate if certificate is not None else certify(scenario)
     if windows is None:
         windows = _plan_windows(ensemble, config, cert)
@@ -360,26 +374,46 @@ def _solve(scenario, ensemble, config, certificate, step, state_norm, context,
     N = grid.n_steps
     solved: list[Window] = []
     traces: list[FixedPointTrace] = []
+    ones = np.ones(P)
 
     # one window's step closures, and the iterates its staged programs
     # bind, are freed when this returns
     def fixed_point(window: Window, terminal: np.ndarray, trace: FixedPointTrace):
         steps = grid.steps[window.lo : window.hi]
 
-        def sweep(driver):
-            out = solver.solve(window, terminal, driver)
+        def sweep(it: _Iterate, driver, shift=None):
+            # the start's per-path arrays are read-only views: the first
+            # sweep allocates the window's one iterate, and every later one
+            # stores over the iterate it replaces
+            y_vals, z_vals = ((it.y, it.z) if it.y.flags.writeable
+                              else (np.empty(it.y.shape), np.empty(it.z.shape)))
+            m_y, m_z = np.empty(it.m_y.shape), np.empty(it.m_z.shape)
+            y_dist, z_dist = state_norm(it.y.shape), M2Norm(it.z.shape, steps)
+            shifted = None if shift is None else np.empty((P, n))
+
+            def store(j, y, z):
+                # node j of ``it`` is read here, after the driver read it,
+                # and then replaced: each difference is taken in the slot
+                # the new values go to
+                m_z[j] = node_mean(z, ones)
+                if shift is not None:
+                    y = np.add(y, shift(j, z, m_z[j]), out=shifted)
+                m_y[j] = node_mean(y, ones)
+                y_dist.add(j, np.subtract(y, it.y[j], out=y_vals[j]))
+                z_dist.add(j, np.subtract(z, it.z[j], out=z_vals[j]))
+                y_vals[j] = y
+                z_vals[j] = z
+
+            out = solver.solve(window, terminal, driver, (y_vals, z_vals), store)
             trace.clamp_events += out.clamp_events
             trace.inner_iterations += sum(out.inner_iterations)
             trace.damped_passes += out.damped_passes
-            return out
-
-        def distance(new: _Iterate, old: _Iterate):
-            mean = sup_norm(new.m_y, old.m_y)
+            mean = sup_norm(m_y, it.m_y)
             if mean_z:
-                mean = max(mean, sup_norm(new.m_z, old.m_z))
-            return state_norm(new.y, old.y), m2_norm(new.z, steps, old.z), mean
+                mean = max(mean, sup_norm(m_z, it.m_z))
+            return _Iterate(y_vals, z_vals, m_y, m_z), (y_dist.value(), z_dist.value(), mean)
 
-        return _iterate(lambda it: step(window, it, sweep), distance,
+        return _iterate(lambda it: step(window, it, partial(sweep, it)),
                         _terminal_start(terminal, window.n_nodes, d), trace, config,
                         f"{context} on window {(window.lo, window.hi)}")
 
@@ -491,7 +525,7 @@ def _frozen_mean_step(scenario):
 
     def step(window: Window, it: _Iterate, sweep) -> _Iterate:
         f = dsl.Staged(scenario.f, ("y",), n=scenario.n, d=scenario.d)
-        return _sweep_iterate(sweep(staged_driver(f, window.lo, ybar=it.m_y, zbar=it.m_z)))
+        return sweep(staged_driver(f, window.lo, ybar=it.m_y, zbar=it.m_z))
 
     return step
 
@@ -524,7 +558,7 @@ def local_solve(
             f"last node {N} of the grid"
         )
     return _solve(scenario, ensemble, config, certificate, _frozen_mean_step(scenario),
-                  sup_norm, "local solve", [window], mean_z=True)
+                  SupNorm, "local solve", [window], mean_z=True)
 
 
 def _plan_windows(ensemble: PathEnsemble, config: SolverConfig, cert: Certificate):
@@ -575,7 +609,7 @@ def global_solve(
     reported in ``flags``, not raised."""
     _check_shape(scenario, "global_solve")
     return _solve(scenario, ensemble, config, certificate, _frozen_mean_step(scenario),
-                  sup_norm, "local solve", mean_z=True)
+                  SupNorm, "local solve", mean_z=True)
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +665,9 @@ def picard_global(
             return np.add(f, source, out=f)
 
         core.bind(**zeros)
-        return _sweep_iterate(sweep(driver))
+        return sweep(driver)
 
-    result = _solve(scenario, ensemble, config, certificate, step, sup_norm,
+    result = _solve(scenario, ensemble, config, certificate, step, SupNorm,
                     "global Picard", [ensemble.grid.full_window()], check_width=False)
     result.trace = result.trace[0]
     return result
@@ -644,48 +678,42 @@ def picard_global(
 # ---------------------------------------------------------------------------
 
 
-def _mean_shift(f2, ensemble, window, z_vals, m_z, **state):
-    """Tail integral of the mean of f2 along the window (trapezoid rule);
-    ``f2`` is the window's all-late :class:`dsl.Staged` program, ``z_vals``
-    is node-major, and ``state`` has the ``y`` and ``ybar`` slots, node-major,
-    when ``f2`` reads them.  Each node's mean is :func:`path_mean` of its
-    values."""
-    L, n = window.n_nodes, z_vals.shape[-1]
-    nodes = ensemble.grid.nodes
-    fbar = np.empty((L, n))
-    for j in range(L):
-        s = float(nodes[window.lo + j])
-        at_node = {k: v[j] for k, v in state.items()}
-        fbar[j] = path_mean(f2(s=s, z=z_vals[j], zbar=m_z[j], **at_node)[None])[0]
-    steps = ensemble.grid.steps[window.lo : window.hi]
-    shift = np.zeros((L, n))
-    for j in range(L - 2, -1, -1):
-        shift[j] = shift[j + 1] + 0.5 * steps[j] * (fbar[j] + fbar[j + 1])
-    return shift
-
-
 def _frozen_state_step(scenario, ensemble):
     """The step of the frozen-state map of a split scenario.
 
     A step sweeps once with ``f1`` at the previous iterate's state and
-    mean-integrand curve, then shifts the state; the new iterate's
-    mean-integrand curve is the sweep's.  The outer distance includes the
-    integrand, so the fixed point also resolves that curve.  ``f1`` is
-    bound whole once per swept node, so each backward step is explicit.
-    When ``f1`` reads only ``s, z`` and ``f2`` neither ``y`` nor ``ybar``,
-    the first step from the start is exactly the deterministic shift of the
-    base BSDE, and the second confirms it at distance 0.
+    mean-integrand curve, and shifts each swept node's state as it is
+    stored, by the tail integral of the mean of ``f2`` (trapezoid rule),
+    accumulated backward node by node with ``f2`` at the previous state and
+    the fresh integrand; the new iterate's mean-integrand curve is the
+    sweep's.  The outer distance includes the integrand, so the fixed point
+    also resolves that curve.  ``f1`` is bound whole once per swept node, so
+    each backward step is explicit.  When ``f1`` reads only ``s, z`` and
+    ``f2`` neither ``y`` nor ``ybar``, the first step from the start is
+    exactly the deterministic shift of the base BSDE, and the second
+    confirms it at distance 0.
     """
     n, d = scenario.n, scenario.d
+    nodes, steps = ensemble.grid.nodes, ensemble.grid.steps
+    ones = np.ones(ensemble.n_paths)
 
-    def step(window: Window, it: _Iterate, sweep) -> _Iterate:
-        out = sweep(staged_driver(dsl.Staged(scenario.f1, (), n=n, d=d), window.lo,
-                                  y=it.y, ybar=it.m_y, zbar=it.m_z))
-        mz_curve = path_mean(out.z)
-        shift = _mean_shift(dsl.Staged(scenario.f2, dsl.GENERATOR_VARS, n=n, d=d),
-                            ensemble, window, out.z, mz_curve, y=it.y, ybar=it.m_y)
-        y_new = out.y + shift[:, None, :]
-        return _Iterate(y_new, out.z, path_mean(y_new), mz_curve)
+    def step(window: Window, it: _Iterate, sweep):
+        # f2's program, built at the sweep's first store (it serves the
+        # stores alone), and the shift and mean of f2 at the node after
+        f2 = shift = fbar = None
+
+        def mean_shift(j, z, m_z):
+            nonlocal f2, shift, fbar
+            if f2 is None:
+                f2 = dsl.Staged(scenario.f2, dsl.GENERATOR_VARS, n=n, d=d)
+            i = window.lo + j
+            f = node_mean(f2(s=float(nodes[i]), z=z, zbar=m_z, y=it.y[j], ybar=it.m_y[j]), ones)
+            shift = np.zeros(n) if shift is None else shift + 0.5 * steps[i] * (f + fbar)
+            fbar = f
+            return shift
+
+        f1 = dsl.Staged(scenario.f1, (), n=n, d=d)
+        return sweep(staged_driver(f1, window.lo, y=it.y, ybar=it.m_y, zbar=it.m_z), mean_shift)
 
     return step
 
@@ -707,7 +735,7 @@ def shift_fixed_point(
     """
     _check_shape(scenario, "shift_fixed_point", FORM_SPLIT_QUADRATIC)
     return _solve(scenario, ensemble, config, certificate,
-                  _frozen_state_step(scenario, ensemble), sup_norm, "shift fixed point")
+                  _frozen_state_step(scenario, ensemble), SupNorm, "shift fixed point")
 
 
 def multidim_solve(
@@ -725,4 +753,4 @@ def multidim_solve(
     """
     _check_shape(scenario, "multidim_solve", FORM_SPLIT_LIPSCHITZ)
     return _solve(scenario, ensemble, config, certificate,
-                  _frozen_state_step(scenario, ensemble), s2_norm, "multidim solve")
+                  _frozen_state_step(scenario, ensemble), S2Norm, "multidim solve")

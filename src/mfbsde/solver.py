@@ -23,6 +23,14 @@ the Newton slope ``df/dy`` from the same call.  The step's ``c + h*f``,
 Newton step and denominator are written into buffers reused across the
 sweep.
 
+A sweep stores each node once its driver has run and its state is solved,
+backward, through a store hook, into the pair of node-major arrays it is
+given (or allocates): the mean-field solvers hand it the iterate the sweep
+replaces, and their hook reads each node's old values (its share of the
+distances, the frozen-state mean shift) before it writes the new ones.  The
+sweep fits its next state from its own row, never read back from the
+arrays, where a hook may store a shifted state.
+
 Driver evaluations clamp the z argument at a configurable norm level;
 clamp activations are counted and reported, and a converged run is expected
 to show zero activations at the final resolution.
@@ -118,7 +126,8 @@ class BackwardSolver:
             self._cache[i] = reg
         return reg
 
-    def solve(self, window: Window, terminal: np.ndarray, driver) -> StandardSolve:
+    def solve(self, window: Window, terminal: np.ndarray, driver, out=None,
+              store=None) -> StandardSolve:
         """Backward sweep on ``window``.
 
         ``terminal`` has shape (P, n).  ``driver(i, s, z)`` is called once
@@ -132,7 +141,17 @@ class BackwardSolver:
         steps.  A returned array, and the arrays ``f`` returns and holds,
         need only stay valid until the driver or ``f`` is called again: the
         sweep uses each at once.
-        The returned ``y`` and ``z`` are node-major, (L, P, ...).
+
+        ``out`` is the pair of node-major arrays, (L, P, n) and (L, P, d,
+        n), that the sweep stores into and returns (fresh ones when None).
+        Each node ``j = i - lo`` is stored once its driver has run and its
+        state is solved, by ``store(j, y, z)``, backward; node ``L - 1``,
+        the terminal with a copy of node ``L - 2``'s integrand, is stored
+        just before node ``L - 2``.  The default ``store`` writes ``y`` and
+        ``z`` into ``out``; a given one writes them there itself, so until
+        it does, node ``j`` of ``out`` still holds whatever was there
+        before (an earlier sweep's values, which the driver may read).
+        ``y`` and ``z`` need only stay valid until ``store`` returns.
         Raises :class:`InvalidInput` when ``window`` runs past the grid.
         """
         ens = self.ensemble
@@ -149,9 +168,12 @@ class BackwardSolver:
         if terminal.shape != (P, n):
             raise InvalidInput("terminal shape does not match ensemble")
 
-        Y = np.empty((L, P, n))
-        Z = np.empty((L, P, d, n))
-        Y[L - 1] = terminal
+        Y, Z = (np.empty((L, P, n)), np.empty((L, P, d, n))) if out is None else out
+        if store is None:
+            def store(j, y, z):
+                Y[j] = y
+                Z[j] = z
+
         raw = np.empty((P, d, n))
         design = np.empty((self.node_regression(hi - 1).n_features, P))
         dw = np.empty((P, d))
@@ -159,12 +181,15 @@ class BackwardSolver:
         finite = np.empty((P, n), dtype=bool)
         inner_counts: list[int] = []
         clamp_events = damped = 0
+        # the sweep's own next state, not read back from ``Y``, where a
+        # store may put something else; a row of ``work`` after the first
+        # node, which the next node overwrites only once it has fitted it
+        y_next = terminal
 
         for i in range(hi - 1, lo - 1, -1):
             j = i - lo
             h = float(steps[i])
             t = float(nodes[i])
-            y_next = Y[j + 1]
             reg = self.node_regression(i)
             reg.design(out=design)
 
@@ -179,7 +204,6 @@ class BackwardSolver:
             raw /= h
             z_fit = reg.fit(raw.reshape(P, d * n), design)
             z_i = z_fit.reshape(P, d, n)
-            Z[j] = z_i
 
             z_drv, n_clamped = _clamp_z(z_i, cfg.z_clamp)
             clamp_events += n_clamped
@@ -187,11 +211,13 @@ class BackwardSolver:
             y, iters, halved = _implicit_state(cond, h, i, driver(i, t, z_drv), work, cfg)
             if not np.isfinite(y, out=finite).all():
                 raise StepDivergence("non-finite state in backward step", i)
-            Y[j] = y
+            if i == hi - 1:
+                store(L - 1, terminal, z_i)
+            store(j, y, z_i)
+            y_next = y
             inner_counts.append(iters)
             damped += halved
 
-        Z[L - 1] = Z[L - 2]
         inner_counts.reverse()
         return StandardSolve(y=Y, z=Z, inner_iterations=inner_counts,
                              clamp_events=clamp_events, damped_passes=damped)

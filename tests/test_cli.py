@@ -435,9 +435,9 @@ def test_exhausted_outer_budget_exits_1(tmp_path, capsys, monkeypatch):
     sweeps = []
     sweep = BackwardSolver.solve
 
-    def counting(self, window, terminal, driver):
+    def counting(self, window, terminal, driver, *args):
         sweeps.append(window)
-        return sweep(self, window, terminal, driver)
+        return sweep(self, window, terminal, driver, *args)
 
     monkeypatch.setattr(BackwardSolver, "solve", counting)
     shipped = Path(__file__).resolve().parents[1] / "configs" / "ex22.cfg"

@@ -3,11 +3,16 @@
 import dataclasses
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfbsde
 from mfbsde import (
     InvalidInput,
     build_grid,
@@ -350,6 +355,9 @@ def test_manifest_digest_round_trip(tmp_path):
     assert man.solver == dataclasses.asdict(solver)
     assert man.solver["basis"] == {"degree": 3, "n_bins": 1, "ridge": 1e-8}
     assert man.numpy_version == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert man.blas == f"{blas['name']} {blas['version']}"
+    assert len(man.source_sha256) == 64
     # digest is a pure function of the fields
     again = manifest_for(path, text, solver, "global")
     assert again.digest == man.digest
@@ -369,8 +377,38 @@ def test_manifest_digest_sensitivity(tmp_path):
     one = manifest_for(path, text, solver.updated(n_windows=1), "global")
     two = manifest_for(path, text, solver.updated(n_windows=2), "global")
     assert len({man.digest, one.digest, two.digest}) == 3
-    for field, value in (("numpy_version", "0.0"), ("platform", "other")):
+    for field, value in (("numpy_version", "0.0"), ("platform", "other"), ("blas", "other"),
+                         ("source_sha256", "0" * 64)):
         assert dataclasses.replace(man, **{field: value}).digest != man.digest
+
+
+_SOURCE_DIGEST = (
+    "from mfbsde.config import manifest_for; from mfbsde.solver import SolverConfig; "
+    "print(manifest_for('x.cfg', '', SolverConfig(), 'global').source_sha256)"
+)
+
+
+def _source_digest(src: Path) -> str:
+    """The manifest's source digest, taken in a fresh process that imports
+    the package from ``src``."""
+    run = subprocess.run([sys.executable, "-B", "-c", _SOURCE_DIGEST],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    return run.stdout.strip()
+
+
+def test_a_changed_source_byte_changes_the_manifest(tmp_path):
+    # the digest names the code: a copy of the package gives this process's
+    # digest, and the same copy with one byte changed gives another
+    package = Path(mfbsde.__file__).resolve().parent
+    shutil.copytree(package, tmp_path / "mfbsde", ignore=shutil.ignore_patterns("__pycache__"))
+    here = manifest_for("x.cfg", "", SolverConfig(), "global").source_sha256
+    assert _source_digest(tmp_path) == here
+    errors = tmp_path / "mfbsde" / "errors.py"
+    data = bytearray(errors.read_bytes())
+    data[data.index(b"error")] = ord("E")
+    errors.write_bytes(bytes(data))
+    assert _source_digest(tmp_path) != here
 
 
 def test_manifest_digest_ignores_how_the_config_path_is_spelled(tmp_path, monkeypatch):
@@ -407,8 +445,10 @@ def small_run(tmp_path_factory):
         config_sha256=hashlib.sha256(b"stub").hexdigest(),
         selector="global",
         package_version="0.0-test",
+        source_sha256="0" * 64,
         solver=dataclasses.asdict(solver),
         numpy_version="0.0-test",
+        blas="test",
         platform="test",
     )
     return result, manifest

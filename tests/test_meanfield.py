@@ -3,6 +3,7 @@ stitching, the Picard scheme, shift solvers, and the vector scheme."""
 
 import dataclasses
 import json
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -84,14 +85,22 @@ def _frozen_mean_solve(sc, ens, m_y, m_z):
     return BackwardSolver(ens, CFG).solve(window, terminal, drive)
 
 
+def _snapshot(out):
+    """A copy of a sweep's result whose arrays no later sweep overwrites."""
+    return dataclasses.replace(out, y=out.y.copy(), z=out.z.copy())
+
+
 def _record_sweeps(monkeypatch) -> list:
-    """``((lo, hi), driver, result)`` of every backward sweep from now on."""
+    """``((lo, hi), driver, result, snapshot)`` of every backward sweep from
+    now on: ``result`` holds the live arrays, which a later sweep of the
+    window stores over, and ``snapshot`` their values as the sweep
+    returned them."""
     sweeps = []
     sweep = BackwardSolver.solve
 
-    def recording(self, window, terminal, driver):
-        out = sweep(self, window, terminal, driver)
-        sweeps.append(((window.lo, window.hi), driver, out))
+    def recording(self, window, terminal, driver, *args):
+        out = sweep(self, window, terminal, driver, *args)
+        sweeps.append(((window.lo, window.hi), driver, out, _snapshot(out)))
         return out
 
     monkeypatch.setattr(BackwardSolver, "solve", recording)
@@ -280,7 +289,7 @@ def test_blow_up_is_non_contraction_naming_the_step():
     trace = FixedPointTrace()
     with pytest.raises(NonContraction) as err:
         meanfield._iterate(
-            lambda state: state, lambda new, old: (next(distances), 0.0, 0.0),
+            lambda state: (state, (next(distances), 0.0, 0.0)),
             None, trace, CFG.updated(max_outer=30), "synthetic map",
         )
     assert str(err.value) == "synthetic map: distance blew up to 1.000e+10 at step 3"
@@ -300,8 +309,8 @@ def test_mean_distance_covers_the_mean_curves_of_the_map(solve, covers_z, monkey
     res = solve(sc, ens, cfg)
     trace = res.trace[0] if covers_z else res.trace
     start = meanfield._terminal_start(sc.terminal_values(ens.state(8)), 9, sc.d)
-    curves = [(start.m_y, start.m_z)] + [(path_mean(out.y), path_mean(out.z))
-                                         for _, _, out in sweeps]
+    curves = [(start.m_y, start.m_z)] + [(path_mean(snap.y), path_mean(snap.z))
+                                         for _, _, _, snap in sweeps]
     y_moves = [sup_norm(new[0], old[0]) for old, new in zip(curves, curves[1:])]
     z_moves = [sup_norm(new[1], old[1]) for old, new in zip(curves, curves[1:])]
     assert any(z > y for y, z in zip(y_moves, z_moves))
@@ -655,7 +664,7 @@ def test_first_integrand_distance_is_taken_from_zero(solve, scenario, monkeypatc
     ens = _ensemble(scenario, cfg)
     res = solve(scenario, ens, cfg)
     # every sweep is a step: sweep 0 is the first step's
-    z = sweeps[0][2].z
+    z = sweeps[0][3].z
     first = res.trace[0].z_distances[0]
     assert first > 0.0
     assert first == m2_norm(z, ens.grid.steps, np.zeros_like(z))
@@ -979,7 +988,7 @@ def test_state_terms_are_bound_once_per_node_per_outer_step(config, changes, sol
     res = solve(sc, ens, cfg)
     steps = sum((hi - lo) * t.iterations for (lo, hi), t in zip(res.windows, res.trace))
     assert bound == [frozenset()] * steps
-    spans = [span for span, _, _ in sweeps]
+    spans = [span for span, *_ in sweeps]
     assert [spans.count(w) for w in res.windows] == [t.iterations for t in res.trace]
 
 
@@ -995,13 +1004,15 @@ def test_picard_source_is_full_minus_core_bit_for_bit(monkeypatch):
     sweeps, probed = [], []
     sweep = BackwardSolver.solve
 
-    def probing(self, window, terminal, driver):
+    def probing(self, window, terminal, driver, *args):
         if len(sweeps) == 1:  # the second sweep's driver, before it runs
             for j in range(L):
                 z = sweeps[0].z[(j + 3) % L]  # any integrand
                 probed.append(driver(j, float(ens.grid.nodes[j]), z).copy())
-        sweeps.append(sweep(self, window, terminal, driver))
-        return sweeps[-1]
+        out = sweep(self, window, terminal, driver, *args)
+        # later sweeps store over the first one's arrays: keep a copy
+        sweeps.append(_snapshot(out) if not sweeps else out)
+        return out
 
     monkeypatch.setattr(BackwardSolver, "solve", probing)
     res = picard_global(sc, ens, cfg)
@@ -1067,7 +1078,7 @@ def test_trace_totals_are_the_sums_of_the_sweeps_counts(solve, monkeypatch):
     spans = res.windows if solve is global_solve else [(0, cfg.n_steps)]
     assert len(traces) == len(spans) > (solve is global_solve)
     for span, trace in zip(spans, traces):
-        outs = [out for where, _, out in sweeps if where == span]
+        outs = [out for where, _, out, _ in sweeps if where == span]
         assert len(outs) == trace.iterations
         assert trace.inner_iterations == sum(sum(out.inner_iterations) for out in outs)
         assert trace.damped_passes == sum(out.damped_passes for out in outs)
@@ -1102,8 +1113,8 @@ def test_envelope_rate_is_taken_once_from_the_solved_state(selector):
 @pytest.mark.parametrize("selector", sorted(_SOLVERS))
 def test_process_grids_are_node_major_and_contiguous(selector, n_windows, monkeypatch):
     # (nodes, paths, ...) and C-contiguous for every selector; a lone
-    # window's integrand is the last sweep's own array, and so is its state
-    # unless a mean shift moved it
+    # window's state and integrand are the last sweep's own arrays, the
+    # state shifted as the sweep stored it where a mean shift moves it
     sweeps = _record_sweeps(monkeypatch)
     res = _tiny_run(selector, n_windows=n_windows)
     L, P = 9, 500
@@ -1113,8 +1124,71 @@ def test_process_grids_are_node_major_and_contiguous(selector, n_windows, monkey
     if len(res.windows) == 1:
         last = sweeps[-1][2]
         assert np.shares_memory(res.z.values, last.z)
-        shifted = selector in ("shift", "multidim")
-        assert np.shares_memory(res.y.values, last.y) != shifted
+        assert np.shares_memory(res.y.values, last.y)
+
+
+@pytest.mark.parametrize("selector", sorted(_SOLVERS))
+def test_in_sweep_distances_and_means_are_those_of_the_whole_iterates(selector, monkeypatch):
+    # each sweep takes its distances and path means node by node as it
+    # stores over the iterate it replaces: they are, bit for bit, the
+    # diagnostics' norms of consecutive iterates (each window's start, then
+    # every sweep's arrays as it returned them) and the path means of the
+    # iterate the window ends on
+    sweeps = _record_sweeps(monkeypatch)
+    finals = []
+    iterate = meanfield._iterate
+
+    def capturing(*args):
+        finals.append(iterate(*args))
+        return finals[-1]
+
+    monkeypatch.setattr(meanfield, "_iterate", capturing)
+    res = _tiny_run(selector)
+    traces = res.trace if isinstance(res.trace, list) else [res.trace]
+    norm = s2_norm if selector == "multidim" else sup_norm
+    mean_z = selector in ("local", "global")
+    grid = res.y.grid
+    assert len(finals) == len(traces) == len(res.windows)
+    # windows are solved right to left
+    for (lo, hi), trace, final in zip(res.windows, traces, finals[::-1]):
+        terminal = res.y.values[hi - res.y.span[0]]
+        start = meanfield._terminal_start(terminal, hi - lo + 1, res.z.values.shape[2])
+        snaps = [start] + [snap for span, _, _, snap in sweeps if span == (lo, hi)]
+        assert len(snaps) == trace.iterations + 1 >= 3
+        means = [(start.m_y, start.m_z)] + [(path_mean(s.y), path_mean(s.z)) for s in snaps[1:]]
+        steps = grid.steps[lo:hi]
+        pairs = list(zip(snaps, snaps[1:], means, means[1:]))
+        assert trace.y_distances == [norm(new.y, old.y) for old, new, _, _ in pairs]
+        assert trace.z_distances == [m2_norm(new.z, steps, old.z) for old, new, _, _ in pairs]
+        mean = [max(sup_norm(m_new[0], m_old[0]), sup_norm(m_new[1], m_old[1])) if mean_z
+                else sup_norm(m_new[0], m_old[0]) for _, _, m_old, m_new in pairs]
+        assert trace.mean_distances == mean
+        assert final.y.tobytes() == snaps[-1].y.tobytes()
+        assert final.z.tobytes() == snaps[-1].z.tobytes()
+        assert final.m_y.tobytes() == path_mean(final.y).tobytes()
+        assert final.m_z.tobytes() == path_mean(final.z).tobytes()
+
+
+@pytest.mark.parametrize("selector, name", [("local", "linear.cfg"), ("picard", "ex22.cfg"),
+                                            ("shift", "ex31.cfg")])
+def test_a_window_holds_one_iterate(selector, name):
+    # the first sweep allocates the window's iterate and every later one
+    # stores over it: a lone window's solve peaks below its result plus
+    # half an iterate, where keeping the replaced iterate until its sweep
+    # ends would hold a whole one more
+    sc, cfg = _shipped(name, n_steps=60, n_paths=20_000, n_windows=1, override_epsilon=True)
+    ens = _ensemble(sc, cfg)
+    cert = certify(sc)
+    tracemalloc.start()
+    try:
+        res = _SOLVERS[selector](sc, ens, cfg, certificate=cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    traces = res.trace if isinstance(res.trace, list) else [res.trace]
+    assert len(traces) == 1 and traces[0].iterations >= 2
+    iterate = res.y.values.nbytes + res.z.values.nbytes
+    assert peak < 1.5 * iterate
 
 
 def test_picard_record_has_no_per_step_envelope_rates():
@@ -1133,7 +1207,7 @@ def test_every_result_field_is_written():
 def _clamps_per_window(sweeps) -> dict:
     """Clamp events of the recorded sweeps, summed per window."""
     counts = {}
-    for span, _, out in sweeps:
+    for span, _, out, _ in sweeps:
         counts[span] = counts.get(span, 0) + out.clamp_events
     return counts
 
