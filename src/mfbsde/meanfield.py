@@ -44,18 +44,19 @@ them and as :class:`ProcessGrid` holds them: every per-node read
 (drivers, sources, mean shifts) and every mean over paths runs on
 contiguous blocks, the result's process grids are read-only views of the
 horizon arrays, and the final diagnostics read them node by node with
-O(P) working memory.  A window holds one iterate's storage: the first
-sweep, from the start's read-only views, allocates it, and every later
-sweep stores over the iterate it replaces, node by node, backward.  Each
-node's old values are read before they are replaced: by the driver (the
-frozen-state map's ``f1`` slots, Picard's source), by the frozen-state
-map's mean shift (``f2`` at the old state), and by the node's share of
-the distances between the two iterates, the diagnostics' own path norms
+O(P) working memory.  Every window is solved in place in the horizon
+arrays: its iterate is the view of its block of nodes, which the first
+sweep, from the start's read-only views, stores into, and every later
+sweep stores over, node by node, backward.  Each node's old values are
+read before they are replaced: by the driver (the frozen-state map's
+``f1`` slots, Picard's source), by the frozen-state map's mean shift
+(``f2`` at the old state), and by the node's share of the distances
+between the two iterates, the diagnostics' own path norms
 (:class:`~mfbsde.diagnostics.SupNorm`, ``S2Norm``, ``M2Norm``) taken node
 by node, each difference in the slot the new values then go to; the new
 iterate's mean curves are taken node by node too
-(:func:`~mfbsde.core.node_mean`).  So no second iterate and no full-size
-difference is ever allocated.
+(:func:`~mfbsde.core.node_mean`).  So no window iterate, second iterate
+or full-size difference is ever allocated, and no window is copied.
 
 Each solver evaluates its generators as :class:`dsl.Staged` programs that
 bind what its map holds fixed, built inside each step for its one sweep (the
@@ -359,12 +360,12 @@ def _solve(scenario, ensemble, config, certificate, step, state_norm, context,
     ``state_norm`` (a node-wise norm class of :mod:`~mfbsde.diagnostics`)
     on the state, empirical M2 on the integrand and the sup distance of the
     state's mean curve, or of both mean curves with ``mean_z``; errors name
-    ``context`` and the window.  Each window is
-    checked against the certified width (unless ``check_width`` is false)
-    before it is solved.  Once a second window is planned, each window is
-    copied into the horizon arrays, one contiguous block per array, as soon
-    as it is solved, and freed, so one window's iterate is held at a time;
-    a lone window's arrays are the result."""
+    ``context`` and the window.  Each window is checked against the
+    certified width (unless ``check_width`` is false) before it is solved,
+    in place: its iterate is its block ``[lo, hi]`` of the horizon arrays.
+    Below the horizon node ``hi`` holds the right window's solved state and
+    integrand, so the store there takes its means and state distance in a
+    scratch row and writes nothing (M2 reads no integrand there)."""
     cert = certificate if certificate is not None else certify(scenario)
     if windows is None:
         windows = _plan_windows(ensemble, config, cert)
@@ -372,24 +373,24 @@ def _solve(scenario, ensemble, config, certificate, step, state_norm, context,
     solver = BackwardSolver(ensemble, config)
     grid, P, n, d = ensemble.grid, ensemble.n_paths, scenario.n, scenario.d
     N = grid.n_steps
-    solved: list[Window] = []
-    traces: list[FixedPointTrace] = []
+    lo0 = 0 if callable(windows) else min(w.lo for w in windows)  # a plan ends at node 0
+    y_vals, z_vals = np.empty((N + 1 - lo0, P, n)), np.empty((N + 1 - lo0, P, d, n))
+    solved, traces = [], []
     ones = np.ones(P)
+    row = np.empty((P, n))  # a shifted state, or a distance nothing keeps
 
     # one window's step closures, and the iterates its staged programs
     # bind, are freed when this returns
     def fixed_point(window: Window, terminal: np.ndarray, trace: FixedPointTrace):
         steps = grid.steps[window.lo : window.hi]
+        block = slice(window.lo - lo0, window.hi + 1 - lo0)
+        ys, zs = y_vals[block], z_vals[block]
+        # below the horizon the last node holds the right window's solution
+        shared = window.n_nodes - 1 if window.hi < N else None
 
         def sweep(it: _Iterate, driver, shift=None):
-            # the start's per-path arrays are read-only views: the first
-            # sweep allocates the window's one iterate, and every later one
-            # stores over the iterate it replaces
-            y_vals, z_vals = ((it.y, it.z) if it.y.flags.writeable
-                              else (np.empty(it.y.shape), np.empty(it.z.shape)))
             m_y, m_z = np.empty(it.m_y.shape), np.empty(it.m_z.shape)
             y_dist, z_dist = state_norm(it.y.shape), M2Norm(it.z.shape, steps)
-            shifted = None if shift is None else np.empty((P, n))
 
             def store(j, y, z):
                 # node j of ``it`` is read here, after the driver read it,
@@ -397,33 +398,29 @@ def _solve(scenario, ensemble, config, certificate, step, state_norm, context,
                 # the new values go to
                 m_z[j] = node_mean(z, ones)
                 if shift is not None:
-                    y = np.add(y, shift(j, z, m_z[j]), out=shifted)
+                    y = np.add(y, shift(j, z, m_z[j]), out=row)
                 m_y[j] = node_mean(y, ones)
-                y_dist.add(j, np.subtract(y, it.y[j], out=y_vals[j]))
-                z_dist.add(j, np.subtract(z, it.z[j], out=z_vals[j]))
-                y_vals[j] = y
-                z_vals[j] = z
+                if j == shared:
+                    y_dist.add(j, np.subtract(y, it.y[j], out=row))
+                    return
+                y_dist.add(j, np.subtract(y, it.y[j], out=ys[j]))
+                z_dist.add(j, np.subtract(z, it.z[j], out=zs[j]))
+                ys[j] = y
+                zs[j] = z
 
-            out = solver.solve(window, terminal, driver, (y_vals, z_vals), store)
+            out = solver.solve(window, terminal, driver, (ys, zs), store)
             trace.clamp_events += out.clamp_events
             trace.inner_iterations += sum(out.inner_iterations)
             trace.damped_passes += out.damped_passes
             mean = sup_norm(m_y, it.m_y)
             if mean_z:
                 mean = max(mean, sup_norm(m_z, it.m_z))
-            return _Iterate(y_vals, z_vals, m_y, m_z), (y_dist.value(), z_dist.value(), mean)
+            return _Iterate(ys, zs, m_y, m_z), (y_dist.value(), z_dist.value(), mean)
 
         return _iterate(lambda it: step(window, it, partial(sweep, it)),
                         _terminal_start(terminal, window.n_nodes, d), trace, config,
                         f"{context} on window {(window.lo, window.hi)}")
 
-    def horizon():
-        return np.empty((N + 1, P, n)), np.empty((N + 1, P, d, n))
-
-    # a list of several windows plans the second before the first is solved:
-    # allocated after the first window's iterates, the horizon arrays sit
-    # above their freed memory and keep it resident (8 MB for 4 x 40k paths)
-    y_vals, z_vals = (None, None) if callable(windows) or len(windows) == 1 else horizon()
     planned = plan(N, None)
     terminal = scenario.terminal_values(ensemble.state(N))
     while planned is not None:
@@ -432,23 +429,11 @@ def _solve(scenario, ensemble, config, certificate, step, state_norm, context,
         solved.append(w)
         traces.append(FixedPointTrace(width=w.width(grid), ratio=ratio,
                                       exceeds_certificate=exceeds))
-        last = fixed_point(w, terminal, traces[-1])
+        fixed_point(w, terminal, traces[-1])
         planned = plan(w.lo, traces[-1])
-        if y_vals is None and planned is None:
-            y_vals, z_vals = last.y, last.z  # a lone window is the result
-            break
-        if y_vals is None:
-            y_vals, z_vals = horizon()
-        # the window to the right already wrote node w.hi: its integrand
-        # there is the solved one, not this window's copied last node
-        stop = w.hi + 1 if w.hi == N else w.hi
-        y_vals[w.lo : stop] = last.y[: stop - w.lo]
-        z_vals[w.lo : stop] = last.z[: stop - w.lo]
-        terminal = last.y[0].copy()
-        del last  # a copied window is freed before the next one runs
+        terminal = y_vals[w.lo - lo0]
     solved.reverse()
     traces.reverse()
-    lo0 = solved[0].lo
 
     ygrid = ProcessGrid(grid=grid, values=y_vals, span=(lo0, N))
     zgrid = ProcessGrid(grid=grid, values=z_vals, span=(lo0, N))

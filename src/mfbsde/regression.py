@@ -11,9 +11,10 @@ scaled design ``diag(1/s) X``, a node keeps only the k x k map
 ``A = L^-1 diag(1/s)`` per bin and a view of its levels.  A fit is the
 projection ``X^T (A^T (A (X v)))``, four matrix products and no solve.  The
 design is formed again for each fit, or once per backward step by the
-caller and passed in, so no (features, paths) array outlives a call.  A
-design that stays rank-deficient after the ridge raises
-:class:`RegressionError` with a condition estimate.
+caller, into its buffer (where a new node also factorises it), and passed
+in, so no (features, paths) array outlives a call.  A design that stays
+rank-deficient after the ridge raises :class:`RegressionError` with a
+condition estimate.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ class RegressionBasis:
             raise InvalidInput(f"ridge must be finite, not {self.ridge}")
         if self.ridge < 0.0:
             raise InvalidInput("ridge must be >= 0")
+
+    def n_features(self, d: int) -> int:
+        """Monomials of total degree <= ``degree`` in ``d`` coordinates."""
+        return comb(d + self.degree, self.degree)
 
 
 def _design_rows(state: np.ndarray, degree: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -87,15 +92,15 @@ class NodeRegression:
     node keeps one int32 index of its paths sorted by bin, and lays its
     design out in that order.  Degenerate states (all non-constant columns
     vanish, e.g. the t=0 node) keep the constant column only, so the fit is
-    the plain path average up to the ridge.
+    the plain path average up to the ridge.  The node is factorised from
+    its design formed into ``design``, a caller's buffer, when given.
     """
 
-    def __init__(self, state: np.ndarray, basis: RegressionBasis):
+    def __init__(self, state: np.ndarray, basis: RegressionBasis, design=None):
         state = np.asarray(state, dtype=np.float64)
         P = state.shape[0]
         self.basis = basis
         self._state = state
-        self._n_features = comb(state.shape[1] + basis.degree, basis.degree)
         self._n_paths = P
         # paths sorted by bin, with each bin's (start, stop) in that order;
         # None for the single-bin case
@@ -108,7 +113,7 @@ class NodeRegression:
             self._order = np.argsort(idx, kind="stable").astype(np.int32)
             stops = np.cumsum(np.bincount(idx, minlength=basis.n_bins))
             self._spans = list(zip([0, *stops[:-1]], stops))
-        rows = self.design()
+        rows = self.design(out=design)
         # one k x k factor per bin; None for an empty bin
         self._factors = [
             _factor(rows[:, lo:hi], basis.ridge) if hi > lo else None
@@ -117,7 +122,7 @@ class NodeRegression:
 
     @property
     def n_features(self) -> int:
-        return self._n_features
+        return self.basis.n_features(self._state.shape[1])
 
     def design(self, out: np.ndarray | None = None) -> np.ndarray:
         """The node's unscaled monomial design as (features, paths) rows,
@@ -161,11 +166,15 @@ def _factor(rows: np.ndarray, ridge: float) -> np.ndarray:
     """``A = L^-1 diag(1/s)`` for the design ``rows`` (features, paths) with
     root-mean-square row scales ``s``, where ``L L^T = Xs^T Xs + ridge * P
     * I`` for the column-scaled design ``Xs``; rows with ``s = 0`` get zero
-    columns."""
+    columns.  The squares and the scaled design share one scratch block."""
     k, P = rows.shape
-    scale = np.sqrt(np.mean(rows * rows, axis=1))
+    xs_t = np.multiply(rows, rows)
+    scale = np.sqrt(np.mean(xs_t, axis=1))
     keep = scale > 0.0
-    xs_t = rows[keep] / scale[keep, None]
+    if keep.all():
+        np.divide(rows, scale[:, None], out=xs_t)
+    else:
+        xs_t = rows[keep] / scale[keep, None]
     k_keep = xs_t.shape[0]
     if P <= k_keep:
         raise InvalidInput(f"{P} paths cannot support {k_keep} features")

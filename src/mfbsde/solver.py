@@ -25,11 +25,12 @@ sweep.
 
 A sweep stores each node once its driver has run and its state is solved,
 backward, through a store hook, into the pair of node-major arrays it is
-given (or allocates): the mean-field solvers hand it the iterate the sweep
-replaces, and their hook reads each node's old values (its share of the
-distances, the frozen-state mean shift) before it writes the new ones.  The
-sweep fits its next state from its own row, never read back from the
-arrays, where a hook may store a shifted state.
+given (or allocates): the mean-field solvers hand it their window's block
+of the horizon arrays, the iterate the sweep replaces, and their hook reads
+each node's old values (its share of the distances, the frozen-state mean
+shift) before it writes the new ones, or none at a node the window to the
+right solved.  The sweep fits its next state from its own row, never read
+back from the arrays, where a hook may store a shifted state.
 
 Driver evaluations clamp the z argument at a configurable norm level;
 clamp activations are counted and reported, and a converged run is expected
@@ -106,12 +107,13 @@ class BackwardSolver:
     The basis depends only on the Brownian levels, so each node is
     factorised once and its k x k factors (and, for a binned basis, its
     int32 member index) are reused by every fixed-point iteration and by
-    the diagnostics, for the solver's whole life.  A sweep
-    forms each node's (features, paths) design once per step, into one
-    buffer reused across the sweep, and both fits of the step read it.
-    Sweeps store their values node-major, so every node is read and
-    written as one contiguous block, and take each step's Brownian
-    increment as the difference of two node levels into one reused buffer.
+    the diagnostics, for the solver's whole life.  A sweep forms each
+    node's (features, paths) design once per step, into one buffer sized
+    from the basis and reused across the sweep; a node met first is
+    factorised from that design, and both fits of the step read it.  Sweeps
+    store their values node-major, so every node is read and written as
+    one contiguous block, and take each step's Brownian increment as the
+    difference of two node levels into one reused buffer.
     """
 
     def __init__(self, ensemble: PathEnsemble, config: SolverConfig):
@@ -119,11 +121,14 @@ class BackwardSolver:
         self.config = config
         self._cache: dict[int, NodeRegression] = {}
 
-    def node_regression(self, i: int) -> NodeRegression:
+    def node_regression(self, i: int, design: np.ndarray | None = None) -> NodeRegression:
+        """Node ``i``'s regression, factorised at the first call, with its
+        design formed into ``design`` when given (and factorised from it)."""
         reg = self._cache.get(i)
         if reg is None:
-            reg = NodeRegression(self.ensemble.state(i), self.config.basis)
-            self._cache[i] = reg
+            reg = self._cache[i] = NodeRegression(self.ensemble.state(i), self.config.basis, design)
+        elif design is not None:
+            reg.design(out=design)
         return reg
 
     def solve(self, window: Window, terminal: np.ndarray, driver, out=None,
@@ -148,25 +153,25 @@ class BackwardSolver:
         state is solved, by ``store(j, y, z)``, backward; node ``L - 1``,
         the terminal with a copy of node ``L - 2``'s integrand, is stored
         just before node ``L - 2``.  The default ``store`` writes ``y`` and
-        ``z`` into ``out``; a given one writes them there itself, so until
-        it does, node ``j`` of ``out`` still holds whatever was there
-        before (an earlier sweep's values, which the driver may read).
-        ``y`` and ``z`` need only stay valid until ``store`` returns.
-        Raises :class:`InvalidInput` when ``window`` runs past the grid.
+        ``z`` into ``out``; a given one writes them there itself, or leaves
+        the node as it was, so until it does, node ``j`` of ``out`` still
+        holds whatever was there before (an earlier sweep's values, which
+        the driver may read).  ``y`` and ``z`` need only stay valid until
+        ``store`` returns.  Raises :class:`InvalidInput` when ``window``
+        runs past the grid or ``terminal`` is not (P, n).
         """
         ens = self.ensemble
         ens.grid.check_window(window)
         cfg = self.config
         P = ens.n_paths
+        if terminal.ndim != 2 or len(terminal) != P:
+            raise InvalidInput("terminal shape does not match ensemble")
         n = terminal.shape[1]
         d = ens.d
         lo, hi = window.lo, window.hi
         L = window.n_nodes
         nodes = ens.grid.nodes
         steps = ens.grid.steps
-
-        if terminal.shape != (P, n):
-            raise InvalidInput("terminal shape does not match ensemble")
 
         Y, Z = (np.empty((L, P, n)), np.empty((L, P, d, n))) if out is None else out
         if store is None:
@@ -175,7 +180,7 @@ class BackwardSolver:
                 Z[j] = z
 
         raw = np.empty((P, d, n))
-        design = np.empty((self.node_regression(hi - 1).n_features, P))
+        design = np.empty((cfg.basis.n_features(d), P))
         dw = np.empty((P, d))
         work = np.empty((4, P, n))  # two alternating iterates and two scratch rows
         finite = np.empty((P, n), dtype=bool)
@@ -190,8 +195,7 @@ class BackwardSolver:
             j = i - lo
             h = float(steps[i])
             t = float(nodes[i])
-            reg = self.node_regression(i)
-            reg.design(out=design)
+            reg = self.node_regression(i, design)
 
             cond = reg.fit(y_next, design)
             resid = y_next - cond

@@ -807,10 +807,10 @@ def test_finalised_bmo_equals_the_horizon_estimate(case, monkeypatch):
         ens, solve = _ensemble(sc, cfg), shift_fixed_point
     built = []
 
-    def counting(state, basis):
+    def counting(state, basis, design=None):
         built.extend(i for i in range(ens.grid.n_steps + 1)
                      if np.shares_memory(state, ens.state(i)))
-        return NodeRegression(state, basis)
+        return NodeRegression(state, basis, design)
 
     monkeypatch.setattr(solver_module, "NodeRegression", counting)
     res = solve(sc, ens, cfg)
@@ -1112,19 +1112,19 @@ def test_envelope_rate_is_taken_once_from_the_solved_state(selector):
 @pytest.mark.parametrize("n_windows", [1, 2])
 @pytest.mark.parametrize("selector", sorted(_SOLVERS))
 def test_process_grids_are_node_major_and_contiguous(selector, n_windows, monkeypatch):
-    # (nodes, paths, ...) and C-contiguous for every selector; a lone
-    # window's state and integrand are the last sweep's own arrays, the
-    # state shifted as the sweep stored it where a mean shift moves it
+    # (nodes, paths, ...) and C-contiguous for every selector; every
+    # window is solved in place in the result's state and integrand, so
+    # the last sweep's arrays are views of them, the state shifted as the
+    # sweep stored it where a mean shift moves it
     sweeps = _record_sweeps(monkeypatch)
     res = _tiny_run(selector, n_windows=n_windows)
     L, P = 9, 500
     assert res.y.values.shape == (L, P, *res.m_y.values.shape[1:])
     assert res.z.values.shape == (L, P, *res.m_z.values.shape[1:])
     assert res.y.values.flags.c_contiguous and res.z.values.flags.c_contiguous
-    if len(res.windows) == 1:
-        last = sweeps[-1][2]
-        assert np.shares_memory(res.z.values, last.z)
-        assert np.shares_memory(res.y.values, last.y)
+    last = sweeps[-1][2]
+    assert np.shares_memory(res.z.values, last.z)
+    assert np.shares_memory(res.y.values, last.y)
 
 
 @pytest.mark.parametrize("selector", sorted(_SOLVERS))
@@ -1133,7 +1133,9 @@ def test_in_sweep_distances_and_means_are_those_of_the_whole_iterates(selector, 
     # stores over the iterate it replaces: they are, bit for bit, the
     # diagnostics' norms of consecutive iterates (each window's start, then
     # every sweep's arrays as it returned them) and the path means of the
-    # iterate the window ends on
+    # iterate the window ends on.  A window left of the horizon ends on the
+    # right window's solved node 0, whose integrand is not the one its own
+    # sweep took the mean of there
     sweeps = _record_sweeps(monkeypatch)
     finals = []
     iterate = meanfield._iterate
@@ -1166,17 +1168,29 @@ def test_in_sweep_distances_and_means_are_those_of_the_whole_iterates(selector, 
         assert final.y.tobytes() == snaps[-1].y.tobytes()
         assert final.z.tobytes() == snaps[-1].z.tobytes()
         assert final.m_y.tobytes() == path_mean(final.y).tobytes()
-        assert final.m_z.tobytes() == path_mean(final.z).tobytes()
+        own = slice(None) if hi == grid.n_steps else slice(-1)
+        assert final.m_z[own].tobytes() == path_mean(final.z[own]).tobytes()
+        if hi < grid.n_steps:
+            # as the right window's last sweep returned it
+            right = res.windows[res.windows.index((lo, hi)) + 1]
+            solved = [snap for span, _, _, snap in sweeps if span == right][-1]
+            assert final.y[-1].tobytes() == solved.y[0].tobytes()
+            assert final.z[-1].tobytes() == solved.z[0].tobytes()
 
 
-@pytest.mark.parametrize("selector, name", [("local", "linear.cfg"), ("picard", "ex22.cfg"),
-                                            ("shift", "ex31.cfg")])
-def test_a_window_holds_one_iterate(selector, name):
-    # the first sweep allocates the window's iterate and every later one
-    # stores over it: a lone window's solve peaks below its result plus
-    # half an iterate, where keeping the replaced iterate until its sweep
-    # ends would hold a whole one more
-    sc, cfg = _shipped(name, n_steps=60, n_paths=20_000, n_windows=1, override_epsilon=True)
+@pytest.mark.parametrize("selector, name, n_windows", [
+    ("local", "linear.cfg", 1), ("picard", "ex22.cfg", 1), ("shift", "ex31.cfg", 1),
+    ("global", "linear.cfg", 4), ("shift", "ex31.cfg", 4), ("multidim", "ex41.cfg", 4),
+], ids=["local-linear.cfg", "picard-ex22.cfg", "shift-ex31.cfg",
+        "global-linear.cfg-4", "shift-ex31.cfg-4", "multidim-ex41.cfg-4"])
+def test_a_window_holds_one_iterate(selector, name, n_windows):
+    # every window is solved in place in the horizon arrays, its first
+    # sweep storing into its block and every later one over it: a solve
+    # peaks below its result plus half an iterate, where keeping the
+    # replaced iterate until its sweep ends, or a window's iterate apart
+    # from the horizon, would hold a whole one more
+    sc, cfg = _shipped(name, n_steps=60, n_paths=20_000, n_windows=n_windows,
+                       override_epsilon=True)
     ens = _ensemble(sc, cfg)
     cert = certify(sc)
     tracemalloc.start()
@@ -1186,7 +1200,7 @@ def test_a_window_holds_one_iterate(selector, name):
     finally:
         tracemalloc.stop()
     traces = res.trace if isinstance(res.trace, list) else [res.trace]
-    assert len(traces) == 1 and traces[0].iterations >= 2
+    assert len(traces) == n_windows and all(t.iterations >= 2 for t in traces)
     iterate = res.y.values.nbytes + res.z.values.nbytes
     assert peak < 1.5 * iterate
 

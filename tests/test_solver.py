@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from mfbsde import dsl
+from mfbsde import dsl, regression
 from mfbsde.core import Window, build_grid, path_mean, simulate_brownian
 from mfbsde.errors import InvalidInput, RegressionError, StepDivergence
 from mfbsde.meanfield import local_solve
@@ -298,6 +298,15 @@ def test_backward_step_index_validation(ensemble50):
         )
 
 
+@pytest.mark.parametrize("shape", [(), (20_000,), (20_000, 1, 1), (19_999, 1)],
+                         ids=["scalar", "no-component-axis", "extra-axis", "path-count"])
+def test_a_terminal_of_the_wrong_shape_is_refused(ensemble50, shape):
+    with pytest.raises(InvalidInput, match="terminal shape does not match ensemble"):
+        BackwardSolver(ensemble50, CFG).solve(
+            Window(0, 50), np.zeros(shape), lambda i, s, z: lambda y: y
+        )
+
+
 @pytest.mark.parametrize("n_bins", [1, 3])
 @pytest.mark.parametrize("d", [1, 2])
 def test_backward_step_fits_match_normal_equations(grid50, n_bins, d):
@@ -568,6 +577,34 @@ def test_solver_cache_reused(ensemble50):
     a = solver.node_regression(17)
     b = solver.node_regression(17)
     assert a is b
+
+
+@pytest.mark.parametrize("n_bins", [1, 3])
+def test_a_node_built_on_a_design_buffer_is_factorised_from_it(ensemble50, n_bins):
+    # the node forms its design into the caller's buffer, and fits as a
+    # node that formed its own
+    basis = RegressionBasis(n_bins=n_bins)
+    state = ensemble50.state(25)
+    design = np.empty((basis.n_features(1), ensemble50.n_paths))
+    reg = NodeRegression(state, basis, design)
+    assert design.tobytes() == reg.design().tobytes()
+    vals = np.sin(3.0 * state[:, 0])
+    assert reg.fit(vals, design).tobytes() == NodeRegression(state, basis).fit(vals).tobytes()
+
+
+def test_a_first_sweep_forms_each_node_design_once(ensemble50, monkeypatch):
+    # a node met first is factorised from the design its step forms into
+    # the sweep's buffer, not from a design of its own
+    formed = []
+    design_rows = regression._design_rows
+
+    def counting(state, degree, out=None):
+        formed.append(out is not None)
+        return design_rows(state, degree, out)
+
+    monkeypatch.setattr(regression, "_design_rows", counting)
+    _frozen_mean_sweep(_scalar_scenario("0.1*y + 0.2*norm2(z)^2"), ensemble50, CFG)
+    assert formed == [True] * 50
 
 
 # ---------------------------------------------------------------------------
