@@ -54,7 +54,6 @@ from .scenario import (
     ScenarioSpec,
     example_21,
     example_22,
-    example_31,
     example_41,
     linear_scenario,
 )
@@ -64,7 +63,6 @@ from .meanfield import (
     FixedPointTrace,
     SolveResult,
     global_solve,
-    local_solve,
     multidim_solve,
     picard_global,
     shift_fixed_point,
@@ -79,14 +77,14 @@ __all__ = [
     # dsl
     "GeneratorExpr", "parse", "to_text", "evaluate", "evaluate_terminal",
     # scenarios
-    "ScenarioSpec", "example_21", "example_22", "example_31", "example_41",
+    "ScenarioSpec", "example_21", "example_22", "example_41",
     "linear_scenario", "FORM_QUAD_GROWTH", "FORM_GLOBAL_ODE",
     "FORM_SPLIT_QUADRATIC", "FORM_SPLIT_LIPSCHITZ",
     # certificates
     "ConstantChain", "Certificate", "build_chain", "certify", "ode_bound",
     # solvers
     "SolverConfig", "BackwardSolver",
-    "FixedPointTrace", "SolveResult", "local_solve",
+    "FixedPointTrace", "SolveResult",
     "global_solve", "picard_global",
     "shift_fixed_point", "multidim_solve",
     # config

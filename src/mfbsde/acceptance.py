@@ -27,9 +27,9 @@ import numpy as np
 
 from .certificates import build_chain, certify, ode_bound
 from .config import manifest_for, write_result_csv
-from .core import Window, build_grid, simulate_brownian
+from .core import build_grid, simulate_brownian
 from .errors import FixtureMissing, MFBSDEError
-from .meanfield import global_solve, local_solve, multidim_solve, picard_global, shift_fixed_point
+from .meanfield import global_solve, multidim_solve, picard_global, shift_fixed_point
 from .scenario import (
     FORM_SPLIT_QUADRATIC,
     ScenarioSpec,
@@ -439,18 +439,16 @@ def criterion_8():
     scenario = _c7_scenario()
     config = SolverConfig(
         n_steps=100, n_paths=40_000, seed=31008, tol_fp=1e-7, max_outer=25,
-        override_epsilon=True,
+        n_windows=2, override_epsilon=True,
     )
     ensemble = _ensemble(scenario, config)
     cert = certify(scenario)
     # the analytic window width underflows doubles for these constants (its
     # logarithm is reported below); the contraction evidence is collected on
-    # the final quarter-horizon window under the explicit override flag
-    window = Window(50, 100)
-    result = local_solve(
-        scenario, ensemble, config, window=window, certificate=cert
-    )
-    (trace,) = result.trace
+    # the terminal window, the right half of the horizon, which a stitched
+    # solve of two windows solves first, under the explicit override flag
+    result = global_solve(scenario, ensemble, config, certificate=cert)
+    trace = result.trace[-1]
     ratios = trace.ratios
     consecutive = 0
     best = 0
@@ -461,7 +459,7 @@ def criterion_8():
         "ratios": [round(r, 5) for r in ratios],
         "max_consecutive_below_one": best,
         "iterations": trace.iterations,
-        "window_width": window.width(ensemble.grid),
+        "window_width": trace.width,
         "certified_width_log": cert.chain.log_eps,
         "certified_width_underflows": cert.chain.eps_underflow,
     }

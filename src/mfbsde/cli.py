@@ -7,7 +7,10 @@ Three commands:
     human-readable report plus a JSON version next to it.
 
 ``mfbsde solve --config FILE [--solver NAME] [flags...]``
-    Run one of the solvers and write CSV/JSON results.  The CSV has an
+    Run one of the four solvers, ``global``, ``picard``, ``shift`` or
+    ``multidim``, and write CSV/JSON results.  The local solve is
+    ``global`` on one window (``--windows 1``); any other name, ``local``
+    among them, exits 2 with argparse's choices message.  The CSV has an
     ``alpha_bound`` column, the certificate's envelope; the JSON is ``SolveResult.as_dict()`` plus the
     manifest.  Its traces hold one entry per sweep, the first measured
     against the start (the terminal data's path mean with a zero
@@ -24,7 +27,7 @@ Three commands:
     damped passes, and every entry of the result's ``flags``.
     ``--solver shift`` also covers the deterministic-shift case (``f1`` of
     ``s, z`` only, ``f2`` without the state): two sweeps, the first exact.
-    ``local`` and ``picard`` solve one window: they ignore ``n_windows``
+    ``picard`` solves the horizon as one window: it ignores ``n_windows``
     and ``--windows``, and the manifest records ``n_windows`` as null.
 
 ``mfbsde validate [--criteria 1,2,...]``
@@ -72,14 +75,12 @@ from .core import build_grid, simulate_brownian
 from .errors import InvalidInput, MFBSDEError
 from .meanfield import (
     global_solve,
-    local_solve,
     multidim_solve,
     picard_global,
     shift_fixed_point,
 )
 
 _SOLVERS = {
-    "local": local_solve,
     "global": global_solve,
     "picard": picard_global,
     "shift": shift_fixed_point,
@@ -170,7 +171,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_solve(args) -> int:
     scenario, solver_cfg, options, text = load_config(args.config, _keys(args))
-    if args.solver in ("local", "picard"):  # one window, whatever n_windows plans
+    if args.solver == "picard":  # one window, whatever n_windows plans
         solver_cfg = solver_cfg.updated(n_windows=None)
     run = _SOLVERS[args.solver]
     out_dir = Path(options.directory)

@@ -10,7 +10,7 @@ same seed produce bit-identical results on the same platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,38 +177,29 @@ def simulate_brownian(grid: TimeGrid, d: int, n_paths: int, seed: int) -> PathEn
 
 @dataclass(frozen=True)
 class _NodeSeries:
-    """Values on the nodes of ``span`` of a grid (the whole grid by default),
-    the nodes on axis 0."""
+    """Values on every node of a grid, the nodes on axis 0."""
 
     grid: TimeGrid
     values: np.ndarray
-    span: tuple[int, int] = field(default=(-1, -1))
 
-    def _check_span(self, vals: np.ndarray) -> None:
-        """Check ``span`` against the grid and the node axis of ``vals``, and
-        store both."""
-        span = (0, self.grid.n_steps) if self.span == (-1, -1) else self.span
-        lo, hi = int(span[0]), int(span[1])
-        if not (0 <= lo < hi <= self.grid.n_steps):
-            raise InvalidInput(f"span {span} outside grid")
-        if hi - lo + 1 != vals.shape[0]:
-            raise InvalidInput("value length does not match span")
+    def _store(self, vals: np.ndarray) -> None:
+        """Check the node axis of ``vals`` against the grid, and store it."""
+        if vals.shape[0] != self.grid.n_steps + 1:
+            raise InvalidInput("value length does not match the grid's nodes")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "span", (lo, hi))
 
     def times(self) -> np.ndarray:
-        lo, hi = self.span
-        return self.grid.nodes[lo : hi + 1]
+        return self.grid.nodes
 
 
 @dataclass(frozen=True)
 class ProcessGrid(_NodeSeries):
-    """Per-path process sampled on (a window of) a grid.
+    """Per-path process sampled on a grid.
 
-    ``values`` has shape (L, n_paths, *dims), node-major, where L is the
-    number of nodes in ``span``.  All entries must be finite.  A float64
-    array is kept as a read-only view, not copied: a solver's result views
-    the arrays it solved into.  The caller's own array stays writable.
+    ``values`` has shape (N+1, n_paths, *dims), node-major.  All entries
+    must be finite.  A float64 array is kept as a read-only view, not
+    copied: a solver's result views the arrays it solved into.  The
+    caller's own array stays writable.
     """
 
     def __post_init__(self):
@@ -217,7 +208,7 @@ class ProcessGrid(_NodeSeries):
             raise InvalidInput("process values need shape (nodes, paths, ...)")
         vals = vals.view()
         vals.setflags(write=False)
-        self._check_span(vals)
+        self._store(vals)
         if vals.shape[1] < 1:
             raise InvalidInput("empty path axis")
         if not _all_finite(vals):
@@ -241,13 +232,13 @@ def _all_finite(vals: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class MeanCurve(_NodeSeries):
-    """Deterministic node-indexed curve, shape (L, *dims)."""
+    """Deterministic node-indexed curve, shape (N+1, *dims)."""
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim < 1:
             raise InvalidInput("curve values need a node axis")
-        self._check_span(_readonly(vals))
+        self._store(_readonly(vals))
         if not np.all(np.isfinite(self.values)):
             raise InvalidInput("curve values must be finite")
 
@@ -305,4 +296,4 @@ def row_norm(a: np.ndarray) -> np.ndarray:
 
 def ensemble_mean(p: ProcessGrid) -> MeanCurve:
     """Node-wise path average of a process, by :func:`path_mean`."""
-    return MeanCurve(grid=p.grid, values=path_mean(p.values), span=p.span)
+    return MeanCurve(grid=p.grid, values=path_mean(p.values))

@@ -6,11 +6,11 @@ the conditional tail integral ``E_i[ integral_{t_i}^{T} |Z_s|^2 ds ]``
 each node, and then the worst node.  Grid nodes stand in for general
 stopping times, so the estimate is a lower bound of the continuous-time
 norm up to discretisation.  The estimator takes the node regressions as a
-callable ``node_regression(i)`` of the global node index; the solvers pass
+callable ``node_regression(i)`` of the node index; the solvers pass
 :meth:`BackwardSolver.node_regression`, so the diagnostics fit against the
 factors the backward sweep already built and keep no cache of their own
 (each fit forms its node's design afresh).  A solve takes the estimate
-once, over the span it solved, and :func:`build_report` takes the result.
+once, over the whole grid, and :func:`build_report` takes the result.
 
 The path norms (:func:`sup_norm`, :func:`s2_norm`, :func:`m2_norm`) take
 node-major ``(L, P, ...)`` arrays, the layout of the backward sweep and of
@@ -61,7 +61,7 @@ __all__ = [
 def node_square_norms(p: ProcessGrid, nodes=None):
     """Squared Euclidean norm of every path's value, node by node.
 
-    Yields one (P,) buffer per node of ``nodes`` (local indices, all nodes
+    Yields one (P,) buffer per node of ``nodes`` (node indices, all nodes
     in order by default), equal bit for bit to ``np.sum(v ** 2, axis=-1)``
     over the flattened components.  The buffer is reused: read each node
     before taking the next.
@@ -163,20 +163,19 @@ def m2_norm(a: np.ndarray, steps: np.ndarray, b: np.ndarray | None = None) -> fl
 def bmo2_estimate(z: ProcessGrid, node_regression) -> float:
     """Squared BMO estimate ``max_i max_paths E_i[int_{t_i}^T |Z|^2 ds]``.
 
-    ``node_regression(i)`` returns the :class:`NodeRegression` of global
-    node ``i`` (a solver's :meth:`BackwardSolver.node_regression`); it is
-    asked once for every node of the span but the last.  The per-path
-    integral starts at zero at the span's last node.
+    ``node_regression(i)`` returns the :class:`NodeRegression` of node
+    ``i`` (a solver's :meth:`BackwardSolver.node_regression`); it is asked
+    once for every node but the last.  The per-path integral starts at zero
+    at the horizon.
     """
-    lo, hi = z.span
-    steps = z.grid.steps[lo:hi]
+    steps = z.grid.steps
     # per-path integral to the horizon, backward: I_j = I_{j+1} + |Z_j|^2 h_j
     integral = np.zeros(z.n_paths)
     worst = 0.0
     backward = range(z.n_nodes - 2, -1, -1)
     for j, sq in zip(backward, node_square_norms(z, backward)):
         integral += sq * steps[j]
-        worst = max(worst, float(node_regression(lo + j).fit(integral).max()))
+        worst = max(worst, float(node_regression(j).fit(integral).max()))
     return worst
 
 
@@ -257,11 +256,10 @@ def build_report(
     """Norms of one solved ``(y, z)``, with ``bmo``, its
     :func:`bmo2_estimate`, and ``alpha_rate``, its
     :func:`check_alpha_envelope`."""
-    lo, hi = z.span
     rep = DiagnosticsReport(
         sup_y=sup_norm(y.values),
         sp_y=s2_norm(y.values),
-        mp_z=m2_norm(z.values, z.grid.steps[lo:hi]),
+        mp_z=m2_norm(z.values, z.grid.steps),
         bmo2_z=bmo,
         p=2.0,
         gamma=gamma,

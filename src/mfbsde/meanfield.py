@@ -5,11 +5,10 @@ the state and of the martingale integrand.  All solvers share one backward
 regression engine and one window engine, and differ only in the map they
 iterate and the windows they iterate it on:
 
-* ``local_solve`` iterates the frozen-mean solve (the mean slots of the
-  driver frozen at given curves) to its fixed point on one window, which
-  ends at the horizon;
-* ``global_solve`` stitches those window fixed points backward across the
-  horizon, on the windows of :func:`_plan_windows`;
+* ``global_solve`` iterates the frozen-mean solve (the mean slots of the
+  driver frozen at given curves) to its fixed point on each window of
+  :func:`_plan_windows` and stitches those fixed points backward across
+  the horizon; on one window (``n_windows = 1``) it is the local solve;
 * ``picard_global`` iterates, on the whole horizon as one window, the
   linearised scheme whose source term is the previous iterate's full
   driver increment;
@@ -33,7 +32,7 @@ records its width, its choosing ratio, whether it exceeds the certified
 width, its sweeps' z-clamp activations and its steps' distances; a failure
 carries the trace, so whatever a window did reaches the result JSON or the
 failure record.  After the last window the engine finalises once on the
-span it solved: the BMO estimate, fitted with the regressions the sweeps
+horizon: the BMO estimate, fitted with the regressions the sweeps
 cached (every node's k x k factors live for the whole solve, and nothing is
 factorised again), the diagnostics report, the envelope rate, the process
 grids, and the flags, among them whether the solved pair lies in the
@@ -126,7 +125,6 @@ from .solver import BackwardSolver, SolverConfig, staged_driver
 __all__ = [
     "FixedPointTrace",
     "SolveResult",
-    "local_solve",
     "global_solve",
     "picard_global",
     "shift_fixed_point",
@@ -196,15 +194,19 @@ class FixedPointTrace:
 
 @dataclass
 class SolveResult:
-    """Solver output: processes, means, trace(s), diagnostics, certificate.
+    """Solver output: processes, means, traces, diagnostics, certificate.
 
-    Everything but the process grids is written by :meth:`as_dict`."""
+    The process grids and mean curves cover every node of the grid.
+    ``trace`` is a list of one :class:`FixedPointTrace` per window, ordered
+    as ``windows``, for every solver but :func:`picard_global`, whose one
+    window's trace stands alone.  Everything but the process grids is
+    written by :meth:`as_dict`."""
 
     y: ProcessGrid
     z: ProcessGrid
     m_y: MeanCurve
     m_z: MeanCurve
-    trace: FixedPointTrace | list
+    trace: list[FixedPointTrace] | FixedPointTrace
     certificate: Certificate
     diagnostics: DiagnosticsReport
     windows: list[tuple[int, int]] = field(default_factory=list)
@@ -347,9 +349,9 @@ def _solve(scenario, ensemble, config, certificate, step, state_norm, context,
     horizon, chosen right to left and finalised once.
 
     ``certificate`` is certified from ``scenario`` when None.  ``windows``
-    is a list of windows, a plan (:func:`_measured_plan`), or None for
-    those of :func:`_plan_windows`; a plan of several windows ends at node
-    0.  ``step(window, it, sweep)`` applies the solver's map once to the
+    is a list of adjacent windows from node 0 to the horizon, a plan
+    (:func:`_measured_plan`), or None for those of :func:`_plan_windows`.
+    ``step(window, it, sweep)`` applies the solver's map once to the
     iterate ``it`` and returns the next with its distances to ``it``;
     ``sweep(driver, shift=None)`` runs the window's backward sweep, closed
     by the terminal data or by the state solved on the window to the right,
@@ -373,8 +375,7 @@ def _solve(scenario, ensemble, config, certificate, step, state_norm, context,
     solver = BackwardSolver(ensemble, config)
     grid, P, n, d = ensemble.grid, ensemble.n_paths, scenario.n, scenario.d
     N = grid.n_steps
-    lo0 = 0 if callable(windows) else min(w.lo for w in windows)  # a plan ends at node 0
-    y_vals, z_vals = np.empty((N + 1 - lo0, P, n)), np.empty((N + 1 - lo0, P, d, n))
+    y_vals, z_vals = np.empty((N + 1, P, n)), np.empty((N + 1, P, d, n))
     solved, traces = [], []
     ones = np.ones(P)
     row = np.empty((P, n))  # a shifted state, or a distance nothing keeps
@@ -383,8 +384,7 @@ def _solve(scenario, ensemble, config, certificate, step, state_norm, context,
     # bind, are freed when this returns
     def fixed_point(window: Window, terminal: np.ndarray, trace: FixedPointTrace):
         steps = grid.steps[window.lo : window.hi]
-        block = slice(window.lo - lo0, window.hi + 1 - lo0)
-        ys, zs = y_vals[block], z_vals[block]
+        ys, zs = y_vals[window.lo : window.hi + 1], z_vals[window.lo : window.hi + 1]
         # below the horizon the last node holds the right window's solution
         shared = window.n_nodes - 1 if window.hi < N else None
 
@@ -431,12 +431,12 @@ def _solve(scenario, ensemble, config, certificate, step, state_norm, context,
                                       exceeds_certificate=exceeds))
         fixed_point(w, terminal, traces[-1])
         planned = plan(w.lo, traces[-1])
-        terminal = y_vals[w.lo - lo0]
+        terminal = y_vals[w.lo]
     solved.reverse()
     traces.reverse()
 
-    ygrid = ProcessGrid(grid=grid, values=y_vals, span=(lo0, N))
-    zgrid = ProcessGrid(grid=grid, values=z_vals, span=(lo0, N))
+    ygrid = ProcessGrid(grid=grid, values=y_vals)
+    zgrid = ProcessGrid(grid=grid, values=z_vals)
     budget = None
     if FORM_GLOBAL_ODE in scenario.forms:
         budget = bmo_budget_global(
@@ -500,7 +500,7 @@ def _measured_plan(grid):
 
 
 # ---------------------------------------------------------------------------
-# frozen-mean map: local fixed point and stitching
+# frozen-mean map: window fixed points and stitching
 # ---------------------------------------------------------------------------
 
 
@@ -513,37 +513,6 @@ def _frozen_mean_step(scenario):
         return sweep(staged_driver(f, window.lo, ybar=it.m_y, zbar=it.m_z))
 
     return step
-
-
-def local_solve(
-    scenario: ScenarioSpec,
-    ensemble: PathEnsemble,
-    config: SolverConfig,
-    window: Window | None = None,
-    certificate: Certificate | None = None,
-) -> SolveResult:
-    """Fixed point of the frozen-mean map on one window, which ends at the
-    last node of the grid (the whole grid by default).
-
-    Starts from the terminal data's path mean at every node and a zero
-    integrand, and applies the frozen-mean solve until two successive
-    iterates agree to ``tol_fp`` in sup norm (state) plus empirical M2
-    distance (integrand).  Raises :class:`InvalidInput` for a window that
-    does not end at the last node, :class:`NonContraction` when the
-    distances stop shrinking persistently, :class:`MaxIterations` on budget
-    exhaustion.  The trace is a one-element list, as for every stitched
-    solve.
-    """
-    _check_shape(scenario, "local_solve")
-    window = window or ensemble.grid.full_window()
-    N = ensemble.grid.n_steps
-    if window.hi != N:
-        raise InvalidInput(
-            f"local_solve window ({window.lo}, {window.hi}) must end at the "
-            f"last node {N} of the grid"
-        )
-    return _solve(scenario, ensemble, config, certificate, _frozen_mean_step(scenario),
-                  SupNorm, "local solve", [window], mean_z=True)
 
 
 def _plan_windows(ensemble: PathEnsemble, config: SolverConfig, cert: Certificate):
@@ -590,11 +559,22 @@ def global_solve(
     window, right to left.  Window sizes come from the configuration, from
     the certificate's stitching width when it is resolvable on the grid,
     or else, under ``override_epsilon``, from the contraction each solved
-    window measured (:func:`_plan_windows`).  Envelope violations are
-    reported in ``flags``, not raised."""
+    window measured (:func:`_plan_windows`).
+
+    On each window the frozen-mean solve is applied from the terminal
+    data's path mean at every node and a zero integrand until two
+    successive iterates agree to ``tol_fp`` in sup norm (state) plus
+    empirical M2 distance (integrand).  Raises :class:`NonContraction` when
+    the distances stop shrinking persistently and :class:`MaxIterations` on
+    budget exhaustion.  Envelope violations are reported in ``flags``, not
+    raised."""
     _check_shape(scenario, "global_solve")
     return _solve(scenario, ensemble, config, certificate, _frozen_mean_step(scenario),
-                  SupNorm, "local solve", mean_z=True)
+                  SupNorm, "global solve", mean_z=True)
+
+
+# the benchmark's tracer still patches this name; nothing else reads it
+local_solve = global_solve
 
 
 # ---------------------------------------------------------------------------

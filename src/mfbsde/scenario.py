@@ -26,7 +26,6 @@ __all__ = [
     "FORM_SPLIT_LIPSCHITZ",
     "example_21",
     "example_22",
-    "example_31",
     "example_41",
     "linear_scenario",
 ]
@@ -210,35 +209,6 @@ def example_22(
         xi_bound=xi_bound,
         ctilde=ctilde,
         forms=frozenset({FORM_QUAD_GROWTH, FORM_GLOBAL_ODE}),
-    )
-
-
-def example_31(
-    T: float = 1.0,
-    terminal: str = "sin(w)",
-    C: float = 4.0,
-    gamma: float = 1.0,
-    xi_bound: float = 1.0,
-) -> ScenarioSpec:
-    """Split generator: bounded quadratic part plus a mean shift.
-
-    The default structure constant is the smallest one that envelopes the
-    generator pair in its own form display (the first part is
-    bounded by 4 at z = 0)."""
-    return ScenarioSpec(
-        name="ex3.1",
-        n=1,
-        d=1,
-        T=T,
-        terminal=dsl.parse(terminal, dsl.TERMINAL_VARS),
-        f1=dsl.parse("1 + abs(sin(y)) + abs(sin(ybar)) + 0.5*norm2(z)^2 + "
-                     "abs(sin(norm2(zbar)))"),
-        f2=dsl.parse("1 + abs(y) + abs(ybar) + 0.5*(norm2(z) + norm2(zbar))^2"),
-        C=C,
-        gamma=gamma,
-        alpha=0.0,
-        xi_bound=xi_bound,
-        forms=frozenset({FORM_SPLIT_QUADRATIC}),
     )
 
 

@@ -6,11 +6,13 @@ the harness patching nothing or reading a field that is gone."""
 
 import importlib.util
 import os
+import pkgutil
 import sys
 from pathlib import Path
 
 import pytest
 
+import mfbsde
 from mfbsde import config, core, diagnostics, meanfield
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmark"
@@ -53,6 +55,16 @@ def test_every_tracer_target_resolves_and_is_restored(bench):
     assert all(getattr(meanfield, name) is fn for name, fn in before.items())
 
 
+def test_the_tracers_local_solve_is_the_global_solver():
+    # the tracer patches ``meanfield.local_solve`` by name: it is one more
+    # name of the stitched solver, which no module exports, so it cannot
+    # grow into a second solver while the harness still asks for it
+    assert meanfield.local_solve is meanfield.global_solve
+    modules = [mfbsde] + [importlib.import_module(f"mfbsde.{m.name}")
+                          for m in pkgutil.iter_modules(mfbsde.__path__)]
+    assert [m.__name__ for m in modules if "local_solve" in getattr(m, "__all__", ())] == []
+
+
 def test_every_workload_solver_is_a_meanfield_function(bench):
     _, workloads = bench
     names = [fn for w in workloads.WORKLOADS.values() for _, fn in w.solvers]
@@ -65,6 +77,18 @@ def _tiny_attempt(workload):
     grid = core.build_grid(scenario.T, cfg.n_steps)
     ensemble = core.simulate_brownian(grid, scenario.d, cfg.n_paths, cfg.seed)
     return scenario, cfg, ensemble, meanfield.certify(scenario)
+
+
+def test_a_traced_global_solve_is_one_solver_span(bench):
+    # the tracer wraps each name of the stitched solver apart: a solve
+    # called by one name is one span under that name, not one under each
+    run, workloads = bench
+    scenario, cfg, ensemble, cert = _tiny_attempt(workloads.WORKLOADS["linear-100k"])
+    with run.install_tracer() as tr:
+        meanfield.global_solve(scenario, ensemble, cfg, cert)
+    summary = tr.summary()
+    assert summary["meanfield.global_solve"]["n"] == 1
+    assert "meanfield.local_solve" not in summary
 
 
 @pytest.mark.parametrize("name", ["linear-100k", "ex22-crosscheck", "ex41-multidim"])

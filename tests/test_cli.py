@@ -73,6 +73,18 @@ def test_unknown_solver_is_usage_error(tiny_cfg, capsys):
     assert main(["solve", "--config", str(tiny_cfg), "--solver", "nope"]) == 2
 
 
+def test_local_selector_is_refused(tiny_cfg, tmp_path, capsys):
+    # the local solve is --solver global on one window: "local" is no
+    # selector, and argparse names the four that are
+    out = tmp_path / "out"
+    argv = ["solve", "--config", str(tiny_cfg), "--out-dir", str(out), "--solver", "local"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    choices = re.search(r"invalid choice: 'local' \(choose from (.*)\)", err).group(1)
+    assert [c.strip(" '") for c in choices.split(",")] == ["global", "multidim", "picard", "shift"]
+    assert not out.exists()
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     rc = main(["solve", "--config", str(tmp_path / "ghost.cfg")])
     assert rc == 2
@@ -458,7 +470,7 @@ def test_exhausted_outer_budget_exits_1(tmp_path, capsys, monkeypatch):
     record = json.loads((out / "ex22_failure.json").read_text())
     assert record["error"] == "MaxIterations"
     assert err.strip() == f"error: MaxIterations: {record['message']}"
-    assert record["message"].startswith("local solve on window (6, 8): ")
+    assert record["message"].startswith("global solve on window (6, 8): ")
     assert record["trace"]["iterations"] == 1
     assert record["trace"]["converged"] is False
     man = record["manifest"]
@@ -548,10 +560,11 @@ def test_solve_overrides_reach_manifest(tiny_cfg, tmp_path):
     assert (solver["seed"], solver["n_steps"], solver["n_paths"]) == (3, 6, 300)
 
 
-@pytest.mark.parametrize("selector", ["local", "picard"])
+@pytest.mark.parametrize("selector", ["picard"])
 def test_one_window_solvers_record_no_window_count(selector, tmp_path):
-    # n_windows shapes nothing these solvers write: the manifest records it
-    # as null, so both runs write the same bytes, manifest line included
+    # n_windows shapes nothing the horizon-wide solver writes: the manifest
+    # records it as null, so both runs write the same bytes, manifest line
+    # included
     config = Path(__file__).resolve().parents[1] / "configs" / "ex21.cfg"
     texts = []
     for extra in ([], ["--windows", "3"]):

@@ -20,7 +20,6 @@ from mfbsde import (
     dsl,
     example_21,
     example_22,
-    example_31,
     example_41,
     linear_scenario,
     load_config,
@@ -116,7 +115,6 @@ def test_linear_fields():
     [
         ("ex21.cfg", lambda: example_21(alpha=0.5, T=0.5, C=0.25, gamma=1.0)),
         ("ex22.cfg", example_22),
-        ("ex31.cfg", example_31),
         ("ex41.cfg", example_41),
     ],
 )

@@ -140,13 +140,12 @@ def test_brownian_increment_independence(grid50):
 
 
 def test_process_grid_span_and_times(grid50):
-    vals = np.zeros((21, 10, 1))
-    p = ProcessGrid(grid=grid50, values=vals, span=(30, 50))
-    assert (p.n_nodes, p.n_paths) == (21, 10)
-    assert p.times()[0] == pytest.approx(0.6)
-    assert p.times()[-1] == pytest.approx(1.0)
-    with pytest.raises(InvalidInput):
-        ProcessGrid(grid=grid50, values=vals, span=(0, 10))  # length mismatch
+    # a process grid spans every node of its grid
+    p = ProcessGrid(grid=grid50, values=np.zeros((51, 10, 1)))
+    assert (p.n_nodes, p.n_paths) == (51, 10)
+    assert p.times() is grid50.nodes
+    with pytest.raises(InvalidInput, match="does not match the grid's nodes"):
+        ProcessGrid(grid=grid50, values=np.zeros((21, 10, 1)))
 
 
 def test_process_grid_rejects_nonfinite(grid50):
@@ -215,9 +214,11 @@ def test_ensemble_mean_is_the_node_major_path_mean(grid50, rng):
 
 
 def test_mean_curve_span(grid50):
-    mc = MeanCurve(grid=grid50, values=np.ones(11), span=(40, 50))
-    assert mc.times().shape == (11,)
-    assert mc.times()[0] == pytest.approx(0.8)
+    # a mean curve spans every node of its grid
+    mc = MeanCurve(grid=grid50, values=np.ones(51))
+    assert mc.times() is grid50.nodes
+    with pytest.raises(InvalidInput, match="does not match the grid's nodes"):
+        MeanCurve(grid=grid50, values=np.ones(11))
 
 
 def test_values_are_write_protected(grid50):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mfbsde.core import ProcessGrid, build_grid, simulate_brownian
+from mfbsde.core import ProcessGrid, TimeGrid, build_grid, simulate_brownian
 from mfbsde.diagnostics import (
     bmo2_estimate,
     bmo_budget_global,
@@ -104,21 +104,19 @@ def _ref_s2(y):
 
 
 def _ref_m2(z):
-    lo, hi = z.span
-    integral = z.grid.steps[lo:hi] @ _ref_square_norms(z)[:-1]
+    integral = z.grid.steps @ _ref_square_norms(z)[:-1]
     return float(np.sqrt(np.mean(integral)))
 
 
 def _ref_bmo2(z, ensemble):
-    lo, hi = z.span
     sq = _ref_square_norms(z)
     L, P = sq.shape
-    contrib = sq[:-1] * z.grid.steps[lo:hi][:, None]
+    contrib = sq[:-1] * z.grid.steps[:, None]
     tails = np.zeros((L, P))
     tails[:-1] = contrib[::-1].cumsum(axis=0)[::-1]
     worst = 0.0
     for j in range(L - 1):
-        reg = NodeRegression(ensemble.state(lo + j), RegressionBasis())
+        reg = NodeRegression(ensemble.state(j), RegressionBasis())
         worst = max(worst, float(reg.fit(tails[j]).max()))
     return worst
 
@@ -130,7 +128,9 @@ def _ref_envelope(y, alpha_fn):
 
 
 _DIMS = [(1,), (1, 1), (2, 1), (2, 2)]
-_SPANS = [(0, 12), (4, 12), (3, 9)]
+# each process lives on the nodes lo..hi of a 12-step grid, moved to start
+# at t = 0: grids of 12, 8 and 6 steps
+_CUTS = [(0, 12), (4, 12), (3, 9)]
 
 
 @pytest.fixture(scope="module")
@@ -138,40 +138,41 @@ def grid12():
     return build_grid(1.0, 12)
 
 
-def _process(grid12, dims, span, layout, seed=0):
-    """A random process grid; ``layout`` is that of the storage behind its
-    node-major values, so "path-major" gives a non-contiguous view."""
-    rng = np.random.default_rng([seed, len(dims), sum(dims), *span])
-    L = span[1] - span[0] + 1
-    values = 1.5 * rng.standard_normal((L, 300, *dims))
+def _process(grid12, dims, cut, layout, seed=0):
+    """A random process grid on the ``cut`` of ``grid12``; ``layout`` is
+    that of the storage behind its node-major values, so "path-major" gives
+    a non-contiguous view."""
+    rng = np.random.default_rng([seed, len(dims), sum(dims), *cut])
+    nodes = grid12.nodes[cut[0] : cut[1] + 1]
+    values = 1.5 * rng.standard_normal((len(nodes), 300, *dims))
     if layout == "path-major":
         values = np.swapaxes(np.ascontiguousarray(np.swapaxes(values, 0, 1)), 0, 1)
-    return ProcessGrid(grid=grid12, values=values, span=span)
+    return ProcessGrid(grid=TimeGrid(nodes - nodes[0]), values=values)
 
 
 @pytest.mark.parametrize("layout", ["path-major", "node-major"])
-@pytest.mark.parametrize("span", _SPANS, ids=str)
+@pytest.mark.parametrize("cut", _CUTS, ids=str)
 @pytest.mark.parametrize("dims", _DIMS, ids=str)
-def test_norms_match_whole_array_reference(grid12, dims, span, layout):
-    proc = _process(grid12, dims, span, layout)
+def test_norms_match_whole_array_reference(grid12, dims, cut, layout):
+    proc = _process(grid12, dims, cut, layout)
     assert proc.values.flags.c_contiguous == (layout == "node-major")
-    nodes, steps = proc.values, grid12.steps[span[0] : span[1]]
+    nodes, steps = proc.values, proc.grid.steps
     assert sup_norm(nodes) == _ref_sup(proc)
     assert s2_norm(nodes) == _ref_s2(proc)
     assert m2_norm(nodes, steps) == pytest.approx(_ref_m2(proc), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("layout", ["path-major", "node-major"])
-@pytest.mark.parametrize("span", _SPANS, ids=str)
+@pytest.mark.parametrize("cut", _CUTS, ids=str)
 @pytest.mark.parametrize("dims", _DIMS, ids=str)
-def test_bmo2_matches_whole_array_reference(grid12, dims, span, layout):
-    ens = simulate_brownian(grid12, 2, 300, 41)
-    z = _process(grid12, dims, span, layout)
+def test_bmo2_matches_whole_array_reference(grid12, dims, cut, layout):
+    z = _process(grid12, dims, cut, layout)
+    ens = simulate_brownian(z.grid, 2, 300, 41)
     want = _ref_bmo2(z, ens)
     assert bmo2_estimate(z, _regressions(ens)) == pytest.approx(want, rel=1e-12, abs=0)
-    # a solver's cached regressions give the same estimate; every node of
-    # the span but the last is asked for once
-    solver = BackwardSolver(ens, SolverConfig(n_steps=12, n_paths=300))
+    # a solver's cached regressions give the same estimate; every node but
+    # the last is asked for once
+    solver = BackwardSolver(ens, SolverConfig(n_steps=z.grid.n_steps, n_paths=300))
     asked = []
 
     def node_regression(i):
@@ -179,14 +180,14 @@ def test_bmo2_matches_whole_array_reference(grid12, dims, span, layout):
         return solver.node_regression(i)
 
     assert bmo2_estimate(z, node_regression) == pytest.approx(want, rel=1e-12, abs=0)
-    assert sorted(asked) == list(range(span[0], span[1]))
+    assert sorted(asked) == list(range(z.grid.n_steps))
 
 
 @pytest.mark.parametrize("layout", ["path-major", "node-major"])
-@pytest.mark.parametrize("span", _SPANS, ids=str)
+@pytest.mark.parametrize("cut", _CUTS, ids=str)
 @pytest.mark.parametrize("dims", _DIMS, ids=str)
-def test_envelope_matches_whole_array_reference(grid12, dims, span, layout):
-    y = _process(grid12, dims, span, layout)
+def test_envelope_matches_whole_array_reference(grid12, dims, cut, layout):
+    y = _process(grid12, dims, cut, layout)
     alpha_fn = lambda t: 1.0 + 2.0 * np.asarray(t)
     rate = check_alpha_envelope(y, alpha_fn)
     assert 0.0 < rate < 1.0

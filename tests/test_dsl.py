@@ -1,15 +1,17 @@
 """Generator expression parsing and evaluation.
 
-The worked examples' generators, taken from their scenario factories,
-double as parser fixtures: their text is pinned, and their values are
-cross-checked against hand-coded closed forms at random points.  The
-compiled evaluator, staged for every set of late slots, is held bit for
-bit to the tree-walking reference interpreter kept below.
+The worked examples' generators, taken from their scenario factories (and
+ex3.1's from its shipped config), double as parser fixtures: their text is
+pinned, and their values are cross-checked against hand-coded closed forms
+at random points.  The compiled evaluator, staged for every set of late
+slots, is held bit for bit to the tree-walking reference interpreter kept
+below.
 """
 
 import math
 import pickle
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,16 +19,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfbsde import core, dsl
+from mfbsde.config import load_config
 from mfbsde.dsl import Bin, Call, Neg, Num, Var
 from mfbsde.errors import DimensionError, EvalDomainError, InvalidInput, ParseError
-from mfbsde.scenario import example_21, example_22, example_31, example_41
+from mfbsde.scenario import example_21, example_22, example_41
 from strategies import GENERATED_TEXTS, RAW_TEXTS
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _ex31():
+    return load_config(CONFIGS / "ex31.cfg")[0]
 
 
 def _examples():
-    """The worked examples' generators, from their scenario factories:
-    ex2.1 at alpha 0 and 0.5, ex2.2, and the pairs of ex3.1 and ex4.1."""
-    ex31, ex41 = example_31(), example_41()
+    """The worked examples' generators, from their scenario factories and
+    ex3.1's shipped config: ex2.1 at alpha 0 and 0.5, ex2.2, and the pairs
+    of ex3.1 and ex4.1."""
+    ex31, ex41 = _ex31(), example_41()
     return [example_21(alpha=0.0).f, example_21(alpha=0.5).f, example_22().f,
             ex31.f1, ex31.f2, ex41.f1, ex41.f2]
 
@@ -270,7 +280,7 @@ def test_power_growth_at_origin():
 
 def test_split_second_part_reference_value():
     # f2 = 1 + |y| + |ybar| + 0.5*(|z| + |zbar|)^2 at y=1, |z|=1, rest 0
-    e = example_31().f2
+    e = _ex31().f2
     assert math_eval_scalar(e, 0.0, 1.0, 0.0, 1.0, 0.0) == 2.5
 
 
@@ -1004,11 +1014,8 @@ def test_abs_min_and_max_slopes_at_their_kinks():
 
 
 def _shipped_generators():
-    from pathlib import Path
-
     exprs = _examples()
-    configs = Path(__file__).resolve().parents[1] / "configs"
-    for path in sorted(configs.glob("*.cfg")):
+    for path in sorted(CONFIGS.glob("*.cfg")):
         for line in path.read_text().splitlines():
             key, _, text = line.partition("=")
             if key.strip() in ("f", "f1", "f2"):

@@ -1,5 +1,6 @@
-"""Mean-field fixed point machinery: frozen-mean map, local solve,
-stitching, the Picard scheme, shift solvers, and the vector scheme."""
+"""Mean-field fixed point machinery: frozen-mean map, its local fixed
+point (one window), stitching, the Picard scheme, shift solvers, and the
+vector scheme."""
 
 import dataclasses
 import json
@@ -23,7 +24,6 @@ from mfbsde.meanfield import (
     FixedPointTrace,
     SolveResult,
     global_solve,
-    local_solve,
     multidim_solve,
     picard_global,
     shift_fixed_point,
@@ -32,7 +32,6 @@ from mfbsde.scenario import (
     FORM_SPLIT_LIPSCHITZ,
     FORM_SPLIT_QUADRATIC,
     ScenarioSpec,
-    example_31,
     example_41,
     linear_scenario,
 )
@@ -46,6 +45,49 @@ CFG = SolverConfig(
     tol_fp=1e-4,
     override_epsilon=True,
 )
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _shipped(name: str, **changes):
+    sc, cfg, _, _ = load_config(CONFIGS / name)
+    return sc, cfg.updated(**changes)
+
+
+def _ex31(**changes):
+    """The split scenario of ``configs/ex31.cfg``, with ``changes``."""
+    return dataclasses.replace(_shipped("ex31.cfg")[0], **changes)
+
+
+def _local(scenario, ensemble, config, **kwargs):
+    """The local fixed point: the frozen-mean map's on the horizon as one
+    window, a stitched solve of one window."""
+    return global_solve(scenario, ensemble, config.updated(n_windows=1), **kwargs)
+
+
+# a tiny run of each CLI selector, and of the local fixed point: shipped
+# config and settings over the shared small ones
+_TINY_RUNS = {
+    "local": ("linear.cfg", {}),
+    "global": ("linear.cfg", {"n_windows": 2}),
+    "picard": ("linear.cfg", {}),
+    "shift": ("ex31.cfg", {"n_windows": 2}),
+    "multidim": ("ex41.cfg", {"n_windows": 2}),
+}
+_SELECTORS = sorted(["local", *_SOLVERS])
+
+
+def _solver(selector):
+    return _local if selector == "local" else _SOLVERS[selector]
+
+
+def _tiny_run(selector, **changes):
+    name, settings = _TINY_RUNS[selector]
+    sc, cfg = _shipped(name)
+    cfg = cfg.updated(**{"n_steps": 8, "n_paths": 500, "override_epsilon": True,
+                         **settings, **changes})
+    return _solver(selector)(sc, _ensemble(sc, cfg), cfg)
 
 
 def _ensemble(scenario, cfg=CFG):
@@ -136,7 +178,7 @@ def test_local_solve_mean_free_equals_standard_solve():
     # solve bit for bit
     sc = _mean_free_scenario()
     ens = _ensemble(sc)
-    res = local_solve(sc, ens, CFG)
+    res = _local(sc, ens, CFG)
     L = CFG.n_steps + 1
     ref = _frozen_mean_solve(sc, ens, np.zeros((L, 1)), np.zeros((L, 1, 1)))
     (trace,) = res.trace
@@ -159,7 +201,7 @@ def test_local_solve_zero_driver_single_iteration():
         xi_bound=4.0,
     )
     ens = _ensemble(sc)
-    res = local_solve(sc, ens, CFG)
+    res = _local(sc, ens, CFG)
     # the driver reads no mean: the first step, from the terminal mean,
     # already is the fixed point, and the second confirms it exactly
     (trace,) = res.trace
@@ -189,9 +231,9 @@ def test_local_solve_uniqueness_across_starts(monkeypatch):
     sc = linear_scenario(b=0.5, dbar=0.5, T=1.0, xi_bound=4.0)
     ens = _ensemble(sc)
     monkeypatch.setattr(meanfield, "_terminal_start", _constant_start(0.0, 0.0))
-    res_a = local_solve(sc, ens, CFG)
+    res_a = _local(sc, ens, CFG)
     monkeypatch.setattr(meanfield, "_terminal_start", _constant_start(2.0, 1.0))
-    res_b = local_solve(sc, ens, CFG)
+    res_b = _local(sc, ens, CFG)
     gap = np.max(np.abs(res_a.m_y.values - res_b.m_y.values))
     assert res_a.trace[0].converged and res_b.trace[0].converged
     assert gap <= 2.0 * CFG.tol_fp
@@ -216,17 +258,17 @@ def test_local_solve_non_contraction_detected():
     )
     ens = _ensemble(sc)
     with pytest.raises(NonContraction):
-        local_solve(sc, ens, CFG.updated(max_outer=50))
+        _local(sc, ens, CFG.updated(max_outer=50))
 
 
 @pytest.mark.parametrize(
     "solve, scenario, context",
     [
-        (local_solve, linear_scenario(b=0.5, dbar=0.5, xi_bound=4.0),
-         "local solve on window (0, 10)"),
+        (_local, linear_scenario(b=0.5, dbar=0.5, xi_bound=4.0),
+         "global solve on window (0, 10)"),
         (picard_global, linear_scenario(b=0.5, dbar=0.5, xi_bound=4.0),
          "global Picard on window (0, 10)"),
-        (shift_fixed_point, example_31(T=0.5), "shift fixed point on window (0, 10)"),
+        (shift_fixed_point, _ex31(T=0.5), "shift fixed point on window (0, 10)"),
         (multidim_solve, example_41(), "multidim solve on window (0, 10)"),
     ],
     ids=["local", "picard", "shift", "multidim"],
@@ -244,7 +286,7 @@ def test_outer_budget_exhaustion_carries_the_trace(solve, scenario, context):
     assert all(dist > cfg.tol_fp for dist in trace.total_distances())
 
 
-@pytest.mark.parametrize("solve", [local_solve, global_solve], ids=["local", "global"])
+@pytest.mark.parametrize("solve", [_local, global_solve], ids=["local", "global"])
 def test_window_override_is_recorded_on_each_trace(solve):
     # the certified width is below every window: under the override each
     # window's trace records the excess, the flag sums it up, and nothing
@@ -297,7 +339,7 @@ def test_blow_up_is_non_contraction_naming_the_step():
     assert trace.total_distances() == [1.0, 10.0, 1e10] and not trace.converged
 
 
-@pytest.mark.parametrize("solve, covers_z", [(local_solve, True), (picard_global, False)],
+@pytest.mark.parametrize("solve, covers_z", [(_local, True), (picard_global, False)],
                          ids=["frozen-mean", "picard"])
 def test_mean_distance_covers_the_mean_curves_of_the_map(solve, covers_z, monkeypatch):
     # the frozen-mean map's mean distance is the larger sup distance of the
@@ -322,7 +364,7 @@ def test_window_too_wide_without_override():
     sc = linear_scenario(dbar=1.0, xi_bound=4.0)
     ens = _ensemble(sc)
     with pytest.raises(WindowTooWide):
-        local_solve(sc, ens, CFG.updated(override_epsilon=False))
+        _local(sc, ens, CFG.updated(override_epsilon=False))
 
 
 def test_stitching_plans_windows_from_contraction_when_width_degenerates():
@@ -438,17 +480,16 @@ def test_planned_ex41_matches_the_one_window_solve():
 
 
 def test_local_solve_needs_single_generator():
-    sc = example_31()
+    sc = _ex31()
     ens = _ensemble(sc)
-    with pytest.raises(InvalidInput):
-        local_solve(sc, ens, CFG)
+    with pytest.raises(InvalidInput, match="global_solve needs a single-generator scenario"):
+        _local(sc, ens, CFG)
 
 
-@pytest.mark.parametrize("entry", ["BackwardSolver.solve", "local_solve"])
+@pytest.mark.parametrize("entry", ["BackwardSolver.solve"])
 def test_windows_past_the_grid_are_rejected(entry):
-    # a 10-step grid has nodes 0..10: each entry point refuses a window
-    # reaching past node 10 before it reads the grid there; a local window
-    # must end at node 10
+    # a 10-step grid has nodes 0..10: each entry point that takes a window
+    # refuses one reaching past node 10 before it reads the grid there
     sc = _mean_free_scenario()
     cfg = CFG.updated(n_steps=10, n_paths=500)
     ens = _ensemble(sc, cfg)
@@ -457,11 +498,9 @@ def test_windows_past_the_grid_are_rejected(entry):
         "BackwardSolver.solve": lambda: BackwardSolver(ens, cfg).solve(
             Window(10, 11), terminal, lambda i, s, z: lambda y: y
         ),
-        "local_solve": lambda: local_solve(sc, ens, cfg, window=Window(5, 12)),
     }
     message = {
         "BackwardSolver.solve": "runs past the last node 10 of the grid",
-        "local_solve": r"window \(5, 12\) must end at the last node 10 of the grid",
     }
     with pytest.raises(InvalidInput, match=message[entry]):
         calls[entry]()
@@ -595,13 +634,14 @@ def test_picard_matches_stitched_on_linear():
 
 def test_picard_horizon_is_not_checked_against_the_certified_width():
     # the horizon is Picard's one window, and the certified width is
-    # shorter: a local solve is refused, Picard solves without a warning
+    # shorter: a frozen-mean solve on that one window is refused, Picard
+    # solves without a warning
     sc = linear_scenario(dbar=1.0, xi_bound=4.0)
     cfg = CFG.updated(n_steps=10, n_paths=2_000, override_epsilon=False)
     ens = _ensemble(sc, cfg)
     assert certify(sc).chain.eps < sc.T
     with pytest.raises(WindowTooWide):
-        local_solve(sc, ens, cfg)
+        _local(sc, ens, cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = picard_global(sc, ens, cfg)
@@ -610,21 +650,19 @@ def test_picard_horizon_is_not_checked_against_the_certified_width():
     assert "window_exceeds_certificate" not in res.flags
 
 
-@pytest.mark.parametrize("solve, window", [
-    (local_solve, None), (global_solve, None), (local_solve, Window(5, 10)),
-], ids=["local", "global", "local-after-node-0"])
-def test_a_lone_window_is_the_result_without_a_copy(solve, window, monkeypatch):
-    # the result's process grids view the last sweep's own arrays, also when
-    # the lone window starts after node 0
+@pytest.mark.parametrize("solve, n_windows", [(_local, None), (global_solve, 1)],
+                         ids=["local", "global"])
+def test_a_lone_window_is_the_result_without_a_copy(solve, n_windows, monkeypatch):
+    # the result's process grids view the last sweep's own arrays, and
+    # cover every node of the grid
     sweeps = _record_sweeps(monkeypatch)
     sc = linear_scenario(b=0.5, dbar=0.5, xi_bound=4.0)
-    cfg = CFG.updated(n_steps=10, n_paths=2_000, n_windows=1)
+    cfg = CFG.updated(n_steps=10, n_paths=2_000, n_windows=n_windows)
     ens = _ensemble(sc, cfg)
-    res = solve(sc, ens, cfg) if window is None else solve(sc, ens, cfg, window=window)
+    res = solve(sc, ens, cfg)
     last = sweeps[-1][2]
-    span = (0, cfg.n_steps) if window is None else (window.lo, window.hi)
-    assert res.windows == [span]
-    assert res.y.span == span and res.z.span == span
+    assert res.windows == [(0, cfg.n_steps)]
+    assert res.y.n_nodes == res.z.n_nodes == res.m_y.values.shape[0] == cfg.n_steps + 1
     assert np.shares_memory(res.y.values, last.y)
     assert np.shares_memory(res.z.values, last.z)
 
@@ -653,7 +691,7 @@ def _shift_identity_scenario():
 
 @pytest.mark.parametrize(
     "solve, scenario",
-    [(shift_fixed_point, example_31(T=0.5)), (multidim_solve, example_41())],
+    [(shift_fixed_point, _ex31(T=0.5)), (multidim_solve, example_41())],
     ids=["shift", "multidim"],
 )
 def test_first_integrand_distance_is_taken_from_zero(solve, scenario, monkeypatch):
@@ -715,7 +753,7 @@ def test_deterministic_shift_is_the_first_step_confirmed_exactly(monkeypatch):
 
 
 def test_shift_fixed_point_on_split_example():
-    sc = example_31(T=0.5)
+    sc = _ex31(T=0.5)
     cfg = CFG.updated(n_steps=30, tol_fp=1e-3, n_windows=2)
     ens = _ensemble(sc, cfg)
     res = shift_fixed_point(sc, ens, cfg)
@@ -745,7 +783,7 @@ def test_multidim_solve_shapes_and_convergence():
 
 
 def test_multidim_requires_lipschitz_split():
-    sc = example_31()  # split-quad, not split-lip
+    sc = _ex31()  # split-quad, not split-lip
     ens = _ensemble(sc)
     with pytest.raises(InvalidInput):
         multidim_solve(sc, ens, CFG)
@@ -763,7 +801,7 @@ def test_multidim_rejects_single_generator():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("selector", sorted(_SOLVERS))
+@pytest.mark.parametrize("selector", _SELECTORS)
 def test_one_sweep_budget_runs_one_sweep_and_fails(selector, monkeypatch):
     # max_outer counts sweeps: the one sweep is compared with the start,
     # is recorded, and cannot settle anything
@@ -774,11 +812,6 @@ def test_one_sweep_budget_runs_one_sweep_and_fails(selector, monkeypatch):
     assert len(sweeps) == 1
     assert trace.iterations == 1 and not trace.converged
     assert trace.total_distances()[0] > 1e-12
-
-
-def _shipped(name: str, **changes):
-    sc, cfg, _, _ = load_config(Path(__file__).resolve().parents[1] / "configs" / name)
-    return sc, cfg.updated(**changes)
 
 
 def _horizon_bmo2(result, ensemble, basis) -> float:
@@ -1042,26 +1075,8 @@ def test_picard_source_is_full_minus_core_bit_for_bit(monkeypatch):
 # the result record
 # ---------------------------------------------------------------------------
 
-# a tiny run of each CLI selector: shipped config and settings over the
-# shared small ones
-_TINY_RUNS = {
-    "local": ("linear.cfg", {}),
-    "global": ("linear.cfg", {"n_windows": 2}),
-    "picard": ("linear.cfg", {}),
-    "shift": ("ex31.cfg", {"n_windows": 2}),
-    "multidim": ("ex41.cfg", {"n_windows": 2}),
-}
 
-
-def _tiny_run(selector, **changes):
-    name, settings = _TINY_RUNS[selector]
-    sc, cfg = _shipped(name)
-    cfg = cfg.updated(**{"n_steps": 8, "n_paths": 500, "override_epsilon": True,
-                         **settings, **changes})
-    return _SOLVERS[selector](sc, _ensemble(sc, cfg), cfg)
-
-
-@pytest.mark.parametrize("selector", sorted(_SOLVERS))
+@pytest.mark.parametrize("selector", _SELECTORS)
 def test_result_record_is_plain_json(selector):
     # every value the record holds is a plain Python value
     json.dumps(_tiny_run(selector).as_dict())
@@ -1091,7 +1106,7 @@ def test_trace_totals_are_the_sums_of_the_sweeps_counts(solve, monkeypatch):
     assert per_node == 1.0 if solve is picard_global else 2.0 <= per_node <= 3.0
 
 
-@pytest.mark.parametrize("selector", sorted(_SOLVERS))
+@pytest.mark.parametrize("selector", _SELECTORS)
 def test_within_certified_ball_compares_the_report_with_the_certificate(selector):
     res = _tiny_run(selector)
     flag = res.flags["within_certified_ball"]
@@ -1101,7 +1116,7 @@ def test_within_certified_ball_compares_the_report_with_the_certificate(selector
     assert flag == (rep.sup_y <= cert.ball_radius and rep.bmo2_z <= cert.chain.A)
 
 
-@pytest.mark.parametrize("selector", sorted(_SOLVERS))
+@pytest.mark.parametrize("selector", _SELECTORS)
 def test_envelope_rate_is_taken_once_from_the_solved_state(selector):
     res = _tiny_run(selector)
     rate = check_alpha_envelope(res.y, res.certificate.alpha_envelope)
@@ -1110,7 +1125,7 @@ def test_envelope_rate_is_taken_once_from_the_solved_state(selector):
 
 
 @pytest.mark.parametrize("n_windows", [1, 2])
-@pytest.mark.parametrize("selector", sorted(_SOLVERS))
+@pytest.mark.parametrize("selector", _SELECTORS)
 def test_process_grids_are_node_major_and_contiguous(selector, n_windows, monkeypatch):
     # (nodes, paths, ...) and C-contiguous for every selector; every
     # window is solved in place in the result's state and integrand, so
@@ -1122,12 +1137,13 @@ def test_process_grids_are_node_major_and_contiguous(selector, n_windows, monkey
     assert res.y.values.shape == (L, P, *res.m_y.values.shape[1:])
     assert res.z.values.shape == (L, P, *res.m_z.values.shape[1:])
     assert res.y.values.flags.c_contiguous and res.z.values.flags.c_contiguous
+    assert res.y.times() is res.m_y.times() is res.y.grid.nodes
     last = sweeps[-1][2]
     assert np.shares_memory(res.z.values, last.z)
     assert np.shares_memory(res.y.values, last.y)
 
 
-@pytest.mark.parametrize("selector", sorted(_SOLVERS))
+@pytest.mark.parametrize("selector", _SELECTORS)
 def test_in_sweep_distances_and_means_are_those_of_the_whole_iterates(selector, monkeypatch):
     # each sweep takes its distances and path means node by node as it
     # stores over the iterate it replaces: they are, bit for bit, the
@@ -1153,7 +1169,7 @@ def test_in_sweep_distances_and_means_are_those_of_the_whole_iterates(selector, 
     assert len(finals) == len(traces) == len(res.windows)
     # windows are solved right to left
     for (lo, hi), trace, final in zip(res.windows, traces, finals[::-1]):
-        terminal = res.y.values[hi - res.y.span[0]]
+        terminal = res.y.values[hi]
         start = meanfield._terminal_start(terminal, hi - lo + 1, res.z.values.shape[2])
         snaps = [start] + [snap for span, _, _, snap in sweeps if span == (lo, hi)]
         assert len(snaps) == trace.iterations + 1 >= 3
@@ -1195,7 +1211,7 @@ def test_a_window_holds_one_iterate(selector, name, n_windows):
     cert = certify(sc)
     tracemalloc.start()
     try:
-        res = _SOLVERS[selector](sc, ens, cfg, certificate=cert)
+        res = _solver(selector)(sc, ens, cfg, certificate=cert)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1203,6 +1219,21 @@ def test_a_window_holds_one_iterate(selector, name, n_windows):
     assert len(traces) == n_windows and all(t.iterations >= 2 for t in traces)
     iterate = res.y.values.nbytes + res.z.values.nbytes
     assert peak < 1.5 * iterate
+
+
+def test_windows_left_of_the_terminal_window_leave_its_nodes_as_solved(monkeypatch):
+    # criterion 8 reads a stitched solve's last trace as the terminal
+    # window's own fixed point: that window is solved first, and the
+    # windows to its left write none of its nodes, so the result holds its
+    # block as its last sweep returned it
+    sweeps = _record_sweeps(monkeypatch)
+    res = _tiny_run("global")
+    lo, hi = res.windows[-1]
+    assert len(res.windows) == 2 and hi == res.y.n_nodes - 1
+    assert sweeps[0][0] == (lo, hi)
+    last = [snap for span, _, _, snap in sweeps if span == (lo, hi)][-1]
+    assert res.y.values[lo:].tobytes() == last.y.tobytes()
+    assert res.z.values[lo:].tobytes() == last.z.tobytes()
 
 
 def test_picard_record_has_no_per_step_envelope_rates():
@@ -1226,7 +1257,7 @@ def _clamps_per_window(sweeps) -> dict:
     return counts
 
 
-@pytest.mark.parametrize("selector", sorted(_TINY_RUNS))
+@pytest.mark.parametrize("selector", _SELECTORS)
 def test_trace_counts_the_clamps_of_its_step_sweeps(selector, monkeypatch):
     sweeps = _record_sweeps(monkeypatch)
     res = _tiny_run(selector, z_clamp=0.3)
@@ -1244,6 +1275,6 @@ def test_failure_record_counts_the_clamps(tmp_path, monkeypatch):
         _tiny_run("local", z_clamp=0.3, max_outer=2, tol_fp=1e-12)
     counts = _clamps_per_window(sweeps)
     path = tmp_path / "run_failure.json"
-    write_failure_json(path, failed.value, manifest_for("x.cfg", "", CFG, "local"))
+    write_failure_json(path, failed.value, manifest_for("x.cfg", "", CFG, "global"))
     trace = json.loads(path.read_text())["trace"]
     assert trace["clamp_events"] == counts[(0, 8)] > 0

@@ -12,7 +12,6 @@ import pytest
 from mfbsde import dsl, regression
 from mfbsde.core import Window, build_grid, path_mean, simulate_brownian
 from mfbsde.errors import InvalidInput, RegressionError, StepDivergence
-from mfbsde.meanfield import local_solve
 from mfbsde.regression import NodeRegression, RegressionBasis, _design_rows
 from mfbsde.scenario import ScenarioSpec, linear_scenario
 from mfbsde.solver import (
@@ -443,18 +442,6 @@ def test_clamp_events_counted(ensemble50):
     assert info.clamp_events > 0
     # the recorded integrand is the raw regression output, pre-clamp
     assert info.z.mean() == pytest.approx(1.0, abs=0.05)
-
-
-def test_interior_window_needs_terminal(ensemble50):
-    # a local window ends at the last node: an interior one is refused
-    # before its width is checked, so the override does not warn
-    sc = _scalar_scenario("0")
-    window = Window(10, 30)
-    cfg = CFG.updated(override_epsilon=True)  # the window is wider than certified
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(InvalidInput, match="must end at the last node 50 of the grid"):
-            local_solve(sc, ensemble50, cfg, window=window)
 
 
 def _node_integrand(ensemble, sc):
