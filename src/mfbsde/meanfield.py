@@ -21,22 +21,23 @@ iterate and the windows they iterate it on:
 
 Each public solver refuses a scenario of the wrong shape
 (:func:`_check_shape`) and hands the window engine, :func:`_solve`, one
-step ``step(window, iterate, sweep)``, its state norm, and its windows: a
-fixed list, or None for the stitched plan of :func:`_plan_windows`.  The
+step ``step(window, iterate, sweep)``, its state norm, and its plan of
+windows, or None for the stitched plan of :func:`_plan_windows`.  The
 engine certifies the scenario when it is given no certificate, walks the
-windows right to left, checks each against the certified width (all but
-Picard's horizon), and iterates the step in one loop, :func:`_iterate`,
-from one start, :func:`_terminal_start`: the terminal data's path mean at
-every node and a zero integrand.  Each window's :class:`FixedPointTrace`
-records its width, its choosing ratio, whether it exceeds the certified
-width, its sweeps' z-clamp activations and its steps' distances; a failure
-carries the trace, so whatever a window did reaches the result JSON or the
-failure record.  After the last window the engine finalises once on the
-horizon: the BMO estimate, fitted with the regressions the sweeps
-cached (every node's k x k factors live for the whole solve, and nothing is
-factorised again), the diagnostics report, the envelope rate, the process
-grids, and the flags, among them whether the solved pair lies in the
-certified ball of S^inf x BMO.
+windows right to left, checks each window it planned against the
+certified width (all but Picard's horizon), and iterates the step in one
+loop, :func:`_iterate`, from one start, :func:`_terminal_start`: the
+terminal data's path mean at every node and a zero integrand.  Each
+window's :class:`FixedPointTrace` records its width, its choosing ratio,
+whether it exceeds the certified width, its sweeps' z-clamp activations
+and its steps' distances; a failure carries the trace, so whatever a
+window did reaches the result JSON or the failure record.  After the last
+window the engine finalises once on the horizon: the BMO estimate,
+fitted with the regressions the sweeps cached (every node's k x k
+factors live for the whole solve, and nothing is factorised again), the
+diagnostics report, the envelope rate, the process grids, and the flags,
+among them whether the solved pair lies in the certified ball of S^inf x
+BMO.
 
 Iterates are node-major, ``(L, P, ...)``, as the backward sweep stores
 them and as :class:`ProcessGrid` holds them: every per-node read
@@ -344,13 +345,13 @@ def _check_shape(scenario: ScenarioSpec, what: str, form: str | None = None) -> 
 
 
 def _solve(scenario, ensemble, config, certificate, step, state_norm, context,
-           windows=None, check_width: bool = True, mean_z: bool = False) -> SolveResult:
+           plan=None, mean_z: bool = False) -> SolveResult:
     """Fixed points of ``step`` on adjacent windows, the first ending at the
     horizon, chosen right to left and finalised once.
 
-    ``certificate`` is certified from ``scenario`` when None.  ``windows``
-    is a list of adjacent windows from node 0 to the horizon, a plan
-    (:func:`_measured_plan`), or None for those of :func:`_plan_windows`.
+    ``certificate`` is certified from ``scenario`` when None.  ``plan``
+    chooses the windows from the horizon to node 0 (:func:`_fixed_plan`,
+    :func:`_measured_plan`), or is None for :func:`_plan_windows`.
     ``step(window, it, sweep)`` applies the solver's map once to the
     iterate ``it`` and returns the next with its distances to ``it``;
     ``sweep(driver, shift=None)`` runs the window's backward sweep, closed
@@ -362,16 +363,16 @@ def _solve(scenario, ensemble, config, certificate, step, state_norm, context,
     ``state_norm`` (a node-wise norm class of :mod:`~mfbsde.diagnostics`)
     on the state, empirical M2 on the integrand and the sup distance of the
     state's mean curve, or of both mean curves with ``mean_z``; errors name
-    ``context`` and the window.  Each window is checked against the
-    certified width (unless ``check_width`` is false) before it is solved,
-    in place: its iterate is its block ``[lo, hi]`` of the horizon arrays.
-    Below the horizon node ``hi`` holds the right window's solved state and
-    integrand, so the store there takes its means and state distance in a
-    scratch row and writes nothing (M2 reads no integrand there)."""
+    ``context`` and the window.  Each window the engine planned is checked
+    against the certified width before it is solved, in place: its iterate
+    is its block ``[lo, hi]`` of the horizon arrays.  Below the horizon
+    node ``hi`` holds the right window's solved state and integrand, so the
+    store there takes its means and state distance in a scratch row and
+    writes nothing (M2 reads no integrand there)."""
     cert = certificate if certificate is not None else certify(scenario)
-    if windows is None:
-        windows = _plan_windows(ensemble, config, cert)
-    plan = windows if callable(windows) else _fixed_plan(windows)
+    check_width = plan is None
+    if check_width:
+        plan = _plan_windows(ensemble, config, cert)
     solver = BackwardSolver(ensemble, config)
     grid, P, n, d = ensemble.grid, ensemble.n_paths, scenario.n, scenario.d
     N = grid.n_steps
@@ -516,10 +517,11 @@ def _frozen_mean_step(scenario):
 
 
 def _plan_windows(ensemble: PathEnsemble, config: SolverConfig, cert: Certificate):
-    """The windows of a stitched solve: ``n_windows`` equal windows when it
-    is set, else windows of the certified stitching width when that is at
-    least one grid step, else, under ``override_epsilon``, the plan of
-    windows sized from measured contraction (:func:`_measured_plan`)."""
+    """The plan of a stitched solve: ``n_windows`` equal windows when it is
+    set, else windows of the certified stitching width when that is at
+    least one grid step (each a :func:`_fixed_plan`), else, under
+    ``override_epsilon``, windows sized from measured contraction
+    (:func:`_measured_plan`)."""
     grid = ensemble.grid
     N = grid.n_steps
     if config.n_windows is not None:
@@ -529,7 +531,7 @@ def _plan_windows(ensemble: PathEnsemble, config: SolverConfig, cert: Certificat
             )
         bounds = np.linspace(0, N, config.n_windows + 1).round().astype(int)
         bounds = np.unique(bounds)
-        return [Window(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        return _fixed_plan([Window(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])])
     width = cert.eta if cert.eta > 0.0 else 0.0
     if width < float(np.min(grid.steps)):
         if config.override_epsilon:
@@ -546,7 +548,7 @@ def _plan_windows(ensemble: PathEnsemble, config: SolverConfig, cert: Certificat
         lo = min(lo, hi - 1)
         windows.append(Window(lo, hi))
         hi = lo
-    return windows
+    return _fixed_plan(windows)
 
 
 def global_solve(
@@ -633,7 +635,7 @@ def picard_global(
         return sweep(driver)
 
     result = _solve(scenario, ensemble, config, certificate, step, SupNorm,
-                    "global Picard", [ensemble.grid.full_window()], check_width=False)
+                    "global Picard", _fixed_plan([ensemble.grid.full_window()]))
     result.trace = result.trace[0]
     return result
 
