@@ -175,7 +175,9 @@ def _cmd_solve(args) -> int:
         solver_cfg = solver_cfg.updated(n_windows=None)
     run = _SOLVERS[args.solver]
     out_dir = Path(options.directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # the prefix may name a subdirectory: made before the solve, so that
+    # the result or the failure record can be written
+    (out_dir / options.prefix).parent.mkdir(parents=True, exist_ok=True)
 
     grid = build_grid(scenario.T, solver_cfg.n_steps)
     ensemble = simulate_brownian(grid, scenario.d, solver_cfg.n_paths, solver_cfg.seed)

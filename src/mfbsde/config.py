@@ -372,7 +372,7 @@ def write_failure_json(path, error: MFBSDEError, manifest: RunManifest) -> None:
 
 def write_certificate_files(out_dir, prefix: str, cert, manifest: RunManifest) -> tuple[Path, Path]:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    (out / prefix).parent.mkdir(parents=True, exist_ok=True)
     txt = out / f"{prefix}_certificate.txt"
     js = out / f"{prefix}_certificate.json"
     txt.write_text(

@@ -267,6 +267,35 @@ def test_certify_writes_reports(tiny_cfg, tmp_path, capsys):
     assert "wrote" in captured
 
 
+def test_a_prefix_into_a_new_subdirectory_writes_there(tiny_cfg, tmp_path, capsys):
+    # the prefix's directory is made with the output directory
+    out = tmp_path / "out"
+    assert main(["certify", "--config", str(tiny_cfg), "--out-dir", str(out),
+                 "--prefix", "sub/run"]) == 0
+    assert main(["solve", "--config", str(tiny_cfg), "--out-dir", str(out),
+                 "--prefix", "new/run"]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*.*")) == [
+        "new/run_result.csv", "new/run_result.json",
+        "sub/run_certificate.json", "sub/run_certificate.txt"]
+
+
+def test_a_failing_solve_writes_its_record_into_a_new_subdirectory(tmp_path, capsys):
+    # the directory is made before the solve, so the solver's own exit and
+    # message stand, with the failure record
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "ex22.cfg"
+    cfg = tmp_path / "ex22.cfg"
+    cfg.write_text(shipped.read_text().replace("max_outer = 30\n", "max_outer = 30\nmax_inner = 1\n"))
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", str(cfg), "--out-dir", str(out), "--prefix", "sub/run",
+               "--paths", "400", "--steps", "8"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: StepDivergence: ")
+    assert f"wrote {out / 'sub' / 'run_failure.json'}" in captured.out
+    assert json.loads((out / "sub" / "run_failure.json").read_text())["error"] == "StepDivergence"
+
+
 @pytest.mark.parametrize("edit", [("T = 1.0", "T = 1e5"), ("C = 0.2", "C = 1e300")],
                          ids=["T=1e5", "C=1e300"])
 def test_certify_reports_large_constants_as_overflow(edit, tmp_path, capsys):
