@@ -175,8 +175,7 @@ def _cmd_solve(args) -> int:
         solver_cfg = solver_cfg.updated(n_windows=None)
     run = _SOLVERS[args.solver]
     out_dir = Path(options.directory)
-    # the prefix may name a subdirectory: made before the solve, so that
-    # the result or the failure record can be written
+    # made before the solve, whose failure record goes there too
     (out_dir / options.prefix).parent.mkdir(parents=True, exist_ok=True)
 
     grid = build_grid(scenario.T, solver_cfg.n_steps)

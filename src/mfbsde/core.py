@@ -3,9 +3,9 @@
 All containers are plain immutable data, and every array indexed by grid
 nodes keeps the nodes on axis 0: Brownian levels ``(nodes, paths, d)``,
 process values ``(nodes, paths, ...)`` and mean curves ``(nodes, ...)``,
-the layout the backward sweep writes.  Path reductions use numpy's
-pairwise summation with a fixed operand order, so repeated runs with the
-same seed produce bit-identical results on the same platform.
+the layout the backward sweep writes.  Every mean over paths is numpy's
+own pairwise sum down the path axis (:func:`node_mean`), which no BLAS
+thread count reorders, so reruns are bit-identical on the same platform.
 """
 
 from __future__ import annotations
@@ -243,25 +243,24 @@ class MeanCurve(_NodeSeries):
             raise InvalidInput("curve values must be finite")
 
 
-def node_mean(row: np.ndarray, ones: np.ndarray | None = None) -> np.ndarray:
+def node_mean(row: np.ndarray) -> np.ndarray:
     """Mean over paths of one node's block (P, ...), shape (...).
 
-    One product with a ones vector (``ones``, shape (P,), when given), so
-    repeated runs give bit-identical means; numpy's own reduction over the
-    path axis loops per path when the trailing axes are short.
+    The kernel of every mean over paths: numpy's pairwise ``sum`` of each
+    column of ``row.reshape(P, -1)``, over P.  It calls no BLAS, so no
+    thread count moves a bit; one reduction over the path axis of the
+    whole block would loop per path when the trailing axes are short.
     """
     P = row.shape[0]
-    ones = np.ones(P) if ones is None else ones
-    return (ones @ row.reshape(P, -1)).reshape(row.shape[1:]) / P
+    return np.array([col.sum() for col in row.reshape(P, -1).T]).reshape(row.shape[1:]) / P
 
 
 def path_mean(a: np.ndarray) -> np.ndarray:
     """Mean over paths of a node-major array (L, P, ...), shape (L, ...):
     :func:`node_mean` of each node's block."""
-    ones = np.ones(a.shape[1])
     out = np.empty((a.shape[0], *a.shape[2:]))
     for j, row in enumerate(a):
-        out[j] = node_mean(row, ones)
+        out[j] = node_mean(row)
     return out
 
 

@@ -25,19 +25,18 @@ step ``step(window, iterate, sweep)``, its state norm, and its plan of
 windows, or None for the stitched plan of :func:`_plan_windows`.  The
 engine certifies the scenario when it is given no certificate, walks the
 windows right to left, checks each window it planned against the
-certified width (all but Picard's horizon), and iterates the step in one
-loop, :func:`_iterate`, from one start, :func:`_terminal_start`: the
-terminal data's path mean at every node and a zero integrand.  Each
-window's :class:`FixedPointTrace` records its width, its choosing ratio,
-whether it exceeds the certified width, its sweeps' z-clamp activations
-and its steps' distances; a failure carries the trace, so whatever a
-window did reaches the result JSON or the failure record.  After the last
-window the engine finalises once on the horizon: the BMO estimate,
-fitted with the regressions the sweeps cached (every node's k x k
-factors live for the whole solve, and nothing is factorised again), the
-diagnostics report, the envelope rate, the process grids, and the flags,
-among them whether the solved pair lies in the certified ball of S^inf x
-BMO.
+certified width, and iterates the step in one loop, :func:`_iterate`,
+from one start, :func:`_terminal_start`: the terminal data's path mean at
+every node and a zero integrand.  Each window's :class:`FixedPointTrace`
+records its width, its choosing ratio, whether it exceeds the certified
+width, its sweeps' z-clamp activations and its steps' distances; a
+failure carries the trace, so whatever a window did reaches the result
+JSON or the failure record.  After the last window the engine finalises
+once on the horizon: the BMO estimate, fitted with the regressions the
+sweeps cached (every node's k x k factors live for the whole solve, and
+nothing is factorised again), the diagnostics report, the envelope rate,
+the process grids, and the flags, among them whether the solved pair lies
+in the certified ball of S^inf x BMO.
 
 Iterates are node-major, ``(L, P, ...)``, as the backward sweep stores
 them and as :class:`ProcessGrid` holds them: every per-node read
@@ -378,7 +377,6 @@ def _solve(scenario, ensemble, config, certificate, step, state_norm, context,
     N = grid.n_steps
     y_vals, z_vals = np.empty((N + 1, P, n)), np.empty((N + 1, P, d, n))
     solved, traces = [], []
-    ones = np.ones(P)
     row = np.empty((P, n))  # a shifted state, or a distance nothing keeps
 
     # one window's step closures, and the iterates its staged programs
@@ -397,10 +395,10 @@ def _solve(scenario, ensemble, config, certificate, step, state_norm, context,
                 # node j of ``it`` is read here, after the driver read it,
                 # and then replaced: each difference is taken in the slot
                 # the new values go to
-                m_z[j] = node_mean(z, ones)
+                m_z[j] = node_mean(z)
                 if shift is not None:
                     y = np.add(y, shift(j, z, m_z[j]), out=row)
-                m_y[j] = node_mean(y, ones)
+                m_y[j] = node_mean(y)
                 if j == shared:
                     y_dist.add(j, np.subtract(y, it.y[j], out=row))
                     return
@@ -662,7 +660,6 @@ def _frozen_state_step(scenario, ensemble):
     """
     n, d = scenario.n, scenario.d
     nodes, steps = ensemble.grid.nodes, ensemble.grid.steps
-    ones = np.ones(ensemble.n_paths)
 
     def step(window: Window, it: _Iterate, sweep):
         # f2's program, built at the sweep's first store (it serves the
@@ -674,7 +671,7 @@ def _frozen_state_step(scenario, ensemble):
             if f2 is None:
                 f2 = dsl.Staged(scenario.f2, dsl.GENERATOR_VARS, n=n, d=d)
             i = window.lo + j
-            f = node_mean(f2(s=float(nodes[i]), z=z, zbar=m_z, y=it.y[j], ybar=it.m_y[j]), ones)
+            f = node_mean(f2(s=float(nodes[i]), z=z, zbar=m_z, y=it.y[j], ybar=it.m_y[j]))
             shift = np.zeros(n) if shift is None else shift + 0.5 * steps[i] * (f + fbar)
             fbar = f
             return shift

@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -603,6 +606,24 @@ def test_one_window_solvers_record_no_window_count(selector, tmp_path):
         texts.append((out / "ex21_result.csv").read_text())
         manifest = json.loads((out / "ex21_result.json").read_text())["manifest"]
         assert manifest["solver"]["n_windows"] is None
+    assert texts[0] == texts[1]
+
+
+def test_the_blas_thread_count_changes_no_output_byte(tmp_path):
+    # every mean over paths is numpy's own sum, which no BLAS thread count
+    # splits.  OpenBLAS may cap the count at the host's cores: on one core
+    # both runs use one thread, and this passes whatever the kernel
+    root = Path(__file__).resolve().parents[1]
+    texts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "mfbsde.cli", "solve",
+                        "--config", str(root / "configs" / "linear.cfg"),
+                        "--out-dir", str(out), "--steps", "8"],
+                       env=env, capture_output=True, check=True)
+        texts.append((out / "linear_result.csv").read_bytes())
     assert texts[0] == texts[1]
 
 
